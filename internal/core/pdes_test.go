@@ -83,7 +83,10 @@ func TestPDESWorkerCountInvariance(t *testing.T) {
 				got := runPDESWorkload(t, p, w)
 				assertJSONEqual(t, w, "stats", base.Stats(), got.Stats())
 				assertJSONEqual(t, w, "timeline", base.Timeline(), got.Timeline())
-				assertJSONEqual(t, w, "trace", base.Recorder().Snapshot(), got.Recorder().Snapshot())
+				if bt, gt := chromeTraceBytes(t, base), chromeTraceBytes(t, got); !bytes.Equal(bt, gt) {
+					t.Errorf("Chrome trace diverges between workers=1 and workers=%d (%d vs %d bytes)",
+						w, len(bt), len(gt))
+				}
 				assertJSONEqual(t, w, "latency", base.LatencyBreakdown(), got.LatencyBreakdown())
 				assertJSONEqual(t, w, "attribution", base.Attribution().Summarize(), got.Attribution().Summarize())
 				if bt, gt := base.TransitionTable(), got.TransitionTable(); bt != gt {
@@ -98,6 +101,15 @@ func TestPDESWorkerCountInvariance(t *testing.T) {
 			}
 		})
 	}
+}
+
+func chromeTraceBytes(t *testing.T, sys *System) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sys.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func assertJSONEqual(t *testing.T, workers int, what string, a, b any) {
