@@ -1,6 +1,7 @@
 # Tier-1 verify: build, vet, full tests, a race pass over the
 # concurrency layer (worker-pool runner, event engine, live-metrics
-# server) and the simulator hot path (core protocol + cache storage),
+# server), the simulator hot path (core protocol + cache storage) and
+# the flight spine the per-tile PDES rings feed,
 # a 1-iteration benchmark smoke so throughput regressions that crash or
 # deadlock are caught before they reach a real benchmarking session,
 # the observability smoke (trace + metrics JSON must parse, live
@@ -13,7 +14,7 @@ verify:
 	go test ./...
 	go test -race ./internal/runner ./internal/engine ./internal/resultcache
 	go test -race ./internal/core ./internal/cache
-	go test -race ./internal/obs ./internal/obs/attrib ./internal/obs/selfprof
+	go test -race ./internal/obs ./internal/obs/attrib ./internal/obs/selfprof ./internal/obs/flight
 	go test -run '^$$' -bench SimulatorThroughput -benchtime 1x .
 	$(MAKE) obs-smoke
 	$(MAKE) pdes-smoke
@@ -169,9 +170,8 @@ bench-compare:
 # (median-of-3 at 1s) diffed against the latest committed BENCH_*.json
 # with a tolerance band. It exits non-zero when median throughput falls
 # more than BENCH_GATE_TOL percent below the baseline and writes no
-# snapshot — informational on PRs (the CI job is non-blocking, so noisy
-# runners can't flake tier-1), and a local pre-push check after
-# hot-path changes.
+# snapshot. The CI job is a required check, so a failure blocks the
+# merge; run it locally as a pre-push check after hot-path changes.
 BENCH_GATE_TOL ?= 15
 bench-gate:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -357,8 +358,8 @@ func TestCLIs(t *testing.T) {
 			}
 		}
 		var report struct {
-			Mode   string `json:"mode"`
-			Rounds uint64 `json:"rounds"`
+			Mode   string            `json:"mode"`
+			Rounds uint64            `json:"rounds"`
 			Tiles  []json.RawMessage `json:"tiles"`
 		}
 		data, err := os.ReadFile(spOut)
@@ -446,6 +447,28 @@ func TestCLIs(t *testing.T) {
 			if !strings.Contains(line, "region "+region) {
 				t.Errorf("record for another region leaked through the filter: %q", line)
 			}
+		}
+	})
+
+	t.Run("sim-msglog-flight-cap", func(t *testing.T) {
+		// -msglog and -flight share one ring: a 5-message log enabled
+		// first must not cap the flight log below -flight-cap.
+		kept := func(extra ...string) string {
+			path := filepath.Join(dir, "cap.pzfl")
+			args := append([]string{"-workload", "linear-regression", "-cores", "4", "-scale", "1",
+				"-flight", path, "-flight-cap", "100000"}, extra...)
+			out := run(t, bin("protozoa-sim"), args...)
+			m := regexp.MustCompile(`flight recorder: (\d+) records kept, (\d+) dropped`).FindStringSubmatch(out)
+			if m == nil {
+				t.Fatalf("no flight recorder line:\n%s", out)
+			}
+			if m[2] != "0" {
+				t.Errorf("%v: %s records dropped under a 100000-record cap", extra, m[2])
+			}
+			return m[1]
+		}
+		if with, without := kept("-msglog", "5"), kept(); with != without {
+			t.Errorf("-msglog 5 kept %s flight records, without it %s", with, without)
 		}
 	})
 

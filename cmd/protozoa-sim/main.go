@@ -52,7 +52,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the raw stats as JSON instead of the report")
 	timeline := flag.Int("timeline", 0, "sample the run every N cycles and print per-window rates")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
-	traceCap := flag.Int("trace-cap", 0, "event recorder capacity (0 = default 1Mi events)")
+	traceCap := flag.Int("trace-cap", 0, "flight records kept for the Chrome trace; the ring is shared with -flight and -msglog and sized for the largest request (0 = default 4Mi)")
 	metricsOut := flag.String("metrics-out", "", "write the sampled metrics registry as JSON to this file")
 	attribOut := flag.Bool("attrib", false, "print the traffic-attribution report (utilization, sharing patterns, top offenders)")
 	serve := flag.String("serve", "", "serve live Prometheus metrics at this address (e.g. 127.0.0.1:8080) for the run's duration")

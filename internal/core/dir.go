@@ -6,7 +6,6 @@ import (
 	"protozoa/internal/directory"
 	"protozoa/internal/engine"
 	"protozoa/internal/mem"
-	"protozoa/internal/obs"
 	"protozoa/internal/obs/flight"
 )
 
@@ -295,12 +294,6 @@ func (d *dirSlice) evictLRURegion() {
 		return
 	}
 	d.setBusy(victim)
-	if d.tl.rec != nil {
-		d.tl.rec.Record(obs.Event{
-			Cycle: d.tl.eng.Now(), Kind: obs.KindTxnStart, Sub: uint8(MsgRecall),
-			Node: int16(d.node), Peer: -1, Region: uint64(victim.region),
-		})
-	}
 	if d.tl.flight != nil {
 		d.tl.flightDir(flight.KindTxnStart, victim.region, 0, -1, uint8(MsgRecall))
 	}
@@ -397,10 +390,7 @@ func (d *dirSlice) fetchMissing(e *dirEntry, need mem.Bitmap) bool {
 // recvRequest accepts GETS/GETX/UPGRADE. One transaction per region:
 // a busy region queues the request.
 func (d *dirSlice) recvRequest(m *Msg) {
-	if lt := d.sys.latFor(m.Src); lt != nil {
-		lt.DirAccept(m.Src, uint64(d.tl.eng.Now()))
-	}
-	if d.tl.flight != nil {
+	if d.tl.phaseOn() {
 		d.tl.flightDir(flight.KindDirAccept, m.Region, 0, m.Src, uint8(m.Type))
 	}
 	e := d.entry(m.Region)
@@ -418,16 +408,7 @@ func (d *dirSlice) recvRequest(m *Msg) {
 // one-time memory fetch for the region's first touch) and then process.
 func (d *dirSlice) activate(e *dirEntry, m *Msg) {
 	d.setBusy(e)
-	if lt := d.sys.latFor(m.Src); lt != nil {
-		lt.Activate(m.Src, uint64(d.tl.eng.Now()))
-	}
-	if d.tl.rec != nil {
-		d.tl.rec.Record(obs.Event{
-			Cycle: d.tl.eng.Now(), Kind: obs.KindTxnStart, Sub: uint8(m.Type),
-			Node: int16(d.node), Peer: -1, Region: uint64(m.Region),
-		})
-	}
-	if d.tl.flight != nil {
+	if d.tl.phaseOn() {
 		d.tl.flightDir(flight.KindTxnStart, m.Region, 0, m.Src, uint8(m.Type))
 	}
 	lat := d.sys.cfg.L2Lat
@@ -443,14 +424,13 @@ func (d *dirSlice) activate(e *dirEntry, m *Msg) {
 
 // process runs the directory state machine for one request.
 func (d *dirSlice) process(e *dirEntry, m *Msg) {
-	if lt := d.sys.latFor(m.Src); lt != nil {
-		lt.Process(m.Src, uint64(d.tl.eng.Now()))
-	}
 	if d.tl.transitions != nil {
 		e.auditFrom = d.dirState(e)
 	}
 	if d.tl.flight != nil {
 		e.auditFromCode = d.flightDirCode(e)
+	}
+	if d.tl.phaseOn() {
 		d.tl.flightDir(flight.KindTxnProcess, m.Region, 0, m.Src, uint8(m.Type))
 	}
 	// Figure 11 accounting: record the sharer mix every time a request
@@ -584,10 +564,7 @@ func (d *dirSlice) recvResponse(m *Msg) {
 			e.txn = nil
 			if req.Type != MsgRecall {
 				// Recall transactions carry Src=0, not a requester core.
-				if lt := d.sys.latFor(req.Src); lt != nil {
-					lt.LastAck(req.Src, uint64(d.tl.eng.Now()))
-				}
-				if d.tl.flight != nil {
+				if d.tl.phaseOn() {
 					d.tl.flightDir(flight.KindTxnLastAck, e.region, m.TxnID, req.Src, uint8(req.Type))
 				}
 			}
@@ -605,12 +582,6 @@ func (d *dirSlice) finish(e *dirEntry, m *Msg, forwarded bool) {
 		// dirty data patched. If a request raced in while the recall
 		// ran, abandon the eviction and serve it (the data is current);
 		// otherwise free the slot.
-		if d.tl.rec != nil {
-			d.tl.rec.Record(obs.Event{
-				Cycle: d.tl.eng.Now(), Kind: obs.KindTxnEnd, Sub: uint8(MsgRecall),
-				Node: int16(d.node), Peer: -1, Region: uint64(e.region),
-			})
-		}
 		if d.tl.flight != nil {
 			d.tl.flightDir(flight.KindTxnEnd, e.region, 0, -1, uint8(MsgRecall))
 		}
@@ -721,12 +692,6 @@ func (d *dirSlice) finish(e *dirEntry, m *Msg, forwarded bool) {
 // unblock reopens the region after the requester installed its fill
 // and activates the next queued transaction, if any.
 func (d *dirSlice) unblock(e *dirEntry) {
-	if d.tl.rec != nil {
-		d.tl.rec.Record(obs.Event{
-			Cycle: d.tl.eng.Now(), Kind: obs.KindTxnEnd,
-			Node: int16(d.node), Peer: -1, Region: uint64(e.region),
-		})
-	}
 	if d.tl.flight != nil {
 		d.tl.flightDir(flight.KindTxnEnd, e.region, 0, -1, flight.SubNone)
 	}

@@ -11,12 +11,14 @@ import (
 	"protozoa/internal/obs/flight"
 )
 
-// This file wires the flight recorder (internal/obs/flight) into the
+// This file wires the flight spine (internal/obs/flight) into the
 // machine: per-tile rings fed by nil-checked hooks at every protocol
-// step, the stall watchdog sampled on timeline ticks, and the log
-// export behind protozoa-sim's -flight flag. Like the rest of the
-// observability layer, everything here is opt-in and the disabled
-// machine pays one nil check per potential record.
+// step — the machine's only observability hooks — the stall watchdog
+// sampled on timeline ticks, and the log export behind protozoa-sim's
+// -flight flag. The Chrome trace, message log and latency breakdown are
+// views over the same records. Like the rest of the observability
+// layer, everything here is opt-in and the disabled machine pays one
+// nil check per potential record.
 
 // DefaultStallCycles is the watchdog threshold when the caller passes 0:
 // far beyond any healthy transaction (a worst-case miss is a few
@@ -25,8 +27,8 @@ import (
 const DefaultStallCycles = 50_000
 
 // flightRecordsPerMsg sizes the flight ring when capacity is expressed
-// in messages (the legacy EnableMessageLog contract): a message's life
-// is bounded by send + deliver + free plus its share of miss/txn/state
+// in messages (the EnableMessageLog contract): a message's life is
+// bounded by send + deliver + free plus its share of miss/txn/state
 // records.
 const flightRecordsPerMsg = 8
 
@@ -35,10 +37,12 @@ const flightRecordsPerMsg = 8
 // Run. Sequential machines share one ring across tiles (exact execution
 // order); under PDES each tile records into its own ring and
 // FlightRecords merges them deterministically, so the transcript is
-// byte-identical at any Workers >= 1. Idempotent: the first call sizes
-// the rings.
+// byte-identical at any Workers >= 1. Every view that needs the ring
+// (the flight log, message log, Chrome trace and stall watchdog) calls
+// this; the rings grow to the largest capacity any caller asks for.
 func (s *System) EnableFlightRecorder(capacity int) *flight.Recorder {
 	if s.flight != nil {
+		s.flight.Grow(capacity)
 		return s.flight
 	}
 	rings := 1
@@ -146,10 +150,27 @@ func (t *tile) flightMsg(k flight.Kind, at engine.Cycle, m *Msg) {
 	})
 }
 
+// phaseOn reports whether any view consumes the six miss/transaction
+// phase records (miss-start, dir-accept, txn-start, txn-process,
+// txn-last-ack, miss-end): the flight ring or the online latency fold.
+// Every other record kind feeds the ring alone and guards on t.flight.
+func (t *tile) phaseOn() bool { return t.flight != nil || t.sys.lat != nil }
+
+// record hands one record to every view that is on: this tile's ring
+// and the latency fold.
+func (t *tile) record(r flight.Record) {
+	if t.flight != nil {
+		t.flight.Record(r)
+	}
+	if lat := t.sys.lat; lat != nil {
+		lat.Fold(&r)
+	}
+}
+
 // flightDir records one directory-transaction step at this tile's
 // slice. req is the requesting core (-1 for inclusion recalls).
 func (t *tile) flightDir(k flight.Kind, region mem.RegionID, txn uint64, req int, sub uint8) {
-	t.flight.Record(flight.Record{
+	t.record(flight.Record{
 		Cycle: t.eng.Now(), Tile: int16(t.id), Kind: k, Sub: sub,
 		Src: int16(t.id), Dst: -1, Req: int16(req),
 		Region: uint64(region), Txn: txn,

@@ -151,8 +151,8 @@ func TestViolationTranscriptGolden(t *testing.T) {
 
 // TestFlightPhaseReconciliation is the inspect-side acceptance
 // invariant: transactions reconstructed from the flight log must carry
-// exactly the per-phase dwell times the PR 3 latency breakdown
-// measured — same miss count, same per-phase sums, same total.
+// exactly the per-phase dwell times the online latency fold measured —
+// same miss count, same per-phase sums, same total.
 func TestFlightPhaseReconciliation(t *testing.T) {
 	for _, p := range AllProtocols {
 		p := p
@@ -203,5 +203,80 @@ func TestFlightPhaseReconciliation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// spineRun runs the 4-core random workload the reconciliation tests
+// use, with setup arming whichever views the caller wants.
+func spineRun(t *testing.T, p Protocol, workers int, setup func(*System)) *System {
+	t.Helper()
+	cfg := testConfig(p, 4)
+	cfg.Workers = workers
+	perCore := randomStreams(4, 600, 10, 40, 17)
+	streams := make([]trace.Stream, 4)
+	for i := range streams {
+		streams[i] = trace.NewSliceStream(perCore[i])
+	}
+	sys, err := NewSystem(cfg, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup(sys)
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestLatencyFoldExactUnderRingWrap: the breakdown is folded online as
+// records are emitted, so a flight ring far too small for the run —
+// wrapping thousands of times — leaves it identical to a latency-only
+// run, which keeps no ring at all. Both execution modes.
+func TestLatencyFoldExactUnderRingWrap(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		alone := spineRun(t, ProtozoaMW, workers, func(s *System) { s.EnableLatencyBreakdown() })
+		if alone.FlightRecorder() != nil {
+			t.Fatalf("workers=%d: a latency-only run attached a flight ring", workers)
+		}
+		tiny := spineRun(t, ProtozoaMW, workers, func(s *System) {
+			s.EnableLatencyBreakdown()
+			s.EnableFlightRecorder(16)
+		})
+		if tiny.FlightDropped() == 0 {
+			t.Fatalf("workers=%d: a 16-record ring did not wrap", workers)
+		}
+		if alone.LatencyBreakdown().Count == 0 {
+			t.Fatalf("workers=%d: no misses folded", workers)
+		}
+		assertJSONEqual(t, workers, "latency (tiny ring vs none)", alone.LatencyBreakdown(), tiny.LatencyBreakdown())
+	}
+}
+
+// TestFlightRingSizedForLargestView: several views share the flight
+// ring, and it must be sized for the largest request whatever order
+// they were enabled in — a small message log enabled first must not
+// cap the flight log's capacity.
+func TestFlightRingSizedForLargestView(t *testing.T) {
+	full := spineRun(t, MESI, 0, func(s *System) { s.EnableFlightRecorder(1 << 18) })
+	if full.FlightDropped() != 0 {
+		t.Fatalf("reference run dropped %d records", full.FlightDropped())
+	}
+	want := full.FlightRecorder().Len()
+	for _, order := range []string{"msglog-first", "flight-first"} {
+		sys := spineRun(t, MESI, 0, func(s *System) {
+			if order == "msglog-first" {
+				s.EnableMessageLog(5)
+				s.EnableFlightRecorder(1 << 18)
+			} else {
+				s.EnableFlightRecorder(1 << 18)
+				s.EnableMessageLog(5)
+			}
+		})
+		if got := sys.FlightRecorder().Len(); got != want || sys.FlightDropped() != 0 {
+			t.Errorf("%s: kept %d records, dropped %d; want all %d", order, got, sys.FlightDropped(), want)
+		}
+		if n := len(sys.MessageLog()); n != 5 {
+			t.Errorf("%s: message log holds %d messages, want its own bound 5", order, n)
+		}
 	}
 }

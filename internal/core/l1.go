@@ -8,7 +8,6 @@ import (
 	"protozoa/internal/cache"
 	"protozoa/internal/engine"
 	"protozoa/internal/mem"
-	"protozoa/internal/obs"
 	"protozoa/internal/obs/flight"
 	"protozoa/internal/predictor"
 )
@@ -274,17 +273,8 @@ func (l *l1Ctrl) startMiss(ms mshr, t MsgType) {
 	l.ms = ms
 	l.msLive = true
 	l.tl.mshrLive++
-	if lt := l.sys.latFor(l.id); lt != nil {
-		lt.Issue(l.id, uint64(ms.issuedAt))
-	}
-	if l.tl.rec != nil {
-		l.tl.rec.Record(obs.Event{
-			Cycle: ms.issuedAt, Kind: obs.KindMissStart, Sub: uint8(t),
-			Node: int16(l.id), Peer: -1, Region: uint64(ms.region),
-		})
-	}
-	if f := l.tl.flight; f != nil {
-		f.Record(flight.Record{
+	if l.tl.phaseOn() {
+		l.tl.record(flight.Record{
 			Cycle: ms.issuedAt, Tile: int16(l.tl.id),
 			Kind: flight.KindMissStart, Sub: uint8(t),
 			Src: int16(l.id), Dst: int16(l.sys.home(ms.region)), Req: int16(l.id),
@@ -301,24 +291,15 @@ func (l *l1Ctrl) startMiss(ms mshr, t MsgType) {
 	l.tl.send(m)
 }
 
-// retireMiss records the completed miss's latency. The breakdown's
-// Complete stamp uses the same Now() as RecordMissLatency, so the
+// retireMiss records the completed miss's latency. The miss-end record
+// carries the same Now() as RecordMissLatency, so the latency fold's
 // phase sums reconcile exactly against stats.AvgMissLatency.
 func (l *l1Ctrl) retireMiss(ms *mshr) {
 	now := l.tl.eng.Now()
 	l.tl.st.RecordMissLatency(uint64(now - ms.issuedAt))
 	l.tl.mshrLive--
-	if lt := l.sys.latFor(l.id); lt != nil {
-		lt.Complete(l.id, uint64(now))
-	}
-	if l.tl.rec != nil {
-		l.tl.rec.Record(obs.Event{
-			Cycle: now, Kind: obs.KindMissEnd,
-			Node: int16(l.id), Peer: -1, Region: uint64(ms.region),
-		})
-	}
-	if f := l.tl.flight; f != nil {
-		f.Record(flight.Record{
+	if l.tl.phaseOn() {
+		l.tl.record(flight.Record{
 			Cycle: now, Tile: int16(l.tl.id),
 			Kind: flight.KindMissEnd, Sub: flight.SubNone,
 			Src: int16(l.id), Dst: -1, Req: int16(l.id),

@@ -7,58 +7,46 @@ import (
 
 	"protozoa/internal/obs"
 	"protozoa/internal/obs/attrib"
+	"protozoa/internal/obs/flight"
 	"protozoa/internal/obs/selfprof"
 )
 
 // This file wires the internal/obs observability layer into the
 // machine. Nothing here runs unless the corresponding Enable* method
-// was called before Run; the hot-path emit sites in system.go, l1.go,
-// dir.go and the mesh all guard on a single nil check.
+// was called before Run; the hot-path emit sites in system.go, l1.go
+// and dir.go all guard on a single nil check.
 
-// EnableEventTrace attaches a ring-buffer event recorder holding the
-// most recent capacity events (capacity <= 0 selects the default 1 Mi).
-// Call before Run. The collected events export as a Perfetto-loadable
-// Chrome trace via WriteChromeTrace.
-// Under PDES the returned recorder is the merge target: each tile
-// records into its own shard (an equal split of the capacity) and the
-// shards are folded into the target, cycle-ordered, when Run completes.
-func (s *System) EnableEventTrace(capacity int) *obs.Recorder {
+// traceRecordsPerEvent sizes the flight ring behind the Chrome trace in
+// records per trace event: the ring also keeps frees, directory phase
+// edges and state changes the trace does not show. Across every
+// workload and micro-benchmark at 4 and 16 cores, all protocols, with
+// and without NoC contention, a run keeps at most 2.0 flight records
+// per trace event; 4 leaves headroom.
+const traceRecordsPerEvent = 4
+
+// defaultTraceCap is the flight-ring capacity, in records, the Chrome
+// trace asks for when the caller passes capacity <= 0: 1 Mi trace
+// events' worth.
+const defaultTraceCap = traceRecordsPerEvent << 20
+
+// EnableEventTrace turns on the Chrome trace view: the flight recorder,
+// grown to keep at least capacity records (<= 0 selects
+// defaultTraceCap). Call before Run; export with WriteChromeTrace.
+func (s *System) EnableEventTrace(capacity int) *flight.Recorder {
 	if capacity <= 0 {
-		capacity = obs.DefaultRecorderCap
+		capacity = defaultTraceCap
 	}
-	s.rec = obs.NewRecorder(capacity)
-	s.mesh.SetRecorder(s.rec)
-	for _, t := range s.tiles {
-		if s.pdes {
-			per := capacity / len(s.tiles)
-			if per < 1 {
-				per = 1
-			}
-			t.rec = obs.NewRecorder(per)
-		} else {
-			t.rec = s.rec
-		}
-	}
-	return s.rec
+	return s.EnableFlightRecorder(capacity)
 }
 
-// Recorder returns the attached event recorder, nil when tracing is
-// disabled.
-func (s *System) Recorder() *obs.Recorder { return s.rec }
-
 // EnableLatencyBreakdown attaches per-transaction phase timing: every
-// miss's life is stamped at issue, directory accept, activation, L2
-// access, last probe ack, and completion. Call before Run.
-// Under PDES the returned breakdown is the merge target: stamps go to
-// per-core shards (a core's stamps form a causal chain that never runs
-// concurrently with itself) merged into the target when Run completes.
+// miss's life is folded, online, from the flight spine's issue,
+// directory accept, activation, L2 access, last probe ack and
+// completion records. It keeps no ring of its own. Call before Run; the
+// returned breakdown is complete once Run returns.
 func (s *System) EnableLatencyBreakdown() *obs.LatencyBreakdown {
-	s.lat = obs.NewLatencyBreakdown(s.cfg.Cores)
-	if s.pdes {
-		s.latShards = make([]*obs.LatencyBreakdown, s.cfg.Cores)
-		for i := range s.latShards {
-			s.latShards[i] = obs.NewLatencyBreakdown(s.cfg.Cores)
-		}
+	if s.lat == nil {
+		s.lat = obs.NewLatencyBreakdown(s.cfg.Cores)
 	}
 	return s.lat
 }
@@ -345,20 +333,15 @@ func (s *System) EnableMetrics() *obs.Registry {
 // Metrics returns the attached registry, nil when disabled.
 func (s *System) Metrics() *obs.Registry { return s.metrics }
 
-// WriteChromeTrace exports the recorded events as Chrome trace-event
-// JSON (load in Perfetto / chrome://tracing). EnableEventTrace must
-// have been called.
+// WriteChromeTrace exports the flight records as Chrome trace-event
+// JSON (load in Perfetto / chrome://tracing). EnableEventTrace (or any
+// other ring-keeping view) must have been called.
 func (s *System) WriteChromeTrace(w io.Writer) error {
-	if s.rec == nil {
+	if s.flight == nil {
 		return fmt.Errorf("core: event tracing not enabled")
 	}
-	return obs.WriteChromeTrace(w, s.rec.Snapshot(), s.rec.Dropped(), obs.TraceOptions{
+	return obs.WriteChromeTrace(w, s.flight.Records(), s.flight.Dropped(), obs.TraceOptions{
 		Process: fmt.Sprintf("protozoa %s", s.cfg.Protocol),
-		SubName: func(k obs.Kind, sub uint8) string {
-			if k == obs.KindLinkStall {
-				return "link-stall"
-			}
-			return MsgType(sub).String()
-		},
+		Names:   flightNames(),
 	})
 }

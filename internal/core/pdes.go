@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	"protozoa/internal/engine"
-	"protozoa/internal/obs"
 	"protozoa/internal/obs/selfprof"
 	"protozoa/internal/stats"
 )
@@ -421,29 +419,12 @@ func (s *System) mergeShardStats() {
 func (s *System) mergePDES() {
 	s.mergeShardStats()
 	if s.lat != nil {
-		for _, sh := range s.latShards {
-			s.lat.Merge(sh)
-		}
+		s.lat.Settle()
 	}
 	if s.attrib != nil {
 		for _, t := range s.tiles {
 			s.attrib.Merge(t.attrib)
 		}
-	}
-	if s.rec != nil {
-		var evs []obs.Event
-		var dropped uint64
-		for _, t := range s.tiles {
-			evs = append(evs, t.rec.Snapshot()...)
-			dropped += t.rec.Dropped()
-		}
-		// Stable sort: ties keep tile order, so the merged trace is
-		// worker-count independent.
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Cycle < evs[j].Cycle })
-		for _, ev := range evs {
-			s.rec.Record(ev)
-		}
-		s.rec.AddDropped(dropped)
 	}
 	if s.transitions != nil {
 		for _, t := range s.tiles {

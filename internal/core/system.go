@@ -143,20 +143,21 @@ type System struct {
 	// aliases the shared engine, stats, and message pool, so the
 	// controllers always account through their tile and never branch.
 	tiles []*tile
-	pdes  bool         // Workers > 0: run the window loop instead of Engine.Run
+	pdes  bool // Workers > 0: run the window loop instead of Engine.Run
 	// Observability hooks (internal/obs). All nil/zero unless the
 	// corresponding Enable* method ran; every use site guards with a
-	// single nil check so the disabled path costs one branch.
-	rec     *obs.Recorder
+	// single nil check so the disabled path costs one branch. lat is the
+	// online latency fold over the flight spine's phase records.
 	lat     *obs.LatencyBreakdown
 	metrics *obs.Registry
 	attrib  *attrib.Tracker
 
 	// flight is the flight recorder (EnableFlightRecorder): per-tile
-	// record rings merged deterministically on read. msgCap, when
-	// nonzero, bounds the legacy MessageLog view reconstructed from the
-	// flight transcript. The stall* fields belong to the watchdog
-	// (EnableStallWatchdog), checked on timeline ticks.
+	// record rings merged deterministically on read, sized to the
+	// largest capacity any view asked for. msgCap, when nonzero, bounds
+	// the MessageLog view reconstructed from the flight transcript. The
+	// stall* fields belong to the watchdog (EnableStallWatchdog),
+	// checked on timeline ticks.
 	flight         *flight.Recorder
 	msgCap         int
 	stallThreshold engine.Cycle
@@ -167,13 +168,6 @@ type System struct {
 	// selfProf observes the simulator itself (EnableSelfProf): PDES
 	// round telemetry and engine queue introspection. nil = disabled.
 	selfProf *selfprof.Profile
-
-	// latShards holds per-core latency-breakdown shards under PDES
-	// (indexed by the core whose miss is being stamped — directory
-	// slices stamp for the requesting core, which may live on another
-	// tile, but each core's stamps form a causal chain so a shard is
-	// only ever touched by one tile per window). nil in legacy mode.
-	latShards []*obs.LatencyBreakdown
 
 	// onSample, when non-nil, runs after every timeline tick's metrics
 	// sample — the live-endpoint publish hook (SetSampleHook).
@@ -232,15 +226,14 @@ type outMsg struct {
 // tiles alias the machine-wide engine, stats, and pool, so controller
 // code is identical in both modes.
 type tile struct {
-	id  int
-	sys *System
-	eng *engine.Engine
-	st  *stats.Stats
+	id   int
+	sys  *System
+	eng  *engine.Engine
+	st   *stats.Stats
 	pool *msgPool
 
 	// Per-tile observability shards (nil/shared depending on mode; set
 	// by the Enable* methods).
-	rec         *obs.Recorder
 	flight      *flight.Ring
 	attrib      *attrib.Tracker
 	prof        *selfprof.TileShard
@@ -447,16 +440,6 @@ func (s *System) poolCounts() (hits, allocs uint64) {
 	return hits, allocs
 }
 
-// latFor returns the latency-breakdown sink for stamps belonging to the
-// given core's misses: the per-core shard under PDES, the shared
-// tracker otherwise (nil when the breakdown is disabled).
-func (s *System) latFor(core int) *obs.LatencyBreakdown {
-	if s.latShards != nil {
-		return s.latShards[core]
-	}
-	return s.lat
-}
-
 // Protocol reports the configured protocol.
 func (s *System) Protocol() Protocol { return s.cfg.Protocol }
 
@@ -482,16 +465,16 @@ func (t *tile) send(m *Msg) {
 	if t.flight != nil {
 		t.flightMsg(flight.KindMsgSend, t.eng.Now(), m)
 	}
-	if t.rec != nil {
-		t.rec.Record(obs.Event{
-			Cycle: t.eng.Now(), Kind: obs.KindMsgSend, Sub: uint8(m.Type),
-			Node: int16(m.Src), Peer: int16(m.Dst),
-			Region: uint64(m.Region), Txn: m.TxnID,
-		})
-	}
 	m.sys = s
 	m.phase = phaseDeliver
-	at := s.mesh.Arrival(t.eng.Now(), m.Src, m.Dst, m.VNet(), m.Bytes(), t.st)
+	at, stall := s.mesh.Arrival(t.eng.Now(), m.Src, m.Dst, m.VNet(), m.Bytes(), t.st)
+	if stall > 0 && t.flight != nil {
+		t.flight.Record(flight.Record{
+			Cycle: t.eng.Now(), Tile: int16(t.id), Kind: flight.KindLinkStall,
+			Sub: uint8(m.Type), Src: int16(m.Src), Dst: int16(m.Dst), Req: -1,
+			Txn: uint64(stall),
+		})
+	}
 	if !s.pdes || m.Dst == t.id {
 		t.eng.ScheduleRunnerAt(at, m)
 	} else {
@@ -517,13 +500,6 @@ func (s *System) deliver(m *Msg) {
 	t := s.tiles[m.Dst]
 	if t.flight != nil {
 		t.flightMsg(flight.KindMsgDeliver, t.eng.Now(), m)
-	}
-	if t.rec != nil {
-		t.rec.Record(obs.Event{
-			Cycle: t.eng.Now(), Kind: obs.KindMsgDeliver, Sub: uint8(m.Type),
-			Node: int16(m.Src), Peer: int16(m.Dst),
-			Region: uint64(m.Region), Txn: m.TxnID,
-		})
 	}
 	switch m.Type {
 	case MsgGetS, MsgGetX, MsgUpgrade:
@@ -566,6 +542,9 @@ func (s *System) Run() error {
 	}
 	s.st.ExecCycles = uint64(s.lastRetire)
 	s.flushResidual()
+	if s.lat != nil {
+		s.lat.Settle()
+	}
 	// Engine self-observability counters land in the stats at the very
 	// end of the run (they describe the whole run) — always set, so the
 	// stats JSON is byte-identical whether or not self-prof is enabled.

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"protozoa/internal/engine"
-	"protozoa/internal/obs"
 	"protozoa/internal/stats"
 )
 
@@ -96,12 +95,7 @@ type Mesh struct {
 	last  []engine.Cycle // per (src*nodes+dst)*numVnets+vnet: last delivery cycle
 	links []engine.Cycle // per from*nodes+to: busy-until (contention mode)
 	nodes int
-	rec   *obs.Recorder // nil unless event tracing is enabled
 }
-
-// SetRecorder attaches an event recorder; contention stalls emit
-// KindLinkStall events into it. Pass nil to detach.
-func (m *Mesh) SetRecorder(rec *obs.Recorder) { m.rec = rec }
 
 // LinkCount reports how many directed links the topology has — the
 // denominator for the link-utilization gauge. Mesh links are the
@@ -255,26 +249,28 @@ func (m *Mesh) LookaheadBetween(src, dst int) engine.Cycle {
 // on the same (src, dst, vnet) channel never reorder. Flit-hop and
 // message counters accrue immediately.
 func (m *Mesh) Send(src, dst, vnet, bytes int, deliver func()) {
-	at := m.Arrival(m.eng.Now(), src, dst, vnet, bytes, m.st)
+	at, _ := m.Arrival(m.eng.Now(), src, dst, vnet, bytes, m.st)
 	m.eng.ScheduleAt(at, deliver)
 }
 
 // SendRunner is Send for a pre-bound engine.Runner: the allocation-free
 // path the coherence layer uses (the message itself is the runner).
 func (m *Mesh) SendRunner(src, dst, vnet, bytes int, deliver engine.Runner) {
-	at := m.Arrival(m.eng.Now(), src, dst, vnet, bytes, m.st)
+	at, _ := m.Arrival(m.eng.Now(), src, dst, vnet, bytes, m.st)
 	m.eng.ScheduleRunnerAt(at, deliver)
 }
 
 // Arrival accounts the message into st and computes its delivery cycle
 // for a send at cycle now, including FIFO back-pressure on the (src,
-// dst, vnet) channel. Exposed so the PDES executor can compute
+// dst, vnet) channel. stall is how long the message queued behind busy
+// links beyond its uncontended latency (always 0 without the contention
+// model) — the amount accrued to st.LinkStallCycles. Exposed so the PDES executor can compute
 // arrivals with a partition's local clock and stats shard: the FIFO
 // state it touches is indexed by source node, so concurrent calls from
 // different source partitions never share a slot. The contention model
 // is the exception — it reserves globally shared links — and is
 // rejected at system construction when partitions run concurrently.
-func (m *Mesh) Arrival(now engine.Cycle, src, dst, vnet, bytes int, st *stats.Stats) engine.Cycle {
+func (m *Mesh) Arrival(now engine.Cycle, src, dst, vnet, bytes int, st *stats.Stats) (at, stall engine.Cycle) {
 	if src < 0 || src >= m.nodes || dst < 0 || dst >= m.nodes {
 		panic(fmt.Sprintf("noc: node out of range: src=%d dst=%d nodes=%d", src, dst, m.nodes))
 	}
@@ -287,9 +283,8 @@ func (m *Mesh) Arrival(now engine.Cycle, src, dst, vnet, bytes int, st *stats.St
 	st.Flits += uint64(flits)
 	st.FlitHops += uint64(flits * hops)
 
-	var at engine.Cycle
 	if m.cfg.ModelContention && src != dst {
-		at = m.reserve(now, src, dst, flits, st)
+		at, stall = m.reserve(now, src, dst, flits, st)
 	} else {
 		at = now + m.Latency(src, dst, bytes)
 	}
@@ -300,15 +295,16 @@ func (m *Mesh) Arrival(now engine.Cycle, src, dst, vnet, bytes int, st *stats.St
 		at = floor
 	}
 	m.last[idx] = at + 1
-	return at
+	return at, stall
 }
 
 // reserve walks the XY path claiming each link in turn (wormhole
 // style): the head flit waits for the link to drain, then the message
 // occupies it for one serialization slot per flit. The returned cycle
 // is the tail's arrival at the destination; queueing beyond the
-// uncontended latency accrues to the LinkStallCycles counter.
-func (m *Mesh) reserve(now engine.Cycle, src, dst int, flits int, st *stats.Stats) engine.Cycle {
+// uncontended latency is the returned stall, also accrued to the
+// LinkStallCycles counter.
+func (m *Mesh) reserve(now engine.Cycle, src, dst int, flits int, st *stats.Stats) (arrival, stall engine.Cycle) {
 	occupancy := engine.Cycle(flits) * m.cfg.SerialLat
 	if occupancy == 0 {
 		occupancy = 1
@@ -325,21 +321,12 @@ func (m *Mesh) reserve(now engine.Cycle, src, dst int, flits int, st *stats.Stat
 		head = start + m.cfg.HopLatency
 		prev = next
 	}
-	arrival := head + engine.Cycle(flits-1)*m.cfg.SerialLat
-	base := now + m.Latency(src, dst, flits*m.cfg.FlitBytes)
-	if arrival > base {
-		st.LinkStallCycles += uint64(arrival - base)
-		if m.rec != nil {
-			m.rec.Record(obs.Event{
-				Cycle: now,
-				Kind:  obs.KindLinkStall,
-				Node:  int16(src),
-				Peer:  int16(dst),
-				Txn:   uint64(arrival - base),
-			})
-		}
+	arrival = head + engine.Cycle(flits-1)*m.cfg.SerialLat
+	if base := now + m.Latency(src, dst, flits*m.cfg.FlitBytes); arrival > base {
+		stall = arrival - base
+		st.LinkStallCycles += uint64(stall)
 	}
-	return arrival
+	return arrival, stall
 }
 
 func abs(v int) int {

@@ -2,10 +2,13 @@ package flight
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"protozoa/internal/engine"
 	"protozoa/internal/mem"
 )
 
@@ -191,4 +194,183 @@ func TestReconstruct(t *testing.T) {
 	if !c.Open || c.Core != 3 {
 		t.Fatalf("txn C should be open for core 3: %+v", c)
 	}
+}
+
+func TestRecorderNoWrap(t *testing.T) {
+	r := NewRecorder(1, 8)
+	for i := 0; i < 5; i++ {
+		r.Ring(0).Record(Record{Cycle: engine.Cycle(i), Kind: KindMissStart, Src: int16(i)})
+	}
+	if r.Len() != 5 || r.Dropped() != 0 {
+		t.Fatalf("len=%d dropped=%d, want 5/0", r.Len(), r.Dropped())
+	}
+	for i, rec := range r.Records() {
+		if rec.Cycle != engine.Cycle(i) {
+			t.Fatalf("record %d at cycle %d, want %d", i, rec.Cycle, i)
+		}
+	}
+}
+
+func TestRecorderWrapKeepsNewest(t *testing.T) {
+	r := NewRecorder(1, 4)
+	for i := 0; i < 10; i++ {
+		r.Ring(0).Record(Record{Cycle: engine.Cycle(i), Kind: KindMsgSend})
+	}
+	if r.Len() != 4 || r.Dropped() != 6 {
+		t.Fatalf("len=%d dropped=%d, want 4/6", r.Len(), r.Dropped())
+	}
+	for i, rec := range r.Records() {
+		if want := engine.Cycle(6 + i); rec.Cycle != want {
+			t.Fatalf("records[%d] cycle %d, want %d (oldest-first after wrap)", i, rec.Cycle, want)
+		}
+	}
+}
+
+func TestRecorderDefaultCap(t *testing.T) {
+	r := NewRecorder(2, 0)
+	if got := r.Ring(0).cap + r.Ring(1).cap; got != DefaultCap {
+		t.Fatalf("default capacity %d, want %d", got, DefaultCap)
+	}
+}
+
+// TestRecorderGrow: several views size one recorder; the largest
+// request wins and a smaller later request never shrinks it.
+func TestRecorderGrow(t *testing.T) {
+	r := NewRecorder(4, 40)
+	r.Grow(400)
+	r.Grow(8)
+	for i := 0; i < 4; i++ {
+		if c := r.Ring(i).cap; c != 100 {
+			t.Fatalf("ring %d capacity %d after Grow(400), Grow(8); want 100", i, c)
+		}
+	}
+	r.Grow(0)
+	if c := r.Ring(0).cap; c != DefaultCap/4 {
+		t.Fatalf("Grow(0) capacity %d per ring, want the default's share %d", c, DefaultCap/4)
+	}
+}
+
+// TestRecordDoesNotAllocate is the zero-cost contract: once the ring
+// has grown to capacity, recording performs no heap allocation.
+func TestRecordDoesNotAllocate(t *testing.T) {
+	r := newRing(1024)
+	rec := Record{Cycle: 1, Kind: KindMsgSend, Src: 3}
+	for i := 0; i < 1024; i++ {
+		r.Record(rec)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { r.Record(rec) }); allocs != 0 {
+		t.Fatalf("Record allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+func TestKindNames(t *testing.T) {
+	if KindMsgSend.String() != "msg-send" || KindLinkStall.String() != "link-stall" {
+		t.Fatal("kind names wrong")
+	}
+	if numKinds != Kind(len(kindNames)) {
+		t.Fatal("kindNames out of sync with kinds")
+	}
+	// Codes are append-only: recorded logs key on them.
+	if KindDirState != 13 || KindLinkStall != 14 {
+		t.Fatalf("kind codes moved: dir-state %d, link-stall %d", KindDirState, KindLinkStall)
+	}
+}
+
+// TestReadLogEarlierVocabulary reads a log recorded before link-stall
+// existed: its header's kind list is a prefix of this build's.
+func TestReadLogEarlierVocabulary(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "recorded.pzfl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, recs, err := ReadLog(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(meta.Kinds) != int(KindLinkStall) || len(recs) != meta.Records || len(recs) == 0 {
+		t.Fatalf("read %d records (header %d) with %d kinds", len(recs), meta.Records, len(meta.Kinds))
+	}
+	// Re-written by this build, the record lines are unchanged and the
+	// header's vocabulary gains link-stall at the end.
+	var out bytes.Buffer
+	if err := WriteLog(&out, meta, recs); err != nil {
+		t.Fatal(err)
+	}
+	oldHead, oldRows, _ := strings.Cut(string(raw), "\n")
+	newHead, newRows, _ := strings.Cut(out.String(), "\n")
+	if oldRows != newRows {
+		t.Error("record lines changed on re-write")
+	}
+	if want := strings.Replace(oldHead, `"dir-state"]`, `"dir-state","link-stall"]`, 1); newHead != want {
+		t.Errorf("re-written header:\n%s\nwant:\n%s", newHead, want)
+	}
+}
+
+func TestReadLogRejectsBadInput(t *testing.T) {
+	head := func(extra string) string {
+		return `{"format":"protozoa-flight","version":1,"cores":4,"kinds":["msg-send","msg-deliver"]` + extra + "}\n"
+	}
+	row := "[1,0,2,1,0,0,3,-1,7,0,0,0,0,0,0,0,0]\n"
+	for _, tc := range []struct{ name, log, want string }{
+		{"negative records", head(`,"records":-1`), "bad header"},
+		{"foreign kind name", `{"format":"protozoa-flight","version":1,"kinds":["msg-send","nope"]}` + "\n", `kind 1 is "nope"`},
+		{"negative cycle", head("") + "[-5,0,2,1,0,0,3,-1,7,0,0,0,0,0,0,0,0]\n", "line 2: cycle -5"},
+		{"tile overflow", head("") + row + "[1,0,70000,1,0,0,3,-1,7,0,0,0,0,0,0,0,0]\n", "line 3: tile 70000"},
+		{"tile beyond cores", head("") + "[1,0,4,1,0,0,3,-1,7,0,0,0,0,0,0,0,0]\n", "tile 4 out of range for 4 cores"},
+		{"kind beyond header", head("") + "[1,0,2,2,0,0,3,-1,7,0,0,0,0,0,0,0,0]\n", "kind 2 outside"},
+		{"kind beyond uint8", head("") + "[1,0,2,300,0,0,3,-1,7,0,0,0,0,0,0,0,0]\n", "kind 300 out of range"},
+		{"src below none", head("") + "[1,0,2,1,0,-2,3,-1,7,0,0,0,0,0,0,0,0]\n", "src -2"},
+		{"valid overflow", head("") + "[1,0,2,1,0,0,3,-1,7,0,0,0,0,0,0,65536,0]\n", "valid 65536"},
+	} {
+		_, _, err := ReadLog(strings.NewReader(tc.log))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
+	}
+	if _, recs, err := ReadLog(strings.NewReader(head("") + row)); err != nil || len(recs) != 1 {
+		t.Fatalf("valid row rejected: %v", err)
+	}
+}
+
+// FuzzReadLog: arbitrary input never panics, and whatever ReadLog
+// accepts round-trips through WriteLog — the re-written log reads back
+// to the same records and re-writes to the same bytes.
+func FuzzReadLog(f *testing.F) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "recorded.pzfl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	var cur bytes.Buffer
+	if err := WriteLog(&cur, Meta{Cores: 4, Msgs: []string{"GETS"}}, []Record{
+		{Cycle: 3, Tile: 1, Kind: KindLinkStall, Sub: 0, Src: 1, Dst: 2, Req: -1, Txn: 6},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cur.Bytes())
+	f.Add([]byte(`{"format":"protozoa-flight","version":1,"records":-1}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, recs, err := ReadLog(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once bytes.Buffer
+		if err := WriteLog(&once, meta, recs); err != nil {
+			t.Fatal(err)
+		}
+		meta2, recs2, err := ReadLog(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-written log rejected: %v", err)
+		}
+		if len(recs2) != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(recs2, recs)) {
+			t.Fatalf("records changed across the round trip")
+		}
+		var twice bytes.Buffer
+		if err := WriteLog(&twice, meta2, recs2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("WriteLog not stable across a round trip:\n%s\n---\n%s", once.Bytes(), twice.Bytes())
+		}
+	})
 }

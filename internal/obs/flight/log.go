@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"protozoa/internal/engine"
 	"protozoa/internal/mem"
@@ -51,6 +52,26 @@ var recordFields = []string{
 
 const numFields = 17
 
+// fieldMin / fieldMax bound each record field, in recordFields order,
+// to what the Record field it decodes into can hold (src/dst/req use -1
+// for "none"). ReadLog rejects a row outside them instead of silently
+// wrapping it into a different value.
+var (
+	fieldMin = [numFields]int64{5: -1, 6: -1, 7: -1}
+	fieldMax = [numFields]int64{
+		math.MaxInt64, math.MaxInt64, math.MaxInt16, math.MaxUint8,
+		math.MaxUint8, math.MaxInt16, math.MaxInt16, math.MaxInt16,
+		math.MaxInt64, math.MaxInt64, math.MaxUint8, math.MaxUint8,
+		math.MaxUint8, math.MaxUint8, math.MaxUint8,
+		math.MaxUint16, math.MaxUint16,
+	}
+)
+
+// maxPrealloc caps the record slice ReadLog sizes from the header's
+// record count, so a corrupt or hostile header cannot force a huge
+// allocation up front; longer logs grow the slice as they parse.
+const maxPrealloc = 1 << 16
+
 // Names returns the header's Sub vocabulary for rendering.
 func (m *Meta) Names() *Names { return &Names{Msgs: m.Msgs} }
 
@@ -82,7 +103,11 @@ func WriteLog(w io.Writer, meta Meta, recs []Record) error {
 	return bw.Flush()
 }
 
-// ReadLog parses a flight log written by WriteLog.
+// ReadLog parses a flight log written by WriteLog — by this build or an
+// earlier one whose kind vocabulary is a prefix of this build's. It
+// rejects, with a line-numbered error, any record field outside its
+// type's range, a tile or core index outside the header's core count,
+// and a kind outside the header's or this build's vocabulary.
 func ReadLog(r io.Reader) (Meta, []Record, error) {
 	var meta Meta
 	sc := bufio.NewScanner(r)
@@ -102,7 +127,20 @@ func ReadLog(r io.Reader) (Meta, []Record, error) {
 	if meta.Version != FormatVersion {
 		return meta, nil, fmt.Errorf("flight: unsupported version %d (want %d)", meta.Version, FormatVersion)
 	}
-	recs := make([]Record, 0, meta.Records)
+	if meta.Records < 0 || meta.Cores < 0 {
+		return meta, nil, fmt.Errorf("flight: bad header: %d records, %d cores", meta.Records, meta.Cores)
+	}
+	kinds := len(meta.Kinds)
+	if kinds > int(numKinds) {
+		kinds = int(numKinds)
+	}
+	for k := 0; k < kinds; k++ {
+		if meta.Kinds[k] != kindNames[k] {
+			return meta, nil, fmt.Errorf("flight: bad header: kind %d is %q, this build's is %q",
+				k, meta.Kinds[k], kindNames[k])
+		}
+	}
+	recs := make([]Record, 0, min(meta.Records, maxPrealloc))
 	line := 1
 	for sc.Scan() {
 		line++
@@ -113,6 +151,22 @@ func ReadLog(r io.Reader) (Meta, []Record, error) {
 		}
 		if len(v) != numFields {
 			return meta, nil, fmt.Errorf("flight: line %d: %d fields (want %d)", line, len(v), numFields)
+		}
+		for i, x := range v {
+			if x < fieldMin[i] || x > fieldMax[i] {
+				return meta, nil, fmt.Errorf("flight: line %d: %s %d out of range", line, recordFields[i], x)
+			}
+		}
+		if v[3] >= int64(kinds) {
+			return meta, nil, fmt.Errorf("flight: line %d: kind %d outside the log's %d-kind vocabulary", line, v[3], kinds)
+		}
+		if meta.Cores > 0 {
+			for _, i := range [...]int{2, 5, 6, 7} {
+				if v[i] >= int64(meta.Cores) {
+					return meta, nil, fmt.Errorf("flight: line %d: %s %d out of range for %d cores",
+						line, recordFields[i], v[i], meta.Cores)
+				}
+			}
 		}
 		recs = append(recs, Record{
 			Cycle: engine.Cycle(v[0]), Seq: uint64(v[1]), Tile: int16(v[2]),

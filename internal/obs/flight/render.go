@@ -78,6 +78,8 @@ func (r Record) Format(n *Names) string {
 	case KindDirState:
 		fmt.Fprintf(&b, " dir %d region %d %s -> %s",
 			r.Tile, r.Region, DirStateName(r.From), DirStateName(r.To))
+	case KindLinkStall:
+		fmt.Fprintf(&b, " C%d->T%d stalled %d cycles", r.Src, r.Dst, r.Txn)
 	}
 	return b.String()
 }

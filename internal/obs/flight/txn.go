@@ -1,21 +1,58 @@
 package flight
 
 // Transaction reconstruction: fold a merged record stream back into
-// per-miss timelines with per-phase dwell times. The phase algebra is
-// the same as obs.LatencyBreakdown — stamps are overwritten as records
-// arrive (so an abandoned round's stamps fold away exactly like a
-// reissued upgrade's do) and then clamped into a monotone chain — so
-// the reconstructed dwell sums reconcile exactly against the PR 3
-// latency breakdown: summed per phase over completed transactions they
-// equal LatencyBreakdown.PhaseSum, and each transaction's dwells sum to
-// its complete-issue latency.
+// per-miss timelines with per-phase dwell times. The phase algebra —
+// Chain — is shared with the online obs.LatencyBreakdown fold: stamps
+// are overwritten as records arrive (so an abandoned round's stamps
+// fold away exactly like a reissued upgrade's do) and then clamped into
+// a monotone chain. The reconstructed dwell sums therefore reconcile
+// exactly against the latency breakdown: summed per phase over
+// completed transactions they equal LatencyBreakdown.PhaseSum, and each
+// transaction's dwells sum to its complete-issue latency.
 
-// NumPhases and the phase names mirror obs.Phase.
+// NumPhases and PhaseNames are the phase vocabulary obs.Phase indexes.
 const NumPhases = 5
 
 // PhaseNames names the five phases in order.
 var PhaseNames = [NumPhases]string{
 	"req-noc", "dir-queue", "l2-access", "fanout-acks", "data-fill",
+}
+
+// Chain is one miss's phase-edge stamps: issue, dir-accept, activate,
+// process, last-ack, complete.
+type Chain [NumPhases + 1]uint64
+
+// Stamp overwrites the edge a directory-phase record marks (dir-accept,
+// txn-start, txn-process, txn-last-ack); other kinds leave the chain
+// alone. Overwriting is the reissue semantics: a later round's stamp
+// replaces the abandoned round's, and Close folds the gap into req-noc.
+func (c *Chain) Stamp(r *Record) {
+	switch r.Kind {
+	case KindDirAccept:
+		c[1] = uint64(r.Cycle)
+	case KindTxnStart:
+		c[2] = uint64(r.Cycle)
+	case KindTxnProcess:
+		c[3] = uint64(r.Cycle)
+	case KindTxnLastAck:
+		c[4] = uint64(r.Cycle)
+	}
+}
+
+// Close stamps completion, clamps the chain monotone — so a stale or
+// missing stamp can never produce a negative phase — and returns the
+// per-phase dwells, which sum to complete - c[0].
+func (c *Chain) Close(complete uint64) (dwell [NumPhases]uint64) {
+	c[NumPhases] = complete
+	for i := 1; i <= NumPhases; i++ {
+		if c[i] < c[i-1] {
+			c[i] = c[i-1]
+		}
+	}
+	for p := range dwell {
+		dwell[p] = c[p+1] - c[p]
+	}
+	return dwell
 }
 
 // Txn is one reconstructed miss transaction.
@@ -28,7 +65,7 @@ type Txn struct {
 	Complete uint64
 	// Chain is the monotone-clamped stamp chain: issue, dir-accept,
 	// activate, process, last-ack, complete.
-	Chain [NumPhases + 1]uint64
+	Chain Chain
 	// Dwell[p] = Chain[p+1] - Chain[p]; the dwells sum to
 	// Complete - Issue exactly.
 	Dwell [NumPhases]uint64
@@ -49,7 +86,7 @@ func (t *Txn) Total() uint64 {
 // a parsed log) into per-miss transactions, in completion order, with
 // still-open transactions appended last. The in-order cores have at
 // most one miss outstanding each, so tracking is a per-core slot, like
-// obs.LatencyBreakdown's stamp table. Directory-phase records tie to
+// obs.LatencyBreakdown's fold. Directory-phase records tie to
 // the requesting core via Req; inclusion recalls (Req < 0) have no
 // requesting miss and are skipped.
 func Reconstruct(recs []Record) []Txn {
@@ -61,24 +98,11 @@ func Reconstruct(recs []Record) []Txn {
 		case KindMissStart:
 			open[int(r.Src)] = &Txn{
 				Core: int(r.Src), Region: r.Region, Sub: r.Sub,
-				Issue: uint64(r.Cycle), Open: true,
+				Issue: uint64(r.Cycle), Chain: Chain{uint64(r.Cycle)}, Open: true,
 			}
 		case KindDirAccept, KindTxnStart, KindTxnProcess, KindTxnLastAck:
-			t := open[int(r.Req)]
-			if t == nil || t.Region != r.Region {
-				continue
-			}
-			// Overwrite semantics: a reissued request restamps, and the
-			// clamp below folds the abandoned round into req-noc.
-			switch r.Kind {
-			case KindDirAccept:
-				t.Chain[1] = uint64(r.Cycle)
-			case KindTxnStart:
-				t.Chain[2] = uint64(r.Cycle)
-			case KindTxnProcess:
-				t.Chain[3] = uint64(r.Cycle)
-			case KindTxnLastAck:
-				t.Chain[4] = uint64(r.Cycle)
+			if t := open[int(r.Req)]; t != nil && t.Region == r.Region {
+				t.Chain.Stamp(r)
 			}
 		case KindMissEnd:
 			t := open[int(r.Src)]
@@ -88,7 +112,7 @@ func Reconstruct(recs []Record) []Txn {
 			delete(open, int(r.Src))
 			t.Complete = uint64(r.Cycle)
 			t.Open = false
-			t.close()
+			t.Dwell = t.Chain.Close(t.Complete)
 			out = append(out, *t)
 		}
 	}
@@ -114,19 +138,4 @@ func less(a, b *Txn) bool {
 		return a.Issue < b.Issue
 	}
 	return a.Core < b.Core
-}
-
-// close clamps the stamp chain monotone and derives the dwells —
-// exactly obs.LatencyBreakdown.Complete's algebra.
-func (t *Txn) close() {
-	t.Chain[0] = t.Issue
-	t.Chain[NumPhases] = t.Complete
-	for i := 1; i <= NumPhases; i++ {
-		if t.Chain[i] < t.Chain[i-1] {
-			t.Chain[i] = t.Chain[i-1]
-		}
-	}
-	for p := 0; p < NumPhases; p++ {
-		t.Dwell[p] = t.Chain[p+1] - t.Chain[p]
-	}
 }

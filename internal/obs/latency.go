@@ -1,6 +1,10 @@
 package obs
 
-import "fmt"
+import (
+	"fmt"
+
+	"protozoa/internal/obs/flight"
+)
 
 // Phase is one segment of a coherence transaction's life, from the L1
 // issuing the miss to the fill (or grant) installing. The five phases
@@ -28,14 +32,10 @@ const (
 	NumPhases
 )
 
-var phaseNames = [NumPhases]string{
-	"req-noc", "dir-queue", "l2-access", "fanout-acks", "data-fill",
-}
-
 // String names the phase.
 func (p Phase) String() string {
 	if p < NumPhases {
-		return phaseNames[p]
+		return flight.PhaseNames[p]
 	}
 	return "Phase(?)"
 }
@@ -47,24 +47,14 @@ const (
 	LatBuckets     = 128
 )
 
-// txnStamps is one in-flight miss's phase timestamps, slotted per core
-// (the in-order cores have one outstanding miss each). A reissued
-// upgrade overwrites the directory-side stamps; Complete clamps the
-// chain monotone, so the first round's time folds into PhaseReqNoC and
-// the phases still sum to the true miss latency.
-type txnStamps struct {
-	issue     uint64
-	dirAccept uint64
-	activate  uint64
-	process   uint64
-	lastAck   uint64
-	live      bool
-}
-
 // LatencyBreakdown accumulates per-phase miss-latency sums and a
 // fixed-bucket histogram of total latency, per system (one protocol).
+// It is an online fold over the flight spine's six miss/transaction
+// records (miss-start, dir-accept, txn-start, txn-process, txn-last-ack,
+// miss-end), fed as they are emitted — so it stays exact however small
+// the flight ring is, and needs no ring at all when it is the only view.
 type LatencyBreakdown struct {
-	open []txnStamps // per core
+	open []coreFold // per requesting core
 
 	PhaseSum [NumPhases]uint64
 	Count    uint64
@@ -73,70 +63,74 @@ type LatencyBreakdown struct {
 	Hist     [LatBuckets]uint64
 }
 
-// NewLatencyBreakdown sizes the per-core stamp table.
+// coreFold is one core's share of the fold: its open miss's phase chain
+// and the totals its completed misses have accrued. Every record folded
+// into a slot belongs to that core's causal chain (an in-order core has
+// one miss outstanding), so under PDES a slot is only touched by one
+// tile at a time and the fold needs no locks.
+type coreFold struct {
+	chain flight.Chain
+	live  bool
+	done  LatencyBreakdown
+}
+
+// NewLatencyBreakdown sizes the per-core fold table.
 func NewLatencyBreakdown(cores int) *LatencyBreakdown {
-	return &LatencyBreakdown{open: make([]txnStamps, cores)}
+	return &LatencyBreakdown{open: make([]coreFold, cores)}
 }
 
-// Issue stamps a miss leaving core's L1.
-func (l *LatencyBreakdown) Issue(core int, now uint64) {
-	l.open[core] = txnStamps{issue: now, live: true}
-}
-
-// DirAccept stamps the home directory receiving the request.
-func (l *LatencyBreakdown) DirAccept(core int, now uint64) {
-	l.open[core].dirAccept = now
-}
-
-// Activate stamps the request leaving the region's queue.
-func (l *LatencyBreakdown) Activate(core int, now uint64) {
-	l.open[core].activate = now
-}
-
-// Process stamps the directory state machine running (L2 access paid).
-func (l *LatencyBreakdown) Process(core int, now uint64) {
-	l.open[core].process = now
-}
-
-// LastAck stamps the final probe reply retiring the fan-out.
-func (l *LatencyBreakdown) LastAck(core int, now uint64) {
-	l.open[core].lastAck = now
-}
-
-// Complete closes the miss at fill/grant time and accrues its phases.
-// Stamps are clamped into a monotone chain so a stale stamp from an
-// abandoned round (upgrade reissue) can never produce a negative
-// phase; the clamped diffs always sum to now - issue.
-func (l *LatencyBreakdown) Complete(core int, now uint64) {
-	o := &l.open[core]
-	if !o.live {
+// Fold applies one flight record, keyed by its requesting core (Req):
+// miss-start opens the core's chain, the directory-phase kinds stamp
+// it (flight.Chain's overwrite semantics, so a reissued upgrade's
+// abandoned round folds into req-noc), and miss-end closes it and
+// accrues its phases. Other kinds, and records with no requesting core
+// (inclusion recalls), are ignored.
+func (l *LatencyBreakdown) Fold(r *flight.Record) {
+	if r.Req < 0 || int(r.Req) >= len(l.open) {
 		return
 	}
-	o.live = false
-	chain := [NumPhases + 1]uint64{o.issue, o.dirAccept, o.activate, o.process, o.lastAck, now}
-	for i := 1; i <= int(NumPhases); i++ {
-		if chain[i] < chain[i-1] {
-			chain[i] = chain[i-1]
+	c := &l.open[r.Req]
+	switch r.Kind {
+	case flight.KindMissStart:
+		c.chain = flight.Chain{uint64(r.Cycle)}
+		c.live = true
+	case flight.KindMissEnd:
+		if !c.live {
+			return
 		}
+		c.live = false
+		now := uint64(r.Cycle)
+		c.done.add(c.chain.Close(now), now-c.chain[0])
+	default:
+		c.chain.Stamp(r)
 	}
-	for p := 0; p < int(NumPhases); p++ {
-		l.PhaseSum[p] += chain[p+1] - chain[p]
+}
+
+// add accrues one completed miss.
+func (l *LatencyBreakdown) add(dwell [NumPhases]uint64, total uint64) {
+	for p, d := range dwell {
+		l.PhaseSum[p] += d
 	}
-	total := now - o.issue
 	l.Count++
 	l.TotalSum += total
 	if total > l.MaxLat {
 		l.MaxLat = total
 	}
-	b := total / LatBucketWidth
-	if b >= LatBuckets {
-		b = LatBuckets - 1
+	l.Hist[min(total/LatBucketWidth, LatBuckets-1)]++
+}
+
+// Settle moves every core's accrued totals into the exported fields.
+// The machine calls it once Run completes; until then the exported
+// fields hold only what earlier Settle calls moved.
+func (l *LatencyBreakdown) Settle() {
+	for i := range l.open {
+		l.Merge(&l.open[i].done)
+		l.open[i].done = LatencyBreakdown{}
 	}
-	l.Hist[b]++
 }
 
 // Merge folds another breakdown's accumulated totals into l (the open
-// stamp tables are not merged; merge finished runs only).
+// fold tables are not merged; merge settled runs only).
 func (l *LatencyBreakdown) Merge(other *LatencyBreakdown) {
 	for p := range l.PhaseSum {
 		l.PhaseSum[p] += other.PhaseSum[p]

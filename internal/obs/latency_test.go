@@ -1,15 +1,35 @@
 package obs
 
-import "testing"
+import (
+	"testing"
+
+	"protozoa/internal/engine"
+	"protozoa/internal/obs/flight"
+)
+
+// fold feeds one phase record for core at cycle.
+func fold(l *LatencyBreakdown, core int16, k flight.Kind, cycle uint64) {
+	l.Fold(&flight.Record{Cycle: engine.Cycle(cycle), Kind: k, Src: core, Req: core})
+}
+
+// miss folds a whole miss with no directory stamps.
+func miss(l *LatencyBreakdown, core int16, issue, complete uint64) {
+	fold(l, core, flight.KindMissStart, issue)
+	fold(l, core, flight.KindMissEnd, complete)
+}
 
 func TestLatencyPhasesSumToTotal(t *testing.T) {
 	l := NewLatencyBreakdown(2)
-	l.Issue(0, 100)
-	l.DirAccept(0, 110)
-	l.Activate(0, 110)
-	l.Process(0, 124)
-	l.LastAck(0, 160)
-	l.Complete(0, 175)
+	fold(l, 0, flight.KindMissStart, 100)
+	fold(l, 0, flight.KindDirAccept, 110)
+	fold(l, 0, flight.KindTxnStart, 110)
+	fold(l, 0, flight.KindTxnProcess, 124)
+	fold(l, 0, flight.KindTxnLastAck, 160)
+	fold(l, 0, flight.KindMissEnd, 175)
+	if l.Count != 0 {
+		t.Fatalf("exported count %d before Settle, want 0", l.Count)
+	}
+	l.Settle()
 
 	if l.Count != 1 {
 		t.Fatalf("count %d", l.Count)
@@ -31,25 +51,31 @@ func TestLatencyPhasesSumToTotal(t *testing.T) {
 	if sum != 75 || l.TotalSum != 75 {
 		t.Fatalf("phase sum %d / total %d, want 75", sum, l.TotalSum)
 	}
+	// A second Settle has nothing new to move.
+	l.Settle()
+	if l.Count != 1 || l.TotalSum != 75 {
+		t.Fatalf("second Settle changed totals: count %d total %d", l.Count, l.TotalSum)
+	}
 }
 
 // TestLatencyStaleStampClamped models the upgrade-reissue race: the
-// second round's directory stamps come after a stale LastAck from the
+// second round's directory stamps come after a stale last-ack from the
 // abandoned first round. The clamped chain must keep every phase
 // non-negative and still sum to the full latency.
 func TestLatencyStaleStampClamped(t *testing.T) {
 	l := NewLatencyBreakdown(1)
-	l.Issue(0, 0)
-	l.DirAccept(0, 10)
-	l.Activate(0, 10)
-	l.Process(0, 24)
-	l.LastAck(0, 50) // first round's fan-out
+	fold(l, 0, flight.KindMissStart, 0)
+	fold(l, 0, flight.KindDirAccept, 10)
+	fold(l, 0, flight.KindTxnStart, 10)
+	fold(l, 0, flight.KindTxnProcess, 24)
+	fold(l, 0, flight.KindTxnLastAck, 50) // first round's fan-out
 	// Grant failed; retry observed by the directory:
-	l.DirAccept(0, 80)
-	l.Activate(0, 81)
-	l.Process(0, 95)
-	// No probes this round: lastAck (50) is now stale, behind process.
-	l.Complete(0, 120)
+	fold(l, 0, flight.KindDirAccept, 80)
+	fold(l, 0, flight.KindTxnStart, 81)
+	fold(l, 0, flight.KindTxnProcess, 95)
+	// No probes this round: last-ack (50) is now stale, behind process.
+	fold(l, 0, flight.KindMissEnd, 120)
+	l.Settle()
 
 	var sum uint64
 	for p := Phase(0); p < NumPhases; p++ {
@@ -59,7 +85,7 @@ func TestLatencyStaleStampClamped(t *testing.T) {
 		t.Fatalf("phases sum to %d (total %d), want 120", sum, l.TotalSum)
 	}
 	if l.PhaseSum[PhaseFanOut] != 0 {
-		t.Errorf("stale LastAck produced fan-out time %d, want 0", l.PhaseSum[PhaseFanOut])
+		t.Errorf("stale last-ack produced fan-out time %d, want 0", l.PhaseSum[PhaseFanOut])
 	}
 	if l.PhaseSum[PhaseData] != 25 {
 		t.Errorf("data phase %d, want 25 (120-95)", l.PhaseSum[PhaseData])
@@ -68,31 +94,39 @@ func TestLatencyStaleStampClamped(t *testing.T) {
 
 func TestLatencyCompleteWithoutIssueIgnored(t *testing.T) {
 	l := NewLatencyBreakdown(1)
-	l.Complete(0, 99)
+	fold(l, 0, flight.KindMissEnd, 99)
+	l.Settle()
 	if l.Count != 0 {
 		t.Fatal("complete without live miss must not accrue")
 	}
 	// Double-complete: second is a no-op.
-	l.Issue(0, 0)
-	l.Complete(0, 10)
-	l.Complete(0, 20)
+	fold(l, 0, flight.KindMissStart, 0)
+	fold(l, 0, flight.KindMissEnd, 10)
+	fold(l, 0, flight.KindMissEnd, 20)
+	// Records with no requesting core (recalls) or outside the table,
+	// and kinds the fold does not consume, are ignored.
+	fold(l, -1, flight.KindMissStart, 30)
+	fold(l, 5, flight.KindMissStart, 30)
+	fold(l, 0, flight.KindMsgSend, 40)
+	l.Settle()
 	if l.Count != 1 || l.TotalSum != 10 {
 		t.Fatalf("count=%d total=%d after double complete", l.Count, l.TotalSum)
 	}
 }
 
 func TestLatencyPercentilesAndMerge(t *testing.T) {
-	a := NewLatencyBreakdown(1)
-	// 90 fast misses at ~16 cycles, 10 slow at ~1000.
+	a := NewLatencyBreakdown(2)
+	// 90 fast misses at ~16 cycles, 10 slow at ~1000, split across two
+	// cores' fold slots.
 	for i := 0; i < 90; i++ {
-		a.Issue(0, 0)
-		a.Complete(0, 16)
+		miss(a, int16(i%2), 0, 16)
 	}
+	a.Settle()
 	b := NewLatencyBreakdown(1)
 	for i := 0; i < 10; i++ {
-		b.Issue(0, 0)
-		b.Complete(0, 1000)
+		miss(b, 0, 0, 1000)
 	}
+	b.Settle()
 	a.Merge(b)
 	if a.Count != 100 {
 		t.Fatalf("merged count %d", a.Count)
@@ -114,8 +148,8 @@ func TestLatencyPercentilesAndMerge(t *testing.T) {
 func TestLatencyOverflowBucket(t *testing.T) {
 	l := NewLatencyBreakdown(1)
 	huge := uint64(LatBuckets*LatBucketWidth) * 3
-	l.Issue(0, 0)
-	l.Complete(0, huge)
+	miss(l, 0, 0, huge)
+	l.Settle()
 	if l.Hist[LatBuckets-1] != 1 {
 		t.Fatal("overflow latency not in last bucket")
 	}

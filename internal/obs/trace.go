@@ -4,41 +4,41 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
+
+	"protozoa/internal/obs/flight"
 )
 
-// Chrome trace-event export: the recorder's ring renders as a JSON
-// trace loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
-// Simulated cycles map 1:1 onto trace microseconds. Layout:
+// Chrome trace-event export: a view over the flight spine's records,
+// rendered as a JSON trace loadable in Perfetto (ui.perfetto.dev) or
+// chrome://tracing. Simulated cycles map 1:1 onto trace microseconds.
+// Layout:
 //
 //   - one track per core (tid = core): L1 miss slices, named by the
-//     request type, plus every message arriving at the tile;
+//     request type, plus every message arriving at the tile and the
+//     link stalls of messages it sends;
 //   - one track per directory slice (tid = DirTrackBase + tile):
-//     transaction-occupancy slices from activation to unblock;
+//     transaction-occupancy slices from activation to region reopen;
 //   - message flights as complete events on the destination track,
 //     spanning send to delivery, with src/dst/region/txn in args.
 //
-// Start/end events are paired at export time (the hot path records
-// flat instants only); ends whose start was overwritten by ring wrap
-// degrade to instant events rather than being dropped.
+// Only the send/deliver, miss, transaction and link-stall kinds appear;
+// the rest of the spine (frees, directory phase edges, state changes)
+// is the flight log's to show. Start/end records are paired here (the
+// hot path records flat instants only); ends whose start was evicted
+// by ring wrap degrade to instant events rather than being dropped.
 
 // DirTrackBase offsets directory-track thread IDs past any plausible
 // core ID so the two groups sort apart in the viewer.
 const DirTrackBase = 4096
 
-// TraceOptions names the trace's tracks and event subtypes.
+// TraceOptions names the trace's process and message types.
 type TraceOptions struct {
-	// SubName renders an event's Sub field (e.g. the coherence message
-	// type) for slice names; nil falls back to a numeric form.
-	SubName func(k Kind, sub uint8) string
+	// Names renders a record's Sub field (the coherence message type)
+	// for slice names; nil falls back to a numeric form.
+	Names *flight.Names
 	// Process names the trace's single process; empty = "protozoa".
 	Process string
-}
-
-func (o TraceOptions) subName(k Kind, sub uint8) string {
-	if o.SubName != nil {
-		return o.SubName(k, sub)
-	}
-	return fmt.Sprintf("sub%d", sub)
 }
 
 // ChromeEvent is one trace-event JSON object. Exported so tests (and
@@ -61,10 +61,10 @@ type ChromeTrace struct {
 	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 
-// BuildChromeTrace pairs the recorder's events into slices and returns
-// the trace document. Events must be oldest-first (Recorder.Snapshot
-// order).
-func BuildChromeTrace(events []Event, dropped uint64, opt TraceOptions) *ChromeTrace {
+// BuildChromeTrace pairs flight records into slices and returns the
+// trace document. Records must be cycle-ordered (Recorder.Records
+// order); dropped is the ring-wrap eviction count the header reports.
+func BuildChromeTrace(recs []flight.Record, dropped uint64, opt TraceOptions) *ChromeTrace {
 	tr := &ChromeTrace{
 		DisplayTimeUnit: "ms",
 		OtherData: map[string]any{
@@ -100,114 +100,133 @@ func BuildChromeTrace(events []Event, dropped uint64, opt TraceOptions) *ChromeT
 		sub      uint8
 	}
 	type txnKey struct {
-		node   int16
+		tile   int16
 		region uint64
 	}
-	// Pending starts awaiting their end event. Message channels are
-	// FIFO per (src, dst, type) — the mesh's ordering guarantee — so a
-	// queue per key pairs sends to deliveries in order.
-	msgQ := map[msgKey][]Event{}
-	missOpen := map[int16]Event{}
-	txnOpen := map[txnKey]Event{}
+	// Pending starts awaiting their end record, by index into recs.
+	// Message channels are FIFO per (src, dst, type) — the mesh's
+	// ordering guarantee — so a queue per key pairs sends to deliveries
+	// in order.
+	msgQ := map[msgKey][]int{}
+	missOpen := map[int16]int{}
+	txnOpen := map[txnKey]int{}
 
 	emit := func(ev ChromeEvent) {
 		track(ev.Tid)
 		tr.TraceEvents = append(tr.TraceEvents, ev)
 	}
-	instant := func(e Event, name string, tid int) {
+	instant := func(r flight.Record, name string, tid int) {
 		emit(ChromeEvent{
-			Name: name, Ph: "i", Ts: uint64(e.Cycle), Pid: 0, Tid: tid, S: "t",
-			Args: eventArgs(e),
+			Name: name, Ph: "i", Ts: uint64(r.Cycle), Pid: 0, Tid: tid, S: "t",
+			Args: recordArgs(r),
 		})
 	}
+	subName := opt.Names.Sub
 
-	for _, e := range events {
-		switch e.Kind {
-		case KindMsgSend:
-			k := msgKey{e.Node, e.Peer, e.Sub}
-			msgQ[k] = append(msgQ[k], e)
-		case KindMsgDeliver:
-			k := msgKey{e.Node, e.Peer, e.Sub}
-			name := opt.subName(e.Kind, e.Sub)
+	for i, r := range recs {
+		switch r.Kind {
+		case flight.KindMsgSend:
+			k := msgKey{r.Src, r.Dst, r.Sub}
+			msgQ[k] = append(msgQ[k], i)
+		case flight.KindMsgDeliver:
+			k := msgKey{r.Src, r.Dst, r.Sub}
+			name := subName(r.Sub)
 			if q := msgQ[k]; len(q) > 0 {
-				send := q[0]
+				send := recs[q[0]]
 				msgQ[k] = q[1:]
 				emit(ChromeEvent{
 					Name: name, Ph: "X", Ts: uint64(send.Cycle),
-					Dur: uint64(e.Cycle - send.Cycle), Pid: 0, Tid: int(e.Peer),
-					Args: eventArgs(e),
+					Dur: uint64(r.Cycle - send.Cycle), Pid: 0, Tid: int(r.Dst),
+					Args: recordArgs(r),
 				})
 			} else {
-				// The matching send was overwritten by ring wrap.
-				instant(e, name, int(e.Peer))
+				// The matching send was evicted by ring wrap.
+				instant(r, name, int(r.Dst))
 			}
-		case KindMissStart:
-			missOpen[e.Node] = e
-		case KindMissEnd:
-			if start, ok := missOpen[e.Node]; ok {
-				delete(missOpen, e.Node)
+		case flight.KindMissStart:
+			missOpen[r.Src] = i
+		case flight.KindMissEnd:
+			if si, ok := missOpen[r.Src]; ok {
+				delete(missOpen, r.Src)
+				start := recs[si]
 				emit(ChromeEvent{
-					Name: "miss " + opt.subName(KindMissStart, start.Sub),
+					Name: "miss " + subName(start.Sub),
 					Ph:   "X", Ts: uint64(start.Cycle),
-					Dur: uint64(e.Cycle - start.Cycle), Pid: 0, Tid: int(e.Node),
-					Args: eventArgs(start),
+					Dur: uint64(r.Cycle - start.Cycle), Pid: 0, Tid: int(r.Src),
+					Args: recordArgs(start),
 				})
 			} else {
-				instant(e, "miss-end", int(e.Node))
+				instant(r, "miss-end", int(r.Src))
 			}
-		case KindTxnStart:
-			txnOpen[txnKey{e.Node, e.Region}] = e
-		case KindTxnEnd:
-			k := txnKey{e.Node, e.Region}
-			if start, ok := txnOpen[k]; ok {
+		case flight.KindTxnStart:
+			txnOpen[txnKey{r.Tile, r.Region}] = i
+		case flight.KindTxnEnd:
+			k := txnKey{r.Tile, r.Region}
+			if si, ok := txnOpen[k]; ok {
 				delete(txnOpen, k)
+				start := recs[si]
 				emit(ChromeEvent{
-					Name: "txn " + opt.subName(KindTxnStart, start.Sub),
+					Name: "txn " + subName(start.Sub),
 					Ph:   "X", Ts: uint64(start.Cycle),
-					Dur: uint64(e.Cycle - start.Cycle), Pid: 0,
-					Tid:  DirTrackBase + int(e.Node),
-					Args: eventArgs(start),
+					Dur: uint64(r.Cycle - start.Cycle), Pid: 0,
+					Tid:  DirTrackBase + int(r.Tile),
+					Args: recordArgs(start),
 				})
 			} else {
-				instant(e, "txn-end", DirTrackBase+int(e.Node))
+				instant(r, "txn-end", DirTrackBase+int(r.Tile))
 			}
-		case KindLinkStall:
-			instant(e, "link-stall", int(e.Node))
-		default:
-			instant(e, e.Kind.String(), int(e.Node))
+		case flight.KindLinkStall:
+			instant(r, "link-stall", int(r.Src))
 		}
 	}
-	// Starts with no recorded end (in flight when recording stopped)
-	// degrade to instants so nothing silently vanishes.
+	// Starts with no recorded end (in flight when recording stopped, or
+	// their end evicted by ring wrap) degrade to instants, in record
+	// order so the output is deterministic, and nothing silently
+	// vanishes.
+	var unmatched []int
 	for _, q := range msgQ {
-		for _, e := range q {
-			instant(e, opt.subName(e.Kind, e.Sub), int(e.Node))
+		unmatched = append(unmatched, q...)
+	}
+	for _, i := range missOpen {
+		unmatched = append(unmatched, i)
+	}
+	for _, i := range txnOpen {
+		unmatched = append(unmatched, i)
+	}
+	sort.Ints(unmatched)
+	for _, i := range unmatched {
+		r := recs[i]
+		switch r.Kind {
+		case flight.KindMsgSend:
+			instant(r, subName(r.Sub), int(r.Src))
+		case flight.KindMissStart:
+			instant(r, "miss-start", int(r.Src))
+		case flight.KindTxnStart:
+			instant(r, "txn-start", DirTrackBase+int(r.Tile))
 		}
-	}
-	for _, e := range missOpen {
-		instant(e, "miss-start", int(e.Node))
-	}
-	for _, e := range txnOpen {
-		instant(e, "txn-start", DirTrackBase+int(e.Node))
 	}
 	return tr
 }
 
-func eventArgs(e Event) map[string]any {
-	a := map[string]any{"region": e.Region}
-	if e.Peer >= 0 {
-		a["src"] = e.Node
-		a["dst"] = e.Peer
+// recordArgs is a trace event's args: the region, the route for
+// message and link-stall records, and the transaction ID (the stall
+// length for link stalls) when set.
+func recordArgs(r flight.Record) map[string]any {
+	a := map[string]any{"region": r.Region}
+	switch r.Kind {
+	case flight.KindMsgSend, flight.KindMsgDeliver, flight.KindLinkStall:
+		a["src"] = r.Src
+		a["dst"] = r.Dst
 	}
-	if e.Txn != 0 {
-		a["txn"] = e.Txn
+	if r.Txn != 0 {
+		a["txn"] = r.Txn
 	}
 	return a
 }
 
 // WriteChromeTrace builds the trace and writes it as indented JSON.
-func WriteChromeTrace(w io.Writer, events []Event, dropped uint64, opt TraceOptions) error {
-	return EncodeChromeTrace(w, BuildChromeTrace(events, dropped, opt))
+func WriteChromeTrace(w io.Writer, recs []flight.Record, dropped uint64, opt TraceOptions) error {
+	return EncodeChromeTrace(w, BuildChromeTrace(recs, dropped, opt))
 }
 
 // EncodeChromeTrace writes an already-built trace document as indented

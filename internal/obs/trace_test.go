@@ -6,25 +6,29 @@ import (
 	"testing"
 
 	"protozoa/internal/engine"
+	"protozoa/internal/obs/flight"
 )
 
-func msgPair(sendAt, deliverAt uint64, sub uint8, src, dst int16, region uint64) []Event {
-	return []Event{
-		{Cycle: engine.Cycle(sendAt), Kind: KindMsgSend, Sub: sub, Node: src, Peer: dst, Region: region},
-		{Cycle: engine.Cycle(deliverAt), Kind: KindMsgDeliver, Sub: sub, Node: src, Peer: dst, Region: region},
+func msgPair(sendAt, deliverAt uint64, sub uint8, src, dst int16, region uint64) []flight.Record {
+	return []flight.Record{
+		{Cycle: engine.Cycle(sendAt), Tile: src, Kind: flight.KindMsgSend, Sub: sub, Src: src, Dst: dst, Region: region},
+		{Cycle: engine.Cycle(deliverAt), Tile: dst, Kind: flight.KindMsgDeliver, Sub: sub, Src: src, Dst: dst, Region: region},
 	}
 }
 
 func TestChromeTracePairsSlices(t *testing.T) {
-	var events []Event
-	events = append(events, Event{Cycle: 10, Kind: KindMissStart, Sub: 1, Node: 2, Peer: -1, Region: 7})
-	events = append(events, msgPair(10, 24, 1, 2, 5, 7)...)
-	events = append(events, Event{Cycle: 24, Kind: KindTxnStart, Sub: 1, Node: 5, Peer: -1, Region: 7, Txn: 3})
-	events = append(events, Event{Cycle: 60, Kind: KindTxnEnd, Node: 5, Peer: -1, Region: 7, Txn: 3})
-	events = append(events, Event{Cycle: 55, Kind: KindMissEnd, Node: 2, Peer: -1, Region: 7})
+	var recs []flight.Record
+	recs = append(recs, flight.Record{Cycle: 10, Tile: 2, Kind: flight.KindMissStart, Sub: 1, Src: 2, Dst: 5, Req: 2, Region: 7})
+	recs = append(recs, msgPair(10, 24, 1, 2, 5, 7)...)
+	// Spine kinds the trace does not show must not disturb the pairing.
+	recs = append(recs, flight.Record{Cycle: 24, Tile: 5, Kind: flight.KindDirAccept, Sub: 1, Src: 5, Dst: -1, Req: 2, Region: 7})
+	recs = append(recs, flight.Record{Cycle: 24, Tile: 5, Kind: flight.KindTxnStart, Sub: 1, Src: 5, Dst: -1, Req: 2, Region: 7, Txn: 3})
+	recs = append(recs, flight.Record{Cycle: 55, Tile: 2, Kind: flight.KindMissEnd, Sub: flight.SubNone, Src: 2, Dst: -1, Req: 2, Region: 7})
+	recs = append(recs, flight.Record{Cycle: 60, Tile: 5, Kind: flight.KindTxnEnd, Sub: flight.SubNone, Src: 5, Dst: -1, Req: -1, Region: 7, Txn: 3})
+	recs = append(recs, flight.Record{Cycle: 61, Tile: 5, Kind: flight.KindLinkStall, Sub: 1, Src: 5, Dst: 2, Req: -1, Txn: 4})
 
-	tr := BuildChromeTrace(events, 0, TraceOptions{
-		SubName: func(k Kind, sub uint8) string { return "GETX" },
+	tr := BuildChromeTrace(recs, 0, TraceOptions{
+		Names: &flight.Names{Msgs: []string{"GETS", "GETX"}},
 	})
 
 	var miss, msg, txn *ChromeEvent
@@ -48,6 +52,21 @@ func TestChromeTracePairsSlices(t *testing.T) {
 	if txn == nil || txn.Ph != "X" || txn.Ts != 24 || txn.Dur != 36 || txn.Tid != DirTrackBase+5 {
 		t.Fatalf("txn slice wrong: %+v", txn)
 	}
+	// Miss and transaction args carry no route; message and link-stall
+	// args do, and the stall length rides in txn.
+	if _, ok := miss.Args["dst"]; ok {
+		t.Errorf("miss slice args carry a route: %v", miss.Args)
+	}
+	var stall *ChromeEvent
+	for i := range tr.TraceEvents {
+		if tr.TraceEvents[i].Name == "link-stall" {
+			stall = &tr.TraceEvents[i]
+		}
+	}
+	if stall == nil || stall.Ph != "i" || stall.Tid != 5 ||
+		stall.Args["dst"] != int16(2) || stall.Args["txn"] != uint64(4) {
+		t.Fatalf("link-stall instant wrong: %+v", stall)
+	}
 	// Track metadata: core 2, dir 5, and the dst core 5 must be named.
 	names := map[int]string{}
 	for _, e := range tr.TraceEvents {
@@ -61,25 +80,35 @@ func TestChromeTracePairsSlices(t *testing.T) {
 }
 
 func TestChromeTraceUnmatchedDegradesToInstant(t *testing.T) {
-	events := []Event{
-		// A deliver whose send was overwritten by ring wrap, and a send
-		// still in flight when recording stopped.
-		{Cycle: 5, Kind: KindMsgDeliver, Sub: 0, Node: 1, Peer: 2},
-		{Cycle: 9, Kind: KindMsgSend, Sub: 0, Node: 2, Peer: 3},
-		{Cycle: 9, Kind: KindMissStart, Sub: 0, Node: 4, Peer: -1},
+	recs := []flight.Record{
+		// A deliver whose send was evicted by ring wrap, and starts
+		// still open when recording stopped.
+		{Cycle: 5, Kind: flight.KindMsgDeliver, Sub: 0, Src: 1, Dst: 2},
+		{Cycle: 9, Kind: flight.KindTxnStart, Sub: 0, Tile: 3, Src: 3, Dst: -1, Region: 4},
+		{Cycle: 9, Kind: flight.KindMsgSend, Sub: 0, Src: 2, Dst: 3},
+		{Cycle: 9, Kind: flight.KindMissStart, Sub: 0, Src: 4, Dst: 1},
+		{Cycle: 10, Kind: flight.KindMsgSend, Sub: 1, Src: 0, Dst: 3},
 	}
-	tr := BuildChromeTrace(events, 12, TraceOptions{})
-	instants := 0
+	tr := BuildChromeTrace(recs, 12, TraceOptions{})
+	var instants []string
 	for _, e := range tr.TraceEvents {
 		if e.Ph == "i" {
-			instants++
+			instants = append(instants, e.Name)
 		}
 		if e.Ph == "X" {
-			t.Fatalf("unmatched events must not produce slices: %+v", e)
+			t.Fatalf("unmatched records must not produce slices: %+v", e)
 		}
 	}
-	if instants != 3 {
-		t.Fatalf("%d instants, want 3", instants)
+	// Unmatched starts degrade in record order, so the output is
+	// deterministic however the pending starts were held.
+	want := []string{"sub#0", "txn-start", "sub#0", "miss-start", "sub#1"}
+	if len(instants) != len(want) {
+		t.Fatalf("instants %v, want %v", instants, want)
+	}
+	for i := range want {
+		if instants[i] != want[i] {
+			t.Fatalf("instants %v, want %v", instants, want)
+		}
 	}
 	if tr.OtherData["dropped_events"] != uint64(12) {
 		t.Fatalf("dropped_events missing: %v", tr.OtherData)
@@ -89,11 +118,11 @@ func TestChromeTraceUnmatchedDegradesToInstant(t *testing.T) {
 // TestChromeTraceRoundTrip is the acceptance check: the written JSON
 // parses back into the same document.
 func TestChromeTraceRoundTrip(t *testing.T) {
-	var events []Event
-	events = append(events, msgPair(0, 9, 2, 0, 3, 11)...)
-	events = append(events, msgPair(12, 30, 5, 3, 0, 11)...)
+	var recs []flight.Record
+	recs = append(recs, msgPair(0, 9, 2, 0, 3, 11)...)
+	recs = append(recs, msgPair(12, 30, 5, 3, 0, 11)...)
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events, 0, TraceOptions{}); err != nil {
+	if err := WriteChromeTrace(&buf, recs, 0, TraceOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var parsed ChromeTrace
