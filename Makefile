@@ -169,14 +169,15 @@ bench-compare:
 # bench-gate is the CI perf-regression gate: a shorter benchmark pass
 # (median-of-3 at 1s) diffed against the latest committed BENCH_*.json
 # with a tolerance band. It exits non-zero when median throughput falls
-# more than BENCH_GATE_TOL percent below the baseline and writes no
+# more than BENCH_GATE_TOL percent below the baseline, or median
+# allocs/op rise more than that percent above it, and writes no
 # snapshot. The CI job is a required check, so a failure blocks the
 # merge; run it locally as a pre-push check after hot-path changes.
 BENCH_GATE_TOL ?= 15
 bench-gate:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	go build -o $$d/protozoa-benchdiff ./cmd/protozoa-benchdiff; \
-	go test -run '^$$' -bench SimulatorThroughputParallel \
+	go test -run '^$$' -bench SimulatorThroughputParallel -benchmem \
 		-benchtime 1s -count 3 . | tee $$d/bench.txt; \
 	$$d/protozoa-benchdiff -baseline "$(BENCH_BASELINE)" \
 		-gate $(BENCH_GATE_TOL) < $$d/bench.txt

@@ -164,8 +164,10 @@ func pctDelta(old, new float64) string {
 // higher is better), falling back to ns_per_op (lower is better) when
 // the baseline predates the throughput metric. A benchmark fails when
 // it is worse than the baseline median by more than tolPct percent;
-// improvements and within-band noise pass. The returned messages are
-// the failures — empty means the gate is green.
+// improvements and within-band noise pass. A benchmark also fails when
+// its median allocs_per_op rises above the baseline's by more than the
+// same tolPct percent (skipped when either side lacks the metric). The
+// returned messages are the failures — empty means the gate is green.
 func gateFailures(base, medians map[string]map[string]float64, tolPct float64) []string {
 	var names []string
 	for name := range medians {
@@ -178,6 +180,13 @@ func gateFailures(base, medians map[string]map[string]float64, tolPct float64) [
 	checked := 0
 	for _, name := range names {
 		nv, ov := medians[name], base[name]
+		n, hasN := nv["allocs_per_op"]
+		o, hasO := ov["allocs_per_op"]
+		if hasN && hasO && n > o*(1+tolPct/100) {
+			fails = append(fails, fmt.Sprintf(
+				"%s: allocs_per_op %.0f -> %.0f (%s vs baseline, tolerance %.0f%%)",
+				name, o, n, pctDelta(o, n), tolPct))
+		}
 		if n, o := nv["accesses_per_s"], ov["accesses_per_s"]; n > 0 && o > 0 {
 			checked++
 			if n < o*(1-tolPct/100) {
@@ -206,7 +215,7 @@ func main() {
 	baseline := flag.String("baseline", "", "previous BENCH_*.json to diff against (optional)")
 	out := flag.String("out", "", "snapshot to write (default: baseline's number + 1)")
 	change := flag.String("change", "", "one-line description recorded in the snapshot")
-	gate := flag.Float64("gate", 0, "perf-regression gate: exit 1 when throughput is worse than the baseline median by more than this percent; requires -baseline, writes no snapshot unless -out is set")
+	gate := flag.Float64("gate", 0, "perf-regression gate: exit 1 when throughput is worse, or allocs/op higher, than the baseline median by more than this percent; requires -baseline, writes no snapshot unless -out is set")
 	flag.Parse()
 
 	if *gate > 0 && *baseline == "" {

@@ -142,6 +142,31 @@ func TestGateFailures(t *testing.T) {
 		}
 	})
 
+	t.Run("allocs rise beyond band fails", func(t *testing.T) {
+		withAllocs := func(m map[string]float64, allocs float64) map[string]float64 {
+			m["allocs_per_op"] = allocs
+			return m
+		}
+		old := map[string]map[string]float64{
+			"sequential": withAllocs(gateMetrics(1_000_000, 40_000_000), 10_000),
+			"workers4":   gateMetrics(2_000_000, 20_000_000), // predates allocs
+		}
+		got := gateFailures(old, map[string]map[string]float64{
+			"sequential": withAllocs(gateMetrics(1_100_000, 36_000_000), 12_000), // +20%
+			"workers4":   withAllocs(gateMetrics(2_000_000, 20_000_000), 99_000),
+		}, 10)
+		if len(got) != 1 || !strings.Contains(got[0], "sequential") ||
+			!strings.Contains(got[0], "allocs_per_op") {
+			t.Errorf("failures = %v", got)
+		}
+		got = gateFailures(old, map[string]map[string]float64{
+			"sequential": withAllocs(gateMetrics(1_000_000, 40_000_000), 10_500), // +5%
+		}, 10)
+		if len(got) != 0 {
+			t.Errorf("unexpected failures: %v", got)
+		}
+	})
+
 	t.Run("nothing comparable fails closed", func(t *testing.T) {
 		got := gateFailures(base, map[string]map[string]float64{
 			"renamed": gateMetrics(1_000_000, 40_000_000),

@@ -15,6 +15,12 @@
 // 3.1/Figure 3: ExtractOverlapping is the CHECK + GATHER sequence that
 // removes every resident sub-block overlapping a coherence request so
 // the protocol can treat them as a single writeback.
+//
+// Blocks are stored by value in their set, data inline, so a
+// steady-state fill, merge or eviction allocates nothing. The *Block
+// pointers that Lookup, Peek, BlocksInRegion and Blocks return point
+// into set storage: they are valid until the next Insert or Extract* on
+// that set, which may move or overwrite the blocks.
 package cache
 
 import (
@@ -58,22 +64,52 @@ type Block struct {
 	R         mem.Range
 	State     State
 	Touched   mem.Bitmap // words accessed by the core since fill
-	FetchPC   uint64     // PC of the miss that fetched the block (predictor training)
 	FetchWord uint8      // word offset of the miss that fetched the block
-	Data      []uint64   // word values, len == R.Words()
+	FetchPC   uint64     // PC of the miss that fetched the block (predictor training)
+
+	// Data holds the word values indexed by region word offset, the
+	// layout Msg.Words uses. Only the words inside R are the block's;
+	// every word outside R must be zero (Insert and CheckInvariants
+	// enforce it).
+	Data [mem.MaxRegionWords]uint64
 
 	lru uint64
 }
 
-// Word returns the value of word w (region offset), which must lie in
-// the block's range.
+// Word returns the value of word w (region offset). It panics if w lies
+// outside the block's range.
 func (b *Block) Word(w uint8) uint64 {
-	return b.Data[w-b.R.Start]
+	if w < b.R.Start || w > b.R.End {
+		outsideRange(w, b.R)
+	}
+	return b.Data[w]
 }
 
-// SetWord stores v into word w, which must lie in the block's range.
+// SetWord stores v into word w. It panics if w lies outside the
+// block's range.
 func (b *Block) SetWord(w uint8, v uint64) {
-	b.Data[w-b.R.Start] = v
+	if w < b.R.Start || w > b.R.End {
+		outsideRange(w, b.R)
+	}
+	b.Data[w] = v
+}
+
+// outsideRange is Word and SetWord's failure path, kept out of line so
+// both stay inlinable.
+//
+//go:noinline
+func outsideRange(w uint8, r mem.Range) {
+	panic(fmt.Sprintf("cache: word %d outside block range %v", w, r))
+}
+
+// strayWord reports the first non-zero word outside the block's range.
+func (b *Block) strayWord() (uint8, bool) {
+	for w := range b.Data {
+		if !b.R.Contains(uint8(w)) && b.Data[w] != 0 {
+			return uint8(w), true
+		}
+	}
+	return 0, false
 }
 
 // Touch marks word w as used by the core.
@@ -105,7 +141,7 @@ func DefaultL1Config() Config {
 }
 
 type set struct {
-	blocks    []*Block
+	blocks    []Block
 	bytesUsed int
 }
 
@@ -114,6 +150,10 @@ type Cache struct {
 	cfg  Config
 	sets []set
 	tick uint64
+
+	// maxBlocks bounds a set's population (its budget over the cheapest
+	// block's cost), so set storage grows to it and never beyond.
+	maxBlocks int
 
 	// Reusable result buffers for the snoop-query methods, so the
 	// protocol hot path performs no per-query slice allocations. Each
@@ -135,7 +175,10 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.SetBudgetBytes < minBudget {
 		return nil, fmt.Errorf("cache: set budget %d cannot hold one full region (%d)", cfg.SetBudgetBytes, minBudget)
 	}
-	return &Cache{cfg: cfg, sets: make([]set, cfg.Sets)}, nil
+	return &Cache{
+		cfg: cfg, sets: make([]set, cfg.Sets),
+		maxBlocks: cfg.SetBudgetBytes / (cfg.TagBytes + mem.WordBytes),
+	}, nil
 }
 
 // MustNew is New for known-good configurations.
@@ -158,23 +201,22 @@ func (c *Cache) setFor(region mem.RegionID) *set {
 }
 
 // Lookup finds the block holding word w of the region, bumping its LRU
-// recency. It returns nil on miss.
+// recency. It returns nil on miss. The block pointer is valid until the
+// next Insert or Extract* on the region's set.
 func (c *Cache) Lookup(region mem.RegionID, w uint8) *Block {
-	s := c.setFor(region)
-	for _, b := range s.blocks {
-		if b.Region == region && b.R.Contains(w) {
-			c.tick++
-			b.lru = c.tick
-			return b
-		}
+	b := c.Peek(region, w)
+	if b != nil {
+		c.tick++
+		b.lru = c.tick
 	}
-	return nil
+	return b
 }
 
 // Peek is Lookup without the LRU update.
 func (c *Cache) Peek(region mem.RegionID, w uint8) *Block {
-	for _, b := range c.setFor(region).blocks {
-		if b.Region == region && b.R.Contains(w) {
+	blocks := c.setFor(region).blocks
+	for i := range blocks {
+		if b := &blocks[i]; b.Region == region && b.R.Contains(w) {
 			return b
 		}
 	}
@@ -182,14 +224,16 @@ func (c *Cache) Peek(region mem.RegionID, w uint8) *Block {
 }
 
 // BlocksInRegion returns the resident blocks of a region (the CHECK
-// step of a multi-block snoop). The returned slice is reused by the
-// next BlocksInRegion call; the Block pointers themselves stay valid
-// until the next mutation.
+// step of a multi-block snoop), in set order. The returned slice is
+// reused by the next BlocksInRegion call; the Block pointers point into
+// set storage and stay valid until the next Insert or Extract* on the
+// region's set.
 func (c *Cache) BlocksInRegion(region mem.RegionID) []*Block {
 	out := c.regionScratch[:0]
-	for _, b := range c.setFor(region).blocks {
-		if b.Region == region {
-			out = append(out, b)
+	blocks := c.setFor(region).blocks
+	for i := range blocks {
+		if blocks[i].Region == region {
+			out = append(out, &blocks[i])
 		}
 	}
 	c.regionScratch = out
@@ -198,8 +242,9 @@ func (c *Cache) BlocksInRegion(region mem.RegionID) []*Block {
 
 // HasRegion reports whether any block of the region is resident.
 func (c *Cache) HasRegion(region mem.RegionID) bool {
-	for _, b := range c.setFor(region).blocks {
-		if b.Region == region {
+	blocks := c.setFor(region).blocks
+	for i := range blocks {
+		if blocks[i].Region == region {
 			return true
 		}
 	}
@@ -216,9 +261,10 @@ func (c *Cache) TrimFill(region mem.RegionID, want mem.Range, w uint8) mem.Range
 		want = want.Span(mem.OneWord(w))
 	}
 	resident := mem.Bitmap(0)
-	for _, b := range c.setFor(region).blocks {
-		if b.Region == region {
-			resident = resident.Union(b.R.Bitmap())
+	blocks := c.setFor(region).blocks
+	for i := range blocks {
+		if blocks[i].Region == region {
+			resident = resident.Union(blocks[i].R.Bitmap())
 		}
 	}
 	start, end := w, w
@@ -233,73 +279,80 @@ func (c *Cache) TrimFill(region mem.RegionID, want mem.Range, w uint8) mem.Range
 
 // Insert places a new block, evicting least-recently-used blocks from
 // the set until it fits. Victims are returned for the protocol to
-// write back (if dirty) or drop silently (if clean). Insert panics if
-// the block would overlap a resident block of the same region — the
-// protocol must TrimFill first — or if its range is invalid.
+// write back (if dirty) or drop silently (if clean); the returned slice
+// is reused by the next Insert call. Insert panics if the block would
+// overlap a resident block of the same region — the protocol must
+// TrimFill first — if its range is invalid, or if it carries a non-zero
+// word outside its range.
 func (c *Cache) Insert(b Block) []Block {
 	if !b.R.Valid(c.cfg.Geom) {
 		panic(fmt.Sprintf("cache: invalid range %v", b.R))
 	}
-	if len(b.Data) != b.R.Words() {
-		panic(fmt.Sprintf("cache: data length %d != range words %d", len(b.Data), b.R.Words()))
+	if w, stray := b.strayWord(); stray {
+		panic(fmt.Sprintf("cache: inserting %v with non-zero word %d outside its range", b.R, w))
 	}
 	s := c.setFor(b.Region)
-	for _, rb := range s.blocks {
-		if rb.Region == b.Region && rb.R.Overlaps(b.R) {
+	for i := range s.blocks {
+		if rb := &s.blocks[i]; rb.Region == b.Region && rb.R.Overlaps(b.R) {
 			panic(fmt.Sprintf("cache: inserting %v overlaps resident %v in region %d", b.R, rb.R, b.Region))
 		}
 	}
 	cost := c.Cost(b.R)
 	victims := c.victimScratch[:0]
 	for s.bytesUsed+cost > c.cfg.SetBudgetBytes {
-		v := c.evictLRU(s)
-		if v == nil {
+		if len(s.blocks) == 0 {
 			panic("cache: set budget exhausted with no victims")
 		}
-		victims = append(victims, *v)
+		vi := lruIndex(s.blocks)
+		victims = append(victims, s.blocks[vi])
+		s.removeAt(vi, c.Cost(s.blocks[vi].R))
 	}
 	c.victimScratch = victims
+	if len(s.blocks) == cap(s.blocks) {
+		// Grow by doubling, capped at the most blocks the set can hold,
+		// so a full set carries no unusable slack.
+		grown := make([]Block, len(s.blocks), min(2*len(s.blocks)+1, c.maxBlocks))
+		copy(grown, s.blocks)
+		s.blocks = grown
+	}
 	c.tick++
-	nb := b
-	nb.lru = c.tick
-	s.blocks = append(s.blocks, &nb)
+	b.lru = c.tick
+	s.blocks = append(s.blocks, b)
 	s.bytesUsed += cost
 	if c.cfg.MergeBlocks {
-		c.mergeAround(s, &nb)
+		c.mergeLast(s)
 	}
 	return victims
 }
 
-// mergeAround coalesces the freshly inserted block with same-region,
-// same-state blocks exactly adjacent to it, repeating until no
-// neighbour qualifies. Merging never overlaps (the non-overlap
-// invariant holds before and after) and releases one tag per merge.
-func (c *Cache) mergeAround(s *set, nb *Block) {
+// mergeLast coalesces the freshly inserted block — always the set's
+// last — with same-region, same-state blocks exactly adjacent to it,
+// repeating until no neighbour qualifies. Merging never overlaps (the
+// non-overlap invariant holds before and after) and releases one tag
+// per merge.
+func (c *Cache) mergeLast(s *set) {
 	for {
+		nb := &s.blocks[len(s.blocks)-1]
 		merged := false
-		for i, ob := range s.blocks {
-			if ob == nb || ob.Region != nb.Region || ob.State != nb.State {
+		for i := range s.blocks[:len(s.blocks)-1] {
+			ob := &s.blocks[i]
+			if ob.Region != nb.Region || ob.State != nb.State {
 				continue
 			}
-			var lo, hi *Block
 			switch {
 			case ob.R.End+1 == nb.R.Start:
-				lo, hi = ob, nb
+				nb.R.Start = ob.R.Start
 			case nb.R.End+1 == ob.R.Start:
-				lo, hi = nb, ob
+				nb.R.End = ob.R.End
 			default:
 				continue
 			}
-			// Splice the two data arrays and union the metadata into nb.
-			data := make([]uint64, 0, lo.R.Words()+hi.R.Words())
-			data = append(data, lo.Data...)
-			data = append(data, hi.Data...)
-			nb.R = mem.Range{Start: lo.R.Start, End: hi.R.End}
-			nb.Data = data
-			nb.Touched = lo.Touched.Union(hi.Touched)
+			// Both blocks index Data by region offset, so the absorbed
+			// words land in place.
+			copy(nb.Data[ob.R.Start:ob.R.End+1], ob.Data[ob.R.Start:ob.R.End+1])
+			nb.Touched = nb.Touched.Union(ob.Touched)
 			// Remove the absorbed block; one tag's bytes come back.
-			s.blocks = append(s.blocks[:i], s.blocks[i+1:]...)
-			s.bytesUsed -= c.cfg.TagBytes
+			s.removeAt(i, c.cfg.TagBytes)
 			merged = true
 			break
 		}
@@ -309,20 +362,23 @@ func (c *Cache) mergeAround(s *set, nb *Block) {
 	}
 }
 
-func (c *Cache) evictLRU(s *set) *Block {
-	if len(s.blocks) == 0 {
-		return nil
-	}
+// lruIndex returns the index of the set's least-recently-used block
+// (the first one on a tie).
+func lruIndex(blocks []Block) int {
 	vi := 0
-	for i, b := range s.blocks {
-		if b.lru < s.blocks[vi].lru {
+	for i := range blocks {
+		if blocks[i].lru < blocks[vi].lru {
 			vi = i
 		}
 	}
-	v := s.blocks[vi]
-	s.blocks = append(s.blocks[:vi], s.blocks[vi+1:]...)
-	s.bytesUsed -= c.Cost(v.R)
-	return v
+	return vi
+}
+
+// removeAt deletes the set's i-th block, keeping the order of the
+// rest, and releases freed bytes of its storage charge.
+func (s *set) removeAt(i, freed int) {
+	s.blocks = append(s.blocks[:i], s.blocks[i+1:]...)
+	s.bytesUsed -= freed
 }
 
 // ExtractOverlapping removes and returns every resident block of the
@@ -332,16 +388,20 @@ func (c *Cache) evictLRU(s *set) *Block {
 func (c *Cache) ExtractOverlapping(region mem.RegionID, r mem.Range) []Block {
 	s := c.setFor(region)
 	out := c.extractScratch[:0]
-	kept := s.blocks[:0]
-	for _, b := range s.blocks {
+	kept := 0
+	for i := range s.blocks {
+		b := &s.blocks[i]
 		if b.Region == region && b.R.Overlaps(r) {
 			out = append(out, *b)
 			s.bytesUsed -= c.Cost(b.R)
-		} else {
-			kept = append(kept, b)
+			continue
 		}
+		if kept != i {
+			s.blocks[kept] = *b
+		}
+		kept++
 	}
-	s.blocks = kept
+	s.blocks = s.blocks[:kept]
 	c.extractScratch = out
 	return out
 }
@@ -352,26 +412,13 @@ func (c *Cache) ExtractRegion(region mem.RegionID) []Block {
 	return c.ExtractOverlapping(region, c.cfg.Geom.FullRange())
 }
 
-// Remove removes the specific resident block (identified by region and
-// exact range). It reports whether the block was found.
-func (c *Cache) Remove(region mem.RegionID, r mem.Range) bool {
-	s := c.setFor(region)
-	for i, b := range s.blocks {
-		if b.Region == region && b.R == r {
-			s.blocks = append(s.blocks[:i], s.blocks[i+1:]...)
-			s.bytesUsed -= c.Cost(b.R)
-			return true
-		}
-	}
-	return false
-}
-
 // Blocks calls fn for every resident block; used for end-of-run
-// classification and invariant checks.
+// classification and invariant checks. fn must not Insert or Extract.
 func (c *Cache) Blocks(fn func(*Block)) {
 	for i := range c.sets {
-		for _, b := range c.sets[i].blocks {
-			fn(b)
+		blocks := c.sets[i].blocks
+		for j := range blocks {
+			fn(&blocks[j])
 		}
 	}
 }
@@ -381,12 +428,10 @@ func (c *Cache) Blocks(fn func(*Block)) {
 // fill — the instantaneous counterpart of the end-of-life used/unused
 // classification.
 func (c *Cache) Usage() (resident, touched int) {
-	for i := range c.sets {
-		for _, b := range c.sets[i].blocks {
-			resident += b.R.Words()
-			touched += b.UsedWords()
-		}
-	}
+	c.Blocks(func(b *Block) {
+		resident += b.R.Words()
+		touched += b.UsedWords()
+	})
 	return resident, touched
 }
 
@@ -400,26 +445,27 @@ func (c *Cache) BytesUsed() int {
 }
 
 // CheckInvariants validates the structural invariants: ranges valid,
-// no overlapping blocks within a region, set byte accounting exact,
-// and every block mapped to its home set. It returns the first
-// violation found.
+// no overlapping blocks within a region, no non-zero word outside a
+// block's range, set byte accounting exact, and every block mapped to
+// its home set. It returns the first violation found.
 func (c *Cache) CheckInvariants() error {
 	for si := range c.sets {
 		s := &c.sets[si]
 		bytes := 0
-		for i, b := range s.blocks {
+		for i := range s.blocks {
+			b := &s.blocks[i]
 			if !b.R.Valid(c.cfg.Geom) {
 				return fmt.Errorf("set %d: block %d has invalid range %v", si, i, b.R)
 			}
 			if int(uint64(b.Region)%uint64(c.cfg.Sets)) != si {
 				return fmt.Errorf("set %d: block region %d mapped to wrong set", si, b.Region)
 			}
-			if len(b.Data) != b.R.Words() {
-				return fmt.Errorf("set %d: block %d data/range mismatch", si, i)
+			if w, stray := b.strayWord(); stray {
+				return fmt.Errorf("set %d: block %d %v holds non-zero word %d outside its range", si, i, b.R, w)
 			}
 			bytes += c.Cost(b.R)
 			for j := i + 1; j < len(s.blocks); j++ {
-				ob := s.blocks[j]
+				ob := &s.blocks[j]
 				if ob.Region == b.Region && ob.R.Overlaps(b.R) {
 					return fmt.Errorf("set %d: overlapping blocks %v and %v in region %d", si, b.R, ob.R, b.Region)
 				}

@@ -9,7 +9,7 @@ import (
 )
 
 func mkBlock(region mem.RegionID, r mem.Range, st State) Block {
-	return Block{Region: region, R: r, State: st, Data: make([]uint64, r.Words())}
+	return Block{Region: region, R: r, State: st}
 }
 
 func small(t *testing.T) *Cache {
@@ -62,6 +62,52 @@ func TestWordAccess(t *testing.T) {
 	b.Touch(5)
 	if b.UsedWords() != 2 {
 		t.Errorf("UsedWords = %d, want 2", b.UsedWords())
+	}
+}
+
+func TestWordOutsideRangePanics(t *testing.T) {
+	b := mkBlock(1, mem.Range{Start: 2, End: 5}, Modified)
+	for _, w := range []uint8{0, 1, 6, 15} {
+		for name, op := range map[string]func(){
+			"Word":    func() { b.Word(w) },
+			"SetWord": func() { b.SetWord(w, 1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) outside %v did not panic", name, w, b.R)
+					}
+				}()
+				op()
+			}()
+		}
+	}
+	if b.Data != ([mem.MaxRegionWords]uint64{}) {
+		t.Errorf("a rejected SetWord wrote into the block: %v", b.Data)
+	}
+}
+
+func TestInsertStrayWordPanics(t *testing.T) {
+	c := small(t)
+	b := mkBlock(7, mem.Range{Start: 2, End: 5}, Shared)
+	b.Data[6] = 1
+	defer func() {
+		if recover() == nil {
+			t.Error("insert with a non-zero word outside its range did not panic")
+		}
+	}()
+	c.Insert(b)
+}
+
+func TestCheckInvariantsRejectsStrayWords(t *testing.T) {
+	c := small(t)
+	c.Insert(mkBlock(7, mem.Range{Start: 2, End: 5}, Shared))
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c.Peek(7, 2).Data[1] = 3 // stale data the block's range no longer covers
+	if err := c.CheckInvariants(); err == nil {
+		t.Error("CheckInvariants accepted a non-zero word outside the block's range")
 	}
 }
 
@@ -145,6 +191,9 @@ func TestExtractOverlapping(t *testing.T) {
 	if c.HasRegion(9) {
 		t.Error("region still resident after full extract")
 	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	if c.BytesUsed() >= before {
 		t.Error("bytes not released")
 	}
@@ -169,20 +218,6 @@ func TestExtractRegion(t *testing.T) {
 	c.Insert(mkBlock(9, mem.Range{Start: 5, End: 6}, Shared))
 	if got := c.ExtractRegion(9); len(got) != 2 {
 		t.Fatalf("ExtractRegion returned %d blocks, want 2", len(got))
-	}
-}
-
-func TestRemove(t *testing.T) {
-	c := small(t)
-	c.Insert(mkBlock(9, mem.Range{Start: 1, End: 3}, Shared))
-	if !c.Remove(9, mem.Range{Start: 1, End: 3}) {
-		t.Fatal("Remove failed on resident block")
-	}
-	if c.Remove(9, mem.Range{Start: 1, End: 3}) {
-		t.Fatal("Remove succeeded twice")
-	}
-	if c.BytesUsed() != 0 {
-		t.Error("bytes not released by Remove")
 	}
 }
 

@@ -47,7 +47,7 @@ func TestMergePreservesDataAndTouch(t *testing.T) {
 	b1.Touched = b1.Touched.Set(0)
 	c.Insert(b1)
 	b2 := mkBlock(5, mem.Range{Start: 2, End: 3}, Modified)
-	b2.Data[0], b2.Data[1] = 12, 13
+	b2.Data[2], b2.Data[3] = 12, 13
 	b2.Touched = b2.Touched.Set(3)
 	c.Insert(b2)
 	m := c.BlocksInRegion(5)[0]
@@ -58,6 +58,9 @@ func TestMergePreservesDataAndTouch(t *testing.T) {
 	}
 	if !m.Touched.Has(0) || !m.Touched.Has(3) || m.Touched.Has(1) {
 		t.Errorf("touched bitmap = %b", m.Touched)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -95,28 +98,67 @@ func TestMergeChains(t *testing.T) {
 	}
 }
 
+// TestQuickMergeInvariants drives random fills, snoops and lookups
+// through a merging cache. Every filled word carries a distinct value
+// tracked in a shadow copy, so a merge, eviction or extraction that
+// moves a word to the wrong slot, or leaves a stale one behind, fails.
 func TestQuickMergeInvariants(t *testing.T) {
+	type key struct {
+		region mem.RegionID
+		w      uint8
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := MustNew(Config{Sets: 2, SetBudgetBytes: 200, TagBytes: 8, Geom: mem.DefaultGeometry, MergeBlocks: true})
+		shadow := map[key]uint64{}
+		drop := func(blocks []Block) {
+			for _, b := range blocks {
+				for w := b.R.Start; w <= b.R.End; w++ {
+					delete(shadow, key{b.Region, w})
+				}
+			}
+		}
 		for op := 0; op < 200; op++ {
 			region := mem.RegionID(rng.Intn(6))
 			w := uint8(rng.Intn(8))
 			switch rng.Intn(3) {
 			case 0:
 				if c.Peek(region, w) == nil {
-					r := c.TrimFill(region, mem.DefaultGeometry.FullRange(), w)
-					c.Insert(mkBlock(region, r, State(1+rng.Intn(3))))
+					// A narrow predicted range leaves sub-blocks that
+					// later fills land next to, so merges happen.
+					want := mem.Range{Start: w - uint8(rng.Intn(int(w)+1)), End: w}
+					r := c.TrimFill(region, want, w)
+					b := mkBlock(region, r, State(1+rng.Intn(3)))
+					for fw := r.Start; fw <= r.End; fw++ {
+						b.Data[fw] = uint64(op)<<8 | uint64(fw) + 1
+						shadow[key{region, fw}] = b.Data[fw]
+					}
+					drop(c.Insert(b))
 				}
 			case 1:
 				start := uint8(rng.Intn(8))
 				end := start + uint8(rng.Intn(8-int(start)))
-				c.ExtractOverlapping(region, mem.Range{Start: start, End: end})
+				drop(c.ExtractOverlapping(region, mem.Range{Start: start, End: end}))
 			case 2:
 				c.Lookup(region, w)
 			}
 			if err := c.CheckInvariants(); err != nil {
 				t.Logf("seed %d op %d: %v", seed, op, err)
+				return false
+			}
+			resident := 0
+			ok := true
+			c.Blocks(func(b *Block) {
+				for bw := b.R.Start; bw <= b.R.End; bw++ {
+					resident++
+					if want := shadow[key{b.Region, bw}]; b.Word(bw) != want {
+						t.Logf("seed %d op %d: region %d word %d = %d, want %d", seed, op, b.Region, bw, b.Word(bw), want)
+						ok = false
+					}
+				}
+			})
+			if !ok || resident != len(shadow) {
+				t.Logf("seed %d op %d: %d resident words, shadow holds %d", seed, op, resident, len(shadow))
 				return false
 			}
 		}

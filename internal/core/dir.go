@@ -25,15 +25,9 @@ type dirSlice struct {
 	// Entry table. Homes interleave regions low-order across tiles
 	// (home = region % cores), so region/cores is a dense, collision-free
 	// per-tile index: the hot path is two bounds checks and two slice
-	// loads instead of a map lookup. The table is chunked — a directory
-	// of lazily allocated fixed-size chunks — so workloads whose arenas
-	// sit high in the address space only allocate the 4 KiB spans they
-	// touch, and growth never copies entry pointers. Regions beyond
-	// denseDirSlots (sparse gigantic address spaces in directed tests)
-	// fall back to a map.
-	dense  [][]*dirEntry
-	sparse map[mem.RegionID]*dirEntry // lazily allocated overflow
-	count  int                        // live entries across dense+sparse
+	// loads instead of a map lookup.
+	entries regionTable[*dirEntry]
+	count   int // live entries
 
 	// One-entry memo: coherence traffic is bursty per region (request,
 	// probes, replies, unblock all hit the same entry back to back).
@@ -57,17 +51,6 @@ type dirSlice struct {
 	// regions read as zero (fresh physical memory).
 	memory map[mem.RegionID][]uint64
 }
-
-// denseDirSlots caps the directly indexed entry table at 8 MiB of
-// pointers per tile; regions above it live in the sparse map. The
-// table is split into 512-slot (4 KiB) chunks allocated on first
-// touch.
-const (
-	denseDirSlots = 1 << 20
-	dirChunkBits  = 9
-	dirChunkSlots = 1 << dirChunkBits
-	dirChunkMask  = dirChunkSlots - 1
-)
 
 // dirEntry is one region's directory entry plus its L2 data block.
 type dirEntry struct {
@@ -189,14 +172,7 @@ func (d *dirSlice) lookup(region mem.RegionID) *dirEntry {
 	if d.lastEntry != nil && d.lastRegion == region {
 		return d.lastEntry
 	}
-	var e *dirEntry
-	if idx := d.slot(region); idx < denseDirSlots {
-		if ch := idx >> dirChunkBits; ch < uint64(len(d.dense)) && d.dense[ch] != nil {
-			e = d.dense[ch][idx&dirChunkMask]
-		}
-	} else {
-		e = d.sparse[region]
-	}
+	e := d.entries.get(d.slot(region))
 	if e != nil {
 		d.lastRegion = region
 		d.lastEntry = e
@@ -215,25 +191,7 @@ func (d *dirSlice) mustEntry(region mem.RegionID) *dirEntry {
 }
 
 func (d *dirSlice) insert(region mem.RegionID, e *dirEntry) {
-	if idx := d.slot(region); idx < denseDirSlots {
-		ch := idx >> dirChunkBits
-		if ch >= uint64(len(d.dense)) {
-			// The chunk directory holds one pointer per 512 slots, so
-			// growing it copies at most 2 KiB even at the table cap.
-			grown := make([][]*dirEntry, ch+1)
-			copy(grown, d.dense)
-			d.dense = grown
-		}
-		if d.dense[ch] == nil {
-			d.dense[ch] = make([]*dirEntry, dirChunkSlots)
-		}
-		d.dense[ch][idx&dirChunkMask] = e
-	} else {
-		if d.sparse == nil {
-			d.sparse = make(map[mem.RegionID]*dirEntry)
-		}
-		d.sparse[region] = e
-	}
+	d.entries.set(d.slot(region), e)
 	d.count++
 	d.lastRegion = region
 	d.lastEntry = e
@@ -268,7 +226,7 @@ func (d *dirSlice) entry(region mem.RegionID) *dirEntry {
 func (d *dirSlice) evictLRURegion() {
 	var victim *dirEntry
 	consider := func(e *dirEntry) {
-		if e == nil || e.busy || len(e.queue) > 0 {
+		if e.busy || len(e.queue) > 0 {
 			return
 		}
 		if victim == nil || e.touch < victim.touch ||
@@ -276,14 +234,7 @@ func (d *dirSlice) evictLRURegion() {
 			victim = e
 		}
 	}
-	for _, chunk := range d.dense {
-		for _, e := range chunk {
-			consider(e)
-		}
-	}
-	for _, e := range d.sparse {
-		consider(e)
-	}
+	d.entries.each(consider)
 	if victim == nil {
 		return
 	}
@@ -332,14 +283,7 @@ func (d *dirSlice) dropEntry(e *dirEntry) {
 		d.tl.st.MemWritebacks++
 		d.persistWords(e, e.valid)
 	}
-	if idx := d.slot(e.region); idx < denseDirSlots {
-		if ch := idx >> dirChunkBits; ch < uint64(len(d.dense)) &&
-			d.dense[ch] != nil && d.dense[ch][idx&dirChunkMask] == e {
-			d.dense[ch][idx&dirChunkMask] = nil
-		}
-	} else {
-		delete(d.sparse, e.region)
-	}
+	d.entries.set(d.slot(e.region), nil)
 	d.count--
 	if d.lastEntry == e {
 		d.lastEntry = nil

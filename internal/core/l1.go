@@ -33,9 +33,11 @@ type l1Ctrl struct {
 	ms     mshr
 	msLive bool
 
-	// wordCause remembers, per word, why this L1 last lost it — the
-	// cold/capacity/coherence/granularity miss classification.
-	wordCause map[mem.RegionID]*[mem.MaxRegionWords]deathCause
+	// causes remembers, per word, why this L1 last lost it — the
+	// cold/capacity/coherence/granularity miss classification. Indexed
+	// by region; each value packs the region's words' deathCauses two
+	// bits per word (word w at bits 2w and 2w+1).
+	causes regionTable[uint32]
 }
 
 // completer receives the value of a finished memory reference; the cpu
@@ -45,7 +47,8 @@ type completer interface {
 	complete(val uint64)
 }
 
-// deathCause classifies how a word last left this L1.
+// deathCause classifies how a word last left this L1. It fits the two
+// bits per word l1Ctrl.causes packs.
 type deathCause uint8
 
 const (
@@ -83,10 +86,7 @@ type mshr struct {
 }
 
 func newL1(sys *System, tl *tile, id int, c *cache.Cache, p predictor.Predictor) *l1Ctrl {
-	return &l1Ctrl{
-		sys: sys, tl: tl, id: id, cache: c, pred: p,
-		wordCause: make(map[mem.RegionID]*[mem.MaxRegionWords]deathCause),
-	}
+	return &l1Ctrl{sys: sys, tl: tl, id: id, cache: c, pred: p}
 }
 
 // openMSHR returns the live MSHR for the region, or nil.
@@ -99,17 +99,14 @@ func (l *l1Ctrl) openMSHR(region mem.RegionID) *mshr {
 
 // markDeath records how a dead block's words left the cache.
 func (l *l1Ctrl) markDeath(b *cache.Block, cause deathCause) {
-	wc := l.wordCause[b.Region]
-	if wc == nil {
-		wc = new([mem.MaxRegionWords]deathCause)
-		l.wordCause[b.Region] = wc
-	}
+	packed := l.causes.get(uint64(b.Region))
 	for w := b.R.Start; ; w++ {
-		wc[w] = cause
+		packed = packed&^(3<<(2*w)) | uint32(cause)<<(2*w)
 		if w == b.R.End {
 			break
 		}
 	}
+	l.causes.set(uint64(b.Region), packed)
 }
 
 // classifyMiss attributes a miss to cold / capacity / coherence /
@@ -123,11 +120,7 @@ func (l *l1Ctrl) classifyMiss(region mem.RegionID, w uint8, upgrade bool) {
 		l.tl.st.MissesCoherence++
 		return
 	}
-	var cause deathCause
-	if wc := l.wordCause[region]; wc != nil {
-		cause = wc[w]
-	}
-	switch cause {
+	switch deathCause(l.causes.get(uint64(region)) >> (2 * w) & 3) {
 	case diedByEviction:
 		l.tl.st.MissesCapacity++
 	case diedByInvalidation:
@@ -343,14 +336,8 @@ func (l *l1Ctrl) fill(m *Msg) {
 	blk := cache.Block{
 		Region: m.Region, R: m.R, State: st,
 		FetchPC: ms.pc, FetchWord: ms.word,
-		Data: make([]uint64, m.R.Words()),
 	}
-	for w := m.R.Start; ; w++ {
-		blk.Data[w-m.R.Start] = m.Words[w]
-		if w == m.R.End {
-			break
-		}
-	}
+	copy(blk.Data[m.R.Start:m.R.End+1], m.Words[m.R.Start:m.R.End+1])
 	l.tl.st.RecordFill(m.R.Words())
 	l.tl.st.DataWordsIn += uint64(m.PayloadWords())
 	if l.tl.attrib != nil {
@@ -556,12 +543,7 @@ func (l *l1Ctrl) anyDirtyOrExclusive(region mem.RegionID) bool {
 // the outgoing payload bytes as used or unused.
 func (l *l1Ctrl) carry(reply *Msg, b *cache.Block) {
 	reply.Type = MsgWback
-	for w := b.R.Start; ; w++ {
-		reply.Words[w] = b.Word(w)
-		if w == b.R.End {
-			break
-		}
-	}
+	copy(reply.Words[b.R.Start:b.R.End+1], b.Data[b.R.Start:b.R.End+1])
 	reply.Valid = reply.Valid.Union(b.R.Bitmap())
 	reply.Dirty = reply.Dirty.Union(b.R.Bitmap())
 	l.classifyWriteback(b)
@@ -668,12 +650,7 @@ func (l *l1Ctrl) handleVictims(victims []cache.Block) {
 		wb.Region = v.Region
 		wb.Valid = v.R.Bitmap()
 		wb.Dirty = v.R.Bitmap()
-		for w := v.R.Start; ; w++ {
-			wb.Words[w] = v.Word(w)
-			if w == v.R.End {
-				break
-			}
-		}
+		copy(wb.Words[v.R.Start:v.R.End+1], v.Data[v.R.Start:v.R.End+1])
 		wb.StillSharer = l.cache.HasRegion(v.Region)
 		wb.StillOwner = l.anyDirtyOrExclusive(v.Region)
 		if wb.StillSharer {

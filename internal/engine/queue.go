@@ -130,23 +130,34 @@ type bucketQueue struct {
 
 // queueStorage is the poolable part of a bucketQueue: the ring itself
 // plus every per-bucket items slice its buckets have grown, plus the
-// occupancy bitmap. A fresh ring costs one 4096-bucket allocation up
-// front and then one lazy slice allocation per distinct active cycle —
-// the fixed per-engine overhead that made PDES (16 tile engines per
-// run) pay ~2.5x the sequential mode's allocations. Recycling the
-// storage across runs makes that a one-time cost per process instead
-// of per run.
+// occupancy bitmap. Recycling the storage across runs saves each
+// engine (16 per PDES run) re-growing its buckets. The pool drops
+// storage at garbage collection, so a fresh ring must be cheap too:
+// its buckets start with bucketSlots of capacity carved from one slab,
+// which keeps a run's allocation count nearly independent of how many
+// rings the pool happened to keep.
 type queueStorage struct {
 	buckets []bucket
 	occ     []uint64
 }
 
+// bucketSlots is each bucket's initial capacity, carved from one slab
+// per ring, so a fresh ring costs three allocations rather than one per
+// distinct active cycle; only a cycle with more events than that grows
+// its own slice.
+const bucketSlots = 4
+
 var storagePool = sync.Pool{
 	New: func() any {
-		return &queueStorage{
+		st := &queueStorage{
 			buckets: make([]bucket, numBuckets),
 			occ:     make([]uint64, numBuckets/64),
 		}
+		slab := make([]item, numBuckets*bucketSlots)
+		for i := range st.buckets {
+			st.buckets[i].items = slab[i*bucketSlots : i*bucketSlots : (i+1)*bucketSlots]
+		}
+		return st
 	},
 }
 

@@ -338,3 +338,27 @@ func TestSameCycleTieBreakAcrossRingWrap(t *testing.T) {
 		})
 	}
 }
+
+// TestFreshRingFillsWithoutGrowing pins the slab-backed bucket
+// capacity: a ring built from scratch (as after the storage pool is
+// dropped at garbage collection) costs only its own storage — the
+// ring, the bitmap, the slab and their holder — and then takes up to
+// bucketSlots events in every cycle of its window without allocating.
+func TestFreshRingFillsWithoutGrowing(t *testing.T) {
+	r := &testRunner{}
+	n := testing.AllocsPerRun(5, func() {
+		q := &bucketQueue{store: storagePool.New().(*queueStorage)}
+		q.buckets, q.occ = q.store.buckets, q.store.occ
+		for c := Cycle(0); c < numBuckets; c++ {
+			for k := uint64(0); k < bucketSlots; k++ {
+				q.push(item{at: c, seq: uint64(c)*bucketSlots + k, r: r})
+			}
+		}
+		for q.size > 0 {
+			q.pop()
+		}
+	})
+	if n > 4 {
+		t.Errorf("building and filling a fresh ring allocated %v times, want at most 4", n)
+	}
+}
