@@ -30,10 +30,10 @@ verify:
 # determinism contract -workers rests on, end to end through the CLI).
 pdes-smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	go build -o $$d/protozoa-sim ./cmd/protozoa-sim; \
-	$$d/protozoa-sim -workload barnes -protocol mw -scale 1 \
+	go build -o $$d/protozoa ./cmd/protozoa; \
+	$$d/protozoa sim -workload barnes -protocol mw -scale 1 \
 		-workers 1 -json > $$d/w1.json; \
-	$$d/protozoa-sim -workload barnes -protocol mw -scale 1 \
+	$$d/protozoa sim -workload barnes -protocol mw -scale 1 \
 		-workers 4 -json > $$d/w4.json; \
 	cmp $$d/w1.json $$d/w4.json \
 		|| { echo "pdes-smoke: -workers 1 and -workers 4 diverge"; exit 1; }; \
@@ -42,18 +42,17 @@ pdes-smoke:
 # flight-smoke: record the flight log for the same run at -workers 1
 # and -workers 2 — the files must be byte-identical (the merged
 # per-tile rings are worker-count invariant) — then validate the log
-# end to end through protozoa-inspect -check.
+# end to end through protozoa inspect -check.
 flight-smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	go build -o $$d/protozoa-sim ./cmd/protozoa-sim; \
-	go build -o $$d/protozoa-inspect ./cmd/protozoa-inspect; \
-	$$d/protozoa-sim -workload barnes -protocol mw -scale 1 \
+	go build -o $$d/protozoa ./cmd/protozoa; \
+	$$d/protozoa sim -workload barnes -protocol mw -scale 1 \
 		-workers 1 -flight $$d/w1.pzfl > /dev/null; \
-	$$d/protozoa-sim -workload barnes -protocol mw -scale 1 \
+	$$d/protozoa sim -workload barnes -protocol mw -scale 1 \
 		-workers 2 -flight $$d/w2.pzfl > /dev/null; \
 	cmp $$d/w1.pzfl $$d/w2.pzfl \
 		|| { echo "flight-smoke: -workers 1 and -workers 2 flight logs diverge"; exit 1; }; \
-	$$d/protozoa-inspect -check $$d/w1.pzfl \
+	$$d/protozoa inspect -check $$d/w1.pzfl \
 		|| { echo "flight-smoke: recorded log failed validation"; exit 1; }; \
 	echo "flight-smoke: flight logs byte-identical across workers and inspect-clean"
 
@@ -62,20 +61,20 @@ flight-smoke:
 # (python3 json.tool; Perfetto loads anything that passes).
 trace-smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	go run ./cmd/protozoa-sim -workload histogram -protocol mw -scale 1 \
+	go run ./cmd/protozoa sim -workload histogram -protocol mw -scale 1 \
 		-trace-out $$d/trace.json \
 		-metrics-out $$d/metrics.json > /dev/null; \
 	python3 -m json.tool $$d/trace.json > /dev/null; \
 	python3 -m json.tool $$d/metrics.json > /dev/null; \
 	echo "trace-smoke: trace.json and metrics.json parse OK"
 
-# obs-smoke: trace-smoke plus a live scrape — run protozoa-sim with
+# obs-smoke: trace-smoke plus a live scrape — run protozoa sim with
 # -serve, curl /metrics mid-run, and validate every non-comment line is
 # Prometheus `name value` text including the attribution gauges.
 obs-smoke: trace-smoke
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	go build -o $$d/protozoa-sim ./cmd/protozoa-sim; \
-	$$d/protozoa-sim -workload histogram -protocol mw \
+	go build -o $$d/protozoa ./cmd/protozoa; \
+	$$d/protozoa sim -workload histogram -protocol mw \
 		-cores 16 -scale 60 -serve 127.0.0.1:18099 > /dev/null 2>$$d/serve.err & \
 	pid=$$!; \
 	ok=0; \
@@ -103,11 +102,11 @@ CACHE_SMOKE_GRID = -workloads linear-regression,barnes -protocols all -scale 8
 
 cache-smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	go build -o $$d/protozoa-sweep ./cmd/protozoa-sweep; \
-	$$d/protozoa-sweep $(CACHE_SMOKE_GRID) \
+	go build -o $$d/protozoa ./cmd/protozoa; \
+	$$d/protozoa sweep $(CACHE_SMOKE_GRID) \
 		-cache-dir $$d/cache \
 		> $$d/cold.csv 2>/dev/null; \
-	$$d/protozoa-sweep $(CACHE_SMOKE_GRID) \
+	$$d/protozoa sweep $(CACHE_SMOKE_GRID) \
 		-cache-dir $$d/cache -progress \
 		> $$d/warm.csv 2>$$d/warm.err; \
 	cmp $$d/cold.csv $$d/warm.csv \
@@ -116,7 +115,7 @@ cache-smoke:
 		|| { echo "cache-smoke: warm run re-simulated cells:"; \
 		     tail -1 $$d/warm.err; exit 1; }; \
 	echo "cache-smoke: warm re-run 100% cached, CSV byte-identical"; \
-	$$d/protozoa-sweep $(CACHE_SMOKE_GRID) \
+	$$d/protozoa sweep $(CACHE_SMOKE_GRID) \
 		-cache-dir $$d/cache-resume \
 		> /dev/null 2>&1 & \
 	pid=$$!; \
@@ -129,7 +128,7 @@ cache-smoke:
 	n=$$(find $$d/cache-resume -name '*.pzc' | wc -l); \
 	[ $$n -ge 1 ] || { echo "cache-smoke: no entries persisted before the kill"; exit 1; }; \
 	[ $$n -le 7 ] || echo "cache-smoke: note: grid finished before the kill ($$n entries)"; \
-	$$d/protozoa-sweep $(CACHE_SMOKE_GRID) \
+	$$d/protozoa sweep $(CACHE_SMOKE_GRID) \
 		-cache-dir $$d/cache-resume -progress \
 		> $$d/resume.csv 2>$$d/resume.err; \
 	cmp $$d/cold.csv $$d/resume.csv \

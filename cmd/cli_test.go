@@ -1,11 +1,13 @@
 // Package cmd_test builds every CLI binary once and exercises its
 // primary paths end to end — the integration layer unit tests cannot
-// reach. Skipped under -short (it compiles ten binaries).
+// reach. Skipped under -short (it compiles two binaries: the protozoa
+// command and protozoa-benchdiff).
 package cmd_test
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -18,11 +20,7 @@ import (
 	"time"
 )
 
-var tools = []string{
-	"protozoa-sim", "protozoa-table1", "protozoa-figs", "protozoa-verify",
-	"protozoa-trace", "protozoa-profile", "protozoa-sweep", "protozoa-report",
-	"protozoa-benchdiff", "protozoa-inspect",
-}
+var tools = []string{"protozoa", "protozoa-benchdiff"}
 
 // buildAll compiles the binaries into a shared temp dir.
 func buildAll(t *testing.T) string {
@@ -52,8 +50,9 @@ func mustSelfDir(t *testing.T) string {
 	return wd
 }
 
-// startServing launches a -serve driver, parses the advertised
+// startServing launches a -serve subcommand, parses the advertised
 // endpoint address off its stderr, and registers a kill on cleanup.
+// toolName is the subcommand's stderr prefix, e.g. "protozoa sim".
 func startServing(t *testing.T, cmd *exec.Cmd, toolName string) string {
 	t.Helper()
 	stderr, err := cmd.StderrPipe()
@@ -154,29 +153,30 @@ func run(t *testing.T, bin string, args ...string) string {
 func TestCLIs(t *testing.T) {
 	dir := buildAll(t)
 	bin := func(name string) string { return filepath.Join(dir, name) }
+	pz := bin("protozoa")
 
 	t.Run("sim", func(t *testing.T) {
-		out := run(t, bin("protozoa-sim"), "-workload", "fft", "-cores", "4", "-scale", "1", "-protocol", "mw")
+		out := run(t, pz, "sim", "-workload", "fft", "-cores", "4", "-scale", "1", "-protocol", "mw")
 		for _, want := range []string{"workload fft under Protozoa-MW", "L1 hits/misses", "miss classes", "energy"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("sim output missing %q", want)
 			}
 		}
-		out = run(t, bin("protozoa-sim"), "-list")
+		out = run(t, pz, "sim", "-list")
 		if !strings.Contains(out, "linear-regression") || !strings.Contains(out, "micro-ticket-lock") {
 			t.Error("sim -list missing workloads")
 		}
-		out = run(t, bin("protozoa-sim"), "-workload", "fft", "-cores", "4", "-scale", "1", "-json")
+		out = run(t, pz, "sim", "-workload", "fft", "-cores", "4", "-scale", "1", "-json")
 		if !strings.Contains(out, "\"L1Misses\"") {
 			t.Error("sim -json missing counters")
 		}
-		out = run(t, bin("protozoa-sim"), "-workload", "fft", "-cores", "4", "-scale", "1", "-msglog", "5", "-timeline", "5000")
+		out = run(t, pz, "sim", "-workload", "fft", "-cores", "4", "-scale", "1", "-msglog", "5", "-timeline", "5000")
 		if !strings.Contains(out, "coherence messages") || !strings.Contains(out, "timeline") {
 			t.Error("sim instrumentation output incomplete")
 		}
 		traceOut := filepath.Join(dir, "trace.json")
 		metricsOut := filepath.Join(dir, "metrics.json")
-		run(t, bin("protozoa-sim"), "-workload", "fft", "-cores", "4", "-scale", "1",
+		run(t, pz, "sim", "-workload", "fft", "-cores", "4", "-scale", "1",
 			"-trace-out", traceOut, "-metrics-out", metricsOut)
 		var trace struct {
 			TraceEvents []json.RawMessage `json:"traceEvents"`
@@ -204,7 +204,7 @@ func TestCLIs(t *testing.T) {
 	})
 
 	t.Run("table1", func(t *testing.T) {
-		out := run(t, bin("protozoa-table1"), "-cores", "4", "-scale", "1", "-workloads", "word-count")
+		out := run(t, pz, "table1", "-cores", "4", "-scale", "1", "-workloads", "word-count")
 		if !strings.Contains(out, "word-count") || !strings.Contains(out, "optimal") {
 			t.Errorf("table1 output:\n%s", out)
 		}
@@ -212,7 +212,7 @@ func TestCLIs(t *testing.T) {
 
 	t.Run("figs", func(t *testing.T) {
 		csv := filepath.Join(dir, "figs.csv")
-		out := run(t, bin("protozoa-figs"), "-fig", "13", "-cores", "4", "-scale", "1",
+		out := run(t, pz, "figs", "-fig", "13", "-cores", "4", "-scale", "1",
 			"-workloads", "swaptions", "-csv", csv)
 		if !strings.Contains(out, "swaptions") {
 			t.Errorf("figs output:\n%s", out)
@@ -220,14 +220,14 @@ func TestCLIs(t *testing.T) {
 		if data, err := os.ReadFile(csv); err != nil || !strings.Contains(string(data), "mpki") {
 			t.Errorf("figs csv: %v", err)
 		}
-		out = run(t, bin("protozoa-figs"), "-fig", "16", "-cores", "4", "-scale", "1", "-workloads", "swaptions")
+		out = run(t, pz, "figs", "-fig", "16", "-cores", "4", "-scale", "1", "-workloads", "swaptions")
 		if !strings.Contains(out, "coherence") {
 			t.Error("fig 16 missing classification")
 		}
 	})
 
 	t.Run("verify", func(t *testing.T) {
-		out := run(t, bin("protozoa-verify"), "-accesses", "8000", "-cores", "4")
+		out := run(t, pz, "verify", "-accesses", "8000", "-cores", "4")
 		if strings.Count(out, "OK") != 4 {
 			t.Errorf("verify output:\n%s", out)
 		}
@@ -235,26 +235,26 @@ func TestCLIs(t *testing.T) {
 
 	t.Run("trace", func(t *testing.T) {
 		pztr := filepath.Join(dir, "t.pztr")
-		run(t, bin("protozoa-trace"), "-dump", "-workload", "fft", "-cores", "4", "-scale", "1", "-o", pztr)
-		out := run(t, bin("protozoa-trace"), "-info", pztr)
+		run(t, pz, "trace", "-dump", "-workload", "fft", "-cores", "4", "-scale", "1", "-o", pztr)
+		out := run(t, pz, "trace", "-info", pztr)
 		if !strings.Contains(out, "4 cores") {
 			t.Errorf("trace -info:\n%s", out)
 		}
-		out = run(t, bin("protozoa-trace"), "-run", pztr, "-protocol", "mesi")
+		out = run(t, pz, "trace", "-run", pztr, "-protocol", "mesi")
 		if !strings.Contains(out, "under MESI") {
 			t.Errorf("trace -run:\n%s", out)
 		}
 	})
 
 	t.Run("profile", func(t *testing.T) {
-		out := run(t, bin("protozoa-profile"), "-cores", "4", "-workload", "canneal")
+		out := run(t, pz, "profile", "-cores", "4", "-workload", "canneal")
 		if !strings.Contains(out, "true-shared") {
 			t.Errorf("profile output:\n%s", out)
 		}
 	})
 
 	t.Run("sweep", func(t *testing.T) {
-		out := run(t, bin("protozoa-sweep"), "-workloads", "fft", "-protocols", "mesi",
+		out := run(t, pz, "sweep", "-workloads", "fft", "-protocols", "mesi",
 			"-knobs", "baseline,crossbar", "-cores", "4")
 		if strings.Count(out, "\n") != 3 { // header + 2 rows
 			t.Errorf("sweep output:\n%s", out)
@@ -265,10 +265,10 @@ func TestCLIs(t *testing.T) {
 		// 2 workloads x 4 protocols x 3 regions = 24 cells; stdout must
 		// be byte-identical at any -jobs width. "all,mesi" also pins the
 		// duplicate-protocol fix: MESI must not be simulated twice.
-		grid := []string{"-workloads", "swaptions,histogram", "-protocols", "all,mesi",
+		grid := []string{"sweep", "-workloads", "swaptions,histogram", "-protocols", "all,mesi",
 			"-regions", "32,64,128", "-cores", "4"}
 		stdout := func(jobs string) string {
-			cmd := exec.Command(bin("protozoa-sweep"), append(grid, "-jobs", jobs)...)
+			cmd := exec.Command(pz, append(grid, "-jobs", jobs)...)
 			out, err := cmd.Output()
 			if err != nil {
 				t.Fatalf("sweep -jobs %s: %v", jobs, err)
@@ -286,7 +286,7 @@ func TestCLIs(t *testing.T) {
 	})
 
 	t.Run("sim-attrib", func(t *testing.T) {
-		out := run(t, bin("protozoa-sim"), "-workload", "histogram", "-cores", "4", "-scale", "1", "-attrib")
+		out := run(t, pz, "sim", "-workload", "histogram", "-cores", "4", "-scale", "1", "-attrib")
 		for _, want := range []string{"attribution:", "top offenders", "util"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("sim -attrib output missing %q:\n%s", want, out)
@@ -295,10 +295,10 @@ func TestCLIs(t *testing.T) {
 	})
 
 	t.Run("sim-serve", func(t *testing.T) {
-		cmd := exec.Command(bin("protozoa-sim"),
+		cmd := exec.Command(pz, "sim",
 			"-workload", "histogram", "-cores", "16", "-scale", "60", "-serve", "127.0.0.1:0")
 		cmd.Stdout = io.Discard
-		addr := startServing(t, cmd, "protozoa-sim")
+		addr := startServing(t, cmd, "protozoa sim")
 		body := scrapeMetrics(t, addr)
 		checkPrometheusFormat(t, body)
 		for _, want := range []string{"protozoa_sim_cycle", "protozoa_attrib_fetched_words", "protozoa_mshr_live"} {
@@ -313,11 +313,11 @@ func TestCLIs(t *testing.T) {
 	})
 
 	t.Run("sweep-serve", func(t *testing.T) {
-		cmd := exec.Command(bin("protozoa-sweep"),
+		cmd := exec.Command(pz, "sweep",
 			"-workloads", "histogram,swaptions", "-protocols", "all", "-cores", "4",
 			"-serve", "127.0.0.1:0")
 		cmd.Stdout = io.Discard
-		addr := startServing(t, cmd, "protozoa-sweep")
+		addr := startServing(t, cmd, "protozoa sweep")
 		body := scrapeMetrics(t, addr)
 		checkPrometheusFormat(t, body)
 		for _, want := range []string{"protozoa_sweep_cells_total 8", "protozoa_attrib_fetched_words"} {
@@ -332,20 +332,17 @@ func TestCLIs(t *testing.T) {
 	})
 
 	t.Run("version", func(t *testing.T) {
-		for _, tool := range []string{"protozoa-sim", "protozoa-sweep", "protozoa-figs",
-			"protozoa-table1", "protozoa-verify"} {
-			out := run(t, bin(tool), "-version")
-			if !strings.Contains(out, "result-cache schema v") || !strings.Contains(out, "code stamp:") {
-				t.Errorf("%s -version output:\n%s", tool, out)
-			}
+		out := run(t, pz, "version")
+		if !strings.Contains(out, "result-cache schema v") || !strings.Contains(out, "code stamp:") {
+			t.Errorf("protozoa version output:\n%s", out)
 		}
 	})
 
 	t.Run("sim-self-prof", func(t *testing.T) {
-		args := []string{"-workload", "histogram", "-cores", "4", "-scale", "1", "-workers", "2"}
+		args := []string{"sim", "-workload", "histogram", "-cores", "4", "-scale", "1", "-workers", "2"}
 		spOut := filepath.Join(dir, "selfprof.json")
 		spTrace := filepath.Join(dir, "selfprof-trace.json")
-		cmd := exec.Command(bin("protozoa-sim"), append(args,
+		cmd := exec.Command(pz, append(args,
 			"-self-prof", "-self-prof-out", spOut, "-self-prof-trace", spTrace)...)
 		var stdout, stderr strings.Builder
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -383,7 +380,7 @@ func TestCLIs(t *testing.T) {
 		}
 		// The measurement report on stdout must be byte-identical with
 		// the profiler off.
-		plain := exec.Command(bin("protozoa-sim"), args...)
+		plain := exec.Command(pz, args...)
 		base, err := plain.Output()
 		if err != nil {
 			t.Fatal(err)
@@ -400,7 +397,7 @@ func TestCLIs(t *testing.T) {
 		logs := make([][]byte, 2)
 		for i, w := range []string{"1", "2"} {
 			path := filepath.Join(dir, "flight-w"+w+".pzfl")
-			out := run(t, bin("protozoa-sim"), "-workload", "fft", "-cores", "4", "-scale", "1",
+			out := run(t, pz, "sim", "-workload", "fft", "-cores", "4", "-scale", "1",
 				"-workers", w, "-flight", path, "-flight-cap", "65536")
 			if !strings.Contains(out, "flight recorder:") {
 				t.Errorf("sim report missing the flight recorder line:\n%s", out)
@@ -415,22 +412,22 @@ func TestCLIs(t *testing.T) {
 			t.Error("flight logs differ between -workers 1 and -workers 2")
 		}
 		log := filepath.Join(dir, "flight-w1.pzfl")
-		out := run(t, bin("protozoa-inspect"), "-check", log)
+		out := run(t, pz, "inspect", "-check", log)
 		if !strings.HasPrefix(out, "ok:") || !strings.Contains(out, "(0 open)") {
 			t.Errorf("inspect -check output:\n%s", out)
 		}
-		out = run(t, bin("protozoa-inspect"), "-summary", log)
+		out = run(t, pz, "inspect", "-summary", log)
 		for _, want := range []string{"protocol    Protozoa-MW", "msg-send", "miss-start", "l1-state"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("inspect -summary missing %q:\n%s", want, out)
 			}
 		}
-		out = run(t, bin("protozoa-inspect"), "-last", "5", log)
+		out = run(t, pz, "inspect", "-last", "5", log)
 		if !strings.Contains(out, "req-noc") || !strings.Contains(out, "GETS") {
 			t.Errorf("inspect timeline output:\n%s", out)
 		}
 		// A region filter must yield a coherent single-region transcript.
-		out = run(t, bin("protozoa-inspect"), "-records", "-last", "3", log)
+		out = run(t, pz, "inspect", "-records", "-last", "3", log)
 		var region string
 		fields := strings.Fields(out)
 		for i, f := range fields {
@@ -442,7 +439,7 @@ func TestCLIs(t *testing.T) {
 		if region == "" {
 			t.Fatalf("no region in transcript:\n%s", out)
 		}
-		out = run(t, bin("protozoa-inspect"), "-records", "-region", region, log)
+		out = run(t, pz, "inspect", "-records", "-region", region, log)
 		for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 			if !strings.Contains(line, "region "+region) {
 				t.Errorf("record for another region leaked through the filter: %q", line)
@@ -455,9 +452,9 @@ func TestCLIs(t *testing.T) {
 		// first must not cap the flight log below -flight-cap.
 		kept := func(extra ...string) string {
 			path := filepath.Join(dir, "cap.pzfl")
-			args := append([]string{"-workload", "linear-regression", "-cores", "4", "-scale", "1",
+			args := append([]string{"sim", "-workload", "linear-regression", "-cores", "4", "-scale", "1",
 				"-flight", path, "-flight-cap", "100000"}, extra...)
-			out := run(t, bin("protozoa-sim"), args...)
+			out := run(t, pz, args...)
 			m := regexp.MustCompile(`flight recorder: (\d+) records kept, (\d+) dropped`).FindStringSubmatch(out)
 			if m == nil {
 				t.Fatalf("no flight recorder line:\n%s", out)
@@ -473,10 +470,70 @@ func TestCLIs(t *testing.T) {
 	})
 
 	t.Run("report", func(t *testing.T) {
-		out := run(t, bin("protozoa-report"), "-cores", "4", "-scale", "1", "-workloads", "swaptions")
+		out := run(t, pz, "report", "-cores", "4", "-scale", "1", "-workloads", "swaptions")
 		if !strings.Contains(out, "# Protozoa reproduction report") ||
 			!strings.Contains(out, "Headline geomeans") {
 			t.Errorf("report output truncated")
+		}
+	})
+
+	t.Run("bad-input", func(t *testing.T) {
+		// Each bad input is rejected before any simulation, with exit
+		// status 1 and one "protozoa <sub>: ..." line: no panic, no
+		// vacuous pass, no silent clamp.
+		pztr := filepath.Join(dir, "zero-cores.pztr")
+		for _, args := range [][]string{
+			{"verify", "-cores", "0"},
+			{"verify", "-regions", "0", "-accesses", "8000", "-cores", "4"},
+			{"verify", "-accesses", "3", "-cores", "4"},
+			{"verify", "-accesses", "-5"},
+			{"verify", "-stores", "150", "-accesses", "8000", "-cores", "4"},
+			{"verify", "-stores", "-1", "-accesses", "8000", "-cores", "4"},
+			{"profile", "-cores", "0"},
+			{"profile", "-cores", "64"},
+			{"trace", "-dump", "-cores", "0", "-o", pztr},
+			{"sim", "-scale", "0"},
+			{"sim", "-workers", "-1"},
+			{"sweep", "-scale", "-1"},
+			{"figs", "-scale", "0"},
+			{"table1", "-cores", "3"},
+			{"report", "-scale", "-1"},
+			{"profile", "-scale", "0"},
+			{"trace", "-run", pztr, "-protocol", "all"},
+		} {
+			out, err := exec.Command(pz, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Errorf("%v: exit %v, want status 1\n%s", args, err, out)
+			}
+			lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+			if len(lines) != 1 || !strings.HasPrefix(lines[0], "protozoa "+args[0]+": ") {
+				t.Errorf("%v: want one \"protozoa %s: ...\" error line, got:\n%s", args, args[0], out)
+			}
+			if strings.Contains(string(out), "panic:") || strings.Contains(string(out), "goroutine") {
+				t.Errorf("%v panicked:\n%s", args, out)
+			}
+		}
+		if _, err := os.Stat(pztr); err == nil {
+			t.Error("trace -dump -cores 0 wrote a trace file")
+		}
+	})
+
+	t.Run("usage", func(t *testing.T) {
+		out := run(t, pz, "help")
+		for _, sub := range []string{"sim", "sweep", "figs", "table1", "report", "verify",
+			"trace", "profile", "inspect", "version"} {
+			if !strings.Contains(out, "\n  "+sub+" ") {
+				t.Errorf("help does not list %q:\n%s", sub, out)
+			}
+		}
+		bad, err := exec.Command(pz, "simulate").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("unknown subcommand: exit %v, want status 2", err)
+		}
+		if !strings.Contains(string(bad), `unknown subcommand "simulate"`) || !strings.Contains(string(bad), out) {
+			t.Errorf("unknown subcommand output:\n%s", bad)
 		}
 	})
 

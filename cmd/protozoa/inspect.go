@@ -1,22 +1,7 @@
-// protozoa-inspect reads a flight log recorded by protozoa-sim -flight
-// and reconstructs what the protocol did: per-transaction timelines
-// with per-phase dwell times, raw record transcripts, or a validity
-// check. Filters cut the log down to one region, address, core, or
-// cycle window before rendering.
-//
-// Usage:
-//
-//	protozoa-inspect flight.pzfl                 per-transaction timelines
-//	protozoa-inspect -records flight.pzfl        raw record transcript
-//	protozoa-inspect -summary flight.pzfl        header + per-kind counts
-//	protozoa-inspect -check flight.pzfl          validate, exit nonzero if corrupt
-//	protozoa-inspect -region 17 -records f.pzfl  one region's causal history
-//	protozoa-inspect -addr 0x4400 f.pzfl         filter by address (maps to its region)
-//	protozoa-inspect -core 3 -cycles 1000:2000 f.pzfl
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -26,32 +11,8 @@ import (
 	"protozoa/internal/obs/flight"
 )
 
-func main() {
-	region := flag.Int64("region", -1, "keep only records for this region id")
-	addr := flag.String("addr", "", "keep only records for the region containing this byte address (hex ok)")
-	core := flag.Int("core", -1, "keep only records involving this core (as source or requester)")
-	cycles := flag.String("cycles", "", "keep only records in this cycle window, as START:END (either side may be empty)")
-	records := flag.Bool("records", false, "print the raw record transcript instead of transaction timelines")
-	last := flag.Int("last", 0, "print only the last N entries (0 = all)")
-	summary := flag.Bool("summary", false, "print the log header and per-kind record counts, then exit")
-	check := flag.Bool("check", false, "validate the log (format, field counts, cycle order) and print one status line")
-	flag.Parse()
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: protozoa-inspect [flags] flight.pzfl   (or - for stdin)")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
-	if err := run(flag.Arg(0), options{
-		region: *region, addr: *addr, core: *core, cycles: *cycles,
-		records: *records, last: *last, summary: *summary, check: *check,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "protozoa-inspect:", err)
-		os.Exit(1)
-	}
-}
-
-type options struct {
+// inspectOpts holds inspect's flags.
+type inspectOpts struct {
 	region  int64
 	addr    string
 	core    int
@@ -62,7 +23,40 @@ type options struct {
 	check   bool
 }
 
-func run(path string, opt options) error {
+// inspect reads a flight log recorded by protozoa sim -flight and
+// reconstructs what the protocol did: per-transaction timelines with
+// per-phase dwell times, raw record transcripts, or a validity check.
+// Filters cut the log down to one region, address, core, or cycle
+// window before rendering.
+//
+//	protozoa inspect flight.pzfl                 per-transaction timelines
+//	protozoa inspect -records flight.pzfl        raw record transcript
+//	protozoa inspect -summary flight.pzfl        header + per-kind counts
+//	protozoa inspect -check flight.pzfl          validate, exit nonzero if corrupt
+//	protozoa inspect -region 17 -records f.pzfl  one region's causal history
+//	protozoa inspect -addr 0x4400 f.pzfl         filter by address (maps to its region)
+//	protozoa inspect -core 3 -cycles 1000:2000 f.pzfl
+func inspect(args []string) error {
+	f := newFlags("inspect")
+	var opt inspectOpts
+	f.Int64Var(&opt.region, "region", -1, "keep only records for this region id")
+	f.StringVar(&opt.addr, "addr", "", "keep only records for the region containing this byte address (hex ok)")
+	f.IntVar(&opt.core, "core", -1, "keep only records involving this core (as source or requester)")
+	f.StringVar(&opt.cycles, "cycles", "", "keep only records in this cycle window, as START:END (either side may be empty)")
+	f.BoolVar(&opt.records, "records", false, "print the raw record transcript instead of transaction timelines")
+	f.IntVar(&opt.last, "last", 0, "print only the last N entries (0 = all)")
+	f.BoolVar(&opt.summary, "summary", false, "print the log header and per-kind record counts, then exit")
+	f.BoolVar(&opt.check, "check", false, "validate the log (format, field counts, cycle order) and print one status line")
+	if err := f.parse(args); err != nil {
+		return err
+	}
+	if f.NArg() != 1 {
+		return errors.New("want one flight log argument: protozoa inspect [flags] flight.pzfl (or - for stdin)")
+	}
+	return inspectLog(f.Arg(0), opt)
+}
+
+func inspectLog(path string, opt inspectOpts) error {
 	var in io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -150,7 +144,7 @@ func printSummary(meta *flight.Meta, recs []flight.Record) {
 	}
 }
 
-func filter(meta *flight.Meta, recs []flight.Record, opt options) ([]flight.Record, error) {
+func filter(meta *flight.Meta, recs []flight.Record, opt inspectOpts) ([]flight.Record, error) {
 	region := opt.region
 	if opt.addr != "" {
 		a, err := strconv.ParseUint(opt.addr, 0, 64)

@@ -1,22 +1,8 @@
-// protozoa-sweep runs a grid of configurations — protocols x workloads
-// x design knobs x region sizes — and emits one CSV row per cell: the
-// generic engine behind the ablation studies. The grid fans out over
-// internal/runner's worker pool; output is byte-identical at any -jobs
-// setting, and a failing cell is reported on stderr while every
-// completed cell's row is still written.
-//
-// Usage:
-//
-//	protozoa-sweep -workloads histogram,barnes -protocols mesi,mw
-//	protozoa-sweep -knobs threehop,bloom -protocols mw -workloads barnes
-//	protozoa-sweep -regions 32,64,128 -protocols mw -jobs 8 -progress
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"protozoa/internal/core"
@@ -26,60 +12,60 @@ import (
 	"protozoa/internal/runner"
 )
 
-func main() {
-	wls := flag.String("workloads", "linear-regression,histogram", "comma-separated workloads")
-	protos := flag.String("protocols", "all", "comma-separated protocols (mesi, sw, swmr, mw, all)")
-	knobs := flag.String("knobs", "baseline", "comma-separated design knobs: "+strings.Join(runner.KnobNames(), ", "))
-	regions := flag.String("regions", "64", "comma-separated RMAX region sizes")
-	cores := flag.Int("cores", 16, "cores (1, 2, 4, or 16)")
-	scale := flag.Int("scale", 1, "workload scale")
-	seed := flag.Uint64("seed", 0, "trace-randomization seed (0 = canonical)")
-	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent cells (CSV order and content are identical at any setting)")
-	workers := flag.Int("workers", 0, "parallel window-loop goroutines per cell (0 = sequential engine; rows are byte-identical for any value >= 1)")
-	progress := flag.Bool("progress", false, "stream per-cell wall-time/event-count lines and a summary to stderr")
-	cacheOn := flag.Bool("cache", true, "memoize cells in the in-process result cache (identical cells simulate once)")
-	cacheDir := flag.String("cache-dir", "", "persistent result-cache directory; warm re-runs and interrupted sweeps resume from it")
-	serve := flag.String("serve", "", "serve live sweep-progress metrics at this address (e.g. 127.0.0.1:8080) for the grid's duration")
-	selfProf := flag.Bool("self-prof", false, "profile the simulator across the grid; aggregate summary to stderr, CSV unchanged (cached cells contribute nothing)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	version := flag.Bool("version", false, "print build provenance (result-cache schema and code stamp) and exit")
-	flag.Parse()
-
-	if *version {
-		fmt.Println(runner.VersionString())
-		return
+// sweep runs a grid of configurations — protocols x workloads x design
+// knobs x region sizes — and emits one CSV row per cell: the generic
+// engine behind the ablation studies. The grid fans out over
+// internal/runner's worker pool; output is byte-identical at any -jobs
+// setting, and a failing cell is reported on stderr while every
+// completed cell's row is still written.
+//
+//	protozoa sweep -workloads histogram,barnes -protocols mesi,mw
+//	protozoa sweep -knobs threehop,bloom -protocols mw -workloads barnes
+//	protozoa sweep -regions 32,64,128 -protocols mw -jobs 8 -progress
+func sweep(args []string) (err error) {
+	f := newFlags("sweep").matrix(1, "linear-regression,histogram").engine()
+	protos := f.String("protocols", "all", "comma-separated protocols (mesi, sw, swmr, mw, all)")
+	knobs := f.String("knobs", "baseline", "comma-separated design knobs: "+strings.Join(runner.KnobNames(), ", "))
+	regions := f.String("regions", "64", "comma-separated RMAX region sizes")
+	serve := f.String("serve", "", "serve live sweep-progress metrics at this address (e.g. 127.0.0.1:8080) for the grid's duration")
+	selfProf := f.Bool("self-prof", false, "profile the simulator across the grid; aggregate summary to stderr, CSV unchanged (cached cells contribute nothing)")
+	if err := f.parse(args); err != nil {
+		return err
 	}
-	stopProfiles, err := runner.StartProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := runner.StartProfiles(*f.cpuprofile, *f.memprofile)
 	if err != nil {
-		fail(err)
+		return err
 	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 
 	ps, err := runner.ParseProtocols(*protos)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	regionSizes, err := runner.ParseRegions(*regions)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	knobList, err := runner.ParseKnobs(*knobs)
 	if err != nil {
-		fail(err)
+		return err
 	}
-
 	cells, err := runner.Grid{
-		Workloads: strings.Split(*wls, ","),
+		Workloads: strings.Split(*f.workloads, ","),
 		Protocols: ps,
 		Knobs:     knobList,
 		Regions:   regionSizes,
-		Cores:     *cores,
-		Scale:     *scale,
-		TraceSeed: *seed,
-		Workers:   *workers,
+		Cores:     *f.cores,
+		Scale:     *f.scale,
+		TraceSeed: *f.seed,
+		Workers:   *f.workers,
 	}.Cells()
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	var profc *selfprof.Collector
@@ -94,23 +80,20 @@ func main() {
 		}
 	}
 
-	pool := runner.Pool{Jobs: *jobs}
-	if *progress {
-		pool.Progress = os.Stderr
-	}
-	if pool.Cache, err = runner.OpenCache(*cacheOn, *cacheDir); err != nil {
-		fail(err)
+	pool, err := f.pool()
+	if err != nil {
+		return err
 	}
 	if *serve != "" {
 		live, err := newSweepLive(*serve, len(cells), pool.Cache)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "protozoa-sweep: serving live metrics at http://%s/metrics\n", live.srv.Addr())
+		fmt.Fprintf(os.Stderr, "protozoa sweep: serving live metrics at http://%s/metrics\n", live.srv.Addr())
 		pool.OnResult = live.observe
 		defer func() {
 			if err := live.srv.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "protozoa-sweep: metrics server:", err)
+				fmt.Fprintln(os.Stderr, "protozoa sweep: metrics server:", err)
 			}
 		}()
 	}
@@ -118,24 +101,20 @@ func main() {
 
 	// Completed rows always reach stdout, even when other cells failed.
 	if err := runner.WriteCSV(os.Stdout, results); err != nil {
-		fail(err)
-	}
-	if err := stopProfiles(); err != nil {
-		fail(err)
+		return err
 	}
 	if profc != nil {
 		profc.WriteSummary(os.Stderr)
 	}
 	for _, r := range results {
 		if r.Err != nil {
-			fmt.Fprintln(os.Stderr, "protozoa-sweep:", r.Err)
+			fmt.Fprintln(os.Stderr, "protozoa sweep:", r.Err)
 		}
 	}
 	if sum.Failed > 0 {
-		fmt.Fprintf(os.Stderr, "protozoa-sweep: %d of %d cells failed; completed rows were still written\n",
-			sum.Failed, sum.Cells)
-		os.Exit(1)
+		return fmt.Errorf("%d of %d cells failed; completed rows were still written", sum.Failed, sum.Cells)
 	}
+	return nil
 }
 
 // sweepLive aggregates completed cells into a live endpoint. observe
@@ -213,9 +192,4 @@ func (l *sweepLive) publish() {
 		float64(l.fetched), float64(l.used), float64(l.wasted),
 		float64(l.invals), float64(l.falseShared),
 	})
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "protozoa-sweep:", err)
-	os.Exit(1)
 }

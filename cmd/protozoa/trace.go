@@ -1,16 +1,7 @@
-// protozoa-trace captures built-in workloads as trace files (the
-// equivalent of the paper's Pin-generated traces), inspects them, and
-// replays them through the simulator.
-//
-// Usage:
-//
-//	protozoa-trace -dump -workload canneal -o canneal.pztr
-//	protozoa-trace -info canneal.pztr
-//	protozoa-trace -run canneal.pztr -protocol mw
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
 	"os"
 
@@ -21,42 +12,36 @@ import (
 	"protozoa/internal/workloads"
 )
 
-func main() {
-	dump := flag.Bool("dump", false, "capture a workload to a trace file")
-	workload := flag.String("workload", "linear-regression", "workload to capture (with -dump)")
-	out := flag.String("o", "trace.pztr", "output path (with -dump)")
-	info := flag.String("info", "", "print a trace file's summary")
-	run := flag.String("run", "", "replay a trace file through the simulator")
-	proto := flag.String("protocol", "mw", "protocol for -run: mesi, sw, swmr, mw")
-	cores := flag.Int("cores", 16, "cores for -dump (1, 2, 4, or 16)")
-	scale := flag.Int("scale", 2, "workload scale for -dump")
-	flag.Parse()
-
+// traceCmd captures built-in workloads as trace files (the equivalent
+// of the paper's Pin-generated traces), inspects them, and replays them
+// through the simulator.
+//
+//	protozoa trace -dump -workload canneal -o canneal.pztr
+//	protozoa trace -info canneal.pztr
+//	protozoa trace -run canneal.pztr -protocol mw
+func traceCmd(args []string) error {
+	f := newFlags("trace").machine(2)
+	dump := f.Bool("dump", false, "capture a workload to a trace file (at -cores and -scale)")
+	workload := f.String("workload", "linear-regression", "workload to capture (with -dump)")
+	out := f.String("o", "trace.pztr", "output path (with -dump)")
+	info := f.String("info", "", "print a trace file's summary")
+	run := f.String("run", "", "replay a trace file through the simulator")
+	proto := f.String("protocol", "mw", "protocol for -run: mesi, sw, swmr, mw")
+	if err := f.parse(args); err != nil {
+		return err
+	}
 	switch {
 	case *dump:
-		if err := doDump(*workload, *out, *cores, *scale); err != nil {
-			fail(err)
-		}
+		return dumpTrace(*workload, *out, *f.cores, *f.scale)
 	case *info != "":
-		if err := doInfo(*info); err != nil {
-			fail(err)
-		}
+		return traceInfo(*info)
 	case *run != "":
-		if err := doRun(*run, *proto); err != nil {
-			fail(err)
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "protozoa-trace: one of -dump, -info, or -run is required")
-		os.Exit(2)
+		return replayTrace(*run, *proto)
 	}
+	return errors.New("one of -dump, -info, or -run is required")
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "protozoa-trace:", err)
-	os.Exit(1)
-}
-
-func doDump(workload, out string, cores, scale int) error {
+func dumpTrace(workload, out string, cores, scale int) error {
 	spec, err := workloads.Get(workload)
 	if err != nil {
 		return err
@@ -88,7 +73,7 @@ func doDump(workload, out string, cores, scale int) error {
 	return f.Close()
 }
 
-func doInfo(path string) error {
+func traceInfo(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -117,15 +102,11 @@ func doInfo(path string) error {
 	return nil
 }
 
-func doRun(path, proto string) error {
-	ps, err := runner.ParseProtocols(proto)
+func replayTrace(path, proto string) error {
+	p, err := runner.ParseProtocol(proto)
 	if err != nil {
 		return err
 	}
-	if len(ps) != 1 {
-		return fmt.Errorf("-run replays under exactly one protocol, got %q", proto)
-	}
-	p := ps[0]
 	f, err := os.Open(path)
 	if err != nil {
 		return err

@@ -53,5 +53,5 @@ func main() {
 	fmt.Println("an undersized bloom directory stays correct but pays NACKed probes;")
 	fmt.Println("the non-inclusive L2 re-fetches dropped words from memory; a finite")
 	fmt.Println("L2 adds recall invalidations. Every variant runs under the same")
-	fmt.Println("SWMR/golden-value checker (cmd/protozoa-verify).")
+	fmt.Println("SWMR/golden-value checker (protozoa verify).")
 }

@@ -22,7 +22,7 @@ import (
 //   - load integrity: every completed load observed the golden value.
 //
 // Violations are recorded (up to MaxViolations) rather than panicking,
-// so tests and the protozoa-verify tool can report them.
+// so tests and the protozoa verify tool can report them.
 type Checker struct {
 	sys    *System
 	golden map[mem.Addr]uint64
@@ -55,7 +55,7 @@ func NewChecker(sys *System) *Checker {
 func (c *Checker) Violations() []string { return c.violations }
 
 // CheckerSummary is the serializable outcome of a checked run — what
-// protozoa-verify reports per cell, in a form the result cache can
+// protozoa verify reports per cell, in a form the result cache can
 // store and replay byte-identically.
 type CheckerSummary struct {
 	Loads      int

@@ -14,7 +14,7 @@ import (
 // This file wires the flight spine (internal/obs/flight) into the
 // machine: per-tile rings fed by nil-checked hooks at every protocol
 // step — the machine's only observability hooks — the stall watchdog
-// sampled on timeline ticks, and the log export behind protozoa-sim's
+// sampled on timeline ticks, and the log export behind protozoa sim's
 // -flight flag. The Chrome trace, message log and latency breakdown are
 // views over the same records. Like the rest of the observability
 // layer, everything here is opt-in and the disabled machine pays one
@@ -88,7 +88,7 @@ func flightNames() *flight.Names {
 }
 
 // WriteFlightLog exports the merged transcript in the .pzfl format
-// protozoa-inspect reads. EnableFlightRecorder must have been called.
+// protozoa inspect reads. EnableFlightRecorder must have been called.
 func (s *System) WriteFlightLog(w io.Writer) error {
 	if s.flight == nil {
 		return fmt.Errorf("core: flight recorder not enabled")

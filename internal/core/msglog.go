@@ -50,7 +50,7 @@ func (e MsgEvent) String() string {
 
 // EnableMessageLog starts recording the most recent capacity messages
 // sent on the mesh — the protocol-transcript facility used by the
-// golden flow tests and protozoa-sim's -msglog flag. Call before Run.
+// golden flow tests and protozoa sim's -msglog flag. Call before Run.
 // Implemented on the flight recorder's per-tile rings, so it works
 // under PDES with worker-count-independent output. If the flight
 // recorder is already enabled its sizing wins.

@@ -121,7 +121,7 @@ func (m *Matrix) TopOffendersTable(p core.Protocol, n int) string {
 
 // RenderAttribution renders one run's attribution report — the
 // summary block plus the top-N offender table — for single-cell
-// drivers (protozoa-sim -attrib).
+// drivers (protozoa sim -attrib).
 func RenderAttribution(tr *attrib.Tracker, topN int) string {
 	s := tr.Summarize()
 	var b strings.Builder

@@ -9,7 +9,7 @@ import (
 )
 
 // RenderStats formats one run's measurements as a human-readable
-// report (used by cmd/protozoa-sim and the quickstart example).
+// report (used by protozoa sim and the quickstart example).
 func RenderStats(workload string, p core.Protocol, s *stats.Stats) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload %s under %s\n", workload, p)

@@ -17,7 +17,7 @@ import (
 // and writes it as a self-contained markdown document: the Section 2
 // motivation profile, Table 1, Figures 9-15, the headline geomeans,
 // and a random-tester verification of every protocol. This is the
-// one-command reproduction artifact behind cmd/protozoa-report.
+// one-command reproduction artifact behind `protozoa report`.
 func GenerateReport(o Options, w io.Writer) error {
 	if o.Cores == 0 {
 		o.Cores = 16
@@ -39,17 +39,14 @@ func GenerateReport(o Options, w io.Writer) error {
 
 	// Section 2 motivation.
 	fmt.Fprintf(w, "## Section 2: sharing and locality profile\n\n```\n")
-	fmt.Fprintf(w, "%-18s %9s %10s %13s %12s %10s\n",
-		"workload", "private", "read-only", "false-shared", "true-shared", "footprint")
+	fmt.Fprint(w, profile.SummaryHeader())
 	for _, name := range o.workloadList() {
 		spec, err := workloads.Get(name)
 		if err != nil {
 			return err
 		}
 		r := profile.Analyze(spec.Streams(o.Cores, o.Scale), mem.DefaultGeometry)
-		fmt.Fprintf(w, "%-18s %8.1f%% %9.1f%% %12.1f%% %11.1f%% %9.0f%%\n",
-			name, r.ClassPct(profile.Private), r.ClassPct(profile.ReadOnlyShared),
-			r.ClassPct(profile.FalseShared), r.ClassPct(profile.TrueShared), r.FootprintPct())
+		fmt.Fprint(w, r.SummaryRow(name))
 	}
 	fmt.Fprintf(w, "```\n\n")
 

@@ -4,7 +4,7 @@
 // accept/park/unpark/activate/process/last-ack/end, L1 / directory state
 // transitions (stable + transient), and NoC link stalls. Every
 // observability view is derived from these records: the .pzfl log and
-// protozoa-inspect, the Chrome trace, the message log, and the online
+// protozoa inspect, the Chrome trace, the message log, and the online
 // miss-latency breakdown. The recorder is opt-in and nil-check-hooked: a
 // disabled machine pays one branch per potential record.
 //

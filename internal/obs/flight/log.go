@@ -15,7 +15,7 @@ import (
 // carrying the machine shape and the name tables, then one compact JSON
 // array per record. Line-oriented so logs stream, diff, and grep; the
 // header's vocabularies make the file self-describing, so
-// protozoa-inspect needs no knowledge of the recording binary's enums.
+// protozoa inspect needs no knowledge of the recording binary's enums.
 //
 // The header deliberately omits anything that varies with the execution
 // strategy (worker count, wall time): a log recorded at -workers 1 and

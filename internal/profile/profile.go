@@ -186,6 +186,20 @@ func (r *Report) AccessPct(s Sharing) float64 {
 	return 100 * float64(r.AccessesByClass[s]) / float64(r.Accesses)
 }
 
+// SummaryHeader is the header line of the suite summary table, one
+// SummaryRow per workload (the Section 2 motivation table).
+func SummaryHeader() string {
+	return fmt.Sprintf("%-18s %9s %10s %13s %12s %10s\n",
+		"workload", "private", "read-only", "false-shared", "true-shared", "footprint")
+}
+
+// SummaryRow formats the profile as one row under SummaryHeader.
+func (r *Report) SummaryRow(name string) string {
+	return fmt.Sprintf("%-18s %8.1f%% %9.1f%% %12.1f%% %11.1f%% %9.0f%%\n",
+		name, r.ClassPct(Private), r.ClassPct(ReadOnlyShared),
+		r.ClassPct(FalseShared), r.ClassPct(TrueShared), r.FootprintPct())
+}
+
 // Render formats the profile as a table.
 func (r *Report) Render(name string) string {
 	var b strings.Builder

@@ -23,7 +23,7 @@ type CellSpec struct {
 
 	// Workload names the trace source; Scale and Seed parameterize the
 	// deterministic stream generators. Drivers with bespoke streams
-	// (protozoa-verify) describe them in Extra instead.
+	// (protozoa verify) describe them in Extra instead.
 	Workload string
 	Scale    int
 	Seed     uint64

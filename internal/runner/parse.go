@@ -10,8 +10,25 @@ import (
 	"protozoa/internal/noc"
 )
 
-// ParseProtocols parses a comma-separated protocol list: mesi, sw,
-// swmr (or sw+mr), mw, and the shorthand all. Duplicates are dropped
+// ParseProtocol parses one protocol name, case-insensitively: mesi,
+// sw (or protozoa-sw), swmr (or sw+mr, protozoa-sw+mr), and mw (or
+// protozoa-mw).
+func ParseProtocol(s string) (core.Protocol, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "mesi":
+		return core.MESI, nil
+	case "sw", "protozoa-sw":
+		return core.ProtozoaSW, nil
+	case "swmr", "sw+mr", "protozoa-sw+mr":
+		return core.ProtozoaSWMR, nil
+	case "mw", "protozoa-mw":
+		return core.ProtozoaMW, nil
+	}
+	return 0, fmt.Errorf("unknown protocol %q (mesi, sw, swmr, mw)", s)
+}
+
+// ParseProtocols parses a comma-separated protocol list: any name
+// ParseProtocol accepts, and the shorthand all. Duplicates are dropped
 // while first-appearance order is preserved, so "-protocols all,mesi"
 // simulates MESI once, not twice.
 func ParseProtocols(s string) ([]core.Protocol, error) {
@@ -24,22 +41,17 @@ func ParseProtocols(s string) ([]core.Protocol, error) {
 		}
 	}
 	for _, tok := range strings.Split(s, ",") {
-		switch strings.ToLower(strings.TrimSpace(tok)) {
-		case "mesi":
-			add(core.MESI)
-		case "sw":
-			add(core.ProtozoaSW)
-		case "swmr", "sw+mr":
-			add(core.ProtozoaSWMR)
-		case "mw":
-			add(core.ProtozoaMW)
-		case "all":
+		if strings.EqualFold(strings.TrimSpace(tok), "all") {
 			for _, p := range core.AllProtocols {
 				add(p)
 			}
-		default:
-			return nil, fmt.Errorf("unknown protocol %q", tok)
+			continue
 		}
+		p, err := ParseProtocol(tok)
+		if err != nil {
+			return nil, err
+		}
+		add(p)
 	}
 	return out, nil
 }

@@ -19,6 +19,10 @@ func TestParseProtocolsDeduplicates(t *testing.T) {
 		{"all,mesi", core.AllProtocols},
 		{"mw,all", []core.Protocol{core.ProtozoaMW, core.MESI, core.ProtozoaSW, core.ProtozoaSWMR}},
 		{"sw+mr, MW ", []core.Protocol{core.ProtozoaSWMR, core.ProtozoaMW}},
+		// The long spellings the single-protocol flags always accepted.
+		{"protozoa-sw", []core.Protocol{core.ProtozoaSW}},
+		{"Protozoa-SW+MR,protozoa-mw", []core.Protocol{core.ProtozoaSWMR, core.ProtozoaMW}},
+		{"swmr,protozoa-sw+mr", []core.Protocol{core.ProtozoaSWMR}},
 	}
 	for _, tc := range tests {
 		got, err := ParseProtocols(tc.in)
@@ -32,6 +36,24 @@ func TestParseProtocolsDeduplicates(t *testing.T) {
 	}
 	if _, err := ParseProtocols("mesi,mosi"); err == nil {
 		t.Error("unknown protocol not rejected")
+	}
+}
+
+func TestParseProtocol(t *testing.T) {
+	for in, want := range map[string]core.Protocol{
+		"mesi": core.MESI, "sw": core.ProtozoaSW, "protozoa-sw": core.ProtozoaSW,
+		"swmr": core.ProtozoaSWMR, "sw+mr": core.ProtozoaSWMR, "protozoa-sw+mr": core.ProtozoaSWMR,
+		"mw": core.ProtozoaMW, "Protozoa-MW": core.ProtozoaMW, " MESI ": core.MESI,
+	} {
+		if got, err := ParseProtocol(in); err != nil || got != want {
+			t.Errorf("ParseProtocol(%q) = %v, %v, want %v", in, got, err, want)
+		}
+	}
+	// One protocol only: the list shorthands belong to ParseProtocols.
+	for _, bad := range []string{"all", "mesi,mw", "", "protozoa-swmr", "mosi"} {
+		if _, err := ParseProtocol(bad); err == nil {
+			t.Errorf("ParseProtocol(%q) accepted", bad)
+		}
 	}
 }
 

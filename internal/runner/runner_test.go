@@ -62,7 +62,7 @@ func TestDeterministicAcrossJobs(t *testing.T) {
 
 // TestFailedCellKeepsOtherResults injects a mid-grid failure (a
 // watchdog trip during simulation) and asserts the surviving cells'
-// rows still come out — the regression test for protozoa-sweep's old
+// rows still come out — the regression test for protozoa sweep's old
 // exit-without-flush loss.
 func TestFailedCellKeepsOtherResults(t *testing.T) {
 	g := testGrid()

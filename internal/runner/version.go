@@ -6,8 +6,8 @@ import (
 	"protozoa/internal/resultcache"
 )
 
-// VersionString renders the build provenance every driver's -version
-// flag prints: the result cache's schema version and code stamp (main
+// VersionString renders the build provenance `protozoa version`
+// prints: the result cache's schema version and code stamp (main
 // module version plus VCS revision/dirty bit when the binary carries
 // them). Two binaries printing the same string derive the same cache
 // keys, so this is how cached-result provenance is checked from the

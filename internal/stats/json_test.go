@@ -6,7 +6,7 @@ import (
 )
 
 // Stats is plain exported data, so it must round-trip through JSON for
-// external tooling (protozoa-sim -json).
+// external tooling (protozoa sim -json).
 func TestStatsJSONRoundTrip(t *testing.T) {
 	s := Stats{
 		Instructions: 1000, Accesses: 500, Loads: 300, Stores: 200,

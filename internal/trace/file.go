@@ -2,7 +2,7 @@ package trace
 
 // Trace file format: the serialized equivalent of the paper's
 // Pin-generated traces, so workloads can be captured once and replayed
-// into the simulator (or inspected offline with protozoa-trace).
+// into the simulator (or inspected offline with protozoa trace).
 //
 // Layout (little-endian, varint-compressed):
 //

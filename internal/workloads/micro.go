@@ -4,7 +4,7 @@ package workloads
 // coherence primitives directly (hot lock words, true-shared atomics,
 // flag handoffs). They are deliberately kept out of the figure suite —
 // Names()/All() return only the paper's 28 applications — but are
-// available through Get for protozoa-sim and directed studies.
+// available through Get for protozoa sim and directed studies.
 
 import (
 	"sort"

@@ -206,7 +206,7 @@ func RenderAttribution(tr *Attribution, topN int) string {
 type SharingProfile = profile.Report
 
 // Profile analyzes a built-in workload's access streams without
-// simulating a machine (cmd/protozoa-profile's engine).
+// simulating a machine (protozoa profile's engine).
 func Profile(workload string, cores, scale int) (*SharingProfile, error) {
 	spec, err := workloads.Get(workload)
 	if err != nil {
