@@ -53,18 +53,14 @@ func inspect(args []string) error {
 	if f.NArg() != 1 {
 		return errors.New("want one flight log argument: protozoa inspect [flags] flight.pzfl (or - for stdin)")
 	}
-	return inspectLog(f.Arg(0), opt)
-}
-
-func inspectLog(path string, opt inspectOpts) error {
 	var in io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
+	if path := f.Arg(0); path != "-" {
+		file, err := os.Open(path)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		in = f
+		defer file.Close()
+		in = file
 	}
 	meta, recs, err := flight.ReadLog(in)
 	if err != nil {
