@@ -1,6 +1,7 @@
 # Tier-1 verify: build, vet, full tests, a race pass over the
 # concurrency layer (worker-pool runner, event engine, live-metrics
-# server), the simulator hot path (core protocol + cache storage) and
+# server), the grids whose cells share workload inputs across workers
+# (harness, workloads, trace), the simulator hot path (core protocol + cache storage) and
 # the flight spine the per-tile PDES rings feed,
 # a 1-iteration benchmark smoke so throughput regressions that crash or
 # deadlock are caught before they reach a real benchmarking session,
@@ -13,6 +14,7 @@ verify:
 	go vet ./...
 	go test ./...
 	go test -race ./internal/runner ./internal/engine ./internal/resultcache
+	go test -race ./internal/harness ./internal/workloads ./internal/trace
 	go test -race ./internal/core ./internal/cache
 	go test -race ./internal/obs ./internal/obs/attrib ./internal/obs/selfprof ./internal/obs/flight
 	go test -run '^$$' -bench SimulatorThroughput -benchtime 1x .

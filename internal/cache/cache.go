@@ -175,11 +175,24 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.SetBudgetBytes < minBudget {
 		return nil, fmt.Errorf("cache: set budget %d cannot hold one full region (%d)", cfg.SetBudgetBytes, minBudget)
 	}
-	return &Cache{
+	c := &Cache{
 		cfg: cfg, sets: make([]set, cfg.Sets),
 		maxBlocks: cfg.SetBudgetBytes / (cfg.TagBytes + mem.WordBytes),
-	}, nil
+	}
+	// Carve every set's first slots from one slab: a fixed 64 B set
+	// (four blocks in 288 B) never grows, and an Amoeba set grows only
+	// once it holds more than setSlots blocks.
+	n := min(setSlots, c.maxBlocks)
+	slab := make([]Block, cfg.Sets*n)
+	for i := range c.sets {
+		c.sets[i].blocks = slab[i*n : i*n : (i+1)*n]
+	}
+	return c, nil
 }
+
+// setSlots is each set's initial block capacity, carved from one slab
+// per cache.
+const setSlots = 4
 
 // MustNew is New for known-good configurations.
 func MustNew(cfg Config) *Cache {

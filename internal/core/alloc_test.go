@@ -9,9 +9,12 @@ import (
 
 // TestRunAllocsPerAccess bounds the heap allocations a coherence-heavy
 // run makes per simulated access. L1 fills, merges and evictions move
-// blocks by value and the miss classifier's causes live in a chunked
-// table, so what remains is first-touch work: directory entries, table
-// chunks and set storage growing to its steady-state size.
+// blocks by value, the miss classifier's causes live in a chunked
+// table, directory entries come from per-slice slabs and every L1 set
+// starts with four block slots, so what remains is first-touch work:
+// table chunks, entry slabs and the memory image. The count was 0.238
+// before the slabs (bound 0.4) and is 0.006 with them; the bound keeps
+// about 2x headroom.
 func TestRunAllocsPerAccess(t *testing.T) {
 	spec, err := workloads.Get("canneal")
 	if err != nil {
@@ -32,8 +35,8 @@ func TestRunAllocsPerAccess(t *testing.T) {
 		t.Fatal("run made no accesses")
 	}
 	perAccess := float64(after.Mallocs-before.Mallocs) / float64(accesses)
-	t.Logf("%d accesses, %.3f allocations per access", accesses, perAccess)
-	if perAccess >= 0.4 {
-		t.Errorf("System.Run made %.3f allocations per access, want < 0.4", perAccess)
+	t.Logf("%d accesses, %.4f allocations per access", accesses, perAccess)
+	if perAccess >= 0.012 {
+		t.Errorf("System.Run made %.4f allocations per access, want < 0.012", perAccess)
 	}
 }

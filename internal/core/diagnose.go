@@ -38,7 +38,7 @@ func (s *System) diagnose() string {
 	busy := 0
 	for _, d := range s.dirs {
 		var entries []*dirEntry
-		d.entries.each(func(e *dirEntry) { entries = append(entries, e) })
+		d.entries.Each(func(e *dirEntry) { entries = append(entries, e) })
 		sort.Slice(entries, func(i, j int) bool { return entries[i].region < entries[j].region })
 		for _, e := range entries {
 			if !e.busy {

@@ -26,8 +26,16 @@ type dirSlice struct {
 	// (home = region % cores), so region/cores is a dense, collision-free
 	// per-tile index: the hot path is two bounds checks and two slice
 	// loads instead of a map lookup.
-	entries regionTable[*dirEntry]
+	entries mem.RegionTable[*dirEntry]
 	count   int // live entries
+
+	// Entry storage: entries and their L2 word arrays are carved from
+	// slabs, and entries freed by dropEntry (finite L2) are recycled
+	// through free, so a region's first touch allocates nothing on its
+	// own. No *dirEntry outlives dropEntry.
+	entrySlab []dirEntry
+	wordSlab  []uint64
+	free      []*dirEntry
 
 	// One-entry memo: coherence traffic is bursty per region (request,
 	// probes, replies, unblock all hit the same entry back to back).
@@ -172,7 +180,7 @@ func (d *dirSlice) lookup(region mem.RegionID) *dirEntry {
 	if d.lastEntry != nil && d.lastRegion == region {
 		return d.lastEntry
 	}
-	e := d.entries.get(d.slot(region))
+	e := d.entries.Get(d.slot(region))
 	if e != nil {
 		d.lastRegion = region
 		d.lastEntry = e
@@ -191,7 +199,7 @@ func (d *dirSlice) mustEntry(region mem.RegionID) *dirEntry {
 }
 
 func (d *dirSlice) insert(region mem.RegionID, e *dirEntry) {
-	d.entries.set(d.slot(region), e)
+	d.entries.Set(d.slot(region), e)
 	d.count++
 	d.lastRegion = region
 	d.lastEntry = e
@@ -203,11 +211,7 @@ func (d *dirSlice) entry(region mem.RegionID) *dirEntry {
 		if cap := d.sys.cfg.L2RegionsPerTile; cap > 0 && d.count >= cap {
 			d.evictLRURegion()
 		}
-		e = &dirEntry{
-			region: region,
-			data:   make([]uint64, d.sys.geom.WordsPerRegion()),
-			valid:  d.sys.geom.FullRange().Bitmap(),
-		}
+		e = d.newEntry(region)
 		if saved, hit := d.memory[region]; hit {
 			copy(e.data, saved)
 		}
@@ -215,6 +219,41 @@ func (d *dirSlice) entry(region mem.RegionID) *dirEntry {
 	}
 	d.touchSeq++
 	e.touch = d.touchSeq
+	return e
+}
+
+// Slab sizing: a slice's first slab holds dirSlabMin entries, and each
+// later one as many as the slice already holds, up to dirSlabMax, so a
+// short run stays small and a long one allocates rarely.
+const (
+	dirSlabMin = 32
+	dirSlabMax = 1024
+)
+
+// newEntry returns a zeroed entry for region with a full valid mask,
+// recycled from the free list or carved from the slabs.
+func (d *dirSlice) newEntry(region mem.RegionID) *dirEntry {
+	var e *dirEntry
+	if n := len(d.free); n > 0 {
+		e = d.free[n-1]
+		d.free = d.free[:n-1]
+		data := e.data
+		clear(data)
+		*e = dirEntry{data: data}
+	} else {
+		words := d.sys.geom.WordsPerRegion()
+		if len(d.entrySlab) == 0 {
+			n := min(max(d.count, dirSlabMin), dirSlabMax)
+			d.entrySlab = make([]dirEntry, n)
+			d.wordSlab = make([]uint64, n*words)
+		}
+		e = &d.entrySlab[0]
+		d.entrySlab = d.entrySlab[1:]
+		e.data = d.wordSlab[:words:words]
+		d.wordSlab = d.wordSlab[words:]
+	}
+	e.region = region
+	e.valid = d.sys.geom.FullRange().Bitmap()
 	return e
 }
 
@@ -234,7 +273,7 @@ func (d *dirSlice) evictLRURegion() {
 			victim = e
 		}
 	}
-	d.entries.each(consider)
+	d.entries.Each(consider)
 	if victim == nil {
 		return
 	}
@@ -277,17 +316,19 @@ func (d *dirSlice) evictLRURegion() {
 	})
 }
 
-// dropEntry writes a dirty region back to memory and frees the slot.
+// dropEntry writes a dirty region back to memory, frees the slot and
+// puts the entry on the free list; the caller must not touch e after.
 func (d *dirSlice) dropEntry(e *dirEntry) {
 	if e.l2dirty {
 		d.tl.st.MemWritebacks++
 		d.persistWords(e, e.valid)
 	}
-	d.entries.set(d.slot(e.region), nil)
+	d.entries.Set(d.slot(e.region), nil)
 	d.count--
 	if d.lastEntry == e {
 		d.lastEntry = nil
 	}
+	d.free = append(d.free, e)
 }
 
 // persistWords updates the memory image with the entry's words covered

@@ -37,7 +37,7 @@ type l1Ctrl struct {
 	// cold/capacity/coherence/granularity miss classification. Indexed
 	// by region; each value packs the region's words' deathCauses two
 	// bits per word (word w at bits 2w and 2w+1).
-	causes regionTable[uint32]
+	causes mem.RegionTable[uint32]
 }
 
 // completer receives the value of a finished memory reference; the cpu
@@ -99,14 +99,14 @@ func (l *l1Ctrl) openMSHR(region mem.RegionID) *mshr {
 
 // markDeath records how a dead block's words left the cache.
 func (l *l1Ctrl) markDeath(b *cache.Block, cause deathCause) {
-	packed := l.causes.get(uint64(b.Region))
+	packed := l.causes.Get(uint64(b.Region))
 	for w := b.R.Start; ; w++ {
 		packed = packed&^(3<<(2*w)) | uint32(cause)<<(2*w)
 		if w == b.R.End {
 			break
 		}
 	}
-	l.causes.set(uint64(b.Region), packed)
+	l.causes.Set(uint64(b.Region), packed)
 }
 
 // classifyMiss attributes a miss to cold / capacity / coherence /
@@ -120,7 +120,7 @@ func (l *l1Ctrl) classifyMiss(region mem.RegionID, w uint8, upgrade bool) {
 		l.tl.st.MissesCoherence++
 		return
 	}
-	switch deathCause(l.causes.get(uint64(region)) >> (2 * w) & 3) {
+	switch deathCause(l.causes.Get(uint64(region)) >> (2 * w) & 3) {
 	case diedByEviction:
 		l.tl.st.MissesCapacity++
 	case diedByInvalidation:

@@ -88,30 +88,36 @@ func cellConfig(p core.Protocol, o Options) (core.Config, error) {
 	return cfg, nil
 }
 
-// cellKey derives a matrix cell's cache key; unknown workloads or
-// unresolvable configs yield the zero (uncacheable) key, leaving the
-// error to surface from Build with the cell's own label.
-func cellKey(workload string, p core.Protocol, o Options, needAttrib, needLatency bool) resultcache.Key {
-	spec, err := workloads.Get(workload)
-	if err != nil {
-		return resultcache.Key{}
+// gridCell completes cell c of a Collect or CollectTable1 grid for the
+// machine configuration cfg (or cfgErr): its cache key, and a Build
+// that replays the workload's records shared through inputs. An
+// unknown workload or an unresolvable config leaves the zero
+// (uncacheable) key and a Build that fails with the error, so it
+// surfaces with the cell's own label.
+func gridCell(c runner.Cell, inputs *runner.Inputs, cfg core.Config, cfgErr error, o Options) runner.Cell {
+	spec, err := workloads.Get(c.Workload)
+	if err == nil {
+		err = cfgErr
 	}
-	cfg, err := cellConfig(p, o)
 	if err != nil {
-		return resultcache.Key{}
+		c.Build = func() (*core.System, error) { return nil, err }
+		return c
 	}
-	return runner.CellSpec{
+	c.Key = runner.CellSpec{
 		Config:      cfg,
 		Workload:    spec.Name,
 		Scale:       o.Scale,
 		Seed:        o.TraceSeed,
-		NeedAttrib:  needAttrib,
-		NeedLatency: needLatency,
+		NeedAttrib:  c.NeedAttrib,
+		NeedLatency: c.NeedLatency,
 	}.Key()
+	streams := inputs.Claim(spec, o.cores(), o.Scale, o.TraceSeed)
+	c.Build = func() (*core.System, error) { return core.NewSystem(cfg, streams()) }
+	return c
 }
 
-// buildSystem assembles the machine for one matrix cell.
-func buildSystem(workload string, p core.Protocol, o Options) (*core.System, error) {
+// Run simulates one workload under one protocol and returns its stats.
+func Run(workload string, p core.Protocol, o Options) (*stats.Stats, error) {
 	spec, err := workloads.Get(workload)
 	if err != nil {
 		return nil, err
@@ -120,12 +126,7 @@ func buildSystem(workload string, p core.Protocol, o Options) (*core.System, err
 	if err != nil {
 		return nil, err
 	}
-	return core.NewSystem(cfg, spec.StreamsSeeded(o.cores(), o.Scale, o.TraceSeed))
-}
-
-// Run simulates one workload under one protocol and returns its stats.
-func Run(workload string, p core.Protocol, o Options) (*stats.Stats, error) {
-	sys, err := buildSystem(workload, p, o)
+	sys, err := core.NewSystem(cfg, spec.StreamsSeeded(o.cores(), o.Scale, o.TraceSeed))
 	if err != nil {
 		return nil, err
 	}
@@ -163,19 +164,19 @@ func Collect(o Options) (*Matrix, error) {
 		Attribs:    make(map[string]map[core.Protocol]*attrib.Tracker),
 	}
 	var cells []runner.Cell
+	var inputs runner.Inputs
 	for _, w := range m.Workloads {
 		for _, p := range m.Protocols {
-			cells = append(cells, runner.Cell{
+			cfg, err := cellConfig(p, o)
+			cells = append(cells, gridCell(runner.Cell{
 				Label:    w + "/" + p.String(),
 				Workload: w,
 				Protocol: p,
-				Key:      cellKey(w, p, o, true, true),
 				// The figures need attribution and the phase breakdown;
 				// the pool delivers both, live or from the cache.
 				NeedAttrib:  true,
 				NeedLatency: true,
-				Build:       func() (*core.System, error) { return buildSystem(w, p, o) },
-			})
+			}, &inputs, cfg, err, o))
 		}
 	}
 	results, _ := o.pool().Run(cells)

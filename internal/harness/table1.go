@@ -6,9 +6,7 @@ import (
 	"strings"
 
 	"protozoa/internal/core"
-	"protozoa/internal/resultcache"
 	"protozoa/internal/runner"
-	"protozoa/internal/workloads"
 )
 
 // BlockSizes is the Table 1 sweep: conventional MESI with fixed blocks
@@ -36,16 +34,16 @@ func CollectTable1(o Options) (*Table1Result, error) {
 		Cells:     make(map[string]map[int]Table1Cell),
 	}
 	var cells []runner.Cell
+	var inputs runner.Inputs
 	for _, w := range res.Workloads {
 		for _, bs := range BlockSizes {
-			cells = append(cells, runner.Cell{
+			cfg, err := table1Config(bs, o)
+			cells = append(cells, gridCell(runner.Cell{
 				Label:    fmt.Sprintf("table1 %s@%dB", w, bs),
 				Workload: w,
 				Protocol: core.MESI,
 				Region:   bs,
-				Key:      table1Key(w, bs, o),
-				Build:    func() (*core.System, error) { return buildMESIWithBlock(w, bs, o) },
-			})
+			}, &inputs, cfg, err, o))
 		}
 	}
 	results, _ := o.pool().Run(cells)
@@ -80,35 +78,6 @@ func table1Config(blockBytes int, o Options) (core.Config, error) {
 	cfg.RegionBytes = blockBytes
 	cfg.Workers = 0 // Table 1 cells always use the sequential engine
 	return cfg, nil
-}
-
-func table1Key(workload string, blockBytes int, o Options) resultcache.Key {
-	spec, err := workloads.Get(workload)
-	if err != nil {
-		return resultcache.Key{}
-	}
-	cfg, err := table1Config(blockBytes, o)
-	if err != nil {
-		return resultcache.Key{}
-	}
-	return runner.CellSpec{
-		Config:   cfg,
-		Workload: spec.Name,
-		Scale:    o.Scale,
-		Seed:     o.TraceSeed,
-	}.Key()
-}
-
-func buildMESIWithBlock(workload string, blockBytes int, o Options) (*core.System, error) {
-	spec, err := workloads.Get(workload)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := table1Config(blockBytes, o)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSystem(cfg, spec.StreamsSeeded(o.cores(), o.Scale, o.TraceSeed))
 }
 
 // trend classifies a metric change with the paper's Table 1 notation:

@@ -80,8 +80,8 @@ func (p Pattern) String() string {
 }
 
 // regionState is one region's accumulated attribution. The foot slice
-// packs per-core reader bitmaps at [c] and writer bitmaps at [cores+c]
-// so a region costs two allocations (struct + one slice).
+// packs per-core reader bitmaps at [c] and writer bitmaps at [cores+c].
+// States and both per-core slices are carved from the tracker's slabs.
 type regionState struct {
 	id   mem.RegionID
 	foot []mem.Bitmap
@@ -108,8 +108,15 @@ type regionState struct {
 // The exported counter fields are hot-path-updated totals; treat them
 // as read-only outside this package.
 type Tracker struct {
-	cores   int
-	regions map[mem.RegionID]*regionState
+	cores    int
+	regions  mem.RegionTable[*regionState] // indexed by region ID
+	nregions int
+
+	// Slabs the region states and their per-core slices are carved
+	// from, so a region's first touch allocates nothing on its own.
+	stateSlab []regionState
+	footSlab  []mem.Bitmap
+	invSlab   []uint32
 
 	// last memoizes the most recent region lookup: consecutive
 	// accesses hit the same region almost always.
@@ -142,7 +149,6 @@ type Tracker struct {
 func New(cores int) *Tracker {
 	return &Tracker{
 		cores:          cores,
-		regions:        make(map[mem.RegionID]*regionState),
 		InvByOffender:  make([]uint64, cores),
 		InvByVictim:    make([]uint64, cores),
 		UpgradesByCore: make([]uint64, cores),
@@ -153,24 +159,45 @@ func New(cores int) *Tracker {
 func (t *Tracker) Cores() int { return t.cores }
 
 // RegionCount reports how many distinct regions have attribution state.
-func (t *Tracker) RegionCount() int { return len(t.regions) }
+func (t *Tracker) RegionCount() int { return t.nregions }
 
 func (t *Tracker) state(id mem.RegionID) *regionState {
 	if r := t.last; r != nil && r.id == id {
 		return r
 	}
-	r := t.regions[id]
+	r := t.regions.Get(uint64(id))
 	if r == nil {
-		r = &regionState{
-			id:        id,
-			foot:      make([]mem.Bitmap, 2*t.cores),
-			invByCore: make([]uint32, t.cores),
-		}
-		t.regions[id] = r
+		r = t.newState(id)
+		t.regions.Set(uint64(id), r)
+		t.nregions++
 		t.markDirty(r)
 		t.patternCounts[Untouched]++
 	}
 	t.last = r
+	return r
+}
+
+// Slab sizing: the first slab holds stateSlabMin regions, and each later
+// one as many as the tracker already holds, up to stateSlabMax.
+const (
+	stateSlabMin = 32
+	stateSlabMax = 1024
+)
+
+// newState carves a zeroed region state and its per-core slices from
+// the slabs.
+func (t *Tracker) newState(id mem.RegionID) *regionState {
+	if len(t.stateSlab) == 0 {
+		n := min(max(t.nregions, stateSlabMin), stateSlabMax)
+		t.stateSlab = make([]regionState, n)
+		t.footSlab = make([]mem.Bitmap, n*2*t.cores)
+		t.invSlab = make([]uint32, n*t.cores)
+	}
+	r := &t.stateSlab[0]
+	t.stateSlab = t.stateSlab[1:]
+	r.id = id
+	r.foot, t.footSlab = t.footSlab[:2*t.cores:2*t.cores], t.footSlab[2*t.cores:]
+	r.invByCore, t.invSlab = t.invSlab[:t.cores:t.cores], t.invSlab[t.cores:]
 	return r
 }
 
@@ -260,8 +287,8 @@ func (t *Tracker) Merge(o *Tracker) {
 	if o.cores != t.cores {
 		panic(fmt.Sprintf("attrib: merging trackers with %d and %d cores", o.cores, t.cores))
 	}
-	for id, or := range o.regions {
-		r := t.state(id)
+	o.regions.Each(func(or *regionState) {
+		r := t.state(or.id)
 		for i := range or.foot {
 			r.foot[i] = r.foot[i].Union(or.foot[i])
 		}
@@ -280,7 +307,7 @@ func (t *Tracker) Merge(o *Tracker) {
 		}
 		r.recallInvs += or.recallInvs
 		t.markDirty(r)
-	}
+	})
 	t.FetchedWords += o.FetchedWords
 	t.UsedWords += o.UsedWords
 	t.UnusedWords += o.UnusedWords
@@ -404,7 +431,7 @@ func (t *Tracker) FalseSharedRegions() uint64 {
 // PatternOf reports a region's current classification (Untouched when
 // the region has no attribution state).
 func (t *Tracker) PatternOf(region mem.RegionID) Pattern {
-	r := t.regions[region]
+	r := t.regions.Get(uint64(region))
 	if r == nil {
 		return Untouched
 	}
@@ -440,7 +467,7 @@ type Summary struct {
 // Summarize rolls the tracker up.
 func (t *Tracker) Summarize() Summary {
 	return Summary{
-		Regions:             len(t.regions),
+		Regions:             t.nregions,
 		FetchedWords:        t.FetchedWords,
 		UsedWords:           t.UsedWords,
 		UnusedWords:         t.UnusedWords,
@@ -526,10 +553,8 @@ func (t *Tracker) info(r *regionState) RegionInfo {
 // deterministic: score, then invalidations, then region id.
 func (t *Tracker) TopOffenders(n int) []RegionInfo {
 	t.flushDirty()
-	out := make([]RegionInfo, 0, len(t.regions))
-	for _, r := range t.regions {
-		out = append(out, t.info(r))
-	}
+	out := make([]RegionInfo, 0, t.nregions)
+	t.regions.Each(func(r *regionState) { out = append(out, t.info(r)) })
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Score != b.Score {
@@ -557,15 +582,19 @@ func (t *Tracker) Reconcile() error {
 			t.FetchedWords, t.UsedWords, t.UnusedWords)
 	}
 	var fetched, used, unused, invals uint64
-	for _, r := range t.regions {
-		if r.fetched != r.used+r.unused {
-			return fmt.Errorf("attrib: region %d: fetched %d words != used %d + unused %d",
-				r.id, r.fetched, r.used, r.unused)
+	var bad *regionState // the first failing region in walk order
+	t.regions.Each(func(r *regionState) {
+		if bad == nil && r.fetched != r.used+r.unused {
+			bad = r
 		}
 		fetched += r.fetched
 		used += r.used
 		unused += r.unused
 		invals += r.invals
+	})
+	if bad != nil {
+		return fmt.Errorf("attrib: region %d: fetched %d words != used %d + unused %d",
+			bad.id, bad.fetched, bad.used, bad.unused)
 	}
 	if fetched != t.FetchedWords || used != t.UsedWords || unused != t.UnusedWords {
 		return fmt.Errorf("attrib: per-region sums (%d/%d/%d) disagree with totals (%d/%d/%d)",

@@ -62,7 +62,7 @@ type Dump struct {
 func (t *Tracker) Dump() *Dump {
 	d := &Dump{
 		Cores:               t.cores,
-		Regions:             make([]RegionDump, 0, len(t.regions)),
+		Regions:             make([]RegionDump, 0, t.nregions),
 		FetchedWords:        t.FetchedWords,
 		UsedWords:           t.UsedWords,
 		UnusedWords:         t.UnusedWords,
@@ -77,7 +77,7 @@ func (t *Tracker) Dump() *Dump {
 		InvByVictim:         append([]uint64(nil), t.InvByVictim...),
 		UpgradesByCore:      append([]uint64(nil), t.UpgradesByCore...),
 	}
-	for _, r := range t.regions {
+	t.regions.Each(func(r *regionState) {
 		rd := RegionDump{
 			ID:         r.id,
 			Foot:       append([]mem.Bitmap(nil), r.foot...),
@@ -100,7 +100,7 @@ func (t *Tracker) Dump() *Dump {
 			}
 		}
 		d.Regions = append(d.Regions, rd)
-	}
+	})
 	sort.Slice(d.Regions, func(i, j int) bool { return d.Regions[i].ID < d.Regions[j].ID })
 	return d
 }

@@ -60,6 +60,7 @@ func (g Grid) Cells() ([]Cell, error) {
 	}
 
 	var cells []Cell
+	var inputs Inputs // every cell of a workload replays the same records
 	seen := make(map[string]bool)
 	for _, w := range g.Workloads {
 		spec, err := workloads.Get(strings.TrimSpace(w))
@@ -87,6 +88,7 @@ func (g Grid) Cells() ([]Cell, error) {
 						return nil, err
 					}
 					set(&cfg)
+					streams := inputs.Claim(spec, g.Cores, g.Scale, g.TraceSeed)
 					cells = append(cells, Cell{
 						Label:    fmt.Sprintf("%s/%s/%s/r%d", spec.Name, p, knob, rb),
 						Workload: spec.Name,
@@ -104,7 +106,7 @@ func (g Grid) Cells() ([]Cell, error) {
 						}.Key(),
 						NeedAttrib: true,
 						Build: func() (*core.System, error) {
-							return core.NewSystem(cfg, spec.StreamsSeeded(g.Cores, g.Scale, g.TraceSeed))
+							return core.NewSystem(cfg, streams())
 						},
 					})
 				}

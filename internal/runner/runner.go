@@ -2,9 +2,10 @@
 // a bounded worker pool.
 //
 // Each cell owns a complete core.System — its own event engine, stats
-// block, and workload streams — so cells share no mutable state and a
-// grid's results are bit-identical at any worker count; only the wall
-// time changes. Results come back in cell order regardless of
+// block, and cursors over its workload's records (the records
+// themselves are shared read-only, see Inputs) — so cells share no
+// mutable state and a grid's results are bit-identical at any worker
+// count; only the wall time changes. Results come back in cell order regardless of
 // completion order, and a failing cell records its error in its own
 // result slot instead of aborting the process, so one bad
 // configuration cannot discard the rest of the grid's output.

@@ -27,12 +27,13 @@ const (
 )
 
 // Access is one record of a core's instruction stream: Think non-memory
-// instructions followed by one memory reference (or a barrier).
+// instructions followed by one memory reference (or a barrier). The
+// fields are ordered widest first so the record packs into 24 bytes.
 type Access struct {
-	Kind  Kind
 	Addr  mem.Addr // byte address of the referenced word (Load/Store)
 	PC    uint64   // static instruction address, feeds the predictor
 	Think uint16   // non-memory instructions retired before this record
+	Kind  Kind
 }
 
 // Stream produces a core's accesses lazily. Implementations must be
@@ -43,14 +44,26 @@ type Stream interface {
 	Next() (a Access, ok bool)
 }
 
-// SliceStream adapts a materialized access slice to a Stream.
+// SliceStream adapts a materialized access slice to a Stream. It only
+// reads recs, so any number of SliceStreams may share one slice — the
+// sweep grid hands every cell of a workload its own cursor over the
+// same records — and no stream ever writes them.
 type SliceStream struct {
 	recs []Access
 	pos  int
 }
 
-// NewSliceStream wraps recs.
+// NewSliceStream wraps recs, which the stream never writes.
 func NewSliceStream(recs []Access) *SliceStream { return &SliceStream{recs: recs} }
+
+// NewSliceStreams returns a fresh cursor over each core's records.
+func NewSliceStreams(recs [][]Access) []Stream {
+	streams := make([]Stream, len(recs))
+	for i := range recs {
+		streams[i] = NewSliceStream(recs[i])
+	}
+	return streams
+}
 
 // Next implements Stream.
 func (s *SliceStream) Next() (Access, bool) {

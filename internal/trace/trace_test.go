@@ -1,6 +1,17 @@
 package trace
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestAccessSize pins the record at 24 bytes: materialized streams hold
+// every record of a run, and SliceStream.Next copies one per access.
+func TestAccessSize(t *testing.T) {
+	if n := unsafe.Sizeof(Access{}); n != 24 {
+		t.Errorf("trace.Access is %d bytes, want 24", n)
+	}
+}
 
 func TestSliceStream(t *testing.T) {
 	recs := []Access{

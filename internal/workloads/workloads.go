@@ -82,18 +82,24 @@ func (s Spec) Streams(cores, scale int) []trace.Stream {
 // seed: the same sharing/locality signature, a different concrete
 // access sequence. Seed 0 is the canonical trace (identical to
 // Streams); sweeping seeds gives run-to-run robustness intervals for
-// the figures.
+// the figures. It is the one generator: each stream is a cursor over
+// the per-core records Records returns, which it never writes.
 func (s Spec) StreamsSeeded(cores, scale int, seed uint64) []trace.Stream {
+	return trace.NewSliceStreams(s.Records(cores, scale, seed))
+}
+
+// Records generates the per-core access records StreamsSeeded wraps:
+// element c is core c's whole stream. Callers that build several
+// machines from one input (the sweep grid) share the result and give
+// each machine its own SliceStream cursors; nothing writes the records
+// after Records returns.
+func (s Spec) Records(cores, scale int, seed uint64) [][]trace.Access {
 	if scale < 1 {
 		scale = 1
 	}
 	b := &builder{cores: cores, scale: scale, seed: seed, recs: make([][]trace.Access, cores)}
 	s.gen(b)
-	streams := make([]trace.Stream, cores)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(b.recs[i])
-	}
-	return streams
+	return b.recs
 }
 
 // builder accumulates per-core records with per-site PCs.
