@@ -3,8 +3,10 @@
 # server), the grids whose cells share workload inputs across workers
 # (harness, workloads, trace), the simulator hot path (core protocol + cache storage) and
 # the flight spine the per-tile PDES rings feed,
-# a 1-iteration benchmark smoke so throughput regressions that crash or
-# deadlock are caught before they reach a real benchmarking session,
+# 1-iteration benchmark smokes (whole-simulator throughput, and the
+# engine's Step and the network's Arrival, the per-event and
+# per-message paths) so regressions that crash or deadlock are caught
+# before they reach a real benchmarking session,
 # the observability smoke (trace + metrics JSON must parse, live
 # metrics endpoint must serve Prometheus text during a run), and the
 # PDES determinism smoke (parallel window-loop results byte-identical
@@ -18,6 +20,7 @@ verify:
 	go test -race ./internal/core ./internal/cache
 	go test -race ./internal/obs ./internal/obs/attrib ./internal/obs/selfprof ./internal/obs/flight
 	go test -run '^$$' -bench SimulatorThroughput -benchtime 1x .
+	go test -run '^$$' -bench 'Step|Arrival' -benchtime 1x ./internal/engine ./internal/noc
 	$(MAKE) obs-smoke
 	$(MAKE) pdes-smoke
 	$(MAKE) flight-smoke

@@ -340,13 +340,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	for _, p := range protozoa.Protocols() {
 		p := p
 		b.Run(p.String(), func(b *testing.B) {
-			var accesses uint64
+			var sys *core.System
 			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig(p)
-				st := runWorkloadWith(b, cfg, "barnes")
-				accesses = st.Accesses
+				sys = runSystemWith(b, core.DefaultConfig(p), "barnes")
 			}
-			b.ReportMetric(float64(accesses)*float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
+			reportThroughput(b, sys)
 		})
 	}
 }
@@ -364,14 +362,13 @@ func BenchmarkSimulatorThroughputParallel(b *testing.B) {
 		}
 		w := w
 		b.Run(name, func(b *testing.B) {
-			var accesses uint64
+			var sys *core.System
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig(core.ProtozoaMW)
 				cfg.Workers = w
-				st := runWorkloadWith(b, cfg, "barnes")
-				accesses = st.Accesses
+				sys = runSystemWith(b, cfg, "barnes")
 			}
-			b.ReportMetric(float64(accesses)*float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
+			reportThroughput(b, sys)
 		})
 	}
 }
@@ -384,8 +381,26 @@ func (oneWordPredictor) Predict(_ uint64, _ mem.RegionID, w uint8) mem.Range {
 }
 func (oneWordPredictor) Train(uint64, mem.RegionID, uint8, mem.Bitmap, mem.Range) {}
 
+// reportThroughput reports simulated accesses per second over the
+// benchmark's b.N runs, each of which ended as sys did, plus the run's
+// event and message counts per access. Those two are deterministic, so
+// protozoa-benchdiff -gate fails on any difference from the baseline:
+// a change there is a change in what was simulated, not noise.
+func reportThroughput(b *testing.B, sys *core.System) {
+	st := sys.Stats()
+	b.ReportMetric(float64(st.Accesses)*float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
+	b.ReportMetric(float64(sys.EventsProcessed())/float64(st.Accesses), "events/access")
+	b.ReportMetric(float64(st.Messages)/float64(st.Accesses), "msgs/access")
+}
+
 // runWorkloadWith runs one built-in workload on a custom system config.
 func runWorkloadWith(b *testing.B, cfg core.Config, workload string) *stats.Stats {
+	b.Helper()
+	return runSystemWith(b, cfg, workload).Stats()
+}
+
+// runSystemWith is runWorkloadWith returning the finished system.
+func runSystemWith(b *testing.B, cfg core.Config, workload string) *core.System {
 	b.Helper()
 	spec, err := wl(workload)
 	if err != nil {
@@ -398,5 +413,5 @@ func runWorkloadWith(b *testing.B, cfg core.Config, workload string) *stats.Stat
 	if err := sys.Run(); err != nil {
 		b.Fatal(err)
 	}
-	return sys.Stats()
+	return sys
 }

@@ -152,12 +152,28 @@ func cpuModel() string {
 	return runtime.GOARCH
 }
 
+// num formats a metric for the delta table: whole numbers for the
+// large throughput, time and allocation figures, four significant
+// digits for the small per-access counts.
+func num(v float64) string {
+	if v >= 1000 || v <= -1000 {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.4g", v)
+}
+
 func pctDelta(old, new float64) string {
 	if old == 0 {
 		return "n/a"
 	}
 	return fmt.Sprintf("%+.1f%%", 100*(new-old)/old)
 }
+
+// exactCounters are the benchmark metrics that count what the
+// simulation did (events run and messages sent per access) rather than
+// how fast it ran. They do not vary from run to run, so the gate allows
+// them no tolerance.
+var exactCounters = []string{"events_per_access", "msgs_per_access"}
 
 // gateFailures evaluates the perf-regression gate: each benchmark
 // present in both runs is compared on throughput (accesses_per_s,
@@ -166,7 +182,8 @@ func pctDelta(old, new float64) string {
 // it is worse than the baseline median by more than tolPct percent;
 // improvements and within-band noise pass. A benchmark also fails when
 // its median allocs_per_op rises above the baseline's by more than the
-// same tolPct percent (skipped when either side lacks the metric). The
+// same tolPct percent (skipped when either side lacks the metric), and
+// when any exactCounters metric differs from the baseline's at all. The
 // returned messages are the failures — empty means the gate is green.
 func gateFailures(base, medians map[string]map[string]float64, tolPct float64) []string {
 	var names []string
@@ -186,6 +203,15 @@ func gateFailures(base, medians map[string]map[string]float64, tolPct float64) [
 			fails = append(fails, fmt.Sprintf(
 				"%s: allocs_per_op %.0f -> %.0f (%s vs baseline, tolerance %.0f%%)",
 				name, o, n, pctDelta(o, n), tolPct))
+		}
+		for _, k := range exactCounters {
+			n, hasN := nv[k]
+			o, hasO := ov[k]
+			if hasN && hasO && n != o {
+				fails = append(fails, fmt.Sprintf(
+					"%s: %s %g -> %g (a deterministic count: the simulation changed)",
+					name, k, o, n))
+			}
 		}
 		if n, o := nv["accesses_per_s"], ov["accesses_per_s"]; n > 0 && o > 0 {
 			checked++
@@ -276,15 +302,15 @@ func main() {
 			nv := medians[name][k]
 			ov, has := base[name][k]
 			if !has {
-				fmt.Fprintf(w, "%-12s %-16s %16s %16.0f %9s\n", name, k, "-", nv, "new")
+				fmt.Fprintf(w, "%-12s %-16s %16s %16s %9s\n", name, k, "-", num(nv), "new")
 				continue
 			}
 			d := pctDelta(ov, nv)
 			if deltas[name] == nil {
 				deltas[name] = map[string]string{}
 			}
-			deltas[name][k] = fmt.Sprintf("%.0f -> %.0f (%s)", ov, nv, d)
-			fmt.Fprintf(w, "%-12s %-16s %16.0f %16.0f %9s\n", name, k, ov, nv, d)
+			deltas[name][k] = fmt.Sprintf("%s -> %s (%s)", num(ov), num(nv), d)
+			fmt.Fprintf(w, "%-12s %-16s %16s %16s %9s\n", name, k, num(ov), num(nv), d)
 		}
 	}
 	w.Flush()

@@ -167,6 +167,33 @@ func TestGateFailures(t *testing.T) {
 		}
 	})
 
+	t.Run("any change in a deterministic count fails", func(t *testing.T) {
+		withCounts := func(events, msgs float64) map[string]float64 {
+			m := gateMetrics(1_000_000, 40_000_000)
+			m["events_per_access"] = events
+			m["msgs_per_access"] = msgs
+			return m
+		}
+		old := map[string]map[string]float64{
+			"sequential": withCounts(2.301, 0.9312),
+			"workers4":   gateMetrics(1_000_000, 40_000_000), // predates the counts
+		}
+		got := gateFailures(old, map[string]map[string]float64{
+			"sequential": withCounts(2.301, 0.9312),
+			"workers4":   withCounts(9, 9),
+		}, 10)
+		if len(got) != 0 {
+			t.Errorf("unexpected failures: %v", got)
+		}
+		got = gateFailures(old, map[string]map[string]float64{
+			"sequential": withCounts(2.302, 0.9311), // far inside the tolerance
+		}, 10)
+		if len(got) != 2 || !strings.Contains(got[0], "events_per_access") ||
+			!strings.Contains(got[1], "msgs_per_access") {
+			t.Errorf("failures = %v", got)
+		}
+	})
+
 	t.Run("nothing comparable fails closed", func(t *testing.T) {
 		got := gateFailures(base, map[string]map[string]float64{
 			"renamed": gateMetrics(1_000_000, 40_000_000),

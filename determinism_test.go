@@ -7,7 +7,6 @@ import (
 
 	"protozoa"
 	"protozoa/internal/core"
-	"protozoa/internal/engine"
 	"protozoa/internal/runner"
 	"protozoa/internal/workloads"
 )
@@ -129,24 +128,5 @@ func TestWorkerCountsAgreeOnFlightLog(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestQueueImplementationsAgree runs the same simulations under the
-// bucketed event queue (default) and the reference binary heap
-// (PROTOZOA_EVENT_QUEUE=heap) and requires bit-identical statistics:
-// the bucketed queue must preserve the exact (cycle, sequence) total
-// order of the original heap.
-func TestQueueImplementationsAgree(t *testing.T) {
-	for _, p := range protozoa.Protocols() {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			bucketed := marshalRun(t, "barnes", p)
-			t.Setenv(engine.QueueEnvVar, "heap")
-			heap := marshalRun(t, "barnes", p)
-			if !bytes.Equal(bucketed, heap) {
-				t.Fatalf("bucketed and heap event queues diverge:\n%s\n---\n%s", bucketed, heap)
-			}
-		})
 	}
 }

@@ -161,7 +161,7 @@ func (s *System) EnableMetrics() *obs.Registry {
 		func() float64 { return float64(s.queuePending()) })
 	r.Register("event_queue_high_water", "deepest the engine queue has been",
 		func() float64 { return float64(s.queueHighWater()) })
-	r.Register("event_queue_zero_delay_hits", "events that rode the zero-delay fast path",
+	r.Register("event_queue_zero_delay_hits", "events scheduled with zero delay",
 		func() float64 { return float64(s.queueZeroDelayHits()) })
 	r.Register("msg_pool_hit_rate", "fraction of messages served from the free list",
 		func() float64 {

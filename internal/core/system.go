@@ -414,8 +414,8 @@ func (s *System) queueHighWater() int {
 	return n
 }
 
-// queueZeroDelayHits aggregates the engines' zero-delay fast-path hit
-// counters (always on — the count shares the fast path's branch).
+// queueZeroDelayHits aggregates the engines' zero-delay schedule
+// counters (always on — the count shares the ring push's branch).
 func (s *System) queueZeroDelayHits() uint64 {
 	if !s.pdes {
 		return s.eng.MicroHits()

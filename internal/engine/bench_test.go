@@ -10,32 +10,34 @@ const benchPending = 64
 // message and pipeline latencies that dominate a run's pushes.
 func benchDelay(i int) Cycle { return Cycle(1 + i*7%16) }
 
-// primedRing returns a bucket ring holding benchPending events.
-func primedRing() *bucketQueue {
-	q := &bucketQueue{}
-	q.init()
-	r := &testRunner{}
-	for i := 0; i < benchPending; i++ {
-		q.push(item{at: benchDelay(i), seq: uint64(i), r: r})
-	}
-	return q
+// hopper re-schedules itself a few cycles later every time it runs, the
+// shape of a message hopping from controller to controller.
+type hopper struct {
+	e *Engine
+	i int
 }
 
-// BenchmarkRingPushPop pops the earliest event and re-schedules it a
-// few cycles later. Almost every push lands in the 512-cycle ring; only
-// the pushes that cross the window's end detour through the far heap
-// until the window moves.
-func BenchmarkRingPushPop(b *testing.B) {
+func (h *hopper) Run() {
+	h.i++
+	h.e.ScheduleRunner(benchDelay(h.i), h)
+}
+
+// BenchmarkStep is the per-event cost of a run: one Step pops the
+// earliest event from the ring and runs it, and the event schedules its
+// successor with ScheduleRunner. Almost every push lands in the
+// 512-cycle ring; only the pushes that cross the window's end detour
+// through the far heap until the window moves.
+func BenchmarkStep(b *testing.B) {
 	b.ReportAllocs()
-	q := primedRing()
-	seq := uint64(benchPending)
+	e := New()
+	hs := make([]hopper, benchPending)
+	for i := range hs {
+		hs[i] = hopper{e: e, i: i}
+		e.ScheduleRunner(benchDelay(i), &hs[i])
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it, _ := q.pop()
-		seq++
-		it.at += benchDelay(i)
-		it.seq = seq
-		q.push(it)
+		e.Step()
 	}
 }
 
@@ -47,7 +49,7 @@ func BenchmarkFarHeap(b *testing.B) {
 	var h heapQueue
 	r := &testRunner{}
 	for i := 0; i < benchPending; i++ {
-		h.push(item{at: Cycle(i * 61 % 4096), seq: uint64(i), r: r})
+		h.push(farItem{at: Cycle(i * 61 % 4096), seq: uint64(i), r: r})
 	}
 	seq := uint64(benchPending)
 	b.ResetTimer()
@@ -61,17 +63,16 @@ func BenchmarkFarHeap(b *testing.B) {
 }
 
 // rescheduler schedules itself again at zero delay every time it runs:
-// a same-cycle chain that lives entirely on the micro FIFO.
+// a same-cycle chain that lives entirely in the current cycle's bucket.
 type rescheduler struct{ e *Engine }
 
 func (r *rescheduler) Run() { r.e.ScheduleRunner(0, r) }
 
-// BenchmarkMicroFIFO runs one event of a zero-delay chain per op: a
-// micro-FIFO push, the probe of the ring for same-cycle events, and the
-// micro-FIFO pop.
-func BenchmarkMicroFIFO(b *testing.B) {
+// BenchmarkZeroDelay runs one event of a zero-delay chain per op: an
+// append to the current cycle's bucket and the pop that takes it.
+func BenchmarkZeroDelay(b *testing.B) {
 	b.ReportAllocs()
-	e := NewBucketed()
+	e := New()
 	r := &rescheduler{e: e}
 	e.ScheduleRunner(0, r)
 	b.ResetTimer()
@@ -80,26 +81,34 @@ func BenchmarkMicroFIFO(b *testing.B) {
 	}
 }
 
-// BenchmarkPopBefore is the PDES window loop's pair of calls: one
+// BenchmarkPopBefore is the PDES window loop's pair of queue calls: one
 // popBefore refused at the earliest queued cycle, then one that takes
 // the event and re-schedules it.
 func BenchmarkPopBefore(b *testing.B) {
 	b.ReportAllocs()
-	q := primedRing()
-	seq := uint64(benchPending)
+	q := &bucketQueue{}
+	q.init()
+	r := &testRunner{}
+	file := func(at Cycle) {
+		if at < q.start+numBuckets {
+			q.pushRing(at, r)
+		} else {
+			q.pushFar(at, r)
+		}
+	}
+	for i := 0; i < benchPending; i++ {
+		file(benchDelay(i))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, ok, next, _ := q.popBefore(q.cursor)
+		_, _, ok, next, _ := q.popBefore(q.cursor)
 		if ok {
 			b.Fatal("popBefore took an event at or past its limit")
 		}
-		it, ok, _, _ := q.popBefore(next + 1)
+		at, _, ok, _, _ := q.popBefore(next + 1)
 		if !ok {
 			b.Fatal("popBefore refused the earliest event")
 		}
-		seq++
-		it.at += benchDelay(i)
-		it.seq = seq
-		q.push(it)
+		file(at + benchDelay(i))
 	}
 }

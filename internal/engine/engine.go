@@ -8,18 +8,17 @@
 // the memory-system results depend only on event ordering and the
 // Table 4 latencies, both of which this engine reproduces exactly.
 //
-// Two queue implementations back the engine. The default is a two-level
-// bucketed queue: a ring of per-cycle FIFO buckets covers the near
-// future (push and pop are O(1) with no per-event allocation), and a
-// typed min-heap holds the far-future overflow, drained window by
-// window. The original binary-heap queue is retained for differential
-// testing — construct it with NewWithHeap, or set the environment
-// variable PROTOZOA_EVENT_QUEUE=heap to make New return it. Both
-// implement the exact same (cycle, sequence) total order, so a run is
-// bit-identical under either.
+// The queue has two levels. A ring of per-cycle FIFO buckets covers the
+// near future: a bucket's cycle is its slot and push order is sequence
+// order, so a slot is a bare Runner (16 bytes) and push and pop are O(1)
+// with no per-event allocation. Events due this very cycle append to the
+// current cycle's bucket behind everything already queued there. A typed
+// min-heap of (cycle, sequence, Runner) holds the far-future overflow
+// and drains into the ring window by window. Every event is a Runner:
+// Schedule wraps a closure in a pointer-shaped adapter, which does not
+// allocate. The package tests hold this queue equal to a plain
+// binary-heap reference engine under randomized schedules.
 package engine
-
-import "os"
 
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle uint64
@@ -33,6 +32,13 @@ type Event func()
 // pointer-shaped Runner does not allocate.
 type Runner interface{ Run() }
 
+// funcEvent adapts a closure to Runner. A func value is pointer-shaped,
+// so converting it to the interface stores it directly, without
+// allocating.
+type funcEvent func()
+
+func (f funcEvent) Run() { f() }
+
 // Prof is the engine's opt-in queue-introspection block (the simulator
 // self-profiling layer, internal/obs/selfprof). Attach one with SetProf
 // before running; every counter site in the hot path guards on a single
@@ -41,105 +47,56 @@ type Runner interface{ Run() }
 // only by the goroutine running the engine; readers synchronize at the
 // PDES round barrier (or after Run), so plain integers suffice.
 //
+// Every scheduled event is exactly one of a ring push, a far push or a
+// zero-delay hit (Engine.MicroHits), so the three sum to the events
+// scheduled.
+//
 // The trailing pad pushes adjacent Profs in a slice onto separate cache
 // lines: under PDES each tile's engine bumps its own shard while other
 // workers bump theirs, and false sharing here would bill the
 // measurement to the thing being measured.
 type Prof struct {
-	RingPushes uint64 // events filed into the near-future bucket ring
-	FarPushes  uint64 // events filed into the far-future (or legacy) heap
+	RingPushes uint64 // events filed into a later cycle's bucket of the ring
+	FarPushes  uint64 // events filed into the far-future heap
 	Refusals   uint64 // RunUntil stopped by the window bound with work still queued
 	LimitCuts  uint64 // LimitTo calls that actually tightened the running bound
-	MicroHigh  int    // deepest the zero-delay micro FIFO has been
 	RingHigh   int    // most unpopped events the bucket ring has held
 	FarHigh    int    // deepest the far-future heap has been
 
 	_ [64]byte // keep neighbouring shards off this cache line
 }
 
-// item is one queued event: either r (preferred) or fn is set.
-type item struct {
-	at  Cycle
-	seq uint64
-	fn  Event
-	r   Runner
-}
-
-// before is the engine's total order: cycle first, then schedule
-// sequence, so same-cycle events run in scheduling order.
-func (it item) before(other item) bool {
-	if it.at != other.at {
-		return it.at < other.at
-	}
-	return it.seq < other.seq
-}
-
 // Engine is a deterministic event queue. The zero value is NOT ready to
-// use; construct with New (bucketed queue) or NewWithHeap.
+// use; construct with New.
 type Engine struct {
-	now     Cycle
-	seq     uint64
-	events  uint64
-	size    int    // queued events right now (all levels)
-	high    int    // deepest the queue has ever been
-	micros  uint64 // zero-delay fast-path hits (micro FIFO pushes)
-	useHeap bool
-	heap    heapQueue
-	bq      bucketQueue
+	now       Cycle
+	events    uint64
+	high      int    // deepest the queue has ever been
+	zeroDelay uint64 // events scheduled at the current cycle
+	q         bucketQueue
 
 	// prof, when non-nil, receives the queue-introspection counters
 	// (SetProf). One nil check per site when disabled.
 	prof *Prof
-
-	// micro is the zero-delay fast path: a run-to-completion FIFO for
-	// events scheduled at exactly the current cycle. Same-cycle chains
-	// (ScheduleRunner(0, …), gather-free probe replies, directory
-	// activate->process handoffs) append and pop here instead of round-
-	// tripping the bucket ring or heap. Order is preserved exactly:
-	// every event already queued for cycle `now` in the underlying
-	// queue was pushed earlier (now only advances on pops), so it
-	// carries a smaller seq than every micro item and drains first;
-	// micro items then run in push (== seq) order among themselves.
-	micro     []item
-	microHead int
 
 	// limit is the bound of the RunUntil call currently executing, kept
 	// as a field so handlers can lower it mid-window (LimitTo) — the
 	// PDES window loop's dynamic cut-off for extended solo windows.
 	limit Cycle
 
-	// Cached earliest cycle queued in the underlying two-level queue
-	// (the micro FIFO is excluded: its items are always at `now`),
-	// maintained so the PDES window loop can take the minimum over many
-	// partitions without rescanning the bucket ring each time. Pops
-	// invalidate it; pushes keep it exact.
+	// Cached earliest queued cycle, maintained so the PDES window loop
+	// can take the minimum over many partitions without rescanning the
+	// bucket ring each time. Pops invalidate it; pushes keep it exact.
 	peekValid bool
 	peekMin   Cycle
 }
 
-// QueueEnvVar selects the queue implementation for New: set it to
-// "heap" to get the legacy binary-heap queue (differential testing).
-const QueueEnvVar = "PROTOZOA_EVENT_QUEUE"
-
-// New returns a fresh engine at cycle zero, using the bucketed queue
-// unless PROTOZOA_EVENT_QUEUE=heap is set in the environment.
+// New returns a fresh engine at cycle zero.
 func New() *Engine {
-	if os.Getenv(QueueEnvVar) == "heap" {
-		return NewWithHeap()
-	}
-	return NewBucketed()
-}
-
-// NewBucketed returns an engine backed by the two-level bucketed queue.
-func NewBucketed() *Engine {
 	e := &Engine{}
-	e.bq.init()
+	e.q.init()
 	return e
 }
-
-// NewWithHeap returns an engine backed by the legacy binary-heap queue
-// (kept for differential testing against the bucketed queue).
-func NewWithHeap() *Engine { return &Engine{useHeap: true} }
 
 // Now reports the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
@@ -147,101 +104,45 @@ func (e *Engine) Now() Cycle { return e.now }
 // Processed reports how many events have run.
 func (e *Engine) Processed() uint64 { return e.events }
 
-func (e *Engine) push(it item) {
-	e.seq++
-	it.seq = e.seq
-	if it.at == e.now {
-		// Zero-delay fast path: the event is due this very cycle, so it
-		// never needs the two-level queue — it goes on the micro FIFO
-		// and runs after everything already queued for this cycle. The
-		// peekMin cache tracks the underlying queue only, so it is
-		// deliberately NOT updated here.
-		e.micro = append(e.micro, it)
-		e.micros++
+// push files r at cycle at, which callers guarantee is >= now. The
+// current cycle always lies inside the ring window (the window only
+// moves to the cycle of the event about to run), so a zero-delay event
+// appends to bucket `now` and runs after everything already queued for
+// this cycle — all of which was pushed earlier.
+func (e *Engine) push(at Cycle, r Runner) {
+	q := &e.q
+	q.size++
+	if at < q.start+numBuckets {
+		q.pushRing(at, r)
+		if at == e.now {
+			e.zeroDelay++
+		} else if e.prof != nil {
+			e.prof.RingPushes++
+		}
+		if e.prof != nil && q.inWin > e.prof.RingHigh {
+			e.prof.RingHigh = q.inWin
+		}
+	} else {
+		q.pushFar(at, r)
 		if e.prof != nil {
-			if d := len(e.micro) - e.microHead; d > e.prof.MicroHigh {
-				e.prof.MicroHigh = d
+			e.prof.FarPushes++
+			if len(q.far.items) > e.prof.FarHigh {
+				e.prof.FarHigh = len(q.far.items)
 			}
 		}
-	} else {
-		if e.useHeap {
-			e.heap.push(it)
-			if e.prof != nil {
-				e.prof.FarPushes++
-				if len(e.heap.items) > e.prof.FarHigh {
-					e.prof.FarHigh = len(e.heap.items)
-				}
-			}
-		} else {
-			e.bq.push(it)
-		}
-		if e.peekValid && it.at < e.peekMin {
-			e.peekMin = it.at
-		}
 	}
-	e.size++
-	if e.size > e.high {
-		e.high = e.size
-	}
-}
-
-// nextAtNow returns the next event due at the current cycle while the
-// micro FIFO is non-empty, in exact (cycle, seq) order: underlying-
-// queue items at `now` were all scheduled before any micro item (now
-// only advances on pops), so they drain first; popBefore(now+1) probes
-// just the current cycle's bucket (or the heap top), O(1) either way.
-func (e *Engine) nextAtNow() item {
-	var it item
-	var ok bool
-	if e.useHeap {
-		it, ok, _, _ = e.heap.popBefore(e.now + 1)
-	} else {
-		it, ok, _, _ = e.bq.popBefore(e.now + 1)
-	}
-	if !ok {
-		return e.popMicro()
-	}
-	e.peekValid = false
-	return it
-}
-
-// popMicro removes and returns the front of the micro FIFO; callers
-// must have checked it is non-empty.
-func (e *Engine) popMicro() item {
-	it := e.micro[e.microHead]
-	e.micro[e.microHead] = item{}
-	e.microHead++
-	if e.microHead == len(e.micro) {
-		e.micro = e.micro[:0]
-		e.microHead = 0
-	}
-	return it
-}
-
-// peekUnderlying is PeekCycle restricted to the two-level queue,
-// excluding the micro FIFO; it maintains the same cache.
-func (e *Engine) peekUnderlying() (Cycle, bool) {
-	if e.peekValid {
-		return e.peekMin, true
-	}
-	var at Cycle
-	var ok bool
-	if e.useHeap {
-		at, ok = e.heap.peekAt()
-	} else {
-		at, ok = e.bq.peekAt()
-	}
-	if ok {
+	if e.peekValid && at < e.peekMin {
 		e.peekMin = at
-		e.peekValid = true
 	}
-	return at, ok
+	if q.size > e.high {
+		e.high = q.size
+	}
 }
 
 // Schedule runs fn delay cycles from now. Events scheduled for the
 // same cycle run in scheduling order.
 func (e *Engine) Schedule(delay Cycle, fn Event) {
-	e.push(item{at: e.now + delay, fn: fn})
+	e.push(e.now+delay, funcEvent(fn))
 }
 
 // ScheduleAt runs fn at the given absolute cycle, which must not be in
@@ -250,13 +151,13 @@ func (e *Engine) ScheduleAt(at Cycle, fn Event) {
 	if at < e.now {
 		at = e.now
 	}
-	e.push(item{at: at, fn: fn})
+	e.push(at, funcEvent(fn))
 }
 
 // ScheduleRunner runs r delay cycles from now, without allocating: the
 // hot-path equivalent of Schedule for pre-bound event structs.
 func (e *Engine) ScheduleRunner(delay Cycle, r Runner) {
-	e.push(item{at: e.now + delay, r: r})
+	e.push(e.now+delay, r)
 }
 
 // ScheduleRunnerAt is ScheduleAt for a Runner; past cycles clamp to now.
@@ -264,17 +165,17 @@ func (e *Engine) ScheduleRunnerAt(at Cycle, r Runner) {
 	if at < e.now {
 		at = e.now
 	}
-	e.push(item{at: at, r: r})
+	e.push(at, r)
 }
 
 // HighWater reports the deepest the queue has ever been — the
 // event-queue depth gauge the observability registry exposes.
 func (e *Engine) HighWater() int { return e.high }
 
-// MicroHits reports how many events rode the zero-delay fast path (the
-// same-cycle micro FIFO) instead of the two-level queue. Always
-// counted — the increment shares the fast path's existing branch.
-func (e *Engine) MicroHits() uint64 { return e.micros }
+// MicroHits reports how many events were scheduled at the current
+// cycle (zero delay). Always counted — the increment shares the ring
+// push's existing branch.
+func (e *Engine) MicroHits() uint64 { return e.zeroDelay }
 
 // SetProf attaches a queue-introspection shard: every hot-path counter
 // site guards on one nil check, so engines without a Prof pay a single
@@ -282,63 +183,40 @@ func (e *Engine) MicroHits() uint64 { return e.micros }
 // attach a zeroed Prof per run for per-run numbers.
 func (e *Engine) SetProf(p *Prof) {
 	e.prof = p
-	e.bq.prof = p
+	e.q.prof = p
 }
 
 // Prof returns the attached introspection shard, or nil.
 func (e *Engine) Prof() *Prof { return e.prof }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int {
-	n := len(e.micro) - e.microHead
-	if e.useHeap {
-		return n + len(e.heap.items)
-	}
-	return n + e.bq.size
-}
+func (e *Engine) Pending() int { return e.q.size }
 
 // PeekCycle reports the cycle of the earliest queued event without
 // popping it. The result is cached until the next pop, so repeated
 // peeks (the PDES window-minimum scan) cost one comparison.
 func (e *Engine) PeekCycle() (Cycle, bool) {
-	if e.microHead < len(e.micro) {
-		return e.now, true
+	if e.peekValid {
+		return e.peekMin, true
 	}
-	return e.peekUnderlying()
+	at, ok := e.q.peekAt()
+	if ok {
+		e.peekMin = at
+		e.peekValid = true
+	}
+	return at, ok
 }
 
 // Step runs the next event; it reports false when the queue is empty.
 func (e *Engine) Step() bool {
-	if e.microHead < len(e.micro) {
-		it := e.nextAtNow()
-		e.events++
-		e.size--
-		if it.r != nil {
-			it.r.Run()
-		} else {
-			it.fn()
-		}
-		return true
-	}
-	e.peekValid = false
-	var it item
-	var ok bool
-	if e.useHeap {
-		it, ok = e.heap.pop()
-	} else {
-		it, ok = e.bq.pop()
-	}
+	at, r, ok := e.q.pop()
 	if !ok {
 		return false
 	}
-	e.now = it.at
+	e.peekValid = false
+	e.now = at
 	e.events++
-	e.size--
-	if it.r != nil {
-		it.r.Run()
-	} else {
-		it.fn()
-	}
+	r.Run()
 	return true
 }
 
@@ -353,28 +231,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) RunUntil(limit Cycle) {
 	e.limit = limit
 	for {
-		if e.microHead < len(e.micro) {
-			if e.now >= e.limit {
-				return
-			}
-			it := e.nextAtNow()
-			e.events++
-			e.size--
-			if it.r != nil {
-				it.r.Run()
-			} else {
-				it.fn()
-			}
-			continue
-		}
-		var it item
-		var ok, hasNext bool
-		var next Cycle
-		if e.useHeap {
-			it, ok, next, hasNext = e.heap.popBefore(e.limit)
-		} else {
-			it, ok, next, hasNext = e.bq.popBefore(e.limit)
-		}
+		at, r, ok, next, hasNext := e.q.popBefore(e.limit)
 		if !ok {
 			// The refusal already found the earliest remaining cycle;
 			// prime the peek cache with it so the window loop's
@@ -393,14 +250,9 @@ func (e *Engine) RunUntil(limit Cycle) {
 		// no-op RunUntil (idle partition) keeps its cached minimum so
 		// the window loop's peek stays O(1).
 		e.peekValid = false
-		e.now = it.at
+		e.now = at
 		e.events++
-		e.size--
-		if it.r != nil {
-			it.r.Run()
-		} else {
-			it.fn()
-		}
+		r.Run()
 	}
 }
 
@@ -421,18 +273,17 @@ func (e *Engine) LimitTo(c Cycle) {
 	}
 }
 
-// Recycle returns the bucketed queue's ring storage to a process-wide
-// pool once the engine has fully drained. The engine remains readable
-// (Now, Processed, Pending, HighWater, PeekCycle all stay valid) but
-// must not schedule further events. Recycle is a no-op on heap-backed
-// engines, on engines with events still queued, and on engines already
-// recycled — callers on error paths can skip it and lose nothing but
-// the reuse.
+// Recycle returns the ring storage to a process-wide pool once the
+// engine has fully drained. The engine remains readable (Now,
+// Processed, Pending, HighWater, PeekCycle all stay valid) but must not
+// schedule further events. Recycle is a no-op on engines with events
+// still queued and on engines already recycled — callers on error paths
+// can skip it and lose nothing but the reuse.
 func (e *Engine) Recycle() {
-	if e.useHeap || e.bq.size != 0 || e.microHead < len(e.micro) {
+	if e.q.size != 0 {
 		return
 	}
-	e.bq.release()
+	e.q.release()
 }
 
 // Run drains the queue. It stops after maxEvents events when

@@ -5,40 +5,53 @@ import (
 	"sync"
 )
 
-// This file holds the two queue implementations behind Engine.
+// This file holds the engine's two-level queue.
 //
-// heapQueue is the legacy binary min-heap, now with direct typed
-// sift-up/sift-down (no container/heap, no interface{} boxing per
-// push/pop). It remains the differential-testing reference and the
-// far-future overflow structure of the bucketed queue.
-//
-// bucketQueue is the production queue: a ring of numBuckets per-cycle
-// FIFO buckets covering the window [start, start+numBuckets), plus a
-// heapQueue for events beyond the window. Almost every event in the
-// simulator lands within a few hundred cycles of now (the largest
-// Table 4 latency is the 300-cycle memory access), so pushes and pops
-// are O(1) appends/reads of reused slices at steady state. When the
-// window empties, the queue jumps to the earliest far-future event and
-// drains the heap into the new window.
+// bucketQueue is a ring of numBuckets per-cycle FIFO buckets covering
+// the window [start, start+numBuckets), plus a heapQueue for events
+// beyond the window. Almost every event in the simulator lands within a
+// few hundred cycles of now (the largest Table 4 latency is the
+// 300-cycle memory access), so pushes and pops are O(1) appends/reads
+// of reused slices at steady state. When the window empties, the queue
+// jumps to the earliest far-future event and drains the heap into the
+// new window.
 
-// heapQueue is a typed binary min-heap ordered by item.before.
-type heapQueue struct {
-	items []item
+// farItem is one far-future event. Unlike a ring slot it must carry its
+// cycle and schedule sequence: the heap orders by exactly that pair.
+type farItem struct {
+	at  Cycle
+	seq uint64
+	r   Runner
 }
 
-func (h *heapQueue) push(it item) {
+// before is the engine's total order: cycle first, then schedule
+// sequence, so same-cycle events run in scheduling order.
+func (it farItem) before(other farItem) bool {
+	if it.at != other.at {
+		return it.at < other.at
+	}
+	return it.seq < other.seq
+}
+
+// heapQueue is a typed binary min-heap ordered by farItem.before, with
+// direct sift-up/sift-down (no container/heap, no interface{} boxing).
+type heapQueue struct {
+	items []farItem
+}
+
+func (h *heapQueue) push(it farItem) {
 	h.items = append(h.items, it)
 	h.siftUp(len(h.items) - 1)
 }
 
-func (h *heapQueue) pop() (item, bool) {
+func (h *heapQueue) pop() (farItem, bool) {
 	n := len(h.items)
 	if n == 0 {
-		return item{}, false
+		return farItem{}, false
 	}
 	top := h.items[0]
 	h.items[0] = h.items[n-1]
-	h.items[n-1] = item{} // release closure/runner references
+	h.items[n-1] = farItem{} // release the runner reference
 	h.items = h.items[:n-1]
 	if len(h.items) > 1 {
 		h.siftDown(0)
@@ -51,21 +64,6 @@ func (h *heapQueue) peekAt() (Cycle, bool) {
 		return 0, false
 	}
 	return h.items[0].at, true
-}
-
-// popBefore pops the earliest item only when its cycle is below limit.
-// On refusal it reports the earliest queued cycle (hasNext false means
-// the queue is empty), so the caller can prime its peek cache without
-// a second scan.
-func (h *heapQueue) popBefore(limit Cycle) (it item, ok bool, next Cycle, hasNext bool) {
-	if len(h.items) == 0 {
-		return item{}, false, 0, false
-	}
-	if at := h.items[0].at; at >= limit {
-		return item{}, false, at, true
-	}
-	it, _ = h.pop()
-	return it, true, 0, false
 }
 
 func (h *heapQueue) siftUp(i int) {
@@ -98,9 +96,10 @@ func (h *heapQueue) siftDown(i int) {
 	}
 }
 
-// bucketBits sizes the near-future window: 512 cycles comfortably
-// covers every latency the machine model schedules (memory is 300),
-// and the smaller ring keeps all 16 PDES tile rings cache-resident.
+// bucketBits sizes the near-future window: 512 cycles covers every
+// latency the machine model schedules (the longest, a memory access, is
+// 300), so only the stall watchdog and deep memory queues spill into
+// the far heap; a wider ring would only add slab to every engine.
 const (
 	bucketBits = 9
 	numBuckets = 1 << bucketBits
@@ -112,7 +111,7 @@ const (
 // head is the next unpopped index; the slice is reset and reused once
 // the cycle has been fully drained.
 type bucket struct {
-	items []item
+	items []Runner
 	head  int
 }
 
@@ -124,8 +123,9 @@ type bucketQueue struct {
 	cursor  Cycle         // cycle of the last pop; every queued item is at >= cursor
 	inWin   int           // unpopped items currently in buckets
 	far     heapQueue
-	size    int
-	prof    *Prof // queue-introspection shard (Engine.SetProf); nil when disabled
+	farSeq  uint64 // schedule sequence of far-future pushes
+	size    int    // queued events, ring and far heap together
+	prof    *Prof  // queue-introspection shard (Engine.SetProf); nil when disabled
 }
 
 // queueStorage is the poolable part of a bucketQueue: the ring itself
@@ -153,7 +153,7 @@ var storagePool = sync.Pool{
 			buckets: make([]bucket, numBuckets),
 			occ:     make([]uint64, numBuckets/64),
 		}
-		slab := make([]item, numBuckets*bucketSlots)
+		slab := make([]Runner, numBuckets*bucketSlots)
 		for i := range st.buckets {
 			st.buckets[i].items = slab[i*bucketSlots : i*bucketSlots : (i+1)*bucketSlots]
 		}
@@ -189,32 +189,22 @@ func (q *bucketQueue) release() {
 	q.occ = nil
 }
 
-// push files the item into its cycle's bucket when the cycle falls in
-// the current window, and into the far-future heap otherwise. Callers
-// guarantee it.at >= the last popped cycle, so it.at >= q.cursor.
-func (q *bucketQueue) push(it item) {
-	q.size++
-	if it.at < q.start+numBuckets {
-		slot := uint64(it.at) & bucketMask
-		b := &q.buckets[slot]
-		b.items = append(b.items, it)
-		q.occ[slot>>6] |= 1 << (slot & 63)
-		q.inWin++
-		if q.prof != nil {
-			q.prof.RingPushes++
-			if q.inWin > q.prof.RingHigh {
-				q.prof.RingHigh = q.inWin
-			}
-		}
-	} else {
-		q.far.push(it)
-		if q.prof != nil {
-			q.prof.FarPushes++
-			if len(q.far.items) > q.prof.FarHigh {
-				q.prof.FarHigh = len(q.far.items)
-			}
-		}
-	}
+// pushRing appends r to cycle at's bucket. Callers guarantee at lies in
+// the window (q.cursor <= at < q.start+numBuckets) and count the event
+// in size.
+func (q *bucketQueue) pushRing(at Cycle, r Runner) {
+	slot := uint64(at) & bucketMask
+	b := &q.buckets[slot]
+	b.items = append(b.items, r)
+	q.occ[slot>>6] |= 1 << (slot & 63)
+	q.inWin++
+}
+
+// pushFar files r, due at a cycle beyond the window, into the
+// far-future heap. Callers count the event in size.
+func (q *bucketQueue) pushFar(at Cycle, r Runner) {
+	q.farSeq++
+	q.far.push(farItem{at: at, seq: q.farSeq, r: r})
 }
 
 // takeAt pops the front of cycle c's bucket, clearing the occupancy
@@ -222,11 +212,11 @@ func (q *bucketQueue) push(it item) {
 // the bucket is non-empty. Nothing can arrive behind a drained cycle
 // (pushes land at >= the last popped cycle), so the reset is final
 // until the ring wraps back around.
-func (q *bucketQueue) takeAt(c Cycle) item {
+func (q *bucketQueue) takeAt(c Cycle) Runner {
 	slot := uint64(c) & bucketMask
 	b := &q.buckets[slot]
-	it := b.items[b.head]
-	b.items[b.head] = item{} // release closure/runner references
+	r := b.items[b.head]
+	b.items[b.head] = nil // release the runner reference
 	b.head++
 	if b.head == len(b.items) {
 		b.items = b.items[:0]
@@ -235,7 +225,7 @@ func (q *bucketQueue) takeAt(c Cycle) item {
 	}
 	q.inWin--
 	q.size--
-	return it
+	return r
 }
 
 // nextOccupied reports the earliest non-empty bucket cycle in
@@ -261,59 +251,48 @@ func (q *bucketQueue) nextOccupied(from Cycle) (Cycle, bool) {
 	return 0, false
 }
 
-// pop returns the globally earliest item in (cycle, seq) order.
-func (q *bucketQueue) pop() (item, bool) {
-	if q.size == 0 {
-		return item{}, false
-	}
-	for {
-		if q.inWin > 0 {
-			// inWin > 0 guarantees an occupied bucket in the window.
-			c, _ := q.nextOccupied(q.cursor)
-			q.cursor = c
-			return q.takeAt(c), true
-		}
+// pop removes the globally earliest event in (cycle, seq) order and
+// reports its cycle.
+func (q *bucketQueue) pop() (Cycle, Runner, bool) {
+	if q.inWin == 0 {
 		// Window empty: jump to the earliest far-future event and drain
-		// the heap into the new window. Heap pops come out in (cycle,
-		// seq) order, so each bucket receives its items in seq order.
+		// the heap into the new window.
 		at, ok := q.far.peekAt()
 		if !ok {
-			return item{}, false // unreachable while size > 0
+			return 0, nil, false
 		}
 		q.start = at
 		q.cursor = at
 		q.refill()
 	}
+	// inWin > 0 guarantees an occupied bucket in the window.
+	c, _ := q.nextOccupied(q.cursor)
+	q.cursor = c
+	return c, q.takeAt(c), true
 }
 
 // refill drains far-future events landing in the (just repositioned)
 // window into their buckets. Heap pops come out in (cycle, seq) order,
-// so each bucket receives its items in seq order. Migrated events were
-// already counted as FarPushes when first filed, so only the ring
-// high-water mark is refreshed here — never the push counters.
+// so each bucket receives its items in seq order, ahead of any later
+// push to the same cycle. Migrated events were already counted as
+// FarPushes when first filed, so only the ring high-water mark is
+// refreshed here — never the push counters.
 func (q *bucketQueue) refill() {
 	for {
 		nextAt, ok := q.far.peekAt()
 		if !ok || nextAt >= q.start+numBuckets {
-			return
+			break
 		}
 		it, _ := q.far.pop()
-		slot := uint64(it.at) & bucketMask
-		b := &q.buckets[slot]
-		b.items = append(b.items, it)
-		q.occ[slot>>6] |= 1 << (slot & 63)
-		q.inWin++
-		if q.prof != nil && q.inWin > q.prof.RingHigh {
-			q.prof.RingHigh = q.inWin
-		}
+		q.pushRing(it.at, it.r)
+	}
+	if q.prof != nil && q.inWin > q.prof.RingHigh {
+		q.prof.RingHigh = q.inWin
 	}
 }
 
 // peekAt reports the earliest queued cycle without mutating the queue.
 func (q *bucketQueue) peekAt() (Cycle, bool) {
-	if q.size == 0 {
-		return 0, false
-	}
 	if q.inWin > 0 {
 		c, _ := q.nextOccupied(q.cursor)
 		return c, true
@@ -326,29 +305,24 @@ func (q *bucketQueue) peekAt() (Cycle, bool) {
 // empty), so the caller can prime its peek cache without a second
 // scan. The cursor is NOT advanced on refusal: later pushes may still
 // land between the last popped cycle and the refused one.
-func (q *bucketQueue) popBefore(limit Cycle) (it item, ok bool, next Cycle, hasNext bool) {
-	if q.size == 0 {
-		return item{}, false, 0, false
-	}
-	for {
-		if q.inWin > 0 {
-			c, _ := q.nextOccupied(q.cursor)
-			if c >= limit {
-				// Every cycle below limit is drained; the rest can wait.
-				return item{}, false, c, true
-			}
-			q.cursor = c
-			return q.takeAt(c), true, 0, false
-		}
-		at, farOK := q.far.peekAt()
+func (q *bucketQueue) popBefore(limit Cycle) (at Cycle, r Runner, ok bool, next Cycle, hasNext bool) {
+	if q.inWin == 0 {
+		far, farOK := q.far.peekAt()
 		if !farOK {
-			return item{}, false, 0, false
+			return 0, nil, false, 0, false
 		}
-		if at >= limit {
-			return item{}, false, at, true
+		if far >= limit {
+			return 0, nil, false, far, true
 		}
-		q.start = at
-		q.cursor = at
+		q.start = far
+		q.cursor = far
 		q.refill()
 	}
+	c, _ := q.nextOccupied(q.cursor)
+	if c >= limit {
+		// Every cycle below limit is drained; the rest can wait.
+		return 0, nil, false, c, true
+	}
+	q.cursor = c
+	return c, q.takeAt(c), true, 0, false
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -51,7 +52,7 @@ func TestBucketQueueFarFuture(t *testing.T) {
 	// Delays beyond the bucket window land in the overflow heap and
 	// must still fire in exact (cycle, seq) order, including events
 	// scheduled into a far window from within it.
-	e := NewBucketed()
+	e := New()
 	var got []Cycle
 	note := func() { got = append(got, e.Now()) }
 	e.Schedule(numBuckets*3+7, note) // far future
@@ -77,7 +78,7 @@ func TestBucketQueueFarFuture(t *testing.T) {
 // and far-future delays straddling the window boundary — and requires
 // the exact same execution order from both.
 func TestQueueDifferential(t *testing.T) {
-	run := func(e *Engine, seed int64) []int {
+	run := func(e scheduler, seed int64) []int {
 		rng := rand.New(rand.NewSource(seed))
 		var got []int
 		n := 0
@@ -106,16 +107,7 @@ func TestQueueDifferential(t *testing.T) {
 		return got
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		a := run(NewBucketed(), seed)
-		b := run(NewWithHeap(), seed)
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: bucketed ran %d events, heap ran %d", seed, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: queues diverge at event %d: %d vs %d", seed, i, a[i], b[i])
-			}
-		}
+		runBoth(t, fmt.Sprintf("seed %d", seed), func(e scheduler) []int { return run(e, seed) })
 	}
 }
 
@@ -128,7 +120,7 @@ func TestQueueDifferential(t *testing.T) {
 // window placement must agree at every step.
 func TestRunUntilDifferentialAcrossWindowWrap(t *testing.T) {
 	const lookahead = 6 // the production NoC lookahead
-	run := func(e *Engine, seed int64) ([]int, []Cycle) {
+	run := func(e scheduler, seed int64) ([]int, []Cycle) {
 		rng := rand.New(rand.NewSource(seed))
 		var got []int
 		var peeks []Cycle
@@ -166,8 +158,8 @@ func TestRunUntilDifferentialAcrossWindowWrap(t *testing.T) {
 		return got, peeks
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		a, ap := run(NewBucketed(), seed)
-		b, bp := run(NewWithHeap(), seed)
+		a, ap := run(New(), seed)
+		b, bp := run(newHeapEngine(), seed)
 		if len(a) != len(b) {
 			t.Fatalf("seed %d: bucketed ran %d events, heap ran %d", seed, len(a), len(b))
 		}
@@ -187,25 +179,10 @@ func TestRunUntilDifferentialAcrossWindowWrap(t *testing.T) {
 	}
 }
 
-func TestQueueEnvSelectsHeap(t *testing.T) {
-	t.Setenv(QueueEnvVar, "heap")
-	e := New()
-	if !e.useHeap {
-		t.Fatalf("%s=heap did not select the heap queue", QueueEnvVar)
-	}
-	var got []int
-	e.Schedule(2, func() { got = append(got, 2) })
-	e.Schedule(1, func() { got = append(got, 1) })
-	e.Run(0)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("heap engine order = %v", got)
-	}
-}
-
 func TestBucketQueueWindowReuse(t *testing.T) {
 	// Cycle through many windows to exercise bucket reset and window
 	// jumps; Pending must track exactly.
-	e := NewBucketed()
+	e := New()
 	count := 0
 	var tick func()
 	tick = func() {
@@ -227,16 +204,16 @@ func TestBucketQueueWindowReuse(t *testing.T) {
 	}
 }
 
-// TestZeroDelayDifferential stresses the zero-delay micro-FIFO fast
-// path against the reference heap: random event cascades that mix
-// Schedule(0, …) chains (which ride the micro FIFO) with 1-cycle and
-// far-future delays (which round-trip the real queue) must execute in
-// the identical order on both engines. This is the scheduling-order
-// guarantee the fused access events rely on — a zero-delay follow-up
-// runs after everything already queued for the current cycle, in
-// schedule order among its peers, whichever queue backs the engine.
+// TestZeroDelayDifferential stresses zero-delay scheduling against the
+// reference heap. A zero-delay event appends to the current cycle's
+// bucket, so it must run after everything already queued for this
+// cycle, in schedule order among its peers. Random cascades mix
+// Schedule(0, …) chains with 1-cycle and far-future delays; a
+// structured schedule then pins the bucket states the append meets: a
+// bucket that is partly drained, one holding more than bucketSlots
+// events, and one just refilled from the far heap after a window jump.
 func TestZeroDelayDifferential(t *testing.T) {
-	run := func(e *Engine, seed int64) []int {
+	run := func(e scheduler, seed int64) []int {
 		rng := rand.New(rand.NewSource(seed))
 		var got []int
 		n := 0
@@ -251,9 +228,9 @@ func TestZeroDelayDifferential(t *testing.T) {
 			for i := 0; i < rng.Intn(4); i++ {
 				var delay Cycle
 				switch rng.Intn(5) {
-				case 0, 1: // zero-delay chain: micro-FIFO territory
+				case 0, 1: // zero-delay chain into the current bucket
 					delay = 0
-				case 2: // next cycle: forces a real queue round trip
+				case 2: // next cycle
 					delay = 1
 				case 3: // in-window
 					delay = Cycle(1 + rng.Intn(20))
@@ -274,17 +251,90 @@ func TestZeroDelayDifferential(t *testing.T) {
 		return got
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		a := run(NewBucketed(), seed)
-		b := run(NewWithHeap(), seed)
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: bucketed ran %d events, heap ran %d", seed, len(a), len(b))
+		runBoth(t, fmt.Sprintf("seed %d", seed), func(e scheduler) []int { return run(e, seed) })
+	}
+
+	seen := map[string]bool{}
+	runBoth(t, "structured", func(e scheduler) []int { return zeroDelayCorners(e, seen) })
+	for _, state := range []string{"partly drained", "overfull", "refilled"} {
+		if !seen[state] {
+			t.Errorf("structured schedule never pushed zero-delay events into a %s bucket", state)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: queues diverge at event %d: %d vs %d", seed, i, a[i], b[i])
+	}
+}
+
+// zeroDelayCorners runs a fixed schedule whose handlers push zero-delay
+// chains into the current cycle's bucket while it is partly drained,
+// while it holds more than bucketSlots events, and right after a window
+// jump refilled it from the far heap. On the production engine it
+// records in seen which of those states each handler found.
+func zeroDelayCorners(e scheduler, seen map[string]bool) []int {
+	var got []int
+	probe := func() {
+		eng, ok := e.(*Engine)
+		if !ok {
+			return
+		}
+		b := &eng.q.buckets[uint64(eng.now)&bucketMask]
+		if b.head > 0 && b.head < len(b.items) {
+			seen["partly drained"] = true
+		}
+		if len(b.items) > bucketSlots {
+			seen["overfull"] = true
+		}
+		if eng.now > 0 && eng.q.start == eng.now && b.head < len(b.items) {
+			seen["refilled"] = true
+		}
+	}
+	next := 100
+	// fire records id and, when depth > 0, schedules three zero-delay
+	// children (closures and runners alternating) that recurse.
+	var fire func(id, depth int) Event
+	fire = func(id, depth int) Event {
+		return func() {
+			got = append(got, id)
+			probe()
+			for k := 0; depth > 0 && k < 3; k++ {
+				next++
+				child := fire(next, depth-1)
+				if k%2 == 0 {
+					e.Schedule(0, child)
+				} else {
+					e.ScheduleRunner(0, &kickRunner{child})
+				}
 			}
 		}
 	}
+	// Six events in one cycle, more than bucketSlots; the second spawns
+	// chains while four of its peers are still queued.
+	for i := 0; i < 6; i++ {
+		depth := 0
+		if i == 1 {
+			depth = 2
+		}
+		e.ScheduleAt(10, fire(i, depth))
+	}
+	// Six events on one far cycle, filed into the far heap from two
+	// points in time. Once everything earlier drains, the window jumps
+	// to that cycle and refills; the first refilled event spawns chains
+	// behind its five refilled peers.
+	far := Cycle(numBuckets*3 + 17)
+	for i := 0; i < 3; i++ {
+		depth := 0
+		if i == 0 {
+			depth = 2
+		}
+		e.ScheduleAt(far, fire(20+i, depth))
+	}
+	e.ScheduleAt(40, func() {
+		got = append(got, 30)
+		for i := 0; i < 3; i++ {
+			e.ScheduleAt(far, fire(31+i, 0))
+		}
+	})
+	e.ScheduleAt(far+1, fire(40, 1))
+	e.Run(0)
+	return got
 }
 
 // kickRunner adapts a closure to the Runner interface so differential
@@ -302,10 +352,7 @@ func (r *kickRunner) Run() { r.fn() }
 // one far cycle — and a neighbour event one full ring period earlier
 // (same slot index, different window) must not perturb them.
 func TestSameCycleTieBreakAcrossRingWrap(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		newE func() *Engine
-	}{{"bucketed", NewBucketed}, {"heap", NewWithHeap}} {
+	for _, mk := range engines {
 		t.Run(mk.name, func(t *testing.T) {
 			e := mk.newE()
 			const target = Cycle(numBuckets*3 + 5) // well past two wraps
@@ -351,10 +398,10 @@ func TestFreshRingFillsWithoutGrowing(t *testing.T) {
 		q.buckets, q.occ = q.store.buckets, q.store.occ
 		for c := Cycle(0); c < numBuckets; c++ {
 			for k := uint64(0); k < bucketSlots; k++ {
-				q.push(item{at: c, seq: uint64(c)*bucketSlots + k, r: r})
+				q.pushRing(c, r)
 			}
 		}
-		for q.size > 0 {
+		for q.inWin > 0 {
 			q.pop()
 		}
 	})

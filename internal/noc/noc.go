@@ -87,14 +87,22 @@ const numVnets = 3
 //
 // FIFO-channel and link occupancy state are dense slices indexed by
 // (src, dst, vnet) and (from, to) — the node count is small and fixed,
-// so this replaces two map lookups per message on the hot path.
+// so this replaces two map lookups per message on the hot path. The
+// routing itself is fixed too, so New tabulates every pair's hop count
+// (and, under the contention model, its link route) once, and a
+// message costs one table load instead of a coordinate computation.
 type Mesh struct {
 	cfg   Config
 	eng   *engine.Engine
 	st    *stats.Stats
 	last  []engine.Cycle // per (src*nodes+dst)*numVnets+vnet: last delivery cycle
 	links []engine.Cycle // per from*nodes+to: busy-until (contention mode)
-	nodes int
+	hops  []int32        // per src*nodes+dst: routed hop count
+	// Contention mode only: the links (from*nodes+to) of pair p's route
+	// are routes[routeAt[p]:routeAt[p+1]], in traversal order.
+	routes  []int32
+	routeAt []int32
+	nodes   int
 }
 
 // LinkCount reports how many directed links the topology has — the
@@ -122,14 +130,32 @@ func New(cfg Config, eng *engine.Engine, st *stats.Stats) (*Mesh, error) {
 		return nil, fmt.Errorf("noc: bad flit size %d", cfg.FlitBytes)
 	}
 	nodes := cfg.DimX * cfg.DimY
-	return &Mesh{
+	m := &Mesh{
 		cfg:   cfg,
 		eng:   eng,
 		st:    st,
 		last:  make([]engine.Cycle, nodes*nodes*numVnets),
 		links: make([]engine.Cycle, nodes*nodes),
+		hops:  make([]int32, nodes*nodes),
 		nodes: nodes,
-	}, nil
+	}
+	for src := 0; src < nodes; src++ {
+		for dst := 0; dst < nodes; dst++ {
+			m.hops[src*nodes+dst] = int32(m.distance(src, dst))
+		}
+	}
+	if cfg.ModelContention {
+		m.routeAt = make([]int32, nodes*nodes+1)
+		for p := 0; p < nodes*nodes; p++ {
+			prev := p / nodes
+			for _, next := range m.Path(prev, p%nodes) {
+				m.routes = append(m.routes, int32(prev*nodes+next))
+				prev = next
+			}
+			m.routeAt[p+1] = int32(len(m.routes))
+		}
+	}
+	return m, nil
 }
 
 // Path returns the route from src to dst as node hops (excluding src
@@ -183,7 +209,10 @@ func (m *Mesh) Nodes() int { return m.nodes }
 // Hops returns the routed hop count between two nodes: Manhattan
 // distance on the mesh, shortest direction on the ring, one on the
 // crossbar.
-func (m *Mesh) Hops(src, dst int) int {
+func (m *Mesh) Hops(src, dst int) int { return int(m.hops[src*m.nodes+dst]) }
+
+// distance computes Hops from the node coordinates; New tabulates it.
+func (m *Mesh) distance(src, dst int) int {
 	if src == dst {
 		return 0
 	}
@@ -213,12 +242,16 @@ func (m *Mesh) Flits(bytes int) int {
 // Latency computes the delivery latency for a message, excluding FIFO
 // back-pressure.
 func (m *Mesh) Latency(src, dst, bytes int) engine.Cycle {
-	if src == dst {
+	return m.latency(src*m.nodes+dst, m.Flits(bytes))
+}
+
+// latency is Latency for a pair index src*nodes+dst and a flit count.
+func (m *Mesh) latency(pair, flits int) engine.Cycle {
+	hops := m.hops[pair]
+	if hops == 0 {
 		return m.cfg.LocalLat
 	}
-	hops := engine.Cycle(m.Hops(src, dst))
-	flits := engine.Cycle(m.Flits(bytes))
-	return m.cfg.RouterLat + hops*m.cfg.HopLatency + (flits-1)*m.cfg.SerialLat
+	return m.cfg.RouterLat + engine.Cycle(hops)*m.cfg.HopLatency + engine.Cycle(flits-1)*m.cfg.SerialLat
 }
 
 // Lookahead is the PDES lookahead contract: no message between two
@@ -277,20 +310,20 @@ func (m *Mesh) Arrival(now engine.Cycle, src, dst, vnet, bytes int, st *stats.St
 	if vnet < 0 || vnet >= numVnets {
 		panic(fmt.Sprintf("noc: vnet out of range: %d", vnet))
 	}
+	pair := src*m.nodes + dst
 	flits := m.Flits(bytes)
-	hops := m.Hops(src, dst)
 	st.Messages++
 	st.Flits += uint64(flits)
-	st.FlitHops += uint64(flits * hops)
+	st.FlitHops += uint64(flits) * uint64(m.hops[pair])
 
 	if m.cfg.ModelContention && src != dst {
-		at, stall = m.reserve(now, src, dst, flits, st)
+		at, stall = m.reserve(now, pair, flits, st)
 	} else {
-		at = now + m.Latency(src, dst, bytes)
+		at = now + m.latency(pair, flits)
 	}
 	// last holds (previous delivery cycle + 1), so the zero value means
 	// "channel never used" and preserves FIFO order otherwise.
-	idx := (src*m.nodes+dst)*numVnets + vnet
+	idx := pair*numVnets + vnet
 	if floor := m.last[idx]; at < floor {
 		at = floor
 	}
@@ -298,31 +331,28 @@ func (m *Mesh) Arrival(now engine.Cycle, src, dst, vnet, bytes int, st *stats.St
 	return at, stall
 }
 
-// reserve walks the XY path claiming each link in turn (wormhole
-// style): the head flit waits for the link to drain, then the message
-// occupies it for one serialization slot per flit. The returned cycle
-// is the tail's arrival at the destination; queueing beyond the
+// reserve walks pair's stored route claiming each link in turn
+// (wormhole style): the head flit waits for the link to drain, then the
+// message occupies it for one serialization slot per flit. The returned
+// cycle is the tail's arrival at the destination; queueing beyond the
 // uncontended latency is the returned stall, also accrued to the
 // LinkStallCycles counter.
-func (m *Mesh) reserve(now engine.Cycle, src, dst int, flits int, st *stats.Stats) (arrival, stall engine.Cycle) {
+func (m *Mesh) reserve(now engine.Cycle, pair, flits int, st *stats.Stats) (arrival, stall engine.Cycle) {
 	occupancy := engine.Cycle(flits) * m.cfg.SerialLat
 	if occupancy == 0 {
 		occupancy = 1
 	}
 	head := now + m.cfg.RouterLat
-	prev := src
-	for _, next := range m.Path(src, dst) {
-		l := prev*m.nodes + next
+	for _, l := range m.routes[m.routeAt[pair]:m.routeAt[pair+1]] {
 		start := head
 		if busy := m.links[l]; busy > start {
 			start = busy
 		}
 		m.links[l] = start + occupancy
 		head = start + m.cfg.HopLatency
-		prev = next
 	}
 	arrival = head + engine.Cycle(flits-1)*m.cfg.SerialLat
-	if base := now + m.Latency(src, dst, flits*m.cfg.FlitBytes); arrival > base {
+	if base := now + m.latency(pair, flits); arrival > base {
 		stall = arrival - base
 		st.LinkStallCycles += uint64(stall)
 	}

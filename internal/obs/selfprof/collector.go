@@ -53,9 +53,6 @@ func (c *Collector) Add(r *Report) {
 	if r.Queue.FarHigh > a.Queue.FarHigh {
 		a.Queue.FarHigh = r.Queue.FarHigh
 	}
-	if r.Queue.MicroHigh > a.Queue.MicroHigh {
-		a.Queue.MicroHigh = r.Queue.MicroHigh
-	}
 	if r.WidthMax > a.WidthMax {
 		a.WidthMax = r.WidthMax
 	}

@@ -60,7 +60,6 @@ type QueueTotals struct {
 	LimitCuts  uint64 `json:"limit_cuts"`
 	RingHigh   int    `json:"ring_high"`
 	FarHigh    int    `json:"far_high"`
-	MicroHigh  int    `json:"micro_high"`
 }
 
 func (q *QueueTotals) add(ts *TileShard) {
@@ -74,9 +73,6 @@ func (q *QueueTotals) add(ts *TileShard) {
 	}
 	if ts.Queue.FarHigh > q.FarHigh {
 		q.FarHigh = ts.Queue.FarHigh
-	}
-	if ts.Queue.MicroHigh > q.MicroHigh {
-		q.MicroHigh = ts.Queue.MicroHigh
 	}
 }
 
@@ -104,7 +100,6 @@ type TileReport struct {
 	LimitCuts       uint64  `json:"limit_cuts"`
 	RingHigh        int     `json:"ring_high"`
 	FarHigh         int     `json:"far_high"`
-	MicroHigh       int     `json:"micro_high"`
 	SpansKept       int     `json:"spans_kept"`
 	SpansDropped    uint64  `json:"spans_dropped"`
 }
@@ -164,7 +159,6 @@ func (p *Profile) Report() *Report {
 			LimitCuts:       ts.Queue.LimitCuts,
 			RingHigh:        ts.Queue.RingHigh,
 			FarHigh:         ts.Queue.FarHigh,
-			MicroHigh:       ts.Queue.MicroHigh,
 			SpansKept:       len(ts.Spans()),
 			SpansDropped:    ts.spans.dropped(),
 		}
@@ -204,10 +198,10 @@ func (r *Report) WriteSummary(w io.Writer) {
 		fmt.Fprintf(w, " wall: loop %s = run %s + bookkeeping %s; coord-wait %s; merge %s\n",
 			ns(r.LoopNs), ns(r.RunNs), ns(r.BookkeepingNs), ns(r.CoordWaitNs), ns(r.MergeNs))
 	}
-	fmt.Fprintf(w, " queue: ring %d, far %d, zero-delay %d, refusals %d, limit-cuts %d, high ring/far/micro %d/%d/%d\n",
+	fmt.Fprintf(w, " queue: ring %d, far %d, zero-delay %d, refusals %d, limit-cuts %d, high ring/far %d/%d\n",
 		r.Queue.RingPushes, r.Queue.FarPushes, r.Queue.MicroHits,
 		r.Queue.Refusals, r.Queue.LimitCuts,
-		r.Queue.RingHigh, r.Queue.FarHigh, r.Queue.MicroHigh)
+		r.Queue.RingHigh, r.Queue.FarHigh)
 
 	if len(r.WorkerWait) > 0 {
 		tw := tabwriter.NewWriter(w, 2, 2, 2, ' ', 0)

@@ -97,7 +97,7 @@ type TileShard struct {
 	SkippedWithWork uint64 // idle rounds where work was queued but the bound didn't clear its peek
 	Events          uint64 // events processed across busy rounds
 	WallNs          int64  // wall-clock inside RunUntil across busy rounds
-	MicroHits       uint64 // zero-delay fast-path hits (engine.MicroHits, filled at finish)
+	MicroHits       uint64 // zero-delay schedules (engine.MicroHits, filled at finish)
 
 	// CurRound is the round number this tile was dealt into, written by
 	// the coordinator before the epoch release so the executing worker
