@@ -170,10 +170,10 @@ func pctDelta(old, new float64) string {
 }
 
 // exactCounters are the benchmark metrics that count what the
-// simulation did (events run and messages sent per access) rather than
+// simulation did (events run and messages sent in one run) rather than
 // how fast it ran. They do not vary from run to run, so the gate allows
 // them no tolerance.
-var exactCounters = []string{"events_per_access", "msgs_per_access"}
+var exactCounters = []string{"events_per_op", "msgs_per_op"}
 
 // gateFailures evaluates the perf-regression gate: each benchmark
 // present in both runs is compared on throughput (accesses_per_s,
@@ -183,9 +183,10 @@ var exactCounters = []string{"events_per_access", "msgs_per_access"}
 // improvements and within-band noise pass. A benchmark also fails when
 // its median allocs_per_op rises above the baseline's by more than the
 // same tolPct percent (skipped when either side lacks the metric), and
-// when any exactCounters metric differs from the baseline's at all. The
-// returned messages are the failures — empty means the gate is green.
-func gateFailures(base, medians map[string]map[string]float64, tolPct float64) []string {
+// when any exactCounters metric differs from the baseline's at all. It
+// returns the failures (empty means the gate is green) and notes on the
+// exact counters it could not compare because only one side has them.
+func gateFailures(base, medians map[string]map[string]float64, tolPct float64) (fails, notes []string) {
 	var names []string
 	for name := range medians {
 		if _, ok := base[name]; ok {
@@ -193,7 +194,6 @@ func gateFailures(base, medians map[string]map[string]float64, tolPct float64) [
 		}
 	}
 	sort.Strings(names)
-	var fails []string
 	checked := 0
 	for _, name := range names {
 		nv, ov := medians[name], base[name]
@@ -207,10 +207,14 @@ func gateFailures(base, medians map[string]map[string]float64, tolPct float64) [
 		for _, k := range exactCounters {
 			n, hasN := nv[k]
 			o, hasO := ov[k]
-			if hasN && hasO && n != o {
+			switch {
+			case hasN && hasO && n != o:
 				fails = append(fails, fmt.Sprintf(
 					"%s: %s %g -> %g (a deterministic count: the simulation changed)",
 					name, k, o, n))
+			case hasN != hasO:
+				notes = append(notes, fmt.Sprintf("%s: %s not compared: in baseline %t, in this run %t",
+					name, k, hasO, hasN))
 			}
 		}
 		if n, o := nv["accesses_per_s"], ov["accesses_per_s"]; n > 0 && o > 0 {
@@ -234,7 +238,7 @@ func gateFailures(base, medians map[string]map[string]float64, tolPct float64) [
 	if checked == 0 {
 		fails = append(fails, "no comparable benchmarks between the baseline and this run")
 	}
-	return fails
+	return fails, notes
 }
 
 func main() {
@@ -316,7 +320,10 @@ func main() {
 	w.Flush()
 
 	if *gate > 0 {
-		fails := gateFailures(base, medians, *gate)
+		fails, notes := gateFailures(base, medians, *gate)
+		for _, n := range notes {
+			fmt.Fprintln(os.Stderr, "protozoa-benchdiff: note:", n)
+		}
 		if len(fails) > 0 {
 			for _, f := range fails {
 				fmt.Fprintln(os.Stderr, "protozoa-benchdiff: GATE FAIL:", f)

@@ -96,7 +96,7 @@ func TestGateFailures(t *testing.T) {
 	}
 
 	t.Run("within-band passes", func(t *testing.T) {
-		got := gateFailures(base, map[string]map[string]float64{
+		got, _ := gateFailures(base, map[string]map[string]float64{
 			"sequential": gateMetrics(950_000, 42_000_000), // -5% throughput
 			"workers4":   gateMetrics(2_500_000, 16_000_000),
 		}, 10)
@@ -106,7 +106,7 @@ func TestGateFailures(t *testing.T) {
 	})
 
 	t.Run("throughput drop beyond band fails", func(t *testing.T) {
-		got := gateFailures(base, map[string]map[string]float64{
+		got, _ := gateFailures(base, map[string]map[string]float64{
 			"sequential": gateMetrics(800_000, 50_000_000), // -20%
 			"workers4":   gateMetrics(2_000_000, 20_000_000),
 		}, 10)
@@ -118,13 +118,13 @@ func TestGateFailures(t *testing.T) {
 
 	t.Run("falls back to ns_per_op", func(t *testing.T) {
 		old := map[string]map[string]float64{"sequential": gateMetrics(0, 40_000_000)}
-		got := gateFailures(old, map[string]map[string]float64{
+		got, _ := gateFailures(old, map[string]map[string]float64{
 			"sequential": gateMetrics(900_000, 50_000_000), // +25% ns/op
 		}, 10)
 		if len(got) != 1 || !strings.Contains(got[0], "ns_per_op") {
 			t.Errorf("failures = %v", got)
 		}
-		got = gateFailures(old, map[string]map[string]float64{
+		got, _ = gateFailures(old, map[string]map[string]float64{
 			"sequential": gateMetrics(900_000, 41_000_000), // +2.5% ns/op
 		}, 10)
 		if len(got) != 0 {
@@ -133,7 +133,7 @@ func TestGateFailures(t *testing.T) {
 	})
 
 	t.Run("benchmarks absent from the baseline are skipped", func(t *testing.T) {
-		got := gateFailures(base, map[string]map[string]float64{
+		got, _ := gateFailures(base, map[string]map[string]float64{
 			"sequential": gateMetrics(1_000_000, 40_000_000),
 			"workers16":  gateMetrics(1, 1_000_000_000), // new benchmark, no baseline
 		}, 10)
@@ -151,7 +151,7 @@ func TestGateFailures(t *testing.T) {
 			"sequential": withAllocs(gateMetrics(1_000_000, 40_000_000), 10_000),
 			"workers4":   gateMetrics(2_000_000, 20_000_000), // predates allocs
 		}
-		got := gateFailures(old, map[string]map[string]float64{
+		got, _ := gateFailures(old, map[string]map[string]float64{
 			"sequential": withAllocs(gateMetrics(1_100_000, 36_000_000), 12_000), // +20%
 			"workers4":   withAllocs(gateMetrics(2_000_000, 20_000_000), 99_000),
 		}, 10)
@@ -159,7 +159,7 @@ func TestGateFailures(t *testing.T) {
 			!strings.Contains(got[0], "allocs_per_op") {
 			t.Errorf("failures = %v", got)
 		}
-		got = gateFailures(old, map[string]map[string]float64{
+		got, _ = gateFailures(old, map[string]map[string]float64{
 			"sequential": withAllocs(gateMetrics(1_000_000, 40_000_000), 10_500), // +5%
 		}, 10)
 		if len(got) != 0 {
@@ -170,32 +170,42 @@ func TestGateFailures(t *testing.T) {
 	t.Run("any change in a deterministic count fails", func(t *testing.T) {
 		withCounts := func(events, msgs float64) map[string]float64 {
 			m := gateMetrics(1_000_000, 40_000_000)
-			m["events_per_access"] = events
-			m["msgs_per_access"] = msgs
+			m["events_per_op"] = events
+			m["msgs_per_op"] = msgs
 			return m
 		}
 		old := map[string]map[string]float64{
-			"sequential": withCounts(2.301, 0.9312),
+			"sequential": withCounts(4_104_512, 1_728_003),
 			"workers4":   gateMetrics(1_000_000, 40_000_000), // predates the counts
 		}
-		got := gateFailures(old, map[string]map[string]float64{
-			"sequential": withCounts(2.301, 0.9312),
+		got, notes := gateFailures(old, map[string]map[string]float64{
+			"sequential": withCounts(4_104_512, 1_728_003),
 			"workers4":   withCounts(9, 9),
 		}, 10)
 		if len(got) != 0 {
 			t.Errorf("unexpected failures: %v", got)
 		}
-		got = gateFailures(old, map[string]map[string]float64{
-			"sequential": withCounts(2.302, 0.9311), // far inside the tolerance
+		// Counts on one side only are not compared, but said so.
+		if len(notes) != 2 || !strings.Contains(notes[0], "workers4: events_per_op not compared: in baseline false, in this run true") {
+			t.Errorf("notes = %v", notes)
+		}
+		got, notes = gateFailures(old, map[string]map[string]float64{
+			"sequential": withCounts(4_104_513, 1_728_002), // one event, one message
 		}, 10)
-		if len(got) != 2 || !strings.Contains(got[0], "events_per_access") ||
-			!strings.Contains(got[1], "msgs_per_access") {
-			t.Errorf("failures = %v", got)
+		if len(got) != 2 || !strings.Contains(got[0], "events_per_op") ||
+			!strings.Contains(got[1], "msgs_per_op") || len(notes) != 0 {
+			t.Errorf("failures = %v, notes = %v", got, notes)
+		}
+		got, notes = gateFailures(old, map[string]map[string]float64{
+			"sequential": gateMetrics(1_000_000, 40_000_000),
+		}, 10)
+		if len(got) != 0 || len(notes) != 2 || !strings.Contains(notes[1], "sequential: msgs_per_op not compared: in baseline true, in this run false") {
+			t.Errorf("failures = %v, notes = %v", got, notes)
 		}
 	})
 
 	t.Run("nothing comparable fails closed", func(t *testing.T) {
-		got := gateFailures(base, map[string]map[string]float64{
+		got, _ := gateFailures(base, map[string]map[string]float64{
 			"renamed": gateMetrics(1_000_000, 40_000_000),
 		}, 10)
 		if len(got) != 1 || !strings.Contains(got[0], "no comparable") {

@@ -129,12 +129,12 @@ func profileCmd(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(profile.Analyze(spec.Streams(*f.cores, *f.scale), mem.DefaultGeometry).Render(*one))
+		fmt.Print(profile.Analyze(spec.Records(*f.cores, *f.scale, 0), mem.DefaultGeometry).Render(*one))
 		return nil
 	}
 	fmt.Print(profile.SummaryHeader())
 	for _, spec := range workloads.All() {
-		fmt.Print(profile.Analyze(spec.Streams(*f.cores, *f.scale), mem.DefaultGeometry).SummaryRow(spec.Name))
+		fmt.Print(profile.Analyze(spec.Records(*f.cores, *f.scale, 0), mem.DefaultGeometry).SummaryRow(spec.Name))
 	}
 	return nil
 }

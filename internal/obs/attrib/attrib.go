@@ -59,22 +59,13 @@ const (
 	NumPatterns
 )
 
+var patternNames = [NumPatterns]string{
+	"untouched", "private", "read-only", "partitioned", "false-shared", "migratory", "read-write",
+}
+
 func (p Pattern) String() string {
-	switch p {
-	case Untouched:
-		return "untouched"
-	case Private:
-		return "private"
-	case ReadOnly:
-		return "read-only"
-	case Partitioned:
-		return "partitioned"
-	case FalseShared:
-		return "false-shared"
-	case Migratory:
-		return "migratory"
-	case ReadWrite:
-		return "read-write"
+	if p < NumPatterns {
+		return patternNames[p]
 	}
 	return fmt.Sprintf("Pattern(%d)", uint8(p))
 }
@@ -333,7 +324,8 @@ func (t *Tracker) Merge(o *Tracker) {
 // as the run grows.
 const falseShareAccessesPerChurn = 64
 
-// classify derives the region's sharing pattern from its footprints.
+// classify derives the region's sharing pattern from its footprints;
+// internal/profile coarsens it into the Section 2 classes.
 func (t *Tracker) classify(r *regionState) Pattern {
 	touchers, writers := 0, 0
 	for c := 0; c < t.cores; c++ {
@@ -506,9 +498,11 @@ func (s *Summary) Add(o Summary) {
 
 // RegionInfo is one region's attribution snapshot.
 type RegionInfo struct {
-	Region  mem.RegionID
-	Pattern Pattern
-	Sharers int // cores that touched the region
+	Region       mem.RegionID
+	Pattern      Pattern
+	Sharers      int    // cores that touched the region
+	Accesses     uint64 // CPU references to the region
+	WordsTouched int    // distinct words any core touched
 
 	FetchedWords, UsedWords, UnusedWords uint64
 	Fills                                uint64
@@ -526,9 +520,11 @@ type RegionInfo struct {
 
 func (t *Tracker) info(r *regionState) RegionInfo {
 	sharers := 0
+	var touched mem.Bitmap
 	for c := 0; c < t.cores; c++ {
-		if r.foot[c]|r.foot[t.cores+c] != 0 {
+		if f := r.foot[c] | r.foot[t.cores+c]; f != 0 {
 			sharers++
+			touched |= f
 		}
 	}
 	offender, best := -1, uint32(0)
@@ -539,6 +535,7 @@ func (t *Tracker) info(r *regionState) RegionInfo {
 	}
 	return RegionInfo{
 		Region: r.id, Pattern: r.pattern, Sharers: sharers,
+		Accesses: r.accesses, WordsTouched: touched.Count(),
 		FetchedWords: r.fetched, UsedWords: r.used, UnusedWords: r.unused,
 		Fills:         r.fills,
 		Invalidations: r.invals, InvWordsLost: r.invWords,
@@ -548,13 +545,19 @@ func (t *Tracker) info(r *regionState) RegionInfo {
 	}
 }
 
+// Regions snapshots every region, in no particular order.
+func (t *Tracker) Regions() []RegionInfo {
+	t.flushDirty()
+	out := make([]RegionInfo, 0, t.nregions)
+	t.regions.Each(func(r *regionState) { out = append(out, t.info(r)) })
+	return out
+}
+
 // TopOffenders returns the n regions responsible for the most wasted
 // and invalidation-churned bytes, worst first. Ordering is
 // deterministic: score, then invalidations, then region id.
 func (t *Tracker) TopOffenders(n int) []RegionInfo {
-	t.flushDirty()
-	out := make([]RegionInfo, 0, t.nregions)
-	t.regions.Each(func(r *regionState) { out = append(out, t.info(r)) })
+	out := t.Regions()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Score != b.Score {

@@ -1,8 +1,10 @@
-// Package profile analyzes a workload's access streams without
-// simulating a machine: the Section 2 motivation methodology. For each
-// region it classifies the sharing pattern (private, read-only shared,
-// false shared, true shared) and measures the spatial footprint
-// (distinct words touched), the numbers behind the paper's claims that
+// Package profile analyzes a workload's access records without
+// simulating a machine: the Section 2 motivation methodology. It feeds
+// every record to an attribution tracker (internal/obs/attrib, the
+// repo's one sharing classifier), coarsens each region's pattern into
+// the four Section 2 classes (private, read-only shared, false shared,
+// true shared) and measures the spatial footprint (distinct words
+// touched): the numbers behind the paper's claims that
 // storage/communication and coherence granularity need independent,
 // per-application regulation.
 package profile
@@ -11,50 +13,55 @@ import (
 	"fmt"
 	"strings"
 
-	"protozoa/internal/directory"
 	"protozoa/internal/mem"
+	"protozoa/internal/obs/attrib"
 	"protozoa/internal/trace"
 )
 
-// Sharing classifies one region's access pattern.
+// Sharing is a region's Section 2 class: an attribution pattern
+// coarsened by Class.
 type Sharing uint8
 
 const (
-	// Private: a single core touches the region.
-	Private Sharing = iota
-	// ReadOnlyShared: several cores touch it, nobody writes.
-	ReadOnlyShared
-	// FalseShared: several cores touch it and at least one writes, but
-	// no single word is touched by two cores with a writer among them —
-	// the sharing exists only at region granularity.
-	FalseShared
-	// TrueShared: some word is accessed by multiple cores with at least
-	// one writer: communication the coherence protocol must mediate at
-	// any granularity.
-	TrueShared
+	Private        Sharing = iota // one core touches the region
+	ReadOnlyShared                // several cores, no writer
+	FalseShared                   // writers, but sharing only at region granularity
+	TrueShared                    // a word shared by several cores with a writer
 )
+
+var sharingNames = [...]string{"private", "read-only", "false-shared", "true-shared"}
 
 // String returns the classification label.
 func (s Sharing) String() string {
-	switch s {
-	case Private:
-		return "private"
-	case ReadOnlyShared:
-		return "read-only"
-	case FalseShared:
-		return "false-shared"
-	case TrueShared:
-		return "true-shared"
+	if int(s) < len(sharingNames) {
+		return sharingNames[s]
 	}
 	return fmt.Sprintf("Sharing(%d)", uint8(s))
 }
+
+// classes is the coarsening behind Class. It drops the churn gate
+// between Partitioned and FalseShared, the one input a trace lacks (the
+// protocol's invalidations), and merges Migratory with ReadWrite, which
+// Section 2 does not tell apart.
+var classes = [attrib.NumPatterns]Sharing{
+	attrib.Private:     Private,
+	attrib.ReadOnly:    ReadOnlyShared,
+	attrib.Partitioned: FalseShared,
+	attrib.FalseShared: FalseShared,
+	attrib.Migratory:   TrueShared,
+	attrib.ReadWrite:   TrueShared,
+}
+
+// Class coarsens an attribution pattern into its Section 2 class.
+// Untouched, which no profiled region can be, maps to Private.
+func Class(p attrib.Pattern) Sharing { return classes[p] }
 
 // Report is a workload's sharing/locality profile.
 type Report struct {
 	Geom     mem.Geometry
 	Accesses uint64
 	Loads    uint64
-	Stores   uint64
+	Stores   uint64 // includes RMWs (trace.Kind.Writes)
 
 	Regions        int
 	RegionsByClass [4]int // indexed by Sharing
@@ -68,86 +75,52 @@ type Report struct {
 	// exactly k distinct words: the upper bound any spatial predictor
 	// can exploit.
 	WordsTouchedHist [mem.MaxRegionWords]uint64
+
+	regions []attrib.RegionInfo // the tracker's snapshot, for Mismatches
 }
 
-// regionInfo accumulates per-region facts during analysis.
-type regionInfo struct {
-	cores    directory.NodeSet
-	writers  directory.NodeSet
-	accesses uint64
-	// per-word touched/written core sets
-	wordCores   [mem.MaxRegionWords]directory.NodeSet
-	wordWriters [mem.MaxRegionWords]directory.NodeSet
-}
-
-// Analyze drains the streams and builds the profile. Streams are
-// consumed; pass freshly built ones.
-func Analyze(streams []trace.Stream, geom mem.Geometry) *Report {
+// Analyze profiles per-core access records (element c is core c's
+// stream, as workloads.Spec.Records returns them). It only reads recs.
+func Analyze(recs [][]trace.Access, geom mem.Geometry) *Report {
 	r := &Report{Geom: geom}
-	regions := make(map[mem.RegionID]*regionInfo)
-	for coreID, s := range streams {
-		for {
-			a, ok := s.Next()
-			if !ok {
-				break
-			}
+	tr := attrib.New(len(recs))
+	for core, accs := range recs {
+		for _, a := range accs {
 			if a.Kind == trace.Barrier {
 				continue
 			}
-			r.Accesses++
-			if a.Kind == trace.Store {
+			if a.Kind.Writes() {
 				r.Stores++
-			} else {
-				r.Loads++
 			}
-			reg, w := geom.Region(a.Addr), geom.WordOffset(a.Addr)
-			info := regions[reg]
-			if info == nil {
-				info = &regionInfo{}
-				regions[reg] = info
-			}
-			info.accesses++
-			info.cores = info.cores.Add(coreID)
-			info.wordCores[w] = info.wordCores[w].Add(coreID)
-			if a.Kind == trace.Store {
-				info.writers = info.writers.Add(coreID)
-				info.wordWriters[w] = info.wordWriters[w].Add(coreID)
-			}
+			tr.Access(core, geom.Region(a.Addr), geom.WordOffset(a.Addr), a.Kind.Writes())
 		}
 	}
-
-	r.Regions = len(regions)
-	words := geom.WordsPerRegion()
-	for _, info := range regions {
-		class := classify(info, words)
+	r.regions = tr.Regions()
+	r.Regions = len(r.regions)
+	for _, ri := range r.regions {
+		class := Class(ri.Pattern)
 		r.RegionsByClass[class]++
-		r.AccessesByClass[class] += info.accesses
-		touched := 0
-		for w := 0; w < words; w++ {
-			if !info.wordCores[w].Empty() {
-				touched++
-			}
-		}
-		if touched >= 1 {
-			r.WordsTouchedHist[touched-1]++
-		}
+		r.AccessesByClass[class] += ri.Accesses
+		r.Accesses += ri.Accesses
+		r.WordsTouchedHist[ri.WordsTouched-1]++
 	}
+	r.Loads = r.Accesses - r.Stores
 	return r
 }
 
-func classify(info *regionInfo, words int) Sharing {
-	if info.cores.Count() <= 1 {
-		return Private
-	}
-	if info.writers.Empty() {
-		return ReadOnlyShared
-	}
-	for w := 0; w < words; w++ {
-		if info.wordCores[w].Count() > 1 && !info.wordWriters[w].Empty() {
-			return TrueShared
+// Mismatches reconciles the profile with a simulated run of the same
+// records: it counts the profile's regions whose class the run's
+// tracker does not reproduce (or never saw accessed), plus any surplus
+// of tracker regions. The L1s see exactly the trace's accesses, so
+// anything but 0 is a feeder bug.
+func (r *Report) Mismatches(sim *attrib.Tracker) int {
+	n := max(sim.RegionCount()-len(r.regions), 0)
+	for _, ri := range r.regions {
+		if p := sim.PatternOf(ri.Region); p == attrib.Untouched || Class(p) != Class(ri.Pattern) {
+			n++
 		}
 	}
-	return FalseShared
+	return n
 }
 
 // AvgWordsTouched is the mean lifetime footprint of a touched region,

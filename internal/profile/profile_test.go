@@ -5,23 +5,19 @@ import (
 	"testing"
 
 	"protozoa/internal/mem"
+	"protozoa/internal/obs/attrib"
 	"protozoa/internal/trace"
 	"protozoa/internal/workloads"
 )
 
-func streamsOf(recs ...[]trace.Access) []trace.Stream {
-	out := make([]trace.Stream, len(recs))
-	for i, r := range recs {
-		out[i] = trace.NewSliceStream(r)
-	}
-	return out
-}
+// perCore gathers one record slice per core, Analyze's input.
+func perCore(recs ...[]trace.Access) [][]trace.Access { return recs }
 
 func ld(a mem.Addr) trace.Access { return trace.Access{Kind: trace.Load, Addr: a, PC: 1} }
 func st(a mem.Addr) trace.Access { return trace.Access{Kind: trace.Store, Addr: a, PC: 2} }
 
 func TestClassifyPrivate(t *testing.T) {
-	r := Analyze(streamsOf(
+	r := Analyze(perCore(
 		[]trace.Access{ld(0x0), st(0x8)},
 		[]trace.Access{ld(0x40)},
 	), mem.DefaultGeometry)
@@ -31,7 +27,7 @@ func TestClassifyPrivate(t *testing.T) {
 }
 
 func TestClassifyReadOnlyShared(t *testing.T) {
-	r := Analyze(streamsOf(
+	r := Analyze(perCore(
 		[]trace.Access{ld(0x0)},
 		[]trace.Access{ld(0x8)},
 	), mem.DefaultGeometry)
@@ -42,7 +38,7 @@ func TestClassifyReadOnlyShared(t *testing.T) {
 
 func TestClassifyFalseShared(t *testing.T) {
 	// Two cores write disjoint words of one region.
-	r := Analyze(streamsOf(
+	r := Analyze(perCore(
 		[]trace.Access{st(0x0)},
 		[]trace.Access{st(0x8)},
 	), mem.DefaultGeometry)
@@ -53,7 +49,7 @@ func TestClassifyFalseShared(t *testing.T) {
 
 func TestClassifyTrueShared(t *testing.T) {
 	// One core writes a word another reads.
-	r := Analyze(streamsOf(
+	r := Analyze(perCore(
 		[]trace.Access{st(0x0)},
 		[]trace.Access{ld(0x0)},
 	), mem.DefaultGeometry)
@@ -62,7 +58,7 @@ func TestClassifyTrueShared(t *testing.T) {
 	}
 	// Reader-reader on a word with a writer elsewhere in the region is
 	// still false sharing.
-	r = Analyze(streamsOf(
+	r = Analyze(perCore(
 		[]trace.Access{st(0x0), ld(0x10)},
 		[]trace.Access{ld(0x10)},
 	), mem.DefaultGeometry)
@@ -71,8 +67,63 @@ func TestClassifyTrueShared(t *testing.T) {
 	}
 }
 
+func TestRMWIsAWrite(t *testing.T) {
+	// Two cores RMW one word: true sharing, counted as stores.
+	rmw := trace.Access{Kind: trace.RMW, Addr: 0x0, PC: 3}
+	r := Analyze(perCore(
+		[]trace.Access{rmw},
+		[]trace.Access{rmw},
+	), mem.DefaultGeometry)
+	if r.RegionsByClass[TrueShared] != 1 || r.Stores != 2 || r.Loads != 0 {
+		t.Errorf("true-shared = %d, stores = %d, loads = %d, want 1/2/0",
+			r.RegionsByClass[TrueShared], r.Stores, r.Loads)
+	}
+}
+
+func TestClassCoarsensEveryPattern(t *testing.T) {
+	for p, want := range map[attrib.Pattern]Sharing{
+		attrib.Private: Private, attrib.ReadOnly: ReadOnlyShared,
+		attrib.Partitioned: FalseShared, attrib.FalseShared: FalseShared,
+		attrib.Migratory: TrueShared, attrib.ReadWrite: TrueShared,
+	} {
+		if got := Class(p); got != want {
+			t.Errorf("Class(%v) = %v, want %v", p, got, want)
+		}
+	}
+}
+
+func TestMismatches(t *testing.T) {
+	recs := perCore(
+		[]trace.Access{st(0x0), ld(0x40)},
+		[]trace.Access{ld(0x0)},
+	)
+	r := Analyze(recs, mem.DefaultGeometry)
+	// A tracker fed the same references agrees region for region.
+	sim := attrib.New(2)
+	sim.Access(0, 0, 0, true)
+	sim.Access(0, 1, 0, false)
+	sim.Access(1, 0, 0, false)
+	if n := r.Mismatches(sim); n != 0 {
+		t.Errorf("identical feed: %d mismatches", n)
+	}
+	// A lost write turns region 0 read-only; a stray access adds a
+	// region the profile never saw.
+	sim = attrib.New(2)
+	sim.Access(0, 0, 0, false)
+	sim.Access(0, 1, 0, false)
+	sim.Access(1, 0, 0, false)
+	sim.Access(1, 2, 0, false)
+	if n := r.Mismatches(sim); n != 2 {
+		t.Errorf("lost write + stray region: %d mismatches, want 2", n)
+	}
+	// A region the run never accessed is a mismatch too.
+	if n := r.Mismatches(attrib.New(2)); n != 2 {
+		t.Errorf("empty tracker: %d mismatches, want 2", n)
+	}
+}
+
 func TestFootprintHistogram(t *testing.T) {
-	r := Analyze(streamsOf(
+	r := Analyze(perCore(
 		[]trace.Access{ld(0x0), ld(0x8), ld(0x10)}, // 3 words of region 0
 		[]trace.Access{ld(0x40)},                   // 1 word of region 1
 	), mem.DefaultGeometry)
@@ -88,7 +139,7 @@ func TestFootprintHistogram(t *testing.T) {
 }
 
 func TestBarriersIgnored(t *testing.T) {
-	r := Analyze(streamsOf(
+	r := Analyze(perCore(
 		[]trace.Access{{Kind: trace.Barrier}, ld(0x0)},
 	), mem.DefaultGeometry)
 	if r.Accesses != 1 {
@@ -108,7 +159,7 @@ func TestSharingString(t *testing.T) {
 }
 
 func TestRender(t *testing.T) {
-	r := Analyze(streamsOf([]trace.Access{st(0x0)}), mem.DefaultGeometry)
+	r := Analyze(perCore([]trace.Access{st(0x0)}), mem.DefaultGeometry)
 	out := r.Render("demo")
 	for _, want := range []string{"demo", "private", "false-shared", "footprint"} {
 		if !strings.Contains(out, want) {
@@ -121,7 +172,7 @@ func TestRender(t *testing.T) {
 
 func TestWorkloadProfiles(t *testing.T) {
 	profile := func(name string) *Report {
-		return Analyze(workloads.MustGet(name).Streams(16, 1), mem.DefaultGeometry)
+		return Analyze(workloads.MustGet(name).Records(16, 1, 0), mem.DefaultGeometry)
 	}
 
 	lr := profile("linear-regression")
@@ -153,5 +204,19 @@ func TestWorkloadProfiles(t *testing.T) {
 	sm := profile("string-match")
 	if sm.RegionsByClass[FalseShared] == 0 {
 		t.Error("string-match shows no false-shared regions")
+	}
+
+	// RMWs are writes: the atomic counter is pure true sharing, and the
+	// ticket lock's lock region (RMW ticket grab, RMW release) is
+	// true-shared like its protected data.
+	ac := profile("micro-atomic-counter")
+	if ac.ClassPct(TrueShared) != 100 || ac.Stores != ac.Accesses {
+		t.Errorf("micro-atomic-counter: true-shared %.1f%%, %d stores of %d accesses; want 100%%, all stores",
+			ac.ClassPct(TrueShared), ac.Stores, ac.Accesses)
+	}
+	tl := profile("micro-ticket-lock")
+	if tl.Regions != 2 || tl.RegionsByClass[TrueShared] != 2 {
+		t.Errorf("micro-ticket-lock: %d of %d regions true-shared, want the lock and data regions",
+			tl.RegionsByClass[TrueShared], tl.Regions)
 	}
 }

@@ -26,6 +26,10 @@ const (
 	RMW
 )
 
+// Writes reports whether the record writes memory: a Store or an RMW,
+// the references the CPU model counts as stores (stats.Stores).
+func (k Kind) Writes() bool { return k == Store || k == RMW }
+
 // Access is one record of a core's instruction stream: Think non-memory
 // instructions followed by one memory reference (or a barrier). The
 // fields are ordered widest first so the record packs into 24 bytes.

@@ -212,7 +212,7 @@ func Profile(workload string, cores, scale int) (*SharingProfile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return profile.Analyze(spec.Streams(cores, scale), mem.DefaultGeometry), nil
+	return profile.Analyze(spec.Records(cores, scale, 0), mem.DefaultGeometry), nil
 }
 
 // EnergyModel converts a run's event counts into dynamic energy.
