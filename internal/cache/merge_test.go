@@ -44,11 +44,12 @@ func TestMergePreservesDataAndTouch(t *testing.T) {
 	c := merging(t)
 	b1 := mkBlock(5, mem.Range{Start: 0, End: 1}, Modified)
 	b1.Data[0], b1.Data[1] = 10, 11
-	b1.Touched = b1.Touched.Set(0)
+	b1.Note(0, false)
 	c.Insert(b1)
 	b2 := mkBlock(5, mem.Range{Start: 2, End: 3}, Modified)
 	b2.Data[2], b2.Data[3] = 12, 13
-	b2.Touched = b2.Touched.Set(3)
+	b2.Note(3, true)
+	b2.Note(3, true)
 	c.Insert(b2)
 	m := c.BlocksInRegion(5)[0]
 	for w, want := range map[uint8]uint64{0: 10, 1: 11, 2: 12, 3: 13} {
@@ -56,8 +57,11 @@ func TestMergePreservesDataAndTouch(t *testing.T) {
 			t.Errorf("word %d = %d, want %d", w, got, want)
 		}
 	}
-	if !m.Touched.Has(0) || !m.Touched.Has(3) || m.Touched.Has(1) {
-		t.Errorf("touched bitmap = %b", m.Touched)
+	if m.Read != mem.Bitmap(0).Set(0) || m.Wrote != mem.Bitmap(0).Set(3) {
+		t.Errorf("read/wrote bitmaps = %b/%b, want 1/1000", m.Read, m.Wrote)
+	}
+	if m.Refs != 3 {
+		t.Errorf("merged block counts %d references, want 3", m.Refs)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -425,6 +425,7 @@ func (s *System) mergePDES() {
 		for _, t := range s.tiles {
 			s.attrib.Merge(t.attrib)
 		}
+		s.attrib.Trim()
 	}
 	if s.transitions != nil {
 		for _, t := range s.tiles {

@@ -87,7 +87,7 @@ func TestRenderAttributionSingleRun(t *testing.T) {
 	tr := attrib.New(2)
 	tr.Access(0, 7, 0, true)
 	tr.Fill(0, 7, 8)
-	tr.Death(0, 7, 1, 8)
+	tr.Death(0, 7, attrib.Footprint{}, 1, 8)
 	out := RenderAttribution(tr, 5)
 	for _, want := range []string{"util 12.5%", "top offenders", "private"} {
 		if !strings.Contains(out, want) {

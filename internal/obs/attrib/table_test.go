@@ -13,7 +13,7 @@ func feedAt(t *Tracker, base mem.RegionID) {
 		t.Access(0, base+1, uint8(i%4), i%3 == 0)
 	}
 	t.Fill(0, base+1, 8)
-	t.Death(0, base+1, 5, 8)
+	t.Death(0, base+1, Footprint{}, 5, 8)
 	for i := 0; i < 50; i++ {
 		t.Access(1, base+2, 0, true)
 		t.Access(2, base+2, 8, true)
@@ -22,13 +22,13 @@ func feedAt(t *Tracker, base mem.RegionID) {
 	}
 	t.Fill(1, base+2, 16)
 	t.Fill(2, base+2, 16)
-	t.Death(1, base+2, 2, 16)
-	t.Death(2, base+2, 2, 16)
+	t.Death(1, base+2, Footprint{}, 2, 16)
+	t.Death(2, base+2, Footprint{}, 2, 16)
 	t.Fanout(base+2, 3)
 	t.Access(0, base+3, 0, false)
 	t.Access(3, base+3, 1, false)
 	t.Fill(3, base+3, 4)
-	t.Death(3, base+3, 4, 4)
+	t.Death(3, base+3, Footprint{}, 4, 4)
 	t.Invalidation(base+3, -1, 3, 2)
 }
 
