@@ -4,9 +4,10 @@
 # (harness, workloads, trace), the simulator hot path (core protocol + cache storage) and
 # the flight spine the per-tile PDES rings feed,
 # 1-iteration benchmark smokes (whole-simulator throughput, and the
-# engine's Step and the network's Arrival, the per-event and
-# per-message paths) so regressions that crash or deadlock are caught
-# before they reach a real benchmarking session,
+# engine's Step, the network's Arrival and the L1's hit path, the
+# per-event, per-message and per-reference paths) so regressions that
+# crash or deadlock are caught before they reach a real benchmarking
+# session,
 # the observability smoke (trace + metrics JSON must parse, live
 # metrics endpoint must serve Prometheus text during a run), and the
 # PDES determinism smoke (parallel window-loop results byte-identical
@@ -21,6 +22,7 @@ verify:
 	go test -race ./internal/obs ./internal/obs/attrib ./internal/obs/selfprof ./internal/obs/flight
 	go test -run '^$$' -bench SimulatorThroughput -benchtime 1x .
 	go test -run '^$$' -bench 'Step|Arrival' -benchtime 1x ./internal/engine ./internal/noc
+	go test -run '^$$' -bench L1Hit -benchtime 1x ./internal/core
 	$(MAKE) obs-smoke
 	$(MAKE) pdes-smoke
 	$(MAKE) flight-smoke

@@ -65,6 +65,16 @@ func TestAttributionReconciles(t *testing.T) {
 						c, tr.InvByVictim[c], st.PerCore[c].Invalidations)
 				}
 			}
+			// Every reference is folded into the tracker exactly once,
+			// and a read after the run folds nothing more.
+			sys.foldAttribution()
+			var refs uint64
+			for _, ri := range tr.Regions() {
+				refs += ri.Accesses
+			}
+			if refs != st.Accesses {
+				t.Errorf("attrib counts %d references, stats %d accesses", refs, st.Accesses)
+			}
 			if tr.Upgrades != st.UpgradeMisses {
 				t.Errorf("attrib upgrades %d != stats upgrade misses %d", tr.Upgrades, st.UpgradeMisses)
 			}
