@@ -5,7 +5,8 @@
 # the flight spine the per-tile PDES rings feed,
 # 1-iteration benchmark smokes (whole-simulator throughput, and the
 # engine's Step, the network's Arrival and the L1's hit path, the
-# per-event, per-message and per-reference paths) so regressions that
+# per-event, per-message and per-reference paths, plus input
+# generation and the L1 lookup) so regressions that
 # crash or deadlock are caught before they reach a real benchmarking
 # session,
 # the observability smoke (trace + metrics JSON must parse, live
@@ -23,6 +24,7 @@ verify:
 	go test -run '^$$' -bench SimulatorThroughput -benchtime 1x .
 	go test -run '^$$' -bench 'Step|Arrival' -benchtime 1x ./internal/engine ./internal/noc
 	go test -run '^$$' -bench L1Hit -benchtime 1x ./internal/core
+	go test -run '^$$' -bench 'Records|CacheLookup' -benchtime 1x ./internal/workloads ./internal/cache
 	$(MAKE) obs-smoke
 	$(MAKE) pdes-smoke
 	$(MAKE) flight-smoke

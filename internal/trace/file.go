@@ -12,8 +12,8 @@ package trace
 //	for each core:
 //	    records uvarint
 //	    records x {
-//	        kind  byte       (Load/Store/Barrier)
-//	        think uvarint
+//	        kind  byte       (Load/Store/Barrier/RMW)
+//	        think uvarint    (at most 65535)
 //	        addr  uvarint    (delta-from-previous, zig-zag)  [not for Barrier]
 //	        pc    uvarint    (delta-from-previous, zig-zag)  [not for Barrier]
 //	    }
@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"protozoa/internal/mem"
 )
@@ -136,6 +137,9 @@ func ReadTraces(r io.Reader) ([][]Access, error) {
 			think, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, fmt.Errorf("trace: core %d record %d think: %w", c, i, err)
+			}
+			if think > math.MaxUint16 {
+				return nil, fmt.Errorf("trace: core %d record %d: think %d exceeds %d", c, i, think, math.MaxUint16)
 			}
 			a := Access{Kind: Kind(kind), Think: uint16(think)}
 			if a.Kind != Barrier {

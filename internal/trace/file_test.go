@@ -77,6 +77,27 @@ func TestFileRejectsBadKind(t *testing.T) {
 	}
 }
 
+// TestFileRejectsOversizedThink: think is a uint16 in memory, so a
+// larger value must be an error naming the record, not a silent wrap
+// (70000 would otherwise decode as 4464).
+func TestFileRejectsOversizedThink(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString("PZTR")
+	buf.WriteByte(1) // version
+	buf.WriteByte(2) // cores
+	buf.WriteByte(0) // core 0: no records
+	buf.WriteByte(2) // core 1: two records
+	buf.WriteByte(byte(Barrier))
+	buf.WriteByte(0) // think
+	buf.WriteByte(byte(Load))
+	buf.Write([]byte{0xF0, 0xA2, 0x04}) // think = 70000
+	buf.Write([]byte{0x10, 0x08})       // addr, pc deltas
+	_, err := ReadTraces(&buf)
+	if err == nil || !strings.Contains(err.Error(), "core 1 record 1: think 70000") {
+		t.Errorf("err = %v, want the out-of-range think named by core and record", err)
+	}
+}
+
 func TestFileRejectsImplausibleCoreCount(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString("PZTR")

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"protozoa/internal/mem"
-	"protozoa/internal/trace"
 )
 
 var microRegistry = map[string]Spec{}
@@ -71,9 +70,7 @@ func genAtomicCounter(b *builder) {
 	iters := 300 * b.scale
 	for c := 0; c < b.cores; c++ {
 		for i := 0; i < iters; i++ {
-			b.recs[c] = append(b.recs[c], trace.Access{
-				Kind: trace.RMW, Addr: word(arena0, 0), PC: 0x30000, Think: 2,
-			})
+			b.rmw(c, word(arena0, 0), 0x30000, 2)
 		}
 	}
 }
@@ -89,7 +86,7 @@ func genTicketLock(b *builder) {
 	serving := word(arena0, 1)
 	for c := 0; c < b.cores; c++ {
 		for i := 0; i < iters; i++ {
-			b.recs[c] = append(b.recs[c], trace.Access{Kind: trace.RMW, Addr: ticket, PC: 0x31000, Think: 1})
+			b.rmw(c, ticket, 0x31000, 1)
 			// Bounded spin on now-serving (static traces cannot spin
 			// conditionally; a handful of polls models the contention).
 			for p := 0; p < 3; p++ {
@@ -102,7 +99,7 @@ func genTicketLock(b *builder) {
 				b.store(c, a, 0x31030, 1)
 			}
 			// Release: bump now-serving.
-			b.recs[c] = append(b.recs[c], trace.Access{Kind: trace.RMW, Addr: serving, PC: 0x31040, Think: 1})
+			b.rmw(c, serving, 0x31040, 1)
 		}
 	}
 }
@@ -133,7 +130,7 @@ func genBarrierSkew(b *builder) {
 			// Everyone bumps the shared phase counter before the join,
 			// so the straggler's long tail overlaps its siblings'
 			// coherence traffic on the way in.
-			b.recs[c] = append(b.recs[c], trace.Access{Kind: trace.RMW, Addr: counter, PC: 0x33010, Think: 1})
+			b.rmw(c, counter, 0x33010, 1)
 		}
 		b.barrier()
 	}

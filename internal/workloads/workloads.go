@@ -9,7 +9,8 @@
 //
 // Every generator is a pure function of (cores, scale, workload name):
 // two runs produce byte-identical streams, so experiments are exactly
-// reproducible.
+// reproducible. Records relies on it to size each input before filling
+// it.
 package workloads
 
 import (
@@ -93,21 +94,48 @@ func (s Spec) StreamsSeeded(cores, scale int, seed uint64) []trace.Stream {
 // machines from one input (the sweep grid) share the result and give
 // each machine its own SliceStream cursors; nothing writes the records
 // after Records returns.
+//
+// The generator runs twice through one builder: a count pass that only
+// tallies each core's records, then a fill pass that appends them into
+// exact-capacity sub-slices of one slab, so no core's slice ever
+// regrows. Element c is slab[off:off+n:off+n], capped so that an append
+// by a caller copies instead of running into core c+1's records.
 func (s Spec) Records(cores, scale int, seed uint64) [][]trace.Access {
 	if scale < 1 {
 		scale = 1
 	}
-	b := &builder{cores: cores, scale: scale, seed: seed, recs: make([][]trace.Access, cores)}
+	b := &builder{cores: cores, scale: scale, seed: seed, counts: make([]int, cores)}
 	s.gen(b)
+	total := 0
+	for _, n := range b.counts {
+		total += n
+	}
+	slab := make([]trace.Access, total)
+	b.recs = make([][]trace.Access, cores)
+	off := 0
+	for c, n := range b.counts {
+		b.recs[c] = slab[off : off : off+n]
+		off += n
+	}
+	s.gen(b)
+	for c, n := range b.counts {
+		if len(b.recs[c]) != n {
+			panic(fmt.Sprintf("workloads: %s core %d: fill pass made %d records, count pass %d (the generator is not a pure function of the builder)",
+				s.Name, c, len(b.recs[c]), n))
+		}
+	}
 	return b.recs
 }
 
-// builder accumulates per-core records with per-site PCs.
+// builder collects per-core records with per-site PCs. While recs is
+// nil it is in its count pass and add only tallies counts; once
+// Records hands it the slab, add appends.
 type builder struct {
-	cores int
-	scale int
-	seed  uint64
-	recs  [][]trace.Access
+	cores  int
+	scale  int
+	seed   uint64
+	counts []int
+	recs   [][]trace.Access
 }
 
 // rng derives a deterministic generator from the workload-specific
@@ -117,18 +145,33 @@ func (b *builder) rng(salt, core int) *trace.RNG {
 	return trace.NewRNG(uint64(salt+core) + b.seed*0x9E3779B9)
 }
 
+// add records one access for core: every record a generator produces
+// goes through here.
+func (b *builder) add(core int, a trace.Access) {
+	if b.recs == nil {
+		b.counts[core]++
+		return
+	}
+	b.recs[core] = append(b.recs[core], a)
+}
+
 func (b *builder) load(core int, addr mem.Addr, pc uint64, think uint16) {
-	b.recs[core] = append(b.recs[core], trace.Access{Kind: trace.Load, Addr: addr, PC: pc, Think: think})
+	b.add(core, trace.Access{Kind: trace.Load, Addr: addr, PC: pc, Think: think})
 }
 
 func (b *builder) store(core int, addr mem.Addr, pc uint64, think uint16) {
-	b.recs[core] = append(b.recs[core], trace.Access{Kind: trace.Store, Addr: addr, PC: pc, Think: think})
+	b.add(core, trace.Access{Kind: trace.Store, Addr: addr, PC: pc, Think: think})
+}
+
+// rmw records an atomic read-modify-write.
+func (b *builder) rmw(core int, addr mem.Addr, pc uint64, think uint16) {
+	b.add(core, trace.Access{Kind: trace.RMW, Addr: addr, PC: pc, Think: think})
 }
 
 // barrier synchronizes every core.
 func (b *builder) barrier() {
 	for c := 0; c < b.cores; c++ {
-		b.recs[c] = append(b.recs[c], trace.Access{Kind: trace.Barrier})
+		b.add(c, trace.Access{Kind: trace.Barrier})
 	}
 }
 
