@@ -1,18 +1,17 @@
 # Tier-1 verify: build, vet, full tests, a race pass over the
 # concurrency layer (worker-pool runner, event engine, live-metrics
 # server), the grids whose cells share workload inputs across workers
-# (harness, workloads, trace), the simulator hot path (core protocol + cache storage) and
-# the flight spine the per-tile PDES rings feed,
-# 1-iteration benchmark smokes (whole-simulator throughput, and the
-# engine's Step, the network's Arrival and the L1's hit path, the
-# per-event, per-message and per-reference paths, plus input
-# generation and the L1 lookup) so regressions that
-# crash or deadlock are caught before they reach a real benchmarking
-# session,
-# the observability smoke (trace + metrics JSON must parse, live
-# metrics endpoint must serve Prometheus text during a run), and the
-# PDES determinism smoke (parallel window-loop results byte-identical
-# across worker counts).
+# (harness, workloads, trace), the simulator hot path (core protocol +
+# cache storage, two machines per process sharing the engine's ring
+# pool) and the observability packages, 1-iteration benchmark smokes
+# (whole-simulator throughput, and the engine's Step, the network's
+# Arrival and the L1's hit path, the per-event, per-message and
+# per-reference paths, plus input generation and the L1 lookup) so
+# regressions that crash or deadlock are caught before they reach a
+# real benchmarking session, the observability smoke (trace + metrics
+# JSON must parse, live metrics endpoint must serve Prometheus text
+# during a run), the flight-log smoke (two recordings of one run
+# byte-identical and inspect-clean) and the result-cache smoke.
 verify:
 	go build ./...
 	go vet ./...
@@ -26,7 +25,6 @@ verify:
 	go test -run '^$$' -bench L1Hit -benchtime 1x ./internal/core
 	go test -run '^$$' -bench 'Records|CacheLookup' -benchtime 1x ./internal/workloads ./internal/cache
 	$(MAKE) obs-smoke
-	$(MAKE) pdes-smoke
 	$(MAKE) flight-smoke
 	$(MAKE) cache-smoke
 
@@ -34,36 +32,22 @@ verify:
 # removed on exit (success or failure), so concurrent invocations never
 # trample each other and nothing accumulates in /tmp.
 
-# pdes-smoke: one workload under the parallel window loop at 1 and 4
-# workers; the full JSON stats dump must be byte-identical (the
-# determinism contract -workers rests on, end to end through the CLI).
-pdes-smoke:
-	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	go build -o $$d/protozoa ./cmd/protozoa; \
-	$$d/protozoa sim -workload barnes -protocol mw -scale 1 \
-		-workers 1 -json > $$d/w1.json; \
-	$$d/protozoa sim -workload barnes -protocol mw -scale 1 \
-		-workers 4 -json > $$d/w4.json; \
-	cmp $$d/w1.json $$d/w4.json \
-		|| { echo "pdes-smoke: -workers 1 and -workers 4 diverge"; exit 1; }; \
-	echo "pdes-smoke: -workers 1 and -workers 4 stats byte-identical"
-
-# flight-smoke: record the flight log for the same run at -workers 1
-# and -workers 2 — the files must be byte-identical (the merged
-# per-tile rings are worker-count invariant) — then validate the log
-# end to end through protozoa inspect -check.
+# flight-smoke: record the flight log of the same run twice — the
+# files must be byte-identical (the transcript is a pure function of
+# the run) — then validate the log end to end through protozoa
+# inspect -check.
 flight-smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	go build -o $$d/protozoa ./cmd/protozoa; \
 	$$d/protozoa sim -workload barnes -protocol mw -scale 1 \
-		-workers 1 -flight $$d/w1.pzfl > /dev/null; \
+		-flight $$d/a.pzfl > /dev/null; \
 	$$d/protozoa sim -workload barnes -protocol mw -scale 1 \
-		-workers 2 -flight $$d/w2.pzfl > /dev/null; \
-	cmp $$d/w1.pzfl $$d/w2.pzfl \
-		|| { echo "flight-smoke: -workers 1 and -workers 2 flight logs diverge"; exit 1; }; \
-	$$d/protozoa inspect -check $$d/w1.pzfl \
+		-flight $$d/b.pzfl > /dev/null; \
+	cmp $$d/a.pzfl $$d/b.pzfl \
+		|| { echo "flight-smoke: two recordings of one run diverge"; exit 1; }; \
+	$$d/protozoa inspect -check $$d/a.pzfl \
 		|| { echo "flight-smoke: recorded log failed validation"; exit 1; }; \
-	echo "flight-smoke: flight logs byte-identical across workers and inspect-clean"
+	echo "flight-smoke: flight logs byte-identical across recordings and inspect-clean"
 
 # trace-smoke: a 1-iteration simulation with event tracing and the
 # metrics registry enabled, validating both JSON artifacts parse
@@ -154,7 +138,7 @@ bench:
 	go test -run '^$$' -bench SimulatorThroughput -benchmem -benchtime 2s -count 5 .
 
 # bench-compare is the regression workflow behind the committed
-# BENCH_*.json snapshots: run the parallel-throughput benchmark at
+# BENCH_*.json snapshots: run the gate's throughput benchmark at
 # -count 5, diff per-benchmark medians against the most recent
 # snapshot, and emit the next one. benchstat is used when present;
 # cmd/protozoa-benchdiff (in-repo, no dependencies) always runs and
@@ -190,4 +174,4 @@ bench-gate:
 	$$d/protozoa-benchdiff -baseline "$(BENCH_BASELINE)" \
 		-gate $(BENCH_GATE_TOL) < $$d/bench.txt
 
-.PHONY: verify bench bench-compare bench-gate trace-smoke obs-smoke pdes-smoke flight-smoke cache-smoke
+.PHONY: verify bench bench-compare bench-gate trace-smoke obs-smoke flight-smoke cache-smoke

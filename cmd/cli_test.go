@@ -339,44 +339,32 @@ func TestCLIs(t *testing.T) {
 	})
 
 	t.Run("sim-self-prof", func(t *testing.T) {
-		args := []string{"sim", "-workload", "histogram", "-cores", "4", "-scale", "1", "-workers", "2"}
+		args := []string{"sim", "-workload", "histogram", "-cores", "4", "-scale", "1"}
 		spOut := filepath.Join(dir, "selfprof.json")
-		spTrace := filepath.Join(dir, "selfprof-trace.json")
-		cmd := exec.Command(pz, append(args,
-			"-self-prof", "-self-prof-out", spOut, "-self-prof-trace", spTrace)...)
+		cmd := exec.Command(pz, append(args, "-self-prof", "-self-prof-out", spOut)...)
 		var stdout, stderr strings.Builder
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		if err := cmd.Run(); err != nil {
 			t.Fatalf("sim -self-prof: %v\n%s", err, stderr.String())
 		}
-		for _, want := range []string{"self-profile (pdes", "rounds", "queue:"} {
+		for _, want := range []string{"self-profile: ", "queue:"} {
 			if !strings.Contains(stderr.String(), want) {
 				t.Errorf("self-prof summary missing %q:\n%s", want, stderr.String())
 			}
 		}
 		var report struct {
-			Mode   string            `json:"mode"`
-			Rounds uint64            `json:"rounds"`
-			Tiles  []json.RawMessage `json:"tiles"`
+			TotalEvents uint64 `json:"total_events"`
+			Queue       struct {
+				RingPushes uint64 `json:"ring_pushes"`
+			} `json:"queue"`
 		}
 		data, err := os.ReadFile(spOut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(data, &report); err != nil || report.Mode != "pdes" ||
-			report.Rounds == 0 || len(report.Tiles) != 4 {
-			t.Errorf("-self-prof-out report (%v): mode=%q rounds=%d tiles=%d",
-				err, report.Mode, report.Rounds, len(report.Tiles))
-		}
-		var meta struct {
-			TraceEvents []json.RawMessage `json:"traceEvents"`
-		}
-		data, err = os.ReadFile(spTrace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &meta); err != nil || len(meta.TraceEvents) == 0 {
-			t.Errorf("-self-prof-trace (%v, %d events)", err, len(meta.TraceEvents))
+		if err := json.Unmarshal(data, &report); err != nil || report.TotalEvents == 0 ||
+			report.Queue.RingPushes == 0 {
+			t.Errorf("-self-prof-out report (%v): %s", err, data)
 		}
 		// The measurement report on stdout must be byte-identical with
 		// the profiler off.
@@ -391,28 +379,15 @@ func TestCLIs(t *testing.T) {
 	})
 
 	t.Run("sim-flight-inspect", func(t *testing.T) {
-		// Record the same run at two worker counts: the flight logs must
-		// be byte-identical, and inspect must validate and reconstruct
+		// Inspect must validate the recorded log and reconstruct
 		// transactions whose phase dwells tile the total latency.
-		logs := make([][]byte, 2)
-		for i, w := range []string{"1", "2"} {
-			path := filepath.Join(dir, "flight-w"+w+".pzfl")
-			out := run(t, pz, "sim", "-workload", "fft", "-cores", "4", "-scale", "1",
-				"-workers", w, "-flight", path, "-flight-cap", "65536")
-			if !strings.Contains(out, "flight recorder:") {
-				t.Errorf("sim report missing the flight recorder line:\n%s", out)
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			logs[i] = data
+		log := filepath.Join(dir, "flight.pzfl")
+		out := run(t, pz, "sim", "-workload", "fft", "-cores", "4", "-scale", "1",
+			"-flight", log, "-flight-cap", "65536")
+		if !strings.Contains(out, "flight recorder:") {
+			t.Errorf("sim report missing the flight recorder line:\n%s", out)
 		}
-		if string(logs[0]) != string(logs[1]) {
-			t.Error("flight logs differ between -workers 1 and -workers 2")
-		}
-		log := filepath.Join(dir, "flight-w1.pzfl")
-		out := run(t, pz, "inspect", "-check", log)
+		out = run(t, pz, "inspect", "-check", log)
 		if !strings.HasPrefix(out, "ok:") || !strings.Contains(out, "(0 open)") {
 			t.Errorf("inspect -check output:\n%s", out)
 		}
@@ -493,7 +468,6 @@ func TestCLIs(t *testing.T) {
 			{"profile", "-cores", "64"},
 			{"trace", "-dump", "-cores", "0", "-o", pztr},
 			{"sim", "-scale", "0"},
-			{"sim", "-workers", "-1"},
 			{"sweep", "-scale", "-1"},
 			{"figs", "-scale", "0"},
 			{"table1", "-cores", "3"},
@@ -534,6 +508,12 @@ func TestCLIs(t *testing.T) {
 		}
 		if !strings.Contains(string(bad), `unknown subcommand "simulate"`) || !strings.Contains(string(bad), out) {
 			t.Errorf("unknown subcommand output:\n%s", bad)
+		}
+		// The retired parallel engine's flag is gone, not ignored.
+		bad, err = exec.Command(pz, "sim", "-workers", "2").CombinedOutput()
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.Contains(string(bad), "flag provided but not defined: -workers") {
+			t.Errorf("sim -workers: exit %v, want status 2 and an unknown-flag error:\n%s", err, bad)
 		}
 	})
 

@@ -51,7 +51,7 @@ func splitLines(s string) []string {
 // own carried-forward baseline block is skipped.
 func TestFindBaselines(t *testing.T) {
 	raw := `{
-	  "pdes_alloc_overhead": {
+	  "alloc_overhead": {
 	    "baseline_median_of_5_BENCH_6": {
 	      "sequential": {"ns_per_op": 40410286, "allocs_per_op": 43970}
 	    },

@@ -21,7 +21,7 @@
 //
 // `protozoa <subcommand> -h` lists a subcommand's flags. The flags
 // several subcommands share (-cores, -scale, -seed, -jobs, -progress,
-// -cache, -cache-dir, -workers, -cpuprofile, -memprofile) mean the same
+// -cache, -cache-dir, -cpuprofile, -memprofile) mean the same
 // thing, and are checked the same way, wherever they appear.
 package main
 
@@ -91,11 +91,11 @@ func usage(w io.Writer) {
 // group the subcommand does not take leaves its fields nil.
 type flags struct {
 	*flag.FlagSet
-	cores, scale, jobs, workers *int
-	seed                        *uint64
-	progress, cache             *bool
-	workloads, cacheDir         *string
-	cpuprofile, memprofile      *string
+	cores, scale, jobs     *int
+	seed                   *uint64
+	progress, cache        *bool
+	workloads, cacheDir    *string
+	cpuprofile, memprofile *string
 }
 
 func newFlags(sub string) *flags {
@@ -130,9 +130,8 @@ func (f *flags) matrix(scale int, workloads string) *flags {
 	return f
 }
 
-// engine declares -workers and the -cpuprofile/-memprofile pair.
-func (f *flags) engine() *flags {
-	f.workers = f.Int("workers", 0, "parallel window-loop goroutines per run (0 = sequential engine; results are byte-identical for any value >= 1)")
+// profiles declares the -cpuprofile/-memprofile pair.
+func (f *flags) profiles() *flags {
 	f.cpuprofile = f.String("cpuprofile", "", "write a CPU profile to this file")
 	f.memprofile = f.String("memprofile", "", "write a heap profile to this file at exit")
 	return f
@@ -149,9 +148,6 @@ func (f *flags) parse(args []string) error {
 	}
 	if f.scale != nil && *f.scale < 1 {
 		return fmt.Errorf("-scale must be at least 1 (got %d)", *f.scale)
-	}
-	if f.workers != nil && *f.workers < 0 {
-		return fmt.Errorf("-workers must be at least 0 (got %d)", *f.workers)
 	}
 	return nil
 }

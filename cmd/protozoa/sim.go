@@ -18,7 +18,7 @@ import (
 // simOpts holds sim's own flags.
 type simOpts struct {
 	workload, flightOut, traceOut, metricsOut, serve string
-	selfProfOut, selfProfTrace                       string
+	selfProfOut                                      string
 	msglog, flightCap, stallCycles, timeline         int
 	traceCap                                         int
 	attrib, selfProf                                 bool
@@ -30,7 +30,7 @@ type simOpts struct {
 //	protozoa sim [-workload linear-regression] [-protocol mw] [-cores 16] [-scale 2]
 //	protozoa sim -list
 func sim(args []string) (err error) {
-	f := newFlags("sim").machine(2).engine()
+	f := newFlags("sim").machine(2).profiles()
 	var o simOpts
 	f.StringVar(&o.workload, "workload", "linear-regression", "workload name (-list to enumerate)")
 	proto := f.String("protocol", "mw", "coherence protocol: mesi, sw, swmr, mw")
@@ -46,9 +46,8 @@ func sim(args []string) (err error) {
 	f.StringVar(&o.metricsOut, "metrics-out", "", "write the sampled metrics registry as JSON to this file")
 	f.BoolVar(&o.attrib, "attrib", false, "print the traffic-attribution report (utilization, sharing patterns, top offenders)")
 	f.StringVar(&o.serve, "serve", "", "serve live Prometheus metrics at this address (e.g. 127.0.0.1:8080) for the run's duration")
-	f.BoolVar(&o.selfProf, "self-prof", false, "profile the simulator itself (PDES rounds, queue introspection); summary to stderr, results unchanged")
+	f.BoolVar(&o.selfProf, "self-prof", false, "profile the simulator itself (event total, wall time, queue introspection); summary to stderr, results unchanged")
 	f.StringVar(&o.selfProfOut, "self-prof-out", "", "write the self-profile report as JSON to this file (implies -self-prof)")
-	f.StringVar(&o.selfProfTrace, "self-prof-trace", "", "write the self-profile's wall-clock round spans as Chrome trace JSON to this file (implies -self-prof)")
 	if err := f.parse(args); err != nil {
 		return err
 	}
@@ -73,11 +72,11 @@ func sim(args []string) (err error) {
 			err = perr
 		}
 	}()
-	o.selfProf = o.selfProf || o.selfProfOut != "" || o.selfProfTrace != ""
+	o.selfProf = o.selfProf || o.selfProfOut != ""
 	if o.msglog > 0 || o.timeline > 0 || o.traceOut != "" || o.metricsOut != "" || o.attrib || o.serve != "" || o.selfProf || o.flightOut != "" || o.stallCycles > 0 {
 		return runInstrumented(p, f, o)
 	}
-	st, err := protozoa.Run(o.workload, p, protozoa.Options{Cores: *f.cores, Scale: *f.scale, Workers: *f.workers})
+	st, err := protozoa.Run(o.workload, p, protozoa.Options{Cores: *f.cores, Scale: *f.scale})
 	if err != nil {
 		return err
 	}
@@ -98,7 +97,6 @@ func runInstrumented(p core.Protocol, f *flags, o simOpts) error {
 		return err
 	}
 	cfg := core.DefaultConfig(p)
-	cfg.Workers = *f.workers
 	if err := runner.ConfigureCores(&cfg, *f.cores); err != nil {
 		return err
 	}
@@ -129,7 +127,7 @@ func runInstrumented(p core.Protocol, f *flags, o simOpts) error {
 	}
 	if o.stallCycles > 0 {
 		// Watchdog dumps stream to stderr so stdout stays byte-identical
-		// across worker counts (and with the flag off).
+		// with the flag off.
 		sys.EnableStallWatchdog(engine.Cycle(o.stallCycles), os.Stderr)
 	}
 	if o.serve != "" {
@@ -175,13 +173,6 @@ func runInstrumented(p core.Protocol, f *flags, o simOpts) error {
 		report.WriteSummary(os.Stderr)
 		if o.selfProfOut != "" {
 			if err := writeTo(o.selfProfOut, report.WriteJSON); err != nil {
-				return err
-			}
-		}
-		if o.selfProfTrace != "" {
-			// The meta-trace is wall-clock simulator time; it never mixes
-			// into the simulated machine's -trace-out file.
-			if err := writeTo(o.selfProfTrace, sys.SelfProf().WriteChromeTrace); err != nil {
 				return err
 			}
 		}

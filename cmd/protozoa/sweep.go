@@ -23,7 +23,7 @@ import (
 //	protozoa sweep -knobs threehop,bloom -protocols mw -workloads barnes
 //	protozoa sweep -regions 32,64,128 -protocols mw -jobs 8 -progress
 func sweep(args []string) (err error) {
-	f := newFlags("sweep").matrix(1, "linear-regression,histogram").engine()
+	f := newFlags("sweep").matrix(1, "linear-regression,histogram").profiles()
 	protos := f.String("protocols", "all", "comma-separated protocols (mesi, sw, swmr, mw, all)")
 	knobs := f.String("knobs", "baseline", "comma-separated design knobs: "+strings.Join(runner.KnobNames(), ", "))
 	regions := f.String("regions", "64", "comma-separated RMAX region sizes")
@@ -62,7 +62,6 @@ func sweep(args []string) (err error) {
 		Cores:     *f.cores,
 		Scale:     *f.scale,
 		TraceSeed: *f.seed,
-		Workers:   *f.workers,
 	}.Cells()
 	if err != nil {
 		return err

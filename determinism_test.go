@@ -16,17 +16,9 @@ import (
 // runs can be compared byte for byte.
 func marshalRun(t *testing.T, workload string, p protozoa.Protocol) []byte {
 	t.Helper()
-	return marshalRunWorkers(t, workload, p, 0)
-}
-
-// marshalRunWorkers is marshalRun with an explicit execution mode:
-// workers 0 is the sequential engine, workers >= 1 the parallel window
-// loop with that many goroutines.
-func marshalRunWorkers(t *testing.T, workload string, p protozoa.Protocol, workers int) []byte {
-	t.Helper()
-	st, err := protozoa.Run(workload, p, protozoa.Options{Cores: 16, Scale: 1, Workers: workers})
+	st, err := protozoa.Run(workload, p, protozoa.Options{Cores: 16, Scale: 1})
 	if err != nil {
-		t.Fatalf("%v on %s (workers %d): %v", p, workload, workers, err)
+		t.Fatalf("%v on %s: %v", p, workload, err)
 	}
 	b, err := json.Marshal(st)
 	if err != nil {
@@ -52,79 +44,78 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkerCountsAgree runs the parallel window loop at 1, 2, 4 and 8
-// workers for every protocol across four workloads and requires
-// bit-identical statistics: partitioned execution must be a pure
-// function of the configuration, never of the goroutine schedule. (The
-// sequential mode is a different — equally deterministic — schedule of
-// same-cycle cross-tile events, so it is not compared here; its own
-// guarantee is TestRunDeterminism.)
-//
-// micro-barrier-skew is the adversarial case for the window-skipping
-// coordinator: nearly every tile sits idle at a barrier each phase
-// while one straggler runs through extended solo windows, so barrier
-// release cycles, idle-tile skipping, and the extended-window self-cap
-// all land on the determinism-critical path.
+// runWithWorkers runs one workload on the 16-core machine with
+// Config.Workers set, after setup arms whatever views the caller wants.
+func runWithWorkers(t *testing.T, w string, p core.Protocol, workers int, setup func(*core.System)) *core.System {
+	t.Helper()
+	spec, err := workloads.Get(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(p)
+	cfg.Workers = workers
+	if err := runner.ConfigureCores(&cfg, 16); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(cfg, spec.Streams(16, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup(sys)
+	if err := sys.Run(); err != nil {
+		t.Fatalf("%v on %s (workers %d): %v", p, w, workers, err)
+	}
+	return sys
+}
+
+// TestWorkerCountsAgree pins that Config.Workers is inert: every
+// machine runs on the one sequential engine, so the full stats JSON at
+// Workers 2 equals that at Workers 0 for every protocol. The result
+// cache leaves Workers out of its key on exactly this promise.
+// micro-barrier-skew, with most cores idle at each barrier while one
+// straggler runs, is the schedule a partitioned engine would reorder.
 func TestWorkerCountsAgree(t *testing.T) {
-	workloads := []string{"barnes", "ocean", "lu", "micro-barrier-skew"}
-	for _, w := range workloads {
+	for _, w := range []string{"barnes", "ocean", "lu", "micro-barrier-skew"} {
 		for _, p := range protozoa.Protocols() {
 			w, p := w, p
 			t.Run(w+"/"+p.String(), func(t *testing.T) {
-				base := marshalRunWorkers(t, w, p, 1)
-				for _, n := range []int{2, 4, 8} {
-					got := marshalRunWorkers(t, w, p, n)
-					if !bytes.Equal(base, got) {
-						t.Fatalf("workers=1 and workers=%d diverge:\n%s\n---\n%s", n, base, got)
+				var stats [2][]byte
+				for i, workers := range []int{0, 2} {
+					sys := runWithWorkers(t, w, p, workers, func(*core.System) {})
+					b, err := json.Marshal(sys.Stats())
+					if err != nil {
+						t.Fatal(err)
 					}
+					stats[i] = b
+				}
+				if !bytes.Equal(stats[0], stats[1]) {
+					t.Fatalf("Workers 0 and Workers 2 diverge:\n%s\n---\n%s", stats[0], stats[1])
 				}
 			})
 		}
 	}
 }
 
-// TestWorkerCountsAgreeOnFlightLog extends the worker-count guarantee
-// to the flight recorder: the serialized flight log — header and every
-// record, including ring-wrap drops — must be byte-identical at any
-// workers >= 1, even though each tile records into its own ring and the
-// transcript is merged on export. micro-barrier-skew again stresses the
-// adversarial schedule (idle-window skipping, extended solo windows).
+// TestWorkerCountsAgreeOnFlightLog extends TestWorkerCountsAgree to the
+// flight recorder: the serialized flight log — header and every record,
+// including ring-wrap drops — is byte-identical at Workers 0 and 2.
 func TestWorkerCountsAgreeOnFlightLog(t *testing.T) {
-	logAt := func(t *testing.T, w string, p core.Protocol, workers int) []byte {
-		t.Helper()
-		spec, err := workloads.Get(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := core.DefaultConfig(p)
-		cfg.Workers = workers
-		if err := runner.ConfigureCores(&cfg, 16); err != nil {
-			t.Fatal(err)
-		}
-		sys, err := core.NewSystem(cfg, spec.Streams(16, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.EnableFlightRecorder(1 << 15)
-		if err := sys.Run(); err != nil {
-			t.Fatalf("%v on %s (workers %d): %v", p, w, workers, err)
-		}
-		var buf bytes.Buffer
-		if err := sys.WriteFlightLog(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	for _, w := range []string{"barnes", "micro-barrier-skew"} {
 		for _, p := range []core.Protocol{core.MESI, core.ProtozoaMW} {
 			w, p := w, p
 			t.Run(w+"/"+p.String(), func(t *testing.T) {
-				base := logAt(t, w, p, 1)
-				for _, n := range []int{2, 4} {
-					if got := logAt(t, w, p, n); !bytes.Equal(base, got) {
-						t.Fatalf("flight log diverges between workers=1 and workers=%d (%d vs %d bytes)",
-							n, len(base), len(got))
+				var logs [2][]byte
+				for i, workers := range []int{0, 2} {
+					sys := runWithWorkers(t, w, p, workers, func(s *core.System) { s.EnableFlightRecorder(1 << 15) })
+					var buf bytes.Buffer
+					if err := sys.WriteFlightLog(&buf); err != nil {
+						t.Fatal(err)
 					}
+					logs[i] = buf.Bytes()
+				}
+				if !bytes.Equal(logs[0], logs[1]) {
+					t.Fatalf("flight log diverges between Workers 0 and Workers 2 (%d vs %d bytes)",
+						len(logs[0]), len(logs[1]))
 				}
 			})
 		}

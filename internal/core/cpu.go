@@ -17,7 +17,6 @@ import (
 type cpu struct {
 	id       int
 	sys      *System
-	tl       *tile
 	stream   trace.Stream
 	storeSeq uint64
 	done     bool
@@ -91,17 +90,9 @@ func (c *cpu) complete(val uint64) {
 
 // step advances a core to its next trace record.
 func (s *System) step(c *cpu) {
-	t := c.tl
 	a, ok := c.stream.Next()
 	if !ok {
 		c.done = true
-		if s.pdes {
-			// The window coordinator counts finished tiles and releases
-			// barriers at window edges; retirement is per tile.
-			t.coreDone = true
-			t.retire = t.eng.Now()
-			return
-		}
 		s.coresDone++
 		if s.coresDone == s.cfg.Cores {
 			// Execution time is the last core's retirement; the queue
@@ -115,26 +106,25 @@ func (s *System) step(c *cpu) {
 	var delay engine.Cycle
 	switch a.Kind {
 	case trace.Barrier:
-		t.st.Instructions += uint64(a.Think)
+		s.st.Instructions += uint64(a.Think)
 		delay = engine.Cycle(a.Think)
 	case trace.Load, trace.Store, trace.RMW:
-		t.st.Instructions += uint64(a.Think) + 1
+		s.st.Instructions += uint64(a.Think) + 1
 		delay = engine.Cycle(a.Think) + s.cfg.L1HitLat
 	default:
 		panic("core: unknown trace record kind")
 	}
-	t.eng.ScheduleRunner(delay, &c.accessEv)
+	s.eng.ScheduleRunner(delay, &c.accessEv)
 }
 
 func (s *System) issueAccess(c *cpu) {
 	a := c.pend
-	t := c.tl
-	t.st.Accesses++
-	cs := &t.st.PerCore[c.id]
+	s.st.Accesses++
+	cs := &s.st.PerCore[c.id]
 	cs.Accesses++
 	switch a.Kind {
 	case trace.Store:
-		t.st.Stores++
+		s.st.Stores++
 		cs.Stores++
 		c.pendVal = c.storeToken()
 		s.l1s[c.id].resolve(a.Addr, accWrite, a.PC, c.pendVal, c)
@@ -142,12 +132,12 @@ func (s *System) issueAccess(c *cpu) {
 		// Atomic fetch-and-increment: counted as a store (it acquires
 		// write permission) and observed as both a load of the old
 		// value and a store of old+1.
-		t.st.Stores++
-		t.st.RMWs++
+		s.st.Stores++
+		s.st.RMWs++
 		cs.Stores++
 		s.l1s[c.id].resolve(a.Addr, accRMW, a.PC, 0, c)
 	default:
-		t.st.Loads++
+		s.st.Loads++
 		cs.Loads++
 		s.l1s[c.id].resolve(a.Addr, accRead, a.PC, 0, c)
 	}
@@ -156,13 +146,8 @@ func (s *System) issueAccess(c *cpu) {
 // arriveBarrier parks the core until every live core reaches the
 // barrier. Cores whose streams already finished count as arrived, so a
 // workload may give cores unequal record counts after their last
-// common barrier. Under PDES arrival is per-tile state; the window
-// coordinator performs the global count and release at window edges.
+// common barrier.
 func (s *System) arriveBarrier(c *cpu) {
-	if s.pdes {
-		c.tl.barrierArrived = true
-		return
-	}
 	s.barrierArrived++
 	s.barrierWait = append(s.barrierWait, c)
 	s.releaseBarrierIfReady()

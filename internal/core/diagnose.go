@@ -13,7 +13,7 @@ import (
 // state, and the barrier population.
 func (s *System) diagnose() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "machine state at %d cycles (%d events):\n", s.simNow(), s.EventsProcessed())
+	fmt.Fprintf(&b, "machine state at %d cycles (%d events):\n", s.eng.Now(), s.eng.Processed())
 	for _, c := range s.cpus {
 		status := "running"
 		if c.done {

@@ -19,7 +19,6 @@ import (
 // processed even while the region is busy.
 type dirSlice struct {
 	sys  *System
-	tl   *tile // the home tile's partition: engine, stats shard, pool
 	node int
 
 	// Entry table. Homes interleave regions low-order across tiles
@@ -42,9 +41,8 @@ type dirSlice struct {
 	lastRegion mem.RegionID
 	lastEntry  *dirEntry
 
-	// txnSeq feeds newTxnID: transaction IDs are issued per slice so no
-	// cross-partition counter is shared, yet stay globally unique (and
-	// independent of worker count) by striding the sequence across tiles.
+	// txnSeq feeds newTxnID: transaction IDs are issued per slice and
+	// stay globally unique by striding the sequence across slices.
 	txnSeq uint64
 
 	touchSeq uint64
@@ -98,9 +96,9 @@ func (d *dirSlice) newTxnID() uint64 {
 	return d.txnSeq*uint64(d.sys.cfg.Cores) + uint64(d.node) + 1
 }
 
-func newDirSlice(sys *System, tl *tile, node int) *dirSlice {
+func newDirSlice(sys *System, node int) *dirSlice {
 	d := &dirSlice{
-		sys: sys, tl: tl, node: node,
+		sys: sys, node: node,
 		memory: make(map[mem.RegionID][]uint64),
 	}
 	if sys.cfg.Directory == DirBloom {
@@ -277,17 +275,17 @@ func (d *dirSlice) evictLRURegion() {
 	if victim == nil {
 		return
 	}
-	d.tl.st.Recalls++
+	d.sys.st.Recalls++
 	targets := victim.sharers.Union(victim.owners)
 	if targets.Empty() {
 		d.dropEntry(victim)
 		return
 	}
 	d.setBusy(victim)
-	if d.tl.flight != nil {
-		d.tl.flightDir(flight.KindTxnStart, victim.region, 0, -1, uint8(MsgRecall))
+	if d.sys.flight != nil {
+		d.flightDir(flight.KindTxnStart, victim.region, 0, -1, uint8(MsgRecall))
 	}
-	req := d.tl.newMsg()
+	req := d.sys.newMsg()
 	req.Type = MsgRecall
 	req.Dst = d.node
 	req.Region = victim.region
@@ -297,12 +295,12 @@ func (d *dirSlice) evictLRURegion() {
 		waiting: targets.Count(),
 	}
 	victim.txn = &victim.txnStore
-	if d.tl.attrib != nil {
-		d.tl.attrib.Fanout(victim.region, targets.Count())
+	if d.sys.attrib != nil {
+		d.sys.attrib.Fanout(victim.region, targets.Count())
 	}
 	full := d.sys.geom.FullRange()
 	targets.ForEach(func(t int) {
-		inv := d.tl.newMsg()
+		inv := d.sys.newMsg()
 		inv.Type = MsgInv
 		inv.Src = d.node
 		inv.Dst = t
@@ -312,7 +310,7 @@ func (d *dirSlice) evictLRURegion() {
 		// attribution tracker from blaming core 0 for the invalidation.
 		inv.Requester = -1
 		inv.TxnID = victim.txn.id
-		d.tl.send(inv)
+		d.sys.send(inv)
 	})
 }
 
@@ -320,7 +318,7 @@ func (d *dirSlice) evictLRURegion() {
 // puts the entry on the free list; the caller must not touch e after.
 func (d *dirSlice) dropEntry(e *dirEntry) {
 	if e.l2dirty {
-		d.tl.st.MemWritebacks++
+		d.sys.st.MemWritebacks++
 		d.persistWords(e, e.valid)
 	}
 	d.entries.Set(d.slot(e.region), nil)
@@ -375,13 +373,13 @@ func (d *dirSlice) fetchMissing(e *dirEntry, need mem.Bitmap) bool {
 // recvRequest accepts GETS/GETX/UPGRADE. One transaction per region:
 // a busy region queues the request.
 func (d *dirSlice) recvRequest(m *Msg) {
-	if d.tl.phaseOn() {
-		d.tl.flightDir(flight.KindDirAccept, m.Region, 0, m.Src, uint8(m.Type))
+	if d.sys.phaseOn() {
+		d.flightDir(flight.KindDirAccept, m.Region, 0, m.Src, uint8(m.Type))
 	}
 	e := d.entry(m.Region)
 	if e.busy {
-		if d.tl.flight != nil {
-			d.tl.flightDir(flight.KindQueuePark, m.Region, 0, m.Src, uint8(m.Type))
+		if d.sys.flight != nil {
+			d.flightDir(flight.KindQueuePark, m.Region, 0, m.Src, uint8(m.Type))
 		}
 		e.queue = append(e.queue, m)
 		return
@@ -393,41 +391,41 @@ func (d *dirSlice) recvRequest(m *Msg) {
 // one-time memory fetch for the region's first touch) and then process.
 func (d *dirSlice) activate(e *dirEntry, m *Msg) {
 	d.setBusy(e)
-	if d.tl.phaseOn() {
-		d.tl.flightDir(flight.KindTxnStart, m.Region, 0, m.Src, uint8(m.Type))
+	if d.sys.phaseOn() {
+		d.flightDir(flight.KindTxnStart, m.Region, 0, m.Src, uint8(m.Type))
 	}
 	lat := d.sys.cfg.L2Lat
 	if !e.memTouched {
 		e.memTouched = true
-		d.tl.st.MemReads++
+		d.sys.st.MemReads++
 		lat += d.sys.cfg.MemLat
 	}
 	m.sys = d.sys
 	m.phase = phaseProcess
-	d.tl.eng.ScheduleRunner(lat, m)
+	d.sys.eng.ScheduleRunner(lat, m)
 }
 
 // process runs the directory state machine for one request.
 func (d *dirSlice) process(e *dirEntry, m *Msg) {
-	if d.tl.transitions != nil {
+	if d.sys.transitions != nil {
 		e.auditFrom = d.dirState(e)
 	}
-	if d.tl.flight != nil {
+	if d.sys.flight != nil {
 		e.auditFromCode = d.flightDirCode(e)
 	}
-	if d.tl.phaseOn() {
-		d.tl.flightDir(flight.KindTxnProcess, m.Region, 0, m.Src, uint8(m.Type))
+	if d.sys.phaseOn() {
+		d.flightDir(flight.KindTxnProcess, m.Region, 0, m.Src, uint8(m.Type))
 	}
 	// Figure 11 accounting: record the sharer mix every time a request
 	// reaches an entry in Owned state.
 	if !e.owners.Empty() {
 		switch {
 		case e.owners.Count() > 1:
-			d.tl.st.DirMultiOwner++
+			d.sys.st.DirMultiOwner++
 		case d.sharersOf(e).Without(e.owners).Empty():
-			d.tl.st.DirOwnerOneOnly++
+			d.sys.st.DirOwnerOneOnly++
 		default:
-			d.tl.st.DirOwnerPlusSharers++
+			d.sys.st.DirOwnerPlusSharers++
 		}
 	}
 
@@ -449,15 +447,15 @@ func (d *dirSlice) process(e *dirEntry, m *Msg) {
 	}
 	e.txnStore = dirTxn{id: d.newTxnID(), req: m, waiting: targets.Count()}
 	e.txn = &e.txnStore
-	if d.tl.attrib != nil {
-		d.tl.attrib.Fanout(m.Region, targets.Count())
+	if d.sys.attrib != nil {
+		d.sys.attrib.Fanout(m.Region, targets.Count())
 	}
 	// 3-hop: with exactly one target that is an owner and a data-bearing
 	// request, let the owner forward the data straight to the requester.
 	direct := d.sys.cfg.ThreeHop && targets.Count() == 1 &&
 		(m.Type == MsgGetS || m.Type == MsgGetX)
 	targets.ForEach(func(t int) {
-		probe := d.tl.newMsg()
+		probe := d.sys.newMsg()
 		probe.Src = d.node
 		probe.Dst = t
 		probe.Region = m.Region
@@ -473,7 +471,7 @@ func (d *dirSlice) process(e *dirEntry, m *Msg) {
 			probe.Type = MsgInv
 		}
 		probe.Direct = direct && e.owners.Has(t)
-		d.tl.send(probe)
+		d.sys.send(probe)
 	})
 }
 
@@ -506,16 +504,16 @@ func (d *dirSlice) recvResponse(m *Msg) {
 		e.l2dirty = true
 	}
 	var evictAudit func()
-	if d.tl.transitions != nil && m.TxnID == 0 {
+	if d.sys.transitions != nil && m.TxnID == 0 {
 		from := d.dirState(e)
 		evictAudit = func() {
-			d.tl.recordTransition("Dir", from, m.Type.String(), d.dirState(e))
+			d.sys.recordTransition("Dir", from, m.Type.String(), d.dirState(e))
 		}
 	}
 	// Spontaneous writebacks mutate the vectors outside any transaction;
 	// snapshot the state code so the edge they cause is recorded too.
 	var wbFromCode uint8
-	wbFlight := d.tl.flight != nil && m.TxnID == 0
+	wbFlight := d.sys.flight != nil && m.TxnID == 0
 	if wbFlight {
 		wbFromCode = d.flightDirCode(e)
 	}
@@ -530,8 +528,8 @@ func (d *dirSlice) recvResponse(m *Msg) {
 	}
 	if wbFlight {
 		if to := d.flightDirCode(e); to != wbFromCode {
-			d.tl.flight.Record(flight.Record{
-				Cycle: d.tl.eng.Now(), Tile: int16(d.tl.id),
+			d.sys.flight.Record(flight.Record{
+				Cycle: d.sys.eng.Now(), Tile: int16(d.node),
 				Kind: flight.KindDirState, Sub: uint8(m.Type),
 				Src: int16(m.Src), Dst: -1, Req: -1,
 				Region: uint64(e.region), From: wbFromCode, To: to,
@@ -549,8 +547,8 @@ func (d *dirSlice) recvResponse(m *Msg) {
 			e.txn = nil
 			if req.Type != MsgRecall {
 				// Recall transactions carry Src=0, not a requester core.
-				if d.tl.phaseOn() {
-					d.tl.flightDir(flight.KindTxnLastAck, e.region, m.TxnID, req.Src, uint8(req.Type))
+				if d.sys.phaseOn() {
+					d.flightDir(flight.KindTxnLastAck, e.region, m.TxnID, req.Src, uint8(req.Type))
 				}
 			}
 			d.finish(e, req, forwarded)
@@ -567,8 +565,8 @@ func (d *dirSlice) finish(e *dirEntry, m *Msg, forwarded bool) {
 		// dirty data patched. If a request raced in while the recall
 		// ran, abandon the eviction and serve it (the data is current);
 		// otherwise free the slot.
-		if d.tl.flight != nil {
-			d.tl.flightDir(flight.KindTxnEnd, e.region, 0, -1, uint8(MsgRecall))
+		if d.sys.flight != nil {
+			d.flightDir(flight.KindTxnEnd, e.region, 0, -1, uint8(MsgRecall))
 		}
 		if len(e.queue) > 0 {
 			e.txn = nil
@@ -577,11 +575,11 @@ func (d *dirSlice) finish(e *dirEntry, m *Msg, forwarded bool) {
 			d.clearBusy(e)
 			d.dropEntry(e)
 		}
-		d.tl.freeMsg(m)
+		d.sys.freeMsg(d.node, m)
 		return
 	}
 	req := m.Src
-	reply := d.tl.newMsg()
+	reply := d.sys.newMsg()
 	reply.Src = d.node
 	reply.Dst = req
 	reply.Region = m.Region
@@ -622,7 +620,7 @@ func (d *dirSlice) finish(e *dirEntry, m *Msg, forwarded bool) {
 	var delay engine.Cycle
 	if dataBearing && !forwarded {
 		if d.sys.cfg.NonInclusiveL2 && d.fetchMissing(e, m.R.Bitmap()) {
-			d.tl.st.MemFetches++
+			d.sys.st.MemFetches++
 			delay = d.sys.cfg.MemLat
 		}
 		d.loadPayload(e, reply)
@@ -640,22 +638,22 @@ func (d *dirSlice) finish(e *dirEntry, m *Msg, forwarded bool) {
 	if !forwarded {
 		if delay > 0 {
 			reply.phase = phaseSend
-			d.tl.eng.ScheduleRunner(delay, reply)
+			d.sys.eng.ScheduleRunner(delay, reply)
 		} else {
-			d.tl.send(reply)
+			d.sys.send(reply)
 		}
 	} else {
 		// A 3-hop owner already supplied the requester; the unsent
 		// reply goes straight back to the pool.
-		d.tl.freeMsg(reply)
+		d.sys.freeMsg(d.node, reply)
 	}
-	if d.tl.transitions != nil {
-		d.tl.recordTransition("Dir", e.auditFrom, m.Type.String(), d.dirState(e))
+	if d.sys.transitions != nil {
+		d.sys.recordTransition("Dir", e.auditFrom, m.Type.String(), d.dirState(e))
 	}
-	if d.tl.flight != nil {
+	if d.sys.flight != nil {
 		if to := d.flightDirCode(e); to != e.auditFromCode {
-			d.tl.flight.Record(flight.Record{
-				Cycle: d.tl.eng.Now(), Tile: int16(d.tl.id),
+			d.sys.flight.Record(flight.Record{
+				Cycle: d.sys.eng.Now(), Tile: int16(d.node),
 				Kind: flight.KindDirState, Sub: uint8(m.Type),
 				Src: int16(d.node), Dst: -1, Req: int16(req),
 				Region: uint64(e.region), From: e.auditFromCode, To: to,
@@ -671,14 +669,14 @@ func (d *dirSlice) finish(e *dirEntry, m *Msg, forwarded bool) {
 		d.unblock(e)
 	}
 	// The request's transaction is fully retired: recycle it.
-	d.tl.freeMsg(m)
+	d.sys.freeMsg(d.node, m)
 }
 
 // unblock reopens the region after the requester installed its fill
 // and activates the next queued transaction, if any.
 func (d *dirSlice) unblock(e *dirEntry) {
-	if d.tl.flight != nil {
-		d.tl.flightDir(flight.KindTxnEnd, e.region, 0, -1, flight.SubNone)
+	if d.sys.flight != nil {
+		d.flightDir(flight.KindTxnEnd, e.region, 0, -1, flight.SubNone)
 	}
 	if d.sys.obs != nil {
 		d.sys.obs.OnTxnEnd(e.region)
@@ -695,14 +693,14 @@ func (d *dirSlice) unblock(e *dirEntry) {
 // in place so its backing array is reused for the region's lifetime.
 func (d *dirSlice) popQueue(e *dirEntry) {
 	next := e.queue[0]
-	if d.tl.flight != nil {
-		d.tl.flightDir(flight.KindQueueUnpark, e.region, 0, next.Src, uint8(next.Type))
+	if d.sys.flight != nil {
+		d.flightDir(flight.KindQueueUnpark, e.region, 0, next.Src, uint8(next.Type))
 	}
 	n := copy(e.queue, e.queue[1:])
 	e.queue[n] = nil
 	e.queue = e.queue[:n]
 	next.phase = phaseActivate
-	d.tl.eng.ScheduleRunner(1, next)
+	d.sys.eng.ScheduleRunner(1, next)
 }
 
 // loadPayload fills a data reply with the requested words from the L2

@@ -12,7 +12,7 @@ import (
 )
 
 // This file wires the flight spine (internal/obs/flight) into the
-// machine: per-tile rings fed by nil-checked hooks at every protocol
+// machine: one record ring fed by nil-checked hooks at every protocol
 // step — the machine's only observability hooks — the stall watchdog
 // sampled on timeline ticks, and the log export behind protozoa sim's
 // -flight flag. The Chrome trace, message log and latency breakdown are
@@ -34,39 +34,23 @@ const flightRecordsPerMsg = 8
 
 // EnableFlightRecorder attaches the flight recorder, keeping the most
 // recent capacity records (<= 0 selects flight.DefaultCap). Call before
-// Run. Sequential machines share one ring across tiles (exact execution
-// order); under PDES each tile records into its own ring and
-// FlightRecords merges them deterministically, so the transcript is
-// byte-identical at any Workers >= 1. Every view that needs the ring
-// (the flight log, message log, Chrome trace and stall watchdog) calls
-// this; the rings grow to the largest capacity any caller asks for.
+// Run. Every view that needs the ring (the flight log, message log,
+// Chrome trace and stall watchdog) calls this; the ring grows to the
+// largest capacity any caller asks for.
 func (s *System) EnableFlightRecorder(capacity int) *flight.Recorder {
 	if s.flight != nil {
 		s.flight.Grow(capacity)
 		return s.flight
 	}
-	rings := 1
-	if s.pdes {
-		rings = len(s.tiles)
-	}
-	rec := flight.NewRecorder(rings, capacity)
-	for i, t := range s.tiles {
-		if s.pdes {
-			t.flight = rec.Ring(i)
-		} else {
-			t.flight = rec.Ring(0)
-		}
-	}
-	s.flight = rec
+	s.flight = flight.NewRecorder(capacity)
 	return s.flight
 }
 
 // FlightRecorder returns the attached recorder, nil when disabled.
 func (s *System) FlightRecorder() *flight.Recorder { return s.flight }
 
-// FlightRecords returns the merged, cycle-ordered transcript (nil when
-// the recorder is disabled). Under PDES ties keep tile order, so the
-// result is worker-count independent.
+// FlightRecords returns the transcript in execution order (nil when
+// the recorder is disabled).
 func (s *System) FlightRecords() []flight.Record {
 	if s.flight == nil {
 		return nil
@@ -87,7 +71,7 @@ func flightNames() *flight.Names {
 	return &flight.Names{Msgs: append([]string(nil), msgNames[:]...)}
 }
 
-// WriteFlightLog exports the merged transcript in the .pzfl format
+// WriteFlightLog exports the transcript in the .pzfl format
 // protozoa inspect reads. EnableFlightRecorder must have been called.
 func (s *System) WriteFlightLog(w io.Writer) error {
 	if s.flight == nil {
@@ -125,10 +109,10 @@ func causeCode(event string) uint8 {
 	return flight.SubNone
 }
 
-// flightMsg records one message-lifecycle step. Every field is copied
-// out of the message, so the record stays valid after the message is
-// recycled into a pool.
-func (t *tile) flightMsg(k flight.Kind, at engine.Cycle, m *Msg) {
+// flightMsg records one message-lifecycle step at tile. Every field is
+// copied out of the message, so the record stays valid after the
+// message is recycled into the pool.
+func (s *System) flightMsg(k flight.Kind, tile int, m *Msg) {
 	var flags uint8
 	if m.StillSharer {
 		flags |= flight.FlagStillSharer
@@ -142,8 +126,8 @@ func (t *tile) flightMsg(k flight.Kind, at engine.Cycle, m *Msg) {
 	if m.ForwardedData {
 		flags |= flight.FlagForwarded
 	}
-	t.flight.Record(flight.Record{
-		Cycle: at, Tile: int16(t.id), Kind: k, Sub: uint8(m.Type),
+	s.flight.Record(flight.Record{
+		Cycle: s.eng.Now(), Tile: int16(tile), Kind: k, Sub: uint8(m.Type),
 		Src: int16(m.Src), Dst: int16(m.Dst), Req: int16(m.Requester),
 		Region: uint64(m.Region), Txn: m.TxnID,
 		R: m.R, Valid: m.Valid, Dirty: m.Dirty, Flags: flags,
@@ -153,26 +137,26 @@ func (t *tile) flightMsg(k flight.Kind, at engine.Cycle, m *Msg) {
 // phaseOn reports whether any view consumes the six miss/transaction
 // phase records (miss-start, dir-accept, txn-start, txn-process,
 // txn-last-ack, miss-end): the flight ring or the online latency fold.
-// Every other record kind feeds the ring alone and guards on t.flight.
-func (t *tile) phaseOn() bool { return t.flight != nil || t.sys.lat != nil }
+// Every other record kind feeds the ring alone and guards on s.flight.
+func (s *System) phaseOn() bool { return s.flight != nil || s.lat != nil }
 
-// record hands one record to every view that is on: this tile's ring
-// and the latency fold.
-func (t *tile) record(r flight.Record) {
-	if t.flight != nil {
-		t.flight.Record(r)
+// record hands one record to every view that is on: the ring and the
+// latency fold.
+func (s *System) record(r flight.Record) {
+	if s.flight != nil {
+		s.flight.Record(r)
 	}
-	if lat := t.sys.lat; lat != nil {
+	if lat := s.lat; lat != nil {
 		lat.Fold(&r)
 	}
 }
 
-// flightDir records one directory-transaction step at this tile's
-// slice. req is the requesting core (-1 for inclusion recalls).
-func (t *tile) flightDir(k flight.Kind, region mem.RegionID, txn uint64, req int, sub uint8) {
-	t.record(flight.Record{
-		Cycle: t.eng.Now(), Tile: int16(t.id), Kind: k, Sub: sub,
-		Src: int16(t.id), Dst: -1, Req: int16(req),
+// flightDir records one directory-transaction step at this slice. req
+// is the requesting core (-1 for inclusion recalls).
+func (d *dirSlice) flightDir(k flight.Kind, region mem.RegionID, txn uint64, req int, sub uint8) {
+	d.sys.record(flight.Record{
+		Cycle: d.sys.eng.Now(), Tile: int16(d.node), Kind: k, Sub: sub,
+		Src: int16(d.node), Dst: -1, Req: int16(req),
 		Region: uint64(region), Txn: txn,
 	})
 }
@@ -259,10 +243,7 @@ func (s *System) EnableStallWatchdog(threshold engine.Cycle, out io.Writer) {
 // Stalls returns the watchdog's detections in flag order.
 func (s *System) Stalls() []StallReport { return s.stalls }
 
-// checkStalls runs at every timeline tick (both the sequential sampler
-// and the PDES round-edge sampler, so detections are worker-count
-// independent). now is the tick's nominal cycle; a PDES tile may have
-// run slightly past it, so misses issued after the tick are skipped.
+// checkStalls runs at every timeline tick; now is the tick's cycle.
 func (s *System) checkStalls(now engine.Cycle) {
 	if s.stallThreshold == 0 {
 		return
@@ -272,7 +253,7 @@ func (s *System) checkStalls(now engine.Cycle) {
 			continue
 		}
 		ms := &l1.ms
-		if ms.issuedAt > now || now-ms.issuedAt < s.stallThreshold {
+		if now-ms.issuedAt < s.stallThreshold {
 			continue
 		}
 		key := stallKey{core: l1.id, issued: ms.issuedAt}
@@ -324,7 +305,7 @@ const (
 	violationTranscriptCap = 64
 )
 
-// flightForRegion filters the merged transcript to one region's last n
+// flightForRegion filters the transcript to one region's last n
 // records.
 func (s *System) flightForRegion(region mem.RegionID, n int) []flight.Record {
 	if s.flight == nil {
@@ -342,7 +323,7 @@ func (s *System) flightForRegion(region mem.RegionID, n int) []flight.Record {
 	return out
 }
 
-// flightTail renders the merged transcript's last n records — the
+// flightTail renders the transcript's last n records — the
 // auto-dump attached to checker violations and deadlock diagnoses.
 func (s *System) flightTail(n int) string {
 	if s.flight == nil {

@@ -50,31 +50,6 @@ func TestStallWatchdogFires(t *testing.T) {
 	}
 }
 
-// TestStallWatchdogUnderPDES: detections happen at nominal round-edge
-// ticks under the parallel loop, so arming the watchdog must not be
-// rejected and must still flag the wedged miss.
-func TestStallWatchdogUnderPDES(t *testing.T) {
-	cfg := testConfig(MESI, 4)
-	cfg.Workers = 2
-	cfg.MemLat = 100_000
-	streams := make([]trace.Stream, 4)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream([]trace.Access{ld(regAddr(10 + i))})
-	}
-	sys, err := NewSystem(cfg, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.EnableTimeline(1000)
-	sys.EnableStallWatchdog(5000, nil)
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sys.Stalls()) == 0 {
-		t.Fatal("watchdog flagged nothing under PDES")
-	}
-}
-
 // TestCheckerViolationAutoDump: when the random-tester oracle trips
 // with the flight recorder armed, the first violation snapshots the
 // transcript and Err carries it — a protocol trace, not a bare message.
@@ -208,10 +183,9 @@ func TestFlightPhaseReconciliation(t *testing.T) {
 
 // spineRun runs the 4-core random workload the reconciliation tests
 // use, with setup arming whichever views the caller wants.
-func spineRun(t *testing.T, p Protocol, workers int, setup func(*System)) *System {
+func spineRun(t *testing.T, p Protocol, setup func(*System)) *System {
 	t.Helper()
 	cfg := testConfig(p, 4)
-	cfg.Workers = workers
 	perCore := randomStreams(4, 600, 10, 40, 17)
 	streams := make([]trace.Stream, 4)
 	for i := range streams {
@@ -231,25 +205,23 @@ func spineRun(t *testing.T, p Protocol, workers int, setup func(*System)) *Syste
 // TestLatencyFoldExactUnderRingWrap: the breakdown is folded online as
 // records are emitted, so a flight ring far too small for the run —
 // wrapping thousands of times — leaves it identical to a latency-only
-// run, which keeps no ring at all. Both execution modes.
+// run, which keeps no ring at all.
 func TestLatencyFoldExactUnderRingWrap(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		alone := spineRun(t, ProtozoaMW, workers, func(s *System) { s.EnableLatencyBreakdown() })
-		if alone.FlightRecorder() != nil {
-			t.Fatalf("workers=%d: a latency-only run attached a flight ring", workers)
-		}
-		tiny := spineRun(t, ProtozoaMW, workers, func(s *System) {
-			s.EnableLatencyBreakdown()
-			s.EnableFlightRecorder(16)
-		})
-		if tiny.FlightDropped() == 0 {
-			t.Fatalf("workers=%d: a 16-record ring did not wrap", workers)
-		}
-		if alone.LatencyBreakdown().Count == 0 {
-			t.Fatalf("workers=%d: no misses folded", workers)
-		}
-		assertJSONEqual(t, workers, "latency (tiny ring vs none)", alone.LatencyBreakdown(), tiny.LatencyBreakdown())
+	alone := spineRun(t, ProtozoaMW, func(s *System) { s.EnableLatencyBreakdown() })
+	if alone.FlightRecorder() != nil {
+		t.Fatal("a latency-only run attached a flight ring")
 	}
+	tiny := spineRun(t, ProtozoaMW, func(s *System) {
+		s.EnableLatencyBreakdown()
+		s.EnableFlightRecorder(16)
+	})
+	if tiny.FlightDropped() == 0 {
+		t.Fatal("a 16-record ring did not wrap")
+	}
+	if alone.LatencyBreakdown().Count == 0 {
+		t.Fatal("no misses folded")
+	}
+	assertJSONEqual(t, "latency (tiny ring vs none)", alone.LatencyBreakdown(), tiny.LatencyBreakdown())
 }
 
 // TestFlightRingSizedForLargestView: several views share the flight
@@ -257,13 +229,13 @@ func TestLatencyFoldExactUnderRingWrap(t *testing.T) {
 // they were enabled in — a small message log enabled first must not
 // cap the flight log's capacity.
 func TestFlightRingSizedForLargestView(t *testing.T) {
-	full := spineRun(t, MESI, 0, func(s *System) { s.EnableFlightRecorder(1 << 18) })
+	full := spineRun(t, MESI, func(s *System) { s.EnableFlightRecorder(1 << 18) })
 	if full.FlightDropped() != 0 {
 		t.Fatalf("reference run dropped %d records", full.FlightDropped())
 	}
 	want := full.FlightRecorder().Len()
 	for _, order := range []string{"msglog-first", "flight-first"} {
-		sys := spineRun(t, MESI, 0, func(s *System) {
+		sys := spineRun(t, MESI, func(s *System) {
 			if order == "msglog-first" {
 				s.EnableMessageLog(5)
 				s.EnableFlightRecorder(1 << 18)

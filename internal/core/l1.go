@@ -22,7 +22,6 @@ import (
 // outstanding).
 type l1Ctrl struct {
 	sys   *System
-	tl    *tile // this core's partition: engine, stats shard, msg pool
 	id    int
 	cache *cache.Cache
 	pred  predictor.Predictor
@@ -90,8 +89,8 @@ type mshr struct {
 	folded bool
 }
 
-func newL1(sys *System, tl *tile, id int, c *cache.Cache, p predictor.Predictor) *l1Ctrl {
-	return &l1Ctrl{sys: sys, tl: tl, id: id, cache: c, pred: p}
+func newL1(sys *System, id int, c *cache.Cache, p predictor.Predictor) *l1Ctrl {
+	return &l1Ctrl{sys: sys, id: id, cache: c, pred: p}
 }
 
 // openMSHR returns the live MSHR for the region, or nil.
@@ -122,25 +121,25 @@ func (l *l1Ctrl) markDeath(b *cache.Block, cause deathCause) {
 // region's last death decides.
 func (l *l1Ctrl) classifyMiss(region mem.RegionID, w uint8, upgrade bool) {
 	if upgrade {
-		l.tl.st.MissesCoherence++
+		l.sys.st.MissesCoherence++
 		return
 	}
 	switch deathCause(l.causes.Get(uint64(region)) >> (2 * w) & 3) {
 	case diedByEviction:
-		l.tl.st.MissesCapacity++
+		l.sys.st.MissesCapacity++
 	case diedByInvalidation:
-		l.tl.st.MissesCoherence++
+		l.sys.st.MissesCoherence++
 	default:
 		if l.cache.HasRegion(region) {
-			l.tl.st.MissesGranularity++
+			l.sys.st.MissesGranularity++
 		} else {
-			l.tl.st.MissesCold++
+			l.sys.st.MissesCold++
 		}
 	}
 }
 
-// cs is this core's per-core counter slice (in the tile's shard).
-func (l *l1Ctrl) cs() *stats.CoreStats { return &l.tl.st.PerCore[l.id] }
+// cs is this core's per-core counter slice.
+func (l *l1Ctrl) cs() *stats.CoreStats { return &l.sys.st.PerCore[l.id] }
 
 // applyWrite commits a store or RMW to a writable block and returns
 // the value the CPU observes (the stored value, or the pre-increment
@@ -172,7 +171,7 @@ func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, do
 	b := l.cache.Lookup(region, w)
 	if b != nil {
 		if !mode.write() {
-			l.tl.st.L1Hits++
+			l.sys.st.L1Hits++
 			l.cs().Hits++
 			b.Note(w, false)
 			audit(event)
@@ -181,7 +180,7 @@ func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, do
 		}
 		switch b.State {
 		case cache.Modified, cache.Exclusive:
-			l.tl.st.L1Hits++
+			l.sys.st.L1Hits++
 			l.cs().Hits++
 			b.Note(w, true)
 			val := applyWrite(b, w, mode, storeVal)
@@ -190,11 +189,11 @@ func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, do
 			return
 		case cache.Shared:
 			// Write to a clean shared block: upgrade miss.
-			l.tl.st.L1Misses++
+			l.sys.st.L1Misses++
 			l.cs().Misses++
-			l.tl.st.UpgradeMisses++
-			if l.tl.attrib != nil {
-				l.tl.attrib.Upgrade(l.id, region)
+			l.sys.st.UpgradeMisses++
+			if l.sys.attrib != nil {
+				l.sys.attrib.Upgrade(l.id, region)
 			}
 			l.classifyMiss(region, w, true)
 			l.startMiss(mshr{
@@ -207,7 +206,7 @@ func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, do
 	}
 	// Plain miss: predict the fetch range and trim it against resident
 	// sub-blocks so blocks never overlap.
-	l.tl.st.L1Misses++
+	l.sys.st.L1Misses++
 	l.cs().Misses++
 	l.classifyMiss(region, w, false)
 	want := l.cache.TrimFill(region, l.pred.Predict(pc, region, w), w)
@@ -232,25 +231,25 @@ var nopAudit = func(string) {}
 // transition-audit table, the flight recorder, or both. A no-op when
 // neither is enabled.
 func (l *l1Ctrl) auditFrom(region mem.RegionID) func(event string) {
-	if l.tl.transitions == nil && l.tl.flight == nil {
+	if l.sys.transitions == nil && l.sys.flight == nil {
 		return nopAudit
 	}
 	var from string
-	if l.tl.transitions != nil {
+	if l.sys.transitions != nil {
 		from = l.regionState(region)
 	}
 	var fromCode uint8
-	if l.tl.flight != nil {
+	if l.sys.flight != nil {
 		fromCode = l.flightStateCode(region)
 	}
 	return func(event string) {
-		if l.tl.transitions != nil {
-			l.tl.recordTransition("L1", from, event, l.regionState(region))
+		if l.sys.transitions != nil {
+			l.sys.recordTransition("L1", from, event, l.regionState(region))
 		}
-		if f := l.tl.flight; f != nil {
+		if f := l.sys.flight; f != nil {
 			if to := l.flightStateCode(region); to != fromCode {
 				f.Record(flight.Record{
-					Cycle: l.tl.eng.Now(), Tile: int16(l.tl.id),
+					Cycle: l.sys.eng.Now(), Tile: int16(l.id),
 					Kind: flight.KindL1State, Sub: causeCode(event),
 					Src: int16(l.id), Dst: -1, Req: int16(l.id),
 					Region: uint64(region), From: fromCode, To: to,
@@ -264,38 +263,38 @@ func (l *l1Ctrl) startMiss(ms mshr, t MsgType) {
 	if l.msLive {
 		panic(fmt.Sprintf("core: L1 %d issued a second miss to region %d (in-order core)", l.id, ms.region))
 	}
-	ms.issuedAt = l.tl.eng.Now()
+	ms.issuedAt = l.sys.eng.Now()
 	l.ms = ms
 	l.msLive = true
-	l.tl.mshrLive++
-	if l.tl.phaseOn() {
-		l.tl.record(flight.Record{
-			Cycle: ms.issuedAt, Tile: int16(l.tl.id),
+	l.sys.mshrLive++
+	if l.sys.phaseOn() {
+		l.sys.record(flight.Record{
+			Cycle: ms.issuedAt, Tile: int16(l.id),
 			Kind: flight.KindMissStart, Sub: uint8(t),
 			Src: int16(l.id), Dst: int16(l.sys.home(ms.region)), Req: int16(l.id),
 			Region: uint64(ms.region), R: ms.want,
 		})
 	}
-	m := l.tl.newMsg()
+	m := l.sys.newMsg()
 	m.Type = t
 	m.Src = l.id
 	m.Dst = l.sys.home(ms.region)
 	m.Region = ms.region
 	m.R = ms.want
 	m.Requester = l.id
-	l.tl.send(m)
+	l.sys.send(m)
 }
 
 // retireMiss records the completed miss's latency. The miss-end record
 // carries the same Now() as RecordMissLatency, so the latency fold's
 // phase sums reconcile exactly against stats.AvgMissLatency.
 func (l *l1Ctrl) retireMiss(ms *mshr) {
-	now := l.tl.eng.Now()
-	l.tl.st.RecordMissLatency(uint64(now - ms.issuedAt))
-	l.tl.mshrLive--
-	if l.tl.phaseOn() {
-		l.tl.record(flight.Record{
-			Cycle: now, Tile: int16(l.tl.id),
+	now := l.sys.eng.Now()
+	l.sys.st.RecordMissLatency(uint64(now - ms.issuedAt))
+	l.sys.mshrLive--
+	if l.sys.phaseOn() {
+		l.sys.record(flight.Record{
+			Cycle: now, Tile: int16(l.id),
 			Kind: flight.KindMissEnd, Sub: flight.SubNone,
 			Src: int16(l.id), Dst: -1, Req: int16(l.id),
 			Region: uint64(ms.region),
@@ -340,10 +339,10 @@ func (l *l1Ctrl) fill(m *Msg) {
 		FetchPC: ms.pc, FetchWord: ms.word,
 	}
 	copy(blk.Data[m.R.Start:m.R.End+1], m.Words[m.R.Start:m.R.End+1])
-	l.tl.st.RecordFill(m.R.Words())
-	l.tl.st.DataWordsIn += uint64(m.PayloadWords())
-	if l.tl.attrib != nil {
-		l.tl.attrib.Fill(l.id, m.Region, m.R.Words())
+	l.sys.st.RecordFill(m.R.Words())
+	l.sys.st.DataWordsIn += uint64(m.PayloadWords())
+	if l.sys.attrib != nil {
+		l.sys.attrib.Fill(l.id, m.Region, m.R.Words())
 	}
 	victims := l.cache.Insert(blk)
 	l.handleVictims(victims)
@@ -367,12 +366,12 @@ func (l *l1Ctrl) fill(m *Msg) {
 // sendUnblock reopens the region at the directory once a response has
 // been installed.
 func (l *l1Ctrl) sendUnblock(region mem.RegionID) {
-	m := l.tl.newMsg()
+	m := l.sys.newMsg()
 	m.Type = MsgUnblock
 	m.Src = l.id
 	m.Dst = l.sys.home(region)
 	m.Region = region
-	l.tl.send(m)
+	l.sys.send(m)
 }
 
 // grant completes an upgrade. If a racing remote write invalidated the
@@ -392,14 +391,14 @@ func (l *l1Ctrl) grant(m *Msg) {
 		l.sendUnblock(m.Region)
 		ms.upgrade = false
 		ms.want = l.cache.TrimFill(ms.region, ms.upgradeR, ms.word)
-		retry := l.tl.newMsg()
+		retry := l.sys.newMsg()
 		retry.Type = MsgGetX
 		retry.Src = l.id
 		retry.Dst = l.sys.home(ms.region)
 		retry.Region = ms.region
 		retry.R = ms.want
 		retry.Requester = l.id
-		l.tl.send(retry)
+		l.sys.send(retry)
 		return
 	}
 	audit := l.auditFrom(m.Region)
@@ -426,7 +425,7 @@ func (l *l1Ctrl) probeGetS(m *Msg) {
 		l.nack(m)
 		return
 	}
-	reply := l.tl.newMsg()
+	reply := l.sys.newMsg()
 	reply.Type = MsgAck
 	reply.Src = l.id
 	reply.Dst = m.Src
@@ -461,13 +460,13 @@ func (l *l1Ctrl) probeGetS(m *Msg) {
 func (l *l1Ctrl) probeInval(m *Msg) {
 	defer l.auditFrom(m.Region)(m.Type.String())
 	if m.Type == MsgInv {
-		l.tl.st.InvMsgs++
+		l.sys.st.InvMsgs++
 	}
 	if !l.cache.HasRegion(m.Region) {
 		l.nack(m)
 		return
 	}
-	reply := l.tl.newMsg()
+	reply := l.sys.newMsg()
 	reply.Type = MsgAck
 	reply.Src = l.id
 	reply.Dst = m.Src
@@ -494,15 +493,15 @@ func (l *l1Ctrl) probeInval(m *Msg) {
 		}
 	}
 	if len(extracted) > 0 {
-		l.tl.st.Invalidations++
+		l.sys.st.Invalidations++
 		l.cs().Invalidations++
-		if l.tl.attrib != nil {
+		if l.sys.attrib != nil {
 			words := 0
 			for i := range extracted {
 				words += extracted[i].R.Words()
 			}
 			// Recall INVs carry Requester -1: no core is the offender.
-			l.tl.attrib.Invalidation(m.Region, m.Requester, l.id, words)
+			l.sys.attrib.Invalidation(m.Region, m.Requester, l.id, words)
 		}
 	}
 	// Protozoa-SW+MR: the probed owner is fully revoked — remaining
@@ -564,15 +563,15 @@ func (l *l1Ctrl) finishReply(reply *Msg, processed int) {
 		}
 	}
 	if reply.Type == MsgWback {
-		l.tl.st.Writebacks++
-		l.tl.st.DataWordsOut += uint64(reply.PayloadWords())
+		l.sys.st.Writebacks++
+		l.sys.st.DataWordsOut += uint64(reply.PayloadWords())
 	}
 	delay := engine.Cycle(0)
 	if processed > 1 {
 		delay = engine.Cycle(processed - 1)
 	}
 	reply.phase = phaseSend
-	l.tl.eng.ScheduleRunner(delay, reply)
+	l.sys.eng.ScheduleRunner(delay, reply)
 }
 
 // tryDirectForward implements the 3-hop fast path (Section 6): when
@@ -592,7 +591,7 @@ func (l *l1Ctrl) tryDirectForward(m *Msg, grant MsgType) bool {
 			break
 		}
 	}
-	data := l.tl.newMsg()
+	data := l.sys.newMsg()
 	data.Type = grant
 	data.Src = l.id
 	data.Dst = m.Requester
@@ -605,21 +604,21 @@ func (l *l1Ctrl) tryDirectForward(m *Msg, grant MsgType) bool {
 			break
 		}
 	}
-	l.tl.st.DirectForwards++
-	l.tl.send(data)
+	l.sys.st.DirectForwards++
+	l.sys.send(data)
 	return true
 }
 
 // nack answers a probe when nothing of the region is resident: the
 // stale-directory-entry case after a silent clean eviction.
 func (l *l1Ctrl) nack(probe *Msg) {
-	m := l.tl.newMsg()
+	m := l.sys.newMsg()
 	m.Type = MsgNack
 	m.Src = l.id
 	m.Dst = probe.Src
 	m.Region = probe.Region
 	m.TxnID = probe.TxnID
-	l.tl.send(m)
+	l.sys.send(m)
 }
 
 // handleVictims processes capacity evictions: classify each dead
@@ -629,7 +628,7 @@ func (l *l1Ctrl) nack(probe *Msg) {
 func (l *l1Ctrl) handleVictims(victims []cache.Block) {
 	for i := range victims {
 		v := &victims[i]
-		l.tl.st.Evictions++
+		l.sys.st.Evictions++
 		l.markDeath(v, diedByEviction)
 		l.classifyDeath(v)
 		if v.State != cache.Modified {
@@ -638,16 +637,16 @@ func (l *l1Ctrl) handleVictims(victims []cache.Block) {
 			// replacement-notification discipline). Precise directories
 			// keep the paper's silent-drop-then-NACK behaviour.
 			if l.sys.cfg.Directory == DirBloom && !l.cache.HasRegion(v.Region) {
-				note := l.tl.newMsg()
+				note := l.sys.newMsg()
 				note.Type = MsgWbackLast
 				note.Src = l.id
 				note.Dst = l.sys.home(v.Region)
 				note.Region = v.Region
-				l.tl.send(note)
+				l.sys.send(note)
 			}
 			continue
 		}
-		wb := l.tl.newMsg()
+		wb := l.sys.newMsg()
 		wb.Src = l.id
 		wb.Dst = l.sys.home(v.Region)
 		wb.Region = v.Region
@@ -661,10 +660,10 @@ func (l *l1Ctrl) handleVictims(victims []cache.Block) {
 		} else {
 			wb.Type = MsgWbackLast
 		}
-		l.tl.st.Writebacks++
-		l.tl.st.DataWordsOut += uint64(wb.PayloadWords())
+		l.sys.st.Writebacks++
+		l.sys.st.DataWordsOut += uint64(wb.PayloadWords())
 		l.classifyWriteback(v)
-		l.tl.send(wb)
+		l.sys.send(wb)
 	}
 }
 
@@ -673,14 +672,14 @@ func (l *l1Ctrl) handleVictims(victims []cache.Block) {
 // and trains the predictor on the observed usage.
 func (l *l1Ctrl) classifyDeath(b *cache.Block) {
 	used := b.UsedWords()
-	l.tl.st.UsedDataBytes += uint64(used) * mem.WordBytes
-	l.tl.st.UnusedDataBytes += uint64(b.R.Words()-used) * mem.WordBytes
-	if l.tl.attrib != nil {
+	l.sys.st.UsedDataBytes += uint64(used) * mem.WordBytes
+	l.sys.st.UnusedDataBytes += uint64(b.R.Words()-used) * mem.WordBytes
+	if l.sys.attrib != nil {
 		// Every fill eventually reaches one of the classifyDeath sites
 		// (eviction, invalidation, or Run's residual flush), so the
 		// tracker's fetched == used + unused reconciles exactly, and
 		// every reference a block served is folded exactly once.
-		l.tl.attrib.Death(l.id, b.Region, footprint(b), used, b.R.Words())
+		l.sys.attrib.Death(l.id, b.Region, footprint(b), used, b.R.Words())
 		b.Refs = 0
 	}
 	l.pred.Train(b.FetchPC, b.Region, b.FetchWord, b.Touched(), b.R)
@@ -711,12 +710,12 @@ func noteMiss(b *cache.Block, ms *mshr) {
 func (l *l1Ctrl) foldPending() {
 	l.cache.Blocks(func(b *cache.Block) {
 		if b.Refs != 0 {
-			l.tl.attrib.Fold(l.id, b.Region, footprint(b))
+			l.sys.attrib.Fold(l.id, b.Region, footprint(b))
 			b.Refs = 0
 		}
 	})
 	if ms := &l.ms; l.msLive && !ms.folded {
-		l.tl.attrib.Fold(l.id, ms.region, attrib.Reference(ms.word, ms.mode.write()))
+		l.sys.attrib.Fold(l.id, ms.region, attrib.Reference(ms.word, ms.mode.write()))
 		ms.folded = true
 	}
 }
@@ -724,6 +723,6 @@ func (l *l1Ctrl) foldPending() {
 // classifyWriteback attributes an outgoing writeback payload's words.
 func (l *l1Ctrl) classifyWriteback(b *cache.Block) {
 	used := b.UsedWords()
-	l.tl.st.UsedDataBytes += uint64(used) * mem.WordBytes
-	l.tl.st.UnusedDataBytes += uint64(b.R.Words()-used) * mem.WordBytes
+	l.sys.st.UsedDataBytes += uint64(used) * mem.WordBytes
+	l.sys.st.UnusedDataBytes += uint64(b.R.Words()-used) * mem.WordBytes
 }

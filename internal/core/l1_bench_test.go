@@ -57,8 +57,8 @@ func TestL1HitAllocatesNothing(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("attrib=%v: %v allocs per L1 hit, want 0", attrib, n)
 		}
-		if l.tl.st.L1Misses != 0 {
-			t.Fatalf("attrib=%v: the hit loop missed %d times", attrib, l.tl.st.L1Misses)
+		if l.sys.st.L1Misses != 0 {
+			t.Fatalf("attrib=%v: the hit loop missed %d times", attrib, l.sys.st.L1Misses)
 		}
 	}
 }

@@ -204,9 +204,7 @@ func (m *Msg) Run() {
 	case phaseDeliver:
 		m.sys.deliver(m)
 	case phaseSend:
-		// Src is always stamped before a phaseSend is scheduled, and the
-		// delayed send runs on the sending tile's engine.
-		m.sys.tiles[m.Src].send(m)
+		m.sys.send(m)
 	case phaseActivate:
 		d := m.sys.dirs[m.Dst]
 		d.activate(d.mustEntry(m.Region), m)

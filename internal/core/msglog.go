@@ -11,10 +11,8 @@ import (
 
 // The message log is a view over the flight recorder: EnableMessageLog
 // arms the recorder (sized in records to hold at least the requested
-// message count) and MessageLog reconstructs MsgEvents from the merged
-// msg-send records. Routing the legacy log through the sharded flight
-// rings is what makes it legal under PDES — the old implementation was
-// a single global ring, which assumed one global event order.
+// message count) and MessageLog reconstructs MsgEvents from its
+// msg-send records.
 
 // MsgEvent is one logged coherence message.
 type MsgEvent struct {
@@ -51,8 +49,7 @@ func (e MsgEvent) String() string {
 // EnableMessageLog starts recording the most recent capacity messages
 // sent on the mesh — the protocol-transcript facility used by the
 // golden flow tests and protozoa sim's -msglog flag. Call before Run.
-// Implemented on the flight recorder's per-tile rings, so it works
-// under PDES with worker-count-independent output. If the flight
+// Implemented on the flight recorder's ring. If the flight
 // recorder is already enabled its sizing wins.
 func (s *System) EnableMessageLog(capacity int) {
 	if capacity <= 0 {

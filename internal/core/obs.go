@@ -59,18 +59,9 @@ func (s *System) LatencyBreakdown() *obs.LatencyBreakdown { return s.lat }
 // word accounting, sharing-pattern classification, and
 // invalidation/upgrade attribution to offending regions and cores.
 // Call before Run.
-// Under PDES the returned tracker is the merge target for the per-tile
-// trackers folded in when Run completes.
 func (s *System) EnableAttribution() *attrib.Tracker {
 	if s.attrib == nil {
 		s.attrib = attrib.New(s.cfg.Cores)
-		for _, t := range s.tiles {
-			if s.pdes {
-				t.attrib = attrib.New(s.cfg.Cores)
-			} else {
-				t.attrib = s.attrib
-			}
-		}
 	}
 	return s.attrib
 }
@@ -79,36 +70,17 @@ func (s *System) EnableAttribution() *attrib.Tracker {
 func (s *System) Attribution() *attrib.Tracker { return s.attrib }
 
 // EnableSelfProf attaches the simulator self-profiling layer
-// (internal/obs/selfprof): PDES round/window telemetry, per-tile
-// busy/idle accounting, wall-clock round spans, barrier-wait timing,
-// and engine queue introspection. Call before Run; read the returned
-// profile only after Run. Results are unaffected — the layer observes
-// the simulator, never the simulated machine, so stats, traces, and
-// CSV output are byte-identical with it on or off.
-// In sequential mode (Workers == 0) the round telemetry is empty and
-// the profile carries the shared engine's queue counters only.
+// (internal/obs/selfprof): engine queue introspection, the event total
+// and the run's wall time. Call before Run; read the returned profile
+// only after Run. Results are unaffected — the layer observes the
+// simulator, never the simulated machine, so stats, traces, and CSV
+// output are byte-identical with it on or off. Besides -self-prof,
+// perfbench's traced runs read it; the Report fields that only
+// perfbench reads always read zero.
 func (s *System) EnableSelfProf() *selfprof.Profile {
-	if s.selfProf != nil {
-		return s.selfProf
-	}
-	if s.pdes {
-		workers := s.cfg.Workers
-		if workers > len(s.tiles) {
-			workers = len(s.tiles)
-		}
-		p := selfprof.New(len(s.tiles), workers, 0)
-		p.Mode = "pdes"
-		p.LookaheadW = uint64(s.mesh.Lookahead())
-		for i, t := range s.tiles {
-			t.prof = &p.Tiles[i]
-			t.eng.SetProf(&p.Tiles[i].Queue)
-		}
-		s.selfProf = p
-	} else {
-		p := selfprof.New(1, 0, 0)
-		p.Mode = "sequential"
-		s.eng.SetProf(&p.Tiles[0].Queue)
-		s.selfProf = p
+	if s.selfProf == nil {
+		s.selfProf = selfprof.New()
+		s.eng.SetProf(&s.selfProf.Queue)
 	}
 	return s.selfProf
 }
@@ -116,24 +88,16 @@ func (s *System) EnableSelfProf() *selfprof.Profile {
 // SelfProf returns the attached self-profile, nil when disabled.
 func (s *System) SelfProf() *selfprof.Profile { return s.selfProf }
 
-// finishSelfProf stamps the end-of-run fields readers expect: per-tile
-// zero-delay hit counts (kept in the engine, not the shard), the
-// machine-wide event total, and total wall-clock. Called from both
-// run modes after the final merge; no-op when self-prof is disabled.
+// finishSelfProf stamps the end-of-run fields: the zero-delay hit count
+// (kept in the engine, not the profile), the event total and the
+// wall-clock. No-op when self-prof is disabled.
 func (s *System) finishSelfProf() {
 	p := s.selfProf
 	if p == nil {
 		return
 	}
-	if s.pdes {
-		for i, t := range s.tiles {
-			p.Tiles[i].MicroHits = t.eng.MicroHits()
-		}
-	} else {
-		p.Tiles[0].MicroHits = s.eng.MicroHits()
-		p.Tiles[0].Events = s.eng.Processed()
-	}
-	p.TotalEvents = s.EventsProcessed()
+	p.MicroHits = s.eng.MicroHits()
+	p.TotalEvents = s.eng.Processed()
 	p.TotalNs = int64(time.Since(p.Start))
 }
 
@@ -158,19 +122,18 @@ func (s *System) EnableMetrics() *obs.Registry {
 	}
 	r := &obs.Registry{}
 	r.Register("event_queue_depth", "events pending in the engine queue",
-		func() float64 { return float64(s.queuePending()) })
+		func() float64 { return float64(s.eng.Pending()) })
 	r.Register("event_queue_high_water", "deepest the engine queue has been",
-		func() float64 { return float64(s.queueHighWater()) })
+		func() float64 { return float64(s.eng.HighWater()) })
 	r.Register("event_queue_zero_delay_hits", "events scheduled with zero delay",
-		func() float64 { return float64(s.queueZeroDelayHits()) })
+		func() float64 { return float64(s.eng.MicroHits()) })
 	r.Register("msg_pool_hit_rate", "fraction of messages served from the free list",
 		func() float64 {
-			hits, allocs := s.poolCounts()
-			total := hits + allocs
+			total := s.pool.hits + s.pool.allocs
 			if total == 0 {
 				return 0
 			}
-			return float64(hits) / float64(total)
+			return float64(s.pool.hits) / float64(total)
 		})
 	r.Register("dir_busy_txns", "regions with an active directory transaction",
 		func() float64 {
@@ -181,18 +144,12 @@ func (s *System) EnableMetrics() *obs.Registry {
 			return float64(busy)
 		})
 	r.Register("mshr_live", "misses outstanding across all cores",
-		func() float64 {
-			live := 0
-			for _, t := range s.tiles {
-				live += t.mshrLive
-			}
-			return float64(live)
-		})
+		func() float64 { return float64(s.mshrLive) })
 	r.Register("mshr_stall_cycles", "cumulative core cycles stalled on L1 misses",
 		func() float64 { return float64(s.st.MissLatencySum) })
 	r.Register("noc_link_utilization", "flit-hops per link-cycle across the interconnect",
 		func() float64 {
-			cycles := float64(s.simNow()) * float64(s.mesh.LinkCount())
+			cycles := float64(s.eng.Now()) * float64(s.mesh.LinkCount())
 			if cycles == 0 {
 				return 0
 			}
@@ -244,39 +201,6 @@ func (s *System) EnableMetrics() *obs.Registry {
 		func(t *attrib.Tracker) uint64 {
 			s.foldAttribution()
 			return t.FalseSharedRegions()
-		})
-	// Self-profiling gauges read 0 until EnableSelfProf runs. They are
-	// sampled at round edges (the PDES timeline tick), inside the
-	// window loop's happens-before chain, so the shard reads are safe.
-	profGauge := func(name, help string, fn func(*selfprof.Profile) uint64) {
-		r.Register(name, help, func() float64 {
-			if s.selfProf == nil {
-				return 0
-			}
-			return float64(fn(s.selfProf))
-		})
-	}
-	profGauge("selfprof_rounds", "PDES window-loop rounds completed (self-prof)",
-		func(p *selfprof.Profile) uint64 { return p.Rounds })
-	profGauge("selfprof_inline_rounds", "rounds run without dispatching the worker crew (self-prof)",
-		func(p *selfprof.Profile) uint64 { return p.InlineRounds })
-	profGauge("selfprof_solo_extended_rounds", "rounds whose minimum tile ran an extended window (self-prof)",
-		func(p *selfprof.Profile) uint64 { return p.SoloExtendedRounds })
-	profGauge("selfprof_injected_msgs", "cross-tile messages injected at round barriers (self-prof)",
-		func(p *selfprof.Profile) uint64 { return p.InjectedMsgs })
-	profGauge("selfprof_limit_cuts", "engine window self-caps via LimitTo across tiles (self-prof)",
-		func(p *selfprof.Profile) (n uint64) {
-			for i := range p.Tiles {
-				n += p.Tiles[i].Queue.LimitCuts
-			}
-			return n
-		})
-	profGauge("selfprof_refusals", "bounded runs stopped by the window edge with work queued (self-prof)",
-		func(p *selfprof.Profile) (n uint64) {
-			for i := range p.Tiles {
-				n += p.Tiles[i].Queue.Refusals
-			}
-			return n
 		})
 	// Flight-recorder gauges read 0 until EnableFlightRecorder (or the
 	// stall watchdog) runs, same nil-guard discipline as above.

@@ -25,7 +25,7 @@ func TestFlightRecordsOutlivePooledMsg(t *testing.T) {
 	}
 	sys.EnableMessageLog(16)
 
-	m := sys.tiles[0].newMsg()
+	m := sys.newMsg()
 	m.Type = MsgGetX
 	m.Src = 0
 	m.Dst = 0
@@ -35,12 +35,13 @@ func TestFlightRecordsOutlivePooledMsg(t *testing.T) {
 	m.StillOwner = true
 	m.Valid = 0xe
 	m.Words[3] = 0xdead
-	sys.tiles[0].flightMsg(flight.KindMsgSend, 42, m)
+	sys.Engine().Schedule(42, func() { sys.flightMsg(flight.KindMsgSend, 0, m) })
+	sys.Engine().Run(0)
 
 	// The message dies: the pool zeroes it for reuse, and the next
 	// taker scribbles fresh fields over the same backing struct.
-	sys.tiles[0].freeMsg(m)
-	reused := sys.tiles[0].newMsg()
+	sys.freeMsg(0, m)
+	reused := sys.newMsg()
 	if reused != m {
 		t.Fatalf("free list did not hand back the same message")
 	}

@@ -2,143 +2,82 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"protozoa/internal/trace"
 )
 
-// runSelfProfWorkload is runPDESWorkload plus EnableSelfProf, minus the
-// observability layers the perturbation test arms separately.
-func runSelfProfWorkload(t *testing.T, p Protocol, workers int) *System {
+// sharingWorkload is a sharing-heavy 4-core schedule with barriers:
+// every core hammers a shared region set (forcing cross-tile probes,
+// upgrades, and invalidation rounds) interleaved with private work,
+// with two barrier episodes.
+func sharingWorkload() [][]trace.Access {
+	perCore := make([][]trace.Access, 4)
+	for c := 0; c < 4; c++ {
+		var recs []trace.Access
+		for round := 0; round < 30; round++ {
+			for r := 0; r < 6; r++ {
+				recs = append(recs, ld(regAddr(r)))
+				if (round+c+r)%3 == 0 {
+					recs = append(recs, st(regAddr(r)))
+				}
+			}
+			recs = append(recs, ld(regAddr(100+c)), st(regAddr(100+c)))
+			if round == 10 || round == 20 {
+				recs = append(recs, trace.Access{Kind: trace.Barrier, Think: uint16(c)})
+			}
+		}
+		perCore[c] = recs
+	}
+	return perCore
+}
+
+// newSharingSystem builds a 4-core machine over sharingWorkload.
+func newSharingSystem(t *testing.T, p Protocol) *System {
 	t.Helper()
-	cfg := testConfig(p, 4)
-	cfg.Workers = workers
-	perCore := pdesWorkload()
+	perCore := sharingWorkload()
 	streams := make([]trace.Stream, 4)
 	for i := range streams {
 		streams[i] = trace.NewSliceStream(perCore[i])
 	}
-	sys, err := NewSystem(cfg, streams)
+	sys, err := NewSystem(testConfig(p, 4), streams)
 	if err != nil {
 		t.Fatal(err)
-	}
-	sys.EnableSelfProf()
-	if err := sys.Run(); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return sys
 }
 
-// TestSelfProfReconciles pins the round-telemetry invariants — the
-// analog of the latency layer's reconciliation contract. Running at
-// workers 2 and 4 in-package also puts the shard writes under the
-// tier-1 -race pass.
-func TestSelfProfReconciles(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		sys := runSelfProfWorkload(t, ProtozoaMW, workers)
-		p := sys.SelfProf()
-		if p.Rounds == 0 {
-			t.Fatalf("workers=%d: no rounds recorded", workers)
-		}
+func chromeTraceBytes(t *testing.T, sys *System) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sys.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
-		// Every coordinator round classifies every tile exactly once.
-		var events, pushes uint64
-		for i := range p.Tiles {
-			ts := &p.Tiles[i]
-			if ts.BusyRounds+ts.IdleRounds != p.Rounds {
-				t.Errorf("workers=%d tile %d: busy %d + idle %d != rounds %d",
-					workers, i, ts.BusyRounds, ts.IdleRounds, p.Rounds)
-			}
-			if ts.SkippedWithWork > ts.IdleRounds {
-				t.Errorf("workers=%d tile %d: skipped %d > idle %d",
-					workers, i, ts.SkippedWithWork, ts.IdleRounds)
-			}
-			events += ts.Events
-
-			// Clean drain: everything pushed was popped, so the three
-			// push paths tile the tile's processed-event count exactly.
-			tilePushes := ts.Queue.RingPushes + ts.Queue.FarPushes + ts.MicroHits
-			if got := sys.tiles[i].eng.Processed(); tilePushes != got {
-				t.Errorf("workers=%d tile %d: ring %d + far %d + micro %d = %d pushes, %d processed",
-					workers, i, ts.Queue.RingPushes, ts.Queue.FarPushes, ts.MicroHits,
-					tilePushes, got)
-			}
-			pushes += tilePushes
-		}
-		if total := sys.EventsProcessed(); events != total {
-			t.Errorf("workers=%d: per-tile events sum %d != EventsProcessed %d",
-				workers, events, total)
-		}
-		if pushes != sys.EventsProcessed() {
-			t.Errorf("workers=%d: push accounting %d != EventsProcessed %d",
-				workers, pushes, sys.EventsProcessed())
-		}
-
-		// One width observation per round; the min tile always runs.
-		if p.Width.N != p.Rounds {
-			t.Errorf("workers=%d: %d width observations for %d rounds",
-				workers, p.Width.N, p.Rounds)
-		}
-		if p.InlineRounds > p.Rounds {
-			t.Errorf("workers=%d: inline %d > rounds %d", workers, p.InlineRounds, p.Rounds)
-		}
-		if workers == 1 && p.InlineRounds != p.Rounds {
-			t.Errorf("workers=1: every round should be inline, got %d of %d",
-				p.InlineRounds, p.Rounds)
-		}
-		if p.BarrierReleases == 0 {
-			t.Errorf("workers=%d: barrier workload recorded no releases", workers)
-		}
-		if p.InjectedMsgs == 0 {
-			t.Errorf("workers=%d: sharing workload injected no cross-tile messages", workers)
-		}
-
-		// The stats-side self-observability fields agree with the
-		// profile's queue totals.
-		r := p.Report()
-		if sys.Stats().ZeroDelayHits != r.Queue.MicroHits {
-			t.Errorf("workers=%d: stats ZeroDelayHits %d != profile micro %d",
-				workers, sys.Stats().ZeroDelayHits, r.Queue.MicroHits)
-		}
-		if r.TotalEvents != sys.EventsProcessed() {
-			t.Errorf("workers=%d: report TotalEvents %d != %d",
-				workers, r.TotalEvents, sys.EventsProcessed())
-		}
-
-		// The telemetry is schedule-determined, so everything except
-		// wall-clock must be worker-count invariant; spot-check the
-		// core counters against the workers=1 run via a second pass.
-		if workers == 1 {
-			continue
-		}
-		base := runSelfProfWorkload(t, ProtozoaMW, 1).SelfProf()
-		if base.Rounds != p.Rounds || base.InjectedMsgs != p.InjectedMsgs ||
-			base.SoloExtendedRounds != p.SoloExtendedRounds ||
-			base.BarrierReleases != p.BarrierReleases {
-			t.Errorf("workers=%d: round telemetry diverges from workers=1: rounds %d/%d injected %d/%d solo %d/%d releases %d/%d",
-				workers, p.Rounds, base.Rounds, p.InjectedMsgs, base.InjectedMsgs,
-				p.SoloExtendedRounds, base.SoloExtendedRounds,
-				p.BarrierReleases, base.BarrierReleases)
-		}
+func assertJSONEqual(t *testing.T, what string, a, b any) {
+	t.Helper()
+	aj, err := json.Marshal(a)
+	if err != nil {
+		t.Fatalf("marshal %s: %v", what, err)
+	}
+	bj, err := json.Marshal(b)
+	if err != nil {
+		t.Fatalf("marshal %s: %v", what, err)
+	}
+	if string(aj) != string(bj) {
+		t.Errorf("%s diverges:\n%s\n---\n%s", what, aj, bj)
 	}
 }
 
 // TestSelfProfDoesNotPerturbResults is the byte-identical acceptance
 // contract: every observable of a fully-instrumented run matches
-// exactly with self-prof on vs off, in both execution modes.
+// exactly with self-prof on vs off.
 func TestSelfProfDoesNotPerturbResults(t *testing.T) {
-	run := func(workers int, selfProf bool) *System {
-		cfg := testConfig(ProtozoaSW, 4)
-		cfg.Workers = workers
-		perCore := pdesWorkload()
-		streams := make([]trace.Stream, 4)
-		for i := range streams {
-			streams[i] = trace.NewSliceStream(perCore[i])
-		}
-		sys, err := NewSystem(cfg, streams)
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(selfProf bool) *System {
+		sys := newSharingSystem(t, ProtozoaSW)
 		sys.EnableTimeline(500)
 		sys.EnableEventTrace(1 << 14)
 		sys.EnableAttribution()
@@ -146,34 +85,29 @@ func TestSelfProfDoesNotPerturbResults(t *testing.T) {
 			sys.EnableSelfProf()
 		}
 		if err := sys.Run(); err != nil {
-			t.Fatalf("workers=%d selfprof=%v: %v", workers, selfProf, err)
+			t.Fatalf("selfprof=%v: %v", selfProf, err)
 		}
 		return sys
 	}
-	for _, workers := range []int{0, 2} {
-		base := run(workers, false)
-		prof := run(workers, true)
-		assertJSONEqual(t, workers, "stats", base.Stats(), prof.Stats())
-		assertJSONEqual(t, workers, "timeline", base.Timeline(), prof.Timeline())
-		if bt, pt := chromeTraceBytes(t, base), chromeTraceBytes(t, prof); !bytes.Equal(bt, pt) {
-			t.Errorf("workers=%d: Chrome trace differs with self-prof on (%d vs %d bytes)", workers, len(bt), len(pt))
-		}
-		assertJSONEqual(t, workers, "attribution", base.Attribution().Summarize(), prof.Attribution().Summarize())
+	base, prof := run(false), run(true)
+	assertJSONEqual(t, "stats", base.Stats(), prof.Stats())
+	assertJSONEqual(t, "timeline", base.Timeline(), prof.Timeline())
+	if bt, pt := chromeTraceBytes(t, base), chromeTraceBytes(t, prof); !bytes.Equal(bt, pt) {
+		t.Errorf("Chrome trace differs with self-prof on (%d vs %d bytes)", len(bt), len(pt))
 	}
+	assertJSONEqual(t, "attribution", base.Attribution().Summarize(), prof.Attribution().Summarize())
 }
 
-// TestSelfProfSequentialMode: with Workers == 0 there is no window
-// loop, but the queue introspection still works on the shared engine.
+// TestSelfProfSequentialMode: the queue introspection accounts for
+// every event the engine ran, and agrees with the stats' own
+// self-observability fields.
 func TestSelfProfSequentialMode(t *testing.T) {
-	sys := runSelfProfWorkload(t, MESI, 0)
-	p := sys.SelfProf()
-	if p.Mode != "sequential" {
-		t.Fatalf("mode = %q", p.Mode)
+	sys := newSharingSystem(t, MESI)
+	sys.EnableSelfProf()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if p.Rounds != 0 {
-		t.Errorf("sequential run recorded %d rounds", p.Rounds)
-	}
-	r := p.Report()
+	r := sys.SelfProf().Report()
 	if got := sys.EventsProcessed(); r.Queue.RingPushes+r.Queue.FarPushes+r.Queue.MicroHits != got {
 		t.Errorf("queue pushes %d+%d+%d != %d events processed",
 			r.Queue.RingPushes, r.Queue.FarPushes, r.Queue.MicroHits, got)

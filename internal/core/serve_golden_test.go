@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"protozoa/internal/obs"
-	"protozoa/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -23,16 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // deliberate golden update (go test ./internal/core -run ServeGauge
 // -update).
 func TestServeGaugeSetGolden(t *testing.T) {
-	cfg := testConfig(ProtozoaMW, 4)
-	perCore := pdesWorkload()
-	streams := make([]trace.Stream, 4)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(perCore[i])
-	}
-	sys, err := NewSystem(cfg, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newSharingSystem(t, ProtozoaMW)
 	// Arm every gauge-contributing layer so the full set registers.
 	sys.EnableAttribution()
 	sys.EnableSelfProf()

@@ -83,13 +83,9 @@ type Config struct {
 	// 0 disables the bound.
 	MaxEvents uint64
 
-	// Workers selects the execution mode. 0 (the default) runs the
-	// whole machine on one shared event queue, exactly as before. Any
-	// value >= 1 partitions the machine by tile and drives it with the
-	// conservative PDES window loop using that many worker goroutines;
-	// results are byte-identical across every Workers >= 1 setting.
-	// The two modes schedule same-cycle cross-tile events differently,
-	// so 0 and 1 are distinct (each internally deterministic) schedules.
+	// Workers is inert: NewSystem ignores it and every machine runs on
+	// the one sequential engine. It exists only because perfbench sets
+	// it for its unlisted run-pdes workload.
 	Workers int
 }
 
@@ -138,12 +134,6 @@ type System struct {
 
 	obs Observer
 
-	// tiles are the PDES partitions (one per core: core + L1 + L2/dir
-	// slice + router). In the legacy single-queue mode every tile
-	// aliases the shared engine, stats, and message pool, so the
-	// controllers always account through their tile and never branch.
-	tiles []*tile
-	pdes  bool // Workers > 0: run the window loop instead of Engine.Run
 	// Observability hooks (internal/obs). All nil/zero unless the
 	// corresponding Enable* method ran; every use site guards with a
 	// single nil check so the disabled path costs one branch. lat is the
@@ -152,12 +142,12 @@ type System struct {
 	metrics *obs.Registry
 	attrib  *attrib.Tracker
 
-	// flight is the flight recorder (EnableFlightRecorder): per-tile
-	// record rings merged deterministically on read, sized to the
-	// largest capacity any view asked for. msgCap, when nonzero, bounds
-	// the MessageLog view reconstructed from the flight transcript. The
-	// stall* fields belong to the watchdog (EnableStallWatchdog),
-	// checked on timeline ticks.
+	// flight is the flight recorder (EnableFlightRecorder): one record
+	// ring in execution order, sized to the largest capacity any view
+	// asked for. msgCap, when nonzero, bounds the MessageLog view
+	// reconstructed from the flight transcript. The stall* fields
+	// belong to the watchdog (EnableStallWatchdog), checked on timeline
+	// ticks.
 	flight         *flight.Recorder
 	msgCap         int
 	stallThreshold engine.Cycle
@@ -165,28 +155,23 @@ type System struct {
 	stallSeen      map[stallKey]bool
 	stalls         []StallReport
 
-	// selfProf observes the simulator itself (EnableSelfProf): PDES
-	// round telemetry and engine queue introspection. nil = disabled.
+	// selfProf observes the simulator itself (EnableSelfProf): engine
+	// queue introspection. nil = disabled.
 	selfProf *selfprof.Profile
 
 	// onSample, when non-nil, runs after every timeline tick's metrics
 	// sample — the live-endpoint publish hook (SetSampleHook).
 	onSample func(cycle uint64)
 
-	// pool is the shared message free list in legacy mode (PDES tiles
-	// carry their own).
+	// pool is the message free list.
 	pool msgPool
 
 	// transitions records the observed protocol state machine when
-	// EnableTransitionAudit was called (nil otherwise). Under PDES it
-	// is the merge target; tiles record into their own maps.
+	// EnableTransitionAudit was called (nil otherwise).
 	transitions map[Transition]uint64
 
-	// pdesNow is the last completed window edge — the "current cycle"
-	// reported by gauges while the window loop runs. nextSample is the
-	// next timeline-sample cycle due.
-	pdesNow    engine.Cycle
-	nextSample engine.Cycle
+	// mshrLive counts misses outstanding across all cores.
+	mshrLive int
 
 	// Timeline sampling (EnableTimeline). timelineEv is the pre-bound
 	// engine.Runner the sampler reschedules itself through.
@@ -203,62 +188,18 @@ type System struct {
 	ran            bool
 }
 
-// msgPool is the free list behind newMsg/freeMsg. Each user (the whole
-// machine in legacy mode, one tile under PDES) is single-goroutine, so
-// recycling needs no synchronization. At steady state every coherence
-// message comes from a pool.
+// msgPool is the free list behind newMsg/freeMsg. The machine runs on
+// one goroutine, so recycling needs no synchronization. At steady state
+// every coherence message comes from the pool.
 type msgPool struct {
 	free   []*Msg
 	hits   uint64 // newMsg served from the free list
 	allocs uint64 // newMsg had to allocate
 }
 
-// outMsg is a cross-tile message parked in the sender's outbox until
-// the window barrier, when the coordinator moves it to the destination
-// tile's queue. at is its precomputed arrival cycle.
-type outMsg struct {
-	at engine.Cycle
-	m  *Msg
-}
-
-// tile is one PDES partition: a core, its L1, the co-located L2/dir
-// slice, and the router's share of accounting. In legacy mode all
-// tiles alias the machine-wide engine, stats, and pool, so controller
-// code is identical in both modes.
-type tile struct {
-	id   int
-	sys  *System
-	eng  *engine.Engine
-	st   *stats.Stats
-	pool *msgPool
-
-	// Per-tile observability shards (nil/shared depending on mode; set
-	// by the Enable* methods).
-	flight      *flight.Ring
-	attrib      *attrib.Tracker
-	prof        *selfprof.TileShard
-	transitions map[Transition]uint64
-
-	mshrLive int // misses outstanding at this tile's core
-
-	// PDES window state, untouched in legacy mode.
-	outbox         []outMsg
-	bound          engine.Cycle   // this round's window bound (exclusive)
-	wRow           []engine.Cycle // wRow[j] = mesh.LookaheadBetween(j, id)
-	coreDone       bool
-	retire         engine.Cycle // cycle this tile's core finished its stream
-	barrierArrived bool
-
-	// doneCounted / barrierCounted mark flags the window loop has
-	// already folded into its incremental counters, so the per-round
-	// bookkeeping touches only the tiles that just ran.
-	doneCounted    bool
-	barrierCounted bool
-}
-
 // newMsg takes a zeroed message from the free list (or allocates one).
-func (t *tile) newMsg() *Msg {
-	p := t.pool
+func (s *System) newMsg() *Msg {
+	p := &s.pool
 	if n := len(p.free); n > 0 {
 		m := p.free[n-1]
 		p.free = p.free[:n-1]
@@ -266,22 +207,19 @@ func (t *tile) newMsg() *Msg {
 		return m
 	}
 	p.allocs++
-	return &Msg{sys: t.sys}
+	return &Msg{sys: s}
 }
 
-// freeMsg recycles a message whose lifecycle has ended: delivered and
-// fully handled, with no controller retaining a reference. Messages are
-// freed into the pool of the tile where they died, which may differ
-// from the pool that allocated them — pools only recycle memory, they
-// carry no identity.
-func (t *tile) freeMsg(m *Msg) {
+// freeMsg recycles a message whose lifecycle has ended at tile: delivered
+// and fully handled, with no controller retaining a reference.
+func (s *System) freeMsg(tile int, m *Msg) {
 	// The free record is taken before the message is zeroed — it copies
 	// every field it keeps, so no record ever aliases a recycled Msg.
-	if t.flight != nil {
-		t.flightMsg(flight.KindMsgFree, t.eng.Now(), m)
+	if s.flight != nil {
+		s.flightMsg(flight.KindMsgFree, tile, m)
 	}
-	*m = Msg{sys: t.sys}
-	t.pool.free = append(t.pool.free, m)
+	*m = Msg{sys: s}
+	s.pool.free = append(s.pool.free, m)
 }
 
 // NewSystem builds a machine executing the given per-core streams.
@@ -308,24 +246,6 @@ func NewSystem(cfg Config, streams []trace.Stream) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, geom: geom, eng: eng, mesh: mesh, st: st}
-	s.pdes = cfg.Workers > 0
-	for i := 0; i < cfg.Cores; i++ {
-		t := &tile{id: i, sys: s}
-		if s.pdes {
-			t.eng = engine.New()
-			t.wRow = make([]engine.Cycle, cfg.Cores)
-			for j := 0; j < cfg.Cores; j++ {
-				t.wRow[j] = mesh.LookaheadBetween(j, i)
-			}
-			t.st = &stats.Stats{PerCore: make([]stats.CoreStats, cfg.Cores)}
-			t.pool = &msgPool{}
-		} else {
-			t.eng = eng
-			t.st = st
-			t.pool = &s.pool
-		}
-		s.tiles = append(s.tiles, t)
-	}
 	for i := 0; i < cfg.Cores; i++ {
 		l1cache, err := cache.New(cache.Config{
 			Sets:           cfg.L1Sets,
@@ -346,9 +266,9 @@ func NewSystem(cfg Config, streams []trace.Stream) (*System, error) {
 		default:
 			pred = predictor.Fixed{Geom: geom}
 		}
-		s.l1s = append(s.l1s, newL1(s, s.tiles[i], i, l1cache, pred))
-		s.dirs = append(s.dirs, newDirSlice(s, s.tiles[i], i))
-		c := &cpu{id: i, sys: s, tl: s.tiles[i], stream: streams[i]}
+		s.l1s = append(s.l1s, newL1(s, i, l1cache, pred))
+		s.dirs = append(s.dirs, newDirSlice(s, i))
+		c := &cpu{id: i, sys: s, stream: streams[i]}
 		c.accessEv = cpuAccess{s: s, c: c}
 		c.stepEv = cpuStep{s: s, c: c}
 		s.cpus = append(s.cpus, c)
@@ -362,83 +282,11 @@ func (s *System) SetObserver(o Observer) { s.obs = o }
 // Stats exposes the run's counters.
 func (s *System) Stats() *stats.Stats { return s.st }
 
-// Engine exposes the event engine (tests and the random tester). Under
-// PDES this is the construction-time engine, which never runs; use
-// EventsProcessed for the machine-wide event count.
+// Engine exposes the event engine (tests and the random tester).
 func (s *System) Engine() *engine.Engine { return s.eng }
 
-// EventsProcessed reports how many events the machine has run, across
-// all partitions in PDES mode.
-func (s *System) EventsProcessed() uint64 {
-	if s.pdes {
-		var n uint64
-		for _, t := range s.tiles {
-			n += t.eng.Processed()
-		}
-		return n
-	}
-	return s.eng.Processed()
-}
-
-// simNow is the machine's notion of "now" for gauges and diagnostics:
-// the shared engine's clock in legacy mode, the last completed window
-// edge under PDES.
-func (s *System) simNow() engine.Cycle {
-	if s.pdes {
-		return s.pdesNow
-	}
-	return s.eng.Now()
-}
-
-// queuePending and queueHighWater aggregate the engine-queue gauges
-// across partitions under PDES; legacy mode reads the shared engine.
-func (s *System) queuePending() int {
-	if !s.pdes {
-		return s.eng.Pending()
-	}
-	n := 0
-	for _, t := range s.tiles {
-		n += t.eng.Pending()
-	}
-	return n
-}
-
-func (s *System) queueHighWater() int {
-	if !s.pdes {
-		return s.eng.HighWater()
-	}
-	n := 0
-	for _, t := range s.tiles {
-		n += t.eng.HighWater()
-	}
-	return n
-}
-
-// queueZeroDelayHits aggregates the engines' zero-delay schedule
-// counters (always on — the count shares the ring push's branch).
-func (s *System) queueZeroDelayHits() uint64 {
-	if !s.pdes {
-		return s.eng.MicroHits()
-	}
-	var n uint64
-	for _, t := range s.tiles {
-		n += t.eng.MicroHits()
-	}
-	return n
-}
-
-// poolCounts aggregates message-pool hit/alloc counters across the
-// pools in use (one shared pool in legacy mode, one per tile in PDES).
-func (s *System) poolCounts() (hits, allocs uint64) {
-	if !s.pdes {
-		return s.pool.hits, s.pool.allocs
-	}
-	for _, t := range s.tiles {
-		hits += t.pool.hits
-		allocs += t.pool.allocs
-	}
-	return hits, allocs
-}
+// EventsProcessed reports how many events the machine has run.
+func (s *System) EventsProcessed() uint64 { return s.eng.Processed() }
 
 // Protocol reports the configured protocol.
 func (s *System) Protocol() Protocol { return s.cfg.Protocol }
@@ -452,43 +300,26 @@ func (s *System) home(r mem.RegionID) int {
 	return int(uint64(r) % uint64(s.cfg.Cores))
 }
 
-// send puts a message on the mesh and accounts its control bytes into
-// the sending tile's stats shard. Data payload bytes are classified
-// used/unused at block-death and writeback time by the L1s, so they are
-// not accounted here. Under PDES a cross-tile message parks in the
-// sender's outbox (its arrival cycle lies beyond the window edge, by
-// the lookahead contract) until the coordinator injects it at the next
-// barrier; same-tile and legacy sends schedule directly.
-func (t *tile) send(m *Msg) {
-	s := t.sys
-	t.st.AddControl(m.Class(), CtrlBytes)
-	if t.flight != nil {
-		t.flightMsg(flight.KindMsgSend, t.eng.Now(), m)
+// send puts a message on the mesh and accounts its control bytes. Data
+// payload bytes are classified used/unused at block-death and writeback
+// time by the L1s, so they are not accounted here. Every sender stamps
+// Src first, so Src names the sending tile.
+func (s *System) send(m *Msg) {
+	s.st.AddControl(m.Class(), CtrlBytes)
+	if s.flight != nil {
+		s.flightMsg(flight.KindMsgSend, m.Src, m)
 	}
 	m.sys = s
 	m.phase = phaseDeliver
-	at, stall := s.mesh.Arrival(t.eng.Now(), m.Src, m.Dst, m.VNet(), m.Bytes(), t.st)
-	if stall > 0 && t.flight != nil {
-		t.flight.Record(flight.Record{
-			Cycle: t.eng.Now(), Tile: int16(t.id), Kind: flight.KindLinkStall,
+	at, stall := s.mesh.Arrival(s.eng.Now(), m.Src, m.Dst, m.VNet(), m.Bytes(), s.st)
+	if stall > 0 && s.flight != nil {
+		s.flight.Record(flight.Record{
+			Cycle: s.eng.Now(), Tile: int16(m.Src), Kind: flight.KindLinkStall,
 			Sub: uint8(m.Type), Src: int16(m.Src), Dst: int16(m.Dst), Req: -1,
 			Txn: uint64(stall),
 		})
 	}
-	if !s.pdes || m.Dst == t.id {
-		t.eng.ScheduleRunnerAt(at, m)
-	} else {
-		t.outbox = append(t.outbox, outMsg{at: at, m: m})
-		// Self-cap the window this tile is running: any causal
-		// consequence of this send reaches this tile no sooner than
-		// the arrival plus the destination-to-here lookahead (a relay
-		// through a third tile is never faster — hop distances obey
-		// the triangle inequality). Events before that stay safe to
-		// run, so extended (beyond the round bound) windows cut
-		// themselves off exactly where the conservative contract
-		// requires.
-		t.eng.LimitTo(at + t.wRow[m.Dst])
-	}
+	s.eng.ScheduleRunnerAt(at, m)
 }
 
 // deliver hands an arriving message to its destination controller.
@@ -497,19 +328,18 @@ func (t *tile) send(m *Msg) {
 // other message is dead once its handler returns and goes back to the
 // pool here.
 func (s *System) deliver(m *Msg) {
-	t := s.tiles[m.Dst]
-	if t.flight != nil {
-		t.flightMsg(flight.KindMsgDeliver, t.eng.Now(), m)
+	if s.flight != nil {
+		s.flightMsg(flight.KindMsgDeliver, m.Dst, m)
 	}
 	switch m.Type {
 	case MsgGetS, MsgGetX, MsgUpgrade:
 		s.dirs[m.Dst].recvRequest(m)
 	case MsgAck, MsgAckS, MsgNack, MsgWback, MsgWbackLast, MsgUnblock:
 		s.dirs[m.Dst].recvResponse(m)
-		t.freeMsg(m)
+		s.freeMsg(m.Dst, m)
 	default:
 		s.l1s[m.Dst].recv(m)
-		t.freeMsg(m)
+		s.freeMsg(m.Dst, m)
 	}
 }
 
@@ -521,9 +351,6 @@ func (s *System) Run() error {
 		return fmt.Errorf("core: system already ran")
 	}
 	s.ran = true
-	if s.pdes {
-		return s.runPDES()
-	}
 	for _, c := range s.cpus {
 		s.eng.ScheduleRunner(0, &c.stepEv)
 	}

@@ -187,7 +187,10 @@ func TestRandomStressSixteenCores(t *testing.T) {
 
 // TestRandomStressMillion reproduces the paper's full-scale random
 // test: one million checked accesses across the protocol family
-// (250k per protocol, 16 cores). Skipped under -short.
+// (250k per protocol, 16 cores). Skipped under -short. The protocols
+// run as parallel subtests: each owns its machine, and the race pass
+// then sees machines running side by side in one process, sharing
+// only the engine's pooled queue storage.
 func TestRandomStressMillion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-access stress skipped in -short mode")
@@ -195,6 +198,7 @@ func TestRandomStressMillion(t *testing.T) {
 	for _, p := range AllProtocols {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
+			t.Parallel()
 			runRandomStress(t, p, 16, 15625, 16, 2013, false)
 		})
 	}

@@ -30,18 +30,8 @@ func (t Transition) String() string {
 }
 
 // EnableTransitionAudit starts recording transitions. Call before Run.
-// Under PDES each tile records into its own map (merged into the
-// returned table when the run completes); in legacy mode every tile
-// shares the machine-wide map.
 func (s *System) EnableTransitionAudit() {
 	s.transitions = make(map[Transition]uint64)
-	for _, t := range s.tiles {
-		if s.pdes {
-			t.transitions = make(map[Transition]uint64)
-		} else {
-			t.transitions = s.transitions
-		}
-	}
 }
 
 // Transitions returns the observed transition counts (nil if auditing
@@ -74,11 +64,11 @@ func (s *System) TransitionTable() string {
 	return out.String()
 }
 
-func (t *tile) recordTransition(ctrl, from, event, to string) {
-	if t.transitions == nil {
+func (s *System) recordTransition(ctrl, from, event, to string) {
+	if s.transitions == nil {
 		return
 	}
-	t.transitions[Transition{Ctrl: ctrl, From: from, Event: event, To: to}]++
+	s.transitions[Transition{Ctrl: ctrl, From: from, Event: event, To: to}]++
 }
 
 // l1RegionState summarizes a region's L1 state the way a protocol

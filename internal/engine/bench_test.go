@@ -80,35 +80,3 @@ func BenchmarkZeroDelay(b *testing.B) {
 		e.Step()
 	}
 }
-
-// BenchmarkPopBefore is the PDES window loop's pair of queue calls: one
-// popBefore refused at the earliest queued cycle, then one that takes
-// the event and re-schedules it.
-func BenchmarkPopBefore(b *testing.B) {
-	b.ReportAllocs()
-	q := &bucketQueue{}
-	q.init()
-	r := &testRunner{}
-	file := func(at Cycle) {
-		if at < q.start+numBuckets {
-			q.pushRing(at, r)
-		} else {
-			q.pushFar(at, r)
-		}
-	}
-	for i := 0; i < benchPending; i++ {
-		file(benchDelay(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, ok, next, _ := q.popBefore(q.cursor)
-		if ok {
-			b.Fatal("popBefore took an event at or past its limit")
-		}
-		at, _, ok, _, _ := q.popBefore(next + 1)
-		if !ok {
-			b.Fatal("popBefore refused the earliest event")
-		}
-		file(at + benchDelay(i))
-	}
-}

@@ -43,27 +43,17 @@ func (f funcEvent) Run() { f() }
 // self-profiling layer, internal/obs/selfprof). Attach one with SetProf
 // before running; every counter site in the hot path guards on a single
 // nil check, so an engine without a Prof pays one predictable branch —
-// the same contract as the internal/obs hooks. All fields are written
-// only by the goroutine running the engine; readers synchronize at the
-// PDES round barrier (or after Run), so plain integers suffice.
+// the same contract as the internal/obs hooks. The goroutine running
+// the engine is its only writer; read it after Run.
 //
 // Every scheduled event is exactly one of a ring push, a far push or a
 // zero-delay hit (Engine.MicroHits), so the three sum to the events
 // scheduled.
-//
-// The trailing pad pushes adjacent Profs in a slice onto separate cache
-// lines: under PDES each tile's engine bumps its own shard while other
-// workers bump theirs, and false sharing here would bill the
-// measurement to the thing being measured.
 type Prof struct {
 	RingPushes uint64 // events filed into a later cycle's bucket of the ring
 	FarPushes  uint64 // events filed into the far-future heap
-	Refusals   uint64 // RunUntil stopped by the window bound with work still queued
-	LimitCuts  uint64 // LimitTo calls that actually tightened the running bound
 	RingHigh   int    // most unpopped events the bucket ring has held
 	FarHigh    int    // deepest the far-future heap has been
-
-	_ [64]byte // keep neighbouring shards off this cache line
 }
 
 // Engine is a deterministic event queue. The zero value is NOT ready to
@@ -78,17 +68,6 @@ type Engine struct {
 	// prof, when non-nil, receives the queue-introspection counters
 	// (SetProf). One nil check per site when disabled.
 	prof *Prof
-
-	// limit is the bound of the RunUntil call currently executing, kept
-	// as a field so handlers can lower it mid-window (LimitTo) — the
-	// PDES window loop's dynamic cut-off for extended solo windows.
-	limit Cycle
-
-	// Cached earliest queued cycle, maintained so the PDES window loop
-	// can take the minimum over many partitions without rescanning the
-	// bucket ring each time. Pops invalidate it; pushes keep it exact.
-	peekValid bool
-	peekMin   Cycle
 }
 
 // New returns a fresh engine at cycle zero.
@@ -130,9 +109,6 @@ func (e *Engine) push(at Cycle, r Runner) {
 				e.prof.FarHigh = len(q.far.items)
 			}
 		}
-	}
-	if e.peekValid && at < e.peekMin {
-		e.peekMin = at
 	}
 	if q.size > e.high {
 		e.high = q.size
@@ -192,90 +168,21 @@ func (e *Engine) Prof() *Prof { return e.prof }
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.q.size }
 
-// PeekCycle reports the cycle of the earliest queued event without
-// popping it. The result is cached until the next pop, so repeated
-// peeks (the PDES window-minimum scan) cost one comparison.
-func (e *Engine) PeekCycle() (Cycle, bool) {
-	if e.peekValid {
-		return e.peekMin, true
-	}
-	at, ok := e.q.peekAt()
-	if ok {
-		e.peekMin = at
-		e.peekValid = true
-	}
-	return at, ok
-}
-
 // Step runs the next event; it reports false when the queue is empty.
 func (e *Engine) Step() bool {
 	at, r, ok := e.q.pop()
 	if !ok {
 		return false
 	}
-	e.peekValid = false
 	e.now = at
 	e.events++
 	r.Run()
 	return true
 }
 
-// RunUntil runs every queued event with cycle < limit in (cycle, seq)
-// order, leaving later events queued; now ends at the last event run.
-// This is the PDES window body: events pushed while running (all at
-// cycles >= now) execute in the same call when they land before limit.
-//
-// The bound is kept in a field so an event handler can tighten it
-// mid-call with LimitTo — the window loop's dynamic cut-off when an
-// extended solo window parks a cross-tile message.
-func (e *Engine) RunUntil(limit Cycle) {
-	e.limit = limit
-	for {
-		at, r, ok, next, hasNext := e.q.popBefore(e.limit)
-		if !ok {
-			// The refusal already found the earliest remaining cycle;
-			// prime the peek cache with it so the window loop's
-			// post-round peek is O(1) instead of a rescan. push keeps
-			// the cache coherent if earlier events arrive afterwards.
-			if hasNext {
-				e.peekMin = next
-				e.peekValid = true
-				if e.prof != nil {
-					e.prof.Refusals++
-				}
-			}
-			return
-		}
-		// Invalidate lazily, only once something actually popped: a
-		// no-op RunUntil (idle partition) keeps its cached minimum so
-		// the window loop's peek stays O(1).
-		e.peekValid = false
-		e.now = at
-		e.events++
-		r.Run()
-	}
-}
-
-// LimitTo tightens the bound of the RunUntil call currently executing
-// on this engine: events at cycles >= c stay queued for a later window.
-// It never raises the bound, and never cuts below the cycle in
-// progress (events already due this cycle still run, keeping windows
-// cycle-complete). Callable only from inside an event handler.
-func (e *Engine) LimitTo(c Cycle) {
-	if c <= e.now {
-		c = e.now + 1
-	}
-	if c < e.limit {
-		e.limit = c
-		if e.prof != nil {
-			e.prof.LimitCuts++
-		}
-	}
-}
-
 // Recycle returns the ring storage to a process-wide pool once the
 // engine has fully drained. The engine remains readable (Now,
-// Processed, Pending, HighWater, PeekCycle all stay valid) but must not
+// Processed, Pending, HighWater all stay valid) but must not
 // schedule further events. Recycle is a no-op on engines with events
 // still queued and on engines already recycled — callers on error paths
 // can skip it and lose nothing but the reuse.

@@ -28,19 +28,6 @@ func (e *heapEngine) Schedule(delay Cycle, fn Event)       { e.push(e.now+delay,
 func (e *heapEngine) ScheduleAt(at Cycle, fn Event)        { e.push(at, funcEvent(fn)) }
 func (e *heapEngine) ScheduleRunner(delay Cycle, r Runner) { e.push(e.now+delay, r) }
 func (e *heapEngine) ScheduleRunnerAt(at Cycle, r Runner)  { e.push(at, r) }
-func (e *heapEngine) PeekCycle() (Cycle, bool)             { return e.h.peekAt() }
-
-func (e *heapEngine) RunUntil(limit Cycle) {
-	for {
-		at, ok := e.h.peekAt()
-		if !ok || at >= limit {
-			return
-		}
-		it, _ := e.h.pop()
-		e.now = it.at
-		it.r.Run()
-	}
-}
 
 func (e *heapEngine) Run(maxEvents uint64) bool {
 	for n := uint64(0); maxEvents == 0 || n < maxEvents; n++ {
@@ -62,8 +49,6 @@ type scheduler interface {
 	ScheduleAt(at Cycle, fn Event)
 	ScheduleRunner(delay Cycle, r Runner)
 	ScheduleRunnerAt(at Cycle, r Runner)
-	PeekCycle() (Cycle, bool)
-	RunUntil(limit Cycle)
 	Run(maxEvents uint64) bool
 }
 

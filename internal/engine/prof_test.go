@@ -63,39 +63,3 @@ func TestProfCountsReconcile(t *testing.T) {
 		t.Errorf("FarHigh = %d, want %d", prof.FarHigh, farEvents)
 	}
 }
-
-// TestProfRefusalsAndLimitCuts pins the window-bound counters: a
-// RunUntil stopped by its bound with work queued counts one refusal,
-// and only LimitTo calls that actually tighten the bound count cuts.
-func TestProfRefusalsAndLimitCuts(t *testing.T) {
-	e := New()
-	var prof Prof
-	e.SetProf(&prof)
-
-	e.Schedule(5, func() {})
-	e.Schedule(20, func() {})
-
-	e.RunUntil(10) // runs the cycle-5 event, refuses at the cycle-20 one
-	if prof.Refusals != 1 {
-		t.Fatalf("Refusals = %d after bounded run, want 1", prof.Refusals)
-	}
-
-	// An event that tightens the bound mid-window: the second LimitTo is
-	// not below the running bound, so only one cut counts.
-	e.Schedule(2, func() {
-		e.LimitTo(10) // cuts 100 -> 10
-		e.LimitTo(50) // no-op: never raises
-	})
-	e.RunUntil(100)
-	if prof.LimitCuts != 1 {
-		t.Errorf("LimitCuts = %d, want 1", prof.LimitCuts)
-	}
-	if prof.Refusals != 2 {
-		t.Errorf("Refusals = %d after the cut window, want 2", prof.Refusals)
-	}
-
-	e.RunUntil(1000) // drains; no refusal (queue empties)
-	if prof.Refusals != 2 {
-		t.Errorf("Refusals = %d after full drain, want 2", prof.Refusals)
-	}
-}

@@ -131,7 +131,7 @@ type bucketQueue struct {
 // queueStorage is the poolable part of a bucketQueue: the ring itself
 // plus every per-bucket items slice its buckets have grown, plus the
 // occupancy bitmap. Recycling the storage across runs saves each
-// engine (16 per PDES run) re-growing its buckets. The pool drops
+// engine re-growing its buckets. The pool drops
 // storage at garbage collection, so a fresh ring must be cheap too:
 // its buckets start with bucketSlots of capacity carved from one slab,
 // which keeps a run's allocation count nearly independent of how many
@@ -297,40 +297,4 @@ func (q *bucketQueue) refill() {
 	if q.prof != nil && q.inWin > q.prof.RingHigh {
 		q.prof.RingHigh = q.inWin
 	}
-}
-
-// peekAt reports the earliest queued cycle without mutating the queue.
-func (q *bucketQueue) peekAt() (Cycle, bool) {
-	if q.inWin > 0 {
-		c, _ := q.nextOccupied(q.cursor)
-		return c, true
-	}
-	return q.far.peekAt()
-}
-
-// popBefore is pop restricted to cycles below limit. On refusal it
-// reports the earliest queued cycle (hasNext false means the queue is
-// empty), so the caller can prime its peek cache without a second
-// scan. The cursor is NOT advanced on refusal: later pushes may still
-// land between the last popped cycle and the refused one.
-func (q *bucketQueue) popBefore(limit Cycle) (at Cycle, r Runner, ok bool, next Cycle, hasNext bool) {
-	if q.inWin == 0 {
-		far, farOK := q.far.peekAt()
-		if !farOK {
-			return 0, nil, false, 0, false
-		}
-		if far >= limit {
-			return 0, nil, false, far, true
-		}
-		q.start = far
-		q.cursor = far
-		q.refill()
-	}
-	c, _ := q.nextOccupied(q.cursor)
-	if c >= limit {
-		// Every cycle below limit is drained; the rest can wait.
-		return 0, nil, false, c, true
-	}
-	q.cursor = c
-	return c, q.takeAt(c), true, 0, false
 }

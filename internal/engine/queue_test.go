@@ -111,74 +111,6 @@ func TestQueueDifferential(t *testing.T) {
 	}
 }
 
-// TestRunUntilDifferentialAcrossWindowWrap drives both queues the way
-// the PDES window loop does — PeekCycle for the next horizon, then
-// RunUntil in short windows — with a schedule that repeatedly crosses
-// the bucket ring's wrap boundary while far-future events sit in the
-// overflow heap. The bucketed queue's cursor advance and far-future
-// refill must yield the heap's exact order, and the peeks driving the
-// window placement must agree at every step.
-func TestRunUntilDifferentialAcrossWindowWrap(t *testing.T) {
-	const lookahead = 6 // the production NoC lookahead
-	run := func(e scheduler, seed int64) ([]int, []Cycle) {
-		rng := rand.New(rand.NewSource(seed))
-		var got []int
-		var peeks []Cycle
-		n := 0
-		var kick func()
-		kick = func() {
-			id := n
-			n++
-			got = append(got, id)
-			for i := 0; i < rng.Intn(4); i++ {
-				delay := Cycle(rng.Intn(2 * lookahead))
-				switch rng.Intn(4) {
-				case 0: // land just around the ring wrap
-					delay = numBuckets - 3 + Cycle(rng.Intn(6))
-				case 1: // deep into the overflow heap
-					delay = numBuckets*2 + Cycle(rng.Intn(50))
-				}
-				if n < 2000 {
-					e.Schedule(delay, kick)
-				}
-			}
-		}
-		// Seed events across several ring generations, plus immediate work.
-		for i := 0; i < 30; i++ {
-			e.Schedule(Cycle(rng.Intn(int(numBuckets)*3)), kick)
-		}
-		for {
-			at, ok := e.PeekCycle()
-			if !ok {
-				break
-			}
-			peeks = append(peeks, at)
-			e.RunUntil(at + lookahead)
-		}
-		return got, peeks
-	}
-	for seed := int64(0); seed < 5; seed++ {
-		a, ap := run(New(), seed)
-		b, bp := run(newHeapEngine(), seed)
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: bucketed ran %d events, heap ran %d", seed, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: queues diverge at event %d: %d vs %d", seed, i, a[i], b[i])
-			}
-		}
-		if len(ap) != len(bp) {
-			t.Fatalf("seed %d: bucketed saw %d windows, heap saw %d", seed, len(ap), len(bp))
-		}
-		for i := range ap {
-			if ap[i] != bp[i] {
-				t.Fatalf("seed %d: peeks diverge at window %d: %d vs %d", seed, i, ap[i], bp[i])
-			}
-		}
-	}
-}
-
 func TestBucketQueueWindowReuse(t *testing.T) {
 	// Cycle through many windows to exercise bucket reset and window
 	// jumps; Pending must track exactly.

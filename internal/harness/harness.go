@@ -33,11 +33,6 @@ type Options struct {
 	// concurrently (<=0 = GOMAXPROCS). Results are identical at any
 	// setting: each cell owns its engine and stats.
 	Jobs int
-	// Workers, when > 0, runs each machine with the parallel window loop
-	// on that many goroutines (core.Config.Workers). Results are
-	// byte-identical for every Workers >= 1; 0 keeps the sequential
-	// engine.
-	Workers int
 	// Progress, when non-nil, receives per-cell completion lines and
 	// an aggregate summary from the runner.
 	Progress io.Writer
@@ -77,7 +72,6 @@ func (o Options) cores() int {
 // the value both the builder and the cache key derive from.
 func cellConfig(p core.Protocol, o Options) (core.Config, error) {
 	cfg := core.DefaultConfig(p)
-	cfg.Workers = o.Workers
 	cfg.MaxEvents = o.MaxEvents
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 200_000_000

@@ -76,7 +76,6 @@ func table1Config(blockBytes int, o Options) (core.Config, error) {
 		return core.Config{}, err
 	}
 	cfg.RegionBytes = blockBytes
-	cfg.Workers = 0 // Table 1 cells always use the sequential engine
 	return cfg, nil
 }
 

@@ -254,29 +254,6 @@ func (m *Mesh) latency(pair, flits int) engine.Cycle {
 	return m.cfg.RouterLat + engine.Cycle(hops)*m.cfg.HopLatency + engine.Cycle(flits-1)*m.cfg.SerialLat
 }
 
-// Lookahead is the PDES lookahead contract: no message between two
-// distinct tiles can arrive sooner than this many core cycles after it
-// was sent. Any cross-tile route costs at least RouterLat plus one
-// link traversal (hops >= 1, flits >= 1, serialization and FIFO floors
-// only add delay), so partitions may run RouterLat+HopLatency cycles
-// apart without missing an incoming message.
-func (m *Mesh) Lookahead() engine.Cycle {
-	return m.cfg.RouterLat + m.cfg.HopLatency
-}
-
-// LookaheadBetween is the per-pair refinement of Lookahead: no message
-// from src to dst can arrive sooner than this many core cycles after
-// it was sent, because the route costs at least RouterLat plus one
-// HopLatency per hop of the topology's shortest path. Hop distances
-// are metrics (symmetric, triangle inequality) on every topology, so
-// relayed causality is never faster than the direct pair bound:
-// LookaheadBetween(a,b) + LookaheadBetween(b,c) >= LookaheadBetween(a,c).
-// The PDES window loop uses the full pair matrix to give distant tiles
-// wider windows than the uniform worst case allows.
-func (m *Mesh) LookaheadBetween(src, dst int) engine.Cycle {
-	return m.cfg.RouterLat + engine.Cycle(m.Hops(src, dst))*m.cfg.HopLatency
-}
-
 // Send delivers a message of the given byte size from src to dst on
 // virtual network vnet, invoking deliver when it arrives. Deliveries
 // on the same (src, dst, vnet) channel never reorder. Flit-hop and
@@ -297,12 +274,7 @@ func (m *Mesh) SendRunner(src, dst, vnet, bytes int, deliver engine.Runner) {
 // for a send at cycle now, including FIFO back-pressure on the (src,
 // dst, vnet) channel. stall is how long the message queued behind busy
 // links beyond its uncontended latency (always 0 without the contention
-// model) — the amount accrued to st.LinkStallCycles. Exposed so the PDES executor can compute
-// arrivals with a partition's local clock and stats shard: the FIFO
-// state it touches is indexed by source node, so concurrent calls from
-// different source partitions never share a slot. The contention model
-// is the exception — it reserves globally shared links — and is
-// rejected at system construction when partitions run concurrently.
+// model) — the amount accrued to st.LinkStallCycles.
 func (m *Mesh) Arrival(now engine.Cycle, src, dst, vnet, bytes int, st *stats.Stats) (at, stall engine.Cycle) {
 	if src < 0 || src >= m.nodes || dst < 0 || dst >= m.nodes {
 		panic(fmt.Sprintf("noc: node out of range: src=%d dst=%d nodes=%d", src, dst, m.nodes))

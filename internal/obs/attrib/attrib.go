@@ -308,18 +308,6 @@ func (t *Tracker) Trim() {
 	t.dirtyList = nil
 }
 
-// Merge folds another tracker's state into t — the PDES shard merge.
-// Every per-region input is a sum or bitmap union and classification
-// is recomputed lazily from the merged state, so folding shards in any
-// order reproduces exactly the state one shared tracker would hold.
-// Both trackers must have the same core count.
-func (t *Tracker) Merge(o *Tracker) {
-	if o.cores != t.cores {
-		panic(fmt.Sprintf("attrib: merging trackers with %d and %d cores", o.cores, t.cores))
-	}
-	t.add(o.Dump())
-}
-
 // falseShareAccessesPerChurn is the sustained-churn gate for the
 // false-shared label: more than one invalidation or upgrade per this
 // many accesses to the region. Steady ping-pong invalidates every few

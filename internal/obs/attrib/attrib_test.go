@@ -2,7 +2,6 @@ package attrib
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"protozoa/internal/mem"
@@ -64,52 +63,6 @@ func TestClassification(t *testing.T) {
 				t.Errorf("pattern = %v, want %v", got, tc.want)
 			}
 		})
-	}
-}
-
-// TestShardTrackersMergeUnderRace mirrors the PDES deployment —
-// per-tile trackers recording concurrently, then folded into one — so
-// the tier-1 -race pass actually exercises the concurrent publish
-// pattern drivers rely on (each shard private to its goroutine, Merge
-// on the collector side only).
-func TestShardTrackersMergeUnderRace(t *testing.T) {
-	const cores, shards = 4, 8
-	trackers := make([]*Tracker, shards)
-	var wg sync.WaitGroup
-	for i := range trackers {
-		trackers[i] = New(cores)
-		wg.Add(1)
-		go func(tr *Tracker, seed int) {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				region := mem.RegionID(1 + (seed+j)%16)
-				core := (seed + j) % cores
-				tr.Access(core, region, uint8(j%16), j%3 == 0)
-				if j%7 == 0 {
-					tr.Fill(core, region, 4)
-					tr.Death(core, region, Footprint{}, 2, 4)
-				}
-				if j%11 == 0 {
-					tr.Invalidation(region, core, (core+1)%cores, 2)
-				}
-			}
-		}(trackers[i], i)
-	}
-	wg.Wait()
-	merged := New(cores)
-	var wantInv uint64
-	for _, tr := range trackers {
-		wantInv += tr.Invalidations
-		merged.Merge(tr)
-	}
-	if merged.Invalidations != wantInv {
-		t.Errorf("merged invalidations %d, want %d", merged.Invalidations, wantInv)
-	}
-	if merged.RegionCount() == 0 {
-		t.Error("merge dropped all regions")
-	}
-	if err := merged.Reconcile(); err != nil {
-		t.Errorf("merged tracker does not reconcile: %v", err)
 	}
 }
 

@@ -58,8 +58,7 @@ type Dump struct {
 
 // Dump snapshots the tracker into a serializable form. Classification
 // state (patterns, dirty lists) is intentionally not captured: FromDump
-// rebuilds it deterministically from the footprints, exactly as the
-// PDES shard merge does.
+// rebuilds it deterministically from the footprints.
 func (t *Tracker) Dump() *Dump {
 	d := &Dump{
 		Cores:               t.cores,
@@ -156,8 +155,8 @@ func FromDump(d *Dump) (*Tracker, error) {
 	return t, nil
 }
 
-// add sums a dump into t, counts adding and bitmaps unioning: both
-// FromDump's restore and the PDES shard merge.
+// add sums a dump into t, counts adding and bitmaps unioning: FromDump's
+// restore.
 func (t *Tracker) add(d *Dump) {
 	t.FetchedWords += d.FetchedWords
 	t.UsedWords += d.UsedWords

@@ -68,11 +68,12 @@ func TestOverflowRegionsMatchDense(t *testing.T) {
 		t.Errorf("overflow tracker does not reconcile: %v", err)
 	}
 
-	// Merged, the two halves sit on both sides of the cap; the dump
-	// stays sorted by ID and the offender order stays deterministic.
+	// Summed into one tracker, the two halves sit on both sides of the
+	// cap; the dump stays sorted by ID and the offender order stays
+	// deterministic.
 	merged := New(4)
-	merged.Merge(sparse)
-	merged.Merge(dense)
+	merged.add(sparse.Dump())
+	merged.add(dense.Dump())
 	if n := merged.RegionCount(); n != 6 {
 		t.Fatalf("merged tracker holds %d regions, want 6", n)
 	}

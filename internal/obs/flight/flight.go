@@ -8,16 +8,11 @@
 // miss-latency breakdown. The recorder is opt-in and nil-check-hooked: a
 // disabled machine pays one branch per potential record.
 //
-// Determinism contract: each ring is single-goroutine (one per PDES
-// tile, or one shared ring in sequential mode) and stamps records with
-// a per-ring sequence number. Records() merges the rings with a stable
-// sort on cycle only, so ties keep tile order and the merged transcript
-// is byte-identical at any worker count >= 1.
+// The machine records into one ring in execution order, stamping each
+// record with a sequence number, so the transcript is deterministic.
 package flight
 
 import (
-	"sort"
-
 	"protozoa/internal/engine"
 	"protozoa/internal/mem"
 )
@@ -157,7 +152,7 @@ func DirStateNames() []string { return append([]string(nil), dirNames[:]...) }
 // step, e.g. inclusion recalls).
 type Record struct {
 	Cycle  engine.Cycle
-	Seq    uint64 // per-ring sequence number, stamped by Ring.Record
+	Seq    uint64 // sequence number, stamped by Recorder.Record
 	Region uint64
 	Txn    uint64 // directory transaction ID (0 = none)
 	Valid  mem.Bitmap
@@ -174,10 +169,14 @@ type Record struct {
 	R      mem.Range
 }
 
-// Ring is one tile's bounded record buffer. Capacity bounds memory; the
-// buffer grows lazily up to it and then wraps, evicting the oldest
-// record (counted in dropped). Single-goroutine by construction.
-type Ring struct {
+// DefaultCap is the record capacity when the caller passes <= 0
+// (~32k records, a few MiB once populated).
+const DefaultCap = 1 << 15
+
+// Recorder is the machine's bounded record ring. Capacity bounds
+// memory; the buffer grows lazily up to it and then wraps, evicting the
+// oldest record (counted in dropped). Single-goroutine by construction.
+type Recorder struct {
 	buf     []Record
 	cap     int
 	next    int
@@ -186,10 +185,29 @@ type Ring struct {
 	dropped uint64
 }
 
-func newRing(capacity int) *Ring { return &Ring{cap: capacity} }
+// NewRecorder builds a recorder keeping the most recent capacity
+// records (<= 0 selects DefaultCap).
+func NewRecorder(capacity int) *Recorder {
+	r := &Recorder{}
+	r.Grow(capacity)
+	return r
+}
+
+// Grow raises the recorder's capacity to at least capacity records
+// (<= 0 selects DefaultCap). Capacity never shrinks, so the largest
+// request among several views wins. Call before recording starts: the
+// ring allocates lazily, so growing an unused recorder costs nothing.
+func (r *Recorder) Grow(capacity int) {
+	if capacity <= 0 {
+		capacity = DefaultCap
+	}
+	if capacity > r.cap {
+		r.cap = capacity
+	}
+}
 
 // Record appends one record, stamping its sequence number.
-func (r *Ring) Record(rec Record) {
+func (r *Recorder) Record(rec Record) {
 	rec.Seq = r.seq
 	r.seq++
 	if len(r.buf) < r.cap {
@@ -203,101 +221,18 @@ func (r *Ring) Record(rec Record) {
 }
 
 // Len reports the records currently held.
-func (r *Ring) Len() int { return len(r.buf) }
+func (r *Recorder) Len() int { return len(r.buf) }
 
 // Dropped reports records evicted by ring wrap.
-func (r *Ring) Dropped() uint64 { return r.dropped }
+func (r *Recorder) Dropped() uint64 { return r.dropped }
 
-// Snapshot returns the held records oldest-first.
-func (r *Ring) Snapshot() []Record {
+// Records returns the held records oldest-first.
+func (r *Recorder) Records() []Record {
 	if !r.wrapped {
 		return append([]Record(nil), r.buf...)
 	}
 	out := make([]Record, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// DefaultCap is the record capacity when the caller passes <= 0
-// (~32k records, a few MiB once populated).
-const DefaultCap = 1 << 15
-
-// Recorder owns the per-tile rings and the deterministic merge.
-type Recorder struct {
-	rings []*Ring
-}
-
-// NewRecorder builds a recorder with rings rings splitting capacity
-// evenly (capacity <= 0 selects DefaultCap). Sequential machines pass
-// rings=1 and share the single ring across tiles, preserving exact
-// execution order; PDES machines pass one ring per tile.
-func NewRecorder(rings, capacity int) *Recorder {
-	if rings < 1 {
-		rings = 1
-	}
-	r := &Recorder{rings: make([]*Ring, rings)}
-	for i := range r.rings {
-		r.rings[i] = newRing(1)
-	}
-	r.Grow(capacity)
-	return r
-}
-
-// Grow raises the recorder's capacity to at least capacity records
-// (<= 0 selects DefaultCap), split evenly across the rings like
-// NewRecorder. Capacity never shrinks, so the largest request among
-// several views wins. Call before recording starts: rings allocate
-// lazily, so growing an unused recorder costs nothing.
-func (r *Recorder) Grow(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultCap
-	}
-	per := capacity / len(r.rings)
-	for _, ring := range r.rings {
-		if per > ring.cap {
-			ring.cap = per
-		}
-	}
-}
-
-// Ring returns ring i (i is the tile index, or 0 when shared).
-func (r *Recorder) Ring(i int) *Ring { return r.rings[i] }
-
-// Rings reports the ring count.
-func (r *Recorder) Rings() int { return len(r.rings) }
-
-// Dropped sums ring-wrap evictions across all rings.
-func (r *Recorder) Dropped() uint64 {
-	var n uint64
-	for _, ring := range r.rings {
-		n += ring.dropped
-	}
-	return n
-}
-
-// Len sums held records across all rings.
-func (r *Recorder) Len() int {
-	n := 0
-	for _, ring := range r.rings {
-		n += ring.Len()
-	}
-	return n
-}
-
-// Records merges every ring into one cycle-ordered transcript. The
-// concat walks rings in tile order and the sort is stable on cycle
-// alone, so same-cycle records keep tile order — the merged output is
-// identical at any worker count, and identical to the single shared
-// ring's order in sequential mode (each ring is already cycle-sorted).
-func (r *Recorder) Records() []Record {
-	if len(r.rings) == 1 {
-		return r.rings[0].Snapshot()
-	}
-	var out []Record
-	for _, ring := range r.rings {
-		out = append(out, ring.Snapshot()...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cycle < out[j].Cycle })
 	return out
 }

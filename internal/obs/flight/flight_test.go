@@ -13,7 +13,7 @@ import (
 )
 
 func TestRingWrapDropsOldest(t *testing.T) {
-	r := newRing(4)
+	r := NewRecorder(4)
 	for c := 0; c < 7; c++ {
 		r.Record(Record{Cycle: 10 * 7, Region: uint64(c)})
 	}
@@ -23,7 +23,7 @@ func TestRingWrapDropsOldest(t *testing.T) {
 	if r.Dropped() != 3 {
 		t.Fatalf("dropped %d, want 3", r.Dropped())
 	}
-	snap := r.Snapshot()
+	snap := r.Records()
 	for i, rec := range snap {
 		if rec.Region != uint64(3+i) {
 			t.Fatalf("snapshot[%d].Region = %d, want %d (oldest-first after wrap)", i, rec.Region, 3+i)
@@ -31,45 +31,6 @@ func TestRingWrapDropsOldest(t *testing.T) {
 		if rec.Seq != uint64(3+i) {
 			t.Fatalf("snapshot[%d].Seq = %d, want %d", i, rec.Seq, 3+i)
 		}
-	}
-}
-
-// TestRecorderMergeStable pins the determinism contract: the merge is a
-// stable sort on cycle alone, so same-cycle records from different
-// rings keep ring (tile) order.
-func TestRecorderMergeStable(t *testing.T) {
-	r := NewRecorder(3, 300)
-	// Ring 2 records cycle 5 first in wall-clock terms, but ring order
-	// must win the tie.
-	r.Ring(2).Record(Record{Cycle: 5, Region: 21})
-	r.Ring(0).Record(Record{Cycle: 5, Region: 1})
-	r.Ring(0).Record(Record{Cycle: 7, Region: 2})
-	r.Ring(1).Record(Record{Cycle: 5, Region: 11})
-	merged := r.Records()
-	var got []uint64
-	for _, rec := range merged {
-		got = append(got, rec.Region)
-	}
-	// The stable sort keeps ring order among the cycle-5 records:
-	// 1 (ring0), 11 (ring1), 21 (ring2) — then the cycle-7 record.
-	want := []uint64{1, 11, 21, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged regions = %v, want %v", got, want)
-	}
-}
-
-func TestRecorderCapacitySplit(t *testing.T) {
-	r := NewRecorder(4, 8)
-	for i := 0; i < 4; i++ {
-		for c := 0; c < 5; c++ {
-			r.Ring(i).Record(Record{Cycle: 1})
-		}
-	}
-	if r.Len() != 8 {
-		t.Fatalf("total held %d, want 8 (capacity split 2 per ring)", r.Len())
-	}
-	if r.Dropped() != 12 {
-		t.Fatalf("dropped %d, want 12", r.Dropped())
 	}
 }
 
@@ -197,9 +158,9 @@ func TestReconstruct(t *testing.T) {
 }
 
 func TestRecorderNoWrap(t *testing.T) {
-	r := NewRecorder(1, 8)
+	r := NewRecorder(8)
 	for i := 0; i < 5; i++ {
-		r.Ring(0).Record(Record{Cycle: engine.Cycle(i), Kind: KindMissStart, Src: int16(i)})
+		r.Record(Record{Cycle: engine.Cycle(i), Kind: KindMissStart, Src: int16(i)})
 	}
 	if r.Len() != 5 || r.Dropped() != 0 {
 		t.Fatalf("len=%d dropped=%d, want 5/0", r.Len(), r.Dropped())
@@ -212,9 +173,9 @@ func TestRecorderNoWrap(t *testing.T) {
 }
 
 func TestRecorderWrapKeepsNewest(t *testing.T) {
-	r := NewRecorder(1, 4)
+	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.Ring(0).Record(Record{Cycle: engine.Cycle(i), Kind: KindMsgSend})
+		r.Record(Record{Cycle: engine.Cycle(i), Kind: KindMsgSend})
 	}
 	if r.Len() != 4 || r.Dropped() != 6 {
 		t.Fatalf("len=%d dropped=%d, want 4/6", r.Len(), r.Dropped())
@@ -227,8 +188,7 @@ func TestRecorderWrapKeepsNewest(t *testing.T) {
 }
 
 func TestRecorderDefaultCap(t *testing.T) {
-	r := NewRecorder(2, 0)
-	if got := r.Ring(0).cap + r.Ring(1).cap; got != DefaultCap {
+	if got := NewRecorder(0).cap; got != DefaultCap {
 		t.Fatalf("default capacity %d, want %d", got, DefaultCap)
 	}
 }
@@ -236,24 +196,22 @@ func TestRecorderDefaultCap(t *testing.T) {
 // TestRecorderGrow: several views size one recorder; the largest
 // request wins and a smaller later request never shrinks it.
 func TestRecorderGrow(t *testing.T) {
-	r := NewRecorder(4, 40)
+	r := NewRecorder(40)
 	r.Grow(400)
 	r.Grow(8)
-	for i := 0; i < 4; i++ {
-		if c := r.Ring(i).cap; c != 100 {
-			t.Fatalf("ring %d capacity %d after Grow(400), Grow(8); want 100", i, c)
-		}
+	if r.cap != 400 {
+		t.Fatalf("capacity %d after Grow(400), Grow(8); want 400", r.cap)
 	}
 	r.Grow(0)
-	if c := r.Ring(0).cap; c != DefaultCap/4 {
-		t.Fatalf("Grow(0) capacity %d per ring, want the default's share %d", c, DefaultCap/4)
+	if r.cap != DefaultCap {
+		t.Fatalf("Grow(0) capacity %d, want the default %d", r.cap, DefaultCap)
 	}
 }
 
 // TestRecordDoesNotAllocate is the zero-cost contract: once the ring
 // has grown to capacity, recording performs no heap allocation.
 func TestRecordDoesNotAllocate(t *testing.T) {
-	r := newRing(1024)
+	r := NewRecorder(1024)
 	rec := Record{Cycle: 1, Kind: KindMsgSend, Src: 3}
 	for i := 0; i < 1024; i++ {
 		r.Record(rec)

@@ -66,8 +66,7 @@ type LatencyBreakdown struct {
 // coreFold is one core's share of the fold: its open miss's phase chain
 // and the totals its completed misses have accrued. Every record folded
 // into a slot belongs to that core's causal chain (an in-order core has
-// one miss outstanding), so under PDES a slot is only touched by one
-// tile at a time and the fold needs no locks.
+// one miss outstanding).
 type coreFold struct {
 	chain flight.Chain
 	live  bool

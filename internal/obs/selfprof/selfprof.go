@@ -1,245 +1,149 @@
 // Package selfprof is the simulator's self-profiling layer: where
 // internal/obs observes the simulated machine, selfprof observes the
-// simulator itself — the PDES window loop's round structure, the
-// per-tile event queues' occupancy, and the wall-clock split between
-// running events, waiting at barriers, and coordinator bookkeeping.
-//
-// It exists to answer questions like the one PR 8 left open: the
-// workers=1 window loop runs ~1.44x slower than the sequential engine
-// on the same event stream — where do those cycles go? The layer is
-// strictly opt-in (System.EnableSelfProf before Run); every hot-path
-// site in core and engine guards on a single nil check, and recording
-// is allocation-free: shards are padded per-tile structs bumped by the
-// goroutine that owns the tile for the round, and round spans land in
-// preallocated rings.
-//
-// Synchronization rides the window loop's existing happens-before
-// chain: the coordinator writes a shard's round fields before the
-// epoch counter release, the worker running the tile writes its run
-// fields before its done-counter store, and the coordinator reads
-// after the done acquire — no additional atomics, race-detector clean.
+// simulator itself — how many events a run took, in how much wall
+// time, and how the engine's queue was used (ring pushes, far-future
+// pushes, zero-delay hits, high-water marks). The layer is strictly
+// opt-in (System.EnableSelfProf before Run); every counter site in the
+// engine's hot path guards on a single nil check.
 package selfprof
 
 import (
-	"math/bits"
+	"encoding/json"
+	"fmt"
+	"io"
+	"sync"
 	"time"
 
 	"protozoa/internal/engine"
 )
 
-// DefaultSpanCap bounds each span ring (one per tile, plus the
-// coordinator's): 4096 rounds ≈ 160 KB/tile of spans, enough to see
-// the steady-state round texture without growing with the run.
-const DefaultSpanCap = 4096
-
-// Span is one wall-clock execution span: a tile running one PDES round
-// (or, on the coordinator ring, one whole round including the barrier).
-type Span struct {
-	Round   uint64 // coordinator round number (1-based)
-	StartNs int64  // wall-clock offset from Profile.Start
-	DurNs   int64
-	Bound   uint64 // window bound the run was given (exclusive cycle)
-	Clock   uint64 // tile clock (or round simNow) when the span ended
-	Events  uint64 // events processed inside the span
-}
-
-// spanRing is a fixed-capacity overwrite-oldest span buffer.
-type spanRing struct {
-	buf   []Span
-	next  int
-	total uint64 // spans ever recorded; dropped = total - len(kept)
-}
-
-func (r *spanRing) record(sp Span) {
-	if len(r.buf) == 0 {
-		return
-	}
-	r.buf[r.next] = sp
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-	}
-	r.total++
-}
-
-// snapshot returns the retained spans oldest-first.
-func (r *spanRing) snapshot() []Span {
-	if r.total >= uint64(len(r.buf)) {
-		out := make([]Span, 0, len(r.buf))
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-		return out
-	}
-	out := make([]Span, r.next)
-	copy(out, r.buf[:r.next])
-	return out
-}
-
-func (r *spanRing) dropped() uint64 {
-	if kept := uint64(len(r.buf)); r.total > kept {
-		return r.total - kept
-	}
-	return 0
-}
-
-// TileShard is one tile's self-profiling accumulator. The embedded
-// engine.Prof is attached to the tile's event queue via SetProf; the
-// round counters are maintained by the window-loop coordinator; the
-// run-side fields (Events, WallNs, spans) are written by whichever
-// goroutine executes the tile's window, which the epoch/done atomics
-// order against the coordinator's reads. Padding inside engine.Prof
-// plus the trailing pad keep adjacent shards off shared cache lines.
-type TileShard struct {
-	Queue engine.Prof // ring/far/micro occupancy, refusals, limit cuts
-
-	BusyRounds      uint64 // rounds this tile executed a window
-	IdleRounds      uint64 // rounds it did not (empty queue, or skipped)
-	SkippedWithWork uint64 // idle rounds where work was queued but the bound didn't clear its peek
-	Events          uint64 // events processed across busy rounds
-	WallNs          int64  // wall-clock inside RunUntil across busy rounds
-	MicroHits       uint64 // zero-delay schedules (engine.MicroHits, filled at finish)
-
-	// CurRound is the round number this tile was dealt into, written by
-	// the coordinator before the epoch release so the executing worker
-	// can stamp the span without touching coordinator state.
-	CurRound uint64
-
-	// Epoch anchors span timestamps (copy of Profile.Start).
-	Epoch time.Time
-
-	spans spanRing
-
-	_ [64]byte // keep neighbouring shards apart
-}
-
-// RecordSpan appends one round-execution span to the tile's ring.
-func (ts *TileShard) RecordSpan(sp Span) { ts.spans.record(sp) }
-
-// Spans returns the retained spans oldest-first.
-func (ts *TileShard) Spans() []Span { return ts.spans.snapshot() }
-
-// WorkerShard is one crew worker's wall-clock split, written only by
-// that worker (the coordinator's wait lives in Profile.CoordWaitNs).
-type WorkerShard struct {
-	SpinNs int64  // waiting for a new epoch between rounds
-	BusyNs int64  // running the tiles dealt to this worker
-	Rounds uint64 // epochs this worker processed
-
-	_ [64]byte
-}
-
-// widthBuckets is the round-width histogram size: log2 buckets with
-// upper bounds 2^0 .. 2^(widthBuckets-1) cycles; the last bucket also
-// absorbs anything wider. 18 buckets cover the soloSlice cap (2^16)
-// with headroom.
-const widthBuckets = 18
-
-// WidthHist is a log2 histogram of PDES round widths (the window
-// granted to the round's minimum tile, in cycles).
-type WidthHist struct {
-	Buckets [widthBuckets]uint64
-	Sum     uint64
-	Max     uint64
-	N       uint64
-}
-
-// Observe files one round width.
-func (h *WidthHist) Observe(w uint64) {
-	if w == 0 {
-		w = 1
-	}
-	idx := bits.Len64(w - 1) // ceil(log2(w)): 1→0, 2→1, 3..4→2, …
-	if idx >= widthBuckets {
-		idx = widthBuckets - 1
-	}
-	h.Buckets[idx]++
-	h.Sum += w
-	h.N++
-	if w > h.Max {
-		h.Max = w
-	}
-}
-
-// Quantile returns the upper bound of the bucket holding quantile q
-// (0 < q <= 1) — a coarse percentile, exact to the log2 bucketing.
-func (h *WidthHist) Quantile(q float64) uint64 {
-	if h.N == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.N))
-	if target == 0 {
-		target = 1
-	}
-	var seen uint64
-	for i, c := range h.Buckets {
-		seen += c
-		if seen >= target {
-			return uint64(1) << i
-		}
-	}
-	return uint64(1) << (widthBuckets - 1)
-}
-
-// Profile is the run-wide self-profiling state. The coordinator owns
-// every field except the tile shards' run-side fields and the worker
-// shards; see the package comment for the synchronization story.
+// Profile is one run's self-profiling state. Queue is attached to the
+// run's engine (engine.SetProf); the rest is stamped when Run ends.
 type Profile struct {
-	Mode       string // "pdes" or "sequential"
-	Workers    int    // crew size (PDES), 0 in sequential mode
-	LookaheadW uint64 // mesh lookahead W used for window bounds
-
 	Start time.Time
 
-	Rounds             uint64 // window-loop iterations that ran at least one tile
-	InlineRounds       uint64 // rounds run on the coordinator without dispatching the crew
-	SoloExtendedRounds uint64 // rounds whose minimum tile got a window beyond min1+W
-	BarrierReleases    uint64 // global-barrier count-and-release events
-	InjectedMsgs       uint64 // cross-tile messages moved from outboxes at round edges
-
-	Width WidthHist
-
-	// Wall-clock decomposition of the window loop. BookkeepingNs is
-	// derived at report time: LoopNs - RunNs (scan, bounds, injection,
-	// peek refresh, barrier accounting).
-	LoopNs      int64 // total windowLoop wall-clock
-	RunNs       int64 // run phase (inline tile runs or pool dispatch+wait)
-	CoordWaitNs int64 // coordinator polling worker done-counters (within RunNs)
-	MergeNs     int64 // mergePDES (shard fold) wall-clock
-
-	TotalEvents uint64 // EventsProcessed() at finish
+	Queue       engine.Prof
+	MicroHits   uint64 // zero-delay schedules (engine.MicroHits)
+	TotalEvents uint64 // events the run processed
 	TotalNs     int64  // wall-clock of the whole Run
-
-	Tiles      []TileShard
-	WorkerWait []WorkerShard // indexed by crew worker; [0] unused (coordinator)
-
-	coord spanRing // whole-round spans on the coordinator
 }
 
-// New returns a profile for a machine with the given tile and crew
-// counts. spanCap <= 0 selects DefaultSpanCap; spanCap == 1 keeps the
-// rings but minimal (tests).
-func New(tiles, workers, spanCap int) *Profile {
-	if spanCap <= 0 {
-		spanCap = DefaultSpanCap
-	}
-	p := &Profile{
-		Start: time.Now(),
-		Tiles: make([]TileShard, tiles),
-		coord: spanRing{buf: make([]Span, spanCap)},
-	}
-	p.Workers = workers
-	if workers > 1 {
-		p.WorkerWait = make([]WorkerShard, workers)
-	}
-	for i := range p.Tiles {
-		p.Tiles[i].Epoch = p.Start
-		p.Tiles[i].spans = spanRing{buf: make([]Span, spanCap)}
-	}
-	return p
+// New returns a profile whose wall clock starts now.
+func New() *Profile { return &Profile{Start: time.Now()} }
+
+// Report is the serializable snapshot of a Profile — what -self-prof
+// dumps as JSON and renders as the summary line. Take it after Run.
+type Report struct {
+	TotalEvents uint64      `json:"total_events"`
+	TotalNs     int64       `json:"total_ns"`
+	Queue       QueueTotals `json:"queue"`
+
+	// Rounds, CoordWaitNs, BookkeepingNs and WorkerWait exist only for
+	// perfbench, which still reads the round telemetry of the retired
+	// parallel engine. They always read zero and stay out of the JSON.
+	Rounds        uint64         `json:"-"`
+	CoordWaitNs   int64          `json:"-"`
+	BookkeepingNs int64          `json:"-"`
+	WorkerWait    []WorkerReport `json:"-"`
 }
 
-// RecordRound appends one whole-round span to the coordinator ring.
-func (p *Profile) RecordRound(sp Span) { p.coord.record(sp) }
+// WorkerReport exists only for perfbench (see Report.WorkerWait).
+type WorkerReport struct {
+	SpinNs int64
+}
 
-// CoordSpans returns the retained coordinator round spans oldest-first.
-func (p *Profile) CoordSpans() []Span { return p.coord.snapshot() }
+// QueueTotals are the engine queue's introspection counters.
+type QueueTotals struct {
+	RingPushes uint64 `json:"ring_pushes"`
+	FarPushes  uint64 `json:"far_pushes"`
+	MicroHits  uint64 `json:"micro_hits"`
+	RingHigh   int    `json:"ring_high"`
+	FarHigh    int    `json:"far_high"`
+
+	// Refusals exists only for perfbench; it counted bounded runs of
+	// the retired parallel engine and always reads zero.
+	Refusals uint64 `json:"-"`
+}
+
+// Report snapshots the profile. Call after Run.
+func (p *Profile) Report() *Report {
+	return &Report{
+		TotalEvents: p.TotalEvents,
+		TotalNs:     p.TotalNs,
+		Queue: QueueTotals{
+			RingPushes: p.Queue.RingPushes,
+			FarPushes:  p.Queue.FarPushes,
+			MicroHits:  p.MicroHits,
+			RingHigh:   p.Queue.RingHigh,
+			FarHigh:    p.Queue.FarHigh,
+		},
+	}
+}
+
+// WriteJSON dumps the report as indented JSON.
+func (r *Report) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(r)
+}
+
+func ns(d int64) string {
+	return time.Duration(d).Round(10 * time.Microsecond).String()
+}
+
+// WriteSummary renders the human-readable lines -self-prof prints.
+func (r *Report) WriteSummary(w io.Writer) {
+	fmt.Fprintf(w, "self-profile: %d events in %s\n", r.TotalEvents, ns(r.TotalNs))
+	fmt.Fprintf(w, " queue: ring %d, far %d, zero-delay %d, high ring/far %d/%d\n",
+		r.Queue.RingPushes, r.Queue.FarPushes, r.Queue.MicroHits,
+		r.Queue.RingHigh, r.Queue.FarHigh)
+}
+
+// Collector aggregates self-profile reports across many runs — the
+// sweep's -self-prof surface, fed from runner worker goroutines, so it
+// is the one synchronized type in the package.
+type Collector struct {
+	mu   sync.Mutex
+	runs int
+	agg  Report
+}
+
+// Add folds one run's report into the totals. Cached cells never call
+// Add (they did not simulate), so the totals cover simulated work only.
+func (c *Collector) Add(r *Report) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.runs++
+	a := &c.agg
+	a.TotalNs += r.TotalNs
+	a.TotalEvents += r.TotalEvents
+	a.Queue.RingPushes += r.Queue.RingPushes
+	a.Queue.FarPushes += r.Queue.FarPushes
+	a.Queue.MicroHits += r.Queue.MicroHits
+	a.Queue.RingHigh = max(a.Queue.RingHigh, r.Queue.RingHigh)
+	a.Queue.FarHigh = max(a.Queue.FarHigh, r.Queue.FarHigh)
+}
+
+// Runs reports how many reports have been folded in.
+func (c *Collector) Runs() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.runs
+}
+
+// Totals returns a copy of the aggregated report.
+func (c *Collector) Totals() Report {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.agg
+}
+
+// WriteSummary renders the grid-level rollup.
+func (c *Collector) WriteSummary(w io.Writer) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fmt.Fprintf(w, "self-profile: %d simulated cells, %d events in %s total wall\n",
+		c.runs, c.agg.TotalEvents, ns(c.agg.TotalNs))
+	fmt.Fprintf(w, " queue: ring %d, far %d, zero-delay %d\n",
+		c.agg.Queue.RingPushes, c.agg.Queue.FarPushes, c.agg.Queue.MicroHits)
+}

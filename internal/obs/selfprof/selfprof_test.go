@@ -8,118 +8,20 @@ import (
 	"testing"
 )
 
-func TestWidthHistBuckets(t *testing.T) {
-	var h WidthHist
-	cases := []struct {
-		w      uint64
-		bucket int
-	}{
-		{1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3},
-		{9, 4}, {64, 6}, {65536, 16}, {1 << 20, widthBuckets - 1},
-	}
-	for _, c := range cases {
-		before := h.Buckets[c.bucket]
-		h.Observe(c.w)
-		if h.Buckets[c.bucket] != before+1 {
-			t.Errorf("Observe(%d): bucket %d not incremented", c.w, c.bucket)
-		}
-	}
-	if h.N != uint64(len(cases)) {
-		t.Errorf("N = %d, want %d", h.N, len(cases))
-	}
-	if h.Max != 1<<20 {
-		t.Errorf("Max = %d, want %d", h.Max, 1<<20)
-	}
-	// Zero widths clamp to 1 rather than corrupting the index math.
-	h.Observe(0)
-	if h.Buckets[0] != 2 {
-		t.Errorf("Observe(0): bucket 0 = %d, want 2", h.Buckets[0])
-	}
-}
-
-func TestWidthHistQuantile(t *testing.T) {
-	var h WidthHist
-	for i := 0; i < 90; i++ {
-		h.Observe(6) // bucket 3 (le 8)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(60000) // bucket 16 (le 65536)
-	}
-	if q := h.Quantile(0.5); q != 8 {
-		t.Errorf("p50 = %d, want 8", q)
-	}
-	if q := h.Quantile(0.99); q != 65536 {
-		t.Errorf("p99 = %d, want 65536", q)
-	}
-	var empty WidthHist
-	if q := empty.Quantile(0.5); q != 0 {
-		t.Errorf("empty quantile = %d, want 0", q)
-	}
-}
-
-func TestSpanRingWrapKeepsNewest(t *testing.T) {
-	r := spanRing{buf: make([]Span, 4)}
-	for i := uint64(1); i <= 10; i++ {
-		r.record(Span{Round: i})
-	}
-	got := r.snapshot()
-	if len(got) != 4 {
-		t.Fatalf("kept %d spans, want 4", len(got))
-	}
-	for i, sp := range got {
-		if want := uint64(7 + i); sp.Round != want {
-			t.Errorf("span[%d].Round = %d, want %d (oldest-first)", i, sp.Round, want)
-		}
-	}
-	if r.dropped() != 6 {
-		t.Errorf("dropped = %d, want 6", r.dropped())
-	}
-}
-
-func TestReportAggregatesTiles(t *testing.T) {
-	p := New(2, 4, 8)
-	p.Mode = "pdes"
-	p.LookaheadW = 6
-	p.Rounds = 10
-	p.Tiles[0].BusyRounds = 7
-	p.Tiles[0].IdleRounds = 3
-	p.Tiles[0].Events = 70
-	p.Tiles[0].Queue.RingPushes = 50
-	p.Tiles[0].MicroHits = 20
-	p.Tiles[0].Queue.RingHigh = 9
-	p.Tiles[1].BusyRounds = 4
-	p.Tiles[1].IdleRounds = 6
-	p.Tiles[1].SkippedWithWork = 2
-	p.Tiles[1].Events = 30
-	p.Tiles[1].Queue.FarPushes = 10
-	p.Tiles[1].Queue.RingHigh = 5
-	p.Width.Observe(6)
-	p.LoopNs = 100
-	p.RunNs = 60
+func TestReportCopiesQueueCounters(t *testing.T) {
+	p := New()
+	p.Queue.RingPushes = 50
+	p.Queue.FarPushes = 10
+	p.Queue.RingHigh = 9
+	p.Queue.FarHigh = 2
+	p.MicroHits = 20
+	p.TotalEvents = 80
+	p.TotalNs = 1000
 
 	r := p.Report()
-	if r.Queue.RingPushes != 50 || r.Queue.FarPushes != 10 || r.Queue.MicroHits != 20 {
-		t.Errorf("queue totals = %+v", r.Queue)
-	}
-	if r.Queue.RingHigh != 9 {
-		t.Errorf("RingHigh = %d, want max 9", r.Queue.RingHigh)
-	}
-	if r.SkippedTileRounds != 2 {
-		t.Errorf("SkippedTileRounds = %d, want 2", r.SkippedTileRounds)
-	}
-	if r.BookkeepingNs != 40 {
-		t.Errorf("BookkeepingNs = %d, want 40", r.BookkeepingNs)
-	}
-	if got := r.Tiles[0].EvPerRound; got != 10 {
-		t.Errorf("tile 0 ev/round = %v, want 10", got)
-	}
-	// Reconciliation shape the core-level test depends on: each tile's
-	// busy+idle covers every coordinator round.
-	for _, tr := range r.Tiles {
-		if tr.BusyRounds+tr.IdleRounds != r.Rounds {
-			t.Errorf("tile %d: busy %d + idle %d != rounds %d",
-				tr.ID, tr.BusyRounds, tr.IdleRounds, r.Rounds)
-		}
+	want := QueueTotals{RingPushes: 50, FarPushes: 10, MicroHits: 20, RingHigh: 9, FarHigh: 2}
+	if r.Queue != want || r.TotalEvents != 80 || r.TotalNs != 1000 {
+		t.Errorf("report = %+v, want queue %+v, 80 events, 1000 ns", r, want)
 	}
 
 	var buf bytes.Buffer
@@ -130,58 +32,17 @@ func TestReportAggregatesTiles(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &round); err != nil {
 		t.Fatalf("report JSON does not round-trip: %v", err)
 	}
-	if round.Rounds != 10 || round.Queue.MicroHits != 20 {
+	if round.Queue != want || round.TotalEvents != 80 {
 		t.Errorf("round-tripped report lost fields: %+v", round)
 	}
 
 	buf.Reset()
 	r.WriteSummary(&buf)
 	out := buf.String()
-	for _, want := range []string{"self-profile (pdes", "rounds 10", "zero-delay 20", "tile"} {
+	for _, want := range []string{"self-profile: 80 events", "zero-delay 20", "high ring/far 9/2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestChromeTraceSpans(t *testing.T) {
-	p := New(2, 1, 8)
-	p.Tiles[0].RecordSpan(Span{Round: 1, StartNs: 1000, DurNs: 2000, Bound: 12, Clock: 11, Events: 5})
-	p.Tiles[0].RecordSpan(Span{Round: 2, StartNs: 5000, DurNs: 100, Events: 1})
-	p.RecordRound(Span{Round: 1, StartNs: 900, DurNs: 2500, Events: 5})
-
-	tr := p.BuildChromeTrace()
-	var runs, rounds, names int
-	for _, ev := range tr.TraceEvents {
-		switch {
-		case ev.Ph == "X" && ev.Name == "run":
-			runs++
-			if ev.Dur == 0 {
-				t.Error("zero-duration span should clamp to 1us")
-			}
-		case ev.Ph == "X" && ev.Name == "round":
-			rounds++
-			if ev.Tid != coordTrack {
-				t.Errorf("round span on tid %d, want %d", ev.Tid, coordTrack)
-			}
-		case ev.Ph == "M":
-			names++
-		}
-	}
-	if runs != 2 || rounds != 1 {
-		t.Errorf("got %d run spans, %d round spans; want 2, 1", runs, rounds)
-	}
-	if names < 3 { // process + coordinator + tile 0
-		t.Errorf("only %d metadata events", names)
-	}
-
-	var buf bytes.Buffer
-	if err := p.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("meta-trace is not valid JSON: %v", err)
 	}
 }
 
@@ -194,8 +55,8 @@ func TestCollectorConcurrentAdd(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				c.Add(&Report{
-					Mode: "pdes", Rounds: 2, TotalEvents: 10,
-					Queue: QueueTotals{RingPushes: 3, MicroHits: 1, RingHigh: j},
+					TotalEvents: 10,
+					Queue:       QueueTotals{RingPushes: 3, MicroHits: 1, RingHigh: j},
 				})
 			}
 		}()
@@ -205,7 +66,7 @@ func TestCollectorConcurrentAdd(t *testing.T) {
 		t.Fatalf("runs = %d, want 800", c.Runs())
 	}
 	agg := c.Totals()
-	if agg.Rounds != 1600 || agg.TotalEvents != 8000 || agg.Queue.RingPushes != 2400 {
+	if agg.TotalEvents != 8000 || agg.Queue.RingPushes != 2400 || agg.Queue.MicroHits != 800 {
 		t.Errorf("totals wrong: %+v", agg)
 	}
 	if agg.Queue.RingHigh != 99 {

@@ -17,8 +17,8 @@ import (
 type CellSpec struct {
 	// Config is the resolved machine configuration — after defaults,
 	// core counts, and knobs have been applied. Workers is excluded
-	// from the hash: results are byte-identical at any worker count
-	// (the PR 6 contract), so all -workers settings share one entry.
+	// from the hash: the field is inert (NewSystem ignores it), so every
+	// setting shares one entry.
 	Config core.Config
 
 	// Workload names the trace source; Scale and Seed parameterize the
@@ -52,7 +52,7 @@ type CellSpec struct {
 func (s CellSpec) ConfigHash() (resultcache.Key, error) {
 	b := resultcache.NewBuilder()
 	hc := s.Config
-	hc.Workers = 0 // byte-identical at any worker count
+	hc.Workers = 0 // inert: NewSystem ignores it
 	if err := resultcache.AddStruct(b, "config", hc); err != nil {
 		return resultcache.Key{}, err
 	}

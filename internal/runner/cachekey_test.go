@@ -49,8 +49,8 @@ func TestConfigHashGolden(t *testing.T) {
 }
 
 // TestConfigHashSensitivity checks that every input that can change a
-// cell's result changes its hash, and that Workers — which by the PDES
-// determinism contract cannot — does not.
+// cell's result changes its hash, and that Workers — which is inert —
+// does not.
 func TestConfigHashSensitivity(t *testing.T) {
 	base, err := fixedSpec(t).ConfigHash()
 	if err != nil {
@@ -145,16 +145,4 @@ func TestGridCellKeysDistinct(t *testing.T) {
 		seen[c.Key.String()] = c.Label
 	}
 
-	// Same grid at a different worker count: keys must be identical
-	// cell for cell (shared entries across -workers settings).
-	g.Workers = 2
-	wcells, err := g.Cells()
-	if err != nil {
-		t.Fatalf("Cells(workers=2): %v", err)
-	}
-	for i := range cells {
-		if cells[i].Key != wcells[i].Key {
-			t.Errorf("cell %s: key depends on Workers", cells[i].Label)
-		}
-	}
 }

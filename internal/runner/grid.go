@@ -22,12 +22,6 @@ type Grid struct {
 	Cores     int             // 0 = 16
 	Scale     int             // 0 = 1
 	TraceSeed uint64          // 0 = canonical traces
-
-	// Workers, when > 0, runs each cell's machine with the parallel
-	// window loop on that many goroutines (core.Config.Workers);
-	// composes with Pool.Jobs, which bounds how many cells run at once.
-	// Cell results are byte-identical for every Workers >= 1.
-	Workers int
 }
 
 // Cells validates the grid and expands it into runnable cells. Every
@@ -83,7 +77,6 @@ func (g Grid) Cells() ([]Cell, error) {
 					// hands a copy of the same value to the machine.
 					cfg := core.DefaultConfig(p)
 					cfg.RegionBytes = rb
-					cfg.Workers = g.Workers
 					if err := ConfigureCores(&cfg, g.Cores); err != nil {
 						return nil, err
 					}

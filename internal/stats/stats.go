@@ -139,10 +139,8 @@ type Stats struct {
 	// Simulator self-observability (properties of the run's execution,
 	// not of the simulated machine): the event queue's deepest
 	// occupancy and the count of events scheduled with zero delay (at
-	// the current cycle). Both are deterministic for a given schedule
-	// — identical across worker counts >= 1 — and are summed across
-	// PDES tile shards, like the high-water gauge. Set once at the end
-	// of Run.
+	// the current cycle). Both are deterministic for a given schedule.
+	// Set once at the end of Run.
 	EventQueueHighWater uint64
 	ZeroDelayHits       uint64
 

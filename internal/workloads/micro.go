@@ -107,12 +107,9 @@ func genTicketLock(b *builder) {
 // genBarrierSkew: a fork-join loop whose phases are deliberately
 // lopsided — every phase, one rotating straggler core does ~30x the
 // work of its siblings, and a shared phase counter forces real
-// coherence traffic across the join. The interesting consumer is the
-// PDES window loop: fifteen tiles hit the barrier almost immediately
-// and drain their queues, so the straggler must be driven through
-// extended (window-skipping) solo rounds, the idle tiles must stay
-// off the worker crew, and the barrier release must pick the same
-// deterministic resume cycle whatever the worker count.
+// coherence traffic across the join: fifteen cores hit the barrier
+// almost immediately and idle while the straggler runs alone, so the
+// engine spends whole stretches with one core's events queued.
 func genBarrierSkew(b *builder) {
 	phases := 40 * b.scale
 	for ph := 0; ph < phases; ph++ {
