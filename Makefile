@@ -10,8 +10,9 @@
 # regressions that crash or deadlock are caught before they reach a
 # real benchmarking session, the observability smoke (trace + metrics
 # JSON must parse, live metrics endpoint must serve Prometheus text
-# during a run), the flight-log smoke (two recordings of one run
-# byte-identical and inspect-clean) and the result-cache smoke.
+# during a run), the flight-log smoke (under each of the four
+# protocols, two recordings of one run byte-identical and
+# inspect-clean) and the result-cache smoke.
 verify:
 	go build ./...
 	go vet ./...
@@ -32,22 +33,25 @@ verify:
 # removed on exit (success or failure), so concurrent invocations never
 # trample each other and nothing accumulates in /tmp.
 
-# flight-smoke: record the flight log of the same run twice — the
-# files must be byte-identical (the transcript is a pure function of
-# the run) — then validate the log end to end through protozoa
-# inspect -check.
+# flight-smoke: under each protocol, record the flight log of the same
+# run twice — the files must be byte-identical (the transcript is a pure
+# function of the run) — then validate the log end to end through
+# protozoa inspect -check. Every protocol's l1-state/dir-state edges
+# are exercised.
 flight-smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	go build -o $$d/protozoa ./cmd/protozoa; \
-	$$d/protozoa sim -workload barnes -protocol mw -scale 1 \
-		-flight $$d/a.pzfl > /dev/null; \
-	$$d/protozoa sim -workload barnes -protocol mw -scale 1 \
-		-flight $$d/b.pzfl > /dev/null; \
-	cmp $$d/a.pzfl $$d/b.pzfl \
-		|| { echo "flight-smoke: two recordings of one run diverge"; exit 1; }; \
-	$$d/protozoa inspect -check $$d/a.pzfl \
-		|| { echo "flight-smoke: recorded log failed validation"; exit 1; }; \
-	echo "flight-smoke: flight logs byte-identical across recordings and inspect-clean"
+	for p in mesi sw swmr mw; do \
+		for run in a b; do \
+			$$d/protozoa sim -workload barnes -protocol $$p -scale 1 \
+				-flight $$d/$$p-$$run.pzfl > /dev/null; \
+		done; \
+		cmp $$d/$$p-a.pzfl $$d/$$p-b.pzfl \
+			|| { echo "flight-smoke: $$p: two recordings of one run diverge"; exit 1; }; \
+		$$d/protozoa inspect -check $$d/$$p-a.pzfl \
+			|| { echo "flight-smoke: $$p: recorded log failed validation"; exit 1; }; \
+	done; \
+	echo "flight-smoke: flight logs of all four protocols byte-identical across recordings and inspect-clean"
 
 # trace-smoke: a 1-iteration simulation with event tracing and the
 # metrics registry enabled, validating both JSON artifacts parse

@@ -73,9 +73,8 @@ type dirEntry struct {
 	txn            *dirTxn // nil when idle; points at txnStore when active
 	txnStore       dirTxn  // in-place transaction storage (no per-txn alloc)
 	queue          []*Msg
-	pendingUnblock bool   // 3-hop: requester unblocked before the probes retired
-	auditFrom      string // state at transaction activation (transition audit)
-	auditFromCode  uint8  // same snapshot as a flight state code (flight recorder)
+	pendingUnblock bool  // 3-hop: requester unblocked before the probes retired
+	from           uint8 // state code at processing (for the transaction's state edge)
 
 	touch uint64 // LRU stamp for finite-L2 inclusion eviction
 }
@@ -407,11 +406,8 @@ func (d *dirSlice) activate(e *dirEntry, m *Msg) {
 
 // process runs the directory state machine for one request.
 func (d *dirSlice) process(e *dirEntry, m *Msg) {
-	if d.sys.transitions != nil {
-		e.auditFrom = d.dirState(e)
-	}
-	if d.sys.flight != nil {
-		e.auditFromCode = d.flightDirCode(e)
+	if d.sys.edgesOn() {
+		e.from = d.flightDirCode(e)
 	}
 	if d.sys.phaseOn() {
 		d.flightDir(flight.KindTxnProcess, m.Region, 0, m.Src, uint8(m.Type))
@@ -503,19 +499,12 @@ func (d *dirSlice) recvResponse(m *Msg) {
 		e.valid = e.valid.Union(carried)
 		e.l2dirty = true
 	}
-	var evictAudit func()
-	if d.sys.transitions != nil && m.TxnID == 0 {
-		from := d.dirState(e)
-		evictAudit = func() {
-			d.sys.recordTransition("Dir", from, m.Type.String(), d.dirState(e))
-		}
-	}
 	// Spontaneous writebacks mutate the vectors outside any transaction;
 	// snapshot the state code so the edge they cause is recorded too.
-	var wbFromCode uint8
-	wbFlight := d.sys.flight != nil && m.TxnID == 0
-	if wbFlight {
-		wbFromCode = d.flightDirCode(e)
+	wbEdge := m.TxnID == 0 && d.sys.edgesOn()
+	var from uint8
+	if wbEdge {
+		from = d.flightDirCode(e)
 	}
 	if !m.StillSharer {
 		d.removeSharer(e, m.Src)
@@ -523,18 +512,8 @@ func (d *dirSlice) recvResponse(m *Msg) {
 	if !m.StillOwner {
 		e.owners = e.owners.Remove(m.Src)
 	}
-	if evictAudit != nil {
-		evictAudit()
-	}
-	if wbFlight {
-		if to := d.flightDirCode(e); to != wbFromCode {
-			d.sys.flight.Record(flight.Record{
-				Cycle: d.sys.eng.Now(), Tile: int16(d.node),
-				Kind: flight.KindDirState, Sub: uint8(m.Type),
-				Src: int16(m.Src), Dst: -1, Req: -1,
-				Region: uint64(e.region), From: wbFromCode, To: to,
-			})
-		}
+	if wbEdge {
+		d.stateEdge(e, from, uint8(m.Type), m.Src, -1)
 	}
 	if m.TxnID != 0 && e.txn != nil && m.TxnID == e.txn.id {
 		if m.ForwardedData {
@@ -647,18 +626,8 @@ func (d *dirSlice) finish(e *dirEntry, m *Msg, forwarded bool) {
 		// reply goes straight back to the pool.
 		d.sys.freeMsg(d.node, reply)
 	}
-	if d.sys.transitions != nil {
-		d.sys.recordTransition("Dir", e.auditFrom, m.Type.String(), d.dirState(e))
-	}
-	if d.sys.flight != nil {
-		if to := d.flightDirCode(e); to != e.auditFromCode {
-			d.sys.flight.Record(flight.Record{
-				Cycle: d.sys.eng.Now(), Tile: int16(d.node),
-				Kind: flight.KindDirState, Sub: uint8(m.Type),
-				Src: int16(d.node), Dst: -1, Req: int16(req),
-				Region: uint64(e.region), From: e.auditFromCode, To: to,
-			})
-		}
+	if d.sys.edgesOn() {
+		d.stateEdge(e, e.from, uint8(m.Type), d.node, req)
 	}
 	// The region stays busy until the requester's UNBLOCK confirms the
 	// fill is installed; only then may the next transaction's probes

@@ -87,28 +87,6 @@ func (s *System) WriteFlightLog(w io.Writer) error {
 	return flight.WriteLog(w, meta, s.flight.Records())
 }
 
-// causeCodes maps the transition-audit event vocabulary (message names
-// plus the core-side causes) onto flight Sub codes.
-var causeCodes = func() map[string]uint8 {
-	m := make(map[string]uint8, len(msgNames)+5)
-	for i, n := range msgNames {
-		m[n] = uint8(i)
-	}
-	m["Load"] = flight.CauseLoad
-	m["Store"] = flight.CauseStore
-	m["GrantReissue"] = flight.CauseReissue
-	m["Grant"] = uint8(MsgGrant)
-	m["FwdGetS"] = uint8(MsgFwdGetS)
-	return m
-}()
-
-func causeCode(event string) uint8 {
-	if c, ok := causeCodes[event]; ok {
-		return c
-	}
-	return flight.SubNone
-}
-
 // flightMsg records one message-lifecycle step at tile. Every field is
 // copied out of the message, so the record stays valid after the
 // message is recycled into the pool.
@@ -196,6 +174,47 @@ func (d *dirSlice) flightDirCode(e *dirEntry) uint8 {
 	default:
 		return flight.DirI
 	}
+}
+
+// edgesOn reports whether any view consumes controller state edges:
+// the transition audit or the flight ring. Every L1 and directory step
+// that can change a state snapshots its from-code only when it is.
+func (s *System) edgesOn() bool { return s.transitions != nil || s.flight != nil }
+
+// stateEdge hands one state edge (KindL1State or KindDirState; From/To
+// state codes, Sub its cause) to every view that is on: the transition
+// audit counts every edge, self-loops included, and the flight ring
+// records changes only.
+func (s *System) stateEdge(r flight.Record) {
+	if s.transitions != nil {
+		s.transitions[edgeKey{kind: r.Kind, from: r.From, cause: r.Sub, to: r.To}]++
+	}
+	if s.flight != nil && r.From != r.To {
+		s.flight.Record(r)
+	}
+}
+
+// stateEdge emits the edge region took on cause since the from
+// snapshot (a flightStateCode taken before the step).
+func (l *l1Ctrl) stateEdge(region mem.RegionID, from, cause uint8) {
+	l.sys.stateEdge(flight.Record{
+		Cycle: l.sys.eng.Now(), Tile: int16(l.id),
+		Kind: flight.KindL1State, Sub: cause,
+		Src: int16(l.id), Dst: -1, Req: int16(l.id),
+		Region: uint64(region), From: from, To: l.flightStateCode(region),
+	})
+}
+
+// stateEdge emits the edge e took on cause since the from snapshot (a
+// flightDirCode). src is the stepping node; req the requesting core, -1
+// for a spontaneous writeback.
+func (d *dirSlice) stateEdge(e *dirEntry, from, cause uint8, src, req int) {
+	d.sys.stateEdge(flight.Record{
+		Cycle: d.sys.eng.Now(), Tile: int16(d.node),
+		Kind: flight.KindDirState, Sub: cause,
+		Src: int16(src), Dst: -1, Req: int16(req),
+		Region: uint64(e.region), From: from, To: d.flightDirCode(e),
+	})
 }
 
 // StallReport is one watchdog detection: a transaction outstanding

@@ -163,100 +163,67 @@ func applyWrite(b *cache.Block, w uint8, mode accessMode, storeVal uint64) uint6
 func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, done completer) {
 	g := l.sys.geom
 	region, w := g.Region(addr), g.WordOffset(addr)
-	audit := l.auditFrom(region)
-	event := "Load"
-	if mode.write() {
-		event = "Store"
+	edges := l.sys.edgesOn()
+	var from uint8
+	if edges {
+		from = l.flightStateCode(region)
 	}
 	b := l.cache.Lookup(region, w)
-	if b != nil {
-		if !mode.write() {
-			l.sys.st.L1Hits++
-			l.cs().Hits++
-			b.Note(w, false)
-			audit(event)
-			done.complete(b.Word(w))
-			return
+	if b != nil && (!mode.write() || b.State == cache.Modified || b.State == cache.Exclusive) {
+		l.sys.st.L1Hits++
+		l.cs().Hits++
+		b.Note(w, mode.write())
+		val := b.Word(w)
+		if mode.write() {
+			val = applyWrite(b, w, mode, storeVal)
 		}
-		switch b.State {
-		case cache.Modified, cache.Exclusive:
-			l.sys.st.L1Hits++
-			l.cs().Hits++
-			b.Note(w, true)
-			val := applyWrite(b, w, mode, storeVal)
-			audit(event)
-			done.complete(val)
-			return
-		case cache.Shared:
-			// Write to a clean shared block: upgrade miss.
-			l.sys.st.L1Misses++
-			l.cs().Misses++
-			l.sys.st.UpgradeMisses++
-			if l.sys.attrib != nil {
-				l.sys.attrib.Upgrade(l.id, region)
-			}
-			l.classifyMiss(region, w, true)
-			l.startMiss(mshr{
-				region: region, mode: mode, upgrade: true, upgradeR: b.R,
-				want: b.R, word: w, pc: pc, storeVal: storeVal, done: done,
-			}, MsgUpgrade)
-			audit(event)
-			return
+		if edges {
+			l.stateEdge(region, from, accessCause(mode))
 		}
+		done.complete(val)
+		return
 	}
-	// Plain miss: predict the fetch range and trim it against resident
-	// sub-blocks so blocks never overlap.
-	l.sys.st.L1Misses++
-	l.cs().Misses++
-	l.classifyMiss(region, w, false)
-	want := l.cache.TrimFill(region, l.pred.Predict(pc, region, w), w)
-	ms := mshr{
-		region: region, mode: mode,
-		want: want, word: w, pc: pc, storeVal: storeVal, done: done,
-	}
-	if mode.write() {
-		l.startMiss(ms, MsgGetX)
+	if b != nil && b.State == cache.Shared {
+		// Write to a clean shared block: upgrade miss.
+		l.sys.st.L1Misses++
+		l.cs().Misses++
+		l.sys.st.UpgradeMisses++
+		if l.sys.attrib != nil {
+			l.sys.attrib.Upgrade(l.id, region)
+		}
+		l.classifyMiss(region, w, true)
+		l.startMiss(mshr{
+			region: region, mode: mode, upgrade: true, upgradeR: b.R,
+			want: b.R, word: w, pc: pc, storeVal: storeVal, done: done,
+		}, MsgUpgrade)
 	} else {
-		l.startMiss(ms, MsgGetS)
+		// Plain miss: predict the fetch range and trim it against
+		// resident sub-blocks so blocks never overlap.
+		l.sys.st.L1Misses++
+		l.cs().Misses++
+		l.classifyMiss(region, w, false)
+		want := l.cache.TrimFill(region, l.pred.Predict(pc, region, w), w)
+		ms := mshr{
+			region: region, mode: mode,
+			want: want, word: w, pc: pc, storeVal: storeVal, done: done,
+		}
+		if mode.write() {
+			l.startMiss(ms, MsgGetX)
+		} else {
+			l.startMiss(ms, MsgGetS)
+		}
 	}
-	audit(event)
+	if edges {
+		l.stateEdge(region, from, accessCause(mode))
+	}
 }
 
-// nopAudit is the shared no-op closure returned when every audit
-// consumer is disabled (no per-call allocation on the hot path).
-var nopAudit = func(string) {}
-
-// auditFrom snapshots the region state and returns a closure that
-// records the transition once the event has been applied — to the
-// transition-audit table, the flight recorder, or both. A no-op when
-// neither is enabled.
-func (l *l1Ctrl) auditFrom(region mem.RegionID) func(event string) {
-	if l.sys.transitions == nil && l.sys.flight == nil {
-		return nopAudit
+// accessCause is the state-edge cause code of a CPU reference.
+func accessCause(mode accessMode) uint8 {
+	if mode.write() {
+		return flight.CauseStore
 	}
-	var from string
-	if l.sys.transitions != nil {
-		from = l.regionState(region)
-	}
-	var fromCode uint8
-	if l.sys.flight != nil {
-		fromCode = l.flightStateCode(region)
-	}
-	return func(event string) {
-		if l.sys.transitions != nil {
-			l.sys.recordTransition("L1", from, event, l.regionState(region))
-		}
-		if f := l.sys.flight; f != nil {
-			if to := l.flightStateCode(region); to != fromCode {
-				f.Record(flight.Record{
-					Cycle: l.sys.eng.Now(), Tile: int16(l.id),
-					Kind: flight.KindL1State, Sub: causeCode(event),
-					Src: int16(l.id), Dst: -1, Req: int16(l.id),
-					Region: uint64(region), From: fromCode, To: to,
-				})
-			}
-		}
-	}
+	return flight.CauseLoad
 }
 
 func (l *l1Ctrl) startMiss(ms mshr, t MsgType) {
@@ -324,7 +291,9 @@ func (l *l1Ctrl) fill(m *Msg) {
 	if ms == nil {
 		panic(fmt.Sprintf("core: L1 %d data for region %d without MSHR", l.id, m.Region))
 	}
-	defer l.auditFrom(m.Region)(m.Type.String())
+	if l.sys.edgesOn() {
+		defer l.stateEdge(m.Region, l.flightStateCode(m.Region), uint8(m.Type))
+	}
 	var st cache.State
 	switch m.Type {
 	case MsgData:
@@ -383,9 +352,13 @@ func (l *l1Ctrl) grant(m *Msg) {
 	if ms == nil || !ms.upgrade {
 		panic(fmt.Sprintf("core: L1 %d grant for region %d without upgrade MSHR", l.id, m.Region))
 	}
+	edges := l.sys.edgesOn()
+	var from uint8
+	if edges {
+		from = l.flightStateCode(m.Region)
+	}
 	b := l.cache.Peek(m.Region, ms.word)
 	if b == nil {
-		defer l.auditFrom(m.Region)("GrantReissue")
 		// Block was invalidated under us: unblock the directory, then
 		// retry as a full write miss (it will queue behind any activity).
 		l.sendUnblock(m.Region)
@@ -399,16 +372,20 @@ func (l *l1Ctrl) grant(m *Msg) {
 		retry.R = ms.want
 		retry.Requester = l.id
 		l.sys.send(retry)
+		if edges {
+			l.stateEdge(m.Region, from, flight.CauseReissue)
+		}
 		return
 	}
-	audit := l.auditFrom(m.Region)
 	noteMiss(b, ms)
 	val := applyWrite(b, ms.word, ms.mode, ms.storeVal)
 	done := ms.done
 	l.msLive = false
 	l.retireMiss(ms)
 	l.sendUnblock(m.Region)
-	audit("Grant")
+	if edges {
+		l.stateEdge(m.Region, from, uint8(MsgGrant))
+	}
 	done.complete(val)
 }
 
@@ -419,7 +396,9 @@ func (l *l1Ctrl) grant(m *Msg) {
 // non-overlapping dirty data stays writable (adaptive coherence
 // granularity).
 func (l *l1Ctrl) probeGetS(m *Msg) {
-	defer l.auditFrom(m.Region)("FwdGetS")
+	if l.sys.edgesOn() {
+		defer l.stateEdge(m.Region, l.flightStateCode(m.Region), uint8(MsgFwdGetS))
+	}
 	blocks := l.cache.BlocksInRegion(m.Region)
 	if len(blocks) == 0 {
 		l.nack(m)
@@ -458,7 +437,9 @@ func (l *l1Ctrl) probeGetS(m *Msg) {
 // additionally loses write permission on its non-overlapping blocks —
 // the single-writer rule — while under MW they stay writable.
 func (l *l1Ctrl) probeInval(m *Msg) {
-	defer l.auditFrom(m.Region)(m.Type.String())
+	if l.sys.edgesOn() {
+		defer l.stateEdge(m.Region, l.flightStateCode(m.Region), uint8(m.Type))
+	}
 	if m.Type == MsgInv {
 		l.sys.st.InvMsgs++
 	}

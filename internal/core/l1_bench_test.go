@@ -11,8 +11,9 @@ import (
 
 // hitL1 returns core 0's L1 of a 4-core MESI machine holding hitRegions
 // full, Modified regions, so every read or write resolved against them
-// is an L1 hit. With attrib set the machine carries a tracker.
-func hitL1(tb testing.TB, attrib bool) *l1Ctrl {
+// is an L1 hit. The machine carries view: the "attrib" tracker, the
+// "flight" recorder, the transition "audit", or none.
+func hitL1(tb testing.TB, view string) *l1Ctrl {
 	tb.Helper()
 	streams := make([]trace.Stream, 4)
 	for i := range streams {
@@ -22,8 +23,13 @@ func hitL1(tb testing.TB, attrib bool) *l1Ctrl {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if attrib {
+	switch view {
+	case "attrib":
 		sys.EnableAttribution()
+	case "flight":
+		sys.EnableFlightRecorder(0)
+	case "audit":
+		sys.EnableTransitionAudit()
 	}
 	l := sys.l1s[0]
 	for r := mem.RegionID(0); r < hitRegions; r++ {
@@ -45,20 +51,21 @@ func hitAddr(i int) mem.Addr {
 	return mem.Addr(i%(hitRegions*mem.DefaultGeometry.WordsPerRegion())) * mem.WordBytes
 }
 
-// TestL1HitAllocatesNothing pins the hit path's allocation contract,
-// with attribution on and off: noting a reference on its block
-// allocates nothing.
+// TestL1HitAllocatesNothing pins the hit path's allocation contract
+// with each view on: noting a reference on its block, and emitting its
+// state edge to the flight ring or the transition audit, allocates
+// nothing.
 func TestL1HitAllocatesNothing(t *testing.T) {
-	for _, attrib := range []bool{false, true} {
-		l, sink, i := hitL1(t, attrib), &hitSink{}, 0
+	for _, view := range []string{"none", "attrib", "flight", "audit"} {
+		l, sink, i := hitL1(t, view), &hitSink{}, 0
 		if n := testing.AllocsPerRun(1000, func() {
 			l.resolve(hitAddr(i), accessMode(i%2), 0x40, uint64(i), sink)
 			i++
 		}); n != 0 {
-			t.Errorf("attrib=%v: %v allocs per L1 hit, want 0", attrib, n)
+			t.Errorf("%v: %v allocs per L1 hit, want 0", view, n)
 		}
 		if l.sys.st.L1Misses != 0 {
-			t.Fatalf("attrib=%v: the hit loop missed %d times", attrib, l.sys.st.L1Misses)
+			t.Fatalf("%v: the hit loop missed %d times", view, l.sys.st.L1Misses)
 		}
 	}
 }
@@ -72,9 +79,9 @@ func BenchmarkL1Hit(b *testing.B) {
 		name string
 		mode accessMode
 	}{{"read", accRead}, {"write", accWrite}} {
-		for _, attrib := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/attrib=%v", kind.name, attrib), func(b *testing.B) {
-				l, sink := hitL1(b, attrib), &hitSink{}
+		for _, view := range []string{"none", "attrib"} {
+			b.Run(fmt.Sprintf("%s/attrib=%v", kind.name, view == "attrib"), func(b *testing.B) {
+				l, sink := hitL1(b, view), &hitSink{}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -166,9 +166,9 @@ type System struct {
 	// pool is the message free list.
 	pool msgPool
 
-	// transitions records the observed protocol state machine when
+	// transitions counts the observed state edges by flight code when
 	// EnableTransitionAudit was called (nil otherwise).
-	transitions map[Transition]uint64
+	transitions map[edgeKey]uint64
 
 	// mshrLive counts misses outstanding across all cores.
 	mshrLive int
@@ -311,7 +311,7 @@ func (s *System) send(m *Msg) {
 	}
 	m.sys = s
 	m.phase = phaseDeliver
-	at, stall := s.mesh.Arrival(s.eng.Now(), m.Src, m.Dst, m.VNet(), m.Bytes(), s.st)
+	at, stall := s.mesh.Arrival(s.eng.Now(), m.Src, m.Dst, m.VNet(), m.Bytes())
 	if stall > 0 && s.flight != nil {
 		s.flight.Record(flight.Record{
 			Cycle: s.eng.Now(), Tile: int16(m.Src), Kind: flight.KindLinkStall,
@@ -371,9 +371,6 @@ func (s *System) Run() error {
 	s.flushResidual()
 	if s.attrib != nil {
 		s.attrib.Trim()
-	}
-	if s.lat != nil {
-		s.lat.Settle()
 	}
 	// Engine self-observability counters land in the stats at the very
 	// end of the run (they describe the whole run) — always set, so the

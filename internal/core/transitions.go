@@ -5,8 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"protozoa/internal/cache"
-	"protozoa/internal/mem"
+	"protozoa/internal/obs/flight"
 )
 
 // Transition auditing: the simulator can record every observed
@@ -14,13 +13,15 @@ import (
 // machine as it actually executes. The conformance tests check the
 // observed set against the documented legal machine (Figure 8 plus
 // the Table 2/3 additions), so any change that introduces a novel
-// transition fails loudly.
+// transition fails loudly. The audit is a view over the flight spine's
+// state edges: it counts them by their state and cause codes and
+// renders names only when read.
 
 // Transition is one observed state-machine edge.
 type Transition struct {
 	Ctrl  string // "L1" or "Dir"
 	From  string // state before the event
-	Event string
+	Event string // a message name, or Load / Store / GrantReissue
 	To    string // state after the event
 }
 
@@ -29,85 +30,47 @@ func (t Transition) String() string {
 	return fmt.Sprintf("%s: %s --%s--> %s", t.Ctrl, t.From, t.Event, t.To)
 }
 
+// edgeKey is one audited edge in flight codes: Kind is KindL1State or
+// KindDirState, cause a flight Sub code.
+type edgeKey struct {
+	kind            flight.Kind
+	from, cause, to uint8
+}
+
 // EnableTransitionAudit starts recording transitions. Call before Run.
 func (s *System) EnableTransitionAudit() {
-	s.transitions = make(map[Transition]uint64)
+	s.transitions = make(map[edgeKey]uint64)
+}
+
+// transition renders the edge in protocol-table names.
+func (k edgeKey) transition(names *flight.Names) Transition {
+	ctrl, state := "L1", flight.L1StateName
+	if k.kind == flight.KindDirState {
+		ctrl, state = "Dir", flight.DirStateName
+	}
+	return Transition{Ctrl: ctrl, From: state(k.from), Event: names.Sub(k.cause), To: state(k.to)}
 }
 
 // Transitions returns the observed transition counts (nil if auditing
 // was not enabled).
-func (s *System) Transitions() map[Transition]uint64 { return s.transitions }
+func (s *System) Transitions() map[Transition]uint64 {
+	if s.transitions == nil {
+		return nil
+	}
+	names := flightNames()
+	out := make(map[Transition]uint64, len(s.transitions))
+	for k, n := range s.transitions {
+		out[k.transition(names)] = n
+	}
+	return out
+}
 
 // TransitionTable renders the observed machine sorted for goldens.
 func (s *System) TransitionTable() string {
-	var keys []Transition
-	for k := range s.transitions {
-		keys = append(keys, k)
+	var lines []string
+	for tr, n := range s.Transitions() {
+		lines = append(lines, fmt.Sprintf("%s (%d)\n", tr, n))
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Ctrl != b.Ctrl {
-			return a.Ctrl < b.Ctrl
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.Event != b.Event {
-			return a.Event < b.Event
-		}
-		return a.To < b.To
-	})
-	var out strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&out, "%s (%d)\n", k, s.transitions[k])
-	}
-	return out.String()
-}
-
-func (s *System) recordTransition(ctrl, from, event, to string) {
-	if s.transitions == nil {
-		return
-	}
-	s.transitions[Transition{Ctrl: ctrl, From: from, Event: event, To: to}]++
-}
-
-// l1RegionState summarizes a region's L1 state the way a protocol
-// table names it: the strongest resident block state (I/S/E/M), with
-// the MSHR transient appended when a miss is outstanding (e.g. "I_IM",
-// "S_SM", "M_IS" — the Figure 6 race state).
-func (l *l1Ctrl) regionState(region mem.RegionID) string {
-	strongest := cache.Invalid
-	for _, b := range l.cache.BlocksInRegion(region) {
-		if b.State > strongest {
-			strongest = b.State
-		}
-	}
-	st := strongest.String()
-	if ms := l.openMSHR(region); ms != nil {
-		switch {
-		case ms.upgrade:
-			st += "_SM"
-		case ms.mode.write():
-			st += "_IM"
-		default:
-			st += "_IS"
-		}
-	}
-	return st
-}
-
-// dirState names a directory entry's stable state per Table 2: O when
-// any owner exists (O+ for Protozoa-MW's multiple owners), SS when only
-// sharers exist, I otherwise.
-func (d *dirSlice) dirState(e *dirEntry) string {
-	switch {
-	case e.owners.Count() > 1:
-		return "O+"
-	case e.owners.Count() == 1:
-		return "O"
-	case !e.sharers.Empty():
-		return "SS"
-	default:
-		return "I"
-	}
+	sort.Strings(lines)
+	return strings.Join(lines, "")
 }

@@ -6,13 +6,17 @@ package core
 // golden whitelist, these predicates hold for any seed.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"protozoa/internal/obs/flight"
 	"protozoa/internal/trace"
 )
 
-func collectTransitions(t *testing.T, p Protocol, seed uint64) *System {
+// collectTransitions runs random traffic with the transition audit on,
+// and the flight ring too when flightCap > 0.
+func collectTransitions(t *testing.T, p Protocol, seed uint64, flightCap int) *System {
 	t.Helper()
 	cfg := testConfig(p, 4)
 	cfg.L1Sets = 2
@@ -28,6 +32,9 @@ func collectTransitions(t *testing.T, p Protocol, seed uint64) *System {
 		t.Fatal(err)
 	}
 	sys.EnableTransitionAudit()
+	if flightCap > 0 {
+		sys.EnableFlightRecorder(flightCap)
+	}
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +54,7 @@ func TestTransitionConformance(t *testing.T) {
 	for _, p := range AllProtocols {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
-			sys := collectTransitions(t, p, 7)
+			sys := collectTransitions(t, p, 7, 0)
 			if len(sys.Transitions()) == 0 {
 				t.Fatal("no transitions recorded")
 			}
@@ -80,7 +87,7 @@ func checkL1Transition(t *testing.T, p Protocol, tr Transition) {
 				t.Errorf("%v: %s left write permission behind", p, tr)
 			}
 		}
-	case "FwdGetS":
+	case "FWD_GETS":
 		// A read probe removes write permission on the probed range;
 		// MESI/SW downgrade the whole region.
 		if p == MESI || p == ProtozoaSW {
@@ -88,7 +95,7 @@ func checkL1Transition(t *testing.T, p Protocol, tr Transition) {
 				t.Errorf("%v: %s left write permission after a read probe", p, tr)
 			}
 		}
-	case "Grant", "DATA_M":
+	case "GRANT", "DATA_M":
 		if to != "M" {
 			t.Errorf("%v: %s must end Modified", p, tr)
 		}
@@ -110,7 +117,7 @@ func checkL1Transition(t *testing.T, p Protocol, tr Transition) {
 	// not a fill or grant must never clear an outstanding miss.
 	if strings.Contains(tr.From, "_") && !strings.Contains(tr.To, "_") {
 		switch tr.Event {
-		case "DATA", "DATA_E", "DATA_M", "Grant":
+		case "DATA", "DATA_E", "DATA_M", "GRANT":
 		default:
 			t.Errorf("%v: %s cleared a transient without a response", p, tr)
 		}
@@ -147,7 +154,7 @@ func checkDirTransition(t *testing.T, p Protocol, tr Transition) {
 
 // TestTransitionTableRendering exercises the golden-table renderer.
 func TestTransitionTableRendering(t *testing.T) {
-	sys := collectTransitions(t, MESI, 3)
+	sys := collectTransitions(t, MESI, 3, 0)
 	out := sys.TransitionTable()
 	for _, want := range []string{"L1: I --Load--> I_IS", "Dir: SS --GETX--> O", "DATA_M"} {
 		if !strings.Contains(out, want) {
@@ -164,15 +171,69 @@ func TestTransitionTableRendering(t *testing.T) {
 // dirty block plus an outstanding read miss (M_IS) receiving a
 // forwarded write probe — must occur under Protozoa-SW random traffic.
 func TestTransitionAuditCapturesFigure6State(t *testing.T) {
-	sys := collectTransitions(t, ProtozoaSW, 7)
+	sys := collectTransitions(t, ProtozoaSW, 7, 0)
 	found := false
 	for tr := range sys.Transitions() {
-		if tr.Ctrl == "L1" && tr.From == "M_IS" && (tr.Event == "FWD_GETX" || tr.Event == "FwdGetS") {
+		if tr.Ctrl == "L1" && tr.From == "M_IS" && (tr.Event == "FWD_GETX" || tr.Event == "FWD_GETS") {
 			found = true
 			break
 		}
 	}
 	if !found {
 		t.Error("Figure 6 race state (M_IS probed) never exercised")
+	}
+}
+
+// TestTransitionTableGolden pins the observed machine of every protocol
+// at seed 7, counts included. Regenerate with
+// `go test ./internal/core -run TransitionTableGolden -update` only
+// after an intentional protocol change.
+func TestTransitionTableGolden(t *testing.T) {
+	var out strings.Builder
+	for _, p := range AllProtocols {
+		fmt.Fprintf(&out, "== %s\n%s", p, collectTransitions(t, p, 7, 0).TransitionTable())
+	}
+	checkGolden(t, "transition_table.golden", []byte(out.String()))
+}
+
+// TestTransitionAuditAgreesWithFlight: the audit and the flight ring
+// are two sinks of one state-edge emit. With a ring that drops nothing,
+// the audit's edges that change state must equal, count for count, the
+// ring's l1-state/dir-state records grouped by (ctrl, from, cause, to);
+// the ring omits only self-loops.
+func TestTransitionAuditAgreesWithFlight(t *testing.T) {
+	for _, p := range AllProtocols {
+		t.Run(p.String(), func(t *testing.T) {
+			sys := collectTransitions(t, p, 7, 1<<20)
+			if d := sys.FlightDropped(); d != 0 {
+				t.Fatalf("ring dropped %d records", d)
+			}
+			names := flightNames()
+			ring := make(map[Transition]uint64)
+			for _, r := range sys.FlightRecords() {
+				if r.Kind == flight.KindL1State || r.Kind == flight.KindDirState {
+					ring[edgeKey{r.Kind, r.From, r.Sub, r.To}.transition(names)]++
+				}
+			}
+			audit := make(map[Transition]uint64)
+			for tr, n := range sys.Transitions() {
+				if tr.From != tr.To {
+					audit[tr] = n
+				}
+			}
+			if len(ring) == 0 {
+				t.Fatal("ring recorded no state edges")
+			}
+			for tr, n := range audit {
+				if ring[tr] != n {
+					t.Errorf("%s: audit %d, ring %d", tr, n, ring[tr])
+				}
+			}
+			for tr, n := range ring {
+				if _, ok := audit[tr]; !ok {
+					t.Errorf("%s: ring %d, audit none", tr, n)
+				}
+			}
+		})
 	}
 }

@@ -9,27 +9,26 @@ import (
 
 // arrivalMesh builds a default 4x4 mesh, with or without the contention
 // model, for the Arrival benchmark and allocation test.
-func arrivalMesh(tb testing.TB, contention bool) (*Mesh, *stats.Stats) {
+func arrivalMesh(tb testing.TB, contention bool) *Mesh {
 	tb.Helper()
 	cfg := DefaultConfig()
 	cfg.ModelContention = contention
-	st := &stats.Stats{}
-	m, err := New(cfg, engine.New(), st)
+	m, err := New(cfg, engine.New(), &stats.Stats{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return m, st
+	return m
 }
 
 // sendMix is the i-th message of a fixed traffic mix over all pairs and
 // vnets: alternately a control message and a 64-byte data reply.
-func sendMix(m *Mesh, st *stats.Stats, i int) {
+func sendMix(m *Mesh, i int) {
 	n := m.Nodes()
 	bytes := 8
 	if i%2 == 1 {
 		bytes = 72
 	}
-	m.Arrival(engine.Cycle(i), i%n, (i*7+3)%n, i%numVnets, bytes, st)
+	m.Arrival(engine.Cycle(i), i%n, (i*7+3)%n, i%numVnets, bytes)
 }
 
 // BenchmarkArrival is the per-message cost of the network: FIFO
@@ -42,10 +41,10 @@ func BenchmarkArrival(b *testing.B) {
 	}{{"mesh", false}, {"contention", true}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			m, st := arrivalMesh(b, c.contention)
+			m := arrivalMesh(b, c.contention)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sendMix(m, st, i)
+				sendMix(m, i)
 			}
 		})
 	}
@@ -56,10 +55,10 @@ func BenchmarkArrival(b *testing.B) {
 // route New stored instead of building the path per message.
 func TestArrivalAllocatesNothing(t *testing.T) {
 	for _, contention := range []bool{false, true} {
-		m, st := arrivalMesh(t, contention)
+		m := arrivalMesh(t, contention)
 		i := 0
 		if n := testing.AllocsPerRun(200, func() {
-			sendMix(m, st, i)
+			sendMix(m, i)
 			i++
 		}); n != 0 {
 			t.Errorf("contention=%v: Arrival allocated %v times per message, want 0", contention, n)

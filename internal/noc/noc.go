@@ -259,23 +259,16 @@ func (m *Mesh) latency(pair, flits int) engine.Cycle {
 // on the same (src, dst, vnet) channel never reorder. Flit-hop and
 // message counters accrue immediately.
 func (m *Mesh) Send(src, dst, vnet, bytes int, deliver func()) {
-	at, _ := m.Arrival(m.eng.Now(), src, dst, vnet, bytes, m.st)
+	at, _ := m.Arrival(m.eng.Now(), src, dst, vnet, bytes)
 	m.eng.ScheduleAt(at, deliver)
 }
 
-// SendRunner is Send for a pre-bound engine.Runner: the allocation-free
-// path the coherence layer uses (the message itself is the runner).
-func (m *Mesh) SendRunner(src, dst, vnet, bytes int, deliver engine.Runner) {
-	at, _ := m.Arrival(m.eng.Now(), src, dst, vnet, bytes, m.st)
-	m.eng.ScheduleRunnerAt(at, deliver)
-}
-
-// Arrival accounts the message into st and computes its delivery cycle
-// for a send at cycle now, including FIFO back-pressure on the (src,
-// dst, vnet) channel. stall is how long the message queued behind busy
-// links beyond its uncontended latency (always 0 without the contention
-// model) — the amount accrued to st.LinkStallCycles.
-func (m *Mesh) Arrival(now engine.Cycle, src, dst, vnet, bytes int, st *stats.Stats) (at, stall engine.Cycle) {
+// Arrival accounts the message into the mesh's stats and computes its
+// delivery cycle for a send at cycle now, including FIFO back-pressure
+// on the (src, dst, vnet) channel. stall is how long the message queued
+// behind busy links beyond its uncontended latency (always 0 without
+// the contention model) — the amount accrued to LinkStallCycles.
+func (m *Mesh) Arrival(now engine.Cycle, src, dst, vnet, bytes int) (at, stall engine.Cycle) {
 	if src < 0 || src >= m.nodes || dst < 0 || dst >= m.nodes {
 		panic(fmt.Sprintf("noc: node out of range: src=%d dst=%d nodes=%d", src, dst, m.nodes))
 	}
@@ -284,12 +277,12 @@ func (m *Mesh) Arrival(now engine.Cycle, src, dst, vnet, bytes int, st *stats.St
 	}
 	pair := src*m.nodes + dst
 	flits := m.Flits(bytes)
-	st.Messages++
-	st.Flits += uint64(flits)
-	st.FlitHops += uint64(flits) * uint64(m.hops[pair])
+	m.st.Messages++
+	m.st.Flits += uint64(flits)
+	m.st.FlitHops += uint64(flits) * uint64(m.hops[pair])
 
 	if m.cfg.ModelContention && src != dst {
-		at, stall = m.reserve(now, pair, flits, st)
+		at, stall = m.reserve(now, pair, flits)
 	} else {
 		at = now + m.latency(pair, flits)
 	}
@@ -309,7 +302,7 @@ func (m *Mesh) Arrival(now engine.Cycle, src, dst, vnet, bytes int, st *stats.St
 // cycle is the tail's arrival at the destination; queueing beyond the
 // uncontended latency is the returned stall, also accrued to the
 // LinkStallCycles counter.
-func (m *Mesh) reserve(now engine.Cycle, pair, flits int, st *stats.Stats) (arrival, stall engine.Cycle) {
+func (m *Mesh) reserve(now engine.Cycle, pair, flits int) (arrival, stall engine.Cycle) {
 	occupancy := engine.Cycle(flits) * m.cfg.SerialLat
 	if occupancy == 0 {
 		occupancy = 1
@@ -326,7 +319,7 @@ func (m *Mesh) reserve(now engine.Cycle, pair, flits int, st *stats.Stats) (arri
 	arrival = head + engine.Cycle(flits-1)*m.cfg.SerialLat
 	if base := now + m.latency(pair, flits); arrival > base {
 		stall = arrival - base
-		st.LinkStallCycles += uint64(stall)
+		m.st.LinkStallCycles += uint64(stall)
 	}
 	return arrival, stall
 }

@@ -78,9 +78,9 @@ type Footprint struct {
 	Refs        uint64
 }
 
-// regionState is one region's accumulated attribution. It holds no
+// regionTally is one region's accumulated attribution. It holds no
 // pointer, so the garbage collector never scans the tracker's tables.
-type regionState struct {
+type regionTally struct {
 	id mem.RegionID
 
 	accesses              uint64 // CPU references (churn-rate denominator)
@@ -112,7 +112,7 @@ type regionState struct {
 type Tracker struct {
 	cores   int
 	index   mem.RegionTable[uint32]
-	states  []regionState
+	states  []regionTally
 	foot    []mem.Bitmap
 	invRows []uint32
 
@@ -165,7 +165,7 @@ func (t *Tracker) state(id mem.RegionID) uint32 {
 	l := t.index.Get(uint64(id))
 	if l == 0 {
 		l = uint32(len(t.states)) + 1
-		t.states = append(t.states, regionState{id: id})
+		t.states = append(t.states, regionTally{id: id})
 		t.foot = append(t.foot, make([]mem.Bitmap, 2*t.cores)...)
 		t.index.Set(uint64(id), l)
 		t.markDirty(l - 1)
@@ -302,7 +302,7 @@ func (t *Tracker) Fanout(region mem.RegionID, probes int) {
 // trims the tracker it keeps for reporting.
 func (t *Tracker) Trim() {
 	t.flushDirty()
-	t.states = append([]regionState(nil), t.states...)
+	t.states = append([]regionTally(nil), t.states...)
 	t.foot = append([]mem.Bitmap(nil), t.foot...)
 	t.invRows = append([]uint32(nil), t.invRows...)
 	t.dirtyList = nil
@@ -580,7 +580,7 @@ func (t *Tracker) Reconcile() error {
 			t.FetchedWords, t.UsedWords, t.UnusedWords)
 	}
 	var fetched, used, unused, invals uint64
-	var bad *regionState // the first failing region in ID order
+	var bad *regionTally // the first failing region in ID order
 	t.index.Each(func(l uint32) {
 		r := &t.states[l-1]
 		if bad == nil && r.fetched != r.used+r.unused {

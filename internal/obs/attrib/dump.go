@@ -145,7 +145,7 @@ func FromDump(d *Dump) (*Tracker, error) {
 	}
 	t := New(d.Cores)
 	// The region count is known, so the tables are sized exactly.
-	t.states = make([]regionState, 0, len(d.Regions))
+	t.states = make([]regionTally, 0, len(d.Regions))
 	t.foot = make([]mem.Bitmap, 0, len(d.Regions)*2*d.Cores)
 	t.invRows = make([]uint32, 0, rows*d.Cores)
 	t.add(d)

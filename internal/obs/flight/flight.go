@@ -1,14 +1,16 @@
-// Package flight is the simulator's event spine: a bounded, per-tile
-// ring of fixed-size records capturing every protocol step the machine
-// takes — message send/deliver/free, MSHR open/retire, directory
+// Package flight is the simulator's event spine: one bounded ring of
+// fixed-size records capturing every protocol step the machine takes —
+// message send/deliver/free, MSHR open/retire, directory
 // accept/park/unpark/activate/process/last-ack/end, L1 / directory state
 // transitions (stable + transient), and NoC link stalls. Every
 // observability view is derived from these records: the .pzfl log and
-// protozoa inspect, the Chrome trace, the message log, and the online
-// miss-latency breakdown. The recorder is opt-in and nil-check-hooked: a
-// disabled machine pays one branch per potential record.
+// protozoa inspect, the Chrome trace, the message log, the online
+// miss-latency breakdown, and the transition audit (which counts the
+// state-transition records' codes, self-loops included). The recorder
+// is opt-in and nil-check-hooked: a disabled machine pays one branch per
+// potential record.
 //
-// The machine records into one ring in execution order, stamping each
+// The machine records into the ring in execution order, stamping each
 // record with a sequence number, so the transcript is deterministic.
 package flight
 

@@ -1,6 +1,6 @@
 package flight
 
-// Transaction reconstruction: fold a merged record stream back into
+// Transaction reconstruction: fold the ring's record stream back into
 // per-miss timelines with per-phase dwell times. The phase algebra —
 // Chain — is shared with the online obs.LatencyBreakdown fold: stamps
 // are overwritten as records arrive (so an abandoned round's stamps

@@ -63,14 +63,12 @@ type LatencyBreakdown struct {
 	Hist     [LatBuckets]uint64
 }
 
-// coreFold is one core's share of the fold: its open miss's phase chain
-// and the totals its completed misses have accrued. Every record folded
-// into a slot belongs to that core's causal chain (an in-order core has
-// one miss outstanding).
+// coreFold is one core's open miss: its phase chain. Every record
+// folded into a slot belongs to that core's causal chain (an in-order
+// core has one miss outstanding).
 type coreFold struct {
 	chain flight.Chain
 	live  bool
-	done  LatencyBreakdown
 }
 
 // NewLatencyBreakdown sizes the per-core fold table.
@@ -99,7 +97,7 @@ func (l *LatencyBreakdown) Fold(r *flight.Record) {
 		}
 		c.live = false
 		now := uint64(r.Cycle)
-		c.done.add(c.chain.Close(now), now-c.chain[0])
+		l.add(c.chain.Close(now), now-c.chain[0])
 	default:
 		c.chain.Stamp(r)
 	}
@@ -118,18 +116,8 @@ func (l *LatencyBreakdown) add(dwell [NumPhases]uint64, total uint64) {
 	l.Hist[min(total/LatBucketWidth, LatBuckets-1)]++
 }
 
-// Settle moves every core's accrued totals into the exported fields.
-// The machine calls it once Run completes; until then the exported
-// fields hold only what earlier Settle calls moved.
-func (l *LatencyBreakdown) Settle() {
-	for i := range l.open {
-		l.Merge(&l.open[i].done)
-		l.open[i].done = LatencyBreakdown{}
-	}
-}
-
 // Merge folds another breakdown's accumulated totals into l (the open
-// fold tables are not merged; merge settled runs only).
+// fold tables are not merged; merge completed runs only).
 func (l *LatencyBreakdown) Merge(other *LatencyBreakdown) {
 	for p := range l.PhaseSum {
 		l.PhaseSum[p] += other.PhaseSum[p]

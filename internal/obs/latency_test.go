@@ -26,13 +26,8 @@ func TestLatencyPhasesSumToTotal(t *testing.T) {
 	fold(l, 0, flight.KindTxnProcess, 124)
 	fold(l, 0, flight.KindTxnLastAck, 160)
 	fold(l, 0, flight.KindMissEnd, 175)
-	if l.Count != 0 {
-		t.Fatalf("exported count %d before Settle, want 0", l.Count)
-	}
-	l.Settle()
-
 	if l.Count != 1 {
-		t.Fatalf("count %d", l.Count)
+		t.Fatalf("count %d right after miss-end, want 1", l.Count)
 	}
 	want := map[Phase]uint64{
 		PhaseReqNoC:   10,
@@ -50,11 +45,6 @@ func TestLatencyPhasesSumToTotal(t *testing.T) {
 	}
 	if sum != 75 || l.TotalSum != 75 {
 		t.Fatalf("phase sum %d / total %d, want 75", sum, l.TotalSum)
-	}
-	// A second Settle has nothing new to move.
-	l.Settle()
-	if l.Count != 1 || l.TotalSum != 75 {
-		t.Fatalf("second Settle changed totals: count %d total %d", l.Count, l.TotalSum)
 	}
 }
 
@@ -75,7 +65,6 @@ func TestLatencyStaleStampClamped(t *testing.T) {
 	fold(l, 0, flight.KindTxnProcess, 95)
 	// No probes this round: last-ack (50) is now stale, behind process.
 	fold(l, 0, flight.KindMissEnd, 120)
-	l.Settle()
 
 	var sum uint64
 	for p := Phase(0); p < NumPhases; p++ {
@@ -95,7 +84,6 @@ func TestLatencyStaleStampClamped(t *testing.T) {
 func TestLatencyCompleteWithoutIssueIgnored(t *testing.T) {
 	l := NewLatencyBreakdown(1)
 	fold(l, 0, flight.KindMissEnd, 99)
-	l.Settle()
 	if l.Count != 0 {
 		t.Fatal("complete without live miss must not accrue")
 	}
@@ -108,7 +96,6 @@ func TestLatencyCompleteWithoutIssueIgnored(t *testing.T) {
 	fold(l, -1, flight.KindMissStart, 30)
 	fold(l, 5, flight.KindMissStart, 30)
 	fold(l, 0, flight.KindMsgSend, 40)
-	l.Settle()
 	if l.Count != 1 || l.TotalSum != 10 {
 		t.Fatalf("count=%d total=%d after double complete", l.Count, l.TotalSum)
 	}
@@ -121,12 +108,10 @@ func TestLatencyPercentilesAndMerge(t *testing.T) {
 	for i := 0; i < 90; i++ {
 		miss(a, int16(i%2), 0, 16)
 	}
-	a.Settle()
 	b := NewLatencyBreakdown(1)
 	for i := 0; i < 10; i++ {
 		miss(b, 0, 0, 1000)
 	}
-	b.Settle()
 	a.Merge(b)
 	if a.Count != 100 {
 		t.Fatalf("merged count %d", a.Count)
@@ -149,7 +134,6 @@ func TestLatencyOverflowBucket(t *testing.T) {
 	l := NewLatencyBreakdown(1)
 	huge := uint64(LatBuckets*LatBucketWidth) * 3
 	miss(l, 0, 0, huge)
-	l.Settle()
 	if l.Hist[LatBuckets-1] != 1 {
 		t.Fatal("overflow latency not in last bucket")
 	}
