@@ -12,7 +12,10 @@
 # JSON must parse, live metrics endpoint must serve Prometheus text
 # during a run), the flight-log smoke (under each of the four
 # protocols, two recordings of one run byte-identical and
-# inspect-clean) and the result-cache smoke.
+# inspect-clean) and the result-cache smoke. perfbench is its own module,
+# which the root `go build ./...` skips, so it is vetted and tested on
+# its own (vet, not build: `go build` there writes a perfbench binary
+# into the tree).
 verify:
 	go build ./...
 	go vet ./...
@@ -25,6 +28,8 @@ verify:
 	go test -run '^$$' -bench 'Step|Arrival' -benchtime 1x ./internal/engine ./internal/noc
 	go test -run '^$$' -bench L1Hit -benchtime 1x ./internal/core
 	go test -run '^$$' -bench 'Records|CacheLookup' -benchtime 1x ./internal/workloads ./internal/cache
+	GOPROXY=off GOWORK=off go -C perfbench vet ./...
+	GOPROXY=off GOWORK=off go -C perfbench test -count 1 ./...
 	$(MAKE) obs-smoke
 	$(MAKE) flight-smoke
 	$(MAKE) cache-smoke

@@ -399,7 +399,7 @@ func runSystemWith(b *testing.B, cfg core.Config, workload string) *core.System 
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := core.NewSystem(cfg, spec.Streams(cfg.Cores, 1))
+	sys, err := core.NewSystem(cfg, spec.Records(cfg.Cores, 1, 0))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -240,9 +240,35 @@ func TestCLIs(t *testing.T) {
 		if !strings.Contains(out, "4 cores") {
 			t.Errorf("trace -info:\n%s", out)
 		}
-		out = run(t, pz, "trace", "-run", pztr, "-protocol", "mesi")
-		if !strings.Contains(out, "under MESI") {
-			t.Errorf("trace -run:\n%s", out)
+		// Replaying the dump is the same run as simulating the workload:
+		// only the label line (the trace path vs the workload name)
+		// differs.
+		replay := run(t, pz, "trace", "-run", pztr, "-protocol", "mesi")
+		sim := run(t, pz, "sim", "-workload", "fft", "-protocol", "mesi", "-cores", "4", "-scale", "1")
+		_, replayBody, _ := strings.Cut(replay, "\n")
+		_, simBody, _ := strings.Cut(sim, "\n")
+		if !strings.Contains(replay, "under MESI") || replayBody != simBody {
+			t.Errorf("trace -run differs from sim beyond the label line:\n%s\n---\n%s", replay, sim)
+		}
+
+		// Every record kind is counted: the per-core counts sum to the
+		// record count on a workload made of RMWs.
+		pztr = filepath.Join(dir, "atomic.pztr")
+		run(t, pz, "trace", "-dump", "-workload", "micro-atomic-counter", "-cores", "4", "-scale", "1", "-o", pztr)
+		out = run(t, pz, "trace", "-info", pztr)
+		coreLine := regexp.MustCompile(`core +\d+: +(\d+) records \((\d+) loads, (\d+) stores, (\d+) rmws, (\d+) barriers\)`)
+		lines := coreLine.FindAllStringSubmatch(out, -1)
+		if len(lines) != 4 {
+			t.Fatalf("trace -info: want 4 per-core lines with load/store/rmw/barrier counts:\n%s", out)
+		}
+		for _, m := range lines {
+			n := make([]int, len(m)-1)
+			for i := range n {
+				n[i], _ = strconv.Atoi(m[i+1])
+			}
+			if n[1]+n[2]+n[3]+n[4] != n[0] || n[3] == 0 {
+				t.Errorf("trace -info: counts do not sum to the records (or no RMWs): %q", m[0])
+			}
 		}
 	})
 

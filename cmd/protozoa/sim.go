@@ -100,7 +100,7 @@ func runInstrumented(p core.Protocol, f *flags, o simOpts) error {
 	if err := runner.ConfigureCores(&cfg, *f.cores); err != nil {
 		return err
 	}
-	sys, err := core.NewSystem(cfg, spec.Streams(*f.cores, *f.scale))
+	sys, err := core.NewSystem(cfg, spec.Records(*f.cores, *f.scale, 0))
 	if err != nil {
 		return err
 	}

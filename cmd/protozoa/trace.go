@@ -46,17 +46,7 @@ func dumpTrace(workload, out string, cores, scale int) error {
 	if err != nil {
 		return err
 	}
-	streams := spec.Streams(cores, scale)
-	perCore := make([][]trace.Access, len(streams))
-	for c, s := range streams {
-		for {
-			a, ok := s.Next()
-			if !ok {
-				break
-			}
-			perCore[c] = append(perCore[c], a)
-		}
-	}
+	perCore := spec.Records(cores, scale, 0)
 	f, err := os.Create(out)
 	if err != nil {
 		return err
@@ -85,19 +75,12 @@ func traceInfo(path string) error {
 	}
 	fmt.Printf("%s: %d cores\n", path, len(perCore))
 	for c, recs := range perCore {
-		loads, stores, barriers := 0, 0, 0
+		var n [trace.RMW + 1]int // records per trace.Kind
 		for _, a := range recs {
-			switch a.Kind {
-			case trace.Load:
-				loads++
-			case trace.Store:
-				stores++
-			case trace.Barrier:
-				barriers++
-			}
+			n[a.Kind]++
 		}
-		fmt.Printf("  core %2d: %7d records (%d loads, %d stores, %d barriers)\n",
-			c, len(recs), loads, stores, barriers)
+		fmt.Printf("  core %2d: %7d records (%d loads, %d stores, %d rmws, %d barriers)\n",
+			c, len(recs), n[trace.Load], n[trace.Store], n[trace.RMW], n[trace.Barrier])
 	}
 	return nil
 }
@@ -112,15 +95,15 @@ func replayTrace(path, proto string) error {
 		return err
 	}
 	defer f.Close()
-	streams, err := trace.ReadStreams(f)
+	perCore, err := trace.ReadTraces(f)
 	if err != nil {
 		return err
 	}
 	cfg := core.DefaultConfig(p)
-	if err := runner.ConfigureCores(&cfg, len(streams)); err != nil {
-		return fmt.Errorf("trace has %d cores: %w", len(streams), err)
+	if err := runner.ConfigureCores(&cfg, len(perCore)); err != nil {
+		return fmt.Errorf("trace has %d cores: %w", len(perCore), err)
 	}
-	sys, err := core.NewSystem(cfg, streams)
+	sys, err := core.NewSystem(cfg, perCore)
 	if err != nil {
 		return err
 	}

@@ -7,13 +7,12 @@ import (
 	"strconv"
 
 	"protozoa/internal/core"
-	"protozoa/internal/mem"
 	"protozoa/internal/runner"
-	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 // verify runs the paper's random protocol tester (Section 3.6): seeded
-// random access streams drive the full machine while the checker
+// random access records drive the full machine while the checker
 // validates the SWMR invariant at the protocol's granularity and
 // golden-value integrity of every cached word and completed load. The
 // selected protocols verify concurrently on internal/runner's pool;
@@ -65,8 +64,8 @@ func verify(args []string) error {
 		cells[i] = runner.Cell{
 			Label:    p.String(),
 			Protocol: p,
-			// The random streams are fully determined by the seed and
-			// the stream-shape parameters, so they cache-key cleanly.
+			// The random records are fully determined by the seed and
+			// the shape parameters, so they cache-key cleanly.
 			Key: runner.CellSpec{
 				Config: cfg,
 				Seed:   seed,
@@ -79,21 +78,7 @@ func verify(args []string) error {
 				Extract: "checker-summary-v1",
 			}.Key(),
 			Build: func() (*core.System, error) {
-				streams := make([]trace.Stream, cores)
-				for c := 0; c < cores; c++ {
-					rng := trace.NewRNG(seed*1000 + uint64(c))
-					recs := make([]trace.Access, 0, perCore)
-					for j := 0; j < perCore; j++ {
-						addr := mem.Addr(rng.Intn(*regions)*64 + rng.Intn(8)*8)
-						kind := trace.Load
-						if rng.Intn(100) < *storePct {
-							kind = trace.Store
-						}
-						recs = append(recs, trace.Access{Kind: kind, Addr: addr, PC: uint64(0x400 + rng.Intn(8)*4)})
-					}
-					streams[c] = trace.NewSliceStream(recs)
-				}
-				return core.NewSystem(cfg, streams)
+				return core.NewSystem(cfg, workloads.RandomRecords(cores, perCore, *regions, *storePct, seed))
 			},
 			Observe: func(sys *core.System) { chks[i] = core.NewChecker(sys) },
 			Extract: func(*core.System) ([]byte, error) { return json.Marshal(chks[i].Summary()) },

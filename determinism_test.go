@@ -57,7 +57,7 @@ func runWithWorkers(t *testing.T, w string, p core.Protocol, workers int, setup 
 	if err := runner.ConfigureCores(&cfg, 16); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.NewSystem(cfg, spec.Streams(16, 1))
+	sys, err := core.NewSystem(cfg, spec.Records(16, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,17 +33,17 @@ func ExampleNewSystem() {
 	cfg := protozoa.DefaultSystemConfig(protozoa.ProtozoaMW)
 	cfg.Cores = 2
 	cfg.Noc.DimX, cfg.Noc.DimY = 2, 1
-	streams := []protozoa.Stream{
-		protozoa.NewSliceStream([]protozoa.Access{
+	recs := [][]protozoa.Access{
+		{
 			{Kind: protozoa.Store, Addr: 0x1000, PC: 0x4},
 			{Kind: protozoa.Barrier},
-		}),
-		protozoa.NewSliceStream([]protozoa.Access{
+		},
+		{
 			{Kind: protozoa.Barrier},
 			{Kind: protozoa.Load, Addr: 0x1000, PC: 0x8},
-		}),
+		},
 	}
-	sys, err := protozoa.NewSystem(cfg, streams)
+	sys, err := protozoa.NewSystem(cfg, recs)
 	if err != nil {
 		panic(err)
 	}
@@ -72,11 +72,11 @@ func ExampleNewChecker() {
 	cfg := protozoa.DefaultSystemConfig(protozoa.ProtozoaMW)
 	cfg.Cores = 2
 	cfg.Noc.DimX, cfg.Noc.DimY = 2, 1
-	streams := []protozoa.Stream{
-		protozoa.NewSliceStream([]protozoa.Access{{Kind: protozoa.Store, Addr: 0x40, PC: 1}}),
-		protozoa.NewSliceStream([]protozoa.Access{{Kind: protozoa.Store, Addr: 0x48, PC: 2}}),
+	recs := [][]protozoa.Access{
+		{{Kind: protozoa.Store, Addr: 0x40, PC: 1}},
+		{{Kind: protozoa.Store, Addr: 0x48, PC: 2}},
 	}
-	sys, err := protozoa.NewSystem(cfg, streams)
+	sys, err := protozoa.NewSystem(cfg, recs)
 	if err != nil {
 		panic(err)
 	}

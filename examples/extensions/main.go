@@ -20,7 +20,7 @@ func run(name string, mutate func(*protozoa.SystemConfig)) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := core.NewSystem(cfg, spec.Streams(cfg.Cores, 1))
+	sys, err := core.NewSystem(cfg, spec.Records(cfg.Cores, 1, 0))
 	if err != nil {
 		log.Fatal(err)
 	}

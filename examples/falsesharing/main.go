@@ -14,19 +14,19 @@ import (
 	"protozoa"
 )
 
-// counterStreams builds the Figure 1 program: Item[core]++ in a loop.
-func counterStreams(cores, iters int) []protozoa.Stream {
-	streams := make([]protozoa.Stream, cores)
-	for c := 0; c < cores; c++ {
+// counterRecords builds the Figure 1 program: Item[core]++ in a loop.
+func counterRecords(cores, iters int) [][]protozoa.Access {
+	perCore := make([][]protozoa.Access, cores)
+	for c := range perCore {
 		var recs []protozoa.Access
 		addr := protozoa.Addr(0x1000 + c*8) // Item[c]: adjacent words, one region
 		for i := 0; i < iters; i++ {
 			recs = append(recs, protozoa.Access{Kind: protozoa.Load, Addr: addr, PC: 0x400, Think: 2})
 			recs = append(recs, protozoa.Access{Kind: protozoa.Store, Addr: addr, PC: 0x408, Think: 1})
 		}
-		streams[c] = protozoa.NewSliceStream(recs)
+		perCore[c] = recs
 	}
-	return streams
+	return perCore
 }
 
 func main() {
@@ -40,7 +40,7 @@ func main() {
 		cfg := protozoa.DefaultSystemConfig(p)
 		cfg.Cores = cores
 		cfg.Noc.DimX, cfg.Noc.DimY = 4, 2
-		sys, err := protozoa.NewSystem(cfg, counterStreams(cores, iters))
+		sys, err := protozoa.NewSystem(cfg, counterRecords(cores, iters))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func TestRunAllocsPerAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(DefaultConfig(MESI), spec.StreamsSeeded(16, 4, 1))
+	sys, err := NewSystem(DefaultConfig(MESI), spec.Records(16, 4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

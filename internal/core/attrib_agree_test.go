@@ -5,7 +5,6 @@ import (
 
 	"protozoa/internal/engine"
 	"protozoa/internal/obs/attrib"
-	"protozoa/internal/trace"
 	"protozoa/internal/workloads"
 )
 
@@ -30,7 +29,7 @@ func TestAttributionAgreesHoweverRead(t *testing.T) {
 			recs := spec.Records(4, 1, 0)
 			for _, p := range AllProtocols {
 				run := func(interval engine.Cycle) *attrib.Tracker {
-					sys, err := NewSystem(testConfig(p, 4), trace.NewSliceStreams(recs))
+					sys, err := NewSystem(testConfig(p, 4), recs)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -22,7 +22,7 @@ import (
 // cycle 1000 reads 11 false-shared regions.
 func TestAttributionGaugesGolden(t *testing.T) {
 	cfg := DefaultConfig(MESI)
-	sys, err := NewSystem(cfg, workloads.MustGet("linear-regression").Streams(cfg.Cores, 1))
+	sys, err := NewSystem(cfg, workloads.MustGet("linear-regression").Records(cfg.Cores, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"protozoa/internal/mem"
 	"protozoa/internal/obs/attrib"
 	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 // TestAttributionReconciles is the tentpole's accounting invariant,
@@ -35,12 +36,8 @@ func TestAttributionReconciles(t *testing.T) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			cfg := v.cfg()
-			perCore := randomStreams(4, 800, 10, 40, 13)
-			streams := make([]trace.Stream, 4)
-			for i := range streams {
-				streams[i] = trace.NewSliceStream(perCore[i])
-			}
-			sys, err := NewSystem(cfg, streams)
+			perCore := workloads.RandomRecords(4, 800, 10, 40, 13)
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,12 +102,8 @@ func TestAttributionReconciles(t *testing.T) {
 func TestAttributionRecallsNotBlamedOnCore0(t *testing.T) {
 	cfg := testConfig(MESI, 4)
 	cfg.L2RegionsPerTile = 2
-	perCore := randomStreams(4, 1500, 32, 30, 7)
-	streams := make([]trace.Stream, 4)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(perCore[i])
-	}
-	sys, err := NewSystem(cfg, streams)
+	perCore := workloads.RandomRecords(4, 1500, 32, 30, 7)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +122,10 @@ func TestAttributionRecallsNotBlamedOnCore0(t *testing.T) {
 	}
 }
 
-// figure1Streams is the falsesharing example's trace: each core
+// figure1Records is the falsesharing example's trace: each core
 // load/stores its own word of one region.
-func figure1Streams(cores, iters int) []trace.Stream {
-	streams := make([]trace.Stream, cores)
+func figure1Records(cores, iters int) [][]trace.Access {
+	perCore := make([][]trace.Access, cores)
 	for c := 0; c < cores; c++ {
 		addr := mem.Addr(0x1000 + c*8)
 		recs := make([]trace.Access, 0, 2*iters)
@@ -141,9 +134,9 @@ func figure1Streams(cores, iters int) []trace.Stream {
 				trace.Access{Kind: trace.Load, Addr: addr, PC: 0x400},
 				trace.Access{Kind: trace.Store, Addr: addr, PC: 0x408})
 		}
-		streams[c] = trace.NewSliceStream(recs)
+		perCore[c] = recs
 	}
-	return streams
+	return perCore
 }
 
 // TestFalseSharingClassification is the end-to-end classifier check:
@@ -154,7 +147,7 @@ func TestFalseSharingClassification(t *testing.T) {
 	region := mem.DefaultGeometry.Region(0x1000)
 	utils := map[Protocol]float64{}
 	for _, p := range AllProtocols {
-		sys, err := NewSystem(testConfig(p, 4), figure1Streams(4, 200))
+		sys, err := NewSystem(testConfig(p, 4), figure1Records(4, 200))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +183,7 @@ func TestFalseSharingClassification(t *testing.T) {
 // TestAttributionDisabledByDefault guards the zero-cost discipline:
 // no tracker exists unless EnableAttribution ran.
 func TestAttributionDisabledByDefault(t *testing.T) {
-	sys, err := NewSystem(testConfig(MESI, 4), figure1Streams(4, 10))
+	sys, err := NewSystem(testConfig(MESI, 4), figure1Records(4, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +198,7 @@ func TestAttributionDisabledByDefault(t *testing.T) {
 // TestSampleHookFires covers the live-endpoint publish path: the hook
 // must fire on timeline ticks with monotone cycles.
 func TestSampleHookFires(t *testing.T) {
-	sys, err := NewSystem(testConfig(ProtozoaMW, 4), figure1Streams(4, 400))
+	sys, err := NewSystem(testConfig(ProtozoaMW, 4), figure1Records(4, 400))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ package core
 import (
 	"testing"
 
-	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 func runAudited(t *testing.T, p Protocol, seed uint64) *System {
@@ -15,12 +15,8 @@ func runAudited(t *testing.T, p Protocol, seed uint64) *System {
 	cfg.L1Sets = 2 // force evictions so WBACK/WBACK_LAST both appear
 	cfg.L1SetBudget = 144
 	cfg.MaxEvents = 5_000_000
-	perCore := randomStreams(4, 1200, 10, 40, seed)
-	streams := make([]trace.Stream, 4)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(perCore[i])
-	}
-	sys, err := NewSystem(cfg, streams)
+	perCore := workloads.RandomRecords(4, 1200, 10, 40, seed)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +149,8 @@ func TestAuditUpgradeNeverForwarded(t *testing.T) {
 	cfg := testConfig(ProtozoaMW, 4)
 	cfg.ThreeHop = true
 	cfg.MaxEvents = 5_000_000
-	perCore := randomStreams(4, 1200, 8, 40, 505)
-	streams := make([]trace.Stream, 4)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(perCore[i])
-	}
-	sys, err := NewSystem(cfg, streams)
+	perCore := workloads.RandomRecords(4, 1200, 8, 40, 505)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"protozoa/internal/mem"
 	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 func TestBloomDirAddLookupRemove(t *testing.T) {
@@ -80,12 +81,8 @@ func TestBloomDirectoryStress(t *testing.T) {
 			cfg.L1Sets = 2
 			cfg.L1SetBudget = 144
 			cfg.MaxEvents = 5_000_000
-			perCore := randomStreams(4, 1500, 12, 40, 31)
-			streams := make([]trace.Stream, 4)
-			for i := range streams {
-				streams[i] = trace.NewSliceStream(perCore[i])
-			}
-			sys, err := NewSystem(cfg, streams)
+			perCore := workloads.RandomRecords(4, 1500, 12, 40, 31)
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ import (
 
 func TestCheckerDetectsWrongLoadValue(t *testing.T) {
 	cfg := testConfig(MESI, 1)
-	sys, err := NewSystem(cfg, []trace.Stream{trace.NewSliceStream(nil)})
+	sys, err := NewSystem(cfg, [][]trace.Access{nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +39,8 @@ func TestCheckerDetectsStaleCachedValue(t *testing.T) {
 	// Run a tiny workload, then move the golden value from under the
 	// resident copy: the quiescent scan must flag it.
 	cfg := testConfig(MESI, 1)
-	sys, err := NewSystem(cfg, []trace.Stream{
-		trace.NewSliceStream([]trace.Access{ld(0x40)}),
+	sys, err := NewSystem(cfg, [][]trace.Access{
+		{ld(0x40)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestCheckerDetectsSWMRViolationShape(t *testing.T) {
 	// running MW traffic is not possible; instead verify MaxViolations
 	// capping on the load path.
 	cfg := testConfig(MESI, 1)
-	sys, err := NewSystem(cfg, []trace.Stream{trace.NewSliceStream(nil)})
+	sys, err := NewSystem(cfg, [][]trace.Access{nil})
 	if err != nil {
 		t.Fatal(err)
 	}

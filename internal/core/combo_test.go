@@ -32,7 +32,7 @@ func TestEverythingCombinedStress(t *testing.T) {
 			cfg.L1SetBudget = 144
 			cfg.MaxEvents = 12_000_000
 
-			streams := make([]trace.Stream, 4)
+			perCore := make([][]trace.Access, 4)
 			for c := 0; c < 4; c++ {
 				rng := trace.NewRNG(uint64(31337 + c))
 				var recs []trace.Access
@@ -51,9 +51,9 @@ func TestEverythingCombinedStress(t *testing.T) {
 					}
 					recs = append(recs, a)
 				}
-				streams[c] = trace.NewSliceStream(recs)
+				perCore[c] = recs
 			}
-			sys, err := NewSystem(cfg, streams)
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,13 +90,13 @@ func TestFlowSWMRRevocation(t *testing.T) {
 		cfg.PredictorOverride = oneWordOverride
 		base := mem.Addr(512 * 64)
 		bar := trace.Access{Kind: trace.Barrier}
-		streams := []trace.Stream{
-			trace.NewSliceStream([]trace.Access{bar, st(base), bar}), // Core-0: GETX word 0
-			trace.NewSliceStream([]trace.Access{bar, bar}),
-			trace.NewSliceStream([]trace.Access{bar, bar, ld(base + 8)}),   // reader after the write
-			trace.NewSliceStream([]trace.Access{st(base + 7*8), bar, bar}), // Core-3: owner of word 7
+		perCore := [][]trace.Access{
+			{bar, st(base), bar}, // Core-0: GETX word 0
+			{bar, bar},
+			{bar, bar, ld(base + 8)},   // reader after the write
+			{st(base + 7*8), bar, bar}, // Core-3: owner of word 7
 		}
-		sys, err := NewSystem(cfg, streams)
+		sys, err := NewSystem(cfg, perCore)
 		if err != nil {
 			t.Fatal(err)
 		}

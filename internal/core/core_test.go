@@ -52,15 +52,9 @@ func ldPC(addr mem.Addr, pc uint64) trace.Access {
 
 func runSys(t *testing.T, cfg Config, perCore [][]trace.Access) *System {
 	t.Helper()
-	streams := make([]trace.Stream, cfg.Cores)
-	for i := range streams {
-		var recs []trace.Access
-		if i < len(perCore) {
-			recs = perCore[i]
-		}
-		streams[i] = trace.NewSliceStream(recs)
-	}
-	sys, err := NewSystem(cfg, streams)
+	input := make([][]trace.Access, cfg.Cores)
+	copy(input, perCore) // cores past len(perCore) get no records
+	sys, err := NewSystem(cfg, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +122,10 @@ func TestSingleCoreStoreThenLoadValue(t *testing.T) {
 	for _, p := range AllProtocols {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := testConfig(p, 1)
-			streams := []trace.Stream{trace.NewSliceStream([]trace.Access{
+			input := [][]trace.Access{{
 				st(0x3000), ld(0x3000),
-			})}
-			sys, err := NewSystem(cfg, streams)
+			}}
+			sys, err := NewSystem(cfg, input)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,11 +230,11 @@ func TestReaderSeesRemoteWrite(t *testing.T) {
 	for _, p := range AllProtocols {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := testConfig(p, 2)
-			streams := []trace.Stream{
-				trace.NewSliceStream([]trace.Access{{Kind: trace.Barrier}, ld(0x1000)}),
-				trace.NewSliceStream([]trace.Access{st(0x1000), {Kind: trace.Barrier}}),
+			input := [][]trace.Access{
+				{{Kind: trace.Barrier}, ld(0x1000)},
+				{st(0x1000), {Kind: trace.Barrier}},
 			}
-			sys, err := NewSystem(cfg, streams)
+			sys, err := NewSystem(cfg, input)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,9 +257,9 @@ func TestReaderSeesRemoteWrite(t *testing.T) {
 
 // --- the Figure 1 false-sharing example ----------------------------------
 
-// falseSharingStreams builds the OpenMP counter example: each core
+// falseSharingRecords builds the OpenMP counter example: each core
 // increments its own word of one shared region, iters times.
-func falseSharingStreams(iters int) [][]trace.Access {
+func falseSharingRecords(iters int) [][]trace.Access {
 	var out [][]trace.Access
 	for c := 0; c < 2; c++ {
 		var recs []trace.Access
@@ -285,7 +279,7 @@ func TestMWEliminatesFalseSharing(t *testing.T) {
 	// per core and zero invalidations after warm-up.
 	cfg := testConfig(ProtozoaMW, 2)
 	cfg.PredictorOverride = oneWordOverride
-	sys := runSys(t, cfg, falseSharingStreams(200))
+	sys := runSys(t, cfg, falseSharingRecords(200))
 	s := sys.Stats()
 	// Three cold misses total: core 0 loads (E) and silently upgrades;
 	// core 1 loads (S) and needs one UPGRADE. After that, zero misses
@@ -302,7 +296,7 @@ func TestMESIPingPongsOnFalseSharing(t *testing.T) {
 	// Misses alternate at miss-latency granularity (each stalled core
 	// lets the other run hits), so the ping-pong count is dozens, not
 	// one per iteration — but far above the 3 cold misses MW needs.
-	sys := runSys(t, testConfig(MESI, 2), falseSharingStreams(200))
+	sys := runSys(t, testConfig(MESI, 2), falseSharingRecords(200))
 	if m := sys.Stats().L1Misses; m < 40 {
 		t.Errorf("MESI misses = %d, want ping-pong (>= 40)", m)
 	}
@@ -313,8 +307,8 @@ func TestSWStillPingPongsButMovesLessData(t *testing.T) {
 	// invalidate each other, but each miss moves one word, not 64 bytes.
 	cfgSW := testConfig(ProtozoaSW, 2)
 	cfgSW.PredictorOverride = oneWordOverride
-	sysSW := runSys(t, cfgSW, falseSharingStreams(200))
-	sysMESI := runSys(t, testConfig(MESI, 2), falseSharingStreams(200))
+	sysSW := runSys(t, cfgSW, falseSharingRecords(200))
+	sysMESI := runSys(t, testConfig(MESI, 2), falseSharingRecords(200))
 
 	if m := sysSW.Stats().L1Misses; m < 40 {
 		t.Errorf("SW misses = %d, want ping-pong (>= 40)", m)
@@ -359,7 +353,7 @@ func TestSWMRRevokesConcurrentWriters(t *testing.T) {
 	// one writer at a time, so it keeps missing.
 	cfg := testConfig(ProtozoaSWMR, 2)
 	cfg.PredictorOverride = oneWordOverride
-	sys := runSys(t, cfg, falseSharingStreams(200))
+	sys := runSys(t, cfg, falseSharingRecords(200))
 	if m := sys.Stats().L1Misses; m < 20 {
 		t.Errorf("SW+MR misses = %d, want single-writer ping-pong (>= 20)", m)
 	}
@@ -444,8 +438,8 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 				recs = append(recs, ld(mem.Addr(i*64)))
 			}
 			recs = append(recs, ld(0x0))
-			streams := []trace.Stream{trace.NewSliceStream(recs)}
-			sys, err := NewSystem(cfg, streams)
+			input := [][]trace.Access{recs}
+			sys, err := NewSystem(cfg, input)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -504,13 +498,7 @@ func TestMESIMatchesSWWithFixedPredictor(t *testing.T) {
 // --- configuration validation ---------------------------------------------
 
 func TestNewSystemValidation(t *testing.T) {
-	mk := func(n int) []trace.Stream {
-		s := make([]trace.Stream, n)
-		for i := range s {
-			s[i] = trace.NewSliceStream(nil)
-		}
-		return s
-	}
+	mk := func(n int) [][]trace.Access { return make([][]trace.Access, n) }
 	cfg := testConfig(MESI, 2)
 	if _, err := NewSystem(cfg, mk(3)); err == nil {
 		t.Error("stream/core mismatch accepted")
@@ -534,7 +522,7 @@ func TestNewSystemValidation(t *testing.T) {
 
 func TestRunTwiceFails(t *testing.T) {
 	cfg := testConfig(MESI, 1)
-	sys, err := NewSystem(cfg, []trace.Stream{trace.NewSliceStream(nil)})
+	sys, err := NewSystem(cfg, [][]trace.Access{nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,13 +540,13 @@ func TestBarrierSynchronizes(t *testing.T) {
 	for _, p := range AllProtocols {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := testConfig(p, 4)
-			streams := []trace.Stream{
-				trace.NewSliceStream([]trace.Access{st(0x7000), {Kind: trace.Barrier}}),
-				trace.NewSliceStream([]trace.Access{{Kind: trace.Barrier}, ld(0x7000)}),
-				trace.NewSliceStream([]trace.Access{{Kind: trace.Barrier}}),
-				trace.NewSliceStream([]trace.Access{{Kind: trace.Barrier}}),
+			input := [][]trace.Access{
+				{st(0x7000), {Kind: trace.Barrier}},
+				{{Kind: trace.Barrier}, ld(0x7000)},
+				{{Kind: trace.Barrier}},
+				{{Kind: trace.Barrier}},
 			}
-			sys, err := NewSystem(cfg, streams)
+			sys, err := NewSystem(cfg, input)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,9 +15,13 @@ import (
 // delay, barrier resume) and a pending-access slot instead of
 // per-access closures — the hot path allocates nothing per reference.
 type cpu struct {
-	id       int
-	sys      *System
-	stream   trace.Stream
+	id  int
+	sys *System
+	// recs is the core's records, shared read-only with every other
+	// machine built from the same input; next is the index of the
+	// record step replays next.
+	recs     []trace.Access
+	next     int
 	storeSeq uint64
 	done     bool
 
@@ -28,7 +32,7 @@ type cpu struct {
 	pendVal uint64
 
 	accessEv cpuAccess // fused think-delay + L1-lookup event
-	stepEv   cpuStep   // resumes the stream (kickoff and barrier release)
+	stepEv   cpuStep   // resumes the records (kickoff and barrier release)
 }
 
 // cpuAccess is the fused per-access event. step schedules it at
@@ -52,7 +56,7 @@ func (ev *cpuAccess) Run() {
 	}
 }
 
-// cpuStep resumes a core's trace stream.
+// cpuStep resumes a core's records.
 type cpuStep struct {
 	s *System
 	c *cpu
@@ -68,7 +72,7 @@ func (c *cpu) storeToken() uint64 {
 }
 
 // complete finishes the in-flight reference: fire the observer hooks
-// with the bound value and advance the stream. It implements the
+// with the bound value and advance to the next record. It implements the
 // completer interface the L1 invokes when an access resolves.
 func (c *cpu) complete(val uint64) {
 	s := c.sys
@@ -90,8 +94,7 @@ func (c *cpu) complete(val uint64) {
 
 // step advances a core to its next trace record.
 func (s *System) step(c *cpu) {
-	a, ok := c.stream.Next()
-	if !ok {
+	if c.next == len(c.recs) {
 		c.done = true
 		s.coresDone++
 		if s.coresDone == s.cfg.Cores {
@@ -102,6 +105,8 @@ func (s *System) step(c *cpu) {
 		s.releaseBarrierIfReady()
 		return
 	}
+	a := c.recs[c.next]
+	c.next++
 	c.pend = a
 	var delay engine.Cycle
 	switch a.Kind {
@@ -144,7 +149,7 @@ func (s *System) issueAccess(c *cpu) {
 }
 
 // arriveBarrier parks the core until every live core reaches the
-// barrier. Cores whose streams already finished count as arrived, so a
+// barrier. Cores whose records already ran out count as arrived, so a
 // workload may give cores unequal record counts after their last
 // common barrier.
 func (s *System) arriveBarrier(c *cpu) {

@@ -26,9 +26,9 @@ func TestWatchdogErrorIncludesDiagnosis(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		recs = append(recs, st(regAddr(i)))
 	}
-	sys, err := NewSystem(cfg, []trace.Stream{
-		trace.NewSliceStream(recs),
-		trace.NewSliceStream(recs),
+	sys, err := NewSystem(cfg, [][]trace.Access{
+		recs,
+		recs,
 	})
 	if err != nil {
 		t.Fatal(err)

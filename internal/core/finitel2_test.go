@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 func TestFiniteL2RecallsAndWritesBack(t *testing.T) {
@@ -48,8 +49,8 @@ func TestFiniteL2RecallPreservesValues(t *testing.T) {
 			for i := 0; i < n; i++ {
 				recs = append(recs, ld(regAddr(i)))
 			}
-			streams := []trace.Stream{trace.NewSliceStream(recs)}
-			sys, err := NewSystem(cfg, streams)
+			perCore := [][]trace.Access{recs}
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,12 +100,8 @@ func TestFiniteL2Stress(t *testing.T) {
 			cfg := testConfig(p, 4)
 			cfg.L2RegionsPerTile = 3
 			cfg.MaxEvents = 8_000_000
-			perCore := randomStreams(4, 1200, 16, 40, 55)
-			streams := make([]trace.Stream, 4)
-			for i := range streams {
-				streams[i] = trace.NewSliceStream(perCore[i])
-			}
-			sys, err := NewSystem(cfg, streams)
+			perCore := workloads.RandomRecords(4, 1200, 16, 40, 55)
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}

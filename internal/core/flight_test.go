@@ -10,6 +10,7 @@ import (
 	"protozoa/internal/obs"
 	"protozoa/internal/obs/flight"
 	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 // TestStallWatchdogFires wedges a transaction artificially — memory
@@ -19,8 +20,8 @@ import (
 func TestStallWatchdogFires(t *testing.T) {
 	cfg := testConfig(MESI, 1)
 	cfg.MemLat = 100_000 // the "stuck" transaction: a miss pinned in flight
-	sys, err := NewSystem(cfg, []trace.Stream{
-		trace.NewSliceStream([]trace.Access{ld(regAddr(3))}),
+	sys, err := NewSystem(cfg, [][]trace.Access{
+		{ld(regAddr(3))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +56,8 @@ func TestStallWatchdogFires(t *testing.T) {
 // transcript and Err carries it — a protocol trace, not a bare message.
 func TestCheckerViolationAutoDump(t *testing.T) {
 	cfg := testConfig(MESI, 1)
-	sys, err := NewSystem(cfg, []trace.Stream{
-		trace.NewSliceStream([]trace.Access{ld(regAddr(2))}),
+	sys, err := NewSystem(cfg, [][]trace.Access{
+		{ld(regAddr(2))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +94,8 @@ func TestCheckerViolationAutoDump(t *testing.T) {
 // after an intentional format or protocol-sequence change.
 func TestViolationTranscriptGolden(t *testing.T) {
 	cfg := testConfig(MESI, 1)
-	sys, err := NewSystem(cfg, []trace.Stream{
-		trace.NewSliceStream([]trace.Access{ld(regAddr(2)), st(regAddr(2))}),
+	sys, err := NewSystem(cfg, [][]trace.Access{
+		{ld(regAddr(2)), st(regAddr(2))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,12 +134,8 @@ func TestFlightPhaseReconciliation(t *testing.T) {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := testConfig(p, 4)
-			perCore := randomStreams(4, 600, 10, 40, 17)
-			streams := make([]trace.Stream, 4)
-			for i := range streams {
-				streams[i] = trace.NewSliceStream(perCore[i])
-			}
-			sys, err := NewSystem(cfg, streams)
+			perCore := workloads.RandomRecords(4, 600, 10, 40, 17)
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,12 +183,8 @@ func TestFlightPhaseReconciliation(t *testing.T) {
 func spineRun(t *testing.T, p Protocol, setup func(*System)) *System {
 	t.Helper()
 	cfg := testConfig(p, 4)
-	perCore := randomStreams(4, 600, 10, 40, 17)
-	streams := make([]trace.Stream, 4)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(perCore[i])
-	}
-	sys, err := NewSystem(cfg, streams)
+	perCore := workloads.RandomRecords(4, 600, 10, 40, 17)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}

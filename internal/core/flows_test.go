@@ -64,11 +64,11 @@ func TestFlowFigure4(t *testing.T) {
 	}
 	// Region 256 homes on tile 0 (256 % 2 == 0).
 	base := mem.Addr(256 * 64)
-	streams := []trace.Stream{
-		trace.NewSliceStream([]trace.Access{{Kind: trace.Barrier}, st(base)}),       // Core-0: GETX word 0 -> range 0-1
-		trace.NewSliceStream([]trace.Access{st(base + 2*8), {Kind: trace.Barrier}}), // Core-1: GETX word 2 -> range 2-6
+	perCore := [][]trace.Access{
+		{{Kind: trace.Barrier}, st(base)},       // Core-0: GETX word 0 -> range 0-1
+		{st(base + 2*8), {Kind: trace.Barrier}}, // Core-1: GETX word 2 -> range 2-6
 	}
-	sys, err := NewSystem(cfg, streams)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestFlowFigure6(t *testing.T) {
 	// Region 257 homes on tile 1, making Core-1's request the first to
 	// activate when both issue in the same cycle.
 	base := mem.Addr(257 * 64)
-	streams := []trace.Stream{
-		trace.NewSliceStream([]trace.Access{st(base + 5*8), {Kind: trace.Barrier}, ld(base)}),
-		trace.NewSliceStream([]trace.Access{{Kind: trace.Barrier}, st(base)}),
+	perCore := [][]trace.Access{
+		{st(base + 5*8), {Kind: trace.Barrier}, ld(base)},
+		{{Kind: trace.Barrier}, st(base)},
 	}
-	sys, err := NewSystem(cfg, streams)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +172,13 @@ func TestFlowFigure7(t *testing.T) {
 	// Region 512 homes on tile 0 (512 % 4 == 0).
 	base := mem.Addr(512 * 64)
 	bar := trace.Access{Kind: trace.Barrier}
-	streams := []trace.Stream{
-		trace.NewSliceStream([]trace.Access{bar, bar, bar, st(base)}),       // Core-0: GETX 0-3
-		trace.NewSliceStream([]trace.Access{st(base + 2*8), bar, bar, bar}), // Core-1: M 2-6
-		trace.NewSliceStream([]trace.Access{bar, ld(base + 8), bar, bar}),   // Core-2: S 1 (overlapping reader)
-		trace.NewSliceStream([]trace.Access{bar, bar, st(base + 7*8), bar}), // Core-3: M 7 (non-overlapping writer)
+	perCore := [][]trace.Access{
+		{bar, bar, bar, st(base)},       // Core-0: GETX 0-3
+		{st(base + 2*8), bar, bar, bar}, // Core-1: M 2-6
+		{bar, ld(base + 8), bar, bar},   // Core-2: S 1 (overlapping reader)
+		{bar, bar, st(base + 7*8), bar}, // Core-3: M 7 (non-overlapping writer)
 	}
-	sys, err := NewSystem(cfg, streams)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +253,11 @@ func TestMessageLogRingBuffer(t *testing.T) {
 func runSysWithLog(t *testing.T, capacity int) *System {
 	t.Helper()
 	cfg := testConfig(MESI, 2)
-	streams := []trace.Stream{
-		trace.NewSliceStream([]trace.Access{st(0x0), st(0x40), st(0x80)}),
-		trace.NewSliceStream(nil),
+	perCore := [][]trace.Access{
+		{st(0x0), st(0x40), st(0x80)},
+		nil,
 	}
-	sys, err := NewSystem(cfg, streams)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,7 @@ import (
 // "flight" recorder, the transition "audit", or none.
 func hitL1(tb testing.TB, view string) *l1Ctrl {
 	tb.Helper()
-	streams := make([]trace.Stream, 4)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(nil)
-	}
-	sys, err := NewSystem(testConfig(MESI, 4), streams)
+	sys, err := NewSystem(testConfig(MESI, 4), make([][]trace.Access, 4))
 	if err != nil {
 		tb.Fatal(err)
 	}

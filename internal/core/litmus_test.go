@@ -31,16 +31,16 @@ func runLitmus(t *testing.T, p Protocol, threads []litmusThread, delays []uint16
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	streams := make([]trace.Stream, n)
+	perCore := make([][]trace.Access, n)
 	for c, th := range threads {
 		recs := make([]trace.Access, len(th))
 		copy(recs, th)
 		if len(recs) > 0 {
 			recs[0].Think = delays[c]
 		}
-		streams[c] = trace.NewSliceStream(recs)
+		perCore[c] = recs
 	}
-	sys, err := NewSystem(cfg, streams)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}

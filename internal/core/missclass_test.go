@@ -9,6 +9,7 @@ import (
 
 	"protozoa/internal/mem"
 	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 func classSum(sys *System) uint64 {
@@ -23,12 +24,8 @@ func TestMissClassesPartitionMisses(t *testing.T) {
 			cfg := testConfig(p, 4)
 			cfg.L1Sets = 2
 			cfg.L1SetBudget = 144
-			perCore := randomStreams(4, 1500, 10, 40, 77)
-			streams := make([]trace.Stream, 4)
-			for i := range streams {
-				streams[i] = trace.NewSliceStream(perCore[i])
-			}
-			sys, err := NewSystem(cfg, streams)
+			perCore := workloads.RandomRecords(4, 1500, 10, 40, 77)
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +80,7 @@ func TestMissClassCoherenceOnFalseSharing(t *testing.T) {
 	// MESI on the false-sharing counter: after the two cold misses,
 	// every miss is a coherence miss. Under MW (one-word fills) the
 	// coherence column collapses to the warm-up upgrades.
-	mesi := runSys(t, testConfig(MESI, 2), falseSharingStreams(150))
+	mesi := runSys(t, testConfig(MESI, 2), falseSharingRecords(150))
 	s := mesi.Stats()
 	if s.MissesCoherence < s.L1Misses*9/10-2 {
 		t.Errorf("MESI coherence misses = %d of %d, want nearly all", s.MissesCoherence, s.L1Misses)
@@ -91,7 +88,7 @@ func TestMissClassCoherenceOnFalseSharing(t *testing.T) {
 
 	cfg := testConfig(ProtozoaMW, 2)
 	cfg.PredictorOverride = oneWordOverride
-	mw := runSys(t, cfg, falseSharingStreams(150))
+	mw := runSys(t, cfg, falseSharingRecords(150))
 	sm := mw.Stats()
 	if sm.MissesCoherence > 2 {
 		t.Errorf("MW coherence misses = %d, want <= 2 (the warm-up upgrade)", sm.MissesCoherence)

@@ -10,6 +10,7 @@ import (
 	"protozoa/internal/mem"
 	"protozoa/internal/predictor"
 	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 func nonInclusiveCfg(p Protocol, n int) Config {
@@ -54,11 +55,11 @@ func TestNonInclusivePartialOwnerCoverage(t *testing.T) {
 		return rangePred{ranges: []mem.Range{{Start: 2, End: 6}, {Start: 0, End: 3}}}
 	}
 	base := mem.Addr(256 * 64)
-	streams := []trace.Stream{
-		trace.NewSliceStream([]trace.Access{{Kind: trace.Barrier}, ld(base)}), // GETS 0-3
-		trace.NewSliceStream([]trace.Access{st(base + 2*8), {Kind: trace.Barrier}}),
+	perCore := [][]trace.Access{
+		{{Kind: trace.Barrier}, ld(base)}, // GETS 0-3
+		{st(base + 2*8), {Kind: trace.Barrier}},
 	}
-	sys, err := NewSystem(cfg, streams)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +91,8 @@ func TestNonInclusiveValueIntegrity(t *testing.T) {
 				recs = append(recs, ld(regAddr(i)))
 			}
 			recs = append(recs, ld(0x0))
-			streams := []trace.Stream{trace.NewSliceStream(recs)}
-			sys, err := NewSystem(cfg, streams)
+			perCore := [][]trace.Access{recs}
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,12 +114,8 @@ func TestNonInclusiveStress(t *testing.T) {
 			cfg := nonInclusiveCfg(p, 4)
 			cfg.L2RegionsPerTile = 4
 			cfg.MaxEvents = 8_000_000
-			perCore := randomStreams(4, 1200, 12, 40, 808)
-			streams := make([]trace.Stream, 4)
-			for i := range streams {
-				streams[i] = trace.NewSliceStream(perCore[i])
-			}
-			sys, err := NewSystem(cfg, streams)
+			perCore := workloads.RandomRecords(4, 1200, 12, 40, 808)
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}

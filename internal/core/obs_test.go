@@ -10,6 +10,7 @@ import (
 	"protozoa/internal/obs"
 	"protozoa/internal/obs/flight"
 	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 // TestFlightRecordsOutlivePooledMsg proves flight records (and the
@@ -19,7 +20,7 @@ import (
 // not change the transcript.
 func TestFlightRecordsOutlivePooledMsg(t *testing.T) {
 	cfg := testConfig(MESI, 1)
-	sys, err := NewSystem(cfg, []trace.Stream{trace.NewSliceStream(nil)})
+	sys, err := NewSystem(cfg, [][]trace.Access{nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestTimelineDefaultInterval(t *testing.T) {
 			recs = append(recs, ld(regAddr(r)))
 		}
 	}
-	sys, err := NewSystem(cfg, []trace.Stream{trace.NewSliceStream(recs)})
+	sys, err := NewSystem(cfg, [][]trace.Access{recs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +116,7 @@ func TestTimelineDefaultInterval(t *testing.T) {
 // within one interval of the last sample.
 func TestTimelineStopsAfterCompletion(t *testing.T) {
 	cfg := testConfig(MESI, 2)
-	perCore := randomStreams(2, 400, 8, 30, 7)
-	sys, err := NewSystem(cfg, []trace.Stream{
-		trace.NewSliceStream(perCore[0]),
-		trace.NewSliceStream(perCore[1]),
-	})
+	sys, err := NewSystem(cfg, workloads.RandomRecords(2, 400, 8, 30, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +179,8 @@ func TestLatencyBreakdownReconciles(t *testing.T) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			cfg := v.cfg()
-			perCore := randomStreams(4, 800, 10, 40, 13)
-			streams := make([]trace.Stream, 4)
-			for i := range streams {
-				streams[i] = trace.NewSliceStream(perCore[i])
-			}
-			sys, err := NewSystem(cfg, streams)
+			perCore := workloads.RandomRecords(4, 800, 10, 40, 13)
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,12 +213,8 @@ func TestLatencyBreakdownReconciles(t *testing.T) {
 // and round-trips the exported Chrome trace through a JSON parser.
 func TestEventTraceExports(t *testing.T) {
 	cfg := testConfig(ProtozoaMW, 4)
-	perCore := randomStreams(4, 300, 6, 40, 21)
-	streams := make([]trace.Stream, 4)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(perCore[i])
-	}
-	sys, err := NewSystem(cfg, streams)
+	perCore := workloads.RandomRecords(4, 300, 6, 40, 21)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +252,7 @@ func TestEventTraceExports(t *testing.T) {
 // occupancy gauges read zero on a drained machine.
 func TestMetricsRegistryOnSystem(t *testing.T) {
 	cfg := testConfig(MESI, 2)
-	perCore := randomStreams(2, 500, 8, 30, 5)
-	sys, err := NewSystem(cfg, []trace.Stream{
-		trace.NewSliceStream(perCore[0]),
-		trace.NewSliceStream(perCore[1]),
-	})
+	sys, err := NewSystem(cfg, workloads.RandomRecords(2, 500, 8, 30, 5))
 	if err != nil {
 		t.Fatal(err)
 	}

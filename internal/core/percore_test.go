@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 // TestPerCoreStatsSumToAggregates: the per-core breakdown must
@@ -12,12 +13,8 @@ func TestPerCoreStatsSumToAggregates(t *testing.T) {
 	for _, p := range AllProtocols {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := testConfig(p, 4)
-			perCore := randomStreams(4, 800, 8, 40, 606)
-			streams := make([]trace.Stream, 4)
-			for i := range streams {
-				streams[i] = trace.NewSliceStream(perCore[i])
-			}
-			sys, err := NewSystem(cfg, streams)
+			perCore := workloads.RandomRecords(4, 800, 8, 40, 606)
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}

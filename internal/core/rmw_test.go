@@ -17,27 +17,14 @@ func rmw(addr mem.Addr) trace.Access {
 	return trace.Access{Kind: trace.RMW, Addr: addr, PC: 0x600}
 }
 
-func roundTripStreams(t *testing.T, perCore [][]trace.Access) []trace.Stream {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := trace.WriteTraces(&buf, perCore); err != nil {
-		t.Fatal(err)
-	}
-	streams, err := trace.ReadStreams(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return streams
-}
-
 func TestRMWSingleCoreSemantics(t *testing.T) {
 	for _, p := range AllProtocols {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := testConfig(p, 1)
-			streams := []trace.Stream{trace.NewSliceStream([]trace.Access{
+			input := [][]trace.Access{{
 				rmw(0x100), rmw(0x100), rmw(0x100), ld(0x100),
-			})}
-			sys, err := NewSystem(cfg, streams)
+			}}
+			sys, err := NewSystem(cfg, input)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +65,7 @@ func TestRMWNoLostUpdates(t *testing.T) {
 			t.Run(p.String()+"/"+name, func(t *testing.T) {
 				cfg := testConfig(p, 4)
 				mutate(&cfg)
-				streams := make([]trace.Stream, 4)
+				input := make([][]trace.Access, 4)
 				for c := 0; c < 4; c++ {
 					var recs []trace.Access
 					for i := 0; i < perCore; i++ {
@@ -88,9 +75,9 @@ func TestRMWNoLostUpdates(t *testing.T) {
 					if c == 0 {
 						recs = append(recs, ld(0x2000))
 					}
-					streams[c] = trace.NewSliceStream(recs)
+					input[c] = recs
 				}
-				sys, err := NewSystem(cfg, streams)
+				sys, err := NewSystem(cfg, input)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,15 +104,15 @@ func TestRMWUpgradePath(t *testing.T) {
 	for _, p := range AllProtocols {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := testConfig(p, 2)
-			streams := []trace.Stream{
-				trace.NewSliceStream([]trace.Access{
+			input := [][]trace.Access{
+				{
 					{Kind: trace.Barrier}, ld(0x3000), rmw(0x3000), {Kind: trace.Barrier}, ld(0x3000),
-				}),
-				trace.NewSliceStream([]trace.Access{
+				},
+				{
 					rmw(0x3000), {Kind: trace.Barrier}, {Kind: trace.Barrier},
-				}),
+				},
 			}
-			sys, err := NewSystem(cfg, streams)
+			sys, err := NewSystem(cfg, input)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,9 +134,15 @@ func TestRMWUpgradePath(t *testing.T) {
 func TestRMWTraceFileRoundTrip(t *testing.T) {
 	// RMW records survive the PZTR format.
 	perCore := [][]trace.Access{{rmw(0x40), {Kind: trace.Barrier}, rmw(0x48)}}
-	streams := roundTripStreams(t, perCore)
-	a, _ := streams[0].Next()
-	if a.Kind != trace.RMW || a.Addr != 0x40 {
+	var buf bytes.Buffer
+	if err := trace.WriteTraces(&buf, perCore); err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.ReadTraces(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := got[0][0]; a.Kind != trace.RMW || a.Addr != 0x40 {
 		t.Errorf("record = %+v", a)
 	}
 }
@@ -162,7 +155,7 @@ func TestRMWRandomStress(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := testConfig(p, 4)
 			cfg.MaxEvents = 5_000_000
-			streams := make([]trace.Stream, 4)
+			input := make([][]trace.Access, 4)
 			for c := 0; c < 4; c++ {
 				rng := trace.NewRNG(uint64(9000 + c))
 				var recs []trace.Access
@@ -179,9 +172,9 @@ func TestRMWRandomStress(t *testing.T) {
 					}
 					recs = append(recs, a)
 				}
-				streams[c] = trace.NewSliceStream(recs)
+				input[c] = recs
 			}
-			sys, err := NewSystem(cfg, streams)
+			sys, err := NewSystem(cfg, input)
 			if err != nil {
 				t.Fatal(err)
 			}

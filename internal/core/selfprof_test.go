@@ -36,12 +36,8 @@ func sharingWorkload() [][]trace.Access {
 // newSharingSystem builds a 4-core machine over sharingWorkload.
 func newSharingSystem(t *testing.T, p Protocol) *System {
 	t.Helper()
-	perCore := sharingWorkload()
-	streams := make([]trace.Stream, 4)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(perCore[i])
-	}
-	sys, err := NewSystem(testConfig(p, 4), streams)
+	input := sharingWorkload()
+	sys, err := NewSystem(testConfig(p, 4), input)
 	if err != nil {
 		t.Fatal(err)
 	}

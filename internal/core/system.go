@@ -179,7 +179,7 @@ type System struct {
 	timeline         []TimelineSample
 	timelineEv       timelineEvent
 
-	// lastRetire is the cycle the final core finished its stream.
+	// lastRetire is the cycle the final core retired its last record.
 	lastRetire engine.Cycle
 
 	barrierWait    []*cpu
@@ -222,15 +222,16 @@ func (s *System) freeMsg(tile int, m *Msg) {
 	s.pool.free = append(s.pool.free, m)
 }
 
-// NewSystem builds a machine executing the given per-core streams.
-// len(streams) must equal cfg.Cores, and the mesh must have exactly
-// one node per core.
-func NewSystem(cfg Config, streams []trace.Stream) (*System, error) {
+// NewSystem builds a machine replaying the given per-core records:
+// core c executes recs[c] in order. The machine only reads recs, so
+// machines may share one input. len(recs) must equal cfg.Cores, and
+// the mesh must have exactly one node per core.
+func NewSystem(cfg Config, recs [][]trace.Access) (*System, error) {
 	if cfg.Cores <= 0 || cfg.Cores > 32 {
 		return nil, fmt.Errorf("core: bad core count %d (directory vectors hold up to 32)", cfg.Cores)
 	}
-	if len(streams) != cfg.Cores {
-		return nil, fmt.Errorf("core: %d streams for %d cores", len(streams), cfg.Cores)
+	if len(recs) != cfg.Cores {
+		return nil, fmt.Errorf("core: %d record slices for %d cores", len(recs), cfg.Cores)
 	}
 	if cfg.Noc.DimX*cfg.Noc.DimY != cfg.Cores {
 		return nil, fmt.Errorf("core: mesh %dx%d does not match %d cores", cfg.Noc.DimX, cfg.Noc.DimY, cfg.Cores)
@@ -268,7 +269,7 @@ func NewSystem(cfg Config, streams []trace.Stream) (*System, error) {
 		}
 		s.l1s = append(s.l1s, newL1(s, i, l1cache, pred))
 		s.dirs = append(s.dirs, newDirSlice(s, i))
-		c := &cpu{id: i, sys: s, stream: streams[i]}
+		c := &cpu{id: i, sys: s, recs: recs[i]}
 		c.accessEv = cpuAccess{s: s, c: c}
 		c.stepEv = cpuStep{s: s, c: c}
 		s.cpus = append(s.cpus, c)

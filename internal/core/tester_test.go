@@ -2,7 +2,7 @@ package core
 
 // The random protocol tester, following the paper's validation
 // methodology ("We have tested protozoa extensively with the random
-// tester (1 million accesses)"). Random multi-core access streams
+// tester (1 million accesses)"). Random multi-core access records
 // drive the full system while an observer checks, at every directory
 // quiescent point:
 //
@@ -18,8 +18,7 @@ import (
 	"fmt"
 	"testing"
 
-	"protozoa/internal/mem"
-	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 // newChecker attaches the library Checker (internal/core/checker.go)
@@ -35,29 +34,6 @@ func newChecker(t *testing.T, sys *System) *Checker {
 	return c
 }
 
-// randomStreams builds seeded random load/store streams confined to a
-// small region pool so cores collide constantly.
-func randomStreams(cores, accesses, regions int, storePct int, seed uint64) [][]trace.Access {
-	out := make([][]trace.Access, cores)
-	for c := 0; c < cores; c++ {
-		rng := trace.NewRNG(seed*1000 + uint64(c))
-		recs := make([]trace.Access, 0, accesses)
-		for i := 0; i < accesses; i++ {
-			addr := mem.Addr(rng.Intn(regions)*64 + rng.Intn(8)*8)
-			kind := trace.Load
-			if rng.Intn(100) < storePct {
-				kind = trace.Store
-			}
-			recs = append(recs, trace.Access{
-				Kind: kind, Addr: addr,
-				PC: uint64(0x400 + rng.Intn(8)*4),
-			})
-		}
-		out[c] = recs
-	}
-	return out
-}
-
 func runRandomStress(t *testing.T, p Protocol, cores, accesses, regions int, seed uint64, smallCache bool) {
 	t.Helper()
 	cfg := testConfig(p, cores)
@@ -68,12 +44,8 @@ func runRandomStress(t *testing.T, p Protocol, cores, accesses, regions int, see
 		cfg.L1Sets = 2
 		cfg.L1SetBudget = 144
 	}
-	streams := make([]trace.Stream, cores)
-	perCore := randomStreams(cores, accesses, regions, 40, seed)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(perCore[i])
-	}
-	sys, err := NewSystem(cfg, streams)
+	perCore := workloads.RandomRecords(cores, accesses, regions, 40, seed)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +91,8 @@ func TestRandomStressWithContention(t *testing.T) {
 				cfg := testConfig(p, 4)
 				cfg.Noc.ModelContention = contention
 				cfg.MaxEvents = 5_000_000
-				perCore := randomStreams(4, 1500, 8, 40, 42)
-				streams := make([]trace.Stream, 4)
-				for i := range streams {
-					streams[i] = trace.NewSliceStream(perCore[i])
-				}
-				sys, err := NewSystem(cfg, streams)
+				perCore := workloads.RandomRecords(4, 1500, 8, 40, 42)
+				sys, err := NewSystem(cfg, perCore)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,12 +124,8 @@ func TestRandomStressWithBlockMerging(t *testing.T) {
 			cfg := testConfig(p, 4)
 			cfg.MergeL1Blocks = true
 			cfg.MaxEvents = 5_000_000
-			perCore := randomStreams(4, 1500, 8, 40, 19)
-			streams := make([]trace.Stream, 4)
-			for i := range streams {
-				streams[i] = trace.NewSliceStream(perCore[i])
-			}
-			sys, err := NewSystem(cfg, streams)
+			perCore := workloads.RandomRecords(4, 1500, 8, 40, 19)
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 
 	"protozoa/internal/mem"
 	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 // regAddr is the base address of the i-th 64-byte region.
@@ -41,11 +42,11 @@ func TestThreeHopValueCorrect(t *testing.T) {
 	for _, p := range AllProtocols {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := threeHopCfg(p, 2)
-			streams := []trace.Stream{
-				trace.NewSliceStream([]trace.Access{{Kind: trace.Barrier}, ld(0x1000)}),
-				trace.NewSliceStream([]trace.Access{st(0x1000), {Kind: trace.Barrier}}),
+			perCore := [][]trace.Access{
+				{{Kind: trace.Barrier}, ld(0x1000)},
+				{st(0x1000), {Kind: trace.Barrier}},
 			}
-			sys, err := NewSystem(cfg, streams)
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,12 +138,8 @@ func TestThreeHopStress(t *testing.T) {
 			cfg := testConfig(p, 4)
 			cfg.ThreeHop = true
 			cfg.MaxEvents = 5_000_000
-			perCore := randomStreams(4, 1500, 8, 40, 77)
-			streams := make([]trace.Stream, 4)
-			for i := range streams {
-				streams[i] = trace.NewSliceStream(perCore[i])
-			}
-			sys, err := NewSystem(cfg, streams)
+			perCore := workloads.RandomRecords(4, 1500, 8, 40, 77)
+			sys, err := NewSystem(cfg, perCore)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,16 +4,12 @@ import (
 	"testing"
 
 	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 func TestTimelineSampling(t *testing.T) {
 	cfg := testConfig(MESI, 2)
-	perCore := randomStreams(2, 500, 8, 40, 11)
-	streams := []trace.Stream{
-		trace.NewSliceStream(perCore[0]),
-		trace.NewSliceStream(perCore[1]),
-	}
-	sys, err := NewSystem(cfg, streams)
+	sys, err := NewSystem(cfg, workloads.RandomRecords(2, 500, 8, 40, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +46,7 @@ func TestTimelineWarmupVisible(t *testing.T) {
 			recs = append(recs, ld(regAddr(r)))
 		}
 	}
-	sys, err := NewSystem(cfg, []trace.Stream{trace.NewSliceStream(recs)})
+	sys, err := NewSystem(cfg, [][]trace.Access{recs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,12 +16,9 @@ import (
 
 func execCycles(t *testing.T, cfg Config, recs []trace.Access) engine.Cycle {
 	t.Helper()
-	streams := make([]trace.Stream, cfg.Cores)
-	streams[0] = trace.NewSliceStream(recs)
-	for i := 1; i < cfg.Cores; i++ {
-		streams[i] = trace.NewSliceStream(nil)
-	}
-	sys, err := NewSystem(cfg, streams)
+	perCore := make([][]trace.Access, cfg.Cores)
+	perCore[0] = recs
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +97,9 @@ func TestTimingGatherPenalty(t *testing.T) {
 		}
 		owner = append(owner, trace.Access{Kind: trace.Barrier})
 		reader := []trace.Access{{Kind: trace.Barrier}, st(regAddr(2))}
-		sys, err := NewSystem(cfg, []trace.Stream{
-			trace.NewSliceStream(reader),
-			trace.NewSliceStream(owner),
+		sys, err := NewSystem(cfg, [][]trace.Access{
+			reader,
+			owner,
 		})
 		if err != nil {
 			t.Fatal(err)

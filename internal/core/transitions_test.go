@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"protozoa/internal/obs/flight"
-	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 // collectTransitions runs random traffic with the transition audit on,
@@ -22,12 +22,8 @@ func collectTransitions(t *testing.T, p Protocol, seed uint64, flightCap int) *S
 	cfg.L1Sets = 2
 	cfg.L1SetBudget = 144
 	cfg.MaxEvents = 5_000_000
-	perCore := randomStreams(4, 2000, 10, 40, seed)
-	streams := make([]trace.Stream, 4)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(perCore[i])
-	}
-	sys, err := NewSystem(cfg, streams)
+	perCore := workloads.RandomRecords(4, 2000, 10, 40, seed)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"protozoa/internal/trace"
+	"protozoa/internal/workloads"
 )
 
 // The golden tests below pin the two derived observability views — the
@@ -44,12 +44,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 func TestChromeTraceViewGolden(t *testing.T) {
 	cfg := testConfig(ProtozoaMW, 4)
 	cfg.Noc.ModelContention = true
-	perCore := randomStreams(4, 60, 6, 40, 21)
-	streams := make([]trace.Stream, 4)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(perCore[i])
-	}
-	sys, err := NewSystem(cfg, streams)
+	perCore := workloads.RandomRecords(4, 60, 6, 40, 21)
+	sys, err := NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +73,8 @@ func TestLatencyViewGolden(t *testing.T) {
 		cfg := testConfig(p, 4)
 		cfg.ThreeHop = true
 		cfg.L2RegionsPerTile = 4
-		perCore := randomStreams(4, 800, 10, 40, 13)
-		streams := make([]trace.Stream, 4)
-		for i := range streams {
-			streams[i] = trace.NewSliceStream(perCore[i])
-		}
-		sys, err := NewSystem(cfg, streams)
+		perCore := workloads.RandomRecords(4, 800, 10, 40, 13)
+		sys, err := NewSystem(cfg, perCore)
 		if err != nil {
 			t.Fatal(err)
 		}

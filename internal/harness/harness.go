@@ -27,7 +27,7 @@ type Options struct {
 	Scale     int      // workload iteration multiplier
 	Workloads []string // nil = the full suite
 	MaxEvents uint64   // watchdog; 0 = derived from workload size
-	TraceSeed uint64   // trace-randomization seed (0 = canonical streams)
+	TraceSeed uint64   // trace-randomization seed (0 = canonical records)
 
 	// Jobs bounds how many matrix cells Collect/CollectTable1 simulate
 	// concurrently (<=0 = GOMAXPROCS). Results are identical at any
@@ -105,8 +105,8 @@ func gridCell(c runner.Cell, inputs *runner.Inputs, cfg core.Config, cfgErr erro
 		NeedAttrib:  c.NeedAttrib,
 		NeedLatency: c.NeedLatency,
 	}.Key()
-	streams := inputs.Claim(spec, o.cores(), o.Scale, o.TraceSeed)
-	c.Build = func() (*core.System, error) { return core.NewSystem(cfg, streams()) }
+	recs := inputs.Claim(spec, o.cores(), o.Scale, o.TraceSeed)
+	c.Build = func() (*core.System, error) { return core.NewSystem(cfg, recs()) }
 	return c
 }
 
@@ -120,7 +120,7 @@ func Run(workload string, p core.Protocol, o Options) (*stats.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.NewSystem(cfg, spec.StreamsSeeded(o.cores(), o.Scale, o.TraceSeed))
+	sys, err := core.NewSystem(cfg, spec.Records(o.cores(), o.Scale, o.TraceSeed))
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 func freshRun(t *testing.T, workload string, cfg core.Config, o Options) *core.System {
 	t.Helper()
 	spec := workloads.MustGet(workload)
-	sys, err := core.NewSystem(cfg, spec.StreamsSeeded(o.cores(), o.Scale, o.TraceSeed))
+	sys, err := core.NewSystem(cfg, spec.Records(o.cores(), o.Scale, o.TraceSeed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,8 +131,8 @@ func verifyProtocol(p core.Protocol, cores int) (loads, checks int, err error) {
 	if err := runner.ConfigureCores(&cfg, cores); err != nil {
 		return 0, 0, fmt.Errorf("harness: %w", err)
 	}
-	streams := make([]trace.Stream, cores)
-	for c := 0; c < cores; c++ {
+	perCore := make([][]trace.Access, cores)
+	for c := range perCore {
 		rng := trace.NewRNG(uint64(4242 + c))
 		recs := make([]trace.Access, 0, 1000)
 		for i := 0; i < 1000; i++ {
@@ -149,9 +149,9 @@ func verifyProtocol(p core.Protocol, cores int) (loads, checks int, err error) {
 				PC:   uint64(0x400 + rng.Intn(8)*4),
 			})
 		}
-		streams[c] = trace.NewSliceStream(recs)
+		perCore[c] = recs
 	}
-	sys, err := core.NewSystem(cfg, streams)
+	sys, err := core.NewSystem(cfg, perCore)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -5,6 +5,7 @@ package harness
 // access sequence with the same sharing/locality signature.
 
 import (
+	"reflect"
 	"testing"
 
 	"protozoa/internal/core"
@@ -13,20 +14,14 @@ import (
 
 func TestSeededStreamsDiffer(t *testing.T) {
 	spec := workloads.MustGet("canneal")
-	a := spec.StreamsSeeded(2, 1, 0)
-	b := spec.StreamsSeeded(2, 1, 1)
-	sameCount, total := 0, 0
-	for {
-		ra, okA := a[0].Next()
-		rb, okB := b[0].Next()
-		if okA != okB {
-			t.Fatal("seeded streams have different lengths")
-		}
-		if !okA {
-			break
-		}
-		total++
-		if ra.Addr == rb.Addr {
+	a := spec.Records(2, 1, 0)[0]
+	b := spec.Records(2, 1, 1)[0]
+	if len(a) != len(b) {
+		t.Fatal("seeded records have different lengths")
+	}
+	sameCount, total := 0, len(a)
+	for i := range a {
+		if a[i].Addr == b[i].Addr {
 			sameCount++
 		}
 	}
@@ -35,19 +30,17 @@ func TestSeededStreamsDiffer(t *testing.T) {
 	}
 }
 
+// TestSeedZeroIsCanonical checks that seed 0, the trace sim and trace
+// -dump replay, is one fixed trace, and that StreamsSeeded (kept for
+// perfbench) gives the same records as Records.
 func TestSeedZeroIsCanonical(t *testing.T) {
 	spec := workloads.MustGet("barnes")
-	a := spec.Streams(2, 1)
-	b := spec.StreamsSeeded(2, 1, 0)
-	for {
-		ra, okA := a[0].Next()
-		rb, okB := b[0].Next()
-		if okA != okB || ra != rb {
-			t.Fatal("StreamsSeeded(.., 0) diverges from Streams")
-		}
-		if !okA {
-			return
-		}
+	a := spec.Records(2, 1, 0)
+	if !reflect.DeepEqual(a, spec.Records(2, 1, 0)) {
+		t.Fatal("Records(.., 0) differs between two generations")
+	}
+	if !reflect.DeepEqual(a, spec.StreamsSeeded(2, 1, 0)) {
+		t.Fatal("StreamsSeeded(.., 0) diverges from Records(.., 0)")
 	}
 }
 

@@ -81,7 +81,7 @@ func (g Grid) Cells() ([]Cell, error) {
 						return nil, err
 					}
 					set(&cfg)
-					streams := inputs.Claim(spec, g.Cores, g.Scale, g.TraceSeed)
+					recs := inputs.Claim(spec, g.Cores, g.Scale, g.TraceSeed)
 					cells = append(cells, Cell{
 						Label:    fmt.Sprintf("%s/%s/%s/r%d", spec.Name, p, knob, rb),
 						Workload: spec.Name,
@@ -99,7 +99,7 @@ func (g Grid) Cells() ([]Cell, error) {
 						}.Key(),
 						NeedAttrib: true,
 						Build: func() (*core.System, error) {
-							return core.NewSystem(cfg, streams())
+							return core.NewSystem(cfg, recs())
 						},
 					})
 				}

@@ -11,11 +11,11 @@ import (
 // Inputs shares workload inputs across the cells of one grid call.
 // Every cell of a workload — each protocol, knob, region and block
 // size — replays the same records, so the grid generates them once per
-// (workload, cores, scale, seed) and hands each cell its own
-// trace.SliceStream cursors over the shared, read-only records.
+// (workload, cores, scale, seed) and hands every cell the same
+// records; a machine only reads them.
 //
 // A grid claims an input once per cell while it expands its cells and
-// each cell takes its streams once, inside Build. The first cell to
+// each cell takes its records once, inside Build. The first cell to
 // take a key generates its records while concurrent takers wait; the
 // last claimed take drops the key, so the records live only as long as
 // the machines replaying them. Cells run workload-major, so the memo
@@ -44,8 +44,8 @@ type inputEntry struct {
 
 // Claim registers one cell that will build from the spec's records at
 // the given size and seed, and returns the function that cell's Build
-// calls, exactly once, for its streams.
-func (in *Inputs) Claim(spec workloads.Spec, cores, scale int, seed uint64) func() []trace.Stream {
+// calls, exactly once, for its records.
+func (in *Inputs) Claim(spec workloads.Spec, cores, scale int, seed uint64) func() [][]trace.Access {
 	k := inputKey{workload: spec.Name, cores: cores, scale: scale, seed: seed}
 	in.mu.Lock()
 	if in.entries == nil {
@@ -58,12 +58,12 @@ func (in *Inputs) Claim(spec workloads.Spec, cores, scale int, seed uint64) func
 	}
 	e.claims++
 	in.mu.Unlock()
-	return func() []trace.Stream { return in.take(spec, k) }
+	return func() [][]trace.Access { return in.take(spec, k) }
 }
 
-// take returns fresh cursors over k's records, generating them on the
-// first take and dropping the key on the last.
-func (in *Inputs) take(spec workloads.Spec, k inputKey) []trace.Stream {
+// take returns k's shared records, generating them on the first take
+// and dropping the key on the last.
+func (in *Inputs) take(spec workloads.Spec, k inputKey) [][]trace.Access {
 	in.mu.Lock()
 	e := in.entries[k]
 	if e == nil {
@@ -88,5 +88,5 @@ func (in *Inputs) take(spec workloads.Spec, k inputKey) []trace.Stream {
 	} else {
 		<-e.ready
 	}
-	return trace.NewSliceStreams(e.recs)
+	return e.recs
 }

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"protozoa/internal/core"
+	"protozoa/internal/stats"
 	"protozoa/internal/trace"
 	"protozoa/internal/workloads"
 )
@@ -22,15 +24,6 @@ func countingInputs() (*Inputs, *sync.Map) {
 	return in, &calls
 }
 
-// drain reads a stream to its end.
-func drain(s trace.Stream) []trace.Access {
-	var out []trace.Access
-	for a, ok := s.Next(); ok; a, ok = s.Next() {
-		out = append(out, a)
-	}
-	return out
-}
-
 // TestInputsGenerateOncePerKey takes every claim of two workloads from
 // its own goroutine at once: each key is generated exactly once, every
 // taker gets the same records, and the memo ends empty.
@@ -38,13 +31,13 @@ func TestInputsGenerateOncePerKey(t *testing.T) {
 	const cores, scale, seed, perKey = 4, 1, 7, 8
 	in, calls := countingInputs()
 	specs := []workloads.Spec{workloads.MustGet("histogram"), workloads.MustGet("fft")}
-	var takes []func() []trace.Stream
+	var takes []func() [][]trace.Access
 	for _, spec := range specs {
 		for i := 0; i < perKey; i++ {
 			takes = append(takes, in.Claim(spec, cores, scale, seed))
 		}
 	}
-	got := make([][]trace.Stream, len(takes))
+	got := make([][][]trace.Access, len(takes))
 	var wg sync.WaitGroup
 	for i, take := range takes {
 		wg.Add(1)
@@ -61,16 +54,10 @@ func TestInputsGenerateOncePerKey(t *testing.T) {
 			t.Errorf("%s generated %v times, want 1", spec.Name, n)
 		}
 	}
-	for i, streams := range got {
+	for i, recs := range got {
 		spec := specs[i/perKey]
-		want := spec.StreamsSeeded(cores, scale, seed)
-		if len(streams) != cores {
-			t.Fatalf("take %d: %d streams, want %d", i, len(streams), cores)
-		}
-		for c := range streams {
-			if !reflect.DeepEqual(drain(streams[c]), drain(want[c])) {
-				t.Errorf("take %d core %d: records differ from StreamsSeeded", i, c)
-			}
+		if !reflect.DeepEqual(recs, spec.Records(cores, scale, seed)) {
+			t.Errorf("take %d: records differ from Records", i)
 		}
 	}
 	if n := len(in.entries); n != 0 {
@@ -78,22 +65,84 @@ func TestInputsGenerateOncePerKey(t *testing.T) {
 	}
 }
 
-// TestInputsCursorsAreIndependent checks that two cells of one key
-// read their streams without moving each other's position.
-func TestInputsCursorsAreIndependent(t *testing.T) {
+// TestMachinesShareRecords checks the contract that lets the cells of
+// one key share their records: a machine only reads its input. Every
+// take of a key is the same records, not a copy; a MESI and a
+// Protozoa-MW machine replay them one after the other and then
+// concurrently (under -race, any write shows), the records still equal
+// a copy taken before the runs, and each machine's stats equal those of
+// a machine built from freshly generated records.
+func TestMachinesShareRecords(t *testing.T) {
+	const cores, scale, seed = 4, 1, 3
 	spec := workloads.MustGet("histogram")
+	protocols := []core.Protocol{core.MESI, core.ProtozoaMW}
+	run := func(p core.Protocol, recs [][]trace.Access) *stats.Stats {
+		cfg := core.DefaultConfig(p)
+		if err := ConfigureCores(&cfg, cores); err != nil {
+			t.Error(err)
+			return nil
+		}
+		sys, err := core.NewSystem(cfg, recs)
+		if err == nil {
+			err = sys.Run()
+		}
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			return nil
+		}
+		return sys.Stats()
+	}
+	fresh := make(map[core.Protocol]*stats.Stats)
+	for _, p := range protocols {
+		fresh[p] = run(p, spec.Records(cores, scale, seed))
+	}
+
 	var in Inputs
-	a, b := in.Claim(spec, 2, 1, 0), in.Claim(spec, 2, 1, 0)
-	sa, sb := a(), b()
-	all := drain(sa[0])
-	if len(all) < 2 {
-		t.Fatalf("core 0 stream has %d records", len(all))
+	takes := make([]func() [][]trace.Access, 2*len(protocols))
+	for i := range takes {
+		takes[i] = in.Claim(spec, cores, scale, seed)
 	}
-	if first, _ := sb[0].Next(); first != all[0] {
-		t.Errorf("second cursor starts at %+v after the first drained, want %+v", first, all[0])
+	shared := takes[0]()
+	before := make([][]trace.Access, len(shared))
+	for c := range shared {
+		before[c] = append([]trace.Access(nil), shared[c]...)
 	}
-	if rest := drain(sb[0]); !reflect.DeepEqual(rest, all[1:]) {
-		t.Error("second cursor's records differ from the first's")
+	check := func(phase string, p core.Protocol, got *stats.Stats) {
+		if got != nil && !reflect.DeepEqual(got, fresh[p]) {
+			t.Errorf("%s %s: stats differ from a fresh-input build", phase, p)
+		}
+	}
+
+	for i, p := range protocols {
+		recs := shared
+		if i > 0 {
+			recs = takes[i]()
+		}
+		if &recs[0][0] != &shared[0][0] {
+			t.Fatalf("take %d copied the records", i)
+		}
+		check("sequential", p, run(p, recs))
+	}
+	if !reflect.DeepEqual(shared, before) {
+		t.Fatal("sequential runs wrote the shared records")
+	}
+
+	got := make([]*stats.Stats, len(protocols))
+	var wg sync.WaitGroup
+	for i, p := range protocols {
+		recs := takes[len(protocols)+i]()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(p, recs)
+		}()
+	}
+	wg.Wait()
+	for i, p := range protocols {
+		check("concurrent", p, got[i])
+	}
+	if !reflect.DeepEqual(shared, before) {
+		t.Error("concurrent runs wrote the shared records")
 	}
 }
 
@@ -103,7 +152,7 @@ func TestInputsCursorsAreIndependent(t *testing.T) {
 func TestInputsDropAfterLastTake(t *testing.T) {
 	spec := workloads.MustGet("fft")
 	in, calls := countingInputs()
-	takes := []func() []trace.Stream{
+	takes := []func() [][]trace.Access{
 		in.Claim(spec, 2, 1, 0), in.Claim(spec, 2, 1, 0), in.Claim(spec, 2, 1, 0),
 	}
 	other := in.Claim(spec, 2, 1, 1) // another seed is another key

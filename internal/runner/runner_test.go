@@ -85,7 +85,7 @@ func TestFailedCellKeepsOtherResults(t *testing.T) {
 		if err := ConfigureCores(&cfg, 4); err != nil {
 			return nil, err
 		}
-		return core.NewSystem(cfg, spec.Streams(4, 1))
+		return core.NewSystem(cfg, spec.Records(4, 1, 0))
 	}
 
 	var progress bytes.Buffer

@@ -162,16 +162,3 @@ func ReadTraces(r io.Reader) ([][]Access, error) {
 	}
 	return out, nil
 }
-
-// ReadStreams is ReadTraces adapted to the Stream interface.
-func ReadStreams(r io.Reader) ([]Stream, error) {
-	perCore, err := ReadTraces(r)
-	if err != nil {
-		return nil, err
-	}
-	streams := make([]Stream, len(perCore))
-	for i, recs := range perCore {
-		streams[i] = NewSliceStream(recs)
-	}
-	return streams, nil
-}

@@ -108,22 +108,6 @@ func TestFileRejectsImplausibleCoreCount(t *testing.T) {
 	}
 }
 
-func TestReadStreams(t *testing.T) {
-	perCore := [][]Access{{{Kind: Load, Addr: 8, PC: 1}}}
-	var buf bytes.Buffer
-	if err := WriteTraces(&buf, perCore); err != nil {
-		t.Fatal(err)
-	}
-	streams, err := ReadStreams(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, ok := streams[0].Next()
-	if !ok || a.Addr != 8 {
-		t.Fatalf("stream record = %+v, %v", a, ok)
-	}
-}
-
 func TestQuickFileRoundTrip(t *testing.T) {
 	f := func(seed uint64, nCores uint8) bool {
 		rng := NewRNG(seed)

@@ -1,9 +1,11 @@
-// Package trace defines the memory-reference streams the simulated
+// Package trace defines the memory-reference records the simulated
 // cores execute. It replaces the paper's Pin-based trace front end:
 // instead of tracing real binaries, workload generators produce
-// deterministic per-core streams of loads, stores, and barriers that
-// reproduce the sharing and spatial-locality signatures of the paper's
-// benchmark suite (see internal/workloads).
+// deterministic per-core record slices of loads, stores, and barriers
+// that reproduce the sharing and spatial-locality signatures of the
+// paper's benchmark suite (see internal/workloads). A machine replays
+// element c of a [][]Access on core c and never writes it, so any
+// number of machines may share one input.
 package trace
 
 import "protozoa/internal/mem"
@@ -39,51 +41,6 @@ type Access struct {
 	Think uint16   // non-memory instructions retired before this record
 	Kind  Kind
 }
-
-// Stream produces a core's accesses lazily. Implementations must be
-// deterministic: two iterations of the same workload yield identical
-// streams.
-type Stream interface {
-	// Next returns the next access; ok is false when the stream ends.
-	Next() (a Access, ok bool)
-}
-
-// SliceStream adapts a materialized access slice to a Stream. It only
-// reads recs, so any number of SliceStreams may share one slice — the
-// sweep grid hands every cell of a workload its own cursor over the
-// same records — and no stream ever writes them.
-type SliceStream struct {
-	recs []Access
-	pos  int
-}
-
-// NewSliceStream wraps recs, which the stream never writes.
-func NewSliceStream(recs []Access) *SliceStream { return &SliceStream{recs: recs} }
-
-// NewSliceStreams returns a fresh cursor over each core's records.
-func NewSliceStreams(recs [][]Access) []Stream {
-	streams := make([]Stream, len(recs))
-	for i := range recs {
-		streams[i] = NewSliceStream(recs[i])
-	}
-	return streams
-}
-
-// Next implements Stream.
-func (s *SliceStream) Next() (Access, bool) {
-	if s.pos >= len(s.recs) {
-		return Access{}, false
-	}
-	a := s.recs[s.pos]
-	s.pos++
-	return a, true
-}
-
-// FuncStream adapts a generator function to a Stream.
-type FuncStream func() (Access, bool)
-
-// Next implements Stream.
-func (f FuncStream) Next() (Access, bool) { return f() }
 
 // RNG is a splitmix64 pseudo-random generator: tiny, fast, and
 // deterministic across platforms, so every workload stream is exactly

@@ -5,56 +5,11 @@ import (
 	"unsafe"
 )
 
-// TestAccessSize pins the record at 24 bytes: materialized streams hold
-// every record of a run, and SliceStream.Next copies one per access.
+// TestAccessSize pins the record at 24 bytes: an input holds every
+// record of a run, and a core copies one per access.
 func TestAccessSize(t *testing.T) {
 	if n := unsafe.Sizeof(Access{}); n != 24 {
 		t.Errorf("trace.Access is %d bytes, want 24", n)
-	}
-}
-
-func TestSliceStream(t *testing.T) {
-	recs := []Access{
-		{Kind: Load, Addr: 0x100},
-		{Kind: Store, Addr: 0x108},
-		{Kind: Barrier},
-	}
-	s := NewSliceStream(recs)
-	for i := range recs {
-		a, ok := s.Next()
-		if !ok {
-			t.Fatalf("stream ended early at %d", i)
-		}
-		if a != recs[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, a, recs[i])
-		}
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("stream did not end")
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("exhausted stream restarted")
-	}
-}
-
-func TestFuncStream(t *testing.T) {
-	n := 0
-	s := FuncStream(func() (Access, bool) {
-		if n >= 2 {
-			return Access{}, false
-		}
-		n++
-		return Access{Kind: Load, Addr: 8}, true
-	})
-	count := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		count++
-	}
-	if count != 2 {
-		t.Fatalf("count = %d, want 2", count)
 	}
 }
 

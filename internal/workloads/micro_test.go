@@ -37,13 +37,9 @@ func TestMicrosExcludedFromPaperSuite(t *testing.T) {
 }
 
 func TestAtomicCounterIsAllRMW(t *testing.T) {
-	streams := MustGet("micro-atomic-counter").Streams(4, 1)
-	for c, s := range streams {
-		for {
-			a, ok := s.Next()
-			if !ok {
-				break
-			}
+	perCore := MustGet("micro-atomic-counter").Records(4, 1, 0)
+	for c, s := range perCore {
+		for _, a := range s {
 			if a.Kind != trace.RMW {
 				t.Fatalf("core %d: non-RMW record %+v", c, a)
 			}
@@ -55,8 +51,8 @@ func TestAtomicCounterIsAllRMW(t *testing.T) {
 }
 
 func TestTicketLockShape(t *testing.T) {
-	streams := MustGet("micro-ticket-lock").Streams(2, 1)
-	recs := drain(streams[0])
+	perCore := MustGet("micro-ticket-lock").Records(2, 1, 0)
+	recs := perCore[0]
 	rmws, loads, stores := 0, 0, 0
 	for _, a := range recs {
 		switch a.Kind {
@@ -76,11 +72,7 @@ func TestTicketLockShape(t *testing.T) {
 }
 
 func TestBarrierSkewShape(t *testing.T) {
-	streams := MustGet("micro-barrier-skew").Streams(4, 1)
-	recs := make([][]trace.Access, len(streams))
-	for c := range streams {
-		recs[c] = drain(streams[c])
-	}
+	recs := MustGet("micro-barrier-skew").Records(4, 1, 0)
 	// Every core sees the same number of barriers (one per phase).
 	barriers := 0
 	for _, a := range recs[0] {
@@ -127,10 +119,10 @@ func TestBarrierSkewShape(t *testing.T) {
 }
 
 func TestProducerConsumerPairsDisjoint(t *testing.T) {
-	streams := MustGet("micro-producer-consumer").Streams(4, 1)
+	perCore := MustGet("micro-producer-consumer").Records(4, 1, 0)
 	// Pair 0 (cores 0,1) and pair 1 (cores 2,3) must not share regions.
-	r0 := regionsOf(drain(streams[0]))
-	r2 := regionsOf(drain(streams[2]))
+	r0 := regionsOf(perCore[0])
+	r2 := regionsOf(perCore[2])
 	for r := range r0 {
 		if r2[r] {
 			t.Fatalf("pairs share region %d", r)

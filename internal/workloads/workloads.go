@@ -4,11 +4,11 @@
 // suite — each reproducing the sharing and spatial-locality signature
 // the paper reports for its namesake (Table 1 and Section 4). They
 // replace the Pin-traced real binaries of the paper's methodology:
-// Protozoa's results depend only on the access streams' locality and
+// Protozoa's results depend only on the access records' locality and
 // sharing granularity, which these generators control directly.
 //
 // Every generator is a pure function of (cores, scale, workload name):
-// two runs produce byte-identical streams, so experiments are exactly
+// two runs produce byte-identical records, so experiments are exactly
 // reproducible. Records relies on it to size each input before filling
 // it.
 package workloads
@@ -72,28 +72,21 @@ func All() []Spec {
 	return out
 }
 
-// Streams materializes the per-core access streams. scale multiplies
-// the iteration counts (scale 1 is a quick run, the harness uses
-// larger scales for figures).
-func (s Spec) Streams(cores, scale int) []trace.Stream {
-	return s.StreamsSeeded(cores, scale, 0)
+// StreamsSeeded is Records under its older name, kept because
+// perfbench calls it.
+func (s Spec) StreamsSeeded(cores, scale int, seed uint64) [][]trace.Access {
+	return s.Records(cores, scale, seed)
 }
 
-// StreamsSeeded materializes the streams with a trace-randomization
-// seed: the same sharing/locality signature, a different concrete
-// access sequence. Seed 0 is the canonical trace (identical to
-// Streams); sweeping seeds gives run-to-run robustness intervals for
-// the figures. It is the one generator: each stream is a cursor over
-// the per-core records Records returns, which it never writes.
-func (s Spec) StreamsSeeded(cores, scale int, seed uint64) []trace.Stream {
-	return trace.NewSliceStreams(s.Records(cores, scale, seed))
-}
-
-// Records generates the per-core access records StreamsSeeded wraps:
-// element c is core c's whole stream. Callers that build several
-// machines from one input (the sweep grid) share the result and give
-// each machine its own SliceStream cursors; nothing writes the records
-// after Records returns.
+// Records generates the per-core access records: element c is core c's
+// whole trace. scale multiplies the iteration counts (scale 1 is a
+// quick run, the harness uses larger scales for figures). seed
+// randomizes the trace: the same sharing/locality signature, a
+// different concrete access sequence; seed 0 is the canonical trace,
+// and sweeping seeds gives run-to-run robustness intervals for the
+// figures. Machines only read their records, so callers that build
+// several machines from one input (the sweep grid) share the result;
+// nothing writes the records after Records returns.
 //
 // The generator runs twice through one builder: a count pass that only
 // tallies each core's records, then a fill pass that appends them into
@@ -127,6 +120,29 @@ func (s Spec) Records(cores, scale int, seed uint64) [][]trace.Access {
 	return b.recs
 }
 
+// RandomRecords is the random tester's input (Section 3.6): accesses
+// records per core, each a load or (storePct percent of the time) a
+// store to a random word of the first regions 64-byte regions, from one
+// of eight PCs. A small region pool makes the cores collide constantly.
+// Core c draws from its own generator, seeded seed*1000+c.
+func RandomRecords(cores, accesses, regions, storePct int, seed uint64) [][]trace.Access {
+	out := make([][]trace.Access, cores)
+	for c := range out {
+		rng := trace.NewRNG(seed*1000 + uint64(c))
+		recs := make([]trace.Access, 0, accesses)
+		for i := 0; i < accesses; i++ {
+			addr := mem.Addr(rng.Intn(regions)*64 + rng.Intn(8)*8)
+			kind := trace.Load
+			if rng.Intn(100) < storePct {
+				kind = trace.Store
+			}
+			recs = append(recs, trace.Access{Kind: kind, Addr: addr, PC: uint64(0x400 + rng.Intn(8)*4)})
+		}
+		out[c] = recs
+	}
+	return out
+}
+
 // builder collects per-core records with per-site PCs. While recs is
 // nil it is in its count pass and add only tallies counts; once
 // Records hands it the slab, add appends.
@@ -140,7 +156,7 @@ type builder struct {
 
 // rng derives a deterministic generator from the workload-specific
 // salt, the core, and the trace seed (seed 0 reproduces the canonical
-// streams bit for bit).
+// records bit for bit).
 func (b *builder) rng(salt, core int) *trace.RNG {
 	return trace.NewRNG(uint64(salt+core) + b.seed*0x9E3779B9)
 }

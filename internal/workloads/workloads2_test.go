@@ -19,10 +19,10 @@ func TestSecondHalfRegistered(t *testing.T) {
 }
 
 func TestTradebeansIsPrivate(t *testing.T) {
-	streams := MustGet("tradebeans").Streams(4, 1)
+	perCore := MustGet("tradebeans").Records(4, 1, 0)
 	seen := make(map[mem.RegionID]int)
-	for c, s := range streams {
-		for r := range regionsOf(drain(s)) {
+	for c, s := range perCore {
+		for r := range regionsOf(s) {
 			if prev, ok := seen[r]; ok && prev != c {
 				t.Fatalf("region %d touched by cores %d and %d", r, prev, c)
 			}
@@ -33,11 +33,11 @@ func TestTradebeansIsPrivate(t *testing.T) {
 
 func TestRadixScattersAcrossCores(t *testing.T) {
 	// The output array must have regions written by multiple cores.
-	streams := MustGet("radix").Streams(4, 1)
+	perCore := MustGet("radix").Records(4, 1, 0)
 	g := mem.DefaultGeometry
 	writers := make(map[mem.RegionID]map[int]bool)
-	for c, s := range streams {
-		for _, r := range drain(s) {
+	for c, s := range perCore {
+		for _, r := range s {
 			if r.Kind != trace.Store {
 				continue
 			}
@@ -60,9 +60,9 @@ func TestRadixScattersAcrossCores(t *testing.T) {
 }
 
 func TestX264SharesReferenceFrame(t *testing.T) {
-	streams := MustGet("x264").Streams(4, 1)
-	r0 := regionsOf(drain(streams[0]))
-	r1 := regionsOf(drain(streams[1]))
+	perCore := MustGet("x264").Records(4, 1, 0)
+	r0 := regionsOf(perCore[0])
+	r1 := regionsOf(perCore[1])
 	shared := 0
 	for r := range r0 {
 		if r1[r] {
@@ -76,16 +76,16 @@ func TestX264SharesReferenceFrame(t *testing.T) {
 
 func TestOceanReadsNeighbourHalo(t *testing.T) {
 	// Core 0 must read at least one region that core 1 writes.
-	streams := MustGet("ocean").Streams(4, 1)
+	perCore := MustGet("ocean").Records(4, 1, 0)
 	g := mem.DefaultGeometry
 	c1writes := make(map[mem.RegionID]bool)
-	for _, r := range drain(streams[1]) {
+	for _, r := range perCore[1] {
 		if r.Kind == trace.Store {
 			c1writes[g.Region(r.Addr)] = true
 		}
 	}
 	overlap := false
-	for _, r := range drain(streams[0]) {
+	for _, r := range perCore[0] {
 		if r.Kind == trace.Load && c1writes[g.Region(r.Addr)] {
 			overlap = true
 			break
@@ -98,11 +98,11 @@ func TestOceanReadsNeighbourHalo(t *testing.T) {
 
 func TestBarrierPhasedWorkloadsBalanced(t *testing.T) {
 	for _, name := range []string{"lu", "ocean", "parkd"} {
-		streams := MustGet(name).Streams(4, 1)
+		perCore := MustGet(name).Records(4, 1, 0)
 		var counts []int
-		for _, s := range streams {
+		for _, s := range perCore {
 			n := 0
-			for _, r := range drain(s) {
+			for _, r := range s {
 				if r.Kind == trace.Barrier {
 					n++
 				}
@@ -119,11 +119,11 @@ func TestBarrierPhasedWorkloadsBalanced(t *testing.T) {
 
 func TestH2HeaderFalseSharing(t *testing.T) {
 	// Header words of different cores must pack into common regions.
-	streams := MustGet("h2").Streams(8, 1)
+	perCore := MustGet("h2").Records(8, 1, 0)
 	g := mem.DefaultGeometry
 	writers := make(map[mem.RegionID]map[int]bool)
-	for c, s := range streams {
-		for _, r := range drain(s) {
+	for c, s := range perCore {
+		for _, r := range s {
 			if r.Kind != trace.Store {
 				continue
 			}

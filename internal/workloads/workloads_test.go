@@ -7,17 +7,6 @@ import (
 	"protozoa/internal/trace"
 )
 
-func drain(s trace.Stream) []trace.Access {
-	var out []trace.Access
-	for {
-		a, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, a)
-	}
-}
-
 func TestRegistryComplete(t *testing.T) {
 	names := Names()
 	if len(names) != 28 {
@@ -52,10 +41,10 @@ func TestAllMatchesNames(t *testing.T) {
 
 func TestStreamsDeterministic(t *testing.T) {
 	for _, spec := range All() {
-		a := spec.Streams(4, 1)
-		b := spec.Streams(4, 1)
+		a := spec.Records(4, 1, 0)
+		b := spec.Records(4, 1, 0)
 		for c := 0; c < 4; c++ {
-			ra, rb := drain(a[c]), drain(b[c])
+			ra, rb := a[c], b[c]
 			if len(ra) != len(rb) {
 				t.Fatalf("%s core %d: lengths differ %d vs %d", spec.Name, c, len(ra), len(rb))
 			}
@@ -70,9 +59,8 @@ func TestStreamsDeterministic(t *testing.T) {
 
 func TestStreamsNonEmptyAndAligned(t *testing.T) {
 	for _, spec := range All() {
-		streams := spec.Streams(4, 1)
-		for c, s := range streams {
-			recs := drain(s)
+		perCore := spec.Records(4, 1, 0)
+		for c, recs := range perCore {
 			if len(recs) == 0 {
 				t.Errorf("%s core %d: empty stream", spec.Name, c)
 				continue
@@ -94,15 +82,15 @@ func TestStreamsNonEmptyAndAligned(t *testing.T) {
 
 func TestScaleGrowsStreams(t *testing.T) {
 	for _, spec := range All() {
-		n1 := len(drain(spec.Streams(2, 1)[0]))
-		n3 := len(drain(spec.Streams(2, 3)[0]))
+		n1 := len(spec.Records(2, 1, 0)[0])
+		n3 := len(spec.Records(2, 3, 0)[0])
 		if n3 < 2*n1 {
 			t.Errorf("%s: scale 3 stream (%d) not ~3x scale 1 (%d)", spec.Name, n3, n1)
 		}
 	}
 	// Scale below 1 clamps.
-	n0 := len(drain(MustGet("fft").Streams(2, 0)[0]))
-	n1 := len(drain(MustGet("fft").Streams(2, 1)[0]))
+	n0 := len(MustGet("fft").Records(2, 0, 0)[0])
+	n1 := len(MustGet("fft").Records(2, 1, 0)[0])
 	if n0 != n1 {
 		t.Errorf("scale 0 stream length %d != scale 1 length %d", n0, n1)
 	}
@@ -110,11 +98,11 @@ func TestScaleGrowsStreams(t *testing.T) {
 
 func TestBarrierWorkloadsEmitAlignedBarriers(t *testing.T) {
 	for _, name := range []string{"kmeans", "fluidanimate", "fft"} {
-		streams := MustGet(name).Streams(4, 1)
+		perCore := MustGet(name).Records(4, 1, 0)
 		var counts []int
-		for _, s := range streams {
+		for _, s := range perCore {
 			n := 0
-			for _, r := range drain(s) {
+			for _, r := range s {
 				if r.Kind == trace.Barrier {
 					n++
 				}
@@ -144,11 +132,11 @@ func regionsOf(recs []trace.Access) map[mem.RegionID]bool {
 func TestLinearRegressionAccumulatorsFalseShare(t *testing.T) {
 	// Eight cores x 6-word structs = 48 words = 6 regions, and every
 	// region must be written by at least two cores (false sharing).
-	streams := MustGet("linear-regression").Streams(8, 1)
+	perCore := MustGet("linear-regression").Records(8, 1, 0)
 	g := mem.DefaultGeometry
 	writers := make(map[mem.RegionID]map[int]bool)
-	for c, s := range streams {
-		for _, r := range drain(s) {
+	for c, s := range perCore {
+		for _, r := range s {
 			if r.Kind != trace.Store {
 				continue
 			}
@@ -171,10 +159,10 @@ func TestLinearRegressionAccumulatorsFalseShare(t *testing.T) {
 
 func TestMatrixMultiplyIsPrivate(t *testing.T) {
 	// No region may be touched by two cores.
-	streams := MustGet("matrix-multiply").Streams(4, 1)
+	perCore := MustGet("matrix-multiply").Records(4, 1, 0)
 	seen := make(map[mem.RegionID]int)
-	for c, s := range streams {
-		for r := range regionsOf(drain(s)) {
+	for c, s := range perCore {
+		for r := range regionsOf(s) {
 			if prev, ok := seen[r]; ok && prev != c {
 				t.Fatalf("region %d touched by cores %d and %d", r, prev, c)
 			}
@@ -185,9 +173,9 @@ func TestMatrixMultiplyIsPrivate(t *testing.T) {
 
 func TestStreamclusterSharesReadOnlyPoints(t *testing.T) {
 	// All cores must overlap heavily on the shared point arena.
-	streams := MustGet("streamcluster").Streams(4, 1)
-	r0 := regionsOf(drain(streams[0]))
-	r1 := regionsOf(drain(streams[1]))
+	perCore := MustGet("streamcluster").Records(4, 1, 0)
+	r0 := regionsOf(perCore[0])
+	r1 := regionsOf(perCore[1])
 	shared := 0
 	for r := range r0 {
 		if r1[r] {
@@ -202,11 +190,11 @@ func TestStreamclusterSharesReadOnlyPoints(t *testing.T) {
 func TestStringMatchInterleavesWriters(t *testing.T) {
 	// Adjacent flag words must belong to different cores: find a region
 	// written by more than one core.
-	streams := MustGet("string-match").Streams(4, 1)
+	perCore := MustGet("string-match").Records(4, 1, 0)
 	g := mem.DefaultGeometry
 	writers := make(map[mem.RegionID]map[int]bool)
-	for c, s := range streams {
-		for _, r := range drain(s) {
+	for c, s := range perCore {
+		for _, r := range s {
 			if r.Kind != trace.Store {
 				continue
 			}

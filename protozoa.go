@@ -12,7 +12,7 @@
 //     the paper's Figures 9-15 as text tables; CollectTable1 sweeps
 //     MESI block sizes for Table 1.
 //   - NewSystem gives direct access to the simulated machine for
-//     custom access streams (see examples/falsesharing).
+//     custom per-core access records (see examples/falsesharing).
 //
 // Quick start:
 //
@@ -146,16 +146,14 @@ func NewChecker(sys *System) *Checker { return core.NewChecker(sys) }
 // DefaultSystemConfig is the paper's Table 4 machine for a protocol.
 func DefaultSystemConfig(p Protocol) SystemConfig { return core.DefaultConfig(p) }
 
-// NewSystem builds a machine running the given per-core streams.
-func NewSystem(cfg SystemConfig, streams []Stream) (*System, error) {
-	return core.NewSystem(cfg, streams)
+// NewSystem builds a machine replaying the given per-core records:
+// core c executes recs[c] in order. The machine never writes recs.
+func NewSystem(cfg SystemConfig, recs [][]Access) (*System, error) {
+	return core.NewSystem(cfg, recs)
 }
 
-// Access is one trace record; Stream produces a core's records.
-type (
-	Access = trace.Access
-	Stream = trace.Stream
-)
+// Access is one trace record.
+type Access = trace.Access
 
 // Trace record kinds.
 const (
@@ -163,9 +161,6 @@ const (
 	Store   = trace.Store
 	Barrier = trace.Barrier
 )
-
-// NewSliceStream adapts a record slice to a Stream.
-func NewSliceStream(recs []Access) Stream { return trace.NewSliceStream(recs) }
 
 // Addr is a byte address in the simulated physical address space.
 type Addr = mem.Addr

@@ -47,16 +47,16 @@ func TestPublicCustomTrace(t *testing.T) {
 	// invalidations after warm-up.
 	cfg := protozoa.DefaultSystemConfig(protozoa.ProtozoaMW)
 	cfg.Cores = 16
-	streams := make([]protozoa.Stream, cfg.Cores)
-	for c := range streams {
+	perCore := make([][]protozoa.Access, cfg.Cores)
+	for c := range perCore {
 		var recs []protozoa.Access
 		addr := protozoa.Addr(0x8000 + c*8)
 		for i := 0; i < 100; i++ {
 			recs = append(recs, protozoa.Access{Kind: protozoa.Store, Addr: addr, PC: 0x10})
 		}
-		streams[c] = protozoa.NewSliceStream(recs)
+		perCore[c] = recs
 	}
-	sys, err := protozoa.NewSystem(cfg, streams)
+	sys, err := protozoa.NewSystem(cfg, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}
