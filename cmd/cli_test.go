@@ -18,6 +18,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"protozoa"
 )
 
 var tools = []string{"protozoa", "protozoa-benchdiff"}
@@ -208,6 +210,22 @@ func TestCLIs(t *testing.T) {
 		if !strings.Contains(out, "word-count") || !strings.Contains(out, "optimal") {
 			t.Errorf("table1 output:\n%s", out)
 		}
+		// The grid subcommands take the shared profile flags, and
+		// profiling leaves stdout unchanged.
+		for _, sub := range []string{"table1", "figs", "report"} {
+			cpu, heap := filepath.Join(dir, sub+".cpu"), filepath.Join(dir, sub+".mem")
+			args := []string{sub, "-cores", "4", "-scale", "1", "-workloads", "word-count",
+				"-cpuprofile", cpu, "-memprofile", heap}
+			got := run(t, pz, args...)
+			if plain := run(t, pz, args[:7]...); got != plain {
+				t.Errorf("%s: output differs with profiling on", sub)
+			}
+			for _, f := range []string{cpu, heap} {
+				if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
+					t.Errorf("%s: profile %s not written (%v)", sub, f, err)
+				}
+			}
+		}
 	})
 
 	t.Run("figs", func(t *testing.T) {
@@ -284,6 +302,11 @@ func TestCLIs(t *testing.T) {
 			"-knobs", "baseline,crossbar", "-cores", "4")
 		if strings.Count(out, "\n") != 3 { // header + 2 rows
 			t.Errorf("sweep output:\n%s", out)
+		}
+		// An empty -workloads runs the full suite, as its help says.
+		out = run(t, pz, "sweep", "-workloads", "", "-protocols", "mesi", "-cores", "4")
+		if n := strings.Count(out, "\n"); n != 1+len(protozoa.WorkloadNames()) {
+			t.Errorf("sweep -workloads '' emitted %d lines, want a header and one row per suite workload:\n%s", n, out)
 		}
 	})
 

@@ -19,8 +19,8 @@ import (
 //	protozoa figs                 # all figures
 //	protozoa figs -fig 13         # one figure
 //	protozoa figs -workloads linear-regression,histogram -scale 4
-func figs(args []string) error {
-	f := newFlags("figs").matrix(2, "")
+func figs(args []string) (err error) {
+	f := newFlags("figs").matrix(2, "").profiles()
 	fig := f.Int("fig", 0, "figure number 9-15, or 16 for the miss classification (0 = all)")
 	csvOut := f.String("csv", "", "also export all metrics to this CSV file")
 	chart := f.Bool("chart", false, "render bar charts instead of tables (figures 9, 13, 15)")
@@ -34,6 +34,11 @@ func figs(args []string) error {
 	if err != nil {
 		return err
 	}
+	stop, err := f.startProfiles()
+	if err != nil {
+		return err
+	}
+	defer stop(&err)
 	m, err := protozoa.Collect(o)
 	if err != nil {
 		return err
@@ -75,8 +80,8 @@ func figs(args []string) error {
 // the fixed block size sweeps 16 -> 32 -> 64 -> 128 bytes.
 //
 //	protozoa table1 [-cores 16] [-scale 2] [-workloads a,b,c]
-func table1(args []string) error {
-	f := newFlags("table1").matrix(2, "")
+func table1(args []string) (err error) {
+	f := newFlags("table1").matrix(2, "").profiles()
 	if err := f.parse(args); err != nil {
 		return err
 	}
@@ -84,6 +89,11 @@ func table1(args []string) error {
 	if err != nil {
 		return err
 	}
+	stop, err := f.startProfiles()
+	if err != nil {
+		return err
+	}
+	defer stop(&err)
 	res, err := protozoa.CollectTable1(o)
 	if err != nil {
 		return err
@@ -98,8 +108,8 @@ func table1(args []string) error {
 //
 //	protozoa report > report.md
 //	protozoa report -scale 4 -workloads linear-regression,histogram
-func report(args []string) error {
-	f := newFlags("report").matrix(2, "")
+func report(args []string) (err error) {
+	f := newFlags("report").matrix(2, "").profiles()
 	if err := f.parse(args); err != nil {
 		return err
 	}
@@ -107,6 +117,11 @@ func report(args []string) error {
 	if err != nil {
 		return err
 	}
+	stop, err := f.startProfiles()
+	if err != nil {
+		return err
+	}
+	defer stop(&err)
 	return harness.GenerateReport(o, os.Stdout)
 }
 

@@ -137,6 +137,31 @@ func (f *flags) profiles() *flags {
 	return f
 }
 
+// startProfiles starts the -cpuprofile/-memprofile pair that profiles
+// declared. The subcommand defers stop(&err) on its named error
+// result: stop flushes both profiles and reports a profile failure
+// when the subcommand itself succeeded.
+func (f *flags) startProfiles() (stop func(err *error), err error) {
+	stopProfiles, err := runner.StartProfiles(*f.cpuprofile, *f.memprofile)
+	if err != nil {
+		return nil, err
+	}
+	return func(err *error) {
+		if perr := stopProfiles(); *err == nil {
+			*err = perr
+		}
+	}, nil
+}
+
+// workloadList is the -workloads value as a list: nil, meaning the
+// full suite, when the flag is empty.
+func (f *flags) workloadList() []string {
+	if *f.workloads == "" {
+		return nil
+	}
+	return strings.Split(*f.workloads, ",")
+}
+
 // parse parses args and validates the shared flags that were declared.
 func (f *flags) parse(args []string) error {
 	f.Parse(args) // flag.ExitOnError: a malformed flag exits 2 with usage
@@ -168,10 +193,7 @@ func (f *flags) pool() (runner.Pool, error) {
 func (f *flags) options() (protozoa.Options, error) {
 	p, err := f.pool()
 	o := protozoa.Options{Cores: *f.cores, Scale: *f.scale, TraceSeed: *f.seed,
-		Jobs: p.Jobs, Progress: p.Progress, Cache: p.Cache}
-	if *f.workloads != "" {
-		o.Workloads = strings.Split(*f.workloads, ",")
-	}
+		Jobs: p.Jobs, Progress: p.Progress, Cache: p.Cache, Workloads: f.workloadList()}
 	return o, err
 }
 

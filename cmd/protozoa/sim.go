@@ -63,15 +63,11 @@ func sim(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	stopProfiles, err := runner.StartProfiles(*f.cpuprofile, *f.memprofile)
+	stop, err := f.startProfiles()
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProfiles(); err == nil {
-			err = perr
-		}
-	}()
+	defer stop(&err)
 	o.selfProf = o.selfProf || o.selfProfOut != ""
 	if o.msglog > 0 || o.timeline > 0 || o.traceOut != "" || o.metricsOut != "" || o.attrib || o.serve != "" || o.selfProf || o.flightOut != "" || o.stallCycles > 0 {
 		return runInstrumented(p, f, o)

@@ -32,15 +32,11 @@ func sweep(args []string) (err error) {
 	if err := f.parse(args); err != nil {
 		return err
 	}
-	stopProfiles, err := runner.StartProfiles(*f.cpuprofile, *f.memprofile)
+	stop, err := f.startProfiles()
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProfiles(); err == nil {
-			err = perr
-		}
-	}()
+	defer stop(&err)
 
 	ps, err := runner.ParseProtocols(*protos)
 	if err != nil {
@@ -55,7 +51,7 @@ func sweep(args []string) (err error) {
 		return err
 	}
 	cells, err := runner.Grid{
-		Workloads: strings.Split(*f.workloads, ","),
+		Workloads: f.workloadList(),
 		Protocols: ps,
 		Knobs:     knobList,
 		Regions:   regionSizes,

@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"protozoa/internal/mem"
+	"protozoa/internal/recycle"
 )
 
 // State is a block's MESI stable state. Transient states live in the
@@ -185,6 +186,9 @@ type Cache struct {
 
 // New builds a cache. The set budget must fit at least one full-region
 // block so fixed-granularity configurations are always serviceable.
+// New reuses the storage of the most recently released cache when it
+// has the same set count (one of another geometry is left to the
+// garbage collector).
 func New(cfg Config) (*Cache, error) {
 	if cfg.Sets <= 0 {
 		return nil, fmt.Errorf("cache: bad set count %d", cfg.Sets)
@@ -193,24 +197,58 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.SetBudgetBytes < minBudget {
 		return nil, fmt.Errorf("cache: set budget %d cannot hold one full region (%d)", cfg.SetBudgetBytes, minBudget)
 	}
-	c := &Cache{
-		cfg: cfg, sets: make([]set, cfg.Sets),
-		maxBlocks: cfg.SetBudgetBytes / (cfg.TagBytes + mem.WordBytes),
+	maxBlocks := cfg.SetBudgetBytes / (cfg.TagBytes + mem.WordBytes)
+	c, ok := released.Get()
+	if !ok || len(c.sets) != cfg.Sets {
+		// Carve every set's first slots from one slab: a fixed 64 B set
+		// (four blocks in 288 B) never grows, and an Amoeba set grows
+		// only once it holds more than setSlots blocks.
+		n := min(setSlots, maxBlocks)
+		slab := make([]Block, cfg.Sets*n)
+		c = &Cache{sets: make([]set, cfg.Sets)}
+		for i := range c.sets {
+			c.sets[i].blocks = slab[i*n : i*n : (i+1)*n]
+		}
+	} else {
+		// A reused set keeps the capacity it grew to; emptying it is
+		// enough, since Insert writes every field of a block it places.
+		for i := range c.sets {
+			c.sets[i] = set{blocks: c.sets[i].blocks[:0]}
+		}
 	}
-	// Carve every set's first slots from one slab: a fixed 64 B set
-	// (four blocks in 288 B) never grows, and an Amoeba set grows only
-	// once it holds more than setSlots blocks.
-	n := min(setSlots, c.maxBlocks)
-	slab := make([]Block, cfg.Sets*n)
-	for i := range c.sets {
-		c.sets[i].blocks = slab[i*n : i*n : (i+1)*n]
-	}
+	c.cfg, c.maxBlocks, c.tick = cfg, maxBlocks, 0
 	return c, nil
 }
 
 // setSlots is each set's initial block capacity, carved from one slab
 // per cache.
 const setSlots = 4
+
+// released holds the storage of released caches for New to reuse.
+var released recycle.Pool[*Cache]
+
+// Release hands the cache's storage to the pool New draws from. The
+// cache, and every *Block it returned, must not be used afterwards.
+// While recycle.Poison is set, every block slot is overwritten with a
+// non-zero pattern first.
+func (c *Cache) Release() {
+	if recycle.Poison.Load() {
+		poison := Block{Region: ^mem.RegionID(0), R: mem.Range{End: mem.MaxRegionWords - 1}, State: Modified,
+			Read: ^mem.Bitmap(0), Wrote: ^mem.Bitmap(0), Refs: ^uint64(0), FetchPC: ^uint64(0), lru: ^uint64(0)}
+		for w := range poison.Data {
+			poison.Data[w] = 0xdeadbeefdeadbeef
+		}
+		for i := range c.sets {
+			blocks := c.sets[i].blocks[:cap(c.sets[i].blocks)]
+			for j := range blocks {
+				blocks[j] = poison
+			}
+			c.sets[i] = set{blocks: blocks, bytesUsed: 1 << 30}
+		}
+		c.tick = ^uint64(0) >> 1
+	}
+	released.Put(c)
+}
 
 // MustNew is New for known-good configurations.
 func MustNew(cfg Config) *Cache {

@@ -10,9 +10,9 @@ import (
 // TestRunAllocsPerAccess bounds the heap allocations a coherence-heavy
 // run makes per simulated access. L1 fills, merges and evictions move
 // blocks by value, the miss classifier's causes live in a chunked
-// table, directory entries come from per-slice slabs and every L1 set
+// table, directory entries live in arena chunks and every L1 set
 // starts with four block slots, so what remains is first-touch work:
-// table chunks, entry slabs and the memory image. The count was 0.238
+// table and arena chunks and the memory image. The count was 0.238
 // before the slabs (bound 0.4) and is 0.006 with them; the bound keeps
 // about 2x headroom.
 func TestRunAllocsPerAccess(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"protozoa/internal/engine"
 	"protozoa/internal/mem"
 	"protozoa/internal/obs/flight"
+	"protozoa/internal/recycle"
 )
 
 // dirSlice is one tile's slice of the shared inclusive L2 with its
@@ -23,18 +24,17 @@ type dirSlice struct {
 
 	// Entry table. Homes interleave regions low-order across tiles
 	// (home = region % cores), so region/cores is a dense, collision-free
-	// per-tile index: the hot path is two bounds checks and two slice
-	// loads instead of a map lookup.
-	entries mem.RegionTable[*dirEntry]
-	count   int // live entries
-
-	// Entry storage: entries and their L2 word arrays are carved from
-	// slabs, and entries freed by dropEntry (finite L2) are recycled
-	// through free, so a region's first touch allocates nothing on its
-	// own. No *dirEntry outlives dropEntry.
-	entrySlab []dirEntry
-	wordSlab  []uint64
-	free      []*dirEntry
+	// per-tile slot. index maps a slot to its entry's arena position
+	// plus one (0 = no entry). Entries live by value in the arena, in
+	// creation order, in fixed chunks drawn from the dirChunks pool:
+	// storage follows the live entries, not the span of addresses they
+	// sit in, which is sparse in most workloads. free holds the
+	// positions dropEntry vacated (finite L2) for reuse.
+	index mem.RegionTable[uint32]
+	arena []*dirChunk
+	used  uint32 // arena positions handed out
+	free  []uint32
+	count int // live entries
 
 	// One-entry memo: coherence traffic is bursty per region (request,
 	// probes, replies, unblock all hit the same entry back to back).
@@ -59,25 +59,40 @@ type dirSlice struct {
 }
 
 // dirEntry is one region's directory entry plus its L2 data block.
+// The fields every request reads come first, in the entry's first 64
+// bytes.
 type dirEntry struct {
-	region  mem.RegionID
+	region mem.RegionID
+	touch  uint64  // LRU stamp for finite-L2 inclusion eviction
+	txn    *dirTxn // nil when idle; points at txnStore when active
+	queue  []*Msg
+
 	sharers directory.NodeSet // every L1 possibly caching a sub-block
 	owners  directory.NodeSet // subset possibly holding dirty/exclusive sub-blocks
+	valid   mem.Bitmap        // words present at the L2 (always full when inclusive)
 
-	data       []uint64   // the fixed-granularity L2 data block
-	valid      mem.Bitmap // words present at the L2 (always full when inclusive)
-	l2dirty    bool       // L2 newer than memory
-	memTouched bool       // first-touch memory fetch already paid
-
+	live           bool // the arena position holds a region's entry
 	busy           bool
-	txn            *dirTxn // nil when idle; points at txnStore when active
-	txnStore       dirTxn  // in-place transaction storage (no per-txn alloc)
-	queue          []*Msg
+	l2dirty        bool  // L2 newer than memory
+	memTouched     bool  // first-touch memory fetch already paid
 	pendingUnblock bool  // 3-hop: requester unblocked before the probes retired
 	from           uint8 // state code at processing (for the transaction's state edge)
 
-	touch uint64 // LRU stamp for finite-L2 inclusion eviction
+	txnStore dirTxn // in-place transaction storage (no per-txn alloc)
+
+	// data is the fixed-granularity L2 data block; words at or past
+	// the geometry's WordsPerRegion stay zero.
+	data [mem.MaxRegionWords]uint64
 }
+
+// dirChunkSlots is how many entries one arena chunk holds.
+const dirChunkSlots = 256
+
+type dirChunk [dirChunkSlots]dirEntry
+
+// dirChunks recycles arena chunks across machines; a chunk is cleared
+// when drawn.
+var dirChunks recycle.Pool[*dirChunk]
 
 // dirTxn is one active coherence transaction.
 type dirTxn struct {
@@ -98,6 +113,7 @@ func (d *dirSlice) newTxnID() uint64 {
 func newDirSlice(sys *System, node int) *dirSlice {
 	d := &dirSlice{
 		sys: sys, node: node,
+		index:  mem.RegionTable[uint32]{Pool: &tableChunks},
 		memory: make(map[mem.RegionID][]uint64),
 	}
 	if sys.cfg.Directory == DirBloom {
@@ -171,17 +187,75 @@ func (d *dirSlice) slot(region mem.RegionID) uint64 {
 	return uint64(region) / uint64(d.sys.cfg.Cores)
 }
 
+// at returns the entry at an arena position.
+func (d *dirSlice) at(pos uint32) *dirEntry {
+	return &d.arena[pos/dirChunkSlots][pos%dirChunkSlots]
+}
+
+// place returns a free arena position: a vacated one, or the next
+// unused one, drawing a chunk when the arena is full.
+func (d *dirSlice) place() uint32 {
+	if n := len(d.free); n > 0 {
+		pos := d.free[n-1]
+		d.free = d.free[:n-1]
+		return pos
+	}
+	if d.used == uint32(len(d.arena))*dirChunkSlots {
+		c, ok := dirChunks.Get()
+		if ok {
+			clear(c[:])
+		} else {
+			c = new(dirChunk)
+		}
+		d.arena = append(d.arena, c)
+	}
+	d.used++
+	return d.used - 1
+}
+
+// eachEntry calls fn for every live entry, in arena order.
+func (d *dirSlice) eachEntry(fn func(*dirEntry)) {
+	for pos := uint32(0); pos < d.used; pos++ {
+		if e := d.at(pos); e.live {
+			fn(e)
+		}
+	}
+}
+
+// release hands the slice's index and arena chunks to their pools;
+// the slice must not be used afterwards.
+func (d *dirSlice) release() {
+	d.index.Release()
+	poison := recycle.Poison.Load()
+	for _, c := range d.arena {
+		if poison {
+			bad := dirEntry{region: ^mem.RegionID(0), touch: ^uint64(0), live: true, busy: true,
+				l2dirty: true, memTouched: true, sharers: ^directory.NodeSet(0), valid: ^mem.Bitmap(0)}
+			for w := range bad.data {
+				bad.data[w] = 0xdeadbeefdeadbeef
+			}
+			for i := range c {
+				c[i] = bad
+			}
+		}
+		dirChunks.Put(c)
+	}
+	d.arena, d.free, d.lastEntry = nil, nil, nil
+}
+
 // lookup returns the region's entry without creating it or touching
 // the LRU stamp (checker and scheduled-event paths).
 func (d *dirSlice) lookup(region mem.RegionID) *dirEntry {
 	if d.lastEntry != nil && d.lastRegion == region {
 		return d.lastEntry
 	}
-	e := d.entries.Get(d.slot(region))
-	if e != nil {
-		d.lastRegion = region
-		d.lastEntry = e
+	pos := d.index.Get(d.slot(region))
+	if pos == 0 {
+		return nil
 	}
+	e := d.at(pos - 1)
+	d.lastRegion = region
+	d.lastEntry = e
 	return e
 }
 
@@ -195,62 +269,30 @@ func (d *dirSlice) mustEntry(region mem.RegionID) *dirEntry {
 	return e
 }
 
-func (d *dirSlice) insert(region mem.RegionID, e *dirEntry) {
-	d.entries.Set(d.slot(region), e)
-	d.count++
-	d.lastRegion = region
-	d.lastEntry = e
-}
-
+// entry returns the region's entry, creating it (with a full valid
+// mask and any words the memory image holds) on first touch, and
+// stamps its LRU recency.
 func (d *dirSlice) entry(region mem.RegionID) *dirEntry {
 	e := d.lookup(region)
 	if e == nil {
 		if cap := d.sys.cfg.L2RegionsPerTile; cap > 0 && d.count >= cap {
 			d.evictLRURegion()
 		}
-		e = d.newEntry(region)
+		pos := d.place()
+		d.index.Set(d.slot(region), pos+1)
+		e = d.at(pos)
+		e.live = true
+		e.region = region
+		e.valid = d.sys.geom.FullRange().Bitmap()
 		if saved, hit := d.memory[region]; hit {
-			copy(e.data, saved)
+			copy(e.data[:], saved)
 		}
-		d.insert(region, e)
+		d.count++
+		d.lastRegion = region
+		d.lastEntry = e
 	}
 	d.touchSeq++
 	e.touch = d.touchSeq
-	return e
-}
-
-// Slab sizing: a slice's first slab holds dirSlabMin entries, and each
-// later one as many as the slice already holds, up to dirSlabMax, so a
-// short run stays small and a long one allocates rarely.
-const (
-	dirSlabMin = 32
-	dirSlabMax = 1024
-)
-
-// newEntry returns a zeroed entry for region with a full valid mask,
-// recycled from the free list or carved from the slabs.
-func (d *dirSlice) newEntry(region mem.RegionID) *dirEntry {
-	var e *dirEntry
-	if n := len(d.free); n > 0 {
-		e = d.free[n-1]
-		d.free = d.free[:n-1]
-		data := e.data
-		clear(data)
-		*e = dirEntry{data: data}
-	} else {
-		words := d.sys.geom.WordsPerRegion()
-		if len(d.entrySlab) == 0 {
-			n := min(max(d.count, dirSlabMin), dirSlabMax)
-			d.entrySlab = make([]dirEntry, n)
-			d.wordSlab = make([]uint64, n*words)
-		}
-		e = &d.entrySlab[0]
-		d.entrySlab = d.entrySlab[1:]
-		e.data = d.wordSlab[:words:words]
-		d.wordSlab = d.wordSlab[words:]
-	}
-	e.region = region
-	e.valid = d.sys.geom.FullRange().Bitmap()
 	return e
 }
 
@@ -270,7 +312,7 @@ func (d *dirSlice) evictLRURegion() {
 			victim = e
 		}
 	}
-	d.entries.Each(consider)
+	d.eachEntry(consider)
 	if victim == nil {
 		return
 	}
@@ -313,19 +355,21 @@ func (d *dirSlice) evictLRURegion() {
 	})
 }
 
-// dropEntry writes a dirty region back to memory, frees the slot and
-// puts the entry on the free list; the caller must not touch e after.
+// dropEntry writes a dirty region back to memory and frees the slot;
+// the caller must not touch e after.
 func (d *dirSlice) dropEntry(e *dirEntry) {
 	if e.l2dirty {
 		d.sys.st.MemWritebacks++
 		d.persistWords(e, e.valid)
 	}
-	d.entries.Set(d.slot(e.region), nil)
+	slot := d.slot(e.region)
+	d.free = append(d.free, d.index.Get(slot)-1)
+	d.index.Set(slot, 0)
 	d.count--
 	if d.lastEntry == e {
 		d.lastEntry = nil
 	}
-	d.free = append(d.free, e)
+	*e = dirEntry{}
 }
 
 // persistWords updates the memory image with the entry's words covered
@@ -335,12 +379,13 @@ func (d *dirSlice) persistWords(e *dirEntry, mask mem.Bitmap) {
 	if mask == 0 {
 		return
 	}
+	words := d.sys.geom.WordsPerRegion()
 	saved, ok := d.memory[e.region]
 	if !ok {
-		saved = make([]uint64, len(e.data))
+		saved = make([]uint64, words)
 		d.memory[e.region] = saved
 	}
-	for w := 0; w < len(e.data); w++ {
+	for w := 0; w < words; w++ {
 		if mask.Has(uint8(w)) {
 			saved[w] = e.data[w]
 		}
@@ -356,7 +401,7 @@ func (d *dirSlice) fetchMissing(e *dirEntry, need mem.Bitmap) bool {
 		return false
 	}
 	saved := d.memory[e.region] // nil reads as zero memory
-	for w := 0; w < len(e.data); w++ {
+	for w := 0; w < d.sys.geom.WordsPerRegion(); w++ {
 		if missing.Has(uint8(w)) {
 			if saved != nil {
 				e.data[w] = saved[w]

@@ -89,8 +89,15 @@ type mshr struct {
 	folded bool
 }
 
+// tableChunks recycles the chunks of the L1 causes tables and the
+// directory indexes across machines. Unless cleared, the poison marks
+// every word of a cause table died-by-invalidation (misclassifying
+// misses) and points every directory slot far past its arena.
+var tableChunks = mem.ChunkPool[uint32]{Poison: 0xaaaaaaaa}
+
 func newL1(sys *System, id int, c *cache.Cache, p predictor.Predictor) *l1Ctrl {
-	return &l1Ctrl{sys: sys, id: id, cache: c, pred: p}
+	return &l1Ctrl{sys: sys, id: id, cache: c, pred: p,
+		causes: mem.RegionTable[uint32]{Pool: &tableChunks}}
 }
 
 // openMSHR returns the live MSHR for the region, or nil.

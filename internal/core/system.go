@@ -13,6 +13,7 @@ import (
 	"protozoa/internal/obs/flight"
 	"protozoa/internal/obs/selfprof"
 	"protozoa/internal/predictor"
+	"protozoa/internal/recycle"
 	"protozoa/internal/stats"
 	"protozoa/internal/trace"
 )
@@ -186,6 +187,7 @@ type System struct {
 	barrierArrived int
 	coresDone      int
 	ran            bool
+	released       bool
 }
 
 // msgPool is the free list behind newMsg/freeMsg. The machine runs on
@@ -195,6 +197,42 @@ type msgPool struct {
 	free   []*Msg
 	hits   uint64 // newMsg served from the free list
 	allocs uint64 // newMsg had to allocate
+}
+
+// msgLists holds released machines' message free lists for NewSystem
+// to adopt.
+var msgLists recycle.Pool[[]*Msg]
+
+// adopt takes over a released machine's free list, zeroing every
+// message in it.
+func (p *msgPool) adopt(s *System) {
+	free, ok := msgLists.Get()
+	if !ok {
+		return
+	}
+	for _, m := range free {
+		*m = Msg{sys: s}
+	}
+	p.free = free
+}
+
+// release hands the free list to msgLists.
+func (p *msgPool) release() {
+	free := p.free
+	*p = msgPool{}
+	if len(free) == 0 {
+		return
+	}
+	poison := recycle.Poison.Load()
+	for _, m := range free {
+		if poison {
+			*m = Msg{Type: MsgInv, Src: -1, Dst: -1, Region: ^mem.RegionID(0), Valid: ^mem.Bitmap(0),
+				Requester: -1, TxnID: ^uint64(0), StillSharer: true, Direct: true, phase: phaseSend}
+		} else {
+			m.sys = nil // pin no released machine
+		}
+	}
+	msgLists.Put(free)
 }
 
 // newMsg takes a zeroed message from the free list (or allocates one).
@@ -247,6 +285,7 @@ func NewSystem(cfg Config, recs [][]trace.Access) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, geom: geom, eng: eng, mesh: mesh, st: st}
+	s.pool.adopt(s)
 	for i := 0; i < cfg.Cores; i++ {
 		l1cache, err := cache.New(cache.Config{
 			Sets:           cfg.L1Sets,
@@ -275,6 +314,36 @@ func NewSystem(cfg Config, recs [][]trace.Access) (*System, error) {
 		s.cpus = append(s.cpus, c)
 	}
 	return s, nil
+}
+
+// Release hands the machine's storage to process-wide pools that later
+// NewSystem calls draw from and clear: the L1 set storage, the
+// directory's entry arena and index, the miss classifier's tables and
+// the message free list. Only the code that built the machine may release it, once,
+// after its last read of the machine: Stats, Attribution and the
+// latency breakdown stay valid (they are not pooled), but any other use
+// of a released System panics.
+func (s *System) Release() {
+	s.mustLive()
+	s.released = true
+	// Last core first: the pools hand out the most recent release
+	// first, so the next machine's core i gets core i's storage, grown
+	// for the same access pattern when the next cell replays the same
+	// workload.
+	for i := len(s.l1s) - 1; i >= 0; i-- {
+		s.l1s[i].cache.Release()
+		s.l1s[i].causes.Release()
+		s.dirs[i].release()
+	}
+	s.pool.release()
+	s.l1s, s.dirs, s.cpus = nil, nil, nil
+}
+
+// mustLive panics when the machine was released.
+func (s *System) mustLive() {
+	if s.released {
+		panic("core: System used after Release")
+	}
 }
 
 // SetObserver installs correctness hooks; pass nil to remove.
@@ -348,6 +417,7 @@ func (s *System) deliver(m *Msg) {
 // the event queue drains with stalled cores (a protocol deadlock) or
 // the watchdog fires.
 func (s *System) Run() error {
+	s.mustLive()
 	if s.ran {
 		return fmt.Errorf("core: system already ran")
 	}
@@ -408,6 +478,7 @@ func (s *System) foldAttribution() {
 // ForEachCachedWord walks every word resident in any L1 — the hook the
 // SWMR invariant checker uses.
 func (s *System) ForEachCachedWord(fn func(core int, region mem.RegionID, w uint8, st cache.State, val uint64)) {
+	s.mustLive()
 	for _, l1 := range s.l1s {
 		core := l1.id
 		l1.cache.Blocks(func(b *cache.Block) {
@@ -424,6 +495,7 @@ func (s *System) ForEachCachedWord(fn func(core int, region mem.RegionID, w uint
 // L2Word returns the shared L2's value for a word, and whether the
 // region has been allocated at the L2 at all.
 func (s *System) L2Word(region mem.RegionID, w uint8) (uint64, bool) {
+	s.mustLive()
 	d := s.dirs[s.home(region)]
 	e := d.lookup(region)
 	if e == nil {
@@ -436,6 +508,7 @@ func (s *System) L2Word(region mem.RegionID, w uint8) (uint64, bool) {
 // transaction (checker support: invariants are only guaranteed at
 // quiescent points).
 func (s *System) DirBusy(region mem.RegionID) bool {
+	s.mustLive()
 	e := s.dirs[s.home(region)].lookup(region)
 	return e != nil && e.busy
 }

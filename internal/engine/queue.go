@@ -2,7 +2,8 @@ package engine
 
 import (
 	"math/bits"
-	"sync"
+
+	"protozoa/internal/recycle"
 )
 
 // This file holds the engine's two-level queue.
@@ -131,11 +132,11 @@ type bucketQueue struct {
 // queueStorage is the poolable part of a bucketQueue: the ring itself
 // plus every per-bucket items slice its buckets have grown, plus the
 // occupancy bitmap. Recycling the storage across runs saves each
-// engine re-growing its buckets. The pool drops
-// storage at garbage collection, so a fresh ring must be cheap too:
-// its buckets start with bucketSlots of capacity carved from one slab,
-// which keeps a run's allocation count nearly independent of how many
-// rings the pool happened to keep.
+// engine re-growing its buckets. The pool starts empty and a run that
+// fails keeps its ring, so a fresh ring must be cheap too: its buckets
+// start with bucketSlots of capacity carved from one slab, which keeps
+// a run's allocation count nearly independent of how many rings the
+// pool happened to keep.
 type queueStorage struct {
 	buckets []bucket
 	occ     []uint64
@@ -149,22 +150,28 @@ type queueStorage struct {
 // barnes/MW run makes 949 allocations, against 1095 at 4.
 const bucketSlots = 8
 
-var storagePool = sync.Pool{
-	New: func() any {
-		st := &queueStorage{
-			buckets: make([]bucket, numBuckets),
-			occ:     make([]uint64, numBuckets/64),
-		}
-		slab := make([]Runner, numBuckets*bucketSlots)
-		for i := range st.buckets {
-			st.buckets[i].items = slab[i*bucketSlots : i*bucketSlots : (i+1)*bucketSlots]
-		}
-		return st
-	},
+// storagePool holds the rings of engines that drained cleanly.
+var storagePool recycle.Pool[*queueStorage]
+
+// newQueueStorage builds a fresh ring.
+func newQueueStorage() *queueStorage {
+	st := &queueStorage{
+		buckets: make([]bucket, numBuckets),
+		occ:     make([]uint64, numBuckets/64),
+	}
+	slab := make([]Runner, numBuckets*bucketSlots)
+	for i := range st.buckets {
+		st.buckets[i].items = slab[i*bucketSlots : i*bucketSlots : (i+1)*bucketSlots]
+	}
+	return st
 }
 
 func (q *bucketQueue) init() {
-	q.store = storagePool.Get().(*queueStorage)
+	st, ok := storagePool.Get()
+	if !ok {
+		st = newQueueStorage()
+	}
+	q.store = st
 	q.buckets = q.store.buckets
 	q.occ = q.store.occ
 }

@@ -319,14 +319,14 @@ func TestSameCycleTieBreakAcrossRingWrap(t *testing.T) {
 }
 
 // TestFreshRingFillsWithoutGrowing pins the slab-backed bucket
-// capacity: a ring built from scratch (as after the storage pool is
-// dropped at garbage collection) costs only its own storage — the
+// capacity: a ring built from scratch (as when the storage pool is
+// empty) costs only its own storage — the
 // ring, the bitmap, the slab and their holder — and then takes up to
 // bucketSlots events in every cycle of its window without allocating.
 func TestFreshRingFillsWithoutGrowing(t *testing.T) {
 	r := &testRunner{}
 	n := testing.AllocsPerRun(5, func() {
-		q := &bucketQueue{store: storagePool.New().(*queueStorage)}
+		q := &bucketQueue{store: newQueueStorage()}
 		q.buckets, q.occ = q.store.buckets, q.store.occ
 		for c := Cycle(0); c < numBuckets; c++ {
 			for k := uint64(0); k < bucketSlots; k++ {
@@ -349,7 +349,7 @@ func TestFreshRingFillsWithoutGrowing(t *testing.T) {
 // long as later engines reused the ring: with 8 slots per bucket, a
 // cold reproduction's peak live heap rose from 153 MB to 270 MB.
 func TestGrownBucketReleasesSlab(t *testing.T) {
-	q := &bucketQueue{store: storagePool.New().(*queueStorage)}
+	q := &bucketQueue{store: newQueueStorage()}
 	q.buckets, q.occ = q.store.buckets, q.store.occ
 	const c = 7
 	seg := q.buckets[c].items[:bucketSlots]

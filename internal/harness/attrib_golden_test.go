@@ -25,7 +25,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 func TestAttributionGolden(t *testing.T) {
 	const cores, scale = 16, 1
 	names := append(workloads.Names(), workloads.MicroNames()...)
-	m, err := Collect(Options{Cores: cores, Scale: scale, Workloads: names})
+	m, err := collectObserved(Options{Cores: cores, Scale: scale, Workloads: names})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,8 @@ func (m *Matrix) mergedAttribution(p core.Protocol) attrib.Summary {
 // actually used, the bytes it wasted on the NoC, its coherence churn,
 // and how the region population classifies. The adaptive protocols'
 // utilization climbing toward 100% while false-shared regions drop to
-// zero is the paper's §1-2 motivation, measured.
+// zero is the paper's §1-2 motivation, measured. Like every attribution
+// table it reads Matrix.Attribs, which only the report's matrix holds.
 func (m *Matrix) AttributionSummary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-15s %8s %12s %9s %9s %8s", "protocol", "util", "wasted-B", "invals", "upgrades", "probes")
@@ -47,7 +48,8 @@ func (m *Matrix) AttributionSummary() string {
 }
 
 // UtilizationTable renders the workloads x protocols fill-utilization
-// grid (percent of fetched words used before their block died).
+// grid (percent of fetched words used before their block died), from
+// Matrix.Attribs.
 func (m *Matrix) UtilizationTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s", "workload")
@@ -77,7 +79,8 @@ type offenderRow struct {
 }
 
 // TopOffendersTable ranks the protocol's worst regions across all
-// workloads by wasted plus invalidation-churned bytes, worst first.
+// workloads by wasted plus invalidation-churned bytes, worst first,
+// from Matrix.Attribs.
 func (m *Matrix) TopOffendersTable(p core.Protocol, n int) string {
 	var rows []offenderRow
 	for _, w := range m.Workloads {

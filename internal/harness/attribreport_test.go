@@ -10,7 +10,7 @@ import (
 
 func collectAttribMatrix(t *testing.T, workloads []string) *Matrix {
 	t.Helper()
-	m, err := Collect(Options{Cores: 4, Scale: 1, Workloads: workloads})
+	m, err := collectObserved(Options{Cores: 4, Scale: 1, Workloads: workloads})
 	if err != nil {
 		t.Fatal(err)
 	}

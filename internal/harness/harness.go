@@ -98,12 +98,10 @@ func gridCell(c runner.Cell, inputs *runner.Inputs, cfg core.Config, cfgErr erro
 		return c
 	}
 	c.Key = runner.CellSpec{
-		Config:      cfg,
-		Workload:    spec.Name,
-		Scale:       o.Scale,
-		Seed:        o.TraceSeed,
-		NeedAttrib:  c.NeedAttrib,
-		NeedLatency: c.NeedLatency,
+		Config:   cfg,
+		Workload: spec.Name,
+		Scale:    o.Scale,
+		Seed:     o.TraceSeed,
 	}.Key()
 	recs := inputs.Claim(spec, o.cores(), o.Scale, o.TraceSeed)
 	c.Build = func() (*core.System, error) { return core.NewSystem(cfg, recs()) }
@@ -137,25 +135,35 @@ type Matrix struct {
 	Protocols []core.Protocol
 	Cells     map[string]map[core.Protocol]*stats.Stats
 
-	// Breakdowns holds each cell's miss-latency phase decomposition,
-	// captured by Collect via the observability layer.
+	// Breakdowns holds each cell's miss-latency phase decomposition and
+	// Attribs each cell's coherence-traffic attribution (word
+	// utilization, sharing patterns, offender rankings). Only the
+	// report reads them, so only its matrix builds them: both are nil
+	// in a matrix from Collect.
 	Breakdowns map[string]map[core.Protocol]*obs.LatencyBreakdown
-
-	// Attribs holds each cell's coherence-traffic attribution —
-	// word utilization, sharing patterns, and offender rankings.
-	Attribs map[string]map[core.Protocol]*attrib.Tracker
+	Attribs    map[string]map[core.Protocol]*attrib.Tracker
 }
 
 // Collect runs the full workload x protocol matrix, fanning the cells
 // out over Options.Jobs workers. All cells run even if some fail; the
-// joined error then reports every failing cell at once.
-func Collect(o Options) (*Matrix, error) {
+// joined error then reports every failing cell at once. The matrix
+// holds the stats every figure renders from; it builds neither the
+// attribution nor the latency breakdown (see Matrix.Attribs).
+func Collect(o Options) (*Matrix, error) { return buildMatrix(o, false) }
+
+// collectObserved is Collect plus the views the report reads: each
+// cell's attribution tracker and miss-latency breakdown.
+func collectObserved(o Options) (*Matrix, error) { return buildMatrix(o, true) }
+
+func buildMatrix(o Options, observed bool) (*Matrix, error) {
 	m := &Matrix{
-		Workloads:  o.workloadList(),
-		Protocols:  core.AllProtocols,
-		Cells:      make(map[string]map[core.Protocol]*stats.Stats),
-		Breakdowns: make(map[string]map[core.Protocol]*obs.LatencyBreakdown),
-		Attribs:    make(map[string]map[core.Protocol]*attrib.Tracker),
+		Workloads: o.workloadList(),
+		Protocols: core.AllProtocols,
+		Cells:     make(map[string]map[core.Protocol]*stats.Stats),
+	}
+	if observed {
+		m.Breakdowns = make(map[string]map[core.Protocol]*obs.LatencyBreakdown)
+		m.Attribs = make(map[string]map[core.Protocol]*attrib.Tracker)
 	}
 	var cells []runner.Cell
 	var inputs runner.Inputs
@@ -166,10 +174,9 @@ func Collect(o Options) (*Matrix, error) {
 				Label:    w + "/" + p.String(),
 				Workload: w,
 				Protocol: p,
-				// The figures need attribution and the phase breakdown;
-				// the pool delivers both, live or from the cache.
-				NeedAttrib:  true,
-				NeedLatency: true,
+				// The pool delivers both views, live or from the cache.
+				NeedAttrib:  observed,
+				NeedLatency: observed,
 			}, &inputs, cfg, err, o))
 		}
 	}
@@ -178,8 +185,10 @@ func Collect(o Options) (*Matrix, error) {
 	i := 0
 	for _, w := range m.Workloads {
 		m.Cells[w] = make(map[core.Protocol]*stats.Stats)
-		m.Breakdowns[w] = make(map[core.Protocol]*obs.LatencyBreakdown)
-		m.Attribs[w] = make(map[core.Protocol]*attrib.Tracker)
+		if observed {
+			m.Breakdowns[w] = make(map[core.Protocol]*obs.LatencyBreakdown)
+			m.Attribs[w] = make(map[core.Protocol]*attrib.Tracker)
+		}
 		for _, p := range m.Protocols {
 			r := results[i]
 			i++
@@ -187,9 +196,11 @@ func Collect(o Options) (*Matrix, error) {
 				errs = append(errs, r.Err)
 				continue
 			}
-			m.Breakdowns[w][p] = r.Latency
-			m.Attribs[w][p] = r.Attrib
 			m.Cells[w][p] = r.Stats
+			if observed {
+				m.Breakdowns[w][p] = r.Latency
+				m.Attribs[w][p] = r.Attrib
+			}
 		}
 	}
 	if len(errs) > 0 {

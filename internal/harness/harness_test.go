@@ -15,11 +15,13 @@ import (
 
 var fast = Options{Cores: 4, Scale: 1}
 
+// collect builds the observed matrix (attribution and latency views
+// included) over the fast configuration.
 func collect(t *testing.T, names ...string) *Matrix {
 	t.Helper()
 	o := fast
 	o.Workloads = names
-	m, err := Collect(o)
+	m, err := collectObserved(o)
 	if err != nil {
 		t.Fatal(err)
 	}

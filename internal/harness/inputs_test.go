@@ -9,7 +9,7 @@ import (
 )
 
 // freshRun simulates one cell from inputs generated for it alone, with
-// the observations Collect enables.
+// the observations the report's matrix enables.
 func freshRun(t *testing.T, workload string, cfg core.Config, o Options) *core.System {
 	t.Helper()
 	spec := workloads.MustGet(workload)
@@ -27,18 +27,29 @@ func freshRun(t *testing.T, workload string, cfg core.Config, o Options) *core.S
 
 // TestGridsMatchFreshBuilds checks that cells replaying shared inputs
 // from two workers yield exactly what each cell yields from its own
-// inputs: stats, miss-latency breakdowns and attribution in Collect,
-// and every Table 1 cell.
+// inputs: stats, miss-latency breakdowns and attribution in the
+// report's observed matrix, and every Table 1 cell. It also checks that
+// Collect, which builds neither view, reads the same stats.
 func TestGridsMatchFreshBuilds(t *testing.T) {
 	o := Options{Cores: 4, Scale: 1, Jobs: 2, TraceSeed: 3,
 		Workloads: []string{"histogram", "swaptions"}}
-	m, err := Collect(o)
+	m, err := collectObserved(o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	plain, err := Collect(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Attribs != nil || plain.Breakdowns != nil {
+		t.Error("Collect built the report-only views")
 	}
 	for _, w := range o.Workloads {
 		for _, p := range core.AllProtocols {
 			label := w + "/" + p.String()
+			if !reflect.DeepEqual(plain.Get(w, p), m.Get(w, p)) {
+				t.Errorf("%s: Collect stats differ from the observed matrix", label)
+			}
 			single, err := Run(w, p, o)
 			if err != nil {
 				t.Fatal(err)

@@ -25,6 +25,7 @@ func (m *Matrix) mergedBreakdown(p core.Protocol) *obs.LatencyBreakdown {
 // and the stats-side average miss latency they must reconcile with
 // (the phases tile the miss interval, so the two columns agree to
 // rounding — the cross-check the observability layer is built around).
+// It reads Matrix.Breakdowns, which only the report's matrix holds.
 func (m *Matrix) PhaseDecomposition() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-15s", "protocol")

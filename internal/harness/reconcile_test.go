@@ -18,7 +18,7 @@ import (
 func TestProfileReconcilesWithAttribution(t *testing.T) {
 	const cores, scale = 16, 1
 	names := append(workloads.Names(), workloads.MicroNames()...)
-	m, err := Collect(Options{Cores: cores, Scale: scale, Workloads: names})
+	m, err := collectObserved(Options{Cores: cores, Scale: scale, Workloads: names})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,9 @@ func GenerateReport(o Options, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "## Table 1: MESI vs fixed block size\n\n```\n%s```\n\n", t1.Render())
 
-	// The protocol matrix and every figure.
-	m, err := Collect(o)
+	// The protocol matrix and every figure, with the attribution and
+	// latency views the sections below read.
+	m, err := collectObserved(o)
 	if err != nil {
 		return err
 	}

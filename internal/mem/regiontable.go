@@ -1,7 +1,9 @@
 package mem
 
+import "protozoa/internal/recycle"
+
 // RegionTable is a directly indexed table of per-region values: the
-// directory's entry table, the L1 miss classifier's word causes and the
+// directory's entry index, the L1 miss classifier's word causes and the
 // attribution tracker's region states all live in one. The index space
 // is chunked — a directory of fixed-size chunks allocated on first
 // touch — so tables whose indices sit high in the address space only
@@ -9,9 +11,42 @@ package mem
 // Indices at or beyond RegionTableSlots (sparse gigantic address spaces
 // in directed tests) fall back to a map. A slot never written reads as
 // T's zero value, and writing the zero value clears it.
+//
+// A table with a Pool draws its chunks from it, and Release hands them
+// back, so machines built one after another in a process reuse the
+// same chunks.
 type RegionTable[T comparable] struct {
+	Pool *ChunkPool[T]
+
 	dense  []*[regionChunkSlots]T
 	sparse map[uint64]T // lazily allocated overflow
+}
+
+// ChunkPool recycles RegionTable chunks across tables; it is safe for
+// concurrent use. A chunk is cleared when it is drawn, so a table never
+// sees what the chunk held before. While recycle.Poison is set,
+// Release fills each chunk with Poison before pooling it, which makes
+// a missed clear show up as wrong values rather than as lucky zeros.
+type ChunkPool[T comparable] struct {
+	Poison T
+	pool   recycle.Pool[*[regionChunkSlots]T]
+}
+
+func (p *ChunkPool[T]) get() *[regionChunkSlots]T {
+	if c, ok := p.pool.Get(); ok {
+		clear(c[:])
+		return c
+	}
+	return new([regionChunkSlots]T)
+}
+
+func (p *ChunkPool[T]) put(c *[regionChunkSlots]T) {
+	if recycle.Poison.Load() {
+		for i := range c {
+			c[i] = p.Poison
+		}
+	}
+	p.pool.Put(c)
 }
 
 // RegionTableSlots caps the dense index space; the chunk directory
@@ -61,7 +96,11 @@ func (t *RegionTable[T]) Set(i uint64, v T) {
 		if v == zero {
 			return
 		}
-		t.dense[ch] = new([regionChunkSlots]T)
+		if t.Pool != nil {
+			t.dense[ch] = t.Pool.get()
+		} else {
+			t.dense[ch] = new([regionChunkSlots]T)
+		}
 	}
 	t.dense[ch][i&regionChunkMask] = v
 }
@@ -83,4 +122,18 @@ func (t *RegionTable[T]) Each(fn func(T)) {
 	for _, v := range t.sparse {
 		fn(v)
 	}
+}
+
+// Release empties the table, handing its chunks to Pool (a table
+// without a Pool just drops them). The table stays usable and reads as
+// empty.
+func (t *RegionTable[T]) Release() {
+	if t.Pool != nil {
+		for _, chunk := range t.dense {
+			if chunk != nil {
+				t.Pool.put(chunk)
+			}
+		}
+	}
+	*t = RegionTable[T]{Pool: t.Pool}
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // CellSpec is everything that determines a cell's result: the fully
-// resolved machine configuration, the workload/trace identity, and
-// which observations the driver asked for. It exists to derive the
-// cell's content-addressed cache key.
+// resolved machine configuration and the workload/trace identity. It
+// exists to derive the cell's content-addressed cache key. Which
+// observations a cell asks for is not part of it: an entry serves
+// every request its payload holds enough for (see Pool.Cache).
 type CellSpec struct {
 	// Config is the resolved machine configuration — after defaults,
 	// core counts, and knobs have been applied. Workers is excluded
@@ -33,18 +34,13 @@ type CellSpec struct {
 	// parameters that aren't part of Config.
 	Extra [][2]string
 
-	// Observation shape. Cells that request different observations
-	// store different payloads, so the flags are part of the key.
-	NeedAttrib  bool
-	NeedLatency bool
-
 	// Extract names the driver's Extract serialization ("" when the
 	// cell has none); the name doubles as that codec's version tag.
 	Extract string
 }
 
-// ConfigHash canonically hashes the spec — configuration, workload
-// identity, and observation shape, but not the code version. This is
+// ConfigHash canonically hashes the spec — configuration and workload
+// identity, but not the code version. This is
 // the stable half of the key: it changes exactly when the cell's
 // inputs change, and the golden test pins it. A spec whose config
 // can't be canonicalized (an injected PredictorOverride hook) is
@@ -62,8 +58,6 @@ func (s CellSpec) ConfigHash() (resultcache.Key, error) {
 	for _, kv := range s.Extra {
 		b.Field("extra."+kv[0], kv[1])
 	}
-	b.Field("need.attrib", boolStr(s.NeedAttrib))
-	b.Field("need.latency", boolStr(s.NeedLatency))
 	b.Field("extract", s.Extract)
 	return b.Sum(), nil
 }
@@ -101,11 +95,4 @@ func OpenCache(enabled bool, dir string) (*resultcache.Cache, error) {
 		return nil, nil
 	}
 	return resultcache.Open(dir, 0)
-}
-
-func boolStr(v bool) string {
-	if v {
-		return "true"
-	}
-	return "false"
 }

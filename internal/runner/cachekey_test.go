@@ -19,11 +19,10 @@ func fixedSpec(t *testing.T) CellSpec {
 		t.Fatalf("ConfigureCores: %v", err)
 	}
 	return CellSpec{
-		Config:     cfg,
-		Workload:   "linear-regression",
-		Scale:      2,
-		Seed:       7,
-		NeedAttrib: true,
+		Config:   cfg,
+		Workload: "linear-regression",
+		Scale:    2,
+		Seed:     7,
 	}
 }
 
@@ -33,7 +32,7 @@ func fixedSpec(t *testing.T) CellSpec {
 // entries from earlier builds will all miss. That is the designed
 // invalidation behaviour — update the literal only once you've
 // confirmed the change to the hashed surface is deliberate.
-const goldenConfigHash = "8938c7dcf17d40b5e57e912616ac2758a9e197a799589bc400a33ac233d07c30"
+const goldenConfigHash = "2965d61dc0b157f06028ee6b8644516fd76452c439d2ffbfce27a2e1b4fffa45"
 
 func TestConfigHashGolden(t *testing.T) {
 	h, err := fixedSpec(t).ConfigHash()
@@ -58,16 +57,14 @@ func TestConfigHashSensitivity(t *testing.T) {
 	}
 
 	mutations := map[string]func(*CellSpec){
-		"protocol":     func(s *CellSpec) { s.Config = core.DefaultConfig(core.ProtozoaMW); s.Config.RegionBytes = 64 },
-		"region knob":  func(s *CellSpec) { s.Config.RegionBytes = 128 },
-		"l1 geometry":  func(s *CellSpec) { s.Config.L1Sets *= 2 },
-		"workload":     func(s *CellSpec) { s.Workload = "histogram" },
-		"scale":        func(s *CellSpec) { s.Scale = 3 },
-		"seed":         func(s *CellSpec) { s.Seed = 8 },
-		"extra pair":   func(s *CellSpec) { s.Extra = [][2]string{{"stores", "30"}} },
-		"need.attrib":  func(s *CellSpec) { s.NeedAttrib = false },
-		"need.latency": func(s *CellSpec) { s.NeedLatency = true },
-		"extract tag":  func(s *CellSpec) { s.Extract = "checker-summary-v1" },
+		"protocol":    func(s *CellSpec) { s.Config = core.DefaultConfig(core.ProtozoaMW); s.Config.RegionBytes = 64 },
+		"region knob": func(s *CellSpec) { s.Config.RegionBytes = 128 },
+		"l1 geometry": func(s *CellSpec) { s.Config.L1Sets *= 2 },
+		"workload":    func(s *CellSpec) { s.Workload = "histogram" },
+		"scale":       func(s *CellSpec) { s.Scale = 3 },
+		"seed":        func(s *CellSpec) { s.Seed = 8 },
+		"extra pair":  func(s *CellSpec) { s.Extra = [][2]string{{"stores", "30"}} },
+		"extract tag": func(s *CellSpec) { s.Extract = "checker-summary-v1" },
 	}
 	for name, mutate := range mutations {
 		s := fixedSpec(t)

@@ -15,7 +15,7 @@ import (
 // knobs x RMAX region sizes, expanded in row order (workload
 // outermost, region innermost) — the order the CSV reports.
 type Grid struct {
-	Workloads []string
+	Workloads []string        // nil = the full suite
 	Protocols []core.Protocol // nil = the full family
 	Knobs     []string        // nil = baseline only
 	Regions   []int           // nil = the 64 B default
@@ -28,6 +28,9 @@ type Grid struct {
 // vocabulary error — unknown workload or knob, unsupported core count
 // — surfaces here, before any simulation runs.
 func (g Grid) Cells() ([]Cell, error) {
+	if len(g.Workloads) == 0 {
+		g.Workloads = workloads.Names()
+	}
 	if g.Cores == 0 {
 		g.Cores = 16
 	}
@@ -93,10 +96,9 @@ func (g Grid) Cells() ([]Cell, error) {
 							Workload: spec.Name,
 							Scale:    g.Scale,
 							Seed:     g.TraceSeed,
-							// Attribution backs the util_pct / wasted_bytes /
-							// false_shared_regions CSV columns.
-							NeedAttrib: true,
 						}.Key(),
+						// Attribution backs the util_pct / wasted_bytes /
+						// false_shared_regions CSV columns.
 						NeedAttrib: true,
 						Build: func() (*core.System, error) {
 							return core.NewSystem(cfg, recs())

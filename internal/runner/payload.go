@@ -37,17 +37,28 @@ func encodeResult(r *Result) ([]byte, error) {
 	return json.Marshal(cr)
 }
 
-// decodeResult reconstructs a result for cell c from a cached payload.
-// A payload missing an observation the cell requires is an error — the
-// caller treats it as a miss and re-simulates.
-func decodeResult(i int, c Cell, payload []byte) (Result, error) {
+// decodePayload parses a cached payload.
+func decodePayload(payload []byte) (*cachedResult, error) {
 	var cr cachedResult
 	if err := json.Unmarshal(payload, &cr); err != nil {
-		return Result{}, fmt.Errorf("decode cached result: %w", err)
+		return nil, fmt.Errorf("decode cached result: %w", err)
 	}
 	if cr.Stats == nil {
-		return Result{}, fmt.Errorf("cached result has no stats")
+		return nil, fmt.Errorf("cached result has no stats")
 	}
+	return &cr, nil
+}
+
+// covers reports whether the payload holds every observation cell c
+// needs.
+func (cr *cachedResult) covers(c Cell) bool {
+	return (!c.NeedAttrib || cr.Attrib != nil) && (!c.NeedLatency || cr.Latency != nil)
+}
+
+// result reconstructs cell c's result from a payload that covers it.
+// Observations the payload holds beyond the cell's needs are left out,
+// so the result equals what simulating the cell would give.
+func (cr *cachedResult) result(i int, c Cell) (Result, error) {
 	r := Result{
 		Index:  i,
 		Cell:   c,
@@ -57,9 +68,6 @@ func decodeResult(i int, c Cell, payload []byte) (Result, error) {
 		Cached: true,
 	}
 	if c.NeedAttrib {
-		if cr.Attrib == nil {
-			return Result{}, fmt.Errorf("cached result lacks attribution")
-		}
 		tr, err := attrib.FromDump(cr.Attrib)
 		if err != nil {
 			return Result{}, err
@@ -67,9 +75,6 @@ func decodeResult(i int, c Cell, payload []byte) (Result, error) {
 		r.Attrib = tr
 	}
 	if c.NeedLatency {
-		if cr.Latency == nil {
-			return Result{}, fmt.Errorf("cached result lacks latency breakdown")
-		}
 		r.Latency = cr.Latency
 	}
 	return r, nil

@@ -49,6 +49,8 @@ type Cell struct {
 	// NeedAttrib and NeedLatency request the respective observations;
 	// the pool enables them before the run and delivers the trackers
 	// in the result (from the live system or a cached payload alike).
+	// They are not part of Key: a cached entry answers any cell whose
+	// needs its payload covers.
 	NeedAttrib  bool
 	NeedLatency bool
 
@@ -116,8 +118,11 @@ type Pool struct {
 	// Cache, when non-nil, memoizes cells with a non-zero Key: hits
 	// skip Build and the simulation entirely, misses write back on
 	// success, and identical concurrent cells collapse into one
-	// simulation (singleflight). Results are byte-identical with and
-	// without the cache — that is the content-addressing contract.
+	// simulation (singleflight). An entry answers a cell when its
+	// payload holds every observation the cell needs; a cell that needs
+	// more simulates and rewrites the entry with the larger payload.
+	// Results are byte-identical with and without the cache — that is
+	// the content-addressing contract.
 	Cache *resultcache.Cache
 
 	// OnResult, when non-nil, observes each result as its cell
@@ -203,10 +208,11 @@ func (p Pool) Run(cells []Cell) ([]Result, Summary) {
 	return results, sum
 }
 
-// runCell resolves one cell: from the cache when possible, by
-// simulating otherwise. Any cache-side failure — undecodable payload,
-// a concurrent leader's error — degrades to a plain simulation, never
-// to a failed cell the simulator itself wouldn't have failed.
+// runCell resolves one cell: from the cache when an entry holds what
+// the cell needs, by simulating otherwise. Any cache-side failure —
+// undecodable payload, a concurrent leader's error — degrades to a
+// plain simulation, never to a failed cell the simulator itself
+// wouldn't have failed.
 func (p Pool) runCell(i int, c Cell) Result {
 	if p.Cache == nil || c.Key.IsZero() {
 		return simCell(i, c)
@@ -235,13 +241,40 @@ func (p Pool) runCell(i int, c Cell) Result {
 		// re-running produces this cell's own correctly-labelled error.
 		return simCell(i, c)
 	}
-	r, derr := decodeResult(i, c, payload)
-	if derr != nil {
-		// Payload doesn't carry what this cell needs (or is garbled in
-		// a way the disk checksum can't see) — fall back to simulating.
-		return simCell(i, c)
+	cr, derr := decodePayload(payload)
+	if derr == nil && cr.covers(c) {
+		if r, err := cr.result(i, c); err == nil {
+			r.Wall = time.Since(start)
+			return r
+		}
 	}
-	r.Wall = time.Since(start)
+	return p.upgrade(i, c, cr)
+}
+
+// upgrade simulates a cell whose cache entry lacks an observation it
+// needs (or is garbled in a way the disk checksum can't see), and
+// rewrites the entry with a payload holding the cell's observations
+// plus every one the old entry held (cr, nil when unreadable), so no
+// later request loses what it could read before.
+func (p Pool) upgrade(i int, c Cell, cr *cachedResult) Result {
+	wide := c
+	if cr != nil {
+		wide.NeedAttrib = c.NeedAttrib || cr.Attrib != nil
+		wide.NeedLatency = c.NeedLatency || cr.Latency != nil
+	}
+	r := simCell(i, wide)
+	if r.Err == nil {
+		if payload, err := encodeResult(&r); err == nil {
+			_ = p.Cache.Put(c.Key, payload) // disk errors are counted; the memory tier holds it
+		}
+		if !c.NeedAttrib {
+			r.Attrib = nil
+		}
+		if !c.NeedLatency {
+			r.Latency = nil
+		}
+	}
+	r.Cell = c
 	return r
 }
 
@@ -282,6 +315,9 @@ func simCell(i int, c Cell) Result {
 		}
 	}
 	r.Events = sys.EventsProcessed()
+	// The pool built this machine and nothing reads it past here: its
+	// storage goes to the next cell this process builds.
+	sys.Release()
 	r.Wall = time.Since(start)
 	return r
 }

@@ -9,7 +9,7 @@
 //   - Run simulates one workload of the built-in suite under one
 //     protocol and returns its measurements.
 //   - Collect runs the whole workload x protocol matrix and renders
-//     the paper's Figures 9-15 as text tables; CollectTable1 sweeps
+//     the paper's Figures 9-16 as text tables; CollectTable1 sweeps
 //     MESI block sizes for Table 1.
 //   - NewSystem gives direct access to the simulated machine for
 //     custom per-core access records (see examples/falsesharing).
@@ -107,7 +107,10 @@ func Workloads() []Workload {
 // the paper's figures.
 type Matrix = harness.Matrix
 
-// Collect runs the full matrix for the Figure 9-15 reproductions.
+// Collect runs the full matrix for the Figure 9-16 reproductions. It
+// builds the stats every figure renders from and no report-only view:
+// the matrix's Attribs and Breakdowns are nil (only `protozoa report`
+// fills them).
 func Collect(o Options) (*Matrix, error) { return harness.Collect(o) }
 
 // Table1Result is the MESI block-size sweep.
