@@ -12,14 +12,17 @@
 # JSON must parse, live metrics endpoint must serve Prometheus text
 # during a run), the flight-log smoke (under each of the four
 # protocols, two recordings of one run byte-identical and
-# inspect-clean) and the result-cache smoke. perfbench is its own module,
+# inspect-clean) and the result-cache smoke. ./cmd's tests build and
+# exec the binaries, which Go's test cache does not key on, so they
+# always run (-count=1) and only once. perfbench is its own module,
 # which the root `go build ./...` skips, so it is vetted and tested on
 # its own (vet, not build: `go build` there writes a perfbench binary
 # into the tree).
 verify:
 	go build ./...
 	go vet ./...
-	go test ./...
+	go test $$(go list ./... | grep -vx protozoa/cmd)
+	go test -count=1 ./cmd
 	go test -race ./internal/runner ./internal/engine ./internal/resultcache
 	go test -race ./internal/harness ./internal/workloads ./internal/trace
 	go test -race ./internal/core ./internal/cache

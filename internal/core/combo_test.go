@@ -39,7 +39,7 @@ func TestEverythingCombinedStress(t *testing.T) {
 				for i := 0; i < 1200; i++ {
 					a := trace.Access{
 						Addr: mem.Addr(rng.Intn(14)*64 + rng.Intn(8)*8),
-						PC:   uint64(0x400 + rng.Intn(6)*4),
+						PC:   uint32(0x400 + rng.Intn(6)*4),
 					}
 					switch r := rng.Intn(100); {
 					case r < 45:

@@ -46,7 +46,7 @@ func oneWordOverride(int) predictor.Predictor { return oneWordPred{} }
 func ld(addr mem.Addr) trace.Access { return trace.Access{Kind: trace.Load, Addr: addr, PC: 0x400} }
 func st(addr mem.Addr) trace.Access { return trace.Access{Kind: trace.Store, Addr: addr, PC: 0x500} }
 
-func ldPC(addr mem.Addr, pc uint64) trace.Access {
+func ldPC(addr mem.Addr, pc uint32) trace.Access {
 	return trace.Access{Kind: trace.Load, Addr: addr, PC: pc}
 }
 

@@ -132,7 +132,7 @@ func (s *System) issueAccess(c *cpu) {
 		s.st.Stores++
 		cs.Stores++
 		c.pendVal = c.storeToken()
-		s.l1s[c.id].resolve(a.Addr, accWrite, a.PC, c.pendVal, c)
+		s.l1s[c.id].resolve(a.Addr, accWrite, uint64(a.PC), c.pendVal, c)
 	case trace.RMW:
 		// Atomic fetch-and-increment: counted as a store (it acquires
 		// write permission) and observed as both a load of the old
@@ -140,11 +140,11 @@ func (s *System) issueAccess(c *cpu) {
 		s.st.Stores++
 		s.st.RMWs++
 		cs.Stores++
-		s.l1s[c.id].resolve(a.Addr, accRMW, a.PC, 0, c)
+		s.l1s[c.id].resolve(a.Addr, accRMW, uint64(a.PC), 0, c)
 	default:
 		s.st.Loads++
 		cs.Loads++
-		s.l1s[c.id].resolve(a.Addr, accRead, a.PC, 0, c)
+		s.l1s[c.id].resolve(a.Addr, accRead, uint64(a.PC), 0, c)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"protozoa/internal/directory"
 	"protozoa/internal/engine"
@@ -36,6 +37,12 @@ type dirSlice struct {
 	free  []uint32
 	count int // live entries
 
+	// words holds the L2 data blocks: words[i] pairs with arena[i] and
+	// keeps stride (the geometry's WordsPerRegion) words per entry, at
+	// the entry's arena position. block is the only way in.
+	words  [][]uint64
+	stride uint32
+
 	// One-entry memo: coherence traffic is bursty per region (request,
 	// probes, replies, unblock all hit the same entry back to back).
 	lastRegion mem.RegionID
@@ -58,9 +65,12 @@ type dirSlice struct {
 	memory map[mem.RegionID][]uint64
 }
 
-// dirEntry is one region's directory entry plus its L2 data block.
-// The fields every request reads come first, in the entry's first 64
-// bytes.
+// dirEntry is one region's directory entry. Its L2 data block lives
+// in the slice's word store at the entry's arena position (block), so
+// an entry is 96 bytes whatever the region size. The fields every
+// request reads come first, in the entry's first 64 bytes; at 96 bytes
+// an entry starts on a cache-line boundary only at even arena
+// positions, so those 64 bytes span one line or two.
 type dirEntry struct {
 	region mem.RegionID
 	touch  uint64  // LRU stamp for finite-L2 inclusion eviction
@@ -78,11 +88,8 @@ type dirEntry struct {
 	pendingUnblock bool  // 3-hop: requester unblocked before the probes retired
 	from           uint8 // state code at processing (for the transaction's state edge)
 
+	pos      uint32 // arena position, which also locates the L2 block
 	txnStore dirTxn // in-place transaction storage (no per-txn alloc)
-
-	// data is the fixed-granularity L2 data block; words at or past
-	// the geometry's WordsPerRegion stay zero.
-	data [mem.MaxRegionWords]uint64
 }
 
 // dirChunkSlots is how many entries one arena chunk holds.
@@ -94,12 +101,23 @@ type dirChunk [dirChunkSlots]dirEntry
 // when drawn.
 var dirChunks recycle.Pool[*dirChunk]
 
+// wordChunks recycles the word chunks paired with arena chunks, one
+// pool per region size (indexed by log2 of WordsPerRegion, up to
+// log2(MaxRegionWords) = 4), so every chunk a pool holds is exactly
+// dirChunkSlots*WordsPerRegion words long and all of it is in use. A
+// chunk is cleared when drawn.
+var wordChunks [5]recycle.Pool[[]uint64]
+
+func wordPool(stride uint32) *recycle.Pool[[]uint64] {
+	return &wordChunks[bits.TrailingZeros32(stride)]
+}
+
 // dirTxn is one active coherence transaction.
 type dirTxn struct {
 	id        uint64
 	req       *Msg
-	waiting   int  // probe replies outstanding
-	forwarded bool // a 3-hop owner already supplied the requester
+	waiting   int32 // probe replies outstanding
+	forwarded bool  // a 3-hop owner already supplied the requester
 }
 
 // newTxnID issues the slice's next transaction ID: nonzero (0 marks
@@ -114,6 +132,7 @@ func newDirSlice(sys *System, node int) *dirSlice {
 	d := &dirSlice{
 		sys: sys, node: node,
 		index:  mem.RegionTable[uint32]{Pool: &tableChunks},
+		stride: uint32(sys.geom.WordsPerRegion()),
 		memory: make(map[mem.RegionID][]uint64),
 	}
 	if sys.cfg.Directory == DirBloom {
@@ -192,6 +211,13 @@ func (d *dirSlice) at(pos uint32) *dirEntry {
 	return &d.arena[pos/dirChunkSlots][pos%dirChunkSlots]
 }
 
+// block returns the entry's L2 data block: WordsPerRegion words,
+// indexed by region word offset.
+func (d *dirSlice) block(e *dirEntry) []uint64 {
+	i := e.pos % dirChunkSlots * d.stride
+	return d.words[e.pos/dirChunkSlots][i : i+d.stride : i+d.stride]
+}
+
 // place returns a free arena position: a vacated one, or the next
 // unused one, drawing a chunk when the arena is full.
 func (d *dirSlice) place() uint32 {
@@ -207,7 +233,14 @@ func (d *dirSlice) place() uint32 {
 		} else {
 			c = new(dirChunk)
 		}
+		w, ok := wordPool(d.stride).Get()
+		if ok {
+			clear(w)
+		} else {
+			w = make([]uint64, dirChunkSlots*d.stride)
+		}
 		d.arena = append(d.arena, c)
+		d.words = append(d.words, w)
 	}
 	d.used++
 	return d.used - 1
@@ -222,25 +255,28 @@ func (d *dirSlice) eachEntry(fn func(*dirEntry)) {
 	}
 }
 
-// release hands the slice's index and arena chunks to their pools;
-// the slice must not be used afterwards.
+// release hands the slice's index, arena and word chunks to their
+// pools; the slice must not be used afterwards.
 func (d *dirSlice) release() {
 	d.index.Release()
 	poison := recycle.Poison.Load()
-	for _, c := range d.arena {
+	for i, c := range d.arena {
+		w := d.words[i]
 		if poison {
 			bad := dirEntry{region: ^mem.RegionID(0), touch: ^uint64(0), live: true, busy: true,
-				l2dirty: true, memTouched: true, sharers: ^directory.NodeSet(0), valid: ^mem.Bitmap(0)}
-			for w := range bad.data {
-				bad.data[w] = 0xdeadbeefdeadbeef
+				l2dirty: true, memTouched: true, sharers: ^directory.NodeSet(0), valid: ^mem.Bitmap(0),
+				pos: ^uint32(0)}
+			for j := range c {
+				c[j] = bad
 			}
-			for i := range c {
-				c[i] = bad
+			for j := range w {
+				w[j] = 0xdeadbeefdeadbeef
 			}
 		}
 		dirChunks.Put(c)
+		wordPool(d.stride).Put(w)
 	}
-	d.arena, d.free, d.lastEntry = nil, nil, nil
+	d.arena, d.words, d.free, d.lastEntry = nil, nil, nil, nil
 }
 
 // lookup returns the region's entry without creating it or touching
@@ -282,10 +318,11 @@ func (d *dirSlice) entry(region mem.RegionID) *dirEntry {
 		d.index.Set(d.slot(region), pos+1)
 		e = d.at(pos)
 		e.live = true
+		e.pos = pos
 		e.region = region
 		e.valid = d.sys.geom.FullRange().Bitmap()
 		if saved, hit := d.memory[region]; hit {
-			copy(e.data[:], saved)
+			copy(d.block(e), saved)
 		}
 		d.count++
 		d.lastRegion = region
@@ -333,7 +370,7 @@ func (d *dirSlice) evictLRURegion() {
 	victim.txnStore = dirTxn{
 		id:      d.newTxnID(),
 		req:     req,
-		waiting: targets.Count(),
+		waiting: int32(targets.Count()),
 	}
 	victim.txn = &victim.txnStore
 	if d.sys.attrib != nil {
@@ -369,6 +406,7 @@ func (d *dirSlice) dropEntry(e *dirEntry) {
 	if d.lastEntry == e {
 		d.lastEntry = nil
 	}
+	clear(d.block(e))
 	*e = dirEntry{}
 }
 
@@ -379,15 +417,15 @@ func (d *dirSlice) persistWords(e *dirEntry, mask mem.Bitmap) {
 	if mask == 0 {
 		return
 	}
-	words := d.sys.geom.WordsPerRegion()
+	data := d.block(e)
 	saved, ok := d.memory[e.region]
 	if !ok {
-		saved = make([]uint64, words)
+		saved = make([]uint64, len(data))
 		d.memory[e.region] = saved
 	}
-	for w := 0; w < words; w++ {
+	for w := range data {
 		if mask.Has(uint8(w)) {
-			saved[w] = e.data[w]
+			saved[w] = data[w]
 		}
 	}
 }
@@ -401,12 +439,13 @@ func (d *dirSlice) fetchMissing(e *dirEntry, need mem.Bitmap) bool {
 		return false
 	}
 	saved := d.memory[e.region] // nil reads as zero memory
-	for w := 0; w < d.sys.geom.WordsPerRegion(); w++ {
+	data := d.block(e)
+	for w := range data {
 		if missing.Has(uint8(w)) {
 			if saved != nil {
-				e.data[w] = saved[w]
+				data[w] = saved[w]
 			} else {
-				e.data[w] = 0
+				data[w] = 0
 			}
 		}
 	}
@@ -486,7 +525,7 @@ func (d *dirSlice) process(e *dirEntry, m *Msg) {
 		d.finish(e, m, false)
 		return
 	}
-	e.txnStore = dirTxn{id: d.newTxnID(), req: m, waiting: targets.Count()}
+	e.txnStore = dirTxn{id: d.newTxnID(), req: m, waiting: int32(targets.Count())}
 	e.txn = &e.txnStore
 	if d.sys.attrib != nil {
 		d.sys.attrib.Fanout(m.Region, targets.Count())
@@ -536,9 +575,10 @@ func (d *dirSlice) recvResponse(m *Msg) {
 	// non-inclusive L2 had dropped them).
 	carried := m.Valid.Intersect(m.Dirty)
 	if carried != 0 {
-		for w := uint8(0); int(w) < d.sys.geom.WordsPerRegion(); w++ {
-			if carried.Has(w) {
-				e.data[w] = m.Words[w]
+		data := d.block(e)
+		for w := range data {
+			if carried.Has(uint8(w)) {
+				data[w] = m.Words[w]
 			}
 		}
 		e.valid = e.valid.Union(carried)
@@ -720,8 +760,9 @@ func (d *dirSlice) popQueue(e *dirEntry) {
 // loadPayload fills a data reply with the requested words from the L2
 // block.
 func (d *dirSlice) loadPayload(e *dirEntry, reply *Msg) {
+	data := d.block(e)
 	for w := reply.R.Start; ; w++ {
-		reply.Words[w] = e.data[w]
+		reply.Words[w] = data[w]
 		if w == reply.R.End {
 			break
 		}

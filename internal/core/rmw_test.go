@@ -161,7 +161,7 @@ func TestRMWRandomStress(t *testing.T) {
 				var recs []trace.Access
 				for i := 0; i < 1200; i++ {
 					addr := mem.Addr(rng.Intn(8)*64 + rng.Intn(8)*8)
-					a := trace.Access{Addr: addr, PC: uint64(0x400 + rng.Intn(4)*4)}
+					a := trace.Access{Addr: addr, PC: uint32(0x400 + rng.Intn(4)*4)}
 					switch r := rng.Intn(100); {
 					case r < 40:
 						a.Kind = trace.Load

@@ -317,12 +317,13 @@ func NewSystem(cfg Config, recs [][]trace.Access) (*System, error) {
 }
 
 // Release hands the machine's storage to process-wide pools that later
-// NewSystem calls draw from and clear: the L1 set storage, the
-// directory's entry arena and index, the miss classifier's tables and
-// the message free list. Only the code that built the machine may release it, once,
-// after its last read of the machine: Stats, Attribution and the
-// latency breakdown stay valid (they are not pooled), but any other use
-// of a released System panics.
+// NewSystem calls draw from and clear: the L1 set storage and spatial
+// predictor tables, the directory's entry arena, L2 word store and
+// index, the miss classifier's tables and the message free list. Only
+// the code that built the machine may release it, once, after its last
+// read of the machine: Stats, Attribution and the latency breakdown
+// stay valid (they are not pooled), but any other use of a released
+// System panics.
 func (s *System) Release() {
 	s.mustLive()
 	s.released = true
@@ -333,6 +334,10 @@ func (s *System) Release() {
 	for i := len(s.l1s) - 1; i >= 0; i-- {
 		s.l1s[i].cache.Release()
 		s.l1s[i].causes.Release()
+		// A predictor from PredictorOverride is the caller's to keep.
+		if sp, ok := s.l1s[i].pred.(*predictor.Spatial); ok && s.cfg.PredictorOverride == nil {
+			sp.Release()
+		}
 		s.dirs[i].release()
 	}
 	s.pool.release()
@@ -501,7 +506,10 @@ func (s *System) L2Word(region mem.RegionID, w uint8) (uint64, bool) {
 	if e == nil {
 		return 0, false
 	}
-	return e.data[w], true
+	if data := d.block(e); int(w) < len(data) {
+		return data[w], true
+	}
+	return 0, true
 }
 
 // DirBusy reports whether the region has an active directory

@@ -147,7 +147,7 @@ func verifyProtocol(p core.Protocol, cores int) (loads, checks int, err error) {
 			recs = append(recs, trace.Access{
 				Kind: kind,
 				Addr: mem.Addr(rng.Intn(12)*64 + rng.Intn(8)*8),
-				PC:   uint64(0x400 + rng.Intn(8)*4),
+				PC:   uint32(0x400 + rng.Intn(8)*4),
 			})
 		}
 		perCore[c] = recs

@@ -12,9 +12,10 @@ import "protozoa/internal/recycle"
 // in directed tests) fall back to a map. A slot never written reads as
 // T's zero value, and writing the zero value clears it.
 //
-// A table with a Pool draws its chunks from it, and Release hands them
-// back, so machines built one after another in a process reuse the
-// same chunks.
+// A table with a Pool draws its chunks and its chunk directory from
+// it, and Release hands them back, so machines built one after another
+// in a process reuse the same chunks and a directory already grown to
+// the span they touch.
 type RegionTable[T comparable] struct {
 	Pool *ChunkPool[T]
 
@@ -30,6 +31,7 @@ type RegionTable[T comparable] struct {
 type ChunkPool[T comparable] struct {
 	Poison T
 	pool   recycle.Pool[*[regionChunkSlots]T]
+	dirs   recycle.Pool[[]*[regionChunkSlots]T] // emptied chunk directories
 }
 
 func (p *ChunkPool[T]) get() *[regionChunkSlots]T {
@@ -90,6 +92,9 @@ func (t *RegionTable[T]) Set(i uint64, v T) {
 		if v == zero {
 			return
 		}
+		if t.dense == nil && t.Pool != nil {
+			t.dense, _ = t.Pool.dirs.Get()
+		}
 		t.dense = append(t.dense, make([]*[regionChunkSlots]T, ch+1-uint64(len(t.dense)))...)
 	}
 	if t.dense[ch] == nil {
@@ -124,15 +129,19 @@ func (t *RegionTable[T]) Each(fn func(T)) {
 	}
 }
 
-// Release empties the table, handing its chunks to Pool (a table
-// without a Pool just drops them). The table stays usable and reads as
-// empty.
+// Release empties the table, handing its chunks and its emptied chunk
+// directory to Pool (a table without a Pool just drops them). The table
+// stays usable and reads as empty.
 func (t *RegionTable[T]) Release() {
 	if t.Pool != nil {
 		for _, chunk := range t.dense {
 			if chunk != nil {
 				t.Pool.put(chunk)
 			}
+		}
+		if t.dense != nil {
+			clear(t.dense)
+			t.Pool.dirs.Put(t.dense[:0])
 		}
 	}
 	*t = RegionTable[T]{Pool: t.Pool}

@@ -42,3 +42,29 @@ func TestRegionTable(t *testing.T) {
 		t.Error("writing nil into an untouched chunk allocated storage")
 	}
 }
+
+// TestRegionTableReusesDirectory: a released table hands its chunk
+// directory, emptied, to the pool, and the next table that grows draws
+// it instead of allocating one, however far it grew before.
+func TestRegionTableReusesDirectory(t *testing.T) {
+	pool := &ChunkPool[uint32]{Poison: 0xaaaaaaaa}
+	first := RegionTable[uint32]{Pool: pool}
+	far := uint64(300*regionChunkSlots + 5)
+	first.Set(far, 7)
+	dir := first.dense
+	first.Release()
+
+	next := RegionTable[uint32]{Pool: pool}
+	next.Set(far, 9)
+	if &next.dense[0] != &dir[0] {
+		t.Error("the next table allocated a new chunk directory instead of reusing the released one")
+	}
+	for _, i := range []uint64{0, far - 1, far + 1} {
+		if got := next.Get(i); got != 0 {
+			t.Errorf("Get(%d) = %#x on a reused directory, want 0", i, got)
+		}
+	}
+	if got := next.Get(far); got != 9 {
+		t.Errorf("Get(%d) = %d, want 9", far, got)
+	}
+}

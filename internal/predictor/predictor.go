@@ -14,7 +14,10 @@
 // word-sized fetches.
 package predictor
 
-import "protozoa/internal/mem"
+import (
+	"protozoa/internal/mem"
+	"protozoa/internal/recycle"
+)
 
 // Predictor chooses a fetch range for a miss and learns from evicted
 // blocks' usage.
@@ -118,7 +121,8 @@ type spatialEntry struct {
 const DefaultTableSize = 512
 
 // NewSpatial builds a spatial predictor with the given direct-mapped
-// table size (rounded up to a power of two).
+// table size (rounded up to a power of two). It reuses, cleared, a
+// table a released predictor left when one of that size is at hand.
 func NewSpatial(geom mem.Geometry, tableSize int) *Spatial {
 	if tableSize <= 0 {
 		tableSize = DefaultTableSize
@@ -127,7 +131,33 @@ func NewSpatial(geom mem.Geometry, tableSize int) *Spatial {
 	for n < tableSize {
 		n <<= 1
 	}
-	return &Spatial{geom: geom, entries: make([]spatialEntry, n)}
+	entries, ok := releasedTables.Get()
+	if ok && len(entries) == n {
+		clear(entries)
+	} else {
+		entries = make([]spatialEntry, n)
+	}
+	return &Spatial{geom: geom, entries: entries}
+}
+
+// releasedTables holds the tables of released predictors for
+// NewSpatial to reuse.
+var releasedTables recycle.Pool[[]spatialEntry]
+
+// Release hands the predictor's table to the pool NewSpatial draws
+// from; the predictor must not be used afterwards. While recycle.Poison
+// is set, every entry keeps its PC and valid bit but is set to predict
+// a single word first, so a later predictor that skipped the clear
+// would mispredict any PC the table already knew.
+func (s *Spatial) Release() {
+	if recycle.Poison.Load() {
+		for i := range s.entries {
+			e := &s.entries[i]
+			e.left, e.right, e.shrink = 0, 0, shrinkAfter-1
+		}
+	}
+	releasedTables.Put(s.entries)
+	s.entries = nil
 }
 
 func (s *Spatial) slot(pc uint64) *spatialEntry {

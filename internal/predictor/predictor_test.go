@@ -24,6 +24,25 @@ func TestSpatialColdPredictsFullRegion(t *testing.T) {
 	}
 }
 
+// TestSpatialReusesReleasedTable: NewSpatial draws a released
+// predictor's table and clears it, so what the first learned does not
+// reach the second.
+func TestSpatialReusesReleasedTable(t *testing.T) {
+	p := NewSpatial(mem.DefaultGeometry, 64)
+	for i := 0; i < 6; i++ {
+		p.Train(0x400, 0, 3, mem.OneWord(3).Bitmap(), mem.DefaultGeometry.FullRange())
+	}
+	table := p.entries
+	p.Release()
+	q := NewSpatial(mem.DefaultGeometry, 64)
+	if &q.entries[0] != &table[0] {
+		t.Error("NewSpatial allocated a table instead of reusing the released one")
+	}
+	if got := q.Predict(0x400, 1, 3); got != mem.DefaultGeometry.FullRange() {
+		t.Errorf("Predict on a reused table = %v, want the cold full region", got)
+	}
+}
+
 func TestSpatialLearnsSingleWordPattern(t *testing.T) {
 	p := NewSpatial(mem.DefaultGeometry, 64)
 	// The app only ever touches the trigger word (false-sharing counter).

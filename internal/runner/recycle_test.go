@@ -2,6 +2,7 @@ package runner_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"runtime"
@@ -35,12 +36,65 @@ func runFresh(t *testing.T, test string) []byte {
 	return data
 }
 
+// checkedGrid runs random-tester cells, each watched by a
+// core.Checker, under MESI and Protozoa-MW at 16 B and 64 B regions,
+// with four L2 regions per tile so inclusion recalls drop directory
+// entries and later regions reuse their arena positions. It fails the
+// test on any checker violation: an L2 word that a recycled word chunk
+// or a dropped entry kept would reach a load that expects the golden
+// value. It returns each cell's outcome and traffic. The random records
+// use the same PCs at every seed, so a spatial predictor table drawn
+// without its clear changes what a later grid's misses fetch.
+func checkedGrid(t *testing.T, seed uint64) string {
+	t.Helper()
+	var cells []runner.Cell
+	var chks []*core.Checker
+	for _, p := range []core.Protocol{core.MESI, core.ProtozoaMW} {
+		for _, rb := range []int{16, 64} {
+			cfg := core.DefaultConfig(p)
+			cfg.RegionBytes = rb
+			cfg.L2RegionsPerTile = 4
+			if err := runner.ConfigureCores(&cfg, 4); err != nil {
+				t.Fatal(err)
+			}
+			i := len(chks)
+			chks = append(chks, nil)
+			cells = append(cells, runner.Cell{
+				Label: fmt.Sprintf("checked/%v/r%d", p, rb),
+				Build: func() (*core.System, error) {
+					return core.NewSystem(cfg, workloads.RandomRecords(4, 1500, 48, 30, seed))
+				},
+				Observe: func(sys *core.System) { chks[i] = core.NewChecker(sys) },
+			})
+		}
+	}
+	results, _ := runner.Pool{Jobs: 2}.Run(cells)
+	var out bytes.Buffer
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if err := chks[i].Err(); err != nil {
+			t.Fatalf("%s: %v", r.Cell.Label, err)
+		}
+		st := r.Stats
+		fmt.Fprintf(&out, "%s: %d loads checked, %d scans, %d misses, %d recalls, %d memory writebacks, %d words in, %d messages\n",
+			r.Cell.Label, chks[i].Loads, chks[i].Checks, st.L1Misses, st.Recalls, st.MemWritebacks, st.DataWordsIn, st.Messages)
+		if st.Recalls == 0 {
+			t.Errorf("%s: no inclusion recall, so no entry was dropped", r.Cell.Label)
+		}
+	}
+	return out.String()
+}
+
 // secondGrid runs the grid TestRecycledStorageDoesNotLeak compares:
 // the sweep CSV of Protozoa-MW and MESI at 64 B and MESI at 16 B, the
-// figures and Table 1, over workloads the first grid did not run.
+// figures and Table 1, over workloads the first grid did not run, and
+// the checked random-tester grid at a seed the first did not use.
 func secondGrid(t *testing.T) []byte {
 	t.Helper()
 	var out bytes.Buffer
+	out.WriteString(checkedGrid(t, 2))
 	names := []string{"histogram", "swaptions"}
 	for _, g := range []runner.Grid{
 		{Workloads: names, Protocols: []core.Protocol{core.ProtozoaMW, core.MESI}, Regions: []int{64}},
@@ -92,9 +146,11 @@ func TestRecycledStorageDoesNotLeak(t *testing.T) {
 	recycle.Poison.Store(true)
 	defer recycle.Poison.Store(false)
 
-	// The first grid dirties every kind of pooled storage: Amoeba sets
-	// grown by adaptive fills, directory arenas and indexes, miss
-	// classifier tables, message free lists, at two region sizes.
+	// The first grids dirty every kind of pooled storage: Amoeba sets
+	// grown by adaptive fills, spatial predictor tables trained on the
+	// random records' PCs, directory arenas, word stores and indexes,
+	// miss classifier tables, message free lists, at two region sizes.
+	checkedGrid(t, 1)
 	cells, err := runner.Grid{Workloads: []string{"canneal", "fft"}, Regions: []int{16, 64},
 		Cores: 4, Scale: 1}.Cells()
 	if err != nil {

@@ -20,6 +20,8 @@ package trace
 //
 // Address and PC streams are delta-encoded because real traces are
 // dominated by small strides; zig-zag keeps negative deltas short.
+// A PC is 32 bits: the running sum of a core's PC deltas must stay in
+// [0, 2^32-1], and ReadTraces rejects a record whose PC leaves it.
 
 import (
 	"bufio"
@@ -154,7 +156,10 @@ func ReadTraces(r io.Reader) ([][]Access, error) {
 					return nil, fmt.Errorf("trace: core %d record %d pc: %w", c, i, err)
 				}
 				prevPC += unzigzag(d)
-				a.PC = uint64(prevPC)
+				if prevPC < 0 || prevPC > math.MaxUint32 {
+					return nil, fmt.Errorf("trace: core %d record %d: pc %d outside [0, %d]", c, i, prevPC, uint32(math.MaxUint32))
+				}
+				a.PC = uint32(prevPC)
 			}
 			recs = append(recs, a)
 		}

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,6 +101,70 @@ func TestFileRejectsOversizedThink(t *testing.T) {
 	}
 }
 
+// pcDeltaTrace encodes a two-core trace whose core 1 holds one load
+// per PC delta, each at the next word address.
+func pcDeltaTrace(deltas ...int64) []byte {
+	var buf bytes.Buffer
+	put := func(v uint64) { buf.Write(binary.AppendUvarint(nil, v)) }
+	buf.WriteString(fileMagic)
+	put(fileVersion)
+	put(2)                   // cores
+	put(0)                   // core 0: no records
+	put(uint64(len(deltas))) // core 1
+	for _, d := range deltas {
+		buf.WriteByte(byte(Load))
+		put(0)         // think
+		put(zigzag(8)) // addr delta
+		put(zigzag(d)) // pc delta
+	}
+	return buf.Bytes()
+}
+
+// TestFilePCRange: a PC is 32 bits, so the running sum of a core's PC
+// deltas must stay in [0, 2^32-1]. A record that leaves it is an error
+// naming the core and the record, never a silent truncation; the
+// range's ends round-trip.
+func TestFilePCRange(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		deltas []int64
+		pcs    []uint32 // the decoded PCs, when the file is valid
+		err    string   // the error's tail, when it is not
+	}{
+		{name: "max", deltas: []int64{math.MaxUint32}, pcs: []uint32{math.MaxUint32}},
+		{name: "max then zero", deltas: []int64{math.MaxUint32, -math.MaxUint32}, pcs: []uint32{math.MaxUint32, 0}},
+		{name: "delta reaches 2^32", deltas: []int64{1 << 32},
+			err: "core 1 record 0: pc 4294967296 outside [0, 4294967295]"},
+		{name: "sum reaches 2^32", deltas: []int64{math.MaxUint32, 1},
+			err: "core 1 record 1: pc 4294967296 outside [0, 4294967295]"},
+		{name: "negative", deltas: []int64{0x400, -0x401},
+			err: "core 1 record 1: pc -1 outside [0, 4294967295]"},
+		{name: "huge delta", deltas: []int64{math.MaxInt64},
+			err: "core 1 record 0: pc 9223372036854775807 outside [0, 4294967295]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := ReadTraces(bytes.NewReader(pcDeltaTrace(tc.deltas...)))
+			if tc.err != "" {
+				if err == nil || !strings.HasSuffix(err.Error(), tc.err) {
+					t.Fatalf("err = %v, want one ending %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, pc := range tc.pcs {
+				if got[1][i].PC != pc {
+					t.Errorf("record %d: pc %#x, want %#x", i, got[1][i].PC, pc)
+				}
+			}
+			if again := roundTrip(t, got); !slices.Equal(again[1], got[1]) {
+				t.Errorf("round trip changed the records: %+v, want %+v", again[1], got[1])
+			}
+		})
+	}
+}
+
 func TestFileRejectsImplausibleCoreCount(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString("PZTR")
@@ -122,7 +189,7 @@ func TestQuickFileRoundTrip(t *testing.T) {
 				}
 				if a.Kind != Barrier {
 					a.Addr = mem.Addr(rng.Next() % (1 << 40))
-					a.PC = rng.Next() % (1 << 30)
+					a.PC = uint32(rng.Next() % (1 << 30))
 				}
 				perCore[c] = append(perCore[c], a)
 			}

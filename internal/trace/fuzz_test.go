@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -18,6 +19,8 @@ func FuzzReadTraces(f *testing.F) {
 	f.Add([]byte("PZTR"))
 	f.Add([]byte("PZTR\x01\x01\x01\x09\x00"))
 	f.Add([]byte{})
+	f.Add(pcDeltaTrace(math.MaxUint32)) // the largest PC
+	f.Add(pcDeltaTrace(1 << 32))        // one past it
 	f.Fuzz(func(t *testing.T, data []byte) {
 		perCore, err := ReadTraces(bytes.NewReader(data))
 		if err != nil {

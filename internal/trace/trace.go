@@ -34,10 +34,13 @@ func (k Kind) Writes() bool { return k == Store || k == RMW }
 
 // Access is one record of a core's instruction stream: Think non-memory
 // instructions followed by one memory reference (or a barrier). The
-// fields are ordered widest first so the record packs into 24 bytes.
+// fields are ordered widest first so the record packs into 16 bytes:
+// 15 of data and one of padding. A 32-bit PC covers every static
+// instruction address the generators emit; ReadTraces rejects a trace
+// file that names a larger one.
 type Access struct {
 	Addr  mem.Addr // byte address of the referenced word (Load/Store)
-	PC    uint64   // static instruction address, feeds the predictor
+	PC    uint32   // static instruction address, feeds the predictor
 	Think uint16   // non-memory instructions retired before this record
 	Kind  Kind
 }

@@ -136,7 +136,7 @@ func RandomRecords(cores, accesses, regions, storePct int, seed uint64) [][]trac
 			if rng.Intn(100) < storePct {
 				kind = trace.Store
 			}
-			recs = append(recs, trace.Access{Kind: kind, Addr: addr, PC: uint64(0x400 + rng.Intn(8)*4)})
+			recs = append(recs, trace.Access{Kind: kind, Addr: addr, PC: uint32(0x400 + rng.Intn(8)*4)})
 		}
 		out[c] = recs
 	}
@@ -171,16 +171,16 @@ func (b *builder) add(core int, a trace.Access) {
 	b.recs[core] = append(b.recs[core], a)
 }
 
-func (b *builder) load(core int, addr mem.Addr, pc uint64, think uint16) {
+func (b *builder) load(core int, addr mem.Addr, pc uint32, think uint16) {
 	b.add(core, trace.Access{Kind: trace.Load, Addr: addr, PC: pc, Think: think})
 }
 
-func (b *builder) store(core int, addr mem.Addr, pc uint64, think uint16) {
+func (b *builder) store(core int, addr mem.Addr, pc uint32, think uint16) {
 	b.add(core, trace.Access{Kind: trace.Store, Addr: addr, PC: pc, Think: think})
 }
 
 // rmw records an atomic read-modify-write.
-func (b *builder) rmw(core int, addr mem.Addr, pc uint64, think uint16) {
+func (b *builder) rmw(core int, addr mem.Addr, pc uint32, think uint16) {
 	b.add(core, trace.Access{Kind: trace.RMW, Addr: addr, PC: pc, Think: think})
 }
 
@@ -316,8 +316,8 @@ func genLinearRegression(b *builder) {
 			b.load(c, word(inBase, i%inputWords), 0x1000, 2)
 			for f := 0; f < accWords; f++ {
 				fa := accBase + mem.Addr(f*8)
-				b.load(c, fa, uint64(0x1010+f*0x20), 1)
-				b.store(c, fa, uint64(0x1018+f*0x20), 1)
+				b.load(c, fa, uint32(0x1010+f*0x20), 1)
+				b.store(c, fa, uint32(0x1018+f*0x20), 1)
 			}
 		}
 	}
@@ -665,7 +665,7 @@ func genApache(b *builder) {
 	// and gains no execution time under Protozoa).
 	const objects = 3000
 	paths := []struct {
-		pc     uint64
+		pc     uint32
 		extent int
 	}{{0x1100, 2}, {0x1110, 4}, {0x1120, 5}}
 	for c := 0; c < b.cores; c++ {
