@@ -37,6 +37,15 @@ verify:
 	$(MAKE) flight-smoke
 	$(MAKE) cache-smoke
 
+# golden rewrites every golden file from the current code: the core
+# views, transition table, gauge sets and violation transcript, the
+# harness's attribution pins and reproduction report, and the runner's
+# sweep CSVs (the 2-row pin and the full 28x4 suite). Run it only after
+# an intentional output change, then review the diff it leaves: it
+# names exactly the cells and lines that moved.
+golden:
+	go test -count=1 -run Golden ./internal/core ./internal/harness ./internal/runner -update
+
 # Every smoke target works in its own mktemp -d scratch directory,
 # removed on exit (success or failure), so concurrent invocations never
 # trample each other and nothing accumulates in /tmp.
@@ -186,4 +195,4 @@ bench-gate:
 	$$d/protozoa-benchdiff -baseline "$(BENCH_BASELINE)" \
 		-gate $(BENCH_GATE_TOL) < $$d/bench.txt
 
-.PHONY: verify bench bench-compare bench-gate trace-smoke obs-smoke flight-smoke cache-smoke
+.PHONY: verify golden bench bench-compare bench-gate trace-smoke obs-smoke flight-smoke cache-smoke

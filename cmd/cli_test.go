@@ -501,6 +501,31 @@ func TestCLIs(t *testing.T) {
 		}
 	})
 
+	t.Run("workload-lists", func(t *testing.T) {
+		// Every grid subcommand reads -workloads alike: names trimmed, a
+		// repeat counted once, and a bad name rejected before any cell.
+		grid := func(sub, list string, extra ...string) []string {
+			return append([]string{sub, "-cores", "4", "-scale", "1", "-workloads", list}, extra...)
+		}
+		if twice, once := run(t, pz, grid("figs", "swaptions,histogram,swaptions", "-fig", "9")...),
+			run(t, pz, grid("figs", "swaptions,histogram", "-fig", "9")...); twice != once {
+			t.Errorf("figs with a repeated workload:\n%s\nwithout:\n%s", twice, once)
+		}
+		if spaced, plain := run(t, pz, grid("table1", "swaptions, histogram")...),
+			run(t, pz, grid("table1", "swaptions,histogram")...); spaced != plain {
+			t.Errorf("table1 with a spaced list:\n%s\nwithout:\n%s", spaced, plain)
+		}
+		out, err := exec.Command(pz, grid("figs", "swaptions,,histogram", "-progress")...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("figs with an empty workload name: exit %v, want status 1\n%s", err, out)
+		}
+		if lines := strings.Split(strings.TrimSpace(string(out)), "\n"); len(lines) != 1 ||
+			!strings.Contains(lines[0], `unknown workload ""`) {
+			t.Errorf("figs with an empty workload name: want one error line and no cell, got:\n%s", out)
+		}
+	})
+
 	t.Run("bad-input", func(t *testing.T) {
 		// Each bad input is rejected before any simulation, with exit
 		// status 1 and one "protozoa <sub>: ..." line: no panic, no

@@ -19,60 +19,50 @@ import (
 //	protozoa figs                 # all figures
 //	protozoa figs -fig 13         # one figure
 //	protozoa figs -workloads linear-regression,histogram -scale 4
-func figs(args []string) (err error) {
+func figs(args []string) error {
 	f := newFlags("figs").matrix(2, "").profiles()
 	fig := f.Int("fig", 0, "figure number 9-15, or 16 for the miss classification (0 = all)")
 	csvOut := f.String("csv", "", "also export all metrics to this CSV file")
 	chart := f.Bool("chart", false, "render bar charts instead of tables (figures 9, 13, 15)")
-	if err := f.parse(args); err != nil {
-		return err
-	}
-	if *fig != 0 && (*fig < 9 || *fig > 16) {
-		return errors.New("-fig must be 9..16 (or 0 for all; 16 = miss classification)")
-	}
-	o, err := f.options()
-	if err != nil {
-		return err
-	}
-	stop, err := f.startProfiles()
-	if err != nil {
-		return err
-	}
-	defer stop(&err)
-	m, err := protozoa.Collect(o)
-	if err != nil {
-		return err
-	}
-	if *csvOut != "" {
-		if err := writeTo(*csvOut, m.ExportCSV); err != nil {
+	return f.runMatrix(args, func(o protozoa.Options) error {
+		if *fig != 0 && (*fig < 9 || *fig > 16) {
+			return errors.New("-fig must be 9..16 (or 0 for all; 16 = miss classification)")
+		}
+		m, err := protozoa.Collect(o)
+		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvOut)
-	}
-	renders := map[int]func() string{
-		9:  m.Fig9Traffic,
-		10: m.Fig10Control,
-		11: m.Fig11Owners,
-		12: m.Fig12BlockDist,
-		13: m.Fig13MPKI,
-		14: m.Fig14Exec,
-		15: m.Fig15FlitHops,
-		16: m.FigMissClass, // beyond the paper: cold/capacity/coherence/granularity
-	}
-	if *chart {
-		renders[9] = m.ChartTraffic
-		renders[13] = m.ChartMPKI
-		renders[15] = m.ChartFlitHops
-	}
-	if *fig != 0 {
-		fmt.Print(renders[*fig]())
+		if *csvOut != "" {
+			if err := writeTo(*csvOut, m.ExportCSV); err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "wrote %s\n", *csvOut)
+		}
+		renders := map[int]func() string{
+			9:  m.Fig9Traffic,
+			10: m.Fig10Control,
+			11: m.Fig11Owners,
+			12: m.Fig12BlockDist,
+			13: m.Fig13MPKI,
+			14: m.Fig14Exec,
+			15: m.Fig15FlitHops,
+			16: m.FigMissClass, // beyond the paper: cold/capacity/coherence/granularity
+		}
+		if *chart {
+			renders[9] = m.ChartTraffic
+			renders[13] = m.ChartMPKI
+			renders[15] = m.ChartFlitHops
+		}
+		if *fig != 0 {
+			fmt.Print(renders[*fig]())
+			return nil
+		}
+		for n := 9; n <= 16; n++ {
+			fmt.Print(renders[n]())
+			fmt.Println()
+		}
 		return nil
-	}
-	for n := 9; n <= 16; n++ {
-		fmt.Print(renders[n]())
-		fmt.Println()
-	}
-	return nil
+	})
 }
 
 // table1 regenerates the paper's Table 1: conventional MESI behaviour
@@ -80,26 +70,15 @@ func figs(args []string) (err error) {
 // the fixed block size sweeps 16 -> 32 -> 64 -> 128 bytes.
 //
 //	protozoa table1 [-cores 16] [-scale 2] [-workloads a,b,c]
-func table1(args []string) (err error) {
-	f := newFlags("table1").matrix(2, "").profiles()
-	if err := f.parse(args); err != nil {
-		return err
-	}
-	o, err := f.options()
-	if err != nil {
-		return err
-	}
-	stop, err := f.startProfiles()
-	if err != nil {
-		return err
-	}
-	defer stop(&err)
-	res, err := protozoa.CollectTable1(o)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Render())
-	return nil
+func table1(args []string) error {
+	return newFlags("table1").matrix(2, "").profiles().runMatrix(args, func(o protozoa.Options) error {
+		res, err := protozoa.CollectTable1(o)
+		if err != nil {
+			return err
+		}
+		fmt.Print(res.Render())
+		return nil
+	})
 }
 
 // report reproduces the paper's entire evaluation in one command —
@@ -108,21 +87,10 @@ func table1(args []string) (err error) {
 //
 //	protozoa report > report.md
 //	protozoa report -scale 4 -workloads linear-regression,histogram
-func report(args []string) (err error) {
-	f := newFlags("report").matrix(2, "").profiles()
-	if err := f.parse(args); err != nil {
-		return err
-	}
-	o, err := f.options()
-	if err != nil {
-		return err
-	}
-	stop, err := f.startProfiles()
-	if err != nil {
-		return err
-	}
-	defer stop(&err)
-	return harness.GenerateReport(o, os.Stdout)
+func report(args []string) error {
+	return newFlags("report").matrix(2, "").profiles().runMatrix(args, func(o protozoa.Options) error {
+		return harness.GenerateReport(o, os.Stdout)
+	})
 }
 
 // profileCmd prints the Section 2 motivation analysis for the workload

@@ -188,13 +188,23 @@ func (f *flags) pool() (runner.Pool, error) {
 	return p, err
 }
 
-// options builds a matrix subcommand's run options over pool's
-// settings.
-func (f *flags) options() (protozoa.Options, error) {
+// runMatrix parses a matrix subcommand's args and runs body over the
+// run options they set, under the -cpuprofile/-memprofile pair.
+func (f *flags) runMatrix(args []string, body func(protozoa.Options) error) (err error) {
+	if err := f.parse(args); err != nil {
+		return err
+	}
 	p, err := f.pool()
-	o := protozoa.Options{Cores: *f.cores, Scale: *f.scale, TraceSeed: *f.seed,
-		Jobs: p.Jobs, Progress: p.Progress, Cache: p.Cache, Workloads: f.workloadList()}
-	return o, err
+	if err != nil {
+		return err
+	}
+	stop, err := f.startProfiles()
+	if err != nil {
+		return err
+	}
+	defer stop(&err)
+	return body(protozoa.Options{Cores: *f.cores, Scale: *f.scale, TraceSeed: *f.seed,
+		Jobs: p.Jobs, Progress: p.Progress, Cache: p.Cache, Workloads: f.workloadList()})
 }
 
 // version prints the build provenance: two binaries printing the same

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -49,20 +48,5 @@ func TestAttributionGolden(t *testing.T) {
 				w, p, sha256.Sum256(dump), sha256.Sum256(sum), sha256.Sum256(top), tr.PatternCounts())
 		}
 	}
-	path := filepath.Join("testdata", "attrib_pin.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("attribution drifted from %s; run with -update if intentional", path)
-	}
+	checkGolden(t, filepath.Join("testdata", "attrib_pin.golden"), out.Bytes())
 }

@@ -26,7 +26,6 @@ type Options struct {
 	Cores     int      // simulated cores (paper: 16)
 	Scale     int      // workload iteration multiplier
 	Workloads []string // nil = the full suite
-	MaxEvents uint64   // watchdog; 0 = derived from workload size
 	TraceSeed uint64   // trace-randomization seed (0 = canonical records)
 
 	// Jobs bounds how many matrix cells Collect/CollectTable1 simulate
@@ -44,21 +43,10 @@ type Options struct {
 	Cache *resultcache.Cache
 }
 
-func (o Options) pool() runner.Pool {
-	return runner.Pool{Jobs: o.Jobs, Progress: o.Progress, Cache: o.Cache}
-}
-
 // DefaultOptions is the paper's 16-core configuration at a scale that
 // finishes the full matrix in tens of seconds.
 func DefaultOptions() Options {
 	return Options{Cores: 16, Scale: 2}
-}
-
-func (o Options) workloadList() []string {
-	if len(o.Workloads) > 0 {
-		return o.Workloads
-	}
-	return workloads.Names()
 }
 
 func (o Options) cores() int {
@@ -68,44 +56,25 @@ func (o Options) cores() int {
 	return o.Cores
 }
 
-// cellConfig resolves the machine configuration for one matrix cell —
-// the value both the builder and the cache key derive from.
-func cellConfig(p core.Protocol, o Options) (core.Config, error) {
+const (
+	// maxEvents is every harness machine's livelock watchdog.
+	maxEvents = 200_000_000
+	// figureRegion is the figures' region size, every protocol's
+	// default; Table 1's 64-byte MESI cell is the figures' MESI cell.
+	figureRegion = 64
+)
+
+// config resolves the machine configuration of one harness cell:
+// protocol p with regions of region bytes on o's cores. The builder
+// and the cache key both derive from this value.
+func (o Options) config(p core.Protocol, region int) (core.Config, error) {
 	cfg := core.DefaultConfig(p)
-	cfg.MaxEvents = o.MaxEvents
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = 200_000_000
-	}
+	cfg.MaxEvents = maxEvents
+	cfg.RegionBytes = region
 	if err := runner.ConfigureCores(&cfg, o.cores()); err != nil {
 		return core.Config{}, fmt.Errorf("harness: %w", err)
 	}
 	return cfg, nil
-}
-
-// gridCell completes cell c of a Collect or CollectTable1 grid for the
-// machine configuration cfg (or cfgErr): its cache key, and a Build
-// that replays the workload's records shared through inputs. An
-// unknown workload or an unresolvable config leaves the zero
-// (uncacheable) key and a Build that fails with the error, so it
-// surfaces with the cell's own label.
-func gridCell(c runner.Cell, inputs *runner.Inputs, cfg core.Config, cfgErr error, o Options) runner.Cell {
-	spec, err := workloads.Get(c.Workload)
-	if err == nil {
-		err = cfgErr
-	}
-	if err != nil {
-		c.Build = func() (*core.System, error) { return nil, err }
-		return c
-	}
-	c.Key = runner.CellSpec{
-		Config:   cfg,
-		Workload: spec.Name,
-		Scale:    o.Scale,
-		Seed:     o.TraceSeed,
-	}.Key()
-	recs := inputs.Claim(spec, o.cores(), o.Scale, o.TraceSeed)
-	c.Build = func() (*core.System, error) { return core.NewSystem(cfg, recs()) }
-	return c
 }
 
 // Run simulates one workload under one protocol and returns its stats.
@@ -114,7 +83,7 @@ func Run(workload string, p core.Protocol, o Options) (*stats.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := cellConfig(p, o)
+	cfg, err := o.config(p, figureRegion)
 	if err != nil {
 		return nil, err
 	}
@@ -126,6 +95,83 @@ func Run(workload string, p core.Protocol, o Options) (*stats.Stats, error) {
 		return nil, fmt.Errorf("harness: %s/%s: %w", workload, p, err)
 	}
 	return sys.Stats(), nil
+}
+
+// grid is one pool run over harness cells. Every cell of a workload
+// replays the same records; callers list a workload's cells together,
+// so the shared inputs live only while that workload is in flight.
+type grid struct {
+	o      Options
+	specs  []workloads.Spec // the resolved workload list
+	inputs runner.Inputs
+	cells  []runner.Cell
+}
+
+// cellID locates a completed cell: a workload under a protocol with
+// regions of a given size.
+type cellID struct {
+	workload string
+	protocol core.Protocol
+	region   int
+}
+
+// newGrid resolves o's workload list and core count: every vocabulary
+// error surfaces here, before any cell runs.
+func newGrid(o Options) (*grid, error) {
+	specs, err := runner.ResolveWorkloads(o.Workloads)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
+	if _, err := o.config(core.MESI, figureRegion); err != nil {
+		return nil, err
+	}
+	return &grid{o: o, specs: specs}, nil
+}
+
+// add appends the cell simulating spec under p with regions of region
+// bytes, with the report's attribution and latency views when observed.
+func (g *grid) add(label string, spec workloads.Spec, p core.Protocol, region int, observed bool) {
+	cfg, _ := g.o.config(p, region) // newGrid checked the core count
+	g.cells = append(g.cells, g.inputs.Cell(runner.Cell{
+		Label:       label,
+		Protocol:    p,
+		Region:      region,
+		NeedAttrib:  observed,
+		NeedLatency: observed,
+	}, spec, cfg, g.o.Scale, g.o.TraceSeed))
+}
+
+// addFigures appends spec's figure-matrix cells, one per protocol.
+func (g *grid) addFigures(spec workloads.Spec, observed bool) {
+	for _, p := range core.AllProtocols {
+		g.add(spec.Name+"/"+p.String(), spec, p, figureRegion, observed)
+	}
+}
+
+// addTable1 appends spec's Table 1 cells: MESI at each block size.
+func (g *grid) addTable1(spec workloads.Spec, sizes []int) {
+	for _, bs := range sizes {
+		g.add(fmt.Sprintf("table1 %s@%dB", spec.Name, bs), spec, core.MESI, bs, false)
+	}
+}
+
+// run simulates every cell in one pool run. All cells run even if some
+// fail; the joined error then reports every failing cell at once.
+func (g *grid) run() (map[cellID]runner.Result, error) {
+	results, _ := runner.Pool{Jobs: g.o.Jobs, Progress: g.o.Progress, Cache: g.o.Cache}.Run(g.cells)
+	done := make(map[cellID]runner.Result, len(results))
+	var errs []error
+	for _, r := range results {
+		if r.Err != nil {
+			errs = append(errs, r.Err)
+			continue
+		}
+		done[cellID{r.Cell.Workload, r.Cell.Protocol, r.Cell.Region}] = r
+	}
+	if len(errs) > 0 {
+		return nil, fmt.Errorf("harness: %w", errors.Join(errs...))
+	}
+	return done, nil
 }
 
 // Matrix holds the stats of every (workload, protocol) pair so all the
@@ -149,53 +195,42 @@ type Matrix struct {
 // joined error then reports every failing cell at once. The matrix
 // holds the stats every figure renders from; it builds neither the
 // attribution nor the latency breakdown (see Matrix.Attribs).
-func Collect(o Options) (*Matrix, error) { return buildMatrix(o, false) }
+func Collect(o Options) (*Matrix, error) { return collectMatrix(o, false) }
 
-// collectObserved is Collect plus the views the report reads: each
-// cell's attribution tracker and miss-latency breakdown.
-func collectObserved(o Options) (*Matrix, error) { return buildMatrix(o, true) }
-
-func buildMatrix(o Options, observed bool) (*Matrix, error) {
-	m := &Matrix{
-		Workloads: o.workloadList(),
-		Protocols: core.AllProtocols,
-		Cells:     make(map[string]map[core.Protocol]*stats.Stats),
+// collectMatrix is Collect, plus, when observed, the views the report
+// reads: each cell's attribution tracker and miss-latency breakdown.
+func collectMatrix(o Options, observed bool) (*Matrix, error) {
+	g, err := newGrid(o)
+	if err != nil {
+		return nil, err
 	}
+	for _, spec := range g.specs {
+		g.addFigures(spec, observed)
+	}
+	done, err := g.run()
+	if err != nil {
+		return nil, err
+	}
+	return g.matrix(done, observed), nil
+}
+
+// matrix folds the figure cells of a completed grid.
+func (g *grid) matrix(done map[cellID]runner.Result, observed bool) *Matrix {
+	m := &Matrix{Protocols: core.AllProtocols, Cells: make(map[string]map[core.Protocol]*stats.Stats)}
 	if observed {
 		m.Breakdowns = make(map[string]map[core.Protocol]*obs.LatencyBreakdown)
 		m.Attribs = make(map[string]map[core.Protocol]*attrib.Tracker)
 	}
-	var cells []runner.Cell
-	var inputs runner.Inputs
-	for _, w := range m.Workloads {
-		for _, p := range m.Protocols {
-			cfg, err := cellConfig(p, o)
-			cells = append(cells, gridCell(runner.Cell{
-				Label:    w + "/" + p.String(),
-				Workload: w,
-				Protocol: p,
-				// The pool delivers both views, live or from the cache.
-				NeedAttrib:  observed,
-				NeedLatency: observed,
-			}, &inputs, cfg, err, o))
-		}
-	}
-	results, _ := o.pool().Run(cells)
-	var errs []error
-	i := 0
-	for _, w := range m.Workloads {
+	for _, spec := range g.specs {
+		w := spec.Name
+		m.Workloads = append(m.Workloads, w)
 		m.Cells[w] = make(map[core.Protocol]*stats.Stats)
 		if observed {
 			m.Breakdowns[w] = make(map[core.Protocol]*obs.LatencyBreakdown)
 			m.Attribs[w] = make(map[core.Protocol]*attrib.Tracker)
 		}
 		for _, p := range m.Protocols {
-			r := results[i]
-			i++
-			if r.Err != nil {
-				errs = append(errs, r.Err)
-				continue
-			}
+			r := done[cellID{w, p, figureRegion}]
 			m.Cells[w][p] = r.Stats
 			if observed {
 				m.Breakdowns[w][p] = r.Latency
@@ -203,10 +238,7 @@ func buildMatrix(o Options, observed bool) (*Matrix, error) {
 			}
 		}
 	}
-	if len(errs) > 0 {
-		return nil, fmt.Errorf("harness: %w", errors.Join(errs...))
-	}
-	return m, nil
+	return m
 }
 
 // Get returns the stats cell for a pair.

@@ -15,6 +15,10 @@ import (
 
 var fast = Options{Cores: 4, Scale: 1}
 
+// collectObserved is Collect with the report's views: each cell's
+// attribution tracker and miss-latency breakdown.
+func collectObserved(o Options) (*Matrix, error) { return collectMatrix(o, true) }
+
 // collect builds the observed matrix (attribution and latency views
 // included) over the fast configuration.
 func collect(t *testing.T, names ...string) *Matrix {

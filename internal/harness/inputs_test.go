@@ -57,7 +57,7 @@ func TestGridsMatchFreshBuilds(t *testing.T) {
 			if !reflect.DeepEqual(m.Get(w, p), single) {
 				t.Errorf("%s: Collect stats differ from harness.Run", label)
 			}
-			cfg, err := cellConfig(p, o)
+			cfg, err := o.config(p, figureRegion)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestGridsMatchFreshBuilds(t *testing.T) {
 	}
 	for _, w := range o.Workloads {
 		for _, bs := range BlockSizes {
-			cfg, err := table1Config(bs, o)
+			cfg, err := o.config(core.MESI, bs)
 			if err != nil {
 				t.Fatal(err)
 			}

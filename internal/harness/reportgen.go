@@ -10,7 +10,6 @@ import (
 	"protozoa/internal/runner"
 	"protozoa/internal/stats"
 	"protozoa/internal/trace"
-	"protozoa/internal/workloads"
 )
 
 // GenerateReport reproduces the paper's full evaluation in one pass
@@ -18,22 +17,43 @@ import (
 // motivation profile, Table 1, Figures 9-15, the headline geomeans,
 // and a random-tester verification of every protocol. This is the
 // one-command reproduction artifact behind `protozoa report`.
+//
+// Every simulation runs in one pool run, and each once: the random
+// tester, then each workload's observed figure cells beside its Table
+// 1 cells at the other block sizes. Table 1's 64-byte column is the
+// figures' MESI cell.
 func GenerateReport(o Options, w io.Writer) error {
-	if o.Cores == 0 {
-		o.Cores = 16
+	o.Cores = o.cores()
+	g, err := newGrid(o)
+	if err != nil {
+		return err
 	}
+	// The tester cells take longest, so they start first.
+	chks := make([]*core.Checker, len(core.AllProtocols))
+	for i, p := range core.AllProtocols {
+		cfg, _ := o.config(p, figureRegion) // newGrid checked the core count
+		g.cells = append(g.cells, testerCell(cfg, &chks[i]))
+	}
+	for _, spec := range g.specs {
+		g.addFigures(spec, true)
+		g.addTable1(spec, []int{16, 32, 128})
+	}
+	done, err := g.run()
+	if err != nil {
+		return err
+	}
+
 	fmt.Fprintf(w, "# Protozoa reproduction report\n\n")
 	fmt.Fprintf(w, "Configuration: %d cores, workload scale %d, %d workloads.\n\n",
-		o.Cores, o.Scale, len(o.workloadList()))
+		o.Cores, o.Scale, len(g.specs))
 
 	// Correctness first: the Section 3.6 random tester.
 	fmt.Fprintf(w, "## Protocol verification (random tester)\n\n```\n")
-	for _, p := range core.AllProtocols {
-		loads, checks, err := verifyProtocol(p, o.Cores)
-		if err != nil {
-			return err
+	for i, p := range core.AllProtocols {
+		if err := chks[i].Err(); err != nil {
+			return fmt.Errorf("harness: tester %s: %w", p, err)
 		}
-		fmt.Fprintf(w, "%-15s %7d loads checked, %7d quiescent scans: OK\n", p, loads, checks)
+		fmt.Fprintf(w, "%-15s %7d loads checked, %7d quiescent scans: OK\n", p, chks[i].Loads, chks[i].Checks)
 	}
 	fmt.Fprintf(w, "```\n\n")
 
@@ -41,30 +61,18 @@ func GenerateReport(o Options, w io.Writer) error {
 	fmt.Fprintf(w, "## Section 2: sharing and locality profile\n\n```\n")
 	fmt.Fprint(w, profile.SummaryHeader())
 	profiles := make(map[string]*profile.Report)
-	for _, name := range o.workloadList() {
-		spec, err := workloads.Get(name)
-		if err != nil {
-			return err
-		}
+	for _, spec := range g.specs {
 		r := profile.Analyze(spec.Records(o.Cores, o.Scale, o.TraceSeed), mem.DefaultGeometry)
-		profiles[name] = r
-		fmt.Fprint(w, r.SummaryRow(name))
+		profiles[spec.Name] = r
+		fmt.Fprint(w, r.SummaryRow(spec.Name))
 	}
 	fmt.Fprintf(w, "```\n\n")
 
-	// Table 1.
-	t1, err := CollectTable1(o)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "## Table 1: MESI vs fixed block size\n\n```\n%s```\n\n", t1.Render())
+	fmt.Fprintf(w, "## Table 1: MESI vs fixed block size\n\n```\n%s```\n\n", g.table1(done).Render())
 
 	// The protocol matrix and every figure, with the attribution and
 	// latency views the sections below read.
-	m, err := collectObserved(o)
-	if err != nil {
-		return err
-	}
+	m := g.matrix(done, true)
 	figs := []struct {
 		title  string
 		render func() string
@@ -125,13 +133,21 @@ func GenerateReport(o Options, w io.Writer) error {
 	return nil
 }
 
-// verifyProtocol runs a seeded random stress with the checker attached
-// and returns the validated load and scan counts.
-func verifyProtocol(p core.Protocol, cores int) (loads, checks int, err error) {
-	cfg := core.DefaultConfig(p)
-	if err := runner.ConfigureCores(&cfg, cores); err != nil {
-		return 0, 0, fmt.Errorf("harness: %w", err)
+// testerCell is the random tester on machine cfg: a seeded random
+// stress over a small shared footprint, with the checker that Observe
+// attaches (stored in *chk) validating every load and quiescent state.
+// Its records are its own, so it has no cache key and always simulates.
+func testerCell(cfg core.Config, chk **core.Checker) runner.Cell {
+	return runner.Cell{
+		Label:    "tester " + cfg.Protocol.String(),
+		Protocol: cfg.Protocol,
+		Build:    func() (*core.System, error) { return core.NewSystem(cfg, testerRecords(cfg.Cores)) },
+		Observe:  func(sys *core.System) { *chk = core.NewChecker(sys) },
 	}
+}
+
+// testerRecords draws the tester's 1000 accesses per core.
+func testerRecords(cores int) [][]trace.Access {
 	perCore := make([][]trace.Access, cores)
 	for c := range perCore {
 		rng := trace.NewRNG(uint64(4242 + c))
@@ -152,16 +168,5 @@ func verifyProtocol(p core.Protocol, cores int) (loads, checks int, err error) {
 		}
 		perCore[c] = recs
 	}
-	sys, err := core.NewSystem(cfg, perCore)
-	if err != nil {
-		return 0, 0, err
-	}
-	chk := core.NewChecker(sys)
-	if err := sys.Run(); err != nil {
-		return 0, 0, err
-	}
-	if err := chk.Err(); err != nil {
-		return 0, 0, err
-	}
-	return chk.Loads, chk.Checks, nil
+	return perCore
 }

@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 
 	"protozoa/internal/mem"
 	"protozoa/internal/profile"
+	"protozoa/internal/resultcache"
 	"protozoa/internal/workloads"
 )
 
@@ -70,8 +73,41 @@ func TestReportProfilesTraceSeed(t *testing.T) {
 	}
 }
 
+// TestReportSimulatesEachCellOnce: the report is one pool run in which
+// no two cells share a cache key (a memory cache answers none of them),
+// and its Table 1 matches CollectTable1's though its 64-byte column is
+// the figures' MESI cell.
+func TestReportSimulatesEachCellOnce(t *testing.T) {
+	cache, err := resultcache.Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var progress bytes.Buffer
+	o := Options{Cores: 4, Scale: 1, Jobs: 2, Workloads: []string{"swaptions", "histogram"},
+		Cache: cache, Progress: &progress}
+	var report strings.Builder
+	if err := GenerateReport(o, &report); err != nil {
+		t.Fatal(err)
+	}
+	// 4 tester cells, then per workload 4 figure and 3 Table 1 cells.
+	sums := regexp.MustCompile(`(?m)^\d+ cells \(.*$`).FindAllString(progress.String(), -1)
+	if len(sums) != 1 || !strings.HasPrefix(sums[0], "18 cells (0 failed, 0 cached)") {
+		t.Errorf("report grid summaries %q, want one of 18 cells, none cached", sums)
+	}
+	o.Cache, o.Progress = nil, nil
+	t1, err := CollectTable1(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(report.String(), "```\n"+t1.Render()+"```") {
+		t.Errorf("report's Table 1 differs from CollectTable1's:\n%s", t1.Render())
+	}
+}
+
 func TestVerifyProtocolRejectsBadCores(t *testing.T) {
-	if _, _, err := verifyProtocol(0, 7); err == nil {
-		t.Error("bad core count accepted")
+	var b strings.Builder
+	err := GenerateReport(Options{Cores: 7, Scale: 1, Workloads: []string{"swaptions"}}, &b)
+	if err == nil || b.Len() > 0 {
+		t.Errorf("bad core count: error %v, %d bytes written", err, b.Len())
 	}
 }

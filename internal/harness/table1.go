@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -29,54 +28,33 @@ type Table1Result struct {
 // CollectTable1 sweeps MESI across the four block sizes, fanning the
 // workload x block-size cells out over Options.Jobs workers.
 func CollectTable1(o Options) (*Table1Result, error) {
-	res := &Table1Result{
-		Workloads: o.workloadList(),
-		Cells:     make(map[string]map[int]Table1Cell),
+	g, err := newGrid(o)
+	if err != nil {
+		return nil, err
 	}
-	var cells []runner.Cell
-	var inputs runner.Inputs
-	for _, w := range res.Workloads {
-		for _, bs := range BlockSizes {
-			cfg, err := table1Config(bs, o)
-			cells = append(cells, gridCell(runner.Cell{
-				Label:    fmt.Sprintf("table1 %s@%dB", w, bs),
-				Workload: w,
-				Protocol: core.MESI,
-				Region:   bs,
-			}, &inputs, cfg, err, o))
-		}
+	for _, spec := range g.specs {
+		g.addTable1(spec, BlockSizes)
 	}
-	results, _ := o.pool().Run(cells)
-	var errs []error
-	i := 0
-	for _, w := range res.Workloads {
+	done, err := g.run()
+	if err != nil {
+		return nil, err
+	}
+	return g.table1(done), nil
+}
+
+// table1 folds the MESI cells of a completed grid at every block size.
+func (g *grid) table1(done map[cellID]runner.Result) *Table1Result {
+	res := &Table1Result{Cells: make(map[string]map[int]Table1Cell)}
+	for _, spec := range g.specs {
+		w := spec.Name
+		res.Workloads = append(res.Workloads, w)
 		res.Cells[w] = make(map[int]Table1Cell)
 		for _, bs := range BlockSizes {
-			r := results[i]
-			i++
-			if r.Err != nil {
-				errs = append(errs, r.Err)
-				continue
-			}
-			st := r.Stats
+			st := done[cellID{w, core.MESI, bs}].Stats
 			res.Cells[w][bs] = Table1Cell{MPKI: st.MPKI(), Inv: st.Invalidations, UsedPct: st.UsedPct()}
 		}
 	}
-	if len(errs) > 0 {
-		return nil, fmt.Errorf("harness: %w", errors.Join(errs...))
-	}
-	return res, nil
-}
-
-// table1Config is cellConfig with the Table 1 twist: the region size
-// is the fixed MESI block size under sweep.
-func table1Config(blockBytes int, o Options) (core.Config, error) {
-	cfg, err := cellConfig(core.MESI, o)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.RegionBytes = blockBytes
-	return cfg, nil
+	return res
 }
 
 // trend classifies a metric change with the paper's Table 1 notation:

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"protozoa/internal/core"
-	"protozoa/internal/workloads"
 )
 
 // Grid is the sweep cross product: workloads x protocols x design
@@ -28,9 +26,6 @@ type Grid struct {
 // vocabulary error — unknown workload or knob, unsupported core count
 // — surfaces here, before any simulation runs.
 func (g Grid) Cells() ([]Cell, error) {
-	if len(g.Workloads) == 0 {
-		g.Workloads = workloads.Names()
-	}
 	if g.Cores == 0 {
 		g.Cores = 16
 	}
@@ -46,64 +41,36 @@ func (g Grid) Cells() ([]Cell, error) {
 	if len(g.Regions) == 0 {
 		g.Regions = []int{64}
 	}
-	var scratch core.Config
-	if err := ConfigureCores(&scratch, g.Cores); err != nil {
-		return nil, err
-	}
 	for _, k := range g.Knobs {
 		if _, ok := Knobs[k]; !ok {
 			return nil, fmt.Errorf("unknown knob %q", k)
 		}
 	}
-
+	specs, err := ResolveWorkloads(g.Workloads)
+	if err != nil {
+		return nil, err
+	}
 	var cells []Cell
 	var inputs Inputs // every cell of a workload replays the same records
-	seen := make(map[string]bool)
-	for _, w := range g.Workloads {
-		spec, err := workloads.Get(strings.TrimSpace(w))
-		if err != nil {
-			return nil, err
-		}
-		// A workload repeated on the command line (or two aliases of the
-		// same spec) would duplicate every row it expands into; keep the
-		// first appearance only.
-		if seen[spec.Name] {
-			continue
-		}
-		seen[spec.Name] = true
+	for _, spec := range specs {
 		for _, p := range g.Protocols {
 			for _, knob := range g.Knobs {
-				set := Knobs[knob]
 				for _, rb := range g.Regions {
-					// Resolve the cell's configuration once: the result
-					// cache keys on the fully-resolved config, and Build
-					// hands a copy of the same value to the machine.
 					cfg := core.DefaultConfig(p)
 					cfg.RegionBytes = rb
 					if err := ConfigureCores(&cfg, g.Cores); err != nil {
 						return nil, err
 					}
-					set(&cfg)
-					recs := inputs.Claim(spec, g.Cores, g.Scale, g.TraceSeed)
-					cells = append(cells, Cell{
+					Knobs[knob](&cfg)
+					cells = append(cells, inputs.Cell(Cell{
 						Label:    fmt.Sprintf("%s/%s/%s/r%d", spec.Name, p, knob, rb),
-						Workload: spec.Name,
 						Protocol: p,
 						Knob:     knob,
 						Region:   rb,
-						Key: CellSpec{
-							Config:   cfg,
-							Workload: spec.Name,
-							Scale:    g.Scale,
-							Seed:     g.TraceSeed,
-						}.Key(),
 						// Attribution backs the util_pct / wasted_bytes /
 						// false_shared_regions CSV columns.
 						NeedAttrib: true,
-						Build: func() (*core.System, error) {
-							return core.NewSystem(cfg, recs())
-						},
-					})
+					}, spec, cfg, g.Scale, g.TraceSeed))
 				}
 			}
 		}

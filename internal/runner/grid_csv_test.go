@@ -39,21 +39,53 @@ func TestSweepCSVGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	golden := filepath.Join("testdata", "sweep_golden.csv")
+	checkGolden(t, filepath.Join("testdata", "sweep_golden.csv"), buf.Bytes())
+}
+
+// TestSuiteSweepGolden pins the 28-workload x 4-protocol sweep at 16
+// cores and scale 2, the CSV of `protozoa sweep -workloads "" -scale 2`:
+// every suite cell's misses, traffic, flit-hops, execution time,
+// latency percentiles and attribution columns. Regenerate with `make
+// golden` only after an intentional change to the simulated machine.
+// Its cells share inputs exactly as TestMachinesShareRecords' do, which
+// the race pass runs, so -race skips it.
+func TestSuiteSweepGolden(t *testing.T) {
+	if raceEnabled {
+		t.Skip("plain pass only: the grid's sharing is covered by TestMachinesShareRecords")
+	}
+	cells, err := Grid{Scale: 2}.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, sum := Pool{}.Run(cells)
+	if sum.Failed != 0 {
+		t.Fatalf("%d cells failed", sum.Failed)
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, results); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "sweep_suite.golden.csv"), buf.Bytes())
+}
+
+// checkGolden compares got with the golden file at path, rewriting the
+// file first under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("sweep CSV drifted from golden:\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("CSV drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"protozoa/internal/core"
 	"protozoa/internal/trace"
 	"protozoa/internal/workloads"
 )
@@ -14,13 +15,13 @@ import (
 // (workload, cores, scale, seed) and hands every cell the same
 // records; a machine only reads them.
 //
-// A grid claims an input once per cell while it expands its cells and
-// each cell takes its records once, inside Build. The first cell to
-// take a key generates its records while concurrent takers wait; the
-// last claimed take drops the key, so the records live only as long as
-// the machines replaying them. Cells run workload-major, so the memo
-// holds only the workloads in flight. A cell answered from the result
-// cache never builds; its claim lapses with the grid.
+// Each cell a grid builds through Cell claims its input, and takes its
+// records once, inside Build. The first cell to take a key generates
+// its records while concurrent takers wait; the last claimed take
+// drops the key, so the records live only as long as the machines
+// replaying them. Cells run workload-major, so the memo holds only the
+// workloads in flight. A cell answered from the result cache never
+// builds; its claim lapses with the grid.
 type Inputs struct {
 	mu      sync.Mutex
 	entries map[inputKey]*inputEntry
@@ -42,10 +43,23 @@ type inputEntry struct {
 	claims int // takes still to come
 }
 
-// Claim registers one cell that will build from the spec's records at
+// Cell completes c as the simulation of spec's records under cfg, at
+// the given scale and trace seed: it sets the cell's Workload, its
+// cache key, and a Build that replays the records every cell of the
+// workload built through in shares. cfg must be fully resolved: the
+// key hashes it, and Build hands the machine a copy of the same value.
+func (in *Inputs) Cell(c Cell, spec workloads.Spec, cfg core.Config, scale int, seed uint64) Cell {
+	c.Workload = spec.Name
+	c.Key = CellSpec{Config: cfg, Workload: spec.Name, Scale: scale, Seed: seed}.Key()
+	recs := in.claim(spec, cfg.Cores, scale, seed)
+	c.Build = func() (*core.System, error) { return core.NewSystem(cfg, recs()) }
+	return c
+}
+
+// claim registers one cell that will build from the spec's records at
 // the given size and seed, and returns the function that cell's Build
 // calls, exactly once, for its records.
-func (in *Inputs) Claim(spec workloads.Spec, cores, scale int, seed uint64) func() [][]trace.Access {
+func (in *Inputs) claim(spec workloads.Spec, cores, scale int, seed uint64) func() [][]trace.Access {
 	k := inputKey{workload: spec.Name, cores: cores, scale: scale, seed: seed}
 	in.mu.Lock()
 	if in.entries == nil {

@@ -34,7 +34,7 @@ func TestInputsGenerateOncePerKey(t *testing.T) {
 	var takes []func() [][]trace.Access
 	for _, spec := range specs {
 		for i := 0; i < perKey; i++ {
-			takes = append(takes, in.Claim(spec, cores, scale, seed))
+			takes = append(takes, in.claim(spec, cores, scale, seed))
 		}
 	}
 	got := make([][][]trace.Access, len(takes))
@@ -100,7 +100,7 @@ func TestMachinesShareRecords(t *testing.T) {
 	var in Inputs
 	takes := make([]func() [][]trace.Access, 2*len(protocols))
 	for i := range takes {
-		takes[i] = in.Claim(spec, cores, scale, seed)
+		takes[i] = in.claim(spec, cores, scale, seed)
 	}
 	shared := takes[0]()
 	before := make([][]trace.Access, len(shared))
@@ -153,9 +153,9 @@ func TestInputsDropAfterLastTake(t *testing.T) {
 	spec := workloads.MustGet("fft")
 	in, calls := countingInputs()
 	takes := []func() [][]trace.Access{
-		in.Claim(spec, 2, 1, 0), in.Claim(spec, 2, 1, 0), in.Claim(spec, 2, 1, 0),
+		in.claim(spec, 2, 1, 0), in.claim(spec, 2, 1, 0), in.claim(spec, 2, 1, 0),
 	}
-	other := in.Claim(spec, 2, 1, 1) // another seed is another key
+	other := in.claim(spec, 2, 1, 1) // another seed is another key
 	for i, take := range takes {
 		take()
 		want := 2
@@ -170,7 +170,7 @@ func TestInputsDropAfterLastTake(t *testing.T) {
 	if n := len(in.entries); n != 0 {
 		t.Fatalf("memo holds %d keys after every take, want 0", n)
 	}
-	in.Claim(spec, 2, 1, 0)()
+	in.claim(spec, 2, 1, 0)()
 	if n, _ := calls.Load(spec.Name); n.(*atomic.Int32).Load() != 3 {
 		t.Errorf("generated %d times, want 3 (seed 0 twice, seed 1 once)", n.(*atomic.Int32).Load())
 	}

@@ -8,6 +8,7 @@ import (
 
 	"protozoa/internal/core"
 	"protozoa/internal/noc"
+	"protozoa/internal/workloads"
 )
 
 // ParseProtocol parses one protocol name, case-insensitively: mesi,
@@ -52,6 +53,30 @@ func ParseProtocols(s string) ([]core.Protocol, error) {
 			return nil, err
 		}
 		add(p)
+	}
+	return out, nil
+}
+
+// ResolveWorkloads resolves a grid's workload list: nil or empty is
+// the full suite; each name is trimmed of spaces, a workload listed
+// twice keeps its first appearance only (so it neither duplicates rows
+// nor counts twice in a geomean), and an unknown name is an error
+// before any cell runs.
+func ResolveWorkloads(names []string) ([]workloads.Spec, error) {
+	if len(names) == 0 {
+		return workloads.All(), nil
+	}
+	var out []workloads.Spec
+	seen := make(map[string]bool)
+	for _, name := range names {
+		spec, err := workloads.Get(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		if !seen[spec.Name] {
+			seen[spec.Name] = true
+			out = append(out, spec)
+		}
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"protozoa/internal/core"
+	"protozoa/internal/workloads"
 )
 
 func TestParseProtocolsDeduplicates(t *testing.T) {
@@ -103,5 +104,32 @@ func TestConfigureCores(t *testing.T) {
 	var cfg core.Config
 	if err := ConfigureCores(&cfg, 8); err == nil {
 		t.Error("8 cores accepted")
+	}
+}
+
+func TestResolveWorkloads(t *testing.T) {
+	names := func(in []string) []string {
+		t.Helper()
+		specs, err := ResolveWorkloads(in)
+		if err != nil {
+			t.Fatalf("ResolveWorkloads(%q): %v", in, err)
+		}
+		var out []string
+		for _, s := range specs {
+			out = append(out, s.Name)
+		}
+		return out
+	}
+	if got := names(nil); !reflect.DeepEqual(got, workloads.Names()) {
+		t.Errorf("nil list resolved to %v, want the suite", got)
+	}
+	if got, want := names([]string{" fft", "barnes ", "fft", "micro-ticket-lock"}),
+		[]string{"fft", "barnes", "micro-ticket-lock"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("resolved to %v, want %v", got, want)
+	}
+	for _, bad := range [][]string{{"fft", ""}, {"no-such-workload"}} {
+		if _, err := ResolveWorkloads(bad); err == nil {
+			t.Errorf("ResolveWorkloads(%q) accepted a bad name", bad)
+		}
 	}
 }
