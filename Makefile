@@ -39,12 +39,13 @@ verify:
 
 # golden rewrites every golden file from the current code: the core
 # views, transition table, gauge sets and violation transcript, the
-# harness's attribution pins and reproduction report, and the runner's
-# sweep CSVs (the 2-row pin and the full 28x4 suite). Run it only after
-# an intentional output change, then review the diff it leaves: it
-# names exactly the cells and lines that moved.
+# harness's attribution pins and reproduction report, the runner's
+# sweep CSVs (the 2-row pin, the full 28x4 suite and the micro sweep)
+# and the short `protozoa verify` output. Run it only after an
+# intentional output change, then review the diff it leaves: it names
+# exactly the cells and lines that moved.
 golden:
-	go test -count=1 -run Golden ./internal/core ./internal/harness ./internal/runner -update
+	go test -count=1 -run Golden ./internal/core ./internal/harness ./internal/runner ./cmd -update
 
 # Every smoke target works in its own mktemp -d scratch directory,
 # removed on exit (success or failure), so concurrent invocations never
@@ -105,14 +106,18 @@ obs-smoke: trace-smoke
 		{ print "obs-smoke: bad metrics line: " $$0; exit 1 } }' $$d/metrics.prom; \
 	echo "obs-smoke: live /metrics served valid Prometheus text mid-run"
 
-# cache-smoke: the persistent result cache end to end, in two acts.
-# Warm: a cold sweep populates a fresh -cache-dir, then the identical
-# grid re-runs against it — every cell must come back cached and the
-# CSV must be byte-identical. Resume: a second cold sweep into a fresh
+# cache-smoke: the result cache end to end, in three acts. Warm: a
+# cold sweep populates a fresh -cache-dir, then the identical grid
+# re-runs against it — every cell must come back cached and the CSV
+# must be byte-identical. Resume: a second cold sweep into a fresh
 # directory is killed once its first entries land on disk, then re-run
 # — the interrupted grid must finish with at least one cell resumed
-# from the cache and the same byte-identical CSV.
+# from the cache and the same byte-identical CSV. Extract: a short
+# verify runs cold, then warm, on one -cache-dir — the checker
+# summaries must come back from the entries' Extract payloads, all
+# four cells cached, with byte-identical output.
 CACHE_SMOKE_GRID = -workloads linear-regression,barnes -protocols all -scale 8
+CACHE_SMOKE_VERIFY = -accesses 40000 -seed 7
 
 cache-smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
@@ -150,7 +155,17 @@ cache-smoke:
 	grep -Eq '8 cells \(0 failed, [1-8] cached\)' $$d/resume.err \
 		|| { echo "cache-smoke: resume run reused nothing:"; \
 		     tail -1 $$d/resume.err; exit 1; }; \
-	echo "cache-smoke: kill-mid-grid resume reused persisted cells, CSV byte-identical"
+	echo "cache-smoke: kill-mid-grid resume reused persisted cells, CSV byte-identical"; \
+	$$d/protozoa verify $(CACHE_SMOKE_VERIFY) -cache-dir $$d/cache-verify \
+		> $$d/verify-cold.txt 2>/dev/null; \
+	$$d/protozoa verify $(CACHE_SMOKE_VERIFY) -cache-dir $$d/cache-verify -progress \
+		> $$d/verify-warm.txt 2>$$d/verify-warm.err; \
+	cmp $$d/verify-cold.txt $$d/verify-warm.txt \
+		|| { echo "cache-smoke: warm verify output differs from cold"; exit 1; }; \
+	grep -q '4 cells (0 failed, 4 cached)' $$d/verify-warm.err \
+		|| { echo "cache-smoke: warm verify re-simulated cells:"; \
+		     tail -1 $$d/verify-warm.err; exit 1; }; \
+	echo "cache-smoke: warm verify 100% cached from Extract payloads, output byte-identical"
 
 # bench runs the simulator throughput benchmark with allocation
 # accounting in a benchstat-friendly shape (-count 5). Compare against

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -24,8 +25,10 @@ import (
 
 var tools = []string{"protozoa", "protozoa-benchdiff"}
 
-// buildAll compiles the binaries into a shared temp dir.
-func buildAll(t *testing.T) string {
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// build compiles the named binaries into a shared temp dir.
+func build(t *testing.T, tools ...string) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("CLI integration skipped in -short mode")
@@ -152,8 +155,31 @@ func run(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
+// TestVerifyGoldenShort pins the short random-tester run, the stdout
+// of `protozoa verify -accesses 40000 -seed 7`: each protocol's access,
+// load-check and quiescent-scan counts. Regenerate with `make golden`
+// only after an intentional change to the simulated machine or the
+// checker.
+func TestVerifyGoldenShort(t *testing.T) {
+	pz := filepath.Join(build(t, "protozoa"), "protozoa")
+	got := run(t, pz, "verify", "-accesses", "40000", "-seed", "7")
+	path := filepath.Join("testdata", "verify_short.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got != string(want) {
+		t.Errorf("verify output drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
 func TestCLIs(t *testing.T) {
-	dir := buildAll(t)
+	dir := build(t, tools...)
 	bin := func(name string) string { return filepath.Join(dir, name) }
 	pz := bin("protozoa")
 
@@ -202,6 +228,72 @@ func TestCLIs(t *testing.T) {
 		}
 		if _, ok := metrics.Final["event_queue_high_water"]; !ok {
 			t.Errorf("metrics.json missing standard gauges: %v", metrics.Final)
+		}
+	})
+
+	t.Run("sim-json", func(t *testing.T) {
+		// -json prints the stats and nothing else: flags that write only
+		// to files or stderr combine with it, flags that append text to
+		// stdout are rejected.
+		args := []string{"sim", "-workload", "fft", "-cores", "4", "-scale", "1", "-json"}
+		stdout := func(extra ...string) string {
+			t.Helper()
+			cmd := exec.Command(pz, append(args, extra...)...)
+			var errBuf strings.Builder
+			cmd.Stderr = &errBuf
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("sim %v: %v\n%s", extra, err, errBuf.String())
+			}
+			return string(out)
+		}
+		plain := stdout()
+		if !json.Valid([]byte(plain)) {
+			t.Fatalf("sim -json stdout is not JSON:\n%s", plain)
+		}
+		if got := stdout("-self-prof-out", filepath.Join(dir, "json-selfprof.json"),
+			"-trace-out", filepath.Join(dir, "json-trace.json")); got != plain {
+			t.Errorf("sim -json -self-prof-out -trace-out changed stdout:\n%s", got)
+		}
+		for _, fl := range [][]string{{"-timeline", "5000"}, {"-msglog", "5"}, {"-attrib"},
+			{"-flight", filepath.Join(dir, "json.pzfl")}, {"-stall-cycles", "100"}} {
+			out, err := exec.Command(pz, append(args, fl...)...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
+				!strings.HasPrefix(string(out), "protozoa sim: "+fl[0]+" appends text to stdout") {
+				t.Errorf("sim -json %v: exit %v, want status 1 and a refusal:\n%s", fl, err, out)
+			}
+		}
+	})
+
+	t.Run("cache-dir", func(t *testing.T) {
+		// -cache-dir is the only cache setting; -cache is an unknown flag.
+		out, err := exec.Command(pz, "sweep", "-cache=false").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.Contains(string(out), "flag provided but not defined: -cache") {
+			t.Errorf("sweep -cache=false: exit %v, want status 2 and an unknown-flag error:\n%s", err, out)
+		}
+		cache := filepath.Join(dir, "results")
+		sweep := func() (string, string) {
+			t.Helper()
+			cmd := exec.Command(pz, "sweep", "-workloads", "fft", "-cores", "4", "-progress", "-cache-dir", cache)
+			var errBuf strings.Builder
+			cmd.Stderr = &errBuf
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("sweep: %v\n%s", err, errBuf.String())
+			}
+			return string(out), errBuf.String()
+		}
+		cold, coldProgress := sweep()
+		warm, warmProgress := sweep()
+		if !strings.Contains(coldProgress, "4 cells (0 failed, 0 cached)") ||
+			!strings.Contains(warmProgress, "4 cells (0 failed, 4 cached)") {
+			t.Errorf("cold then warm progress:\n%s\n%s", coldProgress, warmProgress)
+		}
+		if warm != cold {
+			t.Errorf("warm CSV differs from cold:\n%s\n%s", warm, cold)
 		}
 	})
 

@@ -21,8 +21,8 @@
 //
 // `protozoa <subcommand> -h` lists a subcommand's flags. The flags
 // several subcommands share (-cores, -scale, -seed, -jobs, -progress,
-// -cache, -cache-dir, -cpuprofile, -memprofile) mean the same
-// thing, and are checked the same way, wherever they appear.
+// -cache-dir, -cpuprofile, -memprofile) mean the same thing, and are
+// checked the same way, wherever they appear.
 package main
 
 import (
@@ -35,6 +35,7 @@ import (
 
 	"protozoa"
 	"protozoa/internal/core"
+	"protozoa/internal/resultcache"
 	"protozoa/internal/runner"
 )
 
@@ -93,7 +94,7 @@ type flags struct {
 	*flag.FlagSet
 	cores, scale, jobs     *int
 	seed                   *uint64
-	progress, cache        *bool
+	progress               *bool
 	workloads, cacheDir    *string
 	cpuprofile, memprofile *string
 }
@@ -112,13 +113,12 @@ func (f *flags) machine(scale int) *flags {
 }
 
 // grid declares the flags of a run over internal/runner's pool: -seed
-// with the given default, -jobs, -progress, -cache and -cache-dir.
+// with the given default, -jobs, -progress and -cache-dir.
 func (f *flags) grid(seed uint64) *flags {
 	f.seed = f.Uint64("seed", seed, "random seed (for workload traces, 0 = canonical)")
 	f.jobs = f.Int("jobs", runtime.GOMAXPROCS(0), "concurrent cells (output is identical at any setting)")
 	f.progress = f.Bool("progress", false, "stream per-cell wall-time/event-count lines and a summary to stderr")
-	f.cache = f.Bool("cache", true, "memoize cells in the in-process result cache (identical cells simulate once)")
-	f.cacheDir = f.String("cache-dir", "", "persistent result-cache directory; warm re-runs and interrupted runs resume from it")
+	f.cacheDir = f.String("cache-dir", "", "result-cache directory; warm re-runs and interrupted runs resume from it (empty = no cache)")
 	return f
 }
 
@@ -177,14 +177,17 @@ func (f *flags) parse(args []string) error {
 	return nil
 }
 
-// pool builds a grid subcommand's worker pool, result cache included.
+// pool builds a grid subcommand's worker pool, over the -cache-dir
+// result cache when one is named.
 func (f *flags) pool() (runner.Pool, error) {
 	p := runner.Pool{Jobs: *f.jobs}
 	if *f.progress {
 		p.Progress = os.Stderr
 	}
 	var err error
-	p.Cache, err = runner.OpenCache(*f.cache, *f.cacheDir)
+	if *f.cacheDir != "" {
+		p.Cache, err = resultcache.Open(*f.cacheDir)
+	}
 	return p, err
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"protozoa"
 	"protozoa/internal/core"
 	"protozoa/internal/engine"
 	"protozoa/internal/harness"
@@ -21,11 +20,12 @@ type simOpts struct {
 	selfProfOut                                      string
 	msglog, flightCap, stallCycles, timeline         int
 	traceCap                                         int
-	attrib, selfProf                                 bool
+	attrib, selfProf, json                           bool
 }
 
 // sim runs one workload of the built-in suite under one coherence
-// protocol and prints the full measurement report.
+// protocol and prints the full measurement report, or with -json the
+// raw stats alone.
 //
 //	protozoa sim [-workload linear-regression] [-protocol mw] [-cores 16] [-scale 2]
 //	protozoa sim -list
@@ -39,7 +39,7 @@ func sim(args []string) (err error) {
 	f.StringVar(&o.flightOut, "flight", "", "record a protocol flight log (every message, state transition, and directory step) and write it to this file for protozoa inspect")
 	f.IntVar(&o.flightCap, "flight-cap", 0, "flight recorder capacity in records (0 = default 32Ki; oldest records drop on wrap)")
 	f.IntVar(&o.stallCycles, "stall-cycles", 0, "arm the stall watchdog: dump any transaction outstanding longer than N cycles to stderr")
-	jsonOut := f.Bool("json", false, "emit the raw stats as JSON instead of the report")
+	f.BoolVar(&o.json, "json", false, "emit the raw stats as JSON instead of the report; stdout holds nothing else")
 	f.IntVar(&o.timeline, "timeline", 0, "sample the run every N cycles and print per-window rates")
 	f.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
 	f.IntVar(&o.traceCap, "trace-cap", 0, "flight records kept for the Chrome trace; the ring is shared with -flight and -msglog and sized for the largest request (0 = default 4Mi)")
@@ -59,6 +59,20 @@ func sim(args []string) (err error) {
 		}
 		return nil
 	}
+	if o.json {
+		// These views append text to the report on stdout.
+		for _, v := range []struct {
+			flag string
+			set  bool
+		}{
+			{"timeline", o.timeline > 0}, {"msglog", o.msglog > 0}, {"attrib", o.attrib},
+			{"flight", o.flightOut != ""}, {"stall-cycles", o.stallCycles > 0},
+		} {
+			if v.set {
+				return fmt.Errorf("-%s appends text to stdout, which -json keeps for the stats alone", v.flag)
+			}
+		}
+	}
 	p, err := runner.ParseProtocol(*proto)
 	if err != nil {
 		return err
@@ -69,34 +83,13 @@ func sim(args []string) (err error) {
 	}
 	defer stop(&err)
 	o.selfProf = o.selfProf || o.selfProfOut != ""
-	if o.msglog > 0 || o.timeline > 0 || o.traceOut != "" || o.metricsOut != "" || o.attrib || o.serve != "" || o.selfProf || o.flightOut != "" || o.stallCycles > 0 {
-		return runInstrumented(p, f, o)
-	}
-	st, err := protozoa.Run(o.workload, p, protozoa.Options{Cores: *f.cores, Scale: *f.scale})
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(st)
-	}
-	fmt.Print(harness.RenderStats(o.workload, p, st))
-	return nil
+	return runSim(p, f, o)
 }
 
-// runInstrumented builds the system directly so protocol transcripts,
-// timelines, event traces, and metrics can be captured and dumped.
-func runInstrumented(p core.Protocol, f *flags, o simOpts) error {
-	spec, err := workloads.Get(o.workload)
-	if err != nil {
-		return err
-	}
-	cfg := core.DefaultConfig(p)
-	if err := runner.ConfigureCores(&cfg, *f.cores); err != nil {
-		return err
-	}
-	sys, err := core.NewSystem(cfg, spec.Records(*f.cores, *f.scale, 0))
+// runSim builds the machine protozoa.Run simulates, enables the views
+// o asks for, runs it and writes every requested output.
+func runSim(p core.Protocol, f *flags, o simOpts) error {
+	sys, err := harness.NewSystem(o.workload, p, harness.Options{Cores: *f.cores, Scale: *f.scale})
 	if err != nil {
 		return err
 	}
@@ -150,7 +143,7 @@ func runInstrumented(p core.Protocol, f *flags, o simOpts) error {
 		}()
 	}
 	if err := sys.Run(); err != nil {
-		return err
+		return fmt.Errorf("%s/%s: %w", o.workload, p, err)
 	}
 	if o.traceOut != "" {
 		if err := writeTo(o.traceOut, sys.WriteChromeTrace); err != nil {
@@ -172,6 +165,11 @@ func runInstrumented(p core.Protocol, f *flags, o simOpts) error {
 				return err
 			}
 		}
+	}
+	if o.json {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(sys.Stats())
 	}
 	fmt.Print(harness.RenderStats(o.workload, p, sys.Stats()))
 	if o.timeline > 0 {

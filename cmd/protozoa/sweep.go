@@ -131,10 +131,10 @@ var sweepLiveDescs = []obs.MetricDesc{
 	{Name: "sweep_cells_cached", Help: "cells answered from the result cache without simulating"},
 	{Name: "sweep_events_total", Help: "engine events across completed cells"},
 	{Name: "sweep_sim_cycles_total", Help: "simulated cycles across completed cells"},
-	{Name: "cache_hits", Help: "result-cache lookup hits (memory + disk tiers)"},
+	{Name: "cache_hits", Help: "result-cache lookup hits"},
 	{Name: "cache_misses", Help: "result-cache lookup misses"},
-	{Name: "cache_bytes_read", Help: "payload bytes read from the result cache's disk tier"},
-	{Name: "cache_bytes_written", Help: "payload bytes written to the result cache's disk tier"},
+	{Name: "cache_bytes_read", Help: "payload bytes read from the result-cache directory"},
+	{Name: "cache_bytes_written", Help: "payload bytes written to the result-cache directory"},
 	{Name: "attrib_fetched_words", Help: "words fetched into L1s across completed cells"},
 	{Name: "attrib_used_words", Help: "fetched words used across completed cells"},
 	{Name: "attrib_wasted_bytes", Help: "bytes fetched but never used across completed cells"},
@@ -182,7 +182,7 @@ func (l *sweepLive) publish() {
 	l.srv.Publish(l.simCycles, []float64{
 		float64(l.total), float64(l.done), float64(l.failed), float64(l.cached),
 		float64(l.events), float64(l.simCycles),
-		float64(cc.Hits()), float64(cc.Misses),
+		float64(cc.Hits), float64(cc.Misses),
 		float64(cc.BytesRead), float64(cc.BytesWritten),
 		float64(l.fetched), float64(l.used), float64(l.wasted),
 		float64(l.invals), float64(l.falseShared),

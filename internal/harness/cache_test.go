@@ -23,7 +23,7 @@ func TestCacheServesCoveringEntries(t *testing.T) {
 	// its cells the cache answered.
 	grid := func(t *testing.T, dir string, build func(Options) (*Matrix, error), cached int) *Matrix {
 		t.Helper()
-		c, err := resultcache.Open(dir, 0)
+		c, err := resultcache.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,10 +36,10 @@ type Options struct {
 	// an aggregate summary from the runner.
 	Progress io.Writer
 
-	// Cache, when non-nil, memoizes matrix cells in the
-	// content-addressed result cache: repeated cells are answered from
-	// it without simulating, with byte-identical output (see
-	// runner.Pool.Cache and runner.OpenCache).
+	// Cache, when non-nil, is the content-addressed result-cache
+	// directory: cells already in it are read instead of simulated,
+	// with byte-identical output, and simulated cells are written to
+	// it (see runner.Pool.Cache).
 	Cache *resultcache.Cache
 }
 
@@ -77,8 +77,11 @@ func (o Options) config(p core.Protocol, region int) (core.Config, error) {
 	return cfg, nil
 }
 
-// Run simulates one workload under one protocol and returns its stats.
-func Run(workload string, p core.Protocol, o Options) (*stats.Stats, error) {
+// NewSystem builds, without running it, the machine that simulates one
+// workload under one protocol: the figures' machine on o's cores, with
+// the livelock watchdog, replaying the workload's records at o's scale
+// and trace seed. protozoa.Run and protozoa sim both run this machine.
+func NewSystem(workload string, p core.Protocol, o Options) (*core.System, error) {
 	spec, err := workloads.Get(workload)
 	if err != nil {
 		return nil, err
@@ -87,14 +90,7 @@ func Run(workload string, p core.Protocol, o Options) (*stats.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.NewSystem(cfg, spec.Records(o.cores(), o.Scale, o.TraceSeed))
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Run(); err != nil {
-		return nil, fmt.Errorf("harness: %s/%s: %w", workload, p, err)
-	}
-	return sys.Stats(), nil
+	return core.NewSystem(cfg, spec.Records(o.cores(), o.Scale, o.TraceSeed))
 }
 
 // grid is one pool run over harness cells. Every cell of a workload

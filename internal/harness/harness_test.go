@@ -11,9 +11,22 @@ import (
 	"testing"
 
 	"protozoa/internal/core"
+	"protozoa/internal/stats"
 )
 
 var fast = Options{Cores: 4, Scale: 1}
+
+// run simulates one workload under one protocol, as protozoa.Run does.
+func run(workload string, p core.Protocol, o Options) (*stats.Stats, error) {
+	sys, err := NewSystem(workload, p, o)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.Run(); err != nil {
+		return nil, err
+	}
+	return sys.Stats(), nil
+}
 
 // collectObserved is Collect with the report's views: each cell's
 // attribution tracker and miss-latency breakdown.
@@ -33,7 +46,7 @@ func collect(t *testing.T, names ...string) *Matrix {
 }
 
 func TestRunUnknownWorkload(t *testing.T) {
-	if _, err := Run("nope", core.MESI, fast); err == nil {
+	if _, err := run("nope", core.MESI, fast); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
@@ -41,7 +54,7 @@ func TestRunUnknownWorkload(t *testing.T) {
 func TestRunBadCoreCount(t *testing.T) {
 	o := fast
 	o.Cores = 7
-	if _, err := Run("fft", core.MESI, o); err == nil {
+	if _, err := run("fft", core.MESI, o); err == nil {
 		t.Error("unsupported core count accepted")
 	}
 }
@@ -142,7 +155,7 @@ func TestStringMatchMultiOwner(t *testing.T) {
 	// With 16 cores, adjacent flag words belong to different writers:
 	// the paper reports >90% of O-state lookups finding >1 owner.
 	o := Options{Cores: 16, Scale: 1, Workloads: []string{"string-match"}}
-	st, err := Run("string-match", core.ProtozoaMW, o)
+	st, err := run("string-match", core.ProtozoaMW, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +226,11 @@ func TestNewWorkloadShapes(t *testing.T) {
 	// region and trained fills span them).
 	o := Options{Cores: 16, Scale: 1}
 	for _, w := range []string{"h2", "radix"} {
-		mesi, err := Run(w, core.MESI, o)
+		mesi, err := run(w, core.MESI, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mw, err := Run(w, core.ProtozoaMW, o)
+		mw, err := run(w, core.ProtozoaMW, o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,7 @@ func TestGridsMatchFreshBuilds(t *testing.T) {
 			if !reflect.DeepEqual(plain.Get(w, p), m.Get(w, p)) {
 				t.Errorf("%s: Collect stats differ from the observed matrix", label)
 			}
-			single, err := Run(w, p, o)
+			single, err := run(w, p, o)
 			if err != nil {
 				t.Fatal(err)
 			}

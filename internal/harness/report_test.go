@@ -8,7 +8,7 @@ import (
 )
 
 func TestRenderStatsContent(t *testing.T) {
-	st, err := Run("histogram", core.ProtozoaMW, fast)
+	st, err := run("histogram", core.ProtozoaMW, fast)
 	if err != nil {
 		t.Fatal(err)
 	}

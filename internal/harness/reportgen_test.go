@@ -2,7 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -74,25 +76,38 @@ func TestReportProfilesTraceSeed(t *testing.T) {
 }
 
 // TestReportSimulatesEachCellOnce: the report is one pool run in which
-// no two cells share a cache key (a memory cache answers none of them),
-// and its Table 1 matches CollectTable1's though its 64-byte column is
-// the figures' MESI cell.
+// no two cells share a cache key, and its Table 1 matches
+// CollectTable1's though its 64-byte column is the figures' MESI cell.
+// Over a fresh cache directory, a repeated key would show as a cached
+// cell (a later repeat reads the entry the first one wrote) and as
+// fewer entries than cacheable cells, whichever cell comes first.
 func TestReportSimulatesEachCellOnce(t *testing.T) {
-	cache, err := resultcache.Open("", 0)
+	dir := t.TempDir()
+	cache, err := resultcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var progress bytes.Buffer
-	o := Options{Cores: 4, Scale: 1, Jobs: 2, Workloads: []string{"swaptions", "histogram"},
+	o := Options{Cores: 4, Scale: 1, Jobs: 1, Workloads: []string{"swaptions", "histogram"},
 		Cache: cache, Progress: &progress}
 	var report strings.Builder
 	if err := GenerateReport(o, &report); err != nil {
 		t.Fatal(err)
 	}
 	// 4 tester cells, then per workload 4 figure and 3 Table 1 cells.
-	sums := regexp.MustCompile(`(?m)^\d+ cells \(.*$`).FindAllString(progress.String(), -1)
-	if len(sums) != 1 || !strings.HasPrefix(sums[0], "18 cells (0 failed, 0 cached)") {
-		t.Errorf("report grid summaries %q, want one of 18 cells, none cached", sums)
+	sums := regexp.MustCompile(`(?m)^(\d+) cells \(.*$`).FindAllStringSubmatch(progress.String(), -1)
+	if len(sums) != 1 || !strings.HasPrefix(sums[0][0], "18 cells (0 failed, 0 cached)") {
+		t.Fatalf("report grid summaries %q, want one of 18 cells, none cached", sums)
+	}
+	// The 4 tester cells have no key; every other cell writes its own
+	// entry.
+	cells, _ := strconv.Atoi(sums[0][1])
+	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.pzc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != cells-4 {
+		t.Errorf("report wrote %d cache entries for %d workload cells", len(entries), cells-4)
 	}
 	o.Cache, o.Progress = nil, nil
 	t1, err := CollectTable1(o)

@@ -48,11 +48,11 @@ func TestHeadlineShapeRobustAcrossSeeds(t *testing.T) {
 	// The linear-regression MW win must hold for every trace seed.
 	for seed := uint64(0); seed < 3; seed++ {
 		o := Options{Cores: 4, Scale: 1, TraceSeed: seed}
-		mesi, err := Run("linear-regression", core.MESI, o)
+		mesi, err := run("linear-regression", core.MESI, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mw, err := Run("linear-regression", core.ProtozoaMW, o)
+		mw, err := run("linear-regression", core.ProtozoaMW, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,11 +65,11 @@ func TestHeadlineShapeRobustAcrossSeeds(t *testing.T) {
 func TestCannealCapacityShapeRobustAcrossSeeds(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		o := Options{Cores: 4, Scale: 1, TraceSeed: seed}
-		mesi, err := Run("canneal", core.MESI, o)
+		mesi, err := run("canneal", core.MESI, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw, err := Run("canneal", core.ProtozoaSW, o)
+		sw, err := run("canneal", core.ProtozoaSW, o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ var snapshotMisses = map[string][4]uint64{
 func TestSnapshotDeterminism(t *testing.T) {
 	for w, want := range snapshotMisses {
 		for i, p := range core.AllProtocols {
-			st, err := Run(w, p, Options{Cores: 4, Scale: 1})
+			st, err := run(w, p, Options{Cores: 4, Scale: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,8 +43,8 @@ func TestSnapshotDeterminism(t *testing.T) {
 // TestSnapshotRepeatability: two runs of the same cell are bit-equal
 // on every counter that matters, not just misses.
 func TestSnapshotRepeatability(t *testing.T) {
-	run := func() [6]uint64 {
-		st, err := Run("barnes", core.ProtozoaMW, Options{Cores: 4, Scale: 1})
+	sample := func() [6]uint64 {
+		st, err := run("barnes", core.ProtozoaMW, Options{Cores: 4, Scale: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestSnapshotRepeatability(t *testing.T) {
 			st.ExecCycles, st.Invalidations, st.MissLatencySum,
 		}
 	}
-	a, b := run(), run()
+	a, b := sample(), sample()
 	if a != b {
 		t.Errorf("nondeterministic run: %v vs %v", a, b)
 	}

@@ -1,9 +1,9 @@
-// Package resultcache is a two-tier content-addressed store for
-// simulation results: an in-memory LRU in front of an optional
-// persistent on-disk tier. Entries are keyed by a canonical SHA-256 of
-// the fully-resolved cell configuration (see Builder and AddStruct), so
-// a cell's result is looked up — not re-simulated — whenever the same
-// configuration is requested again, in this process or any later one.
+// Package resultcache is a content-addressed on-disk store for
+// simulation results. Entries are keyed by a canonical SHA-256 of the
+// fully-resolved cell configuration (see Builder and AddStruct), so a
+// cell's result is looked up — not re-simulated — whenever a later run
+// requests the same configuration: warm re-runs and interrupted grids
+// resume from the directory.
 //
 // The determinism contract makes this safe: a cell's output is a pure
 // function of its resolved configuration plus the code version, both of
@@ -11,18 +11,15 @@
 // itself is payload-agnostic — callers serialize whatever a "result"
 // means to them; internal/runner owns the cell payload codec.
 //
-// Concurrency: every method is safe for concurrent use, and the on-disk
-// tier tolerates many processes sharing one directory — entries are
-// written to a temp file and renamed into place (atomic on POSIX), and
-// every read is checksum-validated, so a torn or truncated entry is
-// indistinguishable from a miss and falls back to re-simulation. Do
-// adds per-key singleflight so identical cells queued concurrently in
-// one grid simulate once.
+// Concurrency: every method is safe for concurrent use, and many
+// processes may share one directory — entries are written to a temp
+// file and renamed into place (atomic on POSIX), and every read is
+// checksum-validated, so a torn or truncated entry is
+// indistinguishable from a miss and falls back to re-simulation.
 package resultcache
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -32,7 +29,6 @@ import (
 	"reflect"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
@@ -191,187 +187,60 @@ func CodeStamp() string {
 
 // Counters is a snapshot of the cache's activity.
 type Counters struct {
-	MemHits, DiskHits, Misses uint64 // Get outcomes
-	Puts, PutErrors           uint64 // writes and failed writes
-	BytesRead, BytesWritten   uint64 // payload bytes through the disk tier
+	Hits, Misses            uint64 // Get outcomes
+	BytesRead, BytesWritten uint64 // payload bytes read by hits and written by Puts
 }
 
-// Hits is the total lookup hits across both tiers.
-func (c Counters) Hits() uint64 { return c.MemHits + c.DiskHits }
-
-// DefaultMemBytes bounds the in-memory tier (payload bytes).
-const DefaultMemBytes = 256 << 20
-
-// Cache is the two-tier store. The zero value is not usable; construct
+// Cache is the on-disk store. The zero value is not usable; construct
 // with Open.
 type Cache struct {
-	dir      string // "" = memory tier only
-	maxBytes int64
+	dir string
 
-	mu       sync.Mutex
-	entries  map[Key]*list.Element
-	lru      *list.List // front = most recently used
-	memBytes int64
-	inflight map[Key]*flight
-
-	memHits, diskHits, misses atomic.Uint64
-	puts, putErrors           atomic.Uint64
-	bytesRead, bytesWritten   atomic.Uint64
+	hits, misses            atomic.Uint64
+	bytesRead, bytesWritten atomic.Uint64
 }
 
-type memEntry struct {
-	key     Key
-	payload []byte
-}
-
-type flight struct {
-	done    chan struct{}
-	payload []byte
-	err     error
-}
-
-// Open returns a cache backed by dir (created if missing); an empty dir
-// selects the memory tier only. maxMemBytes <= 0 uses DefaultMemBytes.
-func Open(dir string, maxMemBytes int64) (*Cache, error) {
-	if maxMemBytes <= 0 {
-		maxMemBytes = DefaultMemBytes
+// Open returns a cache backed by dir, created if missing.
+func Open(dir string) (*Cache, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("resultcache: no directory")
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("resultcache: %w", err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("resultcache: %w", err)
 	}
-	return &Cache{
-		dir:      dir,
-		maxBytes: maxMemBytes,
-		entries:  make(map[Key]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[Key]*flight),
-	}, nil
+	return &Cache{dir: dir}, nil
 }
-
-// Dir reports the disk tier's directory ("" when memory-only).
-func (c *Cache) Dir() string { return c.dir }
 
 // Counters snapshots the activity counters.
 func (c *Cache) Counters() Counters {
 	return Counters{
-		MemHits:      c.memHits.Load(),
-		DiskHits:     c.diskHits.Load(),
+		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),
-		Puts:         c.puts.Load(),
-		PutErrors:    c.putErrors.Load(),
 		BytesRead:    c.bytesRead.Load(),
 		BytesWritten: c.bytesWritten.Load(),
 	}
 }
 
-// Get looks the key up in memory, then on disk (promoting a disk hit
-// into the memory tier). The returned payload is shared; callers must
-// treat it as read-only.
+// Get reads the key's entry. A missing, torn or corrupt entry is a
+// miss.
 func (c *Cache) Get(k Key) ([]byte, bool) {
-	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(el)
-		payload := el.Value.(*memEntry).payload
-		c.mu.Unlock()
-		c.memHits.Add(1)
-		return payload, true
-	}
-	c.mu.Unlock()
-	if c.dir == "" {
-		c.misses.Add(1)
-		return nil, false
-	}
 	payload, ok := c.readDisk(k)
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
-	c.diskHits.Add(1)
+	c.hits.Add(1)
 	c.bytesRead.Add(uint64(len(payload)))
-	c.insertMem(k, payload)
 	return payload, true
 }
 
-// Put stores the payload under the key in both tiers. Disk failures are
-// counted and returned but leave the memory tier populated — a broken
-// disk degrades to a per-process cache rather than failing the run.
+// Put stores the payload under the key, replacing any entry there.
 func (c *Cache) Put(k Key, payload []byte) error {
-	c.puts.Add(1)
-	c.insertMem(k, payload)
-	if c.dir == "" {
-		return nil
-	}
 	if err := c.writeDisk(k, payload); err != nil {
-		c.putErrors.Add(1)
 		return err
 	}
 	c.bytesWritten.Add(uint64(len(payload)))
 	return nil
-}
-
-// Do returns the cached payload for the key, or computes, stores, and
-// returns it. Concurrent Do calls for the same key collapse into one
-// compute (singleflight): the first caller runs compute, the rest block
-// and share its outcome. hit reports whether the payload came from the
-// cache (including from a concurrent leader); a compute error is
-// returned to every collapsed caller and nothing is stored.
-func (c *Cache) Do(k Key, compute func() ([]byte, error)) (payload []byte, hit bool, err error) {
-	if p, ok := c.Get(k); ok {
-		return p, true, nil
-	}
-	c.mu.Lock()
-	if f, ok := c.inflight[k]; ok {
-		c.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, false, f.err
-		}
-		return f.payload, true, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[k] = f
-	c.mu.Unlock()
-
-	defer func() {
-		c.mu.Lock()
-		delete(c.inflight, k)
-		c.mu.Unlock()
-		close(f.done)
-	}()
-	// Re-check under singleflight ownership: another process may have
-	// written the entry between our miss and here.
-	if p, ok := c.Get(k); ok {
-		f.payload = p
-		return p, true, nil
-	}
-	f.payload, f.err = compute()
-	if f.err != nil {
-		return nil, false, f.err
-	}
-	_ = c.Put(k, f.payload) // disk errors already counted; memory tier holds it
-	return f.payload, false, nil
-}
-
-func (c *Cache) insertMem(k Key, payload []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.memBytes += int64(len(payload)) - int64(len(el.Value.(*memEntry).payload))
-		el.Value.(*memEntry).payload = payload
-		c.lru.MoveToFront(el)
-	} else {
-		c.entries[k] = c.lru.PushFront(&memEntry{key: k, payload: payload})
-		c.memBytes += int64(len(payload))
-	}
-	for c.memBytes > c.maxBytes && c.lru.Len() > 1 {
-		el := c.lru.Back()
-		e := el.Value.(*memEntry)
-		c.lru.Remove(el)
-		delete(c.entries, e.key)
-		c.memBytes -= int64(len(e.payload))
-	}
 }
 
 // On-disk entry format, designed so any torn write is detectable:

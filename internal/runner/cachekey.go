@@ -85,14 +85,3 @@ func (s CellSpec) Key() resultcache.Key {
 	b.Field("payloadfp", payloadFingerprint)
 	return b.Sum()
 }
-
-// OpenCache resolves the shared -cache/-cache-dir flag semantics:
-// disabled returns no cache at all; enabled without a directory runs
-// the in-memory tier only (per-process dedup); a directory adds the
-// persistent tier that makes grids resumable across processes.
-func OpenCache(enabled bool, dir string) (*resultcache.Cache, error) {
-	if !enabled {
-		return nil, nil
-	}
-	return resultcache.Open(dir, 0)
-}

@@ -68,6 +68,28 @@ func TestSuiteSweepGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "sweep_suite.golden.csv"), buf.Bytes())
 }
 
+// TestMicroSweepGolden pins the microbenchmark sweep at 16 cores, the
+// CSV of `protozoa sweep -workloads micro-atomic-counter,
+// micro-barrier-skew,micro-producer-consumer,micro-ticket-lock
+// -protocols all`. Regenerate with `make golden` only after an
+// intentional change to the simulated machine.
+func TestMicroSweepGolden(t *testing.T) {
+	cells, err := Grid{Workloads: []string{"micro-atomic-counter", "micro-barrier-skew",
+		"micro-producer-consumer", "micro-ticket-lock"}}.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, sum := Pool{}.Run(cells)
+	if sum.Failed != 0 {
+		t.Fatalf("%d cells failed", sum.Failed)
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, results); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "sweep_micro.golden.csv"), buf.Bytes())
+}
+
 // checkGolden compares got with the golden file at path, rewriting the
 // file first under -update.
 func checkGolden(t *testing.T, path string, got []byte) {

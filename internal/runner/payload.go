@@ -58,9 +58,8 @@ func (cr *cachedResult) covers(c Cell) bool {
 // result reconstructs cell c's result from a payload that covers it.
 // Observations the payload holds beyond the cell's needs are left out,
 // so the result equals what simulating the cell would give.
-func (cr *cachedResult) result(i int, c Cell) (Result, error) {
+func (cr *cachedResult) result(c Cell) (Result, error) {
 	r := Result{
-		Index:  i,
 		Cell:   c,
 		Stats:  cr.Stats,
 		Events: cr.Events,

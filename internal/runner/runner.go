@@ -82,7 +82,6 @@ type Cell struct {
 // Result is one cell's outcome, delivered in the slot matching the
 // cell's index regardless of completion order.
 type Result struct {
-	Index   int
 	Cell    Cell
 	Stats   *stats.Stats          // nil when Err != nil
 	Attrib  *attrib.Tracker       // non-nil when the cell requested attribution
@@ -115,14 +114,13 @@ type Pool struct {
 	Jobs     int       // concurrent workers; <=0 means GOMAXPROCS
 	Progress io.Writer // per-cell completion lines plus a summary; nil = silent
 
-	// Cache, when non-nil, memoizes cells with a non-zero Key: hits
-	// skip Build and the simulation entirely, misses write back on
-	// success, and identical concurrent cells collapse into one
-	// simulation (singleflight). An entry answers a cell when its
-	// payload holds every observation the cell needs; a cell that needs
-	// more simulates and rewrites the entry with the larger payload.
-	// Results are byte-identical with and without the cache — that is
-	// the content-addressing contract.
+	// Cache, when non-nil, is the result-cache directory for cells
+	// with a non-zero Key: hits skip Build and the simulation entirely,
+	// and misses write their entry on success. An entry answers a cell
+	// when its payload holds every observation the cell needs; a cell
+	// that needs more simulates and rewrites the entry with the larger
+	// payload. Results are byte-identical with and without the cache —
+	// that is the content-addressing contract.
 	Cache *resultcache.Cache
 
 	// OnResult, when non-nil, observes each result as its cell
@@ -158,7 +156,7 @@ func (p Pool) Run(cells []Cell) ([]Result, Summary) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				r := p.runCell(i, cells[i])
+				r := p.runCell(cells[i])
 				results[i] = r
 				if p.Progress != nil || p.OnResult != nil {
 					mu.Lock()
@@ -208,64 +206,37 @@ func (p Pool) Run(cells []Cell) ([]Result, Summary) {
 	return results, sum
 }
 
-// runCell resolves one cell: from the cache when an entry holds what
-// the cell needs, by simulating otherwise. Any cache-side failure —
-// undecodable payload, a concurrent leader's error — degrades to a
-// plain simulation, never to a failed cell the simulator itself
-// wouldn't have failed.
-func (p Pool) runCell(i int, c Cell) Result {
+// runCell resolves one cell: from the cache when its entry holds what
+// the cell needs, by simulating otherwise. A simulation observes what
+// the cell needs plus every view the old entry held, and rewrites the
+// entry, so no later request loses what it could read before. A
+// failure is never written. Any cache-side failure — an unreadable
+// payload, a failed write — degrades to a plain simulation, never to
+// a failed cell the simulator itself wouldn't have failed.
+func (p Pool) runCell(c Cell) Result {
 	if p.Cache == nil || c.Key.IsZero() {
-		return simCell(i, c)
+		return simCell(c)
 	}
 	start := time.Now()
-	var (
-		ran  bool
-		self Result
-	)
-	payload, _, err := p.Cache.Do(c.Key, func() ([]byte, error) {
-		ran = true
-		self = simCell(i, c)
-		if self.Err != nil {
-			return nil, self.Err
-		}
-		return encodeResult(&self)
-	})
-	if ran {
-		// We were the leader: our own simulation outcome stands whether
-		// or not the write-back succeeded (errors are never cached, and
-		// an encode failure just leaves the entry unwritten).
-		return self
+	var cr *cachedResult
+	if payload, ok := p.Cache.Get(c.Key); ok {
+		cr, _ = decodePayload(payload) // an undecodable entry is a miss
 	}
-	if err != nil {
-		// A concurrent leader failed. The failure is deterministic, but
-		// re-running produces this cell's own correctly-labelled error.
-		return simCell(i, c)
-	}
-	cr, derr := decodePayload(payload)
-	if derr == nil && cr.covers(c) {
-		if r, err := cr.result(i, c); err == nil {
-			r.Wall = time.Since(start)
-			return r
-		}
-	}
-	return p.upgrade(i, c, cr)
-}
-
-// upgrade simulates a cell whose cache entry lacks an observation it
-// needs (or is garbled in a way the disk checksum can't see), and
-// rewrites the entry with a payload holding the cell's observations
-// plus every one the old entry held (cr, nil when unreadable), so no
-// later request loses what it could read before.
-func (p Pool) upgrade(i int, c Cell, cr *cachedResult) Result {
 	wide := c
 	if cr != nil {
+		if cr.covers(c) {
+			if r, err := cr.result(c); err == nil {
+				r.Wall = time.Since(start)
+				return r
+			}
+		}
 		wide.NeedAttrib = c.NeedAttrib || cr.Attrib != nil
 		wide.NeedLatency = c.NeedLatency || cr.Latency != nil
 	}
-	r := simCell(i, wide)
+	r := simCell(wide)
 	if r.Err == nil {
 		if payload, err := encodeResult(&r); err == nil {
-			_ = p.Cache.Put(c.Key, payload) // disk errors are counted; the memory tier holds it
+			_ = p.Cache.Put(c.Key, payload) // an unwritten entry simulates again next time
 		}
 		if !c.NeedAttrib {
 			r.Attrib = nil
@@ -279,9 +250,9 @@ func (p Pool) upgrade(i int, c Cell, cr *cachedResult) Result {
 }
 
 // simCell builds and runs one cell's machine.
-func simCell(i int, c Cell) Result {
+func simCell(c Cell) Result {
 	start := time.Now()
-	r := Result{Index: i, Cell: c}
+	r := Result{Cell: c}
 	sys, err := c.Build()
 	if err != nil {
 		r.Err = fmt.Errorf("%s: %w", c.Label, err)

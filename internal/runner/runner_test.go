@@ -2,10 +2,12 @@ package runner
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"protozoa/internal/core"
+	"protozoa/internal/resultcache"
 	"protozoa/internal/workloads"
 )
 
@@ -193,5 +195,47 @@ func TestGridValidatesUpfront(t *testing.T) {
 	}
 	if _, err := (Grid{Workloads: []string{"fft"}, Cores: 7}).Cells(); err == nil {
 		t.Error("unsupported core count not rejected")
+	}
+}
+
+// TestFailedCellNotCached: a failing cell over a cache directory writes
+// no entry, so the next run over the directory simulates it again,
+// while its successful neighbour is written once and then read.
+func TestFailedCellNotCached(t *testing.T) {
+	dir := t.TempDir()
+	spec, err := workloads.Get("swaptions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := func(label string, maxEvents uint64) Cell {
+		cfg := core.DefaultConfig(core.MESI)
+		cfg.MaxEvents = maxEvents
+		if err := ConfigureCores(&cfg, 4); err != nil {
+			t.Fatal(err)
+		}
+		return Cell{
+			Label: label,
+			Key:   CellSpec{Config: cfg, Workload: spec.Name, Scale: 1}.Key(),
+			Build: func() (*core.System, error) { return core.NewSystem(cfg, spec.Records(4, 1, 0)) },
+		}
+	}
+	// 50 events trip the livelock watchdog almost immediately.
+	cells := []Cell{cell("watchdog", 50), cell("ok", 0)}
+	for run := 0; run < 2; run++ {
+		cache, err := resultcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, _ := Pool{Jobs: 1, Cache: cache}.Run(cells)
+		if r := results[0]; r.Err == nil || r.Cached || r.Events == 0 {
+			t.Fatalf("run %d: err=%v cached=%v events=%d; want a simulated failure",
+				run, r.Err, r.Cached, r.Events)
+		}
+		if r := results[1]; r.Err != nil || r.Cached != (run == 1) {
+			t.Fatalf("run %d: neighbour err=%v cached=%v", run, r.Err, r.Cached)
+		}
+		if entries, _ := filepath.Glob(filepath.Join(dir, "*", "*.pzc")); len(entries) != 1 {
+			t.Fatalf("run %d: entries %v, want only the neighbour's", run, entries)
+		}
 	}
 }

@@ -22,13 +22,14 @@
 package protozoa
 
 import (
+	"fmt"
+
 	"protozoa/internal/core"
 	"protozoa/internal/harness"
 	"protozoa/internal/mem"
 	"protozoa/internal/obs/attrib"
 	"protozoa/internal/profile"
 	"protozoa/internal/resultcache"
-	"protozoa/internal/runner"
 	"protozoa/internal/stats"
 	"protozoa/internal/trace"
 	"protozoa/internal/workloads"
@@ -65,22 +66,27 @@ type Options = harness.Options
 // DefaultOptions is the paper's 16-core configuration.
 func DefaultOptions() Options { return harness.DefaultOptions() }
 
-// ResultCache is the two-tier content-addressed result store; assign
-// one to Options.Cache to memoize matrix cells across calls (and, with
-// a directory, across processes). See docs/CACHING.md.
+// ResultCache is the content-addressed on-disk result store; assign one
+// to Options.Cache and matrix cells already in its directory are read
+// instead of simulated, across calls and processes. See
+// docs/CACHING.md.
 type ResultCache = resultcache.Cache
 
-// OpenCache opens a result cache for Options.Cache: enabled=false
-// returns nil (no caching), an empty dir keeps results in memory only,
-// and a directory adds the persistent tier that makes repeated and
-// interrupted experiment grids resume instead of re-simulating.
-func OpenCache(enabled bool, dir string) (*ResultCache, error) {
-	return runner.OpenCache(enabled, dir)
-}
+// OpenCache opens the result cache in dir (created if missing) for
+// Options.Cache: repeated and interrupted experiment grids over it
+// resume instead of re-simulating.
+func OpenCache(dir string) (*ResultCache, error) { return resultcache.Open(dir) }
 
 // Run simulates one built-in workload under one protocol.
 func Run(workload string, p Protocol, o Options) (*Stats, error) {
-	return harness.Run(workload, p, o)
+	sys, err := harness.NewSystem(workload, p, o)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.Run(); err != nil {
+		return nil, fmt.Errorf("harness: %s/%s: %w", workload, p, err)
+	}
+	return sys.Stats(), nil
 }
 
 // WorkloadNames lists the built-in workload suite.
