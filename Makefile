@@ -112,10 +112,11 @@ obs-smoke: trace-smoke
 # must be byte-identical. Resume: a second cold sweep into a fresh
 # directory is killed once its first entries land on disk, then re-run
 # — the interrupted grid must finish with at least one cell resumed
-# from the cache and the same byte-identical CSV. Extract: a short
+# from the cache and the same byte-identical CSV. Checker: a short
 # verify runs cold, then warm, on one -cache-dir — the checker
-# summaries must come back from the entries' Extract payloads, all
-# four cells cached, with byte-identical output.
+# summaries must come back from the entries' payloads, all four cells
+# cached, with output byte-identical to the cold run and to
+# cmd/testdata/verify_short.golden (the same verify, simulated).
 CACHE_SMOKE_GRID = -workloads linear-regression,barnes -protocols all -scale 8
 CACHE_SMOKE_VERIFY = -accesses 40000 -seed 7
 
@@ -162,10 +163,12 @@ cache-smoke:
 		> $$d/verify-warm.txt 2>$$d/verify-warm.err; \
 	cmp $$d/verify-cold.txt $$d/verify-warm.txt \
 		|| { echo "cache-smoke: warm verify output differs from cold"; exit 1; }; \
+	cmp cmd/testdata/verify_short.golden $$d/verify-warm.txt \
+		|| { echo "cache-smoke: warm verify output differs from cmd/testdata/verify_short.golden"; exit 1; }; \
 	grep -q '4 cells (0 failed, 4 cached)' $$d/verify-warm.err \
 		|| { echo "cache-smoke: warm verify re-simulated cells:"; \
 		     tail -1 $$d/verify-warm.err; exit 1; }; \
-	echo "cache-smoke: warm verify 100% cached from Extract payloads, output byte-identical"
+	echo "cache-smoke: warm verify 100% cached from the checker payloads, output byte-identical"
 
 # bench runs the simulator throughput benchmark with allocation
 # accounting in a benchstat-friendly shape (-count 5). Compare against

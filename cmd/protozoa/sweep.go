@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 
-	"protozoa/internal/core"
 	"protozoa/internal/obs"
 	"protozoa/internal/obs/selfprof"
 	"protozoa/internal/resultcache"
@@ -63,16 +62,11 @@ func sweep(args []string) (err error) {
 		return err
 	}
 
-	var profc *selfprof.Collector
-	if *selfProf {
-		// Self-profiling is invisible to the result cache: cached cells
-		// never run AfterRun, so the rollup covers simulated work only
-		// and the CSV stays byte-identical either way.
-		profc = &selfprof.Collector{}
-		for i := range cells {
-			cells[i].Observe = func(sys *core.System) { sys.EnableSelfProf() }
-			cells[i].AfterRun = func(sys *core.System) { profc.Add(sys.SelfProf().Report()) }
-		}
+	// Self-profiling is invisible to the result cache: cached cells
+	// carry no profile, so the rollup covers simulated work only and
+	// the CSV stays byte-identical either way.
+	for i := range cells {
+		cells[i].NeedSelfProf = *selfProf
 	}
 
 	pool, err := f.pool()
@@ -98,7 +92,13 @@ func sweep(args []string) (err error) {
 	if err := runner.WriteCSV(os.Stdout, results); err != nil {
 		return err
 	}
-	if profc != nil {
+	if *selfProf {
+		var profc selfprof.Collector
+		for _, r := range results {
+			if r.SelfProf != nil {
+				profc.Add(r.SelfProf)
+			}
+		}
 		profc.WriteSummary(os.Stderr)
 	}
 	for _, r := range results {

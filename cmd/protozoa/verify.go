@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"strconv"
@@ -50,7 +49,6 @@ func verify(args []string) error {
 	}
 
 	cells := make([]runner.Cell, len(ps))
-	chks := make([]*core.Checker, len(ps))
 	for i, p := range ps {
 		cfg := core.DefaultConfig(p)
 		cfg.ThreeHop = *threeHop
@@ -75,13 +73,11 @@ func verify(args []string) error {
 					{"regions", strconv.Itoa(*regions)},
 					{"stores", strconv.Itoa(*storePct)},
 				},
-				Extract: "checker-summary-v1",
 			}.Key(),
+			NeedChecker: true,
 			Build: func() (*core.System, error) {
 				return core.NewSystem(cfg, workloads.RandomRecords(cores, perCore, *regions, *storePct, seed))
 			},
-			Observe: func(sys *core.System) { chks[i] = core.NewChecker(sys) },
-			Extract: func(*core.System) ([]byte, error) { return json.Marshal(chks[i].Summary()) },
 		}
 	}
 
@@ -98,14 +94,7 @@ func verify(args []string) error {
 			failed++
 			continue
 		}
-		// The checker outcome travels in Result.Extra so a cached run
-		// reports exactly what the original simulation did.
-		var sum core.CheckerSummary
-		if err := json.Unmarshal(r.Extra, &sum); err != nil {
-			fmt.Fprintf(os.Stderr, "protozoa verify: %s: bad checker summary: %v\n", ps[i], err)
-			failed++
-			continue
-		}
+		sum := r.Checker // from the cache, exactly what the simulation reported
 		status := "OK"
 		if len(sum.Violations) > 0 {
 			status = "FAIL"

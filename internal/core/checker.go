@@ -2,14 +2,16 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"protozoa/internal/cache"
 	"protozoa/internal/mem"
 )
 
 // Checker is the random-tester correctness oracle (Section 3.6). It
-// observes a System and verifies, at every directory quiescent point:
+// observes a System and verifies, at every directory quiescent point,
+// for every region an L1 step touched since the previous one:
 //
 //   - word-granularity SWMR: a word cached with write permission (M or
 //     E) anywhere has exactly one holder system-wide;
@@ -24,35 +26,40 @@ import (
 // Violations are recorded (up to MaxViolations) rather than panicking,
 // so tests and the protozoa verify tool can report them.
 type Checker struct {
+	// CheckerSummary holds the counts: Checks, the transaction ends
+	// (quiescent points) checked, and Loads, the load values validated.
+	CheckerSummary
+
 	sys    *System
 	golden map[mem.Addr]uint64
-
-	// Checks counts quiescent-point scans performed.
-	Checks int
-	// Loads counts load values validated.
-	Loads int
-
-	violations []string
 
 	// transcript is the flight recorder's tail captured at the first
 	// violation (empty when the recorder is disabled): the record of
 	// what the machine was doing when the invariant broke, before
 	// later traffic rotates it out of the bounded rings.
 	transcript string
+
+	// changed lists the regions L1 steps touched since the last check,
+	// repeats included (System.stateEdge appends).
+	changed []mem.RegionID
 }
 
 // MaxViolations bounds the recorded diagnostics.
 const MaxViolations = 32
 
-// NewChecker attaches a fresh checker to the system as its observer.
+// NewChecker attaches a fresh checker to the system as its observer
+// and arms its feed: from here on every L1 state edge marks its region
+// for the next check.
 func NewChecker(sys *System) *Checker {
 	c := &Checker{sys: sys, golden: make(map[mem.Addr]uint64)}
 	sys.SetObserver(c)
+	sys.chk = c
+	sys.edges = true
 	return c
 }
 
 // Violations returns the recorded diagnostics.
-func (c *Checker) Violations() []string { return c.violations }
+func (c *Checker) Violations() []string { return c.CheckerSummary.Violations }
 
 // CheckerSummary is the serializable outcome of a checked run — what
 // protozoa verify reports per cell, in a form the result cache can
@@ -64,24 +71,27 @@ type CheckerSummary struct {
 }
 
 // Summary snapshots the checker's outcome.
-func (c *Checker) Summary() CheckerSummary {
-	return CheckerSummary{
-		Loads:      c.Loads,
-		Checks:     c.Checks,
-		Violations: append([]string(nil), c.violations...),
-	}
+func (c *Checker) Summary() *CheckerSummary {
+	s := c.CheckerSummary
+	s.Violations = slices.Clone(s.Violations)
+	return &s
 }
 
 // Err summarizes the violations as an error, or nil if none occurred.
-// When the flight recorder was enabled the error carries the transcript
-// captured at the first violation, so a random-tester failure reads as
-// a protocol trace instead of a bare invariant message.
-func (c *Checker) Err() error {
-	if len(c.violations) == 0 {
+func (s *CheckerSummary) Err() error {
+	if len(s.Violations) == 0 {
 		return nil
 	}
-	err := fmt.Errorf("checker: %d violation(s), first: %s", len(c.violations), c.violations[0])
-	if c.transcript != "" {
+	return fmt.Errorf("checker: %d violation(s), first: %s", len(s.Violations), s.Violations[0])
+}
+
+// Err is CheckerSummary.Err, plus, when the flight recorder was
+// enabled, the transcript captured at the first violation, so a
+// random-tester failure reads as a protocol trace instead of a bare
+// invariant message.
+func (c *Checker) Err() error {
+	err := c.CheckerSummary.Err()
+	if err != nil && c.transcript != "" {
 		err = fmt.Errorf("%w\nflight transcript at first violation (last %d records):\n%s",
 			err, violationTranscriptCap, c.transcript)
 	}
@@ -93,14 +103,14 @@ func (c *Checker) Err() error {
 func (c *Checker) Transcript() string { return c.transcript }
 
 func (c *Checker) fail(format string, args ...interface{}) {
-	if len(c.violations) == 0 {
+	if len(c.Violations()) == 0 {
 		// Auto-dump on the first violation: snapshot the flight tail
 		// now, while the records leading up to the break are still in
 		// the rings.
 		c.transcript = c.sys.flightTail(violationTranscriptCap)
 	}
-	if len(c.violations) < MaxViolations {
-		c.violations = append(c.violations, fmt.Sprintf(format, args...))
+	if v := &c.CheckerSummary.Violations; len(*v) < MaxViolations {
+		*v = append(*v, fmt.Sprintf(format, args...))
 	}
 }
 
@@ -117,58 +127,71 @@ func (c *Checker) OnLoad(core int, addr mem.Addr, val uint64) {
 	}
 }
 
-// OnTxnEnd implements Observer.
+// OnTxnEnd implements Observer: it checks the regions L1 steps touched
+// since the last check. A verdict reads only a region's L1 blocks and
+// golden words, and both change only in an L1 step (a store retires
+// into an L1 block), so the untouched regions still pass.
 func (c *Checker) OnTxnEnd(mem.RegionID) {
 	c.Checks++
-	c.checkValues()
-	c.checkSWMR()
+	c.check()
 }
 
-func (c *Checker) checkValues() {
-	g := c.sys.Geometry()
-	c.sys.ForEachCachedWord(func(core int, region mem.RegionID, w uint8, st cache.State, val uint64) {
-		addr := g.WordAddr(region, w)
-		if want := c.golden[addr]; val != want {
-			c.fail("core %d caches %#x=%#x in %v, golden %#x", core, addr, val, st, want)
-		}
-	})
-}
-
-func (c *Checker) checkSWMR() {
-	type key struct {
-		region mem.RegionID
-		w      uint8
+// CheckAll checks every region cached in any L1. System.Run calls it
+// once when a checked run ends; it does not count as a check.
+func (c *Checker) CheckAll() {
+	for _, l1 := range c.sys.l1s {
+		l1.cache.Blocks(func(b *cache.Block) { c.changed = append(c.changed, b.Region) })
 	}
-	wordWriters := make(map[key][]int)
-	wordHolders := make(map[key][]int)
-	regionWriters := make(map[mem.RegionID]map[int]bool)
-	regionHolders := make(map[mem.RegionID]map[int]bool)
+	c.check()
+}
 
-	c.sys.ForEachCachedWord(func(core int, region mem.RegionID, w uint8, st cache.State, _ uint64) {
-		k := key{region, w}
-		wordHolders[k] = append(wordHolders[k], core)
-		if regionHolders[region] == nil {
-			regionHolders[region] = make(map[int]bool)
-		}
-		regionHolders[region][core] = true
-		if st == cache.Modified || st == cache.Exclusive {
-			wordWriters[k] = append(wordWriters[k], core)
-			if regionWriters[region] == nil {
-				regionWriters[region] = make(map[int]bool)
+// check checks each changed region once, in ascending order, and
+// empties the list.
+func (c *Checker) check() {
+	slices.Sort(c.changed)
+	for _, r := range slices.Compact(c.changed) {
+		c.checkRegion(r)
+	}
+	c.changed = c.changed[:0]
+}
+
+// checkRegion checks one region across every L1: each cached word
+// against its golden value, then word SWMR, then the protocol's own
+// region rule. Core sets are bitmasks (at most 32 cores); a writer
+// holds the word in M or E.
+func (c *Checker) checkRegion(region mem.RegionID) {
+	g := c.sys.Geometry()
+	var holders, writers [mem.MaxRegionWords]uint32
+	for _, l1 := range c.sys.l1s {
+		for _, b := range l1.cache.BlocksInRegion(region) {
+			for w := b.R.Start; w <= b.R.End; w++ {
+				addr := g.WordAddr(region, w)
+				if val, want := b.Word(w), c.golden[addr]; val != want {
+					c.fail("core %d caches %#x=%#x in %v, golden %#x", l1.id, addr, val, b.State, want)
+				}
+				holders[w] |= 1 << l1.id
+				if b.State == cache.Modified || b.State == cache.Exclusive {
+					writers[w] |= 1 << l1.id
+				}
 			}
-			regionWriters[region][core] = true
 		}
-	})
+	}
 
 	// Word-granularity SWMR holds for every protocol (region SWMR
 	// implies it): a written word has exactly one holder.
-	for k, writers := range wordWriters {
-		if len(writers) > 1 {
-			c.fail("word %d of region %d writable at cores %v", k.w, k.region, writers)
+	var regionHolders, regionWriters uint32
+	for w, wr := range writers {
+		regionHolders |= holders[w]
+		regionWriters |= wr
+		if wr == 0 {
+			continue
 		}
-		if len(wordHolders[k]) > 1 {
+		if bits.OnesCount32(wr) > 1 {
+			c.fail("word %d of region %d writable at cores %v", w, region, coreList(wr))
+		}
+		if bits.OnesCount32(holders[w]) > 1 {
 			c.fail("word %d of region %d written at core %d but cached at %v",
-				k.w, k.region, writers[0], wordHolders[k])
+				w, region, bits.TrailingZeros32(wr), coreList(holders[w]))
 		}
 	}
 
@@ -176,27 +199,23 @@ func (c *Checker) checkSWMR() {
 	case MESI, ProtozoaSW:
 		// Region-granularity SWMR: a region with any written word has
 		// exactly one L1 caching anything of it.
-		for region, writers := range regionWriters {
-			if len(writers) > 0 && len(regionHolders[region]) > 1 {
-				c.fail("%v: region %d has writer(s) %v and holders %v",
-					c.sys.Protocol(), region, coreList(writers), coreList(regionHolders[region]))
-			}
+		if regionWriters != 0 && bits.OnesCount32(regionHolders) > 1 {
+			c.fail("%v: region %d has writer(s) %v and holders %v",
+				c.sys.Protocol(), region, coreList(regionWriters), coreList(regionHolders))
 		}
 	case ProtozoaSWMR:
 		// At most one writing core per region.
-		for region, writers := range regionWriters {
-			if len(writers) > 1 {
-				c.fail("SW+MR: region %d has %d writers %v", region, len(writers), coreList(writers))
-			}
+		if n := bits.OnesCount32(regionWriters); n > 1 {
+			c.fail("SW+MR: region %d has %d writers %v", region, n, coreList(regionWriters))
 		}
 	}
 }
 
-func coreList(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// coreList lists the cores of a core bitmask in ascending order.
+func coreList(mask uint32) []int {
+	out := make([]int, 0, bits.OnesCount32(mask))
+	for ; mask != 0; mask &= mask - 1 {
+		out = append(out, bits.TrailingZeros32(mask))
 	}
-	sort.Ints(out)
 	return out
 }

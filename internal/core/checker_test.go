@@ -5,9 +5,12 @@ package core
 // the stress suite mean something).
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"protozoa/internal/cache"
+	"protozoa/internal/mem"
 	"protozoa/internal/trace"
 )
 
@@ -37,7 +40,8 @@ func TestCheckerDetectsWrongLoadValue(t *testing.T) {
 
 func TestCheckerDetectsStaleCachedValue(t *testing.T) {
 	// Run a tiny workload, then move the golden value from under the
-	// resident copy: the quiescent scan must flag it.
+	// resident copy: the whole-machine check must flag it. (No L1 step
+	// follows, so no transaction end would look at the region again.)
 	cfg := testConfig(MESI, 1)
 	sys, err := NewSystem(cfg, [][]trace.Access{
 		{ld(0x40)},
@@ -53,19 +57,143 @@ func TestCheckerDetectsStaleCachedValue(t *testing.T) {
 		t.Fatalf("clean run flagged: %v", chk.Err())
 	}
 	chk.OnStore(0, 0x40, 999) // golden diverges from the cached zero
-	chk.OnTxnEnd(1)
+	chk.CheckAll()
 	if chk.Err() == nil {
 		t.Fatal("checker missed a stale cached value")
 	}
 }
 
+// planted is one block to plant into a core's L1.
+type planted struct {
+	core       int
+	start, end uint8
+	state      cache.State
+}
+
+// TestCheckerDetectsSWMRViolationShape plants blocks of region 3 into
+// the L1s of an idle 4-core machine and checks the region: each shape
+// must produce exactly its messages, in checkRegion's order (values,
+// then word SWMR in word order, then the region rule), so the first
+// violation is pinned too.
 func TestCheckerDetectsSWMRViolationShape(t *testing.T) {
-	// Force a fake multi-writer situation by running MW (where two
-	// cores legitimately hold disjoint words M) and then asking the
-	// checker to apply the stricter region rule: reuse the internal
-	// walk by constructing a Protozoa-SW system whose caches we seed by
-	// running MW traffic is not possible; instead verify MaxViolations
-	// capping on the load path.
+	const region = mem.RegionID(3)
+	for _, tc := range []struct {
+		name   string
+		proto  Protocol
+		blocks []planted
+		golden map[uint8]uint64 // word -> golden value (cached words hold 0)
+		want   []string
+	}{
+		{
+			name:  "word writable at two cores",
+			proto: ProtozoaMW,
+			blocks: []planted{
+				{core: 2, start: 1, end: 2, state: cache.Exclusive},
+				{core: 0, start: 0, end: 1, state: cache.Modified},
+			},
+			want: []string{
+				"word 1 of region 3 writable at cores [0 2]",
+				"word 1 of region 3 written at core 0 but cached at [0 2]",
+			},
+		},
+		{
+			name:  "word written at one core and cached at another",
+			proto: ProtozoaMW,
+			blocks: []planted{
+				{core: 1, start: 0, end: 3, state: cache.Modified},
+				{core: 3, start: 2, end: 2, state: cache.Shared},
+				{core: 0, start: 4, end: 7, state: cache.Modified},
+			},
+			want: []string{"word 2 of region 3 written at core 1 but cached at [1 3]"},
+		},
+		{
+			name:  "MESI region with a writer and a second holder",
+			proto: MESI,
+			blocks: []planted{
+				{core: 0, start: 0, end: 3, state: cache.Modified},
+				{core: 1, start: 4, end: 7, state: cache.Shared},
+			},
+			want: []string{"MESI: region 3 has writer(s) [0] and holders [0 1]"},
+		},
+		{
+			name:  "SW region with a writer and a second holder",
+			proto: ProtozoaSW,
+			blocks: []planted{
+				{core: 3, start: 0, end: 1, state: cache.Shared},
+				{core: 2, start: 6, end: 7, state: cache.Exclusive},
+			},
+			want: []string{"Protozoa-SW: region 3 has writer(s) [2] and holders [2 3]"},
+		},
+		{
+			name:  "SW+MR region with two writers",
+			proto: ProtozoaSWMR,
+			blocks: []planted{
+				{core: 2, start: 4, end: 5, state: cache.Exclusive},
+				{core: 0, start: 0, end: 1, state: cache.Modified},
+				{core: 1, start: 7, end: 7, state: cache.Shared},
+			},
+			want: []string{"SW+MR: region 3 has 2 writers [0 2]"},
+		},
+		{
+			name:   "stale cached value",
+			proto:  MESI,
+			blocks: []planted{{core: 1, start: 0, end: 7, state: cache.Shared}},
+			golden: map[uint8]uint64{5: 7, 2: 9},
+			want: []string{
+				"core 1 caches 0xd0=0x0 in S, golden 0x9",
+				"core 1 caches 0xe8=0x0 in S, golden 0x7",
+			},
+		},
+		{
+			name:  "disjoint MW writers and readers are legal",
+			proto: ProtozoaMW,
+			blocks: []planted{
+				{core: 0, start: 0, end: 1, state: cache.Modified},
+				{core: 1, start: 2, end: 3, state: cache.Exclusive},
+				{core: 2, start: 4, end: 7, state: cache.Shared},
+				{core: 3, start: 4, end: 7, state: cache.Shared},
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := NewSystem(testConfig(tc.proto, 4), make([][]trace.Access, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			chk := NewChecker(sys)
+			for w, v := range tc.golden {
+				chk.OnStore(0, sys.Geometry().WordAddr(region, w), v)
+			}
+			for _, b := range tc.blocks {
+				sys.l1s[b.core].cache.Insert(cache.Block{
+					Region: region, R: mem.Range{Start: b.start, End: b.end}, State: b.state,
+				})
+			}
+			chk.checkRegion(region)
+			if got := chk.Violations(); !slices.Equal(got, tc.want) {
+				t.Errorf("violations:\n got %q\nwant %q", got, tc.want)
+			}
+			// The whole-machine check finds the same, and a transaction
+			// end finds nothing: no L1 step touched the planted region.
+			all := NewChecker(sys)
+			for w, v := range tc.golden {
+				all.OnStore(0, sys.Geometry().WordAddr(region, w), v)
+			}
+			all.OnTxnEnd(region)
+			if len(all.Violations()) != 0 || all.Checks != 1 {
+				t.Errorf("transaction end with no L1 step: %d checks, violations %q", all.Checks, all.Violations())
+			}
+			all.CheckAll()
+			if got := all.Violations(); !slices.Equal(got, tc.want) || all.Checks != 1 {
+				t.Errorf("CheckAll: %d checks, violations %q, want %q", all.Checks, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestCheckerCapsViolations: past MaxViolations the checker stops
+// recording.
+func TestCheckerCapsViolations(t *testing.T) {
 	cfg := testConfig(MESI, 1)
 	sys, err := NewSystem(cfg, [][]trace.Access{nil})
 	if err != nil {
@@ -94,11 +222,5 @@ func TestSystemIntrospectionHelpers(t *testing.T) {
 	}
 	if _, ok := sys.L2Word(999, 0); ok {
 		t.Error("L2Word invented an untouched region")
-	}
-	if sys.DirBusy(0) {
-		t.Error("region busy after quiescence")
-	}
-	if sys.DirBusy(999) {
-		t.Error("untouched region reported busy")
 	}
 }

@@ -490,7 +490,7 @@ func (d *dirSlice) activate(e *dirEntry, m *Msg) {
 
 // process runs the directory state machine for one request.
 func (d *dirSlice) process(e *dirEntry, m *Msg) {
-	if d.sys.edgesOn() {
+	if d.sys.edges {
 		e.from = d.flightDirCode(e)
 	}
 	if d.sys.phaseOn() {
@@ -586,7 +586,7 @@ func (d *dirSlice) recvResponse(m *Msg) {
 	}
 	// Spontaneous writebacks mutate the vectors outside any transaction;
 	// snapshot the state code so the edge they cause is recorded too.
-	wbEdge := m.TxnID == 0 && d.sys.edgesOn()
+	wbEdge := m.TxnID == 0 && d.sys.edges
 	var from uint8
 	if wbEdge {
 		from = d.flightDirCode(e)
@@ -711,7 +711,7 @@ func (d *dirSlice) finish(e *dirEntry, m *Msg, forwarded bool) {
 		// reply goes straight back to the pool.
 		d.sys.freeMsg(d.node, reply)
 	}
-	if d.sys.edgesOn() {
+	if d.sys.edges {
 		d.stateEdge(e, e.from, uint8(m.Type), d.node, req)
 	}
 	// The region stays busy until the requester's UNBLOCK confirms the

@@ -43,6 +43,7 @@ func (s *System) EnableFlightRecorder(capacity int) *flight.Recorder {
 		return s.flight
 	}
 	s.flight = flight.NewRecorder(capacity)
+	s.edges = true
 	return s.flight
 }
 
@@ -176,21 +177,20 @@ func (d *dirSlice) flightDirCode(e *dirEntry) uint8 {
 	}
 }
 
-// edgesOn reports whether any view consumes controller state edges:
-// the transition audit or the flight ring. Every L1 and directory step
-// that can change a state snapshots its from-code only when it is.
-func (s *System) edgesOn() bool { return s.transitions != nil || s.flight != nil }
-
 // stateEdge hands one state edge (KindL1State or KindDirState; From/To
 // state codes, Sub its cause) to every view that is on: the transition
-// audit counts every edge, self-loops included, and the flight ring
-// records changes only.
+// audit counts every edge, self-loops included, the flight ring
+// records changes only, and a checker marks every L1 edge's region for
+// its next check.
 func (s *System) stateEdge(r flight.Record) {
 	if s.transitions != nil {
 		s.transitions[edgeKey{kind: r.Kind, from: r.From, cause: r.Sub, to: r.To}]++
 	}
 	if s.flight != nil && r.From != r.To {
 		s.flight.Record(r)
+	}
+	if s.chk != nil && r.Kind == flight.KindL1State {
+		s.chk.changed = append(s.chk.changed, mem.RegionID(r.Region))
 	}
 }
 

@@ -170,7 +170,7 @@ func applyWrite(b *cache.Block, w uint8, mode accessMode, storeVal uint64) uint6
 func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, done completer) {
 	g := l.sys.geom
 	region, w := g.Region(addr), g.WordOffset(addr)
-	edges := l.sys.edgesOn()
+	edges := l.sys.edges
 	var from uint8
 	if edges {
 		from = l.flightStateCode(region)
@@ -298,7 +298,7 @@ func (l *l1Ctrl) fill(m *Msg) {
 	if ms == nil {
 		panic(fmt.Sprintf("core: L1 %d data for region %d without MSHR", l.id, m.Region))
 	}
-	if l.sys.edgesOn() {
+	if l.sys.edges {
 		defer l.stateEdge(m.Region, l.flightStateCode(m.Region), uint8(m.Type))
 	}
 	var st cache.State
@@ -359,7 +359,7 @@ func (l *l1Ctrl) grant(m *Msg) {
 	if ms == nil || !ms.upgrade {
 		panic(fmt.Sprintf("core: L1 %d grant for region %d without upgrade MSHR", l.id, m.Region))
 	}
-	edges := l.sys.edgesOn()
+	edges := l.sys.edges
 	var from uint8
 	if edges {
 		from = l.flightStateCode(m.Region)
@@ -403,7 +403,7 @@ func (l *l1Ctrl) grant(m *Msg) {
 // non-overlapping dirty data stays writable (adaptive coherence
 // granularity).
 func (l *l1Ctrl) probeGetS(m *Msg) {
-	if l.sys.edgesOn() {
+	if l.sys.edges {
 		defer l.stateEdge(m.Region, l.flightStateCode(m.Region), uint8(MsgFwdGetS))
 	}
 	blocks := l.cache.BlocksInRegion(m.Region)
@@ -444,7 +444,7 @@ func (l *l1Ctrl) probeGetS(m *Msg) {
 // additionally loses write permission on its non-overlapping blocks —
 // the single-writer rule — while under MW they stay writable.
 func (l *l1Ctrl) probeInval(m *Msg) {
-	if l.sys.edgesOn() {
+	if l.sys.edges {
 		defer l.stateEdge(m.Region, l.flightStateCode(m.Region), uint8(m.Type))
 	}
 	if m.Type == MsgInv {

@@ -19,9 +19,9 @@ import (
 // observed values to the outcome in program order.
 type litmusThread []trace.Access
 
-// runLitmus executes the threads with the given per-core start delays
-// and returns the loaded values in (core, program) order.
-func runLitmus(t *testing.T, p Protocol, threads []litmusThread, delays []uint16, mutate func(*Config)) []uint64 {
+// litmusSystem builds the machine that runs the threads with the given
+// per-core start delays.
+func litmusSystem(t *testing.T, p Protocol, threads []litmusThread, delays []uint16, mutate func(*Config)) *System {
 	t.Helper()
 	n := len(threads)
 	if n != 2 && n != 4 {
@@ -44,6 +44,15 @@ func runLitmus(t *testing.T, p Protocol, threads []litmusThread, delays []uint16
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sys
+}
+
+// runLitmus executes the threads with the given per-core start delays
+// and returns the loaded values in (core, program) order.
+func runLitmus(t *testing.T, p Protocol, threads []litmusThread, delays []uint16, mutate func(*Config)) []uint64 {
+	t.Helper()
+	n := len(threads)
+	sys := litmusSystem(t, p, threads, delays, mutate)
 	type ev struct {
 		core int
 		val  uint64
@@ -120,6 +129,41 @@ const (
 	litY = mem.Addr(0x20040)
 )
 
+// The litmus programs.
+var (
+	// litmusMP is message passing: W x; W y || R y; R x.
+	litmusMP = []litmusThread{
+		{st(litX), st(litY)},
+		{ld(litY), ld(litX)},
+	}
+	// litmusSB is store buffering: W x; R y || W y; R x.
+	litmusSB = []litmusThread{
+		{st(litX), ld(litY)},
+		{st(litY), ld(litX)},
+	}
+	// litmusCoRR is two reads of x racing a remote write of x.
+	litmusCoRR = []litmusThread{
+		{ld(litX), ld(litX)},
+		{st(litX)},
+	}
+	// litmusIRIW is two independent writers and two readers reading
+	// their variables in opposite orders.
+	litmusIRIW = []litmusThread{
+		{st(litX)},
+		{st(litY)},
+		{ld(litX), ld(litY)},
+		{ld(litY), ld(litX)},
+	}
+)
+
+// litmusExtensions enables the Section 6 extensions together: 3-hop
+// forwarding, the bloom directory and the non-inclusive L2.
+func litmusExtensions(c *Config) {
+	c.ThreeHop = true
+	c.Directory = DirBloom
+	c.NonInclusiveL2 = true
+}
+
 func wrote(v uint64) int {
 	if v != 0 {
 		return 1
@@ -130,10 +174,7 @@ func wrote(v uint64) int {
 // TestLitmusMessagePassing: W x; W y || R y; R x — observing y=1 and
 // then x=0 is forbidden under SC.
 func TestLitmusMessagePassing(t *testing.T) {
-	threads := []litmusThread{
-		{st(litX), st(litY)},
-		{ld(litY), ld(litX)},
-	}
+	threads := litmusMP
 	for _, p := range AllProtocols {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
@@ -152,10 +193,7 @@ func TestLitmusMessagePassing(t *testing.T) {
 // forbidden under SC (possible only with store buffers, which the
 // in-order blocking cores do not have).
 func TestLitmusStoreBuffering(t *testing.T) {
-	threads := []litmusThread{
-		{st(litX), ld(litY)},
-		{st(litY), ld(litX)},
-	}
+	threads := litmusSB
 	for _, p := range AllProtocols {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
@@ -178,10 +216,7 @@ func TestLitmusStoreBuffering(t *testing.T) {
 // TestLitmusCoherenceRR: R x; R x racing a remote W x — the two reads
 // may straddle the write but never observe it and then un-observe it.
 func TestLitmusCoherenceRR(t *testing.T) {
-	threads := []litmusThread{
-		{ld(litX), ld(litX)},
-		{st(litX)},
-	}
+	threads := litmusCoRR
 	for _, p := range AllProtocols {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
@@ -200,12 +235,7 @@ func TestLitmusCoherenceRR(t *testing.T) {
 // reading them in opposite orders — the readers disagreeing on the
 // write order is forbidden under SC.
 func TestLitmusIRIW(t *testing.T) {
-	threads := []litmusThread{
-		{st(litX)},
-		{st(litY)},
-		{ld(litX), ld(litY)},
-		{ld(litY), ld(litX)},
-	}
+	threads := litmusIRIW
 	for _, p := range AllProtocols {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
@@ -225,20 +255,12 @@ func TestLitmusIRIW(t *testing.T) {
 // extensions enabled: consistency must survive 3-hop forwarding, the
 // bloom directory, and the non-inclusive L2 combined.
 func TestLitmusUnderExtensions(t *testing.T) {
-	threads := []litmusThread{
-		{st(litX), st(litY)},
-		{ld(litY), ld(litX)},
-	}
-	mutate := func(c *Config) {
-		c.ThreeHop = true
-		c.Directory = DirBloom
-		c.NonInclusiveL2 = true
-	}
+	threads := litmusMP
 	for _, p := range AllProtocols {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			for _, delays := range sweep2 {
-				out := runLitmus(t, p, threads, delays, mutate)
+				out := runLitmus(t, p, threads, delays, litmusExtensions)
 				if wrote(out[0]) == 1 && wrote(out[1]) == 0 {
 					t.Fatalf("delays %v: MP violation under extensions", delays)
 				}

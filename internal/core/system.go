@@ -134,6 +134,13 @@ type System struct {
 	cpus []*cpu
 
 	obs Observer
+	// chk is the checker NewChecker armed: stateEdge feeds it.
+	chk *Checker
+	// edges is set when any view consumes controller state edges: the
+	// transition audit, the flight ring or a checker. Every L1 and
+	// directory step that can change a state snapshots its from-code
+	// only when it is.
+	edges bool
 
 	// Observability hooks (internal/obs). All nil/zero unless the
 	// corresponding Enable* method ran; every use site guards with a
@@ -432,7 +439,7 @@ func (s *System) Run() error {
 	}
 	if s.timelineInterval > 0 {
 		s.timelineEv.s = s
-		s.eng.ScheduleRunner(s.timelineInterval, &s.timelineEv)
+		s.eng.ScheduleObserver(s.timelineInterval, &s.timelineEv)
 	}
 	drained := s.eng.Run(s.cfg.MaxEvents)
 	if !drained {
@@ -444,6 +451,9 @@ func (s *System) Run() error {
 			s.coresDone, s.cfg.Cores, s.barrierArrived, s.diagnose())
 	}
 	s.st.ExecCycles = uint64(s.lastRetire)
+	if s.chk != nil {
+		s.chk.CheckAll()
+	}
 	s.flushResidual()
 	if s.attrib != nil {
 		s.attrib.Trim()
@@ -451,7 +461,8 @@ func (s *System) Run() error {
 	// Engine self-observability counters land in the stats at the very
 	// end of the run (they describe the whole run) — always set, so the
 	// stats JSON is byte-identical whether or not self-prof is enabled.
-	s.st.EventQueueHighWater = uint64(s.eng.HighWater())
+	// The high-water mark leaves out the timeline sampler's event.
+	s.st.EventQueueHighWater = uint64(s.eng.SimHighWater())
 	s.st.ZeroDelayHits = s.eng.MicroHits()
 	s.finishSelfProf()
 	// Clean drain: return the bucket ring to the engine's storage pool
@@ -480,23 +491,6 @@ func (s *System) foldAttribution() {
 	}
 }
 
-// ForEachCachedWord walks every word resident in any L1 — the hook the
-// SWMR invariant checker uses.
-func (s *System) ForEachCachedWord(fn func(core int, region mem.RegionID, w uint8, st cache.State, val uint64)) {
-	s.mustLive()
-	for _, l1 := range s.l1s {
-		core := l1.id
-		l1.cache.Blocks(func(b *cache.Block) {
-			for w := b.R.Start; ; w++ {
-				fn(core, b.Region, w, b.State, b.Word(w))
-				if w == b.R.End {
-					break
-				}
-			}
-		})
-	}
-}
-
 // L2Word returns the shared L2's value for a word, and whether the
 // region has been allocated at the L2 at all.
 func (s *System) L2Word(region mem.RegionID, w uint8) (uint64, bool) {
@@ -510,13 +504,4 @@ func (s *System) L2Word(region mem.RegionID, w uint8) (uint64, bool) {
 		return data[w], true
 	}
 	return 0, true
-}
-
-// DirBusy reports whether the region has an active directory
-// transaction (checker support: invariants are only guaranteed at
-// quiescent points).
-func (s *System) DirBusy(region mem.RegionID) bool {
-	s.mustLive()
-	e := s.dirs[s.home(region)].lookup(region)
-	return e != nil && e.busy
 }

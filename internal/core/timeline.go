@@ -49,6 +49,6 @@ func (s *System) sampleTimeline() {
 		s.onSample(uint64(s.eng.Now()))
 	}
 	if s.coresDone < s.cfg.Cores {
-		s.eng.ScheduleRunner(s.timelineInterval, &s.timelineEv)
+		s.eng.ScheduleObserver(s.timelineInterval, &s.timelineEv)
 	}
 }

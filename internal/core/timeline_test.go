@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"testing"
 
 	"protozoa/internal/trace"
@@ -74,5 +77,40 @@ func TestTimelineDisabledByDefault(t *testing.T) {
 	sys := runSys(t, testConfig(MESI, 1), [][]trace.Access{{ld(0x0)}})
 	if len(sys.Timeline()) != 0 {
 		t.Error("timeline collected without EnableTimeline")
+	}
+}
+
+// TestObservationLeavesStatsUnchanged: the timeline sampler, the
+// metrics registry and the stall watchdog observe the run; none may
+// move a stats field (the sampler's own event sits in the engine
+// queue, and once moved the queue high-water mark).
+func TestObservationLeavesStatsUnchanged(t *testing.T) {
+	recs := workloads.MustGet("fft").Records(4, 1, 0)
+	for _, p := range AllProtocols {
+		run := func(observe func(*System)) []byte {
+			sys, err := NewSystem(testConfig(p, 4), recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			observe(sys)
+			if err := sys.Run(); err != nil {
+				t.Fatal(err)
+			}
+			out, err := json.Marshal(sys.Stats())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		plain := run(func(*System) {})
+		for name, observe := range map[string]func(*System){
+			"metrics":  func(s *System) { s.EnableMetrics() },
+			"timeline": func(s *System) { s.EnableTimeline(100) },
+			"watchdog": func(s *System) { s.EnableStallWatchdog(0, io.Discard) },
+		} {
+			if got := run(observe); !bytes.Equal(got, plain) {
+				t.Errorf("%v: %s changed the stats:\n got %s\nwant %s", p, name, got, plain)
+			}
+		}
 	}
 }

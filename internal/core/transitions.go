@@ -40,6 +40,7 @@ type edgeKey struct {
 // EnableTransitionAudit starts recording transitions. Call before Run.
 func (s *System) EnableTransitionAudit() {
 	s.transitions = make(map[edgeKey]uint64)
+	s.edges = true
 }
 
 // transition renders the edge in protocol-table names.

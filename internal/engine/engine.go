@@ -62,6 +62,8 @@ type Engine struct {
 	now       Cycle
 	events    uint64
 	high      int    // deepest the queue has ever been
+	simHigh   int    // the same, not counting a queued observer event
+	observing int    // 1 while an observer event (ScheduleObserver) is queued
 	zeroDelay uint64 // events scheduled at the current cycle
 	q         bucketQueue
 
@@ -113,6 +115,9 @@ func (e *Engine) push(at Cycle, r Runner) {
 	if q.size > e.high {
 		e.high = q.size
 	}
+	if n := q.size - e.observing; n > e.simHigh {
+		e.simHigh = n
+	}
 }
 
 // Schedule runs fn delay cycles from now. Events scheduled for the
@@ -144,9 +149,21 @@ func (e *Engine) ScheduleRunnerAt(at Cycle, r Runner) {
 	e.push(at, r)
 }
 
+// ScheduleObserver is ScheduleRunner for an event that only observes
+// the simulation (the timeline sampler), one queued at a time: it runs
+// in event order like any other, but SimHighWater leaves it out.
+func (e *Engine) ScheduleObserver(delay Cycle, r Runner) {
+	e.observing = 1
+	e.Schedule(delay, func() { e.observing = 0; r.Run() })
+}
+
 // HighWater reports the deepest the queue has ever been — the
 // event-queue depth gauge the observability registry exposes.
 func (e *Engine) HighWater() int { return e.high }
+
+// SimHighWater is HighWater without the observer event: the depth the
+// simulation reached, whether or not anything observed it.
+func (e *Engine) SimHighWater() int { return e.simHigh }
 
 // MicroHits reports how many events were scheduled at the current
 // cycle (zero delay). Always counted — the increment shares the ring

@@ -120,3 +120,54 @@ func TestPendingCount(t *testing.T) {
 		t.Errorf("Pending() = %d, want 1", e.Pending())
 	}
 }
+
+// tick is a self-rescheduling observer event, the shape of the
+// timeline sampler.
+type tick struct {
+	e     *Engine
+	every Cycle
+	at    []Cycle
+	stop  Cycle
+}
+
+func (k *tick) Run() {
+	k.at = append(k.at, k.e.Now())
+	if k.e.Now()+k.every <= k.stop {
+		k.e.ScheduleObserver(k.every, k)
+	}
+}
+
+// TestObserverEventLeavesSimHighWater: an observer event runs in
+// schedule order with the rest, counts in HighWater, and leaves
+// SimHighWater where the simulation alone puts it.
+func TestObserverEventLeavesSimHighWater(t *testing.T) {
+	run := func(observe bool) (*Engine, []int, *tick) {
+		e := New()
+		var got []int
+		for i := 0; i < 3; i++ {
+			i := i
+			e.Schedule(10, func() { got = append(got, i) })
+		}
+		k := &tick{e: e, every: 10, stop: 20}
+		if observe {
+			e.ScheduleObserver(10, k)
+		}
+		e.Schedule(10, func() { got = append(got, 3) })
+		e.Run(0)
+		return e, got, k
+	}
+	plain, want, _ := run(false)
+	e, got, k := run(true)
+	if len(got) != len(want) || got[3] != want[3] {
+		t.Errorf("observer changed the event order: %v, want %v", got, want)
+	}
+	if len(k.at) != 2 || k.at[0] != 10 || k.at[1] != 20 {
+		t.Errorf("observer ran at %v, want [10 20]", k.at)
+	}
+	if e.SimHighWater() != plain.SimHighWater() || e.SimHighWater() != 4 {
+		t.Errorf("SimHighWater = %d with the observer, %d without; want 4", e.SimHighWater(), plain.SimHighWater())
+	}
+	if e.HighWater() != 5 {
+		t.Errorf("HighWater = %d, want 5 (the observer counts)", e.HighWater())
+	}
+}

@@ -83,3 +83,34 @@ func TestCacheServesCoveringEntries(t *testing.T) {
 		sameViews(t, grid(t, dir, Collect, cells), plain)
 	})
 }
+
+// TestWarmReportIsAllCached: a second GenerateReport over the same
+// cache directory answers every cell from it, the random-tester cells
+// included, and renders the same bytes as the cold run.
+func TestWarmReportIsAllCached(t *testing.T) {
+	dir := t.TempDir()
+	base := Options{Cores: 4, Scale: 1, Jobs: 2, Workloads: []string{"histogram", "swaptions"}}
+	cells := 4 + 7*len(base.Workloads) // tester cells, then 4 figure and 3 Table 1 cells per workload
+	report := func(cached int) []byte {
+		t.Helper()
+		c, err := resultcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var progress, out bytes.Buffer
+		o := base
+		o.Cache, o.Progress = c, &progress
+		if err := GenerateReport(o, &out); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%d cells (0 failed, %d cached)", cells, cached)
+		if !strings.Contains(progress.String(), want) {
+			t.Errorf("progress does not report %q:\n%s", want, progress.String())
+		}
+		return out.Bytes()
+	}
+	cold := report(0)
+	if warm := report(cells); !bytes.Equal(warm, cold) {
+		t.Errorf("warm report differs from the cold one:\n--- warm ---\n%s--- cold ---\n%s", warm, cold)
+	}
+}

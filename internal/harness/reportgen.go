@@ -29,10 +29,9 @@ func GenerateReport(o Options, w io.Writer) error {
 		return err
 	}
 	// The tester cells take longest, so they start first.
-	chks := make([]*core.Checker, len(core.AllProtocols))
-	for i, p := range core.AllProtocols {
+	for _, p := range core.AllProtocols {
 		cfg, _ := o.config(p, figureRegion) // newGrid checked the core count
-		g.cells = append(g.cells, testerCell(cfg, &chks[i]))
+		g.cells = append(g.cells, testerCell(cfg))
 	}
 	for _, spec := range g.specs {
 		g.addFigures(spec, true)
@@ -49,11 +48,12 @@ func GenerateReport(o Options, w io.Writer) error {
 
 	// Correctness first: the Section 3.6 random tester.
 	fmt.Fprintf(w, "## Protocol verification (random tester)\n\n```\n")
-	for i, p := range core.AllProtocols {
-		if err := chks[i].Err(); err != nil {
+	for _, p := range core.AllProtocols {
+		sum := done[cellID{workload: testerWorkload, protocol: p}].Checker
+		if err := sum.Err(); err != nil {
 			return fmt.Errorf("harness: tester %s: %w", p, err)
 		}
-		fmt.Fprintf(w, "%-15s %7d loads checked, %7d quiescent scans: OK\n", p, chks[i].Loads, chks[i].Checks)
+		fmt.Fprintf(w, "%-15s %7d loads checked, %7d quiescent scans: OK\n", p, sum.Loads, sum.Checks)
 	}
 	fmt.Fprintf(w, "```\n\n")
 
@@ -133,16 +133,21 @@ func GenerateReport(o Options, w io.Writer) error {
 	return nil
 }
 
+// testerWorkload names the random tester's records.
+const testerWorkload = "random-tester"
+
 // testerCell is the random tester on machine cfg: a seeded random
-// stress over a small shared footprint, with the checker that Observe
-// attaches (stored in *chk) validating every load and quiescent state.
-// Its records are its own, so it has no cache key and always simulates.
-func testerCell(cfg core.Config, chk **core.Checker) runner.Cell {
+// stress over a small shared footprint, with the checker validating
+// every load and quiescent state. Its records are a function of the
+// core count alone, so the configuration and their name key it.
+func testerCell(cfg core.Config) runner.Cell {
 	return runner.Cell{
-		Label:    "tester " + cfg.Protocol.String(),
-		Protocol: cfg.Protocol,
-		Build:    func() (*core.System, error) { return core.NewSystem(cfg, testerRecords(cfg.Cores)) },
-		Observe:  func(sys *core.System) { *chk = core.NewChecker(sys) },
+		Label:       "tester " + cfg.Protocol.String(),
+		Workload:    testerWorkload,
+		Protocol:    cfg.Protocol,
+		Key:         runner.CellSpec{Config: cfg, Workload: testerWorkload}.Key(),
+		NeedChecker: true,
+		Build:       func() (*core.System, error) { return core.NewSystem(cfg, testerRecords(cfg.Cores)) },
 	}
 }
 

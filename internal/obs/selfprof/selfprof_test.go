@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -46,26 +45,20 @@ func TestReportCopiesQueueCounters(t *testing.T) {
 	}
 }
 
-func TestCollectorConcurrentAdd(t *testing.T) {
+func TestCollectorAdd(t *testing.T) {
 	var c Collector
-	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				c.Add(&Report{
-					TotalEvents: 10,
-					Queue:       QueueTotals{RingPushes: 3, MicroHits: 1, RingHigh: j},
-				})
-			}
-		}()
+		for j := 0; j < 100; j++ {
+			c.Add(&Report{
+				TotalEvents: 10,
+				Queue:       QueueTotals{RingPushes: 3, MicroHits: 1, RingHigh: j},
+			})
+		}
 	}
-	wg.Wait()
-	if c.Runs() != 800 {
-		t.Fatalf("runs = %d, want 800", c.Runs())
+	if c.runs != 800 {
+		t.Fatalf("runs = %d, want 800", c.runs)
 	}
-	agg := c.Totals()
+	agg := c.agg
 	if agg.TotalEvents != 8000 || agg.Queue.RingPushes != 2400 || agg.Queue.MicroHits != 800 {
 		t.Errorf("totals wrong: %+v", agg)
 	}

@@ -37,7 +37,7 @@ import (
 // otherwise touching the hashed configuration (a protocol fix, a stats
 // semantics change, a codec change). It is folded into every key, so a
 // bump orphans all existing entries instead of serving stale results.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Key is a canonical content hash identifying one cell configuration.
 // The zero Key means "uncacheable" everywhere the type appears.

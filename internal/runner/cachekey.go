@@ -33,10 +33,6 @@ type CellSpec struct {
 	// pairs — e.g. verify's access-count/store-percentage/region-pool
 	// parameters that aren't part of Config.
 	Extra [][2]string
-
-	// Extract names the driver's Extract serialization ("" when the
-	// cell has none); the name doubles as that codec's version tag.
-	Extract string
 }
 
 // ConfigHash canonically hashes the spec — configuration and workload
@@ -58,7 +54,6 @@ func (s CellSpec) ConfigHash() (resultcache.Key, error) {
 	for _, kv := range s.Extra {
 		b.Field("extra."+kv[0], kv[1])
 	}
-	b.Field("extract", s.Extract)
 	return b.Sum(), nil
 }
 
@@ -68,7 +63,8 @@ func (s CellSpec) ConfigHash() (resultcache.Key, error) {
 var payloadFingerprint = func() string {
 	return resultcache.TypeFingerprint(stats.Stats{}) +
 		resultcache.TypeFingerprint(attrib.Dump{}) +
-		resultcache.TypeFingerprint(obs.LatencyBreakdown{})
+		resultcache.TypeFingerprint(obs.LatencyBreakdown{}) +
+		resultcache.TypeFingerprint(core.CheckerSummary{})
 }()
 
 // Key derives the cell's cache key: the ConfigHash plus the code

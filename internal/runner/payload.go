@@ -4,14 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"protozoa/internal/core"
 	"protozoa/internal/obs"
 	"protozoa/internal/obs/attrib"
 	"protozoa/internal/stats"
 )
 
 // cachedResult is the on-disk shape of one cell's outcome. Every field
-// it stores is integral (stats counters, attribution word counts,
-// latency histogram buckets), so a JSON round-trip reproduces the
+// it stores is integral or text (stats counters, attribution word
+// counts, latency histogram buckets, the checker's counts and
+// violation messages), so a JSON round-trip reproduces the
 // simulated values exactly — which is what lets a warm run render
 // byte-identical CSV/report output. Schema changes are caught by the
 // key's payload fingerprint, not by versioning the payload itself.
@@ -20,7 +22,7 @@ type cachedResult struct {
 	Stats   *stats.Stats
 	Latency *obs.LatencyBreakdown `json:",omitempty"`
 	Attrib  *attrib.Dump          `json:",omitempty"`
-	Extra   []byte                `json:",omitempty"`
+	Checker *core.CheckerSummary  `json:",omitempty"`
 }
 
 // encodeResult serializes a successful result for the cache.
@@ -29,7 +31,7 @@ func encodeResult(r *Result) ([]byte, error) {
 		Events:  r.Events,
 		Stats:   r.Stats,
 		Latency: r.Latency,
-		Extra:   r.Extra,
+		Checker: r.Checker,
 	}
 	if r.Attrib != nil {
 		cr.Attrib = r.Attrib.Dump()
@@ -52,7 +54,8 @@ func decodePayload(payload []byte) (*cachedResult, error) {
 // covers reports whether the payload holds every observation cell c
 // needs.
 func (cr *cachedResult) covers(c Cell) bool {
-	return (!c.NeedAttrib || cr.Attrib != nil) && (!c.NeedLatency || cr.Latency != nil)
+	return (!c.NeedAttrib || cr.Attrib != nil) && (!c.NeedLatency || cr.Latency != nil) &&
+		(!c.NeedChecker || cr.Checker != nil)
 }
 
 // result reconstructs cell c's result from a payload that covers it.
@@ -63,7 +66,6 @@ func (cr *cachedResult) result(c Cell) (Result, error) {
 		Cell:   c,
 		Stats:  cr.Stats,
 		Events: cr.Events,
-		Extra:  cr.Extra,
 		Cached: true,
 	}
 	if c.NeedAttrib {
@@ -75,6 +77,9 @@ func (cr *cachedResult) result(c Cell) (Result, error) {
 	}
 	if c.NeedLatency {
 		r.Latency = cr.Latency
+	}
+	if c.NeedChecker {
+		r.Checker = cr.Checker
 	}
 	return r, nil
 }

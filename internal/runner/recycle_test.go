@@ -48,7 +48,6 @@ func runFresh(t *testing.T, test string) []byte {
 func checkedGrid(t *testing.T, seed uint64) string {
 	t.Helper()
 	var cells []runner.Cell
-	var chks []*core.Checker
 	for _, p := range []core.Protocol{core.MESI, core.ProtozoaMW} {
 		for _, rb := range []int{16, 64} {
 			cfg := core.DefaultConfig(p)
@@ -57,29 +56,27 @@ func checkedGrid(t *testing.T, seed uint64) string {
 			if err := runner.ConfigureCores(&cfg, 4); err != nil {
 				t.Fatal(err)
 			}
-			i := len(chks)
-			chks = append(chks, nil)
 			cells = append(cells, runner.Cell{
-				Label: fmt.Sprintf("checked/%v/r%d", p, rb),
+				Label:       fmt.Sprintf("checked/%v/r%d", p, rb),
+				NeedChecker: true,
 				Build: func() (*core.System, error) {
 					return core.NewSystem(cfg, workloads.RandomRecords(4, 1500, 48, 30, seed))
 				},
-				Observe: func(sys *core.System) { chks[i] = core.NewChecker(sys) },
 			})
 		}
 	}
 	results, _ := runner.Pool{Jobs: 2}.Run(cells)
 	var out bytes.Buffer
-	for i, r := range results {
+	for _, r := range results {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		if err := chks[i].Err(); err != nil {
+		if err := r.Checker.Err(); err != nil {
 			t.Fatalf("%s: %v", r.Cell.Label, err)
 		}
 		st := r.Stats
 		fmt.Fprintf(&out, "%s: %d loads checked, %d scans, %d misses, %d recalls, %d memory writebacks, %d words in, %d messages\n",
-			r.Cell.Label, chks[i].Loads, chks[i].Checks, st.L1Misses, st.Recalls, st.MemWritebacks, st.DataWordsIn, st.Messages)
+			r.Cell.Label, r.Checker.Loads, r.Checker.Checks, st.L1Misses, st.Recalls, st.MemWritebacks, st.DataWordsIn, st.Messages)
 		if st.Recalls == 0 {
 			t.Errorf("%s: no inclusion recall, so no entry was dropped", r.Cell.Label)
 		}
@@ -158,7 +155,12 @@ func TestRecycledStorageDoesNotLeak(t *testing.T) {
 	}
 	var machines []*core.System
 	for i := range cells {
-		cells[i].AfterRun = func(sys *core.System) { machines = append(machines, sys) }
+		build := cells[i].Build
+		cells[i].Build = func() (*core.System, error) {
+			sys, err := build()
+			machines = append(machines, sys)
+			return sys, err
+		}
 	}
 	results, _ := runner.Pool{Jobs: 1}.Run(cells)
 	for _, r := range results {
@@ -167,7 +169,7 @@ func TestRecycledStorageDoesNotLeak(t *testing.T) {
 		}
 	}
 	if len(machines) != len(cells) {
-		t.Fatalf("AfterRun saw %d machines, want %d", len(machines), len(cells))
+		t.Fatalf("Build made %d machines, want %d", len(machines), len(cells))
 	}
 	for _, sys := range machines {
 		if !panics(func() { sys.Run() }) {

@@ -25,6 +25,7 @@ import (
 	"protozoa/internal/core"
 	"protozoa/internal/obs"
 	"protozoa/internal/obs/attrib"
+	"protozoa/internal/obs/selfprof"
 	"protozoa/internal/resultcache"
 	"protozoa/internal/stats"
 )
@@ -46,51 +47,41 @@ type Cell struct {
 	// key marks the cell uncacheable and always simulates.
 	Key resultcache.Key
 
-	// NeedAttrib and NeedLatency request the respective observations;
-	// the pool enables them before the run and delivers the trackers
-	// in the result (from the live system or a cached payload alike).
-	// They are not part of Key: a cached entry answers any cell whose
-	// needs its payload covers.
+	// NeedAttrib, NeedLatency and NeedChecker request the respective
+	// observations: the attribution tracker, the latency breakdown and
+	// the random-tester oracle's summary (core.NewChecker). The pool
+	// enables them before the run and delivers them in the result (from
+	// the live system or a cached payload alike). None changes what the
+	// machine simulates, so they are not part of Key: a cached entry
+	// answers any cell whose needs its payload covers.
 	NeedAttrib  bool
 	NeedLatency bool
+	NeedChecker bool
+
+	// NeedSelfProf requests the simulator's self-profile
+	// (core.System.EnableSelfProf). It observes the simulator, not the
+	// machine, so the cache never stores it: a cell answered from the
+	// cache simulated nothing and carries none.
+	NeedSelfProf bool
 
 	// Build constructs the cell's machine. It runs on a worker
 	// goroutine and must return a system no other cell touches.
 	Build func() (*core.System, error)
-
-	// Observe, when non-nil, runs between Build and the simulation —
-	// the hook drivers use to attach a core.Checker. Observations made
-	// this way are invisible to the result cache; pair Observe with
-	// Extract to make their outcome cacheable.
-	Observe func(*core.System)
-
-	// Extract, when non-nil, serializes driver-specific outcome state
-	// after a successful run (e.g. verify's checker summary) into
-	// Result.Extra, which the cache stores and replays verbatim. Cells
-	// with an Extract must name it in their CellSpec so the codec is
-	// part of the key.
-	Extract func(*core.System) ([]byte, error)
-
-	// AfterRun, when non-nil, observes the live machine after a
-	// successful simulation, on the worker goroutine. Cache hits never
-	// invoke it — nothing was simulated, so there is no machine to
-	// observe. Drivers use it to collect self-profiling aggregates;
-	// like Observe, its outcome is invisible to the result cache.
-	AfterRun func(*core.System)
 }
 
 // Result is one cell's outcome, delivered in the slot matching the
 // cell's index regardless of completion order.
 type Result struct {
-	Cell    Cell
-	Stats   *stats.Stats          // nil when Err != nil
-	Attrib  *attrib.Tracker       // non-nil when the cell requested attribution
-	Latency *obs.LatencyBreakdown // non-nil when the cell requested the breakdown
-	Extra   []byte                // Cell.Extract output, replayed verbatim on cache hits
-	Err     error                 // build or simulation failure, wrapped with the label
-	Events  uint64                // events the cell's engine processed
-	Cached  bool                  // result came from the cache, nothing was simulated
-	Wall    time.Duration         // wall-clock time the cell took
+	Cell     Cell
+	Stats    *stats.Stats          // nil when Err != nil
+	Attrib   *attrib.Tracker       // non-nil when the cell requested attribution
+	Latency  *obs.LatencyBreakdown // non-nil when the cell requested the breakdown
+	Checker  *core.CheckerSummary  // non-nil when the cell requested the checker
+	SelfProf *selfprof.Report      // non-nil when the cell requested it and simulated
+	Err      error                 // build or simulation failure, wrapped with the label
+	Events   uint64                // events the cell's engine processed
+	Cached   bool                  // result came from the cache, nothing was simulated
+	Wall     time.Duration         // wall-clock time the cell took
 }
 
 // Summary aggregates one pool run.
@@ -232,6 +223,7 @@ func (p Pool) runCell(c Cell) Result {
 		}
 		wide.NeedAttrib = c.NeedAttrib || cr.Attrib != nil
 		wide.NeedLatency = c.NeedLatency || cr.Latency != nil
+		wide.NeedChecker = c.NeedChecker || cr.Checker != nil
 	}
 	r := simCell(wide)
 	if r.Err == nil {
@@ -243,6 +235,9 @@ func (p Pool) runCell(c Cell) Result {
 		}
 		if !c.NeedLatency {
 			r.Latency = nil
+		}
+		if !c.NeedChecker {
+			r.Checker = nil
 		}
 	}
 	r.Cell = c
@@ -260,14 +255,18 @@ func simCell(c Cell) Result {
 		return r
 	}
 	var lat *obs.LatencyBreakdown
+	var chk *core.Checker
 	if c.NeedAttrib {
 		sys.EnableAttribution()
 	}
 	if c.NeedLatency {
 		lat = sys.EnableLatencyBreakdown()
 	}
-	if c.Observe != nil {
-		c.Observe(sys)
+	if c.NeedChecker {
+		chk = core.NewChecker(sys)
+	}
+	if c.NeedSelfProf {
+		sys.EnableSelfProf()
 	}
 	if err := sys.Run(); err != nil {
 		r.Err = fmt.Errorf("%s: %w", c.Label, err)
@@ -275,14 +274,11 @@ func simCell(c Cell) Result {
 		r.Stats = sys.Stats()
 		r.Attrib = sys.Attribution()
 		r.Latency = lat
-		if c.Extract != nil {
-			if r.Extra, err = c.Extract(sys); err != nil {
-				r.Err = fmt.Errorf("%s: extract: %w", c.Label, err)
-				r.Stats, r.Attrib, r.Latency = nil, nil, nil
-			}
+		if chk != nil {
+			r.Checker = chk.Summary()
 		}
-		if r.Err == nil && c.AfterRun != nil {
-			c.AfterRun(sys)
+		if p := sys.SelfProf(); p != nil {
+			r.SelfProf = p.Report()
 		}
 	}
 	r.Events = sys.EventsProcessed()
