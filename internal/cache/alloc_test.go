@@ -36,13 +36,9 @@ func (sh shape) warmed(merge bool) (c *Cache, next mem.RegionID) {
 	return c, next
 }
 
-// fill is the shape's block for a region, carrying non-zero data.
+// fill is the shape's block for a region.
 func (sh shape) fill(region mem.RegionID) Block {
-	b := Block{Region: region, R: sh.block, State: Shared}
-	for w := sh.block.Start; w <= sh.block.End; w++ {
-		b.Data[w] = uint64(region)<<8 | uint64(w) + 1
-	}
-	return b
+	return Block{Region: region, R: sh.block, State: Shared}
 }
 
 // TestSteadyStateAllocatesNothing pins the storage's allocation

@@ -1,7 +1,10 @@
 // Package cache implements the private L1 storage used by every
 // protocol in the family: an Amoeba-Cache (Kumar et al., MICRO 2012)
-// that stores variable-granularity blocks, each a 4-tuple
-// <Region tag, Start, End, Data> whose boundaries never cross a REGION.
+// that stores variable-granularity blocks, each a <Region tag, Start,
+// End> triple whose boundaries never cross a REGION. A block carries
+// no word values: a cache never holds two blocks covering one word, so
+// the L1 controller keeps the values, in the runs that check them, in
+// a store keyed by region and word.
 //
 // Capacity is modeled the way the Amoeba paper charges it: each set has
 // a byte budget (288 B in Table 4) and every resident block costs its
@@ -16,11 +19,11 @@
 // removes every resident sub-block overlapping a coherence request so
 // the protocol can treat them as a single writeback.
 //
-// Blocks are stored by value in their set, data inline, so a
-// steady-state fill, merge or eviction allocates nothing. The *Block
-// pointers that Lookup, Peek, BlocksInRegion and Blocks return point
-// into set storage: they are valid until the next Insert or Extract* on
-// that set, which may move or overwrite the blocks.
+// Blocks are stored by value in their set, so a steady-state fill,
+// merge or eviction allocates nothing. The *Block pointers that
+// Lookup, Peek, BlocksInRegion and Blocks return point into set
+// storage: they are valid until the next Insert or Extract* on that
+// set, which may move or overwrite the blocks.
 package cache
 
 import (
@@ -72,49 +75,7 @@ type Block struct {
 	Refs        uint64
 	FetchPC     uint64 // PC of the miss that fetched the block (predictor training)
 
-	// Data holds the word values indexed by region word offset, the
-	// layout Msg.Words uses. Only the words inside R are the block's;
-	// every word outside R must be zero (Insert and CheckInvariants
-	// enforce it).
-	Data [mem.MaxRegionWords]uint64
-
 	lru uint64
-}
-
-// Word returns the value of word w (region offset). It panics if w lies
-// outside the block's range.
-func (b *Block) Word(w uint8) uint64 {
-	if w < b.R.Start || w > b.R.End {
-		outsideRange(w, b.R)
-	}
-	return b.Data[w]
-}
-
-// SetWord stores v into word w. It panics if w lies outside the
-// block's range.
-func (b *Block) SetWord(w uint8, v uint64) {
-	if w < b.R.Start || w > b.R.End {
-		outsideRange(w, b.R)
-	}
-	b.Data[w] = v
-}
-
-// outsideRange is Word and SetWord's failure path, kept out of line so
-// both stay inlinable.
-//
-//go:noinline
-func outsideRange(w uint8, r mem.Range) {
-	panic(fmt.Sprintf("cache: word %d outside block range %v", w, r))
-}
-
-// strayWord reports the first non-zero word outside the block's range.
-func (b *Block) strayWord() (uint8, bool) {
-	for w := range b.Data {
-		if !b.R.Contains(uint8(w)) && b.Data[w] != 0 {
-			return uint8(w), true
-		}
-	}
-	return 0, false
 }
 
 // Touch marks word w as read or written by the core, without counting
@@ -235,9 +196,6 @@ func (c *Cache) Release() {
 	if recycle.Poison.Load() {
 		poison := Block{Region: ^mem.RegionID(0), R: mem.Range{End: mem.MaxRegionWords - 1}, State: Modified,
 			Read: ^mem.Bitmap(0), Wrote: ^mem.Bitmap(0), Refs: ^uint64(0), FetchPC: ^uint64(0), lru: ^uint64(0)}
-		for w := range poison.Data {
-			poison.Data[w] = 0xdeadbeefdeadbeef
-		}
 		for i := range c.sets {
 			blocks := c.sets[i].blocks[:cap(c.sets[i].blocks)]
 			for j := range blocks {
@@ -351,14 +309,10 @@ func (c *Cache) TrimFill(region mem.RegionID, want mem.Range, w uint8) mem.Range
 // write back (if dirty) or drop silently (if clean); the returned slice
 // is reused by the next Insert call. Insert panics if the block would
 // overlap a resident block of the same region — the protocol must
-// TrimFill first — if its range is invalid, or if it carries a non-zero
-// word outside its range.
+// TrimFill first — or if its range is invalid.
 func (c *Cache) Insert(b Block) []Block {
 	if !b.R.Valid(c.cfg.Geom) {
 		panic(fmt.Sprintf("cache: invalid range %v", b.R))
-	}
-	if w, stray := b.strayWord(); stray {
-		panic(fmt.Sprintf("cache: inserting %v with non-zero word %d outside its range", b.R, w))
 	}
 	s := c.setFor(b.Region)
 	for i := range s.blocks {
@@ -416,9 +370,6 @@ func (c *Cache) mergeLast(s *set) {
 			default:
 				continue
 			}
-			// Both blocks index Data by region offset, so the absorbed
-			// words land in place.
-			copy(nb.Data[ob.R.Start:ob.R.End+1], ob.Data[ob.R.Start:ob.R.End+1])
 			nb.Read = nb.Read.Union(ob.Read)
 			nb.Wrote = nb.Wrote.Union(ob.Wrote)
 			nb.Refs += ob.Refs
@@ -516,9 +467,8 @@ func (c *Cache) BytesUsed() int {
 }
 
 // CheckInvariants validates the structural invariants: ranges valid,
-// no overlapping blocks within a region, no non-zero word outside a
-// block's range, set byte accounting exact, and every block mapped to
-// its home set. It returns the first violation found.
+// no overlapping blocks within a region, set byte accounting exact,
+// and every block mapped to its home set. It returns the first violation found.
 func (c *Cache) CheckInvariants() error {
 	for si := range c.sets {
 		s := &c.sets[si]
@@ -530,9 +480,6 @@ func (c *Cache) CheckInvariants() error {
 			}
 			if int(uint64(b.Region)%uint64(c.cfg.Sets)) != si {
 				return fmt.Errorf("set %d: block region %d mapped to wrong set", si, b.Region)
-			}
-			if w, stray := b.strayWord(); stray {
-				return fmt.Errorf("set %d: block %d %v holds non-zero word %d outside its range", si, i, b.R, w)
 			}
 			bytes += c.Cost(b.R)
 			for j := i + 1; j < len(s.blocks); j++ {

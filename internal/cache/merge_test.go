@@ -40,22 +40,18 @@ func TestMergeReleasesTagBytes(t *testing.T) {
 	}
 }
 
-func TestMergePreservesDataAndTouch(t *testing.T) {
+func TestMergePreservesTouch(t *testing.T) {
 	c := merging(t)
 	b1 := mkBlock(5, mem.Range{Start: 0, End: 1}, Modified)
-	b1.Data[0], b1.Data[1] = 10, 11
 	b1.Note(0, false)
 	c.Insert(b1)
 	b2 := mkBlock(5, mem.Range{Start: 2, End: 3}, Modified)
-	b2.Data[2], b2.Data[3] = 12, 13
 	b2.Note(3, true)
 	b2.Note(3, true)
 	c.Insert(b2)
 	m := c.BlocksInRegion(5)[0]
-	for w, want := range map[uint8]uint64{0: 10, 1: 11, 2: 12, 3: 13} {
-		if got := m.Word(w); got != want {
-			t.Errorf("word %d = %d, want %d", w, got, want)
-		}
+	if m.R != (mem.Range{Start: 0, End: 3}) {
+		t.Errorf("merged block covers %v, want {0,3}", m.R)
 	}
 	if m.Read != mem.Bitmap(0).Set(0) || m.Wrote != mem.Bitmap(0).Set(3) {
 		t.Errorf("read/wrote bitmaps = %b/%b, want 1/1000", m.Read, m.Wrote)
@@ -103,9 +99,9 @@ func TestMergeChains(t *testing.T) {
 }
 
 // TestQuickMergeInvariants drives random fills, snoops and lookups
-// through a merging cache. Every filled word carries a distinct value
-// tracked in a shadow copy, so a merge, eviction or extraction that
-// moves a word to the wrong slot, or leaves a stale one behind, fails.
+// through a merging cache. Every filled word is tracked in a shadow
+// set, so a merge, eviction or extraction that loses a word, or keeps
+// one it should have dropped, fails.
 func TestQuickMergeInvariants(t *testing.T) {
 	type key struct {
 		region mem.RegionID
@@ -114,7 +110,7 @@ func TestQuickMergeInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := MustNew(Config{Sets: 2, SetBudgetBytes: 200, TagBytes: 8, Geom: mem.DefaultGeometry, MergeBlocks: true})
-		shadow := map[key]uint64{}
+		shadow := map[key]bool{}
 		drop := func(blocks []Block) {
 			for _, b := range blocks {
 				for w := b.R.Start; w <= b.R.End; w++ {
@@ -134,8 +130,7 @@ func TestQuickMergeInvariants(t *testing.T) {
 					r := c.TrimFill(region, want, w)
 					b := mkBlock(region, r, State(1+rng.Intn(3)))
 					for fw := r.Start; fw <= r.End; fw++ {
-						b.Data[fw] = uint64(op)<<8 | uint64(fw) + 1
-						shadow[key{region, fw}] = b.Data[fw]
+						shadow[key{region, fw}] = true
 					}
 					drop(c.Insert(b))
 				}
@@ -155,8 +150,8 @@ func TestQuickMergeInvariants(t *testing.T) {
 			c.Blocks(func(b *Block) {
 				for bw := b.R.Start; bw <= b.R.End; bw++ {
 					resident++
-					if want := shadow[key{b.Region, bw}]; b.Word(bw) != want {
-						t.Logf("seed %d op %d: region %d word %d = %d, want %d", seed, op, b.Region, bw, b.Word(bw), want)
+					if !shadow[key{b.Region, bw}] {
+						t.Logf("seed %d op %d: region %d word %d resident but never filled", seed, op, b.Region, bw)
 						ok = false
 					}
 				}

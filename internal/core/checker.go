@@ -163,10 +163,15 @@ func (c *Checker) checkRegion(region mem.RegionID) {
 	g := c.sys.Geometry()
 	var holders, writers [mem.MaxRegionWords]uint32
 	for _, l1 := range c.sys.l1s {
-		for _, b := range l1.cache.BlocksInRegion(region) {
+		blocks := l1.cache.BlocksInRegion(region)
+		if len(blocks) == 0 {
+			continue
+		}
+		data := l1.words.of(region)
+		for _, b := range blocks {
 			for w := b.R.Start; w <= b.R.End; w++ {
 				addr := g.WordAddr(region, w)
-				if val, want := b.Word(w), c.golden[addr]; val != want {
+				if val, want := data[w], c.golden[addr]; val != want {
 					c.fail("core %d caches %#x=%#x in %v, golden %#x", l1.id, addr, val, b.State, want)
 				}
 				holders[w] |= 1 << l1.id

@@ -65,7 +65,9 @@ func (o *oraclePair) checkFeed() {
 	now := make(map[mem.RegionID][]blockView)
 	for _, l1 := range o.sys.l1s {
 		l1.cache.Blocks(func(b *cache.Block) {
-			now[b.Region] = append(now[b.Region], blockView{l1.id, b.R, b.State, b.Data})
+			v := blockView{core: l1.id, r: b.R, state: b.State}
+			copy(v.data[b.R.Start:b.R.End+1], l1.words.of(b.Region)[b.R.Start:b.R.End+1])
+			now[b.Region] = append(now[b.Region], v)
 		})
 	}
 	for region, views := range now {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"protozoa/internal/directory"
 	"protozoa/internal/engine"
@@ -37,11 +36,10 @@ type dirSlice struct {
 	free  []uint32
 	count int // live entries
 
-	// words holds the L2 data blocks: words[i] pairs with arena[i] and
-	// keeps stride (the geometry's WordsPerRegion) words per entry, at
-	// the entry's arena position. block is the only way in.
-	words  [][]uint64
-	stride uint32
+	// words holds the L2 data blocks of a machine whose values are
+	// armed (nil otherwise): chunk i pairs with arena[i], and an entry's
+	// block sits at its arena position. block is the only way in.
+	words *wordArena
 
 	// One-entry memo: coherence traffic is bursty per region (request,
 	// probes, replies, unblock all hit the same entry back to back).
@@ -60,17 +58,19 @@ type dirSlice struct {
 	// sampling is O(1) instead of a table walk.
 	busyTxns int
 
-	// memory holds regions written back on inclusion evictions; absent
-	// regions read as zero (fresh physical memory).
+	// memory holds, when values are armed, the regions' words written
+	// back on inclusion evictions; absent regions read as zero (fresh
+	// physical memory).
 	memory map[mem.RegionID][]uint64
 }
 
-// dirEntry is one region's directory entry. Its L2 data block lives
-// in the slice's word store at the entry's arena position (block), so
-// an entry is 96 bytes whatever the region size. The fields every
-// request reads come first, in the entry's first 64 bytes; at 96 bytes
-// an entry starts on a cache-line boundary only at even arena
-// positions, so those 64 bytes span one line or two.
+// dirEntry is one region's directory entry. Its L2 data block, when
+// values are armed, lives in the slice's word store at the entry's
+// arena position (block), so an entry is 96 bytes whatever the region
+// size. The fields every request reads come first, in the entry's
+// first 64 bytes; at 96 bytes an entry starts on a cache-line boundary
+// only at even arena positions, so those 64 bytes span one line or
+// two.
 type dirEntry struct {
 	region mem.RegionID
 	touch  uint64  // LRU stamp for finite-L2 inclusion eviction
@@ -101,17 +101,6 @@ type dirChunk [dirChunkSlots]dirEntry
 // when drawn.
 var dirChunks recycle.Pool[*dirChunk]
 
-// wordChunks recycles the word chunks paired with arena chunks, one
-// pool per region size (indexed by log2 of WordsPerRegion, up to
-// log2(MaxRegionWords) = 4), so every chunk a pool holds is exactly
-// dirChunkSlots*WordsPerRegion words long and all of it is in use. A
-// chunk is cleared when drawn.
-var wordChunks [5]recycle.Pool[[]uint64]
-
-func wordPool(stride uint32) *recycle.Pool[[]uint64] {
-	return &wordChunks[bits.TrailingZeros32(stride)]
-}
-
 // dirTxn is one active coherence transaction.
 type dirTxn struct {
 	id        uint64
@@ -131,9 +120,7 @@ func (d *dirSlice) newTxnID() uint64 {
 func newDirSlice(sys *System, node int) *dirSlice {
 	d := &dirSlice{
 		sys: sys, node: node,
-		index:  mem.RegionTable[uint32]{Pool: &tableChunks},
-		stride: uint32(sys.geom.WordsPerRegion()),
-		memory: make(map[mem.RegionID][]uint64),
+		index: mem.RegionTable[uint32]{Pool: &tableChunks},
 	}
 	if sys.cfg.Directory == DirBloom {
 		hashes, buckets := sys.cfg.BloomHashes, sys.cfg.BloomBuckets
@@ -212,11 +199,8 @@ func (d *dirSlice) at(pos uint32) *dirEntry {
 }
 
 // block returns the entry's L2 data block: WordsPerRegion words,
-// indexed by region word offset.
-func (d *dirSlice) block(e *dirEntry) []uint64 {
-	i := e.pos % dirChunkSlots * d.stride
-	return d.words[e.pos/dirChunkSlots][i : i+d.stride : i+d.stride]
-}
+// indexed by region word offset. Only an armed machine has one.
+func (d *dirSlice) block(e *dirEntry) []uint64 { return d.words.block(e.pos) }
 
 // place returns a free arena position: a vacated one, or the next
 // unused one, drawing a chunk when the arena is full.
@@ -233,14 +217,10 @@ func (d *dirSlice) place() uint32 {
 		} else {
 			c = new(dirChunk)
 		}
-		w, ok := wordPool(d.stride).Get()
-		if ok {
-			clear(w)
-		} else {
-			w = make([]uint64, dirChunkSlots*d.stride)
-		}
 		d.arena = append(d.arena, c)
-		d.words = append(d.words, w)
+		if d.words != nil {
+			d.words.grow()
+		}
 	}
 	d.used++
 	return d.used - 1
@@ -260,8 +240,7 @@ func (d *dirSlice) eachEntry(fn func(*dirEntry)) {
 func (d *dirSlice) release() {
 	d.index.Release()
 	poison := recycle.Poison.Load()
-	for i, c := range d.arena {
-		w := d.words[i]
+	for _, c := range d.arena {
 		if poison {
 			bad := dirEntry{region: ^mem.RegionID(0), touch: ^uint64(0), live: true, busy: true,
 				l2dirty: true, memTouched: true, sharers: ^directory.NodeSet(0), valid: ^mem.Bitmap(0),
@@ -269,12 +248,11 @@ func (d *dirSlice) release() {
 			for j := range c {
 				c[j] = bad
 			}
-			for j := range w {
-				w[j] = 0xdeadbeefdeadbeef
-			}
 		}
 		dirChunks.Put(c)
-		wordPool(d.stride).Put(w)
+	}
+	if d.words != nil {
+		d.words.release()
 	}
 	d.arena, d.words, d.free, d.lastEntry = nil, nil, nil, nil
 }
@@ -321,8 +299,10 @@ func (d *dirSlice) entry(region mem.RegionID) *dirEntry {
 		e.pos = pos
 		e.region = region
 		e.valid = d.sys.geom.FullRange().Bitmap()
-		if saved, hit := d.memory[region]; hit {
-			copy(d.block(e), saved)
+		if d.words != nil {
+			if saved, hit := d.memory[region]; hit {
+				copy(d.block(e), saved)
+			}
 		}
 		d.count++
 		d.lastRegion = region
@@ -406,15 +386,18 @@ func (d *dirSlice) dropEntry(e *dirEntry) {
 	if d.lastEntry == e {
 		d.lastEntry = nil
 	}
-	clear(d.block(e))
+	if d.words != nil {
+		clear(d.block(e))
+	}
 	*e = dirEntry{}
 }
 
 // persistWords updates the memory image with the entry's words covered
-// by mask (only L2-valid data may be persisted).
+// by mask (only L2-valid data may be persisted). An unarmed machine
+// keeps no image.
 func (d *dirSlice) persistWords(e *dirEntry, mask mem.Bitmap) {
 	mask = mask.Intersect(e.valid)
-	if mask == 0 {
+	if mask == 0 || d.words == nil {
 		return
 	}
 	data := d.block(e)
@@ -438,14 +421,16 @@ func (d *dirSlice) fetchMissing(e *dirEntry, need mem.Bitmap) bool {
 	if missing == 0 {
 		return false
 	}
-	saved := d.memory[e.region] // nil reads as zero memory
-	data := d.block(e)
-	for w := range data {
-		if missing.Has(uint8(w)) {
-			if saved != nil {
-				data[w] = saved[w]
-			} else {
-				data[w] = 0
+	if d.words != nil {
+		saved := d.memory[e.region] // nil reads as zero memory
+		data := d.block(e)
+		for w := range data {
+			if missing.Has(uint8(w)) {
+				if saved != nil {
+					data[w] = saved[w]
+				} else {
+					data[w] = 0
+				}
 			}
 		}
 	}
@@ -575,10 +560,12 @@ func (d *dirSlice) recvResponse(m *Msg) {
 	// non-inclusive L2 had dropped them).
 	carried := m.Valid.Intersect(m.Dirty)
 	if carried != 0 {
-		data := d.block(e)
-		for w := range data {
-			if carried.Has(uint8(w)) {
-				data[w] = m.Words[w]
+		if d.words != nil {
+			data := d.block(e)
+			for w := range data {
+				if carried.Has(uint8(w)) {
+					data[w] = m.Words[w]
+				}
 			}
 		}
 		e.valid = e.valid.Union(carried)
@@ -758,14 +745,11 @@ func (d *dirSlice) popQueue(e *dirEntry) {
 }
 
 // loadPayload fills a data reply with the requested words from the L2
-// block.
+// block (their values only when armed).
 func (d *dirSlice) loadPayload(e *dirEntry, reply *Msg) {
-	data := d.block(e)
-	for w := reply.R.Start; ; w++ {
-		reply.Words[w] = data[w]
-		if w == reply.R.End {
-			break
-		}
+	if d.words != nil {
+		r := reply.R
+		copy(reply.Words[r.Start:r.End+1], d.block(e)[r.Start:r.End+1])
 	}
 	reply.Valid = reply.R.Bitmap()
 }

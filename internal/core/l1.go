@@ -38,6 +38,10 @@ type l1Ctrl struct {
 	// by region; each value packs the region's words' deathCauses two
 	// bits per word (word w at bits 2w and 2w+1).
 	causes mem.RegionTable[uint32]
+
+	// words holds the cached words' values once the machine's values
+	// are armed (nil otherwise); see l1Words.
+	words *l1Words
 }
 
 // completer receives the value of a finished memory reference; the cpu
@@ -148,17 +152,28 @@ func (l *l1Ctrl) classifyMiss(region mem.RegionID, w uint8, upgrade bool) {
 // cs is this core's per-core counter slice.
 func (l *l1Ctrl) cs() *stats.CoreStats { return &l.sys.st.PerCore[l.id] }
 
-// applyWrite commits a store or RMW to a writable block and returns
-// the value the CPU observes (the stored value, or the pre-increment
-// value for an RMW).
-func applyWrite(b *cache.Block, w uint8, mode accessMode, storeVal uint64) uint64 {
-	b.State = cache.Modified
-	if mode == accRMW {
-		old := b.Word(w)
-		b.SetWord(w, old+1)
-		return old
+// perform carries out a reference on the block serving it (a store or
+// RMW needs the block writable and leaves it Modified) and returns the
+// value the CPU observes: the loaded value, the stored value, or the
+// pre-increment value for an RMW. A machine without armed values keeps
+// none, so there a load or RMW observes storeVal, 0, which only an
+// observer would read.
+func (l *l1Ctrl) perform(b *cache.Block, w uint8, mode accessMode, storeVal uint64) uint64 {
+	if mode.write() {
+		b.State = cache.Modified
 	}
-	b.SetWord(w, storeVal)
+	if l.words == nil {
+		return storeVal
+	}
+	data := l.words.of(b.Region)
+	switch mode {
+	case accRead:
+		return data[w]
+	case accRMW:
+		data[w]++
+		return data[w] - 1
+	}
+	data[w] = storeVal
 	return storeVal
 }
 
@@ -180,10 +195,7 @@ func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, do
 		l.sys.st.L1Hits++
 		l.cs().Hits++
 		b.Note(w, mode.write())
-		val := b.Word(w)
-		if mode.write() {
-			val = applyWrite(b, w, mode, storeVal)
-		}
+		val := l.perform(b, w, mode, storeVal)
 		if edges {
 			l.stateEdge(region, from, accessCause(mode))
 		}
@@ -314,7 +326,9 @@ func (l *l1Ctrl) fill(m *Msg) {
 		Region: m.Region, R: m.R, State: st,
 		FetchPC: ms.pc, FetchWord: ms.word,
 	}
-	copy(blk.Data[m.R.Start:m.R.End+1], m.Words[m.R.Start:m.R.End+1])
+	if l.words != nil {
+		copy(l.words.of(m.Region)[m.R.Start:m.R.End+1], m.Words[m.R.Start:m.R.End+1])
+	}
 	l.sys.st.RecordFill(m.R.Words())
 	l.sys.st.DataWordsIn += uint64(m.PayloadWords())
 	if l.sys.attrib != nil {
@@ -328,10 +342,7 @@ func (l *l1Ctrl) fill(m *Msg) {
 		panic("core: filled block immediately evicted (set budget too small)")
 	}
 	noteMiss(b, ms)
-	val := b.Word(ms.word)
-	if ms.mode.write() {
-		val = applyWrite(b, ms.word, ms.mode, ms.storeVal)
-	}
+	val := l.perform(b, ms.word, ms.mode, ms.storeVal)
 	done := ms.done
 	l.msLive = false
 	l.retireMiss(ms)
@@ -385,7 +396,7 @@ func (l *l1Ctrl) grant(m *Msg) {
 		return
 	}
 	noteMiss(b, ms)
-	val := applyWrite(b, ms.word, ms.mode, ms.storeVal)
+	val := l.perform(b, ms.word, ms.mode, ms.storeVal)
 	done := ms.done
 	l.msLive = false
 	l.retireMiss(ms)
@@ -533,7 +544,9 @@ func (l *l1Ctrl) anyDirtyOrExclusive(region mem.RegionID) bool {
 // the outgoing payload bytes as used or unused.
 func (l *l1Ctrl) carry(reply *Msg, b *cache.Block) {
 	reply.Type = MsgWback
-	copy(reply.Words[b.R.Start:b.R.End+1], b.Data[b.R.Start:b.R.End+1])
+	if l.words != nil {
+		copy(reply.Words[b.R.Start:b.R.End+1], l.words.of(b.Region)[b.R.Start:b.R.End+1])
+	}
 	reply.Valid = reply.Valid.Union(b.R.Bitmap())
 	reply.Dirty = reply.Dirty.Union(b.R.Bitmap())
 	l.classifyWriteback(b)
@@ -586,11 +599,8 @@ func (l *l1Ctrl) tryDirectForward(m *Msg, grant MsgType) bool {
 	data.Region = m.Region
 	data.R = m.R
 	data.Valid = m.R.Bitmap()
-	for w := m.R.Start; ; w++ {
-		data.Words[w] = l.cache.Peek(m.Region, w).Word(w)
-		if w == m.R.End {
-			break
-		}
+	if l.words != nil {
+		copy(data.Words[m.R.Start:m.R.End+1], l.words.of(m.Region)[m.R.Start:m.R.End+1])
 	}
 	l.sys.st.DirectForwards++
 	l.sys.send(data)
@@ -640,7 +650,9 @@ func (l *l1Ctrl) handleVictims(victims []cache.Block) {
 		wb.Region = v.Region
 		wb.Valid = v.R.Bitmap()
 		wb.Dirty = v.R.Bitmap()
-		copy(wb.Words[v.R.Start:v.R.End+1], v.Data[v.R.Start:v.R.End+1])
+		if l.words != nil {
+			copy(wb.Words[v.R.Start:v.R.End+1], l.words.of(v.Region)[v.R.Start:v.R.End+1])
+		}
 		wb.StillSharer = l.cache.HasRegion(v.Region)
 		wb.StillOwner = l.anyDirtyOrExclusive(v.Region)
 		if wb.StillSharer {

@@ -149,9 +149,12 @@ type Msg struct {
 	Region mem.RegionID
 	R      mem.Range // requested or supplied range
 
-	Valid mem.Bitmap // words present in Words
+	Valid mem.Bitmap // words present in the payload
 	Dirty mem.Bitmap // words that are dirty (writebacks)
-	Words [16]uint64 // word values, indexed by region offset
+	// Words holds the payload's values, indexed by region offset. A
+	// machine whose values are armed (SetObserver) gives every message
+	// an array; on any other machine Words is nil.
+	Words *[mem.MaxRegionWords]uint64
 
 	Requester int    // original requester, echoed through probes
 	TxnID     uint64 // directory transaction ID; 0 = spontaneous writeback

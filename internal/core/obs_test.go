@@ -25,6 +25,7 @@ func TestFlightRecordsOutlivePooledMsg(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.EnableMessageLog(16)
+	sys.SetObserver(observerFuncs{}) // arm values, so messages carry words
 
 	m := sys.newMsg()
 	m.Type = MsgGetX
@@ -65,7 +66,7 @@ func TestFlightRecordsOutlivePooledMsg(t *testing.T) {
 	}
 	// Records keep the Valid/Dirty masks, not the word values —
 	// reconstruction never aliases (or even sees) the recycled payload.
-	if e.Msg.Words[3] != 0 {
+	if e.Msg.Words != nil {
 		t.Errorf("reconstructed event carries payload words: %#x", e.Msg.Words[3])
 	}
 	// The raw transcript saw both lifecycle steps with pre-free fields.

@@ -110,6 +110,9 @@ func DefaultConfig(p Protocol) Config {
 }
 
 // Observer receives correctness-checking hooks; see the random tester.
+// It is the one consumer of word values: installing one (SetObserver)
+// arms the machine to track them, and a machine without one carries
+// none.
 type Observer interface {
 	// OnStore fires when a store retires with write permission held.
 	OnStore(core int, addr mem.Addr, val uint64)
@@ -134,6 +137,9 @@ type System struct {
 	cpus []*cpu
 
 	obs Observer
+	// values is set once SetObserver armed word values: the L1s and
+	// directory slices then keep word stores and messages carry words.
+	values bool
 	// chk is the checker NewChecker armed: stateEdge feeds it.
 	chk *Checker
 	// edges is set when any view consumes controller state edges: the
@@ -211,7 +217,8 @@ type msgPool struct {
 var msgLists recycle.Pool[[]*Msg]
 
 // adopt takes over a released machine's free list, zeroing every
-// message in it.
+// message in it; word arrays are dropped, and armValues gives them
+// back when the new machine is armed.
 func (p *msgPool) adopt(s *System) {
 	free, ok := msgLists.Get()
 	if !ok {
@@ -252,7 +259,11 @@ func (s *System) newMsg() *Msg {
 		return m
 	}
 	p.allocs++
-	return &Msg{sys: s}
+	m := &Msg{sys: s}
+	if s.values {
+		m.Words = new([mem.MaxRegionWords]uint64)
+	}
+	return m
 }
 
 // freeMsg recycles a message whose lifecycle has ended at tile: delivered
@@ -263,7 +274,11 @@ func (s *System) freeMsg(tile int, m *Msg) {
 	if s.flight != nil {
 		s.flightMsg(flight.KindMsgFree, tile, m)
 	}
-	*m = Msg{sys: s}
+	words := m.Words
+	*m = Msg{sys: s, Words: words}
+	if words != nil {
+		*words = [mem.MaxRegionWords]uint64{}
+	}
 	s.pool.free = append(s.pool.free, m)
 }
 
@@ -325,12 +340,12 @@ func NewSystem(cfg Config, recs [][]trace.Access) (*System, error) {
 
 // Release hands the machine's storage to process-wide pools that later
 // NewSystem calls draw from and clear: the L1 set storage and spatial
-// predictor tables, the directory's entry arena, L2 word store and
-// index, the miss classifier's tables and the message free list. Only
-// the code that built the machine may release it, once, after its last
-// read of the machine: Stats, Attribution and the latency breakdown
-// stay valid (they are not pooled), but any other use of a released
-// System panics.
+// predictor tables, the directory's entry arena and index, the word
+// stores of an armed machine, the miss classifier's tables and the
+// message free list. Only the code that built the machine may release
+// it, once, after its last read of the machine: Stats, Attribution and
+// the latency breakdown stay valid (they are not pooled), but any other
+// use of a released System panics.
 func (s *System) Release() {
 	s.mustLive()
 	s.released = true
@@ -341,6 +356,9 @@ func (s *System) Release() {
 	for i := len(s.l1s) - 1; i >= 0; i-- {
 		s.l1s[i].cache.Release()
 		s.l1s[i].causes.Release()
+		if w := s.l1s[i].words; w != nil {
+			w.release()
+		}
 		// A predictor from PredictorOverride is the caller's to keep.
 		if sp, ok := s.l1s[i].pred.(*predictor.Spatial); ok && s.cfg.PredictorOverride == nil {
 			sp.Release()
@@ -358,8 +376,21 @@ func (s *System) mustLive() {
 	}
 }
 
-// SetObserver installs correctness hooks; pass nil to remove.
-func (s *System) SetObserver(o Observer) { s.obs = o }
+// SetObserver installs correctness hooks; pass nil to remove. A
+// non-nil observer arms word values: from then on the L1s, the L2 and
+// every message carry the values it reads. A machine is armed before
+// it runs or not at all, so SetObserver panics once the machine has
+// processed an event.
+func (s *System) SetObserver(o Observer) {
+	s.mustLive()
+	if s.eng.Processed() > 0 {
+		panic("core: SetObserver after the machine processed an event: an observer must be installed before the run, since word values are tracked only from then on")
+	}
+	s.obs = o
+	if o != nil {
+		s.armValues()
+	}
+}
 
 // Stats exposes the run's counters.
 func (s *System) Stats() *stats.Stats { return s.st }
@@ -492,13 +523,18 @@ func (s *System) foldAttribution() {
 }
 
 // L2Word returns the shared L2's value for a word, and whether the
-// region has been allocated at the L2 at all.
+// region has been allocated at the L2 at all. A machine whose values
+// were never armed (no SetObserver) still reports whether the region
+// exists, with value 0.
 func (s *System) L2Word(region mem.RegionID, w uint8) (uint64, bool) {
 	s.mustLive()
 	d := s.dirs[s.home(region)]
 	e := d.lookup(region)
 	if e == nil {
 		return 0, false
+	}
+	if d.words == nil {
+		return 0, true
 	}
 	if data := d.block(e); int(w) < len(data) {
 		return data[w], true
