@@ -170,6 +170,20 @@ cache-smoke:
 		     tail -1 $$d/verify-warm.err; exit 1; }; \
 	echo "cache-smoke: warm verify 100% cached from the checker payloads, output byte-identical"
 
+# fuzz-smoke runs every native fuzzer for a fixed 10 s each: the trace
+# reader, the range algebra, the flight-log reader, the attribution
+# dump decoder, the result-cache payload decoder and the grid list
+# parsers. It is its own CI job, not part of verify: a failure leaves
+# the crashing input under the package's testdata/fuzz for `go test`
+# to replay.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzReadTraces$$' -fuzztime 10s ./internal/trace
+	go test -run '^$$' -fuzz '^FuzzRangeAlgebra$$' -fuzztime 10s ./internal/mem
+	go test -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime 10s ./internal/obs/flight
+	go test -run '^$$' -fuzz '^FuzzFromDump$$' -fuzztime 10s ./internal/obs/attrib
+	go test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/runner
+	go test -run '^$$' -fuzz '^FuzzParseLists$$' -fuzztime 10s ./internal/runner
+
 # bench runs the simulator throughput benchmark with allocation
 # accounting in a benchstat-friendly shape (-count 5). Compare against
 # the latest committed BENCH_*.json numbers after hot-path changes.
@@ -213,4 +227,4 @@ bench-gate:
 	$$d/protozoa-benchdiff -baseline "$(BENCH_BASELINE)" \
 		-gate $(BENCH_GATE_TOL) < $$d/bench.txt
 
-.PHONY: verify golden bench bench-compare bench-gate trace-smoke obs-smoke flight-smoke cache-smoke
+.PHONY: verify golden bench bench-compare bench-gate trace-smoke obs-smoke flight-smoke cache-smoke fuzz-smoke

@@ -635,6 +635,8 @@ func TestCLIs(t *testing.T) {
 			{"trace", "-dump", "-cores", "0", "-o", pztr},
 			{"sim", "-scale", "0"},
 			{"sweep", "-scale", "-1"},
+			{"sweep", "-regions", "24"},
+			{"sweep", "-regions", "64,24"},
 			{"figs", "-scale", "0"},
 			{"table1", "-cores", "3"},
 			{"report", "-scale", "-1"},

@@ -7,6 +7,8 @@ import (
 
 	"protozoa/internal/cache"
 	"protozoa/internal/mem"
+	"protozoa/internal/obs/flight"
+	"protozoa/internal/trace"
 )
 
 // Checker is the random-tester correctness oracle (Section 3.6). It
@@ -40,22 +42,53 @@ type Checker struct {
 	transcript string
 
 	// changed lists the regions L1 steps touched since the last check,
-	// repeats included (System.stateEdge appends).
+	// repeats included (each L1 state edge appends).
 	changed []mem.RegionID
 }
 
 // MaxViolations bounds the recorded diagnostics.
 const MaxViolations = 32
 
-// NewChecker attaches a fresh checker to the system as its observer
-// and arms its feed: from here on every L1 state edge marks its region
-// for the next check.
+// NewChecker subscribes a fresh checker to the system's L1 state
+// edges, transaction ends and values, which arms word values, so it
+// must be called before the run (later it panics). The run ends with a
+// CheckAll.
 func NewChecker(sys *System) *Checker {
 	c := &Checker{sys: sys, golden: make(map[mem.Addr]uint64)}
-	sys.SetObserver(c)
-	sys.chk = c
-	sys.edges = true
+	sys.subscribe(view{kinds: checkerKinds, see: c.see, end: c.CheckAll})
 	return c
+}
+
+// see applies one record: an L1 state edge marks its region for the
+// next check, a transaction end checks, and a value record is a store
+// to remember or a load to validate.
+func (c *Checker) see(r *flight.Record) {
+	switch r.Kind {
+	case flight.KindL1State:
+		c.changed = append(c.changed, mem.RegionID(r.Region))
+	case flight.KindTxnEnd:
+		// An unblock, not a recall's end: check the regions L1 steps
+		// touched since the last check. A verdict reads only a region's
+		// L1 blocks and golden words, and both change only in an L1 step
+		// (a store retires into an L1 block), so the untouched regions
+		// still pass.
+		if r.Sub == flight.SubNone {
+			c.Checks++
+			c.check()
+		}
+	case kindValue:
+		addr := mem.Addr(r.Region)
+		switch trace.Kind(r.Sub) {
+		case trace.Store:
+			c.golden[addr] = r.Txn
+		case trace.RMW:
+			// A load of the old value and a store of old+1.
+			c.load(int(r.Src), addr, r.Txn)
+			c.golden[addr] = r.Txn + 1
+		default:
+			c.load(int(r.Src), addr, r.Txn)
+		}
+	}
 }
 
 // Violations returns the recorded diagnostics.
@@ -114,26 +147,12 @@ func (c *Checker) fail(format string, args ...interface{}) {
 	}
 }
 
-// OnStore implements Observer.
-func (c *Checker) OnStore(_ int, addr mem.Addr, val uint64) {
-	c.golden[addr] = val
-}
-
-// OnLoad implements Observer.
-func (c *Checker) OnLoad(core int, addr mem.Addr, val uint64) {
+// load validates a completed load against the golden value.
+func (c *Checker) load(core int, addr mem.Addr, val uint64) {
 	c.Loads++
 	if want := c.golden[addr]; val != want {
 		c.fail("core %d loaded %#x from %#x, want golden %#x", core, val, addr, want)
 	}
-}
-
-// OnTxnEnd implements Observer: it checks the regions L1 steps touched
-// since the last check. A verdict reads only a region's L1 blocks and
-// golden words, and both change only in an L1 step (a store retires
-// into an L1 block), so the untouched regions still pass.
-func (c *Checker) OnTxnEnd(mem.RegionID) {
-	c.Checks++
-	c.check()
 }
 
 // CheckAll checks every region cached in any L1. System.Run calls it

@@ -5,13 +5,13 @@ package core
 // it beside the whole-machine check at every transaction end and
 // require the two to agree: the same loads checked, the same number
 // of checks, and the same first violation at the same transaction. A
-// step that changes an L1 block without passing through the
-// System.stateEdge feed would let the whole-machine check see a
-// violation first. On a correct machine neither sees one, so the pair
-// also compares every L1's blocks with the previous transaction end's
-// and requires each region whose blocks were inserted, re-stated or
-// rewritten to be in the feed (a block that only left cannot break an
-// invariant, and evictions are not fed).
+// step that changes an L1 block without emitting an L1 state edge
+// would let the whole-machine check see a violation first. On a
+// correct machine neither sees one, so the pair also compares every
+// L1's blocks with the previous transaction end's and requires each
+// region whose blocks were inserted, re-stated or rewritten to be in
+// the feed (a block that only left cannot break an invariant, and
+// evictions are not fed).
 
 import (
 	"fmt"
@@ -20,13 +20,13 @@ import (
 
 	"protozoa/internal/cache"
 	"protozoa/internal/mem"
+	"protozoa/internal/obs/flight"
 	"protozoa/internal/workloads"
 )
 
 // oraclePair runs two checkers side by side on one machine: inc, the
-// incremental oracle the machine feeds, and full, which checks every
-// cached region at every transaction end. It is built from exported
-// methods alone.
+// incremental oracle, and full, which checks every cached region at
+// every transaction end. The pair is the machine's one checker view.
 type oraclePair struct {
 	sys       *System
 	inc, full *Checker
@@ -49,12 +49,14 @@ type blockView struct {
 	data  [mem.MaxRegionWords]uint64
 }
 
-// attachOraclePair arms both checkers on sys. The machine feeds the
-// checker NewChecker armed last, inc; full's feed stays empty.
+// attachOraclePair subscribes the pair to sys with a checker's kinds:
+// inc sees every record and ends the run with its CheckAll; full sees
+// only the values, so its feed stays empty.
 func attachOraclePair(sys *System) *oraclePair {
-	full := NewChecker(sys)
-	o := &oraclePair{sys: sys, inc: NewChecker(sys), full: full}
-	sys.SetObserver(o)
+	o := &oraclePair{sys: sys,
+		inc:  &Checker{sys: sys, golden: make(map[mem.Addr]uint64)},
+		full: &Checker{sys: sys, golden: make(map[mem.Addr]uint64)}}
+	sys.subscribe(view{kinds: checkerKinds, see: o.see, end: o.inc.CheckAll})
 	return o
 }
 
@@ -85,19 +87,23 @@ func (o *oraclePair) checkFeed() {
 	o.blocks = now
 }
 
-func (o *oraclePair) OnStore(core int, addr mem.Addr, val uint64) {
-	o.inc.OnStore(core, addr, val)
-	o.full.OnStore(core, addr, val)
-}
-
-func (o *oraclePair) OnLoad(core int, addr mem.Addr, val uint64) {
-	o.inc.OnLoad(core, addr, val)
-	o.full.OnLoad(core, addr, val)
-}
-
-func (o *oraclePair) OnTxnEnd(region mem.RegionID) {
+// see hands one record to the checkers. At each transaction end it
+// first checks the feed, then lets inc check and runs full's
+// whole-machine check.
+func (o *oraclePair) see(r *flight.Record) {
+	switch {
+	case r.Kind == flight.KindL1State:
+		o.inc.see(r)
+		return
+	case r.Kind != flight.KindTxnEnd:
+		o.inc.see(r)
+		o.full.see(r)
+		return
+	case r.Sub != flight.SubNone:
+		return // a recall's end, no quiescent point
+	}
 	o.checkFeed()
-	o.inc.OnTxnEnd(region)
+	o.inc.see(r)
 	o.full.Checks++
 	o.full.CheckAll()
 	if o.incAt == 0 && len(o.inc.Violations()) > 0 {
@@ -197,8 +203,8 @@ func TestOraclesAgreeRandomTester(t *testing.T) {
 					o := runOraclePair(t, name+"/poisoned", sys, func(o *oraclePair) {
 						for r := 0; r < 12; r++ {
 							addr := mem.Addr(r*64 + 5*8)
-							o.inc.OnStore(0, addr, 0xbad)
-							o.full.OnStore(0, addr, 0xbad)
+							o.inc.golden[addr] = 0xbad
+							o.full.golden[addr] = 0xbad
 						}
 					})
 					if first(o.inc) == "" {

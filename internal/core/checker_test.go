@@ -11,6 +11,7 @@ import (
 
 	"protozoa/internal/cache"
 	"protozoa/internal/mem"
+	"protozoa/internal/obs/flight"
 	"protozoa/internal/trace"
 )
 
@@ -21,12 +22,12 @@ func TestCheckerDetectsWrongLoadValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	chk := NewChecker(sys)
-	chk.OnStore(0, 0x100, 42)
-	chk.OnLoad(0, 0x100, 42) // correct: no violation
+	chk.golden[0x100] = 42
+	chk.load(0, 0x100, 42) // correct: no violation
 	if chk.Err() != nil {
 		t.Fatalf("false positive: %v", chk.Err())
 	}
-	chk.OnLoad(0, 0x100, 7) // wrong value
+	chk.load(0, 0x100, 7) // wrong value
 	if chk.Err() == nil {
 		t.Fatal("checker missed a wrong load value")
 	}
@@ -56,7 +57,7 @@ func TestCheckerDetectsStaleCachedValue(t *testing.T) {
 	if chk.Err() != nil {
 		t.Fatalf("clean run flagged: %v", chk.Err())
 	}
-	chk.OnStore(0, 0x40, 999) // golden diverges from the cached zero
+	chk.golden[0x40] = 999 // golden diverges from the cached zero
 	chk.CheckAll()
 	if chk.Err() == nil {
 		t.Fatal("checker missed a stale cached value")
@@ -162,7 +163,7 @@ func TestCheckerDetectsSWMRViolationShape(t *testing.T) {
 			}
 			chk := NewChecker(sys)
 			for w, v := range tc.golden {
-				chk.OnStore(0, sys.Geometry().WordAddr(region, w), v)
+				chk.golden[sys.Geometry().WordAddr(region, w)] = v
 			}
 			for _, b := range tc.blocks {
 				sys.l1s[b.core].cache.Insert(cache.Block{
@@ -177,9 +178,9 @@ func TestCheckerDetectsSWMRViolationShape(t *testing.T) {
 			// end finds nothing: no L1 step touched the planted region.
 			all := NewChecker(sys)
 			for w, v := range tc.golden {
-				all.OnStore(0, sys.Geometry().WordAddr(region, w), v)
+				all.golden[sys.Geometry().WordAddr(region, w)] = v
 			}
-			all.OnTxnEnd(region)
+			all.see(&flight.Record{Kind: flight.KindTxnEnd, Sub: flight.SubNone})
 			if len(all.Violations()) != 0 || all.Checks != 1 {
 				t.Errorf("transaction end with no L1 step: %d checks, violations %q", all.Checks, all.Violations())
 			}
@@ -200,9 +201,9 @@ func TestCheckerCapsViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	chk := NewChecker(sys)
-	chk.OnStore(0, 0x8, 1)
+	chk.golden[0x8] = 1
 	for i := 0; i < 2*MaxViolations; i++ {
-		chk.OnLoad(0, 0x8, 12345)
+		chk.load(0, 0x8, 12345)
 	}
 	if got := len(chk.Violations()); got != MaxViolations {
 		t.Errorf("violations = %d, want capped at %d", got, MaxViolations)

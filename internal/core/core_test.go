@@ -75,9 +75,7 @@ type loadEvent struct {
 	val  uint64
 }
 
-func (r *loadRecorder) OnStore(int, mem.Addr, uint64) {}
-func (r *loadRecorder) OnTxnEnd(mem.RegionID)         {}
-func (r *loadRecorder) OnLoad(core int, a mem.Addr, v uint64) {
+func (r *loadRecorder) onLoad(core int, a mem.Addr, v uint64) {
 	r.loads = append(r.loads, loadEvent{core, a, v})
 }
 
@@ -130,7 +128,7 @@ func TestSingleCoreStoreThenLoadValue(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := &loadRecorder{}
-			sys.SetObserver(rec)
+			onLoads(sys, rec.onLoad)
 			if err := sys.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +237,7 @@ func TestReaderSeesRemoteWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := &loadRecorder{}
-			sys.SetObserver(rec)
+			onLoads(sys, rec.onLoad)
 			if err := sys.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -444,7 +442,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := &loadRecorder{}
-			sys.SetObserver(rec)
+			onLoads(sys, rec.onLoad)
 			if err := sys.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -551,7 +549,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := &loadRecorder{}
-			sys.SetObserver(rec)
+			onLoads(sys, rec.onLoad)
 			if err := sys.Run(); err != nil {
 				t.Fatal(err)
 			}

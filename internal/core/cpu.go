@@ -2,6 +2,7 @@ package core
 
 import (
 	"protozoa/internal/engine"
+	"protozoa/internal/obs/flight"
 	"protozoa/internal/trace"
 )
 
@@ -26,10 +27,8 @@ type cpu struct {
 	done     bool
 
 	// pend is the access currently in flight (filled by step, consumed
-	// by issueAccess/complete); pendVal is the token a pending store
-	// writes.
-	pend    trace.Access
-	pendVal uint64
+	// by issueAccess/complete).
+	pend trace.Access
 
 	accessEv cpuAccess // fused think-delay + L1-lookup event
 	stepEv   cpuStep   // resumes the records (kickoff and barrier release)
@@ -71,23 +70,15 @@ func (c *cpu) storeToken() uint64 {
 	return uint64(c.id+1)<<40 | c.storeSeq
 }
 
-// complete finishes the in-flight reference: fire the observer hooks
-// with the bound value and advance to the next record. It implements the
-// completer interface the L1 invokes when an access resolves.
+// complete finishes the in-flight reference: emit the bound value to
+// the views that read values and advance to the next record. It
+// implements the completer interface the L1 invokes when an access
+// resolves.
 func (c *cpu) complete(val uint64) {
 	s := c.sys
-	if s.obs != nil {
-		switch c.pend.Kind {
-		case trace.Store:
-			s.obs.OnStore(c.id, c.pend.Addr, c.pendVal)
-		case trace.RMW:
-			// Observed as both a load of the old value and a store of
-			// old+1 (atomic fetch-and-increment).
-			s.obs.OnLoad(c.id, c.pend.Addr, val)
-			s.obs.OnStore(c.id, c.pend.Addr, val+1)
-		default:
-			s.obs.OnLoad(c.id, c.pend.Addr, val)
-		}
+	if s.on(kindValue) {
+		s.emit(&flight.Record{Cycle: s.eng.Now(), Kind: kindValue, Sub: uint8(c.pend.Kind),
+			Src: int16(c.id), Region: uint64(c.pend.Addr), Txn: val})
 	}
 	s.step(c)
 }
@@ -131,8 +122,7 @@ func (s *System) issueAccess(c *cpu) {
 	case trace.Store:
 		s.st.Stores++
 		cs.Stores++
-		c.pendVal = c.storeToken()
-		s.l1s[c.id].resolve(a.Addr, accWrite, uint64(a.PC), c.pendVal, c)
+		s.l1s[c.id].resolve(a.Addr, accWrite, uint64(a.PC), c.storeToken(), c)
 	case trace.RMW:
 		// Atomic fetch-and-increment: counted as a store (it acquires
 		// write permission) and observed as both a load of the old

@@ -26,14 +26,8 @@ func (s *System) diagnose() string {
 			continue
 		}
 		ms := &l1.ms
-		kind := "GETS"
-		if ms.upgrade {
-			kind = "UPGRADE"
-		} else if ms.mode.write() {
-			kind = "GETX"
-		}
 		fmt.Fprintf(&b, " MSHR: region %d %s [%s] since cycle %d\n",
-			ms.region, kind, ms.want, ms.issuedAt)
+			ms.region, ms.request(), ms.want, ms.issuedAt)
 	}
 	busy := 0
 	for _, d := range s.dirs {

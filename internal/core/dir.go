@@ -340,9 +340,7 @@ func (d *dirSlice) evictLRURegion() {
 		return
 	}
 	d.setBusy(victim)
-	if d.sys.flight != nil {
-		d.flightDir(flight.KindTxnStart, victim.region, 0, -1, uint8(MsgRecall))
-	}
+	d.flightDir(flight.KindTxnStart, victim.region, 0, -1, uint8(MsgRecall))
 	req := d.sys.newMsg()
 	req.Type = MsgRecall
 	req.Dst = d.node
@@ -353,8 +351,8 @@ func (d *dirSlice) evictLRURegion() {
 		waiting: int32(targets.Count()),
 	}
 	victim.txn = &victim.txnStore
-	if d.sys.attrib != nil {
-		d.sys.attrib.Fanout(victim.region, targets.Count())
+	if d.sys.on(kindFanout) {
+		d.sys.emit(&flight.Record{Kind: kindFanout, Region: uint64(victim.region), Txn: uint64(targets.Count())})
 	}
 	full := d.sys.geom.FullRange()
 	targets.ForEach(func(t int) {
@@ -441,14 +439,10 @@ func (d *dirSlice) fetchMissing(e *dirEntry, need mem.Bitmap) bool {
 // recvRequest accepts GETS/GETX/UPGRADE. One transaction per region:
 // a busy region queues the request.
 func (d *dirSlice) recvRequest(m *Msg) {
-	if d.sys.phaseOn() {
-		d.flightDir(flight.KindDirAccept, m.Region, 0, m.Src, uint8(m.Type))
-	}
+	d.flightDir(flight.KindDirAccept, m.Region, 0, m.Src, uint8(m.Type))
 	e := d.entry(m.Region)
 	if e.busy {
-		if d.sys.flight != nil {
-			d.flightDir(flight.KindQueuePark, m.Region, 0, m.Src, uint8(m.Type))
-		}
+		d.flightDir(flight.KindQueuePark, m.Region, 0, m.Src, uint8(m.Type))
 		e.queue = append(e.queue, m)
 		return
 	}
@@ -459,9 +453,7 @@ func (d *dirSlice) recvRequest(m *Msg) {
 // one-time memory fetch for the region's first touch) and then process.
 func (d *dirSlice) activate(e *dirEntry, m *Msg) {
 	d.setBusy(e)
-	if d.sys.phaseOn() {
-		d.flightDir(flight.KindTxnStart, m.Region, 0, m.Src, uint8(m.Type))
-	}
+	d.flightDir(flight.KindTxnStart, m.Region, 0, m.Src, uint8(m.Type))
 	lat := d.sys.cfg.L2Lat
 	if !e.memTouched {
 		e.memTouched = true
@@ -475,12 +467,10 @@ func (d *dirSlice) activate(e *dirEntry, m *Msg) {
 
 // process runs the directory state machine for one request.
 func (d *dirSlice) process(e *dirEntry, m *Msg) {
-	if d.sys.edges {
+	if d.sys.on(flight.KindDirState) {
 		e.from = d.flightDirCode(e)
 	}
-	if d.sys.phaseOn() {
-		d.flightDir(flight.KindTxnProcess, m.Region, 0, m.Src, uint8(m.Type))
-	}
+	d.flightDir(flight.KindTxnProcess, m.Region, 0, m.Src, uint8(m.Type))
 	// Figure 11 accounting: record the sharer mix every time a request
 	// reaches an entry in Owned state.
 	if !e.owners.Empty() {
@@ -512,8 +502,8 @@ func (d *dirSlice) process(e *dirEntry, m *Msg) {
 	}
 	e.txnStore = dirTxn{id: d.newTxnID(), req: m, waiting: int32(targets.Count())}
 	e.txn = &e.txnStore
-	if d.sys.attrib != nil {
-		d.sys.attrib.Fanout(m.Region, targets.Count())
+	if d.sys.on(kindFanout) {
+		d.sys.emit(&flight.Record{Kind: kindFanout, Region: uint64(m.Region), Txn: uint64(targets.Count())})
 	}
 	// 3-hop: with exactly one target that is an owner and a data-bearing
 	// request, let the owner forward the data straight to the requester.
@@ -573,7 +563,7 @@ func (d *dirSlice) recvResponse(m *Msg) {
 	}
 	// Spontaneous writebacks mutate the vectors outside any transaction;
 	// snapshot the state code so the edge they cause is recorded too.
-	wbEdge := m.TxnID == 0 && d.sys.edges
+	wbEdge := m.TxnID == 0 && d.sys.on(flight.KindDirState)
 	var from uint8
 	if wbEdge {
 		from = d.flightDirCode(e)
@@ -598,9 +588,7 @@ func (d *dirSlice) recvResponse(m *Msg) {
 			e.txn = nil
 			if req.Type != MsgRecall {
 				// Recall transactions carry Src=0, not a requester core.
-				if d.sys.phaseOn() {
-					d.flightDir(flight.KindTxnLastAck, e.region, m.TxnID, req.Src, uint8(req.Type))
-				}
+				d.flightDir(flight.KindTxnLastAck, e.region, m.TxnID, req.Src, uint8(req.Type))
 			}
 			d.finish(e, req, forwarded)
 		}
@@ -616,9 +604,7 @@ func (d *dirSlice) finish(e *dirEntry, m *Msg, forwarded bool) {
 		// dirty data patched. If a request raced in while the recall
 		// ran, abandon the eviction and serve it (the data is current);
 		// otherwise free the slot.
-		if d.sys.flight != nil {
-			d.flightDir(flight.KindTxnEnd, e.region, 0, -1, uint8(MsgRecall))
-		}
+		d.flightDir(flight.KindTxnEnd, e.region, 0, -1, uint8(MsgRecall))
 		if len(e.queue) > 0 {
 			e.txn = nil
 			d.popQueue(e)
@@ -698,7 +684,7 @@ func (d *dirSlice) finish(e *dirEntry, m *Msg, forwarded bool) {
 		// reply goes straight back to the pool.
 		d.sys.freeMsg(d.node, reply)
 	}
-	if d.sys.edges {
+	if d.sys.on(flight.KindDirState) {
 		d.stateEdge(e, e.from, uint8(m.Type), d.node, req)
 	}
 	// The region stays busy until the requester's UNBLOCK confirms the
@@ -714,14 +700,10 @@ func (d *dirSlice) finish(e *dirEntry, m *Msg, forwarded bool) {
 }
 
 // unblock reopens the region after the requester installed its fill
-// and activates the next queued transaction, if any.
+// and activates the next queued transaction, if any. Its txn-end
+// record is a checker's quiescent point.
 func (d *dirSlice) unblock(e *dirEntry) {
-	if d.sys.flight != nil {
-		d.flightDir(flight.KindTxnEnd, e.region, 0, -1, flight.SubNone)
-	}
-	if d.sys.obs != nil {
-		d.sys.obs.OnTxnEnd(e.region)
-	}
+	d.flightDir(flight.KindTxnEnd, e.region, 0, -1, flight.SubNone)
 	if len(e.queue) > 0 {
 		d.popQueue(e)
 	} else {
@@ -734,9 +716,7 @@ func (d *dirSlice) unblock(e *dirEntry) {
 // in place so its backing array is reused for the region's lifetime.
 func (d *dirSlice) popQueue(e *dirEntry) {
 	next := e.queue[0]
-	if d.sys.flight != nil {
-		d.flightDir(flight.KindQueueUnpark, e.region, 0, next.Src, uint8(next.Type))
-	}
+	d.flightDir(flight.KindQueueUnpark, e.region, 0, next.Src, uint8(next.Type))
 	n := copy(e.queue, e.queue[1:])
 	e.queue[n] = nil
 	e.queue = e.queue[:n]

@@ -11,14 +11,89 @@ import (
 	"protozoa/internal/obs/flight"
 )
 
-// This file wires the flight spine (internal/obs/flight) into the
-// machine: one record ring fed by nil-checked hooks at every protocol
-// step — the machine's only observability hooks — the stall watchdog
-// sampled on timeline ticks, and the log export behind protozoa sim's
-// -flight flag. The Chrome trace, message log and latency breakdown are
-// views over the same records. Like the rest of the observability
-// layer, everything here is opt-in and the disabled machine pays one
-// nil check per potential record.
+// This file is the machine's one emit: each protocol step builds a
+// flight record and hands it to every view subscribed to its kind — the
+// flight ring (behind the Chrome trace, message log and -flight log),
+// the latency fold, the transition audit, the checker and the
+// attribution tracker. Each emit site tests the kind mask first, so a
+// machine with no views pays one branch per site. The stall watchdog,
+// sampled on timeline ticks, lives here too.
+
+// kindMask is a set of record kinds, one bit per flight.Kind.
+type kindMask uint32
+
+// The machine's own record kinds, past the ring's vocabulary: no ring
+// subscribes to them, so no log carries them. A value record is a
+// completed reference: its trace.Kind in Sub, the core in Src, the word
+// address in Region and the value the core observed in Txn (an RMW's
+// old value). The attribution records hold the core in Src and the
+// region in Region. A fill's R is the filled range. A death's R is the
+// dead block's, Valid and Dirty its read and written footprint, Txn
+// its unfolded references and From its used words. An invalidation's
+// Src is the victim, Req the offender (-1 for a recall) and Txn the
+// words lost; a fan-out's Txn is the probe count.
+const (
+	kindValue flight.Kind = flight.NumKinds + iota
+	kindFill
+	kindDeath
+	kindInval
+	kindUpgrade
+	kindFanout
+)
+
+// Each view's subscription.
+const (
+	ringKinds    = kindMask(1)<<flight.NumKinds - 1
+	stateKinds   = kindMask(1)<<flight.KindL1State | kindMask(1)<<flight.KindDirState
+	valueKinds   = kindMask(1) << kindValue
+	checkerKinds = valueKinds | kindMask(1)<<flight.KindL1State | kindMask(1)<<flight.KindTxnEnd
+	attribKinds  = kindMask(1)<<kindFill | kindMask(1)<<kindDeath | kindMask(1)<<kindInval |
+		kindMask(1)<<kindUpgrade | kindMask(1)<<kindFanout
+	// phaseKinds are the phase edges the latency fold reads.
+	phaseKinds = kindMask(1)<<flight.KindMissStart | kindMask(1)<<flight.KindMissEnd |
+		kindMask(1)<<flight.KindDirAccept | kindMask(1)<<flight.KindTxnStart |
+		kindMask(1)<<flight.KindTxnProcess | kindMask(1)<<flight.KindTxnLastAck
+)
+
+// A view is one subscriber: emit hands see every record whose kind is
+// in kinds, and Run calls end, when set, once the run completes.
+type view struct {
+	kinds kindMask
+	see   func(*flight.Record)
+	end   func()
+}
+
+// on reports whether any view reads records of kind k.
+func (s *System) on(k flight.Kind) bool { return s.kinds&(1<<k) != 0 }
+
+// emit hands r to every view subscribed to its kind, in subscription
+// order. The views read one copy of it, s.rec; they keep no pointer to
+// it and emit nothing themselves, so r stays on the caller's stack.
+func (s *System) emit(r *flight.Record) {
+	s.rec = *r
+	bit := kindMask(1) << r.Kind
+	for i := range s.views {
+		if v := &s.views[i]; v.kinds&bit != 0 {
+			v.see(&s.rec)
+		}
+	}
+}
+
+// subscribe adds a view. A view that reads word values arms them, so
+// it must subscribe before the machine processes its first event.
+func (s *System) subscribe(v view) {
+	s.mustLive()
+	if v.kinds&valueKinds != 0 {
+		if s.eng.Processed() > 0 {
+			panic("core: a view reading word values subscribed after the machine processed an event: it must subscribe before the run, since word values are tracked only from then on")
+		}
+		if !s.on(kindValue) {
+			s.armValues()
+		}
+	}
+	s.views = append(s.views, v)
+	s.kinds |= v.kinds
+}
 
 // DefaultStallCycles is the watchdog threshold when the caller passes 0:
 // far beyond any healthy transaction (a worst-case miss is a few
@@ -36,15 +111,21 @@ const flightRecordsPerMsg = 8
 // recent capacity records (<= 0 selects flight.DefaultCap). Call before
 // Run. Every view that needs the ring (the flight log, message log,
 // Chrome trace and stall watchdog) calls this; the ring grows to the
-// largest capacity any caller asks for.
+// largest capacity any caller asks for. The ring keeps state changes
+// only, not self-loop edges.
 func (s *System) EnableFlightRecorder(capacity int) *flight.Recorder {
 	if s.flight != nil {
 		s.flight.Grow(capacity)
 		return s.flight
 	}
-	s.flight = flight.NewRecorder(capacity)
-	s.edges = true
-	return s.flight
+	rec := flight.NewRecorder(capacity)
+	s.flight = rec
+	s.subscribe(view{kinds: ringKinds, see: func(r *flight.Record) {
+		if r.From != r.To || stateKinds&(1<<r.Kind) == 0 {
+			rec.Record(*r)
+		}
+	}})
+	return rec
 }
 
 // FlightRecorder returns the attached recorder, nil when disabled.
@@ -88,10 +169,16 @@ func (s *System) WriteFlightLog(w io.Writer) error {
 	return flight.WriteLog(w, meta, s.flight.Records())
 }
 
-// flightMsg records one message-lifecycle step at tile. Every field is
-// copied out of the message, so the record stays valid after the
-// message is recycled into the pool.
+// flightMsg emits one message-lifecycle step at tile, when a view
+// reads its kind. Every field is copied out of the message, so the
+// record stays valid after the message is recycled into the pool.
 func (s *System) flightMsg(k flight.Kind, tile int, m *Msg) {
+	if s.on(k) {
+		s.emitMsg(k, tile, m)
+	}
+}
+
+func (s *System) emitMsg(k flight.Kind, tile int, m *Msg) {
 	var flags uint8
 	if m.StillSharer {
 		flags |= flight.FlagStillSharer
@@ -105,7 +192,7 @@ func (s *System) flightMsg(k flight.Kind, tile int, m *Msg) {
 	if m.ForwardedData {
 		flags |= flight.FlagForwarded
 	}
-	s.flight.Record(flight.Record{
+	s.emit(&flight.Record{
 		Cycle: s.eng.Now(), Tile: int16(tile), Kind: k, Sub: uint8(m.Type),
 		Src: int16(m.Src), Dst: int16(m.Dst), Req: int16(m.Requester),
 		Region: uint64(m.Region), Txn: m.TxnID,
@@ -113,27 +200,17 @@ func (s *System) flightMsg(k flight.Kind, tile int, m *Msg) {
 	})
 }
 
-// phaseOn reports whether any view consumes the six miss/transaction
-// phase records (miss-start, dir-accept, txn-start, txn-process,
-// txn-last-ack, miss-end): the flight ring or the online latency fold.
-// Every other record kind feeds the ring alone and guards on s.flight.
-func (s *System) phaseOn() bool { return s.flight != nil || s.lat != nil }
-
-// record hands one record to every view that is on: the ring and the
-// latency fold.
-func (s *System) record(r flight.Record) {
-	if s.flight != nil {
-		s.flight.Record(r)
-	}
-	if lat := s.lat; lat != nil {
-		lat.Fold(&r)
+// flightDir emits one directory-transaction step at this slice, when a
+// view reads its kind. req is the requesting core (-1 for inclusion
+// recalls). The kind test inlines into the call site.
+func (d *dirSlice) flightDir(k flight.Kind, region mem.RegionID, txn uint64, req int, sub uint8) {
+	if d.sys.on(k) {
+		d.emitDir(k, region, txn, req, sub)
 	}
 }
 
-// flightDir records one directory-transaction step at this slice. req
-// is the requesting core (-1 for inclusion recalls).
-func (d *dirSlice) flightDir(k flight.Kind, region mem.RegionID, txn uint64, req int, sub uint8) {
-	d.sys.record(flight.Record{
+func (d *dirSlice) emitDir(k flight.Kind, region mem.RegionID, txn uint64, req int, sub uint8) {
+	d.sys.emit(&flight.Record{
 		Cycle: d.sys.eng.Now(), Tile: int16(d.node), Kind: k, Sub: sub,
 		Src: int16(d.node), Dst: -1, Req: int16(req),
 		Region: uint64(region), Txn: txn,
@@ -177,27 +254,10 @@ func (d *dirSlice) flightDirCode(e *dirEntry) uint8 {
 	}
 }
 
-// stateEdge hands one state edge (KindL1State or KindDirState; From/To
-// state codes, Sub its cause) to every view that is on: the transition
-// audit counts every edge, self-loops included, the flight ring
-// records changes only, and a checker marks every L1 edge's region for
-// its next check.
-func (s *System) stateEdge(r flight.Record) {
-	if s.transitions != nil {
-		s.transitions[edgeKey{kind: r.Kind, from: r.From, cause: r.Sub, to: r.To}]++
-	}
-	if s.flight != nil && r.From != r.To {
-		s.flight.Record(r)
-	}
-	if s.chk != nil && r.Kind == flight.KindL1State {
-		s.chk.changed = append(s.chk.changed, mem.RegionID(r.Region))
-	}
-}
-
 // stateEdge emits the edge region took on cause since the from
 // snapshot (a flightStateCode taken before the step).
 func (l *l1Ctrl) stateEdge(region mem.RegionID, from, cause uint8) {
-	l.sys.stateEdge(flight.Record{
+	l.sys.emit(&flight.Record{
 		Cycle: l.sys.eng.Now(), Tile: int16(l.id),
 		Kind: flight.KindL1State, Sub: cause,
 		Src: int16(l.id), Dst: -1, Req: int16(l.id),
@@ -209,7 +269,7 @@ func (l *l1Ctrl) stateEdge(region mem.RegionID, from, cause uint8) {
 // flightDirCode). src is the stepping node; req the requesting core, -1
 // for a spontaneous writeback.
 func (d *dirSlice) stateEdge(e *dirEntry, from, cause uint8, src, req int) {
-	d.sys.stateEdge(flight.Record{
+	d.sys.emit(&flight.Record{
 		Cycle: d.sys.eng.Now(), Tile: int16(d.node),
 		Kind: flight.KindDirState, Sub: cause,
 		Src: int16(src), Dst: -1, Req: int16(req),
@@ -232,13 +292,6 @@ func (r StallReport) String() string {
 		r.Core, r.Request, r.Region, r.FlaggedAt-r.IssuedAt, r.IssuedAt, r.FlaggedAt)
 }
 
-// stallKey deduplicates watchdog detections: one report per miss, not
-// one per tick it stays stuck.
-type stallKey struct {
-	core   int
-	issued engine.Cycle
-}
-
 // EnableStallWatchdog arms the stall watchdog: at every timeline tick,
 // any miss outstanding longer than threshold cycles (<= 0 selects
 // DefaultStallCycles) is reported once — its causal transcript (the
@@ -252,7 +305,6 @@ func (s *System) EnableStallWatchdog(threshold engine.Cycle, out io.Writer) {
 	}
 	s.stallThreshold = threshold
 	s.stallOut = out
-	s.stallSeen = make(map[stallKey]bool)
 	s.EnableFlightRecorder(0)
 	if s.timelineInterval == 0 {
 		s.EnableTimeline(0)
@@ -272,22 +324,13 @@ func (s *System) checkStalls(now engine.Cycle) {
 			continue
 		}
 		ms := &l1.ms
-		if now-ms.issuedAt < s.stallThreshold {
+		// One report per miss, not one per tick it stays stuck.
+		if ms.stalled || now-ms.issuedAt < s.stallThreshold {
 			continue
 		}
-		key := stallKey{core: l1.id, issued: ms.issuedAt}
-		if s.stallSeen[key] {
-			continue
-		}
-		s.stallSeen[key] = true
-		kind := "GETS"
-		if ms.upgrade {
-			kind = "UPGRADE"
-		} else if ms.mode.write() {
-			kind = "GETX"
-		}
+		ms.stalled = true
 		rep := StallReport{
-			Core: l1.id, Region: ms.region, Request: kind,
+			Core: l1.id, Region: ms.region, Request: ms.request(),
 			IssuedAt: ms.issuedAt, FlaggedAt: now,
 		}
 		s.stalls = append(s.stalls, rep)

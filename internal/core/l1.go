@@ -90,7 +90,19 @@ type mshr struct {
 
 	// folded marks a reference a mid-run attribution read already
 	// counted (foldPending); its completion only marks the word.
-	folded bool
+	// stalled marks a miss the stall watchdog reported.
+	folded, stalled bool
+}
+
+// request names the miss's request message.
+func (ms *mshr) request() string {
+	switch {
+	case ms.upgrade:
+		return "UPGRADE"
+	case ms.mode.write():
+		return "GETX"
+	}
+	return "GETS"
 }
 
 // tableChunks recycles the chunks of the L1 causes tables and the
@@ -156,8 +168,8 @@ func (l *l1Ctrl) cs() *stats.CoreStats { return &l.sys.st.PerCore[l.id] }
 // RMW needs the block writable and leaves it Modified) and returns the
 // value the CPU observes: the loaded value, the stored value, or the
 // pre-increment value for an RMW. A machine without armed values keeps
-// none, so there a load or RMW observes storeVal, 0, which only an
-// observer would read.
+// none, so there a load or RMW observes storeVal, 0, which only a
+// value view would read.
 func (l *l1Ctrl) perform(b *cache.Block, w uint8, mode accessMode, storeVal uint64) uint64 {
 	if mode.write() {
 		b.State = cache.Modified
@@ -185,7 +197,7 @@ func (l *l1Ctrl) perform(b *cache.Block, w uint8, mode accessMode, storeVal uint
 func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, done completer) {
 	g := l.sys.geom
 	region, w := g.Region(addr), g.WordOffset(addr)
-	edges := l.sys.edges
+	edges := l.sys.on(flight.KindL1State)
 	var from uint8
 	if edges {
 		from = l.flightStateCode(region)
@@ -207,8 +219,8 @@ func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, do
 		l.sys.st.L1Misses++
 		l.cs().Misses++
 		l.sys.st.UpgradeMisses++
-		if l.sys.attrib != nil {
-			l.sys.attrib.Upgrade(l.id, region)
+		if l.sys.on(kindUpgrade) {
+			l.sys.emit(&flight.Record{Kind: kindUpgrade, Src: int16(l.id), Region: uint64(region)})
 		}
 		l.classifyMiss(region, w, true)
 		l.startMiss(mshr{
@@ -253,8 +265,8 @@ func (l *l1Ctrl) startMiss(ms mshr, t MsgType) {
 	l.ms = ms
 	l.msLive = true
 	l.sys.mshrLive++
-	if l.sys.phaseOn() {
-		l.sys.record(flight.Record{
+	if l.sys.on(flight.KindMissStart) {
+		l.sys.emit(&flight.Record{
 			Cycle: ms.issuedAt, Tile: int16(l.id),
 			Kind: flight.KindMissStart, Sub: uint8(t),
 			Src: int16(l.id), Dst: int16(l.sys.home(ms.region)), Req: int16(l.id),
@@ -278,8 +290,8 @@ func (l *l1Ctrl) retireMiss(ms *mshr) {
 	now := l.sys.eng.Now()
 	l.sys.st.RecordMissLatency(uint64(now - ms.issuedAt))
 	l.sys.mshrLive--
-	if l.sys.phaseOn() {
-		l.sys.record(flight.Record{
+	if l.sys.on(flight.KindMissEnd) {
+		l.sys.emit(&flight.Record{
 			Cycle: now, Tile: int16(l.id),
 			Kind: flight.KindMissEnd, Sub: flight.SubNone,
 			Src: int16(l.id), Dst: -1, Req: int16(l.id),
@@ -310,7 +322,7 @@ func (l *l1Ctrl) fill(m *Msg) {
 	if ms == nil {
 		panic(fmt.Sprintf("core: L1 %d data for region %d without MSHR", l.id, m.Region))
 	}
-	if l.sys.edges {
+	if l.sys.on(flight.KindL1State) {
 		defer l.stateEdge(m.Region, l.flightStateCode(m.Region), uint8(m.Type))
 	}
 	var st cache.State
@@ -331,8 +343,8 @@ func (l *l1Ctrl) fill(m *Msg) {
 	}
 	l.sys.st.RecordFill(m.R.Words())
 	l.sys.st.DataWordsIn += uint64(m.PayloadWords())
-	if l.sys.attrib != nil {
-		l.sys.attrib.Fill(l.id, m.Region, m.R.Words())
+	if l.sys.on(kindFill) {
+		l.sys.emit(&flight.Record{Kind: kindFill, Src: int16(l.id), Region: uint64(m.Region), R: m.R})
 	}
 	victims := l.cache.Insert(blk)
 	l.handleVictims(victims)
@@ -370,7 +382,7 @@ func (l *l1Ctrl) grant(m *Msg) {
 	if ms == nil || !ms.upgrade {
 		panic(fmt.Sprintf("core: L1 %d grant for region %d without upgrade MSHR", l.id, m.Region))
 	}
-	edges := l.sys.edges
+	edges := l.sys.on(flight.KindL1State)
 	var from uint8
 	if edges {
 		from = l.flightStateCode(m.Region)
@@ -414,7 +426,7 @@ func (l *l1Ctrl) grant(m *Msg) {
 // non-overlapping dirty data stays writable (adaptive coherence
 // granularity).
 func (l *l1Ctrl) probeGetS(m *Msg) {
-	if l.sys.edges {
+	if l.sys.on(flight.KindL1State) {
 		defer l.stateEdge(m.Region, l.flightStateCode(m.Region), uint8(MsgFwdGetS))
 	}
 	blocks := l.cache.BlocksInRegion(m.Region)
@@ -455,7 +467,7 @@ func (l *l1Ctrl) probeGetS(m *Msg) {
 // additionally loses write permission on its non-overlapping blocks —
 // the single-writer rule — while under MW they stay writable.
 func (l *l1Ctrl) probeInval(m *Msg) {
-	if l.sys.edges {
+	if l.sys.on(flight.KindL1State) {
 		defer l.stateEdge(m.Region, l.flightStateCode(m.Region), uint8(m.Type))
 	}
 	if m.Type == MsgInv {
@@ -494,13 +506,14 @@ func (l *l1Ctrl) probeInval(m *Msg) {
 	if len(extracted) > 0 {
 		l.sys.st.Invalidations++
 		l.cs().Invalidations++
-		if l.sys.attrib != nil {
+		if l.sys.on(kindInval) {
 			words := 0
 			for i := range extracted {
 				words += extracted[i].R.Words()
 			}
 			// Recall INVs carry Requester -1: no core is the offender.
-			l.sys.attrib.Invalidation(m.Region, m.Requester, l.id, words)
+			l.sys.emit(&flight.Record{Kind: kindInval, Src: int16(l.id), Req: int16(m.Requester),
+				Region: uint64(m.Region), Txn: uint64(words)})
 		}
 	}
 	// Protozoa-SW+MR: the probed owner is fully revoked — remaining
@@ -674,23 +687,16 @@ func (l *l1Ctrl) classifyDeath(b *cache.Block) {
 	used := b.UsedWords()
 	l.sys.st.UsedDataBytes += uint64(used) * mem.WordBytes
 	l.sys.st.UnusedDataBytes += uint64(b.R.Words()-used) * mem.WordBytes
-	if l.sys.attrib != nil {
+	if l.sys.on(kindDeath) {
 		// Every fill eventually reaches one of the classifyDeath sites
 		// (eviction, invalidation, or Run's residual flush), so the
 		// tracker's fetched == used + unused reconciles exactly, and
 		// every reference a block served is folded exactly once.
-		l.sys.attrib.Death(l.id, b.Region, footprint(b), used, b.R.Words())
+		l.sys.emit(&flight.Record{Kind: kindDeath, Src: int16(l.id), Region: uint64(b.Region), R: b.R,
+			Valid: b.Read, Dirty: b.Wrote, Txn: b.Refs, From: uint8(used)})
 		b.Refs = 0
 	}
 	l.pred.Train(b.FetchPC, b.Region, b.FetchWord, b.Touched(), b.R)
-}
-
-// footprint is the block's attribution footprint. The tracker sees
-// the L1's references once per block life: each reference is noted on
-// the block that serves it (a hit, or the fill or grant completing a
-// miss), and classifyDeath folds the block in.
-func footprint(b *cache.Block) attrib.Footprint {
-	return attrib.Footprint{Read: b.Read, Wrote: b.Wrote, Refs: b.Refs}
 }
 
 // noteMiss records a completed miss's reference on the block that
@@ -706,11 +712,13 @@ func noteMiss(b *cache.Block, ms *mshr) {
 
 // foldPending brings the tracker up to date with every reference this
 // L1 resolved: the resident blocks' unfolded references, and an open
-// miss's reference, counted now and only marked when it completes.
+// miss's reference, counted now and only marked when it completes. The
+// tracker otherwise sees the references once per block life: each is
+// noted on the block that serves it, and its death record folds them.
 func (l *l1Ctrl) foldPending() {
 	l.cache.Blocks(func(b *cache.Block) {
 		if b.Refs != 0 {
-			l.sys.attrib.Fold(l.id, b.Region, footprint(b))
+			l.sys.attrib.Fold(l.id, b.Region, attrib.Footprint{Read: b.Read, Wrote: b.Wrote, Refs: b.Refs})
 			b.Refs = 0
 		}
 	})

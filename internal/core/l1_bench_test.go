@@ -12,20 +12,29 @@ import (
 // hitL1 returns core 0's L1 of a 4-core MESI machine holding hitRegions
 // full, Modified regions, so every read or write resolved against them
 // is an L1 hit. The machine carries view: the "attrib" tracker, the
-// "flight" recorder, the transition "audit", or none.
+// "flight" recorder, the transition "audit", the "checker", the
+// "latency" breakdown, "all" of them, or "none".
 func hitL1(tb testing.TB, view string) *l1Ctrl {
 	tb.Helper()
 	sys, err := NewSystem(testConfig(MESI, 4), make([][]trace.Access, 4))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	switch view {
-	case "attrib":
+	all := view == "all"
+	if all || view == "attrib" {
 		sys.EnableAttribution()
-	case "flight":
+	}
+	if all || view == "flight" {
 		sys.EnableFlightRecorder(0)
-	case "audit":
+	}
+	if all || view == "audit" {
 		sys.EnableTransitionAudit()
+	}
+	if all || view == "checker" {
+		NewChecker(sys)
+	}
+	if all || view == "latency" {
+		sys.EnableLatencyBreakdown()
 	}
 	l := sys.l1s[0]
 	for r := mem.RegionID(0); r < hitRegions; r++ {
@@ -48,11 +57,11 @@ func hitAddr(i int) mem.Addr {
 }
 
 // TestL1HitAllocatesNothing pins the hit path's allocation contract
-// with each view on: noting a reference on its block, and emitting its
-// state edge to the flight ring or the transition audit, allocates
-// nothing.
+// with each view on, and with all of them: noting a reference on its
+// block, emitting its state edge and (to a checker) its value
+// allocates nothing.
 func TestL1HitAllocatesNothing(t *testing.T) {
-	for _, view := range []string{"none", "attrib", "flight", "audit"} {
+	for _, view := range []string{"none", "attrib", "flight", "audit", "checker", "latency", "all"} {
 		l, sink, i := hitL1(t, view), &hitSink{}, 0
 		if n := testing.AllocsPerRun(1000, func() {
 			l.resolve(hitAddr(i), accessMode(i%2), 0x40, uint64(i), sink)
@@ -67,16 +76,17 @@ func TestL1HitAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkL1Hit measures l1Ctrl.resolve on a hit, reads and writes,
-// with the attribution tracker off and on: the hit path notes the
-// reference on its block, and the tracker sees it only at the block's
-// death.
+// with no view and with every view on: the hit path notes the
+// reference on its block and emits its state edge and its value. With
+// the checker on, B/op is the growth of its changed-region list, which
+// only a transaction end drains and the hit loop never reaches.
 func BenchmarkL1Hit(b *testing.B) {
 	for _, kind := range []struct {
 		name string
 		mode accessMode
 	}{{"read", accRead}, {"write", accWrite}} {
-		for _, view := range []string{"none", "attrib"} {
-			b.Run(fmt.Sprintf("%s/attrib=%v", kind.name, view == "attrib"), func(b *testing.B) {
+		for _, view := range []string{"none", "all"} {
+			b.Run(fmt.Sprintf("%s/views=%s", kind.name, view), func(b *testing.B) {
 				l, sink := hitL1(b, view), &hitSink{}
 				b.ReportAllocs()
 				b.ResetTimer()

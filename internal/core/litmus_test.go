@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"protozoa/internal/mem"
+	"protozoa/internal/obs/flight"
 	"protozoa/internal/trace"
 )
 
@@ -58,10 +59,8 @@ func runLitmus(t *testing.T, p Protocol, threads []litmusThread, delays []uint16
 		val  uint64
 	}
 	var loads []ev
-	sys.SetObserver(observerFuncs{
-		onLoad: func(core int, _ mem.Addr, val uint64) {
-			loads = append(loads, ev{core, val})
-		},
+	onLoads(sys, func(core int, _ mem.Addr, val uint64) {
+		loads = append(loads, ev{core, val})
 	})
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
@@ -78,17 +77,14 @@ func runLitmus(t *testing.T, p Protocol, threads []litmusThread, delays []uint16
 	return out
 }
 
-// observerFuncs adapts closures to the Observer interface.
-type observerFuncs struct {
-	onLoad func(int, mem.Addr, uint64)
-}
-
-func (o observerFuncs) OnStore(int, mem.Addr, uint64) {}
-func (o observerFuncs) OnTxnEnd(mem.RegionID)         {}
-func (o observerFuncs) OnLoad(c int, a mem.Addr, v uint64) {
-	if o.onLoad != nil {
-		o.onLoad(c, a, v)
-	}
+// onLoads subscribes fn (nil for none) to the values of the loads and
+// RMWs sys completes, which arms word values.
+func onLoads(sys *System, fn func(core int, addr mem.Addr, val uint64)) {
+	sys.subscribe(view{kinds: valueKinds, see: func(r *flight.Record) {
+		if fn != nil && trace.Kind(r.Sub) != trace.Store {
+			fn(int(r.Src), mem.Addr(r.Region), r.Txn)
+		}
+	}})
 }
 
 // sweep2 and sweep4 enumerate start-delay combinations. A cold write

@@ -152,7 +152,7 @@ type Msg struct {
 	Valid mem.Bitmap // words present in the payload
 	Dirty mem.Bitmap // words that are dirty (writebacks)
 	// Words holds the payload's values, indexed by region offset. A
-	// machine whose values are armed (SetObserver) gives every message
+	// machine whose values are armed (a value view) gives every message
 	// an array; on any other machine Words is nil.
 	Words *[mem.MaxRegionWords]uint64
 

@@ -64,7 +64,7 @@ func TestNonInclusivePartialOwnerCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &loadRecorder{}
-	sys.SetObserver(rec)
+	onLoads(sys, rec.onLoad)
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}

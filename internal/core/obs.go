@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"protozoa/internal/mem"
 	"protozoa/internal/obs"
 	"protozoa/internal/obs/attrib"
 	"protozoa/internal/obs/flight"
@@ -13,8 +14,9 @@ import (
 
 // This file wires the internal/obs observability layer into the
 // machine. Nothing here runs unless the corresponding Enable* method
-// was called before Run; the hot-path emit sites in system.go, l1.go
-// and dir.go all guard on a single nil check.
+// was called before Run; the latency fold and the attribution tracker
+// subscribe to the machine's one emit (flight.go), and the metrics
+// registry is sampled on timeline ticks.
 
 // traceRecordsPerEvent sizes the flight ring behind the Chrome trace in
 // records per trace event: the ring also keeps frees, directory phase
@@ -46,7 +48,9 @@ func (s *System) EnableEventTrace(capacity int) *flight.Recorder {
 // returned breakdown is complete once Run returns.
 func (s *System) EnableLatencyBreakdown() *obs.LatencyBreakdown {
 	if s.lat == nil {
-		s.lat = obs.NewLatencyBreakdown(s.cfg.Cores)
+		lat := obs.NewLatencyBreakdown(s.cfg.Cores)
+		s.lat = lat
+		s.subscribe(view{kinds: phaseKinds, see: lat.Fold})
 	}
 	return s.lat
 }
@@ -61,7 +65,23 @@ func (s *System) LatencyBreakdown() *obs.LatencyBreakdown { return s.lat }
 // Call before Run.
 func (s *System) EnableAttribution() *attrib.Tracker {
 	if s.attrib == nil {
-		s.attrib = attrib.New(s.cfg.Cores)
+		t := attrib.New(s.cfg.Cores)
+		s.attrib = t
+		s.subscribe(view{kinds: attribKinds, end: t.Trim, see: func(r *flight.Record) {
+			core, region := int(r.Src), mem.RegionID(r.Region)
+			switch r.Kind {
+			case kindFill:
+				t.Fill(core, region, r.R.Words())
+			case kindDeath:
+				t.Death(core, region, attrib.Footprint{Read: r.Valid, Wrote: r.Dirty, Refs: r.Txn}, int(r.From), r.R.Words())
+			case kindInval:
+				t.Invalidation(region, int(r.Req), core, int(r.Txn))
+			case kindUpgrade:
+				t.Upgrade(core, region)
+			case kindFanout:
+				t.Fanout(region, int(r.Txn))
+			}
+		}})
 	}
 	return s.attrib
 }
@@ -157,23 +177,22 @@ func (s *System) EnableMetrics() *obs.Registry {
 		})
 	r.Register("noc_link_stall_cycles", "cumulative cycles messages queued behind busy links",
 		func() float64 { return float64(s.st.LinkStallCycles) })
+	usage := func() (resident, touched int) {
+		for _, l1 := range s.l1s {
+			r, t := l1.cache.Usage()
+			resident += r
+			touched += t
+		}
+		return resident, touched
+	}
 	r.Register("l1_resident_words", "data words resident across all L1s",
 		func() float64 {
-			resident := 0
-			for _, l1 := range s.l1s {
-				r, _ := l1.cache.Usage()
-				resident += r
-			}
+			resident, _ := usage()
 			return float64(resident)
 		})
 	r.Register("l1_resident_used_pct", "percent of resident L1 words touched since fill",
 		func() float64 {
-			resident, touched := 0, 0
-			for _, l1 := range s.l1s {
-				r, t := l1.cache.Usage()
-				resident += r
-				touched += t
-			}
+			resident, touched := usage()
 			if resident == 0 {
 				return 100
 			}

@@ -25,7 +25,7 @@ func TestFlightRecordsOutlivePooledMsg(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.EnableMessageLog(16)
-	sys.SetObserver(observerFuncs{}) // arm values, so messages carry words
+	onLoads(sys, nil) // arm values, so messages carry words
 
 	m := sys.newMsg()
 	m.Type = MsgGetX

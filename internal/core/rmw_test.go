@@ -29,7 +29,7 @@ func TestRMWSingleCoreSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := &loadRecorder{}
-			sys.SetObserver(rec)
+			onLoads(sys, rec.onLoad)
 			if err := sys.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func TestRMWNoLostUpdates(t *testing.T) {
 					t.Fatal(err)
 				}
 				rec := &loadRecorder{}
-				sys.SetObserver(rec)
+				onLoads(sys, rec.onLoad)
 				if err := sys.Run(); err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +117,7 @@ func TestRMWUpgradePath(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := &loadRecorder{}
-			sys.SetObserver(rec)
+			onLoads(sys, rec.onLoad)
 			if err := sys.Run(); err != nil {
 				t.Fatal(err)
 			}

@@ -109,20 +109,6 @@ func DefaultConfig(p Protocol) Config {
 	}
 }
 
-// Observer receives correctness-checking hooks; see the random tester.
-// It is the one consumer of word values: installing one (SetObserver)
-// arms the machine to track them, and a machine without one carries
-// none.
-type Observer interface {
-	// OnStore fires when a store retires with write permission held.
-	OnStore(core int, addr mem.Addr, val uint64)
-	// OnLoad fires when a load's value is returned to the core.
-	OnLoad(core int, addr mem.Addr, val uint64)
-	// OnTxnEnd fires when the directory completes a transaction for the
-	// region — a quiescent point for invariant checks.
-	OnTxnEnd(region mem.RegionID)
-}
-
 // System is one assembled machine: cores, private L1s, the mesh, and
 // the tiled shared L2 with its in-cache directory.
 type System struct {
@@ -136,28 +122,22 @@ type System struct {
 	dirs []*dirSlice
 	cpus []*cpu
 
-	obs Observer
-	// values is set once SetObserver armed word values: the L1s and
-	// directory slices then keep word stores and messages carry words.
-	values bool
-	// chk is the checker NewChecker armed: stateEdge feeds it.
-	chk *Checker
-	// edges is set when any view consumes controller state edges: the
-	// transition audit, the flight ring or a checker. Every L1 and
-	// directory step that can change a state snapshots its from-code
-	// only when it is.
-	edges bool
+	// views are the subscribers emit hands records to, and kinds the
+	// union of their subscriptions: every emit site tests it first. A
+	// machine with a value view keeps word values (values.go).
+	views []view
+	kinds kindMask
+	rec   flight.Record // the record emit hands the views
 
-	// Observability hooks (internal/obs). All nil/zero unless the
-	// corresponding Enable* method ran; every use site guards with a
-	// single nil check so the disabled path costs one branch. lat is the
-	// online latency fold over the flight spine's phase records.
+	// Views kept for their readers: lat is the online latency fold
+	// over the phase records, attrib the attribution tracker. The
+	// metrics registry is no view: timeline ticks sample it.
 	lat     *obs.LatencyBreakdown
 	metrics *obs.Registry
 	attrib  *attrib.Tracker
 
 	// flight is the flight recorder (EnableFlightRecorder): one record
-	// ring in execution order, sized to the largest capacity any view
+	// ring in execution order, sized to the largest capacity any caller
 	// asked for. msgCap, when nonzero, bounds the MessageLog view
 	// reconstructed from the flight transcript. The stall* fields
 	// belong to the watchdog (EnableStallWatchdog), checked on timeline
@@ -166,7 +146,6 @@ type System struct {
 	msgCap         int
 	stallThreshold engine.Cycle
 	stallOut       io.Writer
-	stallSeen      map[stallKey]bool
 	stalls         []StallReport
 
 	// selfProf observes the simulator itself (EnableSelfProf): engine
@@ -260,7 +239,7 @@ func (s *System) newMsg() *Msg {
 	}
 	p.allocs++
 	m := &Msg{sys: s}
-	if s.values {
+	if s.on(kindValue) {
 		m.Words = new([mem.MaxRegionWords]uint64)
 	}
 	return m
@@ -271,9 +250,7 @@ func (s *System) newMsg() *Msg {
 func (s *System) freeMsg(tile int, m *Msg) {
 	// The free record is taken before the message is zeroed — it copies
 	// every field it keeps, so no record ever aliases a recycled Msg.
-	if s.flight != nil {
-		s.flightMsg(flight.KindMsgFree, tile, m)
-	}
+	s.flightMsg(flight.KindMsgFree, tile, m)
 	words := m.Words
 	*m = Msg{sys: s, Words: words}
 	if words != nil {
@@ -376,22 +353,6 @@ func (s *System) mustLive() {
 	}
 }
 
-// SetObserver installs correctness hooks; pass nil to remove. A
-// non-nil observer arms word values: from then on the L1s, the L2 and
-// every message carry the values it reads. A machine is armed before
-// it runs or not at all, so SetObserver panics once the machine has
-// processed an event.
-func (s *System) SetObserver(o Observer) {
-	s.mustLive()
-	if s.eng.Processed() > 0 {
-		panic("core: SetObserver after the machine processed an event: an observer must be installed before the run, since word values are tracked only from then on")
-	}
-	s.obs = o
-	if o != nil {
-		s.armValues()
-	}
-}
-
 // Stats exposes the run's counters.
 func (s *System) Stats() *stats.Stats { return s.st }
 
@@ -419,14 +380,12 @@ func (s *System) home(r mem.RegionID) int {
 // Src first, so Src names the sending tile.
 func (s *System) send(m *Msg) {
 	s.st.AddControl(m.Class(), CtrlBytes)
-	if s.flight != nil {
-		s.flightMsg(flight.KindMsgSend, m.Src, m)
-	}
+	s.flightMsg(flight.KindMsgSend, m.Src, m)
 	m.sys = s
 	m.phase = phaseDeliver
 	at, stall := s.mesh.Arrival(s.eng.Now(), m.Src, m.Dst, m.VNet(), m.Bytes())
-	if stall > 0 && s.flight != nil {
-		s.flight.Record(flight.Record{
+	if stall > 0 && s.on(flight.KindLinkStall) {
+		s.emit(&flight.Record{
 			Cycle: s.eng.Now(), Tile: int16(m.Src), Kind: flight.KindLinkStall,
 			Sub: uint8(m.Type), Src: int16(m.Src), Dst: int16(m.Dst), Req: -1,
 			Txn: uint64(stall),
@@ -441,9 +400,7 @@ func (s *System) send(m *Msg) {
 // other message is dead once its handler returns and goes back to the
 // pool here.
 func (s *System) deliver(m *Msg) {
-	if s.flight != nil {
-		s.flightMsg(flight.KindMsgDeliver, m.Dst, m)
-	}
+	s.flightMsg(flight.KindMsgDeliver, m.Dst, m)
 	switch m.Type {
 	case MsgGetS, MsgGetX, MsgUpgrade:
 		s.dirs[m.Dst].recvRequest(m)
@@ -482,12 +439,11 @@ func (s *System) Run() error {
 			s.coresDone, s.cfg.Cores, s.barrierArrived, s.diagnose())
 	}
 	s.st.ExecCycles = uint64(s.lastRetire)
-	if s.chk != nil {
-		s.chk.CheckAll()
-	}
 	s.flushResidual()
-	if s.attrib != nil {
-		s.attrib.Trim()
+	for _, v := range s.views {
+		if v.end != nil {
+			v.end()
+		}
 	}
 	// Engine self-observability counters land in the stats at the very
 	// end of the run (they describe the whole run) — always set, so the
@@ -524,8 +480,8 @@ func (s *System) foldAttribution() {
 
 // L2Word returns the shared L2's value for a word, and whether the
 // region has been allocated at the L2 at all. A machine whose values
-// were never armed (no SetObserver) still reports whether the region
-// exists, with value 0.
+// were never armed (no view reads them) still reports whether the
+// region exists, with value 0.
 func (s *System) L2Word(region mem.RegionID, w uint8) (uint64, bool) {
 	s.mustLive()
 	d := s.dirs[s.home(region)]

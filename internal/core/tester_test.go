@@ -3,7 +3,7 @@ package core
 // The random protocol tester, following the paper's validation
 // methodology ("We have tested protozoa extensively with the random
 // tester (1 million accesses)"). Random multi-core access records
-// drive the full system while an observer checks, at every directory
+// drive the full system while a checker view checks, at every directory
 // quiescent point:
 //
 //   - the SWMR invariant at the protocol's granularity: region

@@ -51,7 +51,7 @@ func TestThreeHopValueCorrect(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := &loadRecorder{}
-			sys.SetObserver(rec)
+			onLoads(sys, rec.onLoad)
 			if err := sys.Run(); err != nil {
 				t.Fatal(err)
 			}

@@ -37,10 +37,17 @@ type edgeKey struct {
 	from, cause, to uint8
 }
 
-// EnableTransitionAudit starts recording transitions. Call before Run.
+// EnableTransitionAudit starts recording transitions: the audit
+// subscribes to the state edges and counts every one, self-loops
+// included. Call before Run.
 func (s *System) EnableTransitionAudit() {
+	if s.transitions != nil {
+		return
+	}
 	s.transitions = make(map[edgeKey]uint64)
-	s.edges = true
+	s.subscribe(view{kinds: stateKinds, see: func(r *flight.Record) {
+		s.transitions[edgeKey{kind: r.Kind, from: r.From, cause: r.Sub, to: r.To}]++
+	}})
 }
 
 // transition renders the edge in protocol-table names.

@@ -8,22 +8,19 @@ import (
 )
 
 // Word values. Every result a run reports is value-free: traffic,
-// misses, block sizes, execution time, energy. Only an Observer (the
-// random tester's Checker, the tests' load recorders) reads word
-// values, so a machine tracks them only once SetObserver arms it:
-// each L1 then keeps a word store keyed by region (l1Words), each
-// directory slice keeps its L2 blocks beside its entry arena plus a
-// memory image, and every pooled Msg carries a word array. An unarmed
-// machine has none of these; each copy site checks for its store with
-// one nil test, the way the observation hooks check for their views.
+// misses, block sizes, execution time, energy. Only a view subscribed
+// to the value records (the random tester's Checker, the tests' load
+// recorders) reads word values, so a machine tracks them
+// only once such a view arms it: each L1 then keeps a word store keyed
+// by region (l1Words), each directory slice keeps its L2 blocks beside
+// its entry arena plus a memory image, and every pooled Msg carries a
+// word array. An unarmed machine has none of these; each copy site
+// checks for its store with one nil test.
 
-// armValues gives the machine its word stores. SetObserver calls it
-// before the first event, so no store has missed a value.
+// armValues gives the machine its word stores. subscribe calls it for
+// the first value view, before the first event, so no store has missed
+// a value.
 func (s *System) armValues() {
-	if s.values {
-		return
-	}
-	s.values = true
 	stride := uint32(s.geom.WordsPerRegion())
 	for _, l := range s.l1s {
 		l.words = &l1Words{index: mem.RegionTable[uint32]{Pool: &tableChunks}, arena: wordArena{stride: stride}}

@@ -14,14 +14,14 @@ import (
 )
 
 // TestArmingAfterAnEventPanics: word values are tracked only from the
-// moment an observer arms them, so an observer or checker installed on
-// a machine that already processed an event would compare against
+// moment a value view arms them, so a value view or checker subscribed
+// on a machine that already processed an event would compare against
 // values nobody kept. Both must panic and say why.
 func TestArmingAfterAnEventPanics(t *testing.T) {
 	recs := workloads.RandomRecords(4, 200, 8, 5, 1)
 	for name, arm := range map[string]func(*System){
-		"SetObserver": func(s *System) { s.SetObserver(observerFuncs{}) },
-		"NewChecker":  func(s *System) { NewChecker(s) },
+		"value view": func(s *System) { onLoads(s, nil) },
+		"NewChecker": func(s *System) { NewChecker(s) },
 	} {
 		sys, err := NewSystem(testConfig(MESI, 4), recs)
 		if err != nil {
@@ -58,7 +58,7 @@ func TestL2WordUnarmed(t *testing.T) {
 			t.Fatal(err)
 		}
 		if armed {
-			sys.SetObserver(observerFuncs{})
+			onLoads(sys, nil)
 		}
 		if err := sys.Run(); err != nil {
 			t.Fatal(err)
@@ -82,10 +82,10 @@ func TestL2WordUnarmed(t *testing.T) {
 }
 
 // TestValuesNeverSteerTiming runs figure workloads with a no-op
-// observer (values armed) and without one (unarmed) under every
+// value view (values armed) and without one (unarmed) under every
 // protocol, 3-hop off and on, with the default L2, a finite one and a
 // non-inclusive one, and requires equal stats, equal attribution dumps
-// and byte-identical flight logs: word values feed only observers,
+// and byte-identical flight logs: word values feed only value views,
 // never a timing or traffic decision.
 func TestValuesNeverSteerTiming(t *testing.T) {
 	if raceEnabled {
@@ -127,8 +127,9 @@ func TestValuesNeverSteerTiming(t *testing.T) {
 	}
 }
 
-// valueRun runs one machine, armed or not, and returns its stats, its
-// attribution dump and its flight log, each serialized, and the stats.
+// valueRun runs one machine, armed or not, with every other view on,
+// and returns its stats, its attribution dump and its flight log, each
+// serialized, and the stats.
 func valueRun(t *testing.T, cfg Config, recs [][]trace.Access, armed bool) ([3][]byte, *stats.Stats) {
 	t.Helper()
 	sys, err := NewSystem(cfg, recs)
@@ -137,8 +138,15 @@ func valueRun(t *testing.T, cfg Config, recs [][]trace.Access, armed bool) ([3][
 	}
 	tr := sys.EnableAttribution()
 	sys.EnableFlightRecorder(1 << 19)
+	sys.EnableLatencyBreakdown()
+	sys.EnableTransitionAudit()
 	if armed {
-		sys.SetObserver(observerFuncs{})
+		onLoads(sys, nil)
+	}
+	// Only a value view arms the machine; every other view leaves it
+	// value-free.
+	if got := sys.l1s[0].words != nil; got != armed {
+		t.Fatalf("armed=%v: machine keeps word values %v", armed, got)
 	}
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)

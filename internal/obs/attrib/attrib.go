@@ -8,9 +8,10 @@
 // (private, read-only, false-shared, migratory, read-write).
 //
 // Like the rest of internal/obs, the package knows nothing about the
-// protocol engine: the core wires nil-checked hooks into its L1 and
-// directory paths (see core.System.EnableAttribution), so a run with
-// attribution disabled pays one predictable branch per site.
+// protocol engine: core.System.EnableAttribution subscribes a Tracker
+// to the machine's one emit and applies its fill, death, invalidation,
+// upgrade and fan-out records, so a run without attribution pays one
+// kind-mask test per potential record.
 //
 // Accounting discipline: fetched words are counted once per fill, and
 // classified used/unused exactly once when the block dies (eviction,

@@ -1,17 +1,18 @@
-// Package flight is the simulator's event spine: one bounded ring of
-// fixed-size records capturing every protocol step the machine takes —
-// message send/deliver/free, MSHR open/retire, directory
+// Package flight is the simulator's event spine: fixed-size records
+// capturing every protocol step the machine takes — message
+// send/deliver/free, MSHR open/retire, directory
 // accept/park/unpark/activate/process/last-ack/end, L1 / directory state
-// transitions (stable + transient), and NoC link stalls. Every
-// observability view is derived from these records: the .pzfl log and
-// protozoa inspect, the Chrome trace, the message log, the online
-// miss-latency breakdown, and the transition audit (which counts the
-// state-transition records' codes, self-loops included). The recorder
-// is opt-in and nil-check-hooked: a disabled machine pays one branch per
-// potential record.
+// transitions (stable + transient), and NoC link stalls — and the
+// bounded ring that keeps them. The machine emits each record once, to
+// every view subscribed to its kind: the ring (behind the .pzfl log,
+// protozoa inspect, the Chrome trace and the message log), the online
+// miss-latency breakdown, the transition audit (which counts the
+// state-transition records' codes, self-loops included), the
+// random-tester checker and the attribution tracker. A machine with no
+// view subscribed to a kind pays one mask test per potential record.
 //
-// The machine records into the ring in execution order, stamping each
-// record with a sequence number, so the transcript is deterministic.
+// The ring keeps records in execution order, stamping each with a
+// sequence number, so the transcript is deterministic.
 package flight
 
 import (
@@ -61,10 +62,13 @@ const (
 	// meaning.
 	KindLinkStall
 
-	numKinds
+	// NumKinds is the size of the ring's vocabulary (KindNames). A
+	// machine may emit kinds past it to its own views; no ring or log
+	// ever carries them.
+	NumKinds
 )
 
-var kindNames = [numKinds]string{
+var kindNames = [NumKinds]string{
 	"msg-send", "msg-deliver", "msg-free",
 	"miss-start", "miss-end",
 	"dir-accept", "queue-park", "queue-unpark",
@@ -182,7 +186,6 @@ type Recorder struct {
 	buf     []Record
 	cap     int
 	next    int
-	wrapped bool
 	seq     uint64
 	dropped uint64
 }
@@ -218,7 +221,6 @@ func (r *Recorder) Record(rec Record) {
 	}
 	r.buf[r.next] = rec
 	r.next = (r.next + 1) % len(r.buf)
-	r.wrapped = true
 	r.dropped++
 }
 
@@ -228,13 +230,8 @@ func (r *Recorder) Len() int { return len(r.buf) }
 // Dropped reports records evicted by ring wrap.
 func (r *Recorder) Dropped() uint64 { return r.dropped }
 
-// Records returns the held records oldest-first.
+// Records returns the held records oldest-first (once the ring wraps,
+// the oldest sits at next).
 func (r *Recorder) Records() []Record {
-	if !r.wrapped {
-		return append([]Record(nil), r.buf...)
-	}
-	out := make([]Record, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return append(append([]Record(nil), r.buf[r.next:]...), r.buf[:r.next]...)
 }

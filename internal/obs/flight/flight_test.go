@@ -90,7 +90,7 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gotMeta.Protocol != "mw" || gotMeta.Cores != 16 || gotMeta.Dropped != 9 ||
-		gotMeta.Records != 2 || len(gotMeta.Kinds) != int(numKinds) {
+		gotMeta.Records != 2 || len(gotMeta.Kinds) != int(NumKinds) {
 		t.Fatalf("meta round trip: %+v", gotMeta)
 	}
 	if !reflect.DeepEqual(gotRecs, recs) {
@@ -225,7 +225,7 @@ func TestKindNames(t *testing.T) {
 	if KindMsgSend.String() != "msg-send" || KindLinkStall.String() != "link-stall" {
 		t.Fatal("kind names wrong")
 	}
-	if numKinds != Kind(len(kindNames)) {
+	if NumKinds != Kind(len(kindNames)) {
 		t.Fatal("kindNames out of sync with kinds")
 	}
 	// Codes are append-only: recorded logs key on them.

@@ -131,8 +131,8 @@ func ReadLog(r io.Reader) (Meta, []Record, error) {
 		return meta, nil, fmt.Errorf("flight: bad header: %d records, %d cores", meta.Records, meta.Cores)
 	}
 	kinds := len(meta.Kinds)
-	if kinds > int(numKinds) {
-		kinds = int(numKinds)
+	if kinds > int(NumKinds) {
+		kinds = int(NumKinds)
 	}
 	for k := 0; k < kinds; k++ {
 		if meta.Kinds[k] != kindNames[k] {

@@ -1,5 +1,7 @@
 package flight
 
+import "sort"
+
 // Transaction reconstruction: fold the ring's record stream back into
 // per-miss timelines with per-phase dwell times. The phase algebra —
 // Chain — is shared with the online obs.LatencyBreakdown fold: stamps
@@ -118,24 +120,13 @@ func Reconstruct(recs []Record) []Txn {
 	}
 	// Still-open transactions keep Open=true and their raw stamps; sort
 	// order (by issue) is deterministic because map iteration is not.
-	stalled := make([]*Txn, 0, len(open))
+	stalled := len(out)
 	for _, t := range open {
-		stalled = append(stalled, t)
-	}
-	for i := 1; i < len(stalled); i++ {
-		for j := i; j > 0 && less(stalled[j], stalled[j-1]); j-- {
-			stalled[j], stalled[j-1] = stalled[j-1], stalled[j]
-		}
-	}
-	for _, t := range stalled {
 		out = append(out, *t)
 	}
+	tail := out[stalled:]
+	sort.Slice(tail, func(i, j int) bool {
+		return tail[i].Issue < tail[j].Issue || tail[i].Issue == tail[j].Issue && tail[i].Core < tail[j].Core
+	})
 	return out
-}
-
-func less(a, b *Txn) bool {
-	if a.Issue != b.Issue {
-		return a.Issue < b.Issue
-	}
-	return a.Core < b.Core
 }

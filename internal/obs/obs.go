@@ -4,9 +4,9 @@
 // breakdown — plus a registry of named metrics sampled on the timeline
 // hook and the live metrics endpoint.
 //
-// The layer is strictly zero-cost when disabled: every emit site in the
-// simulator guards the call with a single nil check, and nothing here is
-// constructed unless an Enable* method was called on the system.
+// Nothing here is built unless an Enable* method was called on the
+// system; the latency fold subscribes to the machine's one emit, so a
+// run without it pays one kind-mask test per potential record.
 //
 // The package deliberately knows nothing about the coherence protocol:
 // records carry small integer fields and the caller supplies the

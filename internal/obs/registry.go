@@ -74,11 +74,7 @@ func (r *Registry) Eval() []float64 {
 
 // Sample evaluates every metric at the given cycle and appends a row.
 func (r *Registry) Sample(cycle uint64) {
-	row := MetricSample{Cycle: cycle, Values: make([]float64, len(r.metrics))}
-	for i, m := range r.metrics {
-		row.Values[i] = m.fn()
-	}
-	r.samples = append(r.samples, row)
+	r.samples = append(r.samples, MetricSample{Cycle: cycle, Values: r.Eval()})
 }
 
 // Samples returns the collected rows in time order.
@@ -102,6 +98,7 @@ type MetricDesc struct {
 // Doc evaluates the final values and assembles the dump document.
 func (r *Registry) Doc() *MetricsDoc {
 	doc := &MetricsDoc{
+		Metrics: r.Descs(),
 		Samples: r.samples,
 		Final:   make(map[string]float64, len(r.metrics)),
 	}
@@ -109,7 +106,6 @@ func (r *Registry) Doc() *MetricsDoc {
 		doc.Samples = []MetricSample{}
 	}
 	for _, m := range r.metrics {
-		doc.Metrics = append(doc.Metrics, MetricDesc{Name: m.name, Help: m.help})
 		doc.Final[m.name] = m.fn()
 	}
 	return doc

@@ -132,16 +132,6 @@ func writeGauge(b *strings.Builder, name, help string, v float64) {
 // charset [a-zA-Z0-9_:] (registry names are snake_case already; this
 // guards custom gauges).
 func sanitizeMetricName(name string) string {
-	ok := true
-	for i := 0; i < len(name); i++ {
-		if !isMetricChar(name[i], i == 0) {
-			ok = false
-			break
-		}
-	}
-	if ok && name != "" {
-		return name
-	}
 	var b strings.Builder
 	for i := 0; i < len(name); i++ {
 		if isMetricChar(name[i], b.Len() == 0) {

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"protozoa/internal/core"
+	"protozoa/internal/mem"
 	"protozoa/internal/noc"
 	"protozoa/internal/workloads"
 )
@@ -84,13 +85,18 @@ func ResolveWorkloads(names []string) ([]workloads.Spec, error) {
 // ParseRegions parses a comma-separated list of RMAX region sizes in
 // bytes, deduplicating while preserving first-appearance order — a
 // repeated size would otherwise duplicate every row of its sweep slice.
+// Each size must build a geometry (mem.NewGeometry), so an unsupported
+// one fails here, before any cell runs.
 func ParseRegions(s string) ([]int, error) {
 	var out []int
 	seen := make(map[int]bool)
 	for _, tok := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil || v <= 0 {
+		if err != nil {
 			return nil, fmt.Errorf("bad region size %q", tok)
+		}
+		if _, err := mem.NewGeometry(v); err != nil {
+			return nil, err
 		}
 		if !seen[v] {
 			seen[v] = true

@@ -69,7 +69,7 @@ func TestParseRegions(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, []int{64, 32}) {
 		t.Errorf("ParseRegions with duplicates = %v, %v, want [64 32]", got, err)
 	}
-	for _, bad := range []string{"x", "", "64,-8", "64,0"} {
+	for _, bad := range []string{"x", "", "64,-8", "64,0", "24", "64,24", "256"} {
 		if _, err := ParseRegions(bad); err == nil {
 			t.Errorf("ParseRegions(%q) accepted", bad)
 		}

@@ -149,7 +149,7 @@ const (
 // protocol's granularity plus golden-value integrity.
 type Checker = core.Checker
 
-// NewChecker attaches a checker to a system as its observer.
+// NewChecker subscribes a checker to a system; call it before the run.
 func NewChecker(sys *System) *Checker { return core.NewChecker(sys) }
 
 // DefaultSystemConfig is the paper's Table 4 machine for a protocol.
